@@ -12,12 +12,14 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"circuitql/internal/baseline"
 	"circuitql/internal/boolcircuit"
 	"circuitql/internal/core"
 	"circuitql/internal/ghd"
 	"circuitql/internal/opcircuits"
+	"circuitql/internal/opt"
 	"circuitql/internal/panda"
 	"circuitql/internal/proofseq"
 	"circuitql/internal/query"
@@ -25,6 +27,7 @@ import (
 	"circuitql/internal/semiring"
 	"circuitql/internal/sortnet"
 	"circuitql/internal/stats"
+	"circuitql/internal/vm"
 	"circuitql/internal/workload"
 	"circuitql/internal/yannakakis"
 
@@ -873,4 +876,58 @@ func BenchmarkWarmStart(b *testing.B) {
 		}
 		b.ReportMetric(float64(compiles), "compiles")
 	})
+}
+
+// BenchmarkCompileStages times the three word-level stages every cold
+// compile pays after PANDA-C — the oblivious lowering, the word-level
+// optimizer, and the vm compile — on the two templates the repo
+// benchmark's cold path is made of. ns/op is their sum; lower-ns,
+// opt-ns and vmcompile-ns split it, and gates is the optimized circuit's
+// size (a change here means the optimizer's output moved, not just its
+// speed). The relational circuit is built once outside the timer.
+func BenchmarkCompileStages(b *testing.B) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		q    *query.Query
+		n    float64
+	}{
+		{"triangle", query.Triangle(), 12},
+		{"cycle4", query.Cycle4(), 8},
+	} {
+		res, err := panda.CompileFCQ(tc.q, query.Cardinalities(tc.q, tc.n))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rel, _ := opt.Rel(res.Circuit)
+		b.Run(tc.name, func(b *testing.B) {
+			var lower, optimize, vmCompile time.Duration
+			gates := 0
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				obl, err := core.CompileObliviousCtx(ctx, rel)
+				if err != nil {
+					b.Fatal(err)
+				}
+				t1 := time.Now()
+				word, err := opt.BoolCtx(ctx, obl.C)
+				if err != nil {
+					b.Fatal(err)
+				}
+				t2 := time.Now()
+				if _, err := vm.Compile(ctx, word); err != nil {
+					b.Fatal(err)
+				}
+				t3 := time.Now()
+				lower += t1.Sub(t0)
+				optimize += t2.Sub(t1)
+				vmCompile += t3.Sub(t2)
+				gates = word.Size()
+			}
+			b.ReportMetric(float64(lower.Nanoseconds())/float64(b.N), "lower-ns")
+			b.ReportMetric(float64(optimize.Nanoseconds())/float64(b.N), "opt-ns")
+			b.ReportMetric(float64(vmCompile.Nanoseconds())/float64(b.N), "vmcompile-ns")
+			b.ReportMetric(float64(gates), "gates")
+		})
+	}
 }

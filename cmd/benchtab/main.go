@@ -40,7 +40,7 @@ func main() {
 		benchParse = flag.String("bench-parse", "", "comparator mode: file of `go test -bench` output to parse ('-' for stdin)")
 		benchOut   = flag.String("bench-out", "", "comparator mode: write the parsed snapshot to this JSON file")
 		benchBase  = flag.String("bench-baseline", "", "comparator mode: baseline JSON to compare against")
-		benchGate  = flag.String("bench-gate", "^(BenchmarkEngineCachedVsCold|BenchmarkBatchEval|BenchmarkServeSharded|BenchmarkWarmStart)", "comparator mode: regexp of benchmarks whose regression fails the run")
+		benchGate  = flag.String("bench-gate", "^(BenchmarkEngineCachedVsCold|BenchmarkBatchEval|BenchmarkServeSharded|BenchmarkWarmStart|BenchmarkCompileStages)", "comparator mode: regexp of benchmarks whose regression fails the run")
 		benchThr   = flag.Float64("bench-threshold", 25, "comparator mode: regression threshold in percent")
 	)
 	flag.Parse()

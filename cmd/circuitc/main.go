@@ -123,7 +123,9 @@ func main() {
 		}
 		if !*noOpt {
 			before := obl.C.Size()
-			obl.C = opt.Bool(obl.C)
+			if obl.C, err = opt.BoolCtx(context.Background(), obl.C); err != nil {
+				log.Fatal(err)
+			}
 			fmt.Printf("word-level opt:   %d gates -> %d (%.1f%% smaller)\n",
 				before, obl.C.Size(), 100*(1-float64(obl.C.Size())/float64(before)))
 		}

@@ -15,6 +15,9 @@ package boolcircuit
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"circuitql/internal/faultinject"
@@ -73,22 +76,94 @@ type Circuit struct {
 	depth   []int32
 	inputs  []int // gate ids of inputs in allocation order
 	outputs []int
-	hash    map[Gate]int
-	// hashStale defers the structural-hash table after deserialization:
-	// a circuit read from the wire is usually only evaluated, and
-	// filling the map is the dominant cost of Read. The first push
-	// rebuilds it from the gate list.
-	hashStale bool
-	maxDep    int32
+	// table is the hash-consing index: an open-addressed, linearly probed
+	// array of gate id + 1 (0 is an empty slot) whose length is a power of
+	// two at least twice the gate count. It stores no keys — a probe
+	// compares against gates[id] — so it costs 4 bytes a slot. A nil or
+	// too-small table (a fresh, deserialized or released circuit) is
+	// rebuilt from the gate list by the next push; see reserve.
+	table  []int32
+	shift  uint8 // 64 - log2(len(table)): a hash's top bits pick the slot
+	maxDep int32
 
 	levelMu     sync.Mutex // guards the level cache for concurrent evaluators
 	levelCache  [][]int32  // lazily built depth buckets for parallel evaluation
 	levelCacheN int
 }
 
+// maxGates is the largest gate count a circuit can hold: operands are
+// int32 wire ids.
+const maxGates = math.MaxInt32
+
+// minReserve is the smallest gate count reserve sizes for, so tiny
+// circuits do not rebuild their table every few gates.
+const minReserve = 32
+
 // New returns an empty circuit.
 func New() *Circuit {
-	return &Circuit{hash: make(map[Gate]int)}
+	return &Circuit{}
+}
+
+// Grow reserves room for n more gates — gate storage and the
+// hash-consing table — so a builder that knows roughly how large the
+// circuit will get allocates once instead of doubling its way there. A
+// hint that turns out too small costs nothing but the doublings it did
+// not save.
+func (c *Circuit) Grow(n int) {
+	if total := len(c.gates) + n; n > 0 && 2*total > len(c.table) {
+		c.reserve(total)
+	}
+}
+
+// ReleaseHashTable drops the hash-consing table. A finished circuit is
+// only ever evaluated or serialized, and the table is a third of what a
+// cached plan would otherwise pin; the circuit stays valid, and the next
+// push rebuilds the table from the gate list, exactly as after Read.
+func (c *Circuit) ReleaseHashTable() { c.table = nil }
+
+// reserve makes room for total gates: capacity in gates and depth, and a
+// table at load factor at most one half, filled by re-inserting every
+// non-input gate from the gate list. Doubling, the sizing hint and the
+// lazy rebuild of a circuit without a table are all this one routine. A
+// total that int32 operands could not address panics with a
+// guard.ErrBudgetExceeded-class error, which the compile entry points
+// return typed (guard.Recover).
+func (c *Circuit) reserve(total int) {
+	if total > maxGates {
+		panic(fmt.Errorf("%w: boolcircuit: %d gates exceed the %d a circuit can address",
+			guard.ErrBudgetExceeded, total, maxGates))
+	}
+	c.gates = slices.Grow(c.gates, total-len(c.gates))
+	c.depth = slices.Grow(c.depth, total-len(c.depth))
+	size := 2 * minReserve
+	for size < 2*total {
+		size <<= 1
+	}
+	c.table = make([]int32, size)
+	c.shift = uint8(64 - bits.TrailingZeros(uint(size)))
+	mask := uint32(size - 1)
+	for id, g := range c.gates {
+		if g.Op == OpInput {
+			continue
+		}
+		// Gates of one builder are distinct, so no comparison is needed;
+		// a deserialized circuit may repeat a gate, and then the lower id
+		// sits first on the probe path and is the one push will share.
+		slot := c.slotOf(g)
+		for c.table[slot] != 0 {
+			slot = (slot + 1) & mask
+		}
+		c.table[slot] = int32(id) + 1
+	}
+}
+
+// slotOf returns the home slot of g in the current table.
+func (c *Circuit) slotOf(g Gate) uint32 {
+	h := (uint64(uint32(g.A)) | uint64(uint32(g.B))<<32) * 0x9e3779b97f4a7c15
+	h ^= (uint64(uint32(g.C))<<8 | uint64(g.Op)) * 0xbf58476d1ce4e5b9
+	h ^= uint64(g.K) * 0x94d049bb133111eb
+	h ^= h >> 32
+	return uint32((h * 0x9e3779b97f4a7c15) >> c.shift)
 }
 
 // NumInputs returns the number of input wires allocated.
@@ -125,21 +200,27 @@ func (c *Circuit) MarkOutput(w int) {
 	c.outputs = append(c.outputs, w)
 }
 
+// push appends g and returns its id, or returns the id of the identical
+// gate already present (hash-consing). Input gates are never shared.
 func (c *Circuit) push(g Gate) int {
-	if c.hashStale {
-		for id, old := range c.gates {
-			if old.Op != OpInput {
-				c.hash[old] = id
-			}
-		}
-		c.hashStale = false
-	}
-	if g.Op != OpInput {
-		if id, ok := c.hash[g]; ok {
-			return id
-		}
-	}
 	id := len(c.gates)
+	if 2*(id+1) > len(c.table) {
+		// Double, but never past what ids can address; at that limit
+		// id+1 is what reserve refuses.
+		c.reserve(max(min(2*id, maxGates), id+1, minReserve))
+	}
+	var slot uint32
+	if g.Op != OpInput {
+		mask := uint32(len(c.table) - 1)
+		slot = c.slotOf(g)
+		for e := c.table[slot]; e != 0; e = c.table[slot] {
+			if c.gates[e-1] == g {
+				return int(e - 1)
+			}
+			slot = (slot + 1) & mask
+		}
+		c.table[slot] = int32(id) + 1
+	}
 	c.gates = append(c.gates, g)
 	var d int32
 	for _, op := range [3]int32{g.A, g.B, g.C} {
@@ -153,9 +234,6 @@ func (c *Circuit) push(g Gate) int {
 	c.depth = append(c.depth, d)
 	if d > c.maxDep {
 		c.maxDep = d
-	}
-	if g.Op != OpInput {
-		c.hash[g] = id
 	}
 	return id
 }
@@ -250,6 +328,83 @@ func (c *Circuit) Mux(cond, a, b int) int {
 	c.check(a)
 	c.check(b)
 	return c.push(Gate{Op: OpMux, A: int32(a), B: int32(b), C: int32(cond)})
+}
+
+// OutputCone marks the gates the outputs depend on and counts them.
+// Gates are in topological order, so one backward sweep suffices; it
+// polls ctx every 4096 gates.
+func (c *Circuit) OutputCone(ctx context.Context) (live []bool, count int, err error) {
+	live = make([]bool, len(c.gates))
+	for _, o := range c.outputs {
+		live[o] = true
+	}
+	for i := len(c.gates) - 1; i >= 0; i-- {
+		if i&0xfff == 0 {
+			if err := guard.Poll(ctx); err != nil {
+				return nil, 0, err
+			}
+		}
+		if !live[i] {
+			continue
+		}
+		count++
+		g := &c.gates[i]
+		for _, op := range [3]int32{g.A, g.B, g.C} {
+			if op >= 0 {
+				live[op] = true
+			}
+		}
+	}
+	return live, count, nil
+}
+
+// Prune returns a copy of the circuit restricted to its input wires and
+// its output cone, the survivors renumbered in order. Every input is
+// kept, dead or not, because allocation order is the packing contract;
+// outputs keep their marking order and every wire its depth. The
+// renumbering is injective, so the copy is as hash-consed as c was
+// without hashing anything — it carries no table (see ReleaseHashTable).
+func (c *Circuit) Prune(ctx context.Context) (*Circuit, error) {
+	live, count, err := c.OutputCone(ctx)
+	if err != nil {
+		return nil, err
+	}
+	nc := &Circuit{
+		gates:   make([]Gate, 0, count+len(c.inputs)),
+		depth:   make([]int32, 0, count+len(c.inputs)),
+		inputs:  make([]int, 0, len(c.inputs)),
+		outputs: make([]int, len(c.outputs)),
+	}
+	remap := make([]int32, len(c.gates)) // new id of every surviving gate
+	for i, g := range c.gates {
+		if i&0xfff == 0 {
+			if err := guard.Poll(ctx); err != nil {
+				return nil, err
+			}
+		}
+		if g.Op == OpInput {
+			nc.inputs = append(nc.inputs, len(nc.gates))
+		} else if !live[i] {
+			continue
+		}
+		remap[i] = int32(len(nc.gates))
+		if g.A >= 0 {
+			g.A = remap[g.A]
+		}
+		if g.B >= 0 {
+			g.B = remap[g.B]
+		}
+		if g.C >= 0 {
+			g.C = remap[g.C]
+		}
+		nc.gates = append(nc.gates, g)
+		nc.depth = append(nc.depth, c.depth[i])
+		nc.maxDep = max(nc.maxDep, c.depth[i])
+	}
+	for i, o := range c.outputs {
+		nc.outputs[i] = int(remap[o])
+	}
+	return nc, nil
 }
 
 // Evaluate runs the circuit on the given input values (positional, one

@@ -1,0 +1,272 @@
+package boolcircuit
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"math/rand"
+	"testing"
+
+	"circuitql/internal/guard"
+)
+
+// checkHashCons interprets data as a program of builder operations and
+// runs it against the obvious model of hash-consing, a map[Gate]int:
+// every push must return exactly the id the model returns — the old id
+// for a gate seen before, the next id for a new one, always a new id
+// for an input. The first byte picks a sizing hint (none, far too small,
+// too small, ample); later steps also drop the table and re-hint in
+// mid-build, so the doubling, the hint and the lazy-rebuild paths of
+// reserve all meet the same model. It returns how many pushes were
+// answered with an existing gate.
+func checkHashCons(t *testing.T, data []byte) (shared int) {
+	t.Helper()
+	c := New()
+	model := map[Gate]int{}
+	var gates []Gate
+	push := func(g Gate) {
+		t.Helper()
+		want, seen := model[g]
+		if g.Op == OpInput || !seen {
+			want = len(gates)
+		} else {
+			shared++
+		}
+		if got := c.push(g); got != want {
+			t.Fatalf("push #%d %+v = %d, model says %d (table %d slots)", len(gates), g, got, want, len(c.table))
+		}
+		if want == len(gates) {
+			gates = append(gates, g)
+			if g.Op != OpInput {
+				model[g] = want
+			}
+		}
+		if c.Size() != len(gates) {
+			t.Fatalf("size %d, model %d", c.Size(), len(gates))
+		}
+		if len(c.table) < 2*len(gates) {
+			t.Fatalf("table of %d slots for %d gates: load above one half", len(c.table), len(gates))
+		}
+	}
+
+	if len(data) > 0 {
+		c.Grow([]int{0, 1, 40, 5000}[data[0]%4])
+		data = data[1:]
+	}
+	push(Gate{Op: OpInput, A: -1, B: -1, C: -1})
+	binOps := []Op{OpAdd, OpSub, OpMul, OpMod, OpAnd, OpOr, OpXor, OpEq, OpLt}
+	for ; len(data) >= 6; data = data[6:] {
+		n := len(gates)
+		a := int32((int(data[1])<<8 | int(data[2])) % n)
+		b := int32((int(data[3])<<8 | int(data[4])) % n)
+		k := data[5]
+		switch op := data[0] % 16; op {
+		case 0:
+			push(Gate{Op: OpInput, A: -1, B: -1, C: -1})
+		case 1, 2:
+			push(Gate{Op: OpConst, A: -1, B: -1, C: -1, K: int64(int8(k))})
+		case 3:
+			c.ReleaseHashTable()
+		case 4:
+			c.Grow(int(k))
+		case 5:
+			push(Gate{Op: OpNot, A: a, B: -1, C: -1})
+		case 6:
+			push(Gate{Op: OpMux, A: a, B: b, C: int32(int(k) % n)})
+		default:
+			push(Gate{Op: binOps[int(op)%len(binOps)], A: a, B: b, C: -1})
+		}
+	}
+
+	// Every gate ever built is still found, at its own id.
+	for id, g := range gates {
+		if c.gates[id] != g {
+			t.Fatalf("gate %d is %+v, model %+v", id, c.gates[id], g)
+		}
+		if g.Op != OpInput {
+			push(g)
+		}
+	}
+	return shared
+}
+
+// TestHashConsAgainstModel drives a few thousand pushes — enough for
+// the table to double seven or eight times from each starting size —
+// from a narrow operand range, so a good share of them are repeats.
+func TestHashConsAgainstModel(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 1+6*6000)
+		rng.Read(data)
+		data[0] = byte(seed)
+		for i := 2; i < len(data); i += 6 {
+			// Keep most operands among the first 64 wires: repeats.
+			if rng.Intn(4) != 0 {
+				data[i], data[i+2] = 0, 0
+				data[i+1] %= 64
+				data[i+3] %= 64
+			}
+		}
+		shared := checkHashCons(t, data)
+		if shared < 3000 {
+			t.Fatalf("seed %d: only %d of ~9000 pushes hit an existing gate; the test has stopped exercising sharing", seed, shared)
+		}
+	}
+}
+
+// FuzzHashCons hands checkHashCons to the fuzzer. The seeds are long
+// enough (170 and 340 steps) to cross the first few doublings under
+// every sizing hint.
+func FuzzHashCons(f *testing.F) {
+	for hint := byte(0); hint < 4; hint++ {
+		for _, steps := range []int{170, 340} {
+			rng := rand.New(rand.NewSource(int64(hint)*1000 + int64(steps)))
+			data := make([]byte, 1+6*steps)
+			rng.Read(data)
+			data[0] = hint
+			f.Add(data)
+		}
+	}
+	f.Add([]byte{1, 3, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1<<16 {
+			t.Skip()
+		}
+		checkHashCons(t, data)
+	})
+}
+
+// TestReadThenPushSharesOldGates is the lazy-rebuild regression test: a
+// deserialized circuit has no table, and the first push must rebuild it
+// from the gate list so that an existing gate comes back under its old
+// id instead of being appended again. Same after ReleaseHashTable.
+func TestReadThenPushSharesOldGates(t *testing.T) {
+	c := randomCircuit(5, 8, 2000)
+	var buf bytes.Buffer
+	if _, err := c.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ReleaseHashTable()
+	for name, got := range map[string]*Circuit{"read": loaded, "released": c} {
+		if got.table != nil {
+			t.Fatalf("%s: circuit still carries a %d-slot table", name, len(got.table))
+		}
+		size := got.Size()
+		for id, g := range got.gates {
+			if g.Op == OpInput {
+				continue
+			}
+			if again := got.push(g); again != id {
+				t.Fatalf("%s: re-pushing gate %d %+v returned %d", name, id, g, again)
+			}
+		}
+		if got.Size() != size {
+			t.Fatalf("%s: re-pushing existing gates grew the circuit %d -> %d", name, size, got.Size())
+		}
+		if fresh := got.Sub(got.Size()-1, 0); fresh != size {
+			t.Fatalf("%s: a new gate got id %d, want %d", name, fresh, size)
+		}
+	}
+}
+
+// TestGateCountLimit: a circuit that would outgrow int32 operands fails
+// with a typed budget error — as a panic out of push, as an error from
+// anything behind guard.Recover — instead of wrapping ids around.
+func TestGateCountLimit(t *testing.T) {
+	grow := func() (err error) {
+		defer guard.Recover(&err)
+		New().Grow(maxGates + 1)
+		return nil
+	}
+	if err := grow(); !errors.Is(err, guard.ErrBudgetExceeded) {
+		t.Fatalf("got %v, want guard.ErrBudgetExceeded", err)
+	}
+}
+
+func TestPrune(t *testing.T) {
+	c := randomCircuit(11, 6, 3000)
+	dead := c.Mul(c.Size()-1, c.Size()-2) // built after the outputs were marked
+	p, err := c.Prune(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Size() >= c.Size() || p.NumInputs() != c.NumInputs() || len(p.Outputs()) != len(c.Outputs()) {
+		t.Fatalf("pruned %d gates/%d inputs/%d outputs from %d/%d/%d (gate %d is dead)",
+			p.Size(), p.NumInputs(), len(p.Outputs()), c.Size(), c.NumInputs(), len(c.Outputs()), dead)
+	}
+	if p.table != nil {
+		t.Fatal("pruned circuit carries a hash table")
+	}
+
+	// Only inputs and the output cone survive, in order, with the depths
+	// a fresh build of the same gates would give them.
+	used := make([]bool, p.Size())
+	for _, o := range p.Outputs() {
+		used[o] = true
+	}
+	rebuilt := New()
+	for i := p.Size() - 1; i >= 0; i-- {
+		g := p.gates[i]
+		if !used[i] && g.Op != OpInput {
+			t.Fatalf("gate %d %+v survived outside the output cone", i, g)
+		}
+		for _, op := range [3]int32{g.A, g.B, g.C} {
+			if op >= int32(i) {
+				t.Fatalf("gate %d reads wire %d", i, op)
+			}
+			if op >= 0 {
+				used[op] = true
+			}
+		}
+	}
+	for i, g := range p.gates {
+		if id := rebuilt.push(g); id != i {
+			t.Fatalf("gate %d %+v duplicates gate %d", i, g, id)
+		}
+		if g.Op == OpInput {
+			rebuilt.inputs = append(rebuilt.inputs, i)
+		}
+		if rebuilt.depth[i] != p.depth[i] {
+			t.Fatalf("gate %d: depth %d, a fresh build gives %d", i, p.depth[i], rebuilt.depth[i])
+		}
+	}
+	if rebuilt.Depth() != p.Depth() {
+		t.Fatalf("depth %d, a fresh build gives %d", p.Depth(), rebuilt.Depth())
+	}
+	for i, id := range p.InputIDs() {
+		if rebuilt.inputs[i] != id {
+			t.Fatalf("input %d is wire %d, want %d", i, id, rebuilt.inputs[i])
+		}
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	in := make([]int64, c.NumInputs())
+	for trial := 0; trial < 5; trial++ {
+		for i := range in {
+			in[i] = rng.Int63n(200) - 100
+		}
+		want, err := c.Evaluate(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.Evaluate(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d output %d: pruned %d, original %d", trial, i, got[i], want[i])
+			}
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.Prune(ctx); !errors.Is(err, guard.ErrCanceled) {
+		t.Fatalf("canceled Prune: got %v, want guard.ErrCanceled", err)
+	}
+}

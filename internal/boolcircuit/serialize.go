@@ -17,8 +17,8 @@ import (
 //	  constants the value as a zig-zag varint;
 //	uvarint outputCount, then output wire uvarints.
 //
-// Inputs are implicit (gates with OpInput, in order); depth and the
-// structural-hash table are rebuilt on load.
+// Inputs are implicit (gates with OpInput, in order); depth is rebuilt
+// on load, the hash-consing table lazily if the circuit grows again.
 
 const magic = "CQC1"
 
@@ -89,123 +89,157 @@ func (c *Circuit) WriteTo(w io.Writer) (int64, error) {
 	return written, bw.Flush()
 }
 
-// Read deserializes a circuit written by WriteTo, rebuilding depth
-// information and the structural-hash table.
+// decoder reads varints off an in-memory artifact. Decoding from a
+// slice instead of through bufio.Reader/io.ByteReader interface calls is
+// what keeps plan loading — which is all Read — several times cheaper
+// than the compile it replaces.
+type decoder struct {
+	buf []byte
+	off int
+}
+
+func (d *decoder) byte() (byte, error) {
+	if d.off >= len(d.buf) {
+		return 0, io.ErrUnexpectedEOF
+	}
+	b := d.buf[d.off]
+	d.off++
+	return b, nil
+}
+
+func (d *decoder) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(d.buf[d.off:])
+	d.off += max(n, 0)
+	return v, varintErr(n)
+}
+
+func (d *decoder) varint() (int64, error) {
+	v, n := binary.Varint(d.buf[d.off:])
+	d.off += max(n, 0)
+	return v, varintErr(n)
+}
+
+func varintErr(n int) error {
+	switch {
+	case n > 0:
+		return nil
+	case n == 0:
+		return io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("boolcircuit: varint overflows 64 bits")
+}
+
+// operand reads one operand of gate i: a wire below i, or -1 (absent).
+func (d *decoder) operand(i int) (int32, error) {
+	v, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if v > uint64(i) {
+		return 0, fmt.Errorf("boolcircuit: gate %d reads forward wire %d", i, int64(v)-1)
+	}
+	return int32(v) - 1, nil
+}
+
+// Read deserializes a circuit written by WriteTo, which must be all
+// that is left of r, rebuilding depth information; the hash-consing
+// table is left to the first push.
 func Read(r io.Reader) (*Circuit, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("boolcircuit: reading header: %w", err)
+	var data []byte
+	if mem, ok := r.(interface{ Bytes() []byte }); ok {
+		// An in-memory source (the plan store hands over a bytes.Buffer)
+		// is decoded in place.
+		data = mem.Bytes()
+	} else {
+		var err error
+		if data, err = io.ReadAll(r); err != nil {
+			return nil, fmt.Errorf("boolcircuit: reading artifact: %w", err)
+		}
 	}
-	if string(head) != magic {
-		return nil, fmt.Errorf("boolcircuit: bad magic %q", head)
+	if len(data) < len(magic) {
+		return nil, fmt.Errorf("boolcircuit: reading header: %w", io.ErrUnexpectedEOF)
 	}
-	gateCount, err := binary.ReadUvarint(br)
+	if string(data[:len(magic)]) != magic {
+		return nil, fmt.Errorf("boolcircuit: bad magic %q", data[:len(magic)])
+	}
+	d := &decoder{buf: data, off: len(magic)}
+	gateCount, err := d.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("boolcircuit: gate count: %w", err)
 	}
-	const maxGates = 1 << 31
-	if gateCount > maxGates {
+	// Every gate takes at least its op byte, which also keeps a corrupt
+	// count from sizing the allocations below.
+	if gateCount > maxGates || gateCount > uint64(len(data)-d.off) {
 		return nil, fmt.Errorf("boolcircuit: unreasonable gate count %d", gateCount)
 	}
 	c := New()
-	c.gates = make([]Gate, 0, gateCount)
-	c.depth = make([]int32, 0, gateCount)
+	c.gates = make([]Gate, gateCount)
+	c.depth = make([]int32, gateCount)
 
-	readOperand := func(limit int) (int32, error) {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, err
-		}
-		op := int32(v) - 1
-		if op < -1 || int(op) >= limit {
-			return 0, fmt.Errorf("boolcircuit: operand %d out of range", op)
-		}
-		return op, nil
-	}
-
-	for i := 0; i < int(gateCount); i++ {
-		opByte, err := br.ReadByte()
+	for i := range c.gates {
+		opByte, err := d.byte()
 		if err != nil {
 			return nil, fmt.Errorf("boolcircuit: gate %d: %w", i, err)
 		}
 		g := Gate{Op: Op(opByte), A: -1, B: -1, C: -1}
 		switch g.Op {
 		case OpInput:
+			c.inputs = append(c.inputs, i)
 		case OpConst:
-			k, err := binary.ReadVarint(br)
-			if err != nil {
-				return nil, err
-			}
-			g.K = k
+			g.K, err = d.varint()
 		case OpNot:
-			if g.A, err = readOperand(i); err != nil {
-				return nil, err
-			}
+			g.A, err = d.operand(i)
 		case OpMux:
-			if g.C, err = readOperand(i); err != nil {
-				return nil, err
-			}
-			if g.A, err = readOperand(i); err != nil {
-				return nil, err
-			}
-			if g.B, err = readOperand(i); err != nil {
-				return nil, err
+			if g.C, err = d.operand(i); err == nil {
+				if g.A, err = d.operand(i); err == nil {
+					g.B, err = d.operand(i)
+				}
 			}
 		case OpAdd, OpSub, OpMul, OpMod, OpAnd, OpOr, OpXor, OpEq, OpLt:
-			if g.A, err = readOperand(i); err != nil {
-				return nil, err
-			}
-			if g.B, err = readOperand(i); err != nil {
-				return nil, err
+			if g.A, err = d.operand(i); err == nil {
+				g.B, err = d.operand(i)
 			}
 		default:
 			return nil, fmt.Errorf("boolcircuit: gate %d has unknown op %d", i, opByte)
 		}
-		for _, op := range [3]int32{g.A, g.B, g.C} {
-			if op >= 0 && int(op) >= i {
-				return nil, fmt.Errorf("boolcircuit: gate %d reads forward wire %d", i, op)
-			}
+		if err != nil {
+			return nil, fmt.Errorf("boolcircuit: gate %d: %w", i, err)
 		}
 		// Rebuild depth and bookkeeping exactly as push does.
-		var d int32
+		var dep int32
 		for _, op := range [3]int32{g.A, g.B, g.C} {
-			if op >= 0 && c.depth[op] > d {
-				d = c.depth[op]
+			if op >= 0 && c.depth[op] > dep {
+				dep = c.depth[op]
 			}
 		}
 		if g.Op != OpInput && g.Op != OpConst {
-			d++
+			dep++
 		}
-		c.gates = append(c.gates, g)
-		c.depth = append(c.depth, d)
-		if d > c.maxDep {
-			c.maxDep = d
-		}
-		if g.Op == OpInput {
-			c.inputs = append(c.inputs, i)
-		}
+		c.gates[i] = g
+		c.depth[i] = dep
+		c.maxDep = max(c.maxDep, dep)
 	}
-	// The structural-hash table is only needed if the circuit grows
-	// again; defer it (see push) so read-to-evaluate stays cheap.
-	c.hashStale = true
+	// The hash-consing table is only needed if the circuit grows again;
+	// c has none, and the first push would build it (see reserve), so
+	// read-to-evaluate stays cheap.
 
-	outCount, err := binary.ReadUvarint(br)
+	outCount, err := d.uvarint()
 	if err != nil {
 		return nil, fmt.Errorf("boolcircuit: output count: %w", err)
 	}
 	if outCount > gateCount {
 		return nil, fmt.Errorf("boolcircuit: %d outputs for %d gates", outCount, gateCount)
 	}
-	for i := 0; i < int(outCount); i++ {
-		v, err := binary.ReadUvarint(br)
+	c.outputs = make([]int, outCount)
+	for i := range c.outputs {
+		v, err := d.uvarint()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("boolcircuit: output %d: %w", i, err)
 		}
 		if v >= gateCount {
 			return nil, fmt.Errorf("boolcircuit: output wire %d out of range", v)
 		}
-		c.outputs = append(c.outputs, int(v))
+		c.outputs[i] = int(v)
 	}
 	return c, nil
 }

@@ -74,6 +74,7 @@ func CompileObliviousCtx(ctx context.Context, rc *relcircuit.Circuit) (_ *Oblivi
 	ctx, sp := obs.StartSpan(ctx, obs.StageBoolCirc)
 	budget := guard.FromContext(ctx)
 	c := boolcircuit.New()
+	c.Grow(wordGateEstimate(rc))
 	defer func() {
 		sp.AddInt(obs.CounterGates, int64(c.Size()))
 		sp.SetError(err)
@@ -151,7 +152,44 @@ func CompileObliviousCtx(ctx context.Context, rc *relcircuit.Circuit) (_ *Oblivi
 		})
 		offset += r.Capacity() * (1 + len(r.Schema))
 	}
+	// The circuit is finished: the optimizer reads it and builds its
+	// own, the evaluators and the plan cache only read it, so nothing
+	// should keep the hash-consing table alive for the plan's lifetime.
+	c.ReleaseHashTable()
 	return oc, nil
+}
+
+// wordGateEstimate guesses how many word gates lowering rc will build,
+// as a sizing hint for the builder (boolcircuit.Grow): the lowering of a
+// relational gate is a handful of sorting networks over its M input
+// slots of 1+w words each, so M·(1+w)·log²M per gate, times a constant
+// measured on the catalog (uniform and derived constraints, N = 3..16:
+// the true count is 1.7-6.4 times the sum, 2-4.5 for all but a few).
+// Only allocation depends on it — an estimate that is too low costs the
+// builder the doublings it did not save, one that is too high some
+// zeroed memory, which maxHint bounds.
+func wordGateEstimate(rc *relcircuit.Circuit) int {
+	slots := func(card float64) float64 {
+		if math.IsInf(card, 0) || math.IsNaN(card) {
+			return 0 // the lowering rejects the gate; no size to guess
+		}
+		return float64(relcircuit.Ceil(card))
+	}
+	sum := 0.0
+	for _, g := range rc.Gates {
+		if g.Kind == relcircuit.KindInput {
+			continue
+		}
+		fanIn := 0.0
+		for _, in := range g.In {
+			fanIn += slots(rc.Gates[in].Out.Card)
+		}
+		m := math.Max(fanIn, slots(g.Out.Card))
+		lg := math.Log2(m + 1)
+		sum += m * float64(1+len(g.Schema)) * lg * lg
+	}
+	const perUnit, maxHint = 3, 1 << 22
+	return int(math.Min(perUnit*sum, maxHint))
 }
 
 // Evaluate packs the named relations, runs the circuit, and decodes
@@ -338,12 +376,17 @@ func CompileQueryOptsCtx(ctx context.Context, q *query.Query, dcs query.DCSet, o
 		var optimized *boolcircuit.Circuit
 		if opts.SemanticCSE {
 			var sem opt.SemStats
-			optimized, sem = opt.BoolSem(obl.C, opt.SemConfig{})
+			optimized, sem, err = opt.BoolSem(ctx, obl.C, opt.SemConfig{})
 			report.SemMerges, report.SemProven = sem.Merges, sem.Proven
 			report.SemUnproven, report.SemSignatureK = sem.Unproven, sem.K
 			osp.AddInt(obs.CounterSemMerges, int64(sem.Merges))
 		} else {
-			optimized = opt.Bool(obl.C)
+			optimized, err = opt.BoolCtx(ctx, obl.C)
+		}
+		if err != nil {
+			osp.SetError(err)
+			osp.End()
+			return nil, err
 		}
 		if optimized.NumInputs() != obl.C.NumInputs() || len(optimized.Outputs()) != len(obl.C.Outputs()) {
 			osp.End()

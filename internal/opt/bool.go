@@ -1,16 +1,19 @@
 package opt
 
 import (
+	"context"
 	"fmt"
 
 	"circuitql/internal/boolcircuit"
+	"circuitql/internal/guard"
 )
 
-// Bool optimizes a word-level oblivious circuit. The circuit is rebuilt
-// in topological order through the builder's structural hash (global
-// value numbering), with constant folding and algebraic identities
-// applied to each gate before it is pushed; gates outside the output
-// cone are dropped. The rebuilt circuit has:
+// BoolCtx optimizes a word-level oblivious circuit in one pass: the
+// output cone is rebuilt in topological order through the builder's
+// hash-consing (global value numbering), with constant folding and
+// algebraic identities applied to each gate before it is pushed, and the
+// gates that folding left dead are then swept out by a liveness scan and
+// an id-remapping compaction (boolcircuit.Prune). The result has:
 //
 //   - the same number of input wires, allocated in the same order (so
 //     packing layouts remain valid even when some inputs become dead);
@@ -19,81 +22,109 @@ import (
 //   - recomputed depths, so level buckets are recompacted for the
 //     parallel evaluator.
 //
-// Passes repeat until the gate count stops shrinking (folding can expose
-// new dead gates and new sharing). A pass that fails to improve is
-// discarded, never adopted: rewrites like constant-chain collapse mint
-// fresh Const gates, and when the original chain stays live (marked as
-// an output, say) the rebuild can come out a gate larger than its input.
-// Keeping the best circuit seen makes Bool monotone in both size and
-// depth — at worst it returns c itself.
-func Bool(c *boolcircuit.Circuit) *boolcircuit.Circuit {
-	best := c
-	for pass := 0; pass < maxPasses; pass++ {
-		next := boolPass(best)
-		if next.Size() > best.Size() ||
-			(next.Size() == best.Size() && next.Depth() >= best.Depth()) {
-			break
-		}
-		best = next
+// One pass is the fixpoint: every gate of the rebuilt circuit was pushed
+// by emit after no rewrite applied to it, on operands that never change
+// afterwards, and the compaction renumbers survivors injectively and in
+// order — so rebuilding the result again would re-emit it gate for gate
+// (DESIGN.md, "Circuit optimizer"; TestBoolMatchesMultiPassReference
+// holds the old rebuild-until-no-shrink loop against it).
+//
+// The result is adopted only if it is an improvement — never larger,
+// never deeper, and smaller or shallower: rewrites like constant-chain
+// collapse mint fresh Const gates, and when the original chain stays
+// live (marked as an output, say) the rebuild can come out a gate larger
+// than its input. Otherwise BoolCtx returns c itself, which makes it
+// monotone in both size and depth.
+//
+// The rebuild polls ctx and any guard.Budget gate cap it carries every
+// 4096 gates and fails with the typed guard errors.
+func BoolCtx(ctx context.Context, c *boolcircuit.Circuit) (*boolcircuit.Circuit, error) {
+	folded, err := rebuild(ctx, c, nil)
+	if err != nil {
+		return nil, err
 	}
-	return best
+	out, err := folded.Prune(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if !improves(out, c) {
+		return c, nil
+	}
+	return out, nil
 }
 
-func boolPass(c *boolcircuit.Circuit) *boolcircuit.Circuit {
+// Bool is BoolCtx without a context.
+//
+// Deprecated: use BoolCtx. Bool remains only because bench/trace.go,
+// which is frozen with the benchmark definition, times this signature.
+func Bool(c *boolcircuit.Circuit) *boolcircuit.Circuit {
+	out, err := BoolCtx(context.Background(), c)
+	if err != nil {
+		// Unreachable without a context or budget to trip.
+		return c
+	}
+	return out
+}
+
+// improves reports whether next may replace best under the monotone
+// rule: no larger, no deeper, and strictly better in one of the two.
+func improves(next, best *boolcircuit.Circuit) bool {
+	return next.Size() <= best.Size() && next.Depth() <= best.Depth() &&
+		(next.Size() < best.Size() || next.Depth() < best.Depth())
+}
+
+// rebuild folds c forward into a fresh builder: every input (their
+// allocation order is the packing contract) and every gate of the output
+// cone, in order, through emit. merge, when non-nil, may return the
+// already-rebuilt wire a gate is to be replaced by instead of being
+// emitted (m maps old ids to new wires, -1 for dead gates), or -1.
+func rebuild(ctx context.Context, c *boolcircuit.Circuit, merge func(i int, m []int) int) (*boolcircuit.Circuit, error) {
 	n := c.Size()
-	outs := c.Outputs()
-
-	// Output cone: gates are topologically ordered, so one backward scan
-	// suffices. Inputs are always kept (their allocation order is the
-	// packing contract).
-	live := make([]bool, n)
-	for _, o := range outs {
-		live[o] = true
+	budget := guard.FromContext(ctx)
+	live, count, err := c.OutputCone(ctx)
+	if err != nil {
+		return nil, err
 	}
-	for i := n - 1; i >= 0; i-- {
-		if !live[i] {
-			continue
-		}
-		g := c.GateAt(i)
-		for _, op := range [3]int32{g.A, g.B, g.C} {
-			if op >= 0 {
-				live[op] = true
-			}
-		}
-	}
-
 	nc := boolcircuit.New()
+	nc.Grow(count + c.NumInputs())
 	m := make([]int, n)
 	for i := 0; i < n; i++ {
+		if i&0xfff == 0 {
+			if err := budget.CheckGates(ctx, nc.Size()); err != nil {
+				return nil, err
+			}
+		}
 		g := c.GateAt(i)
-		if g.Op == boolcircuit.OpInput {
+		switch {
+		case g.Op == boolcircuit.OpInput:
 			m[i] = nc.Input()
-			continue
-		}
-		if !live[i] {
+		case !live[i]:
 			m[i] = -1
-			continue
-		}
-		if g.Op == boolcircuit.OpConst {
+		case g.Op == boolcircuit.OpConst:
 			m[i] = nc.Const(g.K)
-			continue
+		default:
+			if merge != nil {
+				if m[i] = merge(i, m); m[i] >= 0 {
+					continue
+				}
+			}
+			a, b, cond := -1, -1, -1
+			if g.A >= 0 {
+				a = m[g.A]
+			}
+			if g.B >= 0 {
+				b = m[g.B]
+			}
+			if g.C >= 0 {
+				cond = m[g.C]
+			}
+			m[i] = emit(nc, g.Op, a, b, cond)
 		}
-		a, b, cond := -1, -1, -1
-		if g.A >= 0 {
-			a = m[g.A]
-		}
-		if g.B >= 0 {
-			b = m[g.B]
-		}
-		if g.C >= 0 {
-			cond = m[g.C]
-		}
-		m[i] = emit(nc, g.Op, a, b, cond)
 	}
-	for _, o := range outs {
+	for _, o := range c.Outputs() {
 		nc.MarkOutput(m[o])
 	}
-	return nc
+	return nc, nil
 }
 
 // constOf reports the value of wire w when it carries a constant.

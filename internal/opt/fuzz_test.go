@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"circuitql/internal/boolcircuit"
-	"circuitql/internal/opt"
 )
 
 // buildFuzzCircuit interprets data as a gate program: byte 0 picks the
@@ -72,11 +71,12 @@ func buildFuzzCircuit(data []byte) *boolcircuit.Circuit {
 	return c
 }
 
-// FuzzOptimize feeds random circuits through opt.Bool and checks the
+// FuzzOptimize feeds random circuits through opt.BoolCtx and checks the
 // optimizer's contract: the input layout and output arity survive, the
 // circuit never grows in size or depth, the output cone is well formed,
-// and — on random input vectors — the optimized circuit computes exactly
-// what the original did.
+// the result is the one the old multi-pass loop produced
+// (assertMatchesReference), and — on random input vectors — the
+// optimized circuit computes exactly what the original did.
 func FuzzOptimize(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 1, 0, 1, 2, 3, 0, 4})
 	f.Add([]byte{1, 11, 200, 7, 0, 3, 1, 2, 0, 9, 4, 5, 6, 2})
@@ -84,7 +84,7 @@ func FuzzOptimize(f *testing.F) {
 	f.Add([]byte{0, 2, 1, 1, 0, 2, 4, 4, 0, 3, 5, 1, 0, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := buildFuzzCircuit(data)
-		o := opt.Bool(c)
+		o := mustBool(t, c)
 
 		if o.NumInputs() != c.NumInputs() {
 			t.Fatalf("input count changed: %d -> %d", c.NumInputs(), o.NumInputs())
@@ -109,6 +109,7 @@ func FuzzOptimize(f *testing.F) {
 			seed = seed*131 + int64(b)
 		}
 		rng := rand.New(rand.NewSource(seed))
+		assertMatchesReference(t, c, rng)
 		for trial := 0; trial < 4; trial++ {
 			in := make([]int64, c.NumInputs())
 			for i := range in {

@@ -48,9 +48,9 @@ func relCase(t *testing.T, build func() *relcircuit.Circuit) goldenCase {
 func boolCase(t *testing.T, build func() *boolcircuit.Circuit) goldenCase {
 	t.Helper()
 	c := build()
-	o := opt.Bool(c)
+	o := mustBool(t, c)
 	c2 := build()
-	o2 := opt.Bool(c2)
+	o2 := mustBool(t, c2)
 	if c.Size() != c2.Size() || o.Size() != o2.Size() {
 		t.Fatalf("nondeterministic sizes: %d/%d then %d/%d", c.Size(), o.Size(), c2.Size(), o2.Size())
 	}
@@ -64,9 +64,9 @@ func boolCase(t *testing.T, build func() *boolcircuit.Circuit) goldenCase {
 func boolSemCase(t *testing.T, build func() *boolcircuit.Circuit) goldenCase {
 	t.Helper()
 	c := build()
-	o, _ := opt.BoolSem(c, opt.SemConfig{})
+	o, _ := mustBoolSem(t, c, opt.SemConfig{})
 	c2 := build()
-	o2, _ := opt.BoolSem(c2, opt.SemConfig{})
+	o2, _ := mustBoolSem(t, c2, opt.SemConfig{})
 	if c.Size() != c2.Size() || o.Size() != o2.Size() {
 		t.Fatalf("nondeterministic semantic-CSE sizes: %d/%d then %d/%d", c.Size(), o.Size(), c2.Size(), o2.Size())
 	}

@@ -22,7 +22,7 @@
 //     collapse, identity-projection and no-op-cap forwarding;
 //   - dead-gate elimination from the output cone (relcircuit.Prune).
 //
-// Word-level passes (Bool):
+// Word-level passes (BoolCtx), one fold-forward rebuild and one sweep:
 //
 //   - global value numbering: the circuit is rebuilt gate by gate in
 //     topological order through the builder's structural hash, so gates

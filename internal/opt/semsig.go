@@ -1,12 +1,15 @@
 package opt
 
 import (
+	"context"
+
 	"circuitql/internal/boolcircuit"
+	"circuitql/internal/guard"
 )
 
 // Semantic CSE via probabilistic equivalence signatures.
 //
-// Structural hashing (boolPass) merges only syntactically identical
+// Structural hashing (BoolCtx) merges only syntactically identical
 // gates. Semantically equal but structurally different subcircuits —
 // Bool(x) over a wire already known to be 0/1, And(Const 1, e) for a
 // 0/1 e, Mul vs And on 0/1 operands, reassociated And-chains — survive
@@ -107,30 +110,35 @@ type SemStats struct {
 	K int
 }
 
-// BoolSem optimizes a word-level circuit like Bool and additionally
+// BoolSem optimizes a word-level circuit like BoolCtx and additionally
 // merges semantically equivalent gates found by probabilistic
-// signatures. It preserves Bool's contract — input allocation order,
-// output marking order, value on every input vector — and its monotone
-// guarantee: the result is never larger (or equal-size deeper) than
-// Bool's. The returned stats cover the adopted semantic merges.
-func BoolSem(c *boolcircuit.Circuit, cfg SemConfig) (*boolcircuit.Circuit, SemStats) {
+// signatures. It preserves BoolCtx's contract — input allocation order,
+// output marking order, value on every input vector, ctx and budget
+// polling with typed guard errors — and its monotone guarantee: the
+// result is never larger or deeper than BoolCtx's. The returned stats
+// cover the adopted semantic merges.
+func BoolSem(ctx context.Context, c *boolcircuit.Circuit, cfg SemConfig) (*boolcircuit.Circuit, SemStats, error) {
 	cfg = cfg.withDefaults()
 	stats := SemStats{K: cfg.K}
-	best := Bool(c)
+	best, err := BoolCtx(ctx, c)
+	if err != nil {
+		return nil, stats, err
+	}
 	for pass := 0; pass < maxSemPasses; pass++ {
-		next, st := semPass(best, cfg)
+		next, st, err := semPass(ctx, best, cfg)
+		if err != nil {
+			return nil, stats, err
+		}
 		if st.Merges == 0 {
-			// A merge-free semPass is exactly a boolPass rebuild, and
-			// best is already a Bool fixpoint: nothing more to find.
 			break
 		}
 		// Merges orphan the gates they replaced (the Bool(x) sandwich's
-		// Eq, say); one structural cleanup pass removes them before the
-		// monotone size/depth check. The full Bool fixpoint runs once
-		// after the loop.
-		next = boolPass(next)
-		if next.Size() > best.Size() ||
-			(next.Size() == best.Size() && next.Depth() >= best.Depth()) {
+		// Eq, say); semPass folds forward like BoolCtx's rebuild, so the
+		// same liveness sweep and compaction finish the pass.
+		if next, err = next.Prune(ctx); err != nil {
+			return nil, stats, err
+		}
+		if !improves(next, best) {
 			break
 		}
 		best = next
@@ -138,11 +146,8 @@ func BoolSem(c *boolcircuit.Circuit, cfg SemConfig) (*boolcircuit.Circuit, SemSt
 		stats.Proven += st.Proven
 		stats.Candidates += st.Candidates
 	}
-	if stats.Merges > 0 {
-		best = Bool(best)
-	}
 	stats.Unproven = stats.Merges - stats.Proven
-	return best, stats
+	return best, stats, nil
 }
 
 // splitmix64 is the SplitMix64 PRNG step: deterministic, seedable, and
@@ -177,12 +182,17 @@ func semInputVector(vec int, n int, state *uint64) []int64 {
 
 // evalVector evaluates every gate of c on one input vector with exactly
 // the evaluator's semantics (boolcircuit.EvaluateCtx), returning the
-// per-gate values.
-func evalVector(c *boolcircuit.Circuit, inputs []int64) []int64 {
+// per-gate values. It polls ctx every 4096 gates.
+func evalVector(ctx context.Context, c *boolcircuit.Circuit, inputs []int64) ([]int64, error) {
 	n := c.Size()
 	vals := make([]int64, n)
 	next := 0
 	for i := 0; i < n; i++ {
+		if i&0xfff == 0 {
+			if err := guard.Poll(ctx); err != nil {
+				return nil, err
+			}
+		}
 		g := c.GateAt(i)
 		switch g.Op {
 		case boolcircuit.OpInput:
@@ -202,7 +212,7 @@ func evalVector(c *boolcircuit.Circuit, inputs []int64) []int64 {
 			vals[i] = foldBin(g.Op, vals[g.A], vals[g.B])
 		}
 	}
-	return vals
+	return vals, nil
 }
 
 // Signatures returns the per-gate signature matrix: sigs[i] holds gate
@@ -210,8 +220,8 @@ func evalVector(c *boolcircuit.Circuit, inputs []int64) []int64 {
 // input uniformly from [0, domain) — the statistical harness uses this
 // to compare observed collision rates against analytic bounds — while
 // domain <= 0 selects the optimizer's mixed small/full-word
-// distribution.
-func Signatures(c *boolcircuit.Circuit, k int, seed uint64, domain int64) [][]int64 {
+// distribution. The evaluation polls ctx every 4096 gates.
+func Signatures(ctx context.Context, c *boolcircuit.Circuit, k int, seed uint64, domain int64) ([][]int64, error) {
 	state := seed
 	sigs := make([][]int64, c.Size())
 	for i := range sigs {
@@ -227,12 +237,15 @@ func Signatures(c *boolcircuit.Circuit, k int, seed uint64, domain int64) [][]in
 		} else {
 			in = semInputVector(v, c.NumInputs(), &state)
 		}
-		vals := evalVector(c, in)
+		vals, err := evalVector(ctx, c, in)
+		if err != nil {
+			return nil, err
+		}
 		for i, x := range vals {
 			sigs[i][v] = x
 		}
 	}
-	return sigs
+	return sigs, nil
 }
 
 // sigKey hashes one gate's signature row to a bucket key (FNV-1a).
@@ -682,77 +695,45 @@ func dedupInts(xs []int) []int {
 	return out
 }
 
-// semPass rebuilds c exactly like boolPass — same liveness, input
-// allocation, constant folding, structural hashing, output marking —
-// and additionally maps each live gate onto an earlier gate with the
-// same signature when the prover (or Unproven-mode confirmation)
-// establishes equivalence, skipping the gate's emission entirely.
-func semPass(c *boolcircuit.Circuit, cfg SemConfig) (*boolcircuit.Circuit, SemStats) {
-	n := c.Size()
-	outs := c.Outputs()
+// semPass rebuilds c exactly like BoolCtx's fold-forward pass — same
+// liveness, input allocation, constant folding, hash-consing, output
+// marking — and additionally maps each live gate onto an earlier gate
+// with the same signature when the prover (or Unproven-mode
+// confirmation) establishes equivalence, skipping the gate's emission
+// entirely.
+func semPass(ctx context.Context, c *boolcircuit.Circuit, cfg SemConfig) (*boolcircuit.Circuit, SemStats, error) {
 	st := SemStats{K: cfg.K}
-
-	live := make([]bool, n)
-	for _, o := range outs {
-		live[o] = true
-	}
-	for i := n - 1; i >= 0; i-- {
-		if !live[i] {
-			continue
-		}
-		g := c.GateAt(i)
-		for _, op := range [3]int32{g.A, g.B, g.C} {
-			if op >= 0 {
-				live[op] = true
-			}
-		}
-	}
-
 	k := cfg.K
 	if cfg.Unproven {
 		k += cfg.ConfirmK
 	}
+	sigs, err := Signatures(ctx, c, k, cfg.Seed, 0)
+	if err != nil {
+		return nil, st, err
+	}
 	sctx := &semCtx{
 		c:    c,
-		sigs: Signatures(c, k, cfg.Seed, 0),
+		sigs: sigs,
 		is01: is01Analysis(c),
-		cls:  make([]uint8, n),
+		cls:  make([]uint8, c.Size()),
 	}
 
 	buckets := make(map[uint64][]int)
-	nc := boolcircuit.New()
-	m := make([]int, n)
-	for i := 0; i < n; i++ {
-		g := c.GateAt(i)
-		if g.Op == boolcircuit.OpInput {
-			m[i] = nc.Input()
-			continue
-		}
-		if !live[i] {
-			m[i] = -1
-			continue
-		}
-		if g.Op == boolcircuit.OpConst {
-			m[i] = nc.Const(g.K)
-			continue
-		}
+	nc, err := rebuild(ctx, c, func(i int, m []int) int {
 		// Root dereference: the gate simplifies in place to an older
 		// wire (Bool over a 0/1 wire, And with Const 1, Mux(c,1,0), ...)
 		// — a proven merge with no prover search.
 		if w := sctx.deref(i); w != i && m[w] >= 0 {
-			m[i] = m[w]
 			st.Merges++
 			st.Proven++
-			continue
+			return m[w]
 		}
 		// The bucket key folds in the root-shape class: same-signature
 		// candidates with an incompatible root shape cannot be proven
 		// equal, so they never need to meet.
 		key := sigKey(sctx.sigs[i][:cfg.K]) ^ (uint64(sctx.opClass(i)) * 0x9e3779b97f4a7c15)
-		merged := false
-		cands := buckets[key]
 		tried := 0
-		for _, j := range cands {
+		for _, j := range buckets[key] {
 			if tried >= cfg.MaxCandidates {
 				break
 			}
@@ -763,38 +744,21 @@ func semPass(c *boolcircuit.Circuit, cfg SemConfig) (*boolcircuit.Circuit, SemSt
 			st.Candidates++
 			sctx.steps = cfg.ProofBudget
 			if sctx.equal(i, j, 0) {
-				m[i] = m[j]
-				merged = true
 				st.Merges++
 				st.Proven++
-				break
+				return m[j]
 			}
 			if cfg.Unproven && sameSig(sctx.sigs[i], sctx.sigs[j], k) && !constSig(sctx.sigs[i], k) {
-				m[i] = m[j]
-				merged = true
 				st.Merges++
-				break
+				return m[j]
 			}
 		}
-		if !merged {
-			a, b, cond := -1, -1, -1
-			if g.A >= 0 {
-				a = m[g.A]
-			}
-			if g.B >= 0 {
-				b = m[g.B]
-			}
-			if g.C >= 0 {
-				cond = m[g.C]
-			}
-			m[i] = emit(nc, g.Op, a, b, cond)
-			buckets[key] = append(buckets[key], i)
-		}
-	}
-	for _, o := range outs {
-		nc.MarkOutput(m[o])
-	}
-	return nc, st
+		// Not merged: the gate is emitted and becomes a candidate for the
+		// gates after it.
+		buckets[key] = append(buckets[key], i)
+		return -1
+	})
+	return nc, st, err
 }
 
 // sameSig reports whether the first k signature entries agree.

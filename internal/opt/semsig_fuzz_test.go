@@ -23,7 +23,7 @@ func FuzzSemSig(f *testing.F) {
 	f.Add([]byte{4, 2, 1, 2, 0, 4, 3, 4, 0, 10, 5, 1, 2, 6, 0, 6, 0, 9, 3, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := buildFuzzCircuit(data)
-		o, st := opt.BoolSem(c, opt.SemConfig{})
+		o, st := mustBoolSem(t, c, opt.SemConfig{})
 
 		if o.NumInputs() != c.NumInputs() {
 			t.Fatalf("input count changed: %d -> %d", c.NumInputs(), o.NumInputs())

@@ -1,6 +1,7 @@
 package opt_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,7 +40,10 @@ func TestSignatureCollisionRate(t *testing.T) {
 				g1 := c.Eq(x, c.Const(1))
 				c.MarkOutput(g0)
 				c.MarkOutput(g1)
-				sigs := opt.Signatures(c, tc.k, 0x517a7e+uint64(trial)*0x9e37, tc.domain)
+				sigs, err := opt.Signatures(context.Background(), c, tc.k, 0x517a7e+uint64(trial)*0x9e37, tc.domain)
+				if err != nil {
+					t.Fatal(err)
+				}
 				equal := true
 				for v := 0; v < tc.k; v++ {
 					if sigs[g0][v] != sigs[g1][v] {
@@ -78,7 +82,7 @@ func TestSemanticCSENoFalseMerges(t *testing.T) {
 		data := make([]byte, 8+rng.Intn(120))
 		rng.Read(data)
 		c := buildFuzzCircuit(data)
-		o, st := opt.BoolSem(c, opt.SemConfig{K: 4})
+		o, st := mustBoolSem(t, c, opt.SemConfig{K: 4})
 		totalMerges += st.Merges
 		if st.Proven != st.Merges {
 			t.Fatalf("seed %d: unproven merge adopted in default mode (%+v)", seed, st)

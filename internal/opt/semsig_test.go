@@ -77,8 +77,8 @@ func TestSemanticCSECatalogRegression(t *testing.T) {
 // identical results and identical stats.
 func TestBoolSemDeterminism(t *testing.T) {
 	c := buildFuzzCircuit([]byte{3, 8, 1, 2, 0, 6, 3, 3, 0, 4, 4, 5, 0, 10, 2, 6, 1, 8, 0, 7, 0, 5, 3})
-	o1, s1 := opt.BoolSem(c, opt.SemConfig{})
-	o2, s2 := opt.BoolSem(c, opt.SemConfig{})
+	o1, s1 := mustBoolSem(t, c, opt.SemConfig{})
+	o2, s2 := mustBoolSem(t, c, opt.SemConfig{})
 	if s1 != s2 {
 		t.Fatalf("stats differ across runs: %+v vs %+v", s1, s2)
 	}
@@ -165,7 +165,7 @@ func TestBoolSemContract(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := boolcircuit.New()
 			tc.build(c)
-			o, st := opt.BoolSem(c, opt.SemConfig{})
+			o, st := mustBoolSem(t, c, opt.SemConfig{})
 			if o.NumInputs() != c.NumInputs() {
 				t.Fatalf("input count changed: %d -> %d", c.NumInputs(), o.NumInputs())
 			}

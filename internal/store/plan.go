@@ -174,7 +174,7 @@ func DecodePlan(data []byte) (*PlanArtifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	obliv, err := core.ReadObliviousCircuit(bytes.NewReader(body[n+int(headLen):]))
+	obliv, err := core.ReadObliviousCircuit(bytes.NewBuffer(body[n+int(headLen):]))
 	if err != nil {
 		return nil, fmt.Errorf("store: plan circuit: %w", err)
 	}

@@ -125,36 +125,20 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 		return nil, err
 	}
 	depth := c.Depth()
+	outs := c.Outputs()
 
-	// Pass 1: reachability. Operand ids are always below the gate's own
-	// id (the builder is append-only), so one reverse sweep suffices.
-	reach := make([]bool, n)
-	for _, id := range c.Outputs() {
-		reach[id] = true
-	}
-	for i := n - 1; i >= 0; i-- {
-		if i&0xfff == 0 {
-			if err := guard.Poll(ctx); err != nil {
-				return nil, err
-			}
-		}
-		if !reach[i] {
-			continue
-		}
-		g := c.GateAt(i)
-		for _, op := range [3]int32{g.A, g.B, g.C} {
-			if op >= 0 {
-				reach[op] = true
-			}
-		}
+	// Pass 1: reachability from the outputs.
+	reach, _, err := c.OutputCone(ctx)
+	if err != nil {
+		return nil, err
 	}
 
-	// Pass 2: level bucketing of live compute gates, and last-use levels
-	// for the liveness pass. lastLevel[w] is the deepest level reading
-	// wire w; outputs are pinned past every level so the final transpose
-	// can read them.
-	counts := make([]int32, depth+1)
-	total := 0
+	// Pass 2: level sizes of live compute gates, and last-use levels for
+	// the liveness pass. lastLevel[w] is the deepest level reading wire
+	// w; outputs are pinned past every level so the final transpose can
+	// read them. levelEnd[d] counts level d's instructions, then (prefix
+	// sum) becomes the index where they end in the instruction buffer.
+	levelEnd := make([]int32, depth+1)
 	lastLevel := make([]int32, n)
 	for i := 0; i < n; i++ {
 		if i&0xfff == 0 {
@@ -170,44 +154,48 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 			continue
 		}
 		d := int32(c.DepthOf(i))
-		counts[d]++
-		total++
+		levelEnd[d]++
 		for _, op := range [3]int32{g.A, g.B, g.C} {
 			if op >= 0 && lastLevel[op] < d {
 				lastLevel[op] = d
 			}
 		}
 	}
+	for d := 1; d <= depth; d++ {
+		levelEnd[d] += levelEnd[d-1]
+	}
+	total := int(levelEnd[depth])
 	pinned := int32(depth + 1)
-	for _, id := range c.Outputs() {
+	for _, id := range outs {
 		lastLevel[id] = pinned
 	}
 
 	p := &Program{
-		ops:      make([]uint8, 0, total),
-		dst:      make([]int32, 0, total),
-		a:        make([]int32, 0, total),
-		b:        make([]int32, 0, total),
-		c:        make([]int32, 0, total),
+		ops:      make([]uint8, total),
+		dst:      make([]int32, total),
+		a:        make([]int32, total),
+		b:        make([]int32, total),
+		c:        make([]int32, total),
+		levelEnd: levelEnd[1:],
 		numGates: n,
 	}
-	// Bucket live compute gates by level (ascending id within a level,
-	// since ids are visited in order). Gate ids are NOT monotone in depth
-	// — a later-built gate can sit at a shallower level — so slot
-	// recycling must run in level order, not id order.
-	levelGates := make([][]int32, depth+1)
-	for d := 1; d <= depth; d++ {
-		levelGates[d] = make([]int32, 0, counts[d])
-	}
+	// Bucket live compute gates by level into one flat array (ascending
+	// id within a level, since ids are visited in order). Gate ids are
+	// NOT monotone in depth — a later-built gate can sit at a shallower
+	// level — so slot recycling must run in level order, not id order.
+	byLevel := make([]int32, total)
+	fill := make([]int32, depth+1) // next free index of level d in byLevel
+	copy(fill[1:], levelEnd)
 	for i := 0; i < n; i++ {
 		if !reach[i] {
 			continue
 		}
-		g := c.GateAt(i)
-		if g.Op == boolcircuit.OpInput || g.Op == boolcircuit.OpConst {
+		if op := c.GateAt(i).Op; op == boolcircuit.OpInput || op == boolcircuit.OpConst {
 			continue
 		}
-		levelGates[c.DepthOf(i)] = append(levelGates[c.DepthOf(i)], int32(i))
+		d := c.DepthOf(i)
+		byLevel[fill[d]] = int32(i)
+		fill[d]++
 	}
 
 	// Pass 3: place instructions level by level and assign slots.
@@ -253,11 +241,33 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 		}
 	}
 
+	// Within a level instructions are independent (their operands all
+	// come from earlier levels), so any order is legal; each level is
+	// laid out in opcode runs — a counting sort done in place, by
+	// counting the level's opcodes first and then writing every
+	// instruction straight to its final position — so the executor
+	// dispatches once per run instead of once per instruction and hands
+	// each run to a batch kernel in one call. Slots are still allocated
+	// in ascending gate id, which keeps the slot assignment independent
+	// of the layout.
 	placed := 0
 	for d := 1; d <= depth; d++ {
 		free = append(free, expire[d]...)
-		levStart := len(p.ops)
-		for _, i32 := range levelGates[d] {
+		level := byLevel[levelEnd[d-1]:levelEnd[d]]
+		var cur [numOps]int32
+		for _, i32 := range level {
+			op, ok := vmOp(c.GateAt(int(i32)).Op)
+			if !ok {
+				return nil, fmt.Errorf("%w: vm: unsupported op %v at gate %d", guard.ErrInvalidInput, c.GateAt(int(i32)).Op, i32)
+			}
+			cur[op]++
+		}
+		at := levelEnd[d-1]
+		for op, cnt := range cur {
+			cur[op] = at
+			at += cnt
+		}
+		for _, i32 := range level {
 			if placed&0xfff == 0 {
 				if err := guard.Poll(ctx); err != nil {
 					return nil, err
@@ -265,100 +275,59 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 			}
 			placed++
 			g := c.GateAt(int(i32))
-			var op uint8
-			switch g.Op {
-			case boolcircuit.OpAdd:
-				op = opAdd
-			case boolcircuit.OpSub:
-				op = opSub
-			case boolcircuit.OpMul:
-				op = opMul
-			case boolcircuit.OpMod:
-				op = opMod
-			case boolcircuit.OpAnd:
-				op = opAnd
-			case boolcircuit.OpOr:
-				op = opOr
-			case boolcircuit.OpXor:
-				op = opXor
-			case boolcircuit.OpNot:
-				op = opNot
-			case boolcircuit.OpEq:
-				op = opEq
-			case boolcircuit.OpLt:
-				op = opLt
-			case boolcircuit.OpMux:
-				op = opMux
-			default:
-				return nil, fmt.Errorf("%w: vm: unsupported op %v at gate %d", guard.ErrInvalidInput, g.Op, i32)
-			}
-			p.ops = append(p.ops, op)
+			op, _ := vmOp(g.Op)
+			j := cur[op]
+			cur[op]++
+			p.ops[j] = op
 			// Operand slots resolve BEFORE the dst allocation: a dst may
 			// legally reuse a slot freed at this very boundary, but never
 			// one of its own operands' (those are live through this level
 			// by definition of lastLevel).
-			p.a = append(p.a, slotOf[g.A])
+			p.a[j] = slotOf[g.A]
+			p.b[j], p.c[j] = -1, -1
 			if g.B >= 0 {
-				p.b = append(p.b, slotOf[g.B])
-			} else {
-				p.b = append(p.b, -1)
+				p.b[j] = slotOf[g.B]
 			}
 			if g.C >= 0 {
-				p.c = append(p.c, slotOf[g.C])
-			} else {
-				p.c = append(p.c, -1)
+				p.c[j] = slotOf[g.C]
 			}
-			p.dst = append(p.dst, alloc(i32))
+			p.dst[j] = alloc(i32)
 		}
-		p.sortLevelByOp(levStart, len(p.ops))
-		p.levelEnd = append(p.levelEnd, int32(len(p.ops)))
 	}
-	for _, id := range c.Outputs() {
+	for _, id := range outs {
 		p.outSlots = append(p.outSlots, slotOf[id])
 	}
 	p.numSlots = int(next)
 	return p, nil
 }
 
-// sortLevelByOp counting-sorts the instruction range [lo, hi) — one
-// level — by opcode. Instructions within a level are independent (their
-// operands all come from earlier levels), so any order is legal; opcode
-// runs let the executor dispatch once per run instead of once per
-// instruction, and hand each run to a batch kernel in one call.
-func (p *Program) sortLevelByOp(lo, hi int) {
-	if hi-lo < 2 {
-		return
+// vmOp maps a circuit compute op to its instruction opcode.
+func vmOp(op boolcircuit.Op) (uint8, bool) {
+	switch op {
+	case boolcircuit.OpAdd:
+		return opAdd, true
+	case boolcircuit.OpSub:
+		return opSub, true
+	case boolcircuit.OpMul:
+		return opMul, true
+	case boolcircuit.OpMod:
+		return opMod, true
+	case boolcircuit.OpAnd:
+		return opAnd, true
+	case boolcircuit.OpOr:
+		return opOr, true
+	case boolcircuit.OpXor:
+		return opXor, true
+	case boolcircuit.OpNot:
+		return opNot, true
+	case boolcircuit.OpEq:
+		return opEq, true
+	case boolcircuit.OpLt:
+		return opLt, true
+	case boolcircuit.OpMux:
+		return opMux, true
 	}
-	var count [numOps]int32
-	for i := lo; i < hi; i++ {
-		count[p.ops[i]]++
-	}
-	var cur [numOps]int32
-	var acc int32
-	for op := range cur {
-		cur[op] = acc
-		acc += count[op]
-	}
-	n := hi - lo
-	ops := make([]uint8, n)
-	dst := make([]int32, n)
-	a := make([]int32, n)
-	b := make([]int32, n)
-	c := make([]int32, n)
-	for i := lo; i < hi; i++ {
-		j := cur[p.ops[i]]
-		cur[p.ops[i]]++
-		ops[j] = p.ops[i]
-		dst[j] = p.dst[i]
-		a[j] = p.a[i]
-		b[j] = p.b[i]
-		c[j] = p.c[i]
-	}
-	copy(p.ops[lo:hi], ops)
-	copy(p.dst[lo:hi], dst)
-	copy(p.a[lo:hi], a)
-	copy(p.b[lo:hi], b)
-	copy(p.c[lo:hi], c)
+	return 0, false
 }
 
 // Gates returns the total wire count of the source circuit (|V|,

@@ -327,3 +327,36 @@ func TestVMProgramShape(t *testing.T) {
 			prog.Instructions(), prog.Gates())
 	}
 }
+
+// TestVMLevelsAreOpcodeRuns pins the layout Compile writes in place: the
+// levels partition the instruction buffer, every level is a sequence of
+// opcode runs in ascending opcode order (what the executor's once-per-run
+// dispatch relies on), and no instruction writes a slot one of its own
+// operands occupies.
+func TestVMLevelsAreOpcodeRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 20; trial++ {
+		p, err := Compile(context.Background(), randomCircuit(rng, 6, 400))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo := int32(0)
+		for l, hi := range p.levelEnd {
+			if hi < lo {
+				t.Fatalf("level %d ends at %d, before it starts at %d", l+1, hi, lo)
+			}
+			for i := lo; i < hi; i++ {
+				if i > lo && p.ops[i] < p.ops[i-1] {
+					t.Fatalf("level %d: opcode %d at %d follows opcode %d", l+1, p.ops[i], i, p.ops[i-1])
+				}
+				if p.dst[i] == p.a[i] || p.dst[i] == p.b[i] || p.dst[i] == p.c[i] {
+					t.Fatalf("instruction %d writes its own operand slot %d", i, p.dst[i])
+				}
+			}
+			lo = hi
+		}
+		if int(lo) != p.Instructions() {
+			t.Fatalf("levels cover %d of %d instructions", lo, p.Instructions())
+		}
+	}
+}

@@ -502,31 +502,6 @@ func BenchmarkAblationSortNetworks(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelCircuitEvaluation measures the realized multi-core
-// speedup of level-scheduled evaluation (the practical side of E8).
-func BenchmarkParallelCircuitEvaluation(b *testing.B) {
-	q := query.Triangle()
-	res, err := panda.CompileFCQ(q, query.Cardinalities(q, 16))
-	if err != nil {
-		b.Fatal(err)
-	}
-	obl, err := core.CompileOblivious(res.Circuit)
-	if err != nil {
-		b.Fatal(err)
-	}
-	inputs := make([]int64, obl.C.NumInputs())
-	for _, workers := range []int{1, 2, 4, 8} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := obl.C.EvaluateParallel(inputs, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSecureCostModel prices the triangle circuit for MPC across
 // word widths (free-XOR garbling, half-gates).
 func BenchmarkSecureCostModel(b *testing.B) {

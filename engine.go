@@ -9,8 +9,8 @@
 // requests share one plan regardless of variable names or atom order;
 // concurrent cold requests for the same fingerprint compile once
 // (singleflight); eviction is cost-aware LRU charged by gate count; and
-// each evaluation runs the tiered ladder of EvaluateResilient under the
-// caller's context and Budget.
+// each evaluation runs a tier ladder (vm program → relational circuit →
+// RAM evaluator) under the caller's context and Budget.
 package circuitql
 
 import (
@@ -24,7 +24,8 @@ import (
 
 // EngineConfig sizes an Engine; see the field docs in internal/engine.
 // The zero value selects sensible defaults (GOMAXPROCS workers, 4M-gate
-// cache, wide-level parallel routing at 4096 gates per level).
+// cache). Every cached plan's circuit runs as a vm program; there is no
+// evaluator to choose.
 type EngineConfig = engine.Config
 
 // EngineMetrics is a point-in-time snapshot of an Engine's counters:
@@ -53,8 +54,8 @@ const (
 	// carrying a retry-after hint, keeping latency bounded.
 	ShedOnFull = engine.ShedOnFull
 	// ShedAdaptive: ShedOnFull plus the degradation ladder — under
-	// sustained pressure new compiles skip the optimizer, wide plans
-	// route to cheaper tiers, and low-priority work is shed first.
+	// sustained pressure new compiles skip the optimizer and
+	// low-priority work is shed first.
 	ShedAdaptive = engine.ShedAdaptive
 )
 

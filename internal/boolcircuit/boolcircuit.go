@@ -18,7 +18,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"circuitql/internal/faultinject"
 	"circuitql/internal/guard"
@@ -85,10 +84,6 @@ type Circuit struct {
 	table  []int32
 	shift  uint8 // 64 - log2(len(table)): a hash's top bits pick the slot
 	maxDep int32
-
-	levelMu     sync.Mutex // guards the level cache for concurrent evaluators
-	levelCache  [][]int32  // lazily built depth buckets for parallel evaluation
-	levelCacheN int
 }
 
 // maxGates is the largest gate count a circuit can hold: operands are
@@ -184,8 +179,8 @@ func (c *Circuit) GateAt(id int) Gate { return c.gates[id] }
 
 // DepthOf returns the level of gate id: 0 for inputs and constants,
 // 1 + max(operand depths) for computation gates. Gates of equal depth
-// are independent, which is what level-ordered batch compilers
-// (internal/vm) and the parallel evaluator rely on.
+// are independent, which is what the level-ordered batch compiler
+// (internal/vm) relies on.
 func (c *Circuit) DepthOf(id int) int { return int(c.depth[id]) }
 
 // InputIDs returns the gate ids of the input wires in allocation order

@@ -2,7 +2,6 @@ package boolcircuit
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -43,40 +42,6 @@ func randomCircuit(seed int64, inputs, gates int) *Circuit {
 		c.MarkOutput(wires[len(wires)-1-i])
 	}
 	return c
-}
-
-func TestEvaluateParallelMatchesSequential(t *testing.T) {
-	c := randomCircuit(1, 16, 5000)
-	rng := rand.New(rand.NewSource(2))
-	for iter := 0; iter < 5; iter++ {
-		inputs := make([]int64, c.NumInputs())
-		for i := range inputs {
-			inputs[i] = int64(rng.Intn(1000) - 500)
-		}
-		want, err := c.Evaluate(inputs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 4, 8, 0} {
-			got, err := c.EvaluateParallel(inputs, workers)
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("workers=%d iter=%d output %d: %d != %d", workers, iter, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestEvaluateParallelInputMismatch(t *testing.T) {
-	c := New()
-	c.Input()
-	if _, err := c.EvaluateParallel(nil, 4); err == nil {
-		t.Fatal("expected input count error")
-	}
 }
 
 func TestSerializeRoundTrip(t *testing.T) {
@@ -181,59 +146,5 @@ func BenchmarkEvaluateSequential(b *testing.B) {
 		if _, err := c.Evaluate(inputs); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkEvaluateParallel(b *testing.B) {
-	c := randomCircuit(11, 32, 200000)
-	inputs := make([]int64, c.NumInputs())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.EvaluateParallel(inputs, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// wideCircuit has one very wide level: the shape where level-scheduled
-// parallelism pays.
-func wideCircuit(gates int) *Circuit {
-	c := New()
-	a, b := c.Input(), c.Input()
-	for i := 0; i < gates; i++ {
-		c.MarkOutput(c.Mul(c.Add(a, c.Const(int64(i))), b))
-	}
-	return c
-}
-
-func TestWideCircuitParallelCorrect(t *testing.T) {
-	c := wideCircuit(10000)
-	want, err := c.Evaluate([]int64{3, 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.EvaluateParallel([]int64{3, 7}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("output %d differs", i)
-		}
-	}
-}
-
-func BenchmarkParallelWideCircuit(b *testing.B) {
-	c := wideCircuit(2000000)
-	inputs := []int64{3, 7}
-	for _, workers := range []int{1, 4, 8} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := c.EvaluateParallel(inputs, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

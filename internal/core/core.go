@@ -212,23 +212,6 @@ func (oc *ObliviousCircuit) EvaluateCtx(ctx context.Context, db map[string]*rela
 	return oc.decode(raw)
 }
 
-// EvaluateParallelCtx is EvaluateCtx with the gate loop spread over up
-// to workers goroutines, level by level (Brent's schedule; see
-// boolcircuit.EvaluateParallelCtx). Worth it only for wide circuits —
-// the serving engine routes a plan here when its widest level clears a
-// threshold.
-func (oc *ObliviousCircuit) EvaluateParallelCtx(ctx context.Context, db map[string]*relation.Relation, workers int) (map[int]*relation.Relation, error) {
-	inputs, err := oc.pack(db)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := oc.C.EvaluateParallelCtx(ctx, inputs, workers)
-	if err != nil {
-		return nil, err
-	}
-	return oc.decode(raw)
-}
-
 // pack lays the named relations out as the circuit's input words.
 func (oc *ObliviousCircuit) pack(db map[string]*relation.Relation) ([]int64, error) {
 	var inputs []int64
@@ -555,20 +538,6 @@ func (cq *Compiled) buildPackPlan() {
 // a vm program compiled from cq.Obliv.C.
 func (cq *Compiled) DecodeOblivious(raw []int64) (*relation.Relation, error) {
 	outs, err := cq.Obliv.decode(raw)
-	if err != nil {
-		return nil, err
-	}
-	return outs[cq.RelOutput], nil
-}
-
-// EvaluateObliviousParallelCtx is EvaluateObliviousCtx with the gate
-// loop spread over up to workers goroutines (Brent's schedule).
-func (cq *Compiled) EvaluateObliviousParallelCtx(ctx context.Context, db query.Database, workers int) (*relation.Relation, error) {
-	pdb, err := panda.PrepareDB(cq.Query, db)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := cq.Obliv.EvaluateParallelCtx(ctx, pdb, workers)
 	if err != nil {
 		return nil, err
 	}

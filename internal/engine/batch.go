@@ -49,7 +49,6 @@ type memberResult struct {
 
 type pendingBatch struct {
 	prog    *vm.Program
-	workers int
 	members []*member
 	timer   *time.Timer
 }
@@ -67,7 +66,7 @@ func newBatcher(maxSize int, window time.Duration, lifeCtx context.Context, ledg
 // do submits one request's packed inputs for fingerprint fp and blocks
 // until its slice of the batch output (or an error) is ready, or until
 // the request's own context dies.
-func (b *batcher) do(ctx context.Context, fp query.Fingerprint, prog *vm.Program, inputs []vm.Word, workers int) ([]vm.Word, error) {
+func (b *batcher) do(ctx context.Context, fp query.Fingerprint, prog *vm.Program, inputs []vm.Word) ([]vm.Word, error) {
 	m := &member{ctx: ctx, inputs: inputs, out: make(chan memberResult, 1)}
 
 	b.mu.Lock()
@@ -75,7 +74,7 @@ func (b *batcher) do(ctx context.Context, fp query.Fingerprint, prog *vm.Program
 	if pb == nil || pb.prog != prog {
 		// First member (or the plan was recompiled mid-window: keep the
 		// old batch dispatching on its own timer and open a fresh one).
-		pb = &pendingBatch{prog: prog, workers: workers, members: []*member{m}}
+		pb = &pendingBatch{prog: prog, members: []*member{m}}
 		b.pend[fp] = pb
 		pb.timer = time.AfterFunc(b.window, func() {
 			b.mu.Lock()
@@ -91,9 +90,6 @@ func (b *batcher) do(ctx context.Context, fp query.Fingerprint, prog *vm.Program
 		b.mu.Unlock()
 	} else {
 		pb.members = append(pb.members, m)
-		if pb.workers < workers {
-			pb.workers = workers
-		}
 		if len(pb.members) >= b.maxSize {
 			// Full: dispatch now on this worker's goroutine.
 			delete(b.pend, fp)
@@ -115,13 +111,31 @@ func (b *batcher) do(ctx context.Context, fp query.Fingerprint, prog *vm.Program
 	}
 }
 
-// run evaluates one dispatched batch and distributes results. The
-// evaluation context is assembled from the engine lifetime plus the
-// first live member's observability/fault values, with the widest
-// member deadline applied only when every member has one.
+// run evaluates one dispatched batch and delivers exactly one result to
+// every member: its output slice, or the batch's error. run executes on
+// the window timer's goroutine or on one member's worker, so a panic in
+// the evaluation is contained in eval — escaping here it would take the
+// process down (timer) or strand the other members (worker) — and every
+// member receives the same typed error and falls through to its next
+// tier.
 func (b *batcher) run(pb *pendingBatch) {
 	b.ledger.Batch(len(pb.members))
+	outs, err := b.eval(pb)
+	for i, m := range pb.members {
+		if err != nil {
+			m.out <- memberResult{err: err}
+		} else {
+			m.out <- memberResult{raw: outs[i]}
+		}
+	}
+}
 
+// eval runs the batch through the vm program. The evaluation context is
+// assembled from the engine lifetime plus the first member's
+// observability/fault values, with the widest member deadline applied
+// only when every member has one.
+func (b *batcher) eval(pb *pendingBatch) (_ [][]vm.Word, err error) {
+	defer guard.Recover(&err)
 	ctx := b.lifeCtx
 	var deadline time.Time
 	all := true
@@ -164,12 +178,5 @@ func (b *batcher) run(pb *pendingBatch) {
 	for i, m := range pb.members {
 		batch[i] = m.inputs
 	}
-	outs, err := pb.prog.EvalBatchOpts(ctx, batch, vm.Options{Workers: pb.workers})
-	for i, m := range pb.members {
-		if err != nil {
-			m.out <- memberResult{err: err}
-		} else {
-			m.out <- memberResult{raw: outs[i]}
-		}
-	}
+	return pb.prog.EvalBatch(ctx, batch)
 }

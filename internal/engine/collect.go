@@ -24,7 +24,7 @@ func (m Metrics) Families() []obs.Family {
 		Help: "Engine requests answered per evaluation tier.",
 		Type: obs.TypeCounter,
 		Samples: []obs.Sample{
-			{Labels: []obs.Label{{Name: "tier", Value: TierOblivious}}, Value: float64(m.ServedOblivious)},
+			{Labels: []obs.Label{{Name: "tier", Value: TierVM}}, Value: float64(m.ServedVM)},
 			{Labels: []obs.Label{{Name: "tier", Value: TierRelational}}, Value: float64(m.ServedRelational)},
 			{Labels: []obs.Label{{Name: "tier", Value: TierRAM}}, Value: float64(m.ServedRAM)},
 		},

@@ -15,9 +15,10 @@
 //   - the cache is a cost-aware LRU charged by gate count, so a handful
 //     of enormous circuits cannot squeeze out every small plan;
 //   - each request evaluates under the caller's context and
-//     guard.Budget, through the tiered strategy of the facade's
-//     EvaluateResilient (oblivious → relational → RAM), with wide
-//     circuits routed through the level-parallel evaluator;
+//     guard.Budget, through a tier ladder (vm → relational → RAM): the
+//     plan's word circuit runs as an internal/vm program — a single
+//     request is a batch of one — and a fault there degrades to the
+//     relational circuit, then to the RAM evaluator;
 //   - independent requests fan out across a bounded worker pool.
 //
 // Overload protection (internal/qos holds the policy pieces):
@@ -34,8 +35,7 @@
 //     impatient caller's deadline never kills a compile that followers
 //     are waiting on;
 //   - a degradation ladder (qos.Policy) disables the optimizer for new
-//     compiles under pressure, routes wide plans past the oblivious
-//     tier under critical load, and sheds low-priority work first;
+//     compiles under pressure and sheds low-priority work first;
 //   - sticky negative plan-cache entries expire after NegativeTTL so a
 //     misclassified shape heals instead of being pinned to the RAM tier
 //     forever.
@@ -61,12 +61,11 @@ import (
 	"circuitql/internal/vm"
 )
 
-// Evaluation tier names, in degradation order (mirrors the facade).
-// TierVM is the vectorized fast path: the same oblivious circuit,
-// compiled once into an internal/vm program and evaluated in batches.
+// Evaluation tier names, in degradation order. TierVM is the plan's
+// oblivious word circuit, compiled once into an internal/vm program and
+// evaluated in batches; it is the engine's only circuit evaluator.
 const (
 	TierVM         = "vm"
-	TierOblivious  = "oblivious"
 	TierRelational = "relational"
 	TierRAM        = "ram"
 )
@@ -83,9 +82,8 @@ const (
 	// (matching guard.ErrOverloaded) carrying a retry-after hint.
 	ShedOnFull
 	// ShedAdaptive is ShedOnFull plus the degradation ladder: under
-	// pressure new compiles skip the optimizer, under critical load wide
-	// plans bypass the oblivious tier and low-priority requests are shed
-	// at admission.
+	// pressure new compiles skip the optimizer and under critical load
+	// low-priority requests are shed at admission.
 	ShedAdaptive
 )
 
@@ -141,14 +139,6 @@ type Config struct {
 	// qos.DefaultPolicy when ShedPolicy is ShedAdaptive and disables the
 	// ladder otherwise.
 	Policy qos.Policy
-	// WideLevelThreshold routes a plan's oblivious evaluation through
-	// the level-parallel evaluator when its widest circuit level has at
-	// least this many gates. 0 selects 4096; negative disables parallel
-	// routing.
-	WideLevelThreshold int
-	// EvalWorkers is the goroutine count for one parallel evaluation.
-	// 0 selects GOMAXPROCS.
-	EvalWorkers int
 	// Tracer, when set, records a span tree per request (serve →
 	// compile stages → tier attempts) into its ring buffer and
 	// per-stage aggregates. nil disables tracing; the hot paths then
@@ -159,11 +149,6 @@ type Config struct {
 	// counts; with the default (optimizer on) it charges post-opt
 	// counts, so the same budget holds more plans.
 	NoOpt bool
-	// DisableVM removes the vectorized vm tier from the ladder, so
-	// cached plans evaluate through the interpreted oblivious tier
-	// first (the pre-vm behavior; also useful for fault matrices that
-	// count interpreter gate ordinals).
-	DisableVM bool
 	// BatchMaxSize caps how many same-fingerprint requests one vm
 	// dispatch evaluates in lock-step. ≤ 1 disables coalescing (each
 	// request runs its own batch of one); 0 selects 1 — coalescing is
@@ -223,9 +208,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NegativeTTL == 0 {
 		c.NegativeTTL = 30 * time.Second
-	}
-	if c.WideLevelThreshold == 0 {
-		c.WideLevelThreshold = 4096
 	}
 	if c.ShedPolicy == ShedAdaptive && c.Policy == (qos.Policy{}) {
 		c.Policy = qos.DefaultPolicy()
@@ -310,7 +292,6 @@ type shard struct {
 	ledger       qos.Ledger
 	estServe     [qos.NumLanes]qos.Estimator // whole-request service time per lane
 	estVM        qos.Estimator               // per-tier eval estimates for deadline shares
-	estObliv     qos.Estimator
 	estRel       qos.Estimator
 	estRAM       qos.Estimator
 	laneInFlight [qos.NumLanes]atomic.Int64
@@ -319,8 +300,8 @@ type shard struct {
 	hits, misses, evictions    atomic.Int64
 	compiles, compileErrs      atomic.Int64
 	requests, inFlight, failed atomic.Int64
-	servedVM, servedObliv      atomic.Int64
-	servedRel, servedRAM       atomic.Int64
+	servedVM, servedRel        atomic.Int64
+	servedRAM                  atomic.Int64
 	compileLat, evalLat        latencyHist
 }
 
@@ -485,16 +466,19 @@ func (e *shard) enqueue(j *job) {
 		out <- Result{Err: fmt.Errorf("%w: engine is closed", guard.ErrInvalidInput)}
 		return
 	}
-	j.lane = e.classify(j)
+	// Once j is sent its worker owns it (requeue rewrites j.lane), so
+	// the accounting below uses this copy.
+	lane := e.classify(j)
+	j.lane = lane
 	jobs := e.jobsHit
-	if j.lane == qos.LaneMiss {
+	if lane == qos.LaneMiss {
 		jobs = e.jobsMiss
 	}
 
 	if e.cfg.ShedPolicy == ShedBlock {
 		select {
 		case jobs <- j:
-			e.admit(j.lane)
+			e.admit(lane)
 		case <-ctxDone(ctx):
 			out <- Result{Err: guard.Poll(ctx)}
 		}
@@ -504,16 +488,16 @@ func (e *shard) enqueue(j *job) {
 	// Shedding policies never block the caller.
 	if e.cfg.ShedPolicy == ShedAdaptive &&
 		qos.PriorityOf(ctx) < qos.PriorityNormal && e.level() >= qos.LevelCritical {
-		e.ledger.Shed(j.lane, qos.ShedPriority)
-		out <- Result{Err: qos.Overload(j.lane, qos.ShedPriority, e.retryAfter(j.lane))}
+		e.ledger.Shed(lane, qos.ShedPriority)
+		out <- Result{Err: qos.Overload(lane, qos.ShedPriority, e.retryAfter(lane))}
 		return
 	}
 	select {
 	case jobs <- j:
-		e.admit(j.lane)
+		e.admit(lane)
 	default:
-		e.ledger.Shed(j.lane, qos.ShedQueueFull)
-		out <- Result{Err: qos.Overload(j.lane, qos.ShedQueueFull, e.retryAfter(j.lane))}
+		e.ledger.Shed(lane, qos.ShedQueueFull)
+		out <- Result{Err: qos.Overload(lane, qos.ShedQueueFull, e.retryAfter(lane))}
 	}
 }
 
@@ -567,7 +551,6 @@ func (e *shard) metrics() Metrics {
 		InFlight:         e.inFlight.Load(),
 		Failed:           e.failed.Load(),
 		ServedVM:         e.servedVM.Load(),
-		ServedOblivious:  e.servedObliv.Load(),
 		ServedRelational: e.servedRel.Load(),
 		ServedRAM:        e.servedRAM.Load(),
 		CachedPlans:      plans,
@@ -728,8 +711,6 @@ func (e *shard) processInner(ctx context.Context, j *job, stage *qos.DeadlineSta
 	switch tier {
 	case TierVM:
 		e.servedVM.Add(1)
-	case TierOblivious:
-		e.servedObliv.Add(1)
 	case TierRelational:
 		e.servedRel.Add(1)
 	case TierRAM:
@@ -899,11 +880,10 @@ func entryFromArtifact(a *store.PlanArtifact, canon *query.Canonical) (*entry, e
 		canon = artCanon
 	}
 	ent := &entry{
-		fp:        a.FP,
-		canon:     canon,
-		compiled:  compiled,
-		gates:     a.Gates,
-		wideLevel: a.WideLevel,
+		fp:       a.FP,
+		canon:    canon,
+		compiled: compiled,
+		gates:    a.Gates,
 	}
 	if ent.gates < 1 {
 		ent.gates = 1
@@ -992,11 +972,6 @@ func (e *shard) compile(ctx context.Context, canon *query.Canonical) (*entry, er
 	if ent.gates < 1 {
 		ent.gates = 1
 	}
-	for _, w := range compiled.Obliv.C.LevelSizes() {
-		if w > ent.wideLevel {
-			ent.wideLevel = w
-		}
-	}
 	return ent, nil
 }
 
@@ -1019,8 +994,6 @@ func (e *shard) tierEst(tier string) *qos.Estimator {
 	switch tier {
 	case TierVM:
 		return &e.estVM
-	case TierOblivious:
-		return &e.estObliv
 	case TierRelational:
 		return &e.estRel
 	default:
@@ -1031,7 +1004,7 @@ func (e *shard) tierEst(tier string) *qos.Estimator {
 // stageFor maps a tier name onto its deadline-accounting stage.
 func stageFor(tier string) qos.DeadlineStage {
 	switch tier {
-	case TierVM, TierOblivious:
+	case TierVM:
 		return qos.StageOblivious
 	case TierRelational:
 		return qos.StageRelational
@@ -1049,8 +1022,6 @@ func stageFor(tier string) qos.DeadlineStage {
 // budgeted its share of the remaining wall clock (qos.PlanTier), so a
 // stuck tier cannot eat the cheaper fallbacks' time, and a tier whose
 // estimated duration already exceeds its share is skipped outright.
-// Under critical load the ladder routes wide plans past the oblivious
-// tier entirely.
 func (e *shard) evaluate(ctx context.Context, ent *entry, req Request, stage *qos.DeadlineStage) (*relation.Relation, string, []TierAttempt, error) {
 	type tier struct {
 		name string
@@ -1059,34 +1030,16 @@ func (e *shard) evaluate(ctx context.Context, ent *entry, req Request, stage *qo
 	var tiers []tier
 	var attempts []TierAttempt
 	if ent.compiled != nil {
-		wide := e.cfg.WideLevelThreshold > 0 && ent.wideLevel >= e.cfg.WideLevelThreshold
-		if wide && e.ladderOn() && e.level() >= qos.LevelCritical {
-			e.ledger.Degrade(qos.DegradeTierRoute)
-			attempts = append(attempts, TierAttempt{Tier: TierOblivious,
-				Err: fmt.Errorf("%w: engine: wide plan routed past the oblivious tier under critical load", guard.ErrOverloaded)})
-		} else {
-			if !e.cfg.DisableVM {
-				tiers = append(tiers,
-					tier{TierVM, func(ctx context.Context) (out *relation.Relation, err error) {
-						defer guard.Recover(&err)
-						return e.evalVM(ctx, ent, req, wide)
-					}},
-				)
-			}
-			tiers = append(tiers,
-				tier{TierOblivious, func(ctx context.Context) (out *relation.Relation, err error) {
-					defer guard.Recover(&err)
-					if wide {
-						return ent.compiled.EvaluateObliviousParallelCtx(ctx, req.DB, e.cfg.EvalWorkers)
-					}
-					return ent.compiled.EvaluateObliviousCtx(ctx, req.DB)
-				}},
-			)
-		}
+		tiers = append(tiers,
+			tier{TierVM, func(ctx context.Context) (out *relation.Relation, err error) {
+				defer guard.Recover(&err)
+				return e.evalVM(ctx, ent, req)
+			}},
+		)
 		if ent.compiled.Rel != nil {
 			// A plan warm-loaded from the store has no relational layer
 			// (its gates carry closures with no wire format), so the
-			// ladder skips straight from the circuit tiers to RAM.
+			// ladder skips straight from the vm tier to RAM.
 			tiers = append(tiers,
 				tier{TierRelational, func(ctx context.Context) (out *relation.Relation, err error) {
 					defer guard.Recover(&err)
@@ -1095,7 +1048,7 @@ func (e *shard) evaluate(ctx context.Context, ent *entry, req Request, stage *qo
 			)
 		}
 	} else {
-		attempts = append(attempts, TierAttempt{Tier: TierOblivious, Err: ent.compileErr})
+		attempts = append(attempts, TierAttempt{Tier: TierVM, Err: ent.compileErr})
 	}
 	tiers = append(tiers, tier{TierRAM, func(ctx context.Context) (out *relation.Relation, err error) {
 		defer guard.Recover(&err)
@@ -1145,7 +1098,7 @@ func (e *shard) evaluate(ctx context.Context, ent *entry, req Request, stage *qo
 // words, evaluate — coalesced with concurrent same-fingerprint
 // requests into one lock-step batch when batching is configured — and
 // decode the output words back into a relation.
-func (e *shard) evalVM(ctx context.Context, ent *entry, req Request, wide bool) (*relation.Relation, error) {
+func (e *shard) evalVM(ctx context.Context, ent *entry, req Request) (*relation.Relation, error) {
 	prog, err := ent.vmProgram(ctx, e)
 	if err != nil {
 		return nil, err
@@ -1154,18 +1107,11 @@ func (e *shard) evalVM(ctx context.Context, ent *entry, req Request, wide bool) 
 	if err != nil {
 		return nil, err
 	}
-	workers := 1
-	if wide {
-		workers = e.cfg.EvalWorkers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-	}
 	var raw []vm.Word
 	if e.batches != nil {
-		raw, err = e.batches.do(ctx, ent.fp, prog, inputs, workers)
+		raw, err = e.batches.do(ctx, ent.fp, prog, inputs)
 	} else {
-		outs, berr := prog.EvalBatchOpts(ctx, [][]vm.Word{inputs}, vm.Options{Workers: workers})
+		outs, berr := prog.EvalBatch(ctx, [][]vm.Word{inputs})
 		if berr != nil {
 			err = berr
 		} else {

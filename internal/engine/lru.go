@@ -31,7 +31,6 @@ type entry struct {
 	compileErr error
 	uncached   bool  // never insert into the plan cache
 	gates      int64 // cost charged against Config.MaxCacheGates
-	wideLevel  int   // widest oblivious circuit level, for routing
 	// expires, when non-zero, is when this negative entry stops being
 	// served and the shape is recompiled: a sticky failure is a
 	// diagnosis worth remembering, not a life sentence.

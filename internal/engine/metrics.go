@@ -112,7 +112,6 @@ type Metrics struct {
 
 	// Per-tier serve counts (which evaluation strategy answered).
 	ServedVM         int64
-	ServedOblivious  int64
 	ServedRelational int64
 	ServedRAM        int64
 
@@ -151,8 +150,8 @@ func (m Metrics) String() string {
 	fmt.Fprintf(&b, "cache: hits=%d misses=%d evictions=%d plans=%d gates=%d\n",
 		m.Hits, m.Misses, m.Evictions, m.CachedPlans, m.CachedGates)
 	fmt.Fprintf(&b, "compiles=%d errors=%d latency: %v\n", m.Compiles, m.CompileErrors, m.CompileLatency)
-	fmt.Fprintf(&b, "tiers: vm=%d oblivious=%d relational=%d ram=%d\n",
-		m.ServedVM, m.ServedOblivious, m.ServedRelational, m.ServedRAM)
+	fmt.Fprintf(&b, "tiers: vm=%d relational=%d ram=%d\n",
+		m.ServedVM, m.ServedRelational, m.ServedRAM)
 	if m.StorePlans > 0 || m.StoreHits > 0 || m.StoreWrites > 0 {
 		fmt.Fprintf(&b, "store: plans=%d hits=%d misses=%d writes=%d corrupt=%d read=%dB written=%dB\n",
 			m.StorePlans, m.StoreHits, m.StoreMisses, m.StoreWrites,

@@ -441,9 +441,11 @@ func TestEngineDeadlineMatrix(t *testing.T) {
 			return outcome{res, "compile"}
 		}},
 		{"oblivious", func(t *testing.T) outcome {
-			// DisableVM: the fault ordinals below count interpreter gate
-			// hits; the vm tier would consume them first.
-			e := New(Config{Workers: 1, MissWorkers: 1, ShedPolicy: ShedOnFull, DisableVM: true})
+			// "oblivious" is the ledger's deadline stage for the plan's
+			// oblivious circuit, which the vm tier runs. The vm reports
+			// every instruction to the word-gate site, so the ordinal
+			// below is the nth instruction of the program.
+			e := New(Config{Workers: 1, MissWorkers: 1, ShedPolicy: ShedOnFull})
 			defer e.Close()
 			req := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 53, 10)
 			if res := e.Serve(context.Background(), req); res.Err != nil {
@@ -457,13 +459,13 @@ func TestEngineDeadlineMatrix(t *testing.T) {
 			if s := e.QoS(); s.Deadline["oblivious"] != 1 {
 				t.Fatalf("deadline[oblivious]=%d, want 1 (%v)", s.Deadline["oblivious"], s.Deadline)
 			}
-			if len(res.Attempts) != 1 || res.Attempts[0].Tier != TierOblivious || res.Attempts[0].Err == nil {
-				t.Fatalf("attempts = %v, want one failed oblivious attempt", res.Attempts)
+			if len(res.Attempts) != 1 || res.Attempts[0].Tier != TierVM || res.Attempts[0].Err == nil {
+				t.Fatalf("attempts = %v, want one failed vm attempt", res.Attempts)
 			}
 			return outcome{res, "oblivious"}
 		}},
 		{"relational", func(t *testing.T) outcome {
-			e := New(Config{Workers: 1, MissWorkers: 1, ShedPolicy: ShedOnFull, DisableVM: true})
+			e := New(Config{Workers: 1, MissWorkers: 1, ShedPolicy: ShedOnFull})
 			defer e.Close()
 			req := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 54, 10)
 			if res := e.Serve(context.Background(), req); res.Err != nil {
@@ -479,8 +481,8 @@ func TestEngineDeadlineMatrix(t *testing.T) {
 				t.Fatalf("deadline[relational]=%d, want 1 (%v)", s.Deadline["relational"], s.Deadline)
 			}
 			if len(res.Attempts) != 2 ||
-				res.Attempts[0].Tier != TierOblivious || res.Attempts[1].Tier != TierRelational {
-				t.Fatalf("attempts = %v, want failed oblivious then relational", res.Attempts)
+				res.Attempts[0].Tier != TierVM || res.Attempts[1].Tier != TierRelational {
+				t.Fatalf("attempts = %v, want failed vm then relational", res.Attempts)
 			}
 			if errors.Is(res.Attempts[0].Err, context.DeadlineExceeded) {
 				t.Fatalf("tier-1 failure misclassified as deadline: %v", res.Attempts[0].Err)
@@ -508,13 +510,11 @@ func TestEngineDeadlineMatrix(t *testing.T) {
 }
 
 // TestEngineDeadlineSkipsDoomedTier: with a deadline too tight for the
-// estimated oblivious cost, the tier ladder skips straight to a cheaper
+// estimated circuit cost, the tier ladder skips straight to a cheaper
 // tier (recording a typed skip reason) instead of burning the remaining
 // clock on a doomed attempt.
 func TestEngineDeadlineSkipsDoomedTier(t *testing.T) {
-	// DisableVM keeps the ladder at the classic three tiers so the skip
-	// count below stays meaningful.
-	e := New(Config{Workers: 1, MissWorkers: 1, DisableVM: true})
+	e := New(Config{Workers: 1, MissWorkers: 1})
 	defer e.Close()
 	req := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 61, 10)
 	if res := e.Serve(context.Background(), req); res.Err != nil {
@@ -524,7 +524,7 @@ func TestEngineDeadlineSkipsDoomedTier(t *testing.T) {
 	// tier cheap, then hand in a deadline that only fits the RAM tier.
 	// (Repeated observations swamp whatever the warm serve recorded.)
 	for i := 0; i < 16; i++ {
-		e.shards[0].estObliv.Observe(10 * time.Second)
+		e.shards[0].estVM.Observe(10 * time.Second)
 		e.shards[0].estRel.Observe(10 * time.Second)
 	}
 	e.shards[0].estRAM.Observe(time.Microsecond)
@@ -546,7 +546,7 @@ func TestEngineDeadlineSkipsDoomedTier(t *testing.T) {
 		skips++
 	}
 	if skips != 2 {
-		t.Fatalf("skipped %d tiers, want 2 (oblivious, relational)", skips)
+		t.Fatalf("skipped %d tiers, want 2 (vm, relational)", skips)
 	}
 	if s := e.QoS(); s.Degraded["tier_skip"] != 2 {
 		t.Fatalf("degraded[tier_skip]=%d, want 2", s.Degraded["tier_skip"])

@@ -71,7 +71,7 @@ func TestShardRoutingStableAcrossRestarts(t *testing.T) {
 		reqs[i] = shapeReq(t, i)
 	}
 	place := func() []int64 {
-		e := New(Config{Shards: shards, Workers: 2, DisableVM: true})
+		e := New(Config{Shards: shards, Workers: 2})
 		defer e.Close()
 		for _, r := range reqs {
 			if res := e.Serve(context.Background(), r); res.Err != nil {
@@ -110,7 +110,7 @@ func TestShardedExactlyOnceCompile(t *testing.T) {
 		clients = 4
 		rounds  = 3
 	)
-	e := New(Config{Shards: shards, Workers: 4, DisableVM: true})
+	e := New(Config{Shards: shards, Workers: 4})
 	defer e.Close()
 	reqs := make([]Request, shapes)
 	for i := range reqs {
@@ -146,7 +146,7 @@ func TestShardedExactlyOnceCompile(t *testing.T) {
 // aggregate, and the qos ledger totals reconcile with the request
 // count.
 func TestShardedAggregationReconciles(t *testing.T) {
-	e := New(Config{Shards: 4, Workers: 2, DisableVM: true})
+	e := New(Config{Shards: 4, Workers: 2})
 	defer e.Close()
 	var total int64
 	for i := 0; i < 10; i++ {

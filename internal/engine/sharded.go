@@ -278,7 +278,6 @@ func (m Metrics) add(o Metrics) Metrics {
 	m.InFlight += o.InFlight
 	m.Failed += o.Failed
 	m.ServedVM += o.ServedVM
-	m.ServedOblivious += o.ServedOblivious
 	m.ServedRelational += o.ServedRelational
 	m.ServedRAM += o.ServedRAM
 	m.CachedPlans += o.CachedPlans

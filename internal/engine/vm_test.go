@@ -2,12 +2,16 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
+	"circuitql/internal/faultinject"
+	"circuitql/internal/guard"
 	"circuitql/internal/obs"
 	"circuitql/internal/query"
+	"circuitql/internal/store"
 	"circuitql/internal/workload"
 )
 
@@ -41,21 +45,129 @@ func TestEngineVMTierServes(t *testing.T) {
 	}
 }
 
-// TestEngineDisableVM: with the tier disabled, warm serves fall back to
-// the interpreted oblivious tier (the pre-vm behavior).
-func TestEngineDisableVM(t *testing.T) {
-	e := New(Config{DisableVM: true})
-	defer e.Close()
-	req := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 82, 10)
-	if res := e.Serve(context.Background(), req); res.Err != nil {
-		t.Fatal(res.Err)
+// checkFellThrough asserts that res is a vm attempt that failed with
+// wantErr followed by a clean serve from the tier named served, and
+// that the answer still equals the RAM reference.
+func checkFellThrough(t *testing.T, res Result, req Request, wantErr error, served string) {
+	t.Helper()
+	if res.Err != nil {
+		t.Fatalf("request failed instead of degrading: %v", res.Err)
 	}
-	warm := e.Serve(context.Background(), req)
-	if warm.Err != nil {
-		t.Fatal(warm.Err)
+	if len(res.Attempts) != 2 ||
+		res.Attempts[0].Tier != TierVM || !errors.Is(res.Attempts[0].Err, wantErr) ||
+		res.Attempts[1].Tier != served || res.Attempts[1].Err != nil || res.Tier != served {
+		t.Fatalf("tier=%q attempts=%v, want [vm failed (%v), %s served]", res.Tier, res.Attempts, wantErr, served)
 	}
-	if warm.Tier != TierOblivious {
-		t.Fatalf("warm serve tier = %q, want oblivious with DisableVM", warm.Tier)
+	want, err := query.EvaluateCtx(context.Background(), req.Query, req.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Output.Equal(want) {
+		t.Fatalf("%s tier answered differently from query.EvaluateCtx", served)
+	}
+}
+
+// wordGateFault returns a context whose injector fails the vm program
+// at its 10th instruction.
+func wordGateFault() context.Context {
+	in := faultinject.New()
+	in.FailAt(faultinject.SiteWordGate, 10, nil)
+	return faultinject.WithInjector(context.Background(), in)
+}
+
+// TestEngineVMFaultFallsThrough: the vm is the only circuit evaluator,
+// so a word-gate fault on a warm plan degrades to the relational tier,
+// and on a plan warm-loaded from the store (which has no relational
+// layer) straight to the RAM tier — the same answer either way.
+func TestEngineVMFaultFallsThrough(t *testing.T) {
+	t.Run("compiled plan", func(t *testing.T) {
+		e := New(Config{})
+		defer e.Close()
+		req := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 82, 10)
+		if res := e.Serve(context.Background(), req); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		checkFellThrough(t, e.Serve(wordGateFault(), req), req, faultinject.ErrInjected, TierRelational)
+	})
+	t.Run("store-loaded plan", func(t *testing.T) {
+		dir := t.TempDir()
+		req := storeReq(t, "triangle")
+		st1, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng1 := New(Config{Store: st1})
+		if res := eng1.Serve(context.Background(), req); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		eng1.Close()
+
+		st2, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New(Config{Store: st2, WarmStart: true})
+		defer e.Close()
+		res := e.Serve(wordGateFault(), req)
+		if !res.CacheHit {
+			t.Fatal("plan was not warm-loaded from the store")
+		}
+		checkFellThrough(t, res, req, faultinject.ErrInjected, TierRAM)
+	})
+}
+
+// TestEngineBatchPanicContained: a panic inside a coalesced vm batch is
+// contained in the batcher whichever goroutine dispatched it. On the
+// window timer's goroutine an escaped panic would kill the process; on
+// a member's worker it would strand that member's companions. Either
+// way every member must get the same typed internal error for its vm
+// attempt and fall through to the relational tier with the right
+// answer.
+func TestEngineBatchPanicContained(t *testing.T) {
+	cases := []struct {
+		name          string
+		members, size int
+		window        time.Duration
+	}{
+		// A lone member never fills the batch: the timer dispatches it.
+		{"timer dispatch", 1, 4, 5 * time.Millisecond},
+		// The window outlasts the members' arrival: the last one to join
+		// fills the batch and dispatches it on its own worker.
+		{"size dispatch", 3, 3, 2 * time.Second},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := New(Config{Workers: c.members, BatchMaxSize: c.size, BatchWindow: c.window})
+			defer e.Close()
+			req := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 87, 10)
+			if res := e.Serve(context.Background(), req); res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			warmBatches := e.QoS().Batches
+
+			in := faultinject.New()
+			in.PanicAt(faultinject.SiteWordGate, 10, "boom")
+			// The deadline only bounds a stranded member's wait, so a
+			// regression fails the test instead of hanging it.
+			ctx, cancel := context.WithTimeout(faultinject.WithInjector(context.Background(), in), time.Minute)
+			defer cancel()
+			var wg sync.WaitGroup
+			results := make([]Result, c.members)
+			for i := range results {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					results[i] = e.Serve(ctx, req)
+				}(i)
+			}
+			wg.Wait()
+			for _, res := range results {
+				checkFellThrough(t, res, req, guard.ErrInternal, TierRelational)
+			}
+			if got := e.QoS().Batches - warmBatches; got != 1 {
+				t.Fatalf("members were dispatched in %d batches, want 1", got)
+			}
+		})
 	}
 }
 

@@ -32,7 +32,7 @@
 //     collapse for +, ^, &, |);
 //   - dead-gate elimination from the output cone;
 //   - level recompaction: depths are recomputed on the rebuilt circuit,
-//     so EvaluateParallelCtx sees tighter, wider levels.
+//     so the vm compiler sees tighter, wider levels.
 //
 // Every pass preserves input-wire allocation order and output marking
 // order, so packing layouts, output offsets, and serialized artifacts

@@ -88,9 +88,6 @@ type DegradeAction int
 const (
 	// DegradeNoOpt: a new compile skipped the optimizer passes.
 	DegradeNoOpt DegradeAction = iota
-	// DegradeTierRoute: a wide plan was routed past the oblivious tier
-	// under critical load.
-	DegradeTierRoute
 	// DegradeTierSkip: a tier was skipped because its estimated
 	// duration exceeded its share of the request's deadline.
 	DegradeTierSkip
@@ -102,8 +99,6 @@ func (a DegradeAction) String() string {
 	switch a {
 	case DegradeNoOpt:
 		return "noopt"
-	case DegradeTierRoute:
-		return "tier_route"
 	case DegradeTierSkip:
 		return "tier_skip"
 	}

@@ -63,8 +63,10 @@ type PlanArtifact struct {
 	// at compile time), so a warm-loaded entry costs what the compiled
 	// one did.
 	Gates int64
-	// WideLevel is the widest oblivious circuit level, for the engine's
-	// parallel-evaluation routing.
+	// WideLevel is the widest oblivious circuit level. The v1 header
+	// carries it (wide_level), so it is still written and round-trips,
+	// but nothing reads it on load: the engine's only circuit evaluator
+	// is the vm program, which does not route on level width.
 	WideLevel int
 	// Obliv is the compiled oblivious circuit with packing metadata.
 	Obliv *core.ObliviousCircuit

@@ -25,11 +25,6 @@ const DefaultStreamBatch = 256
 // allocated per window); a non-nil error from emit stops the stream and
 // is returned.
 func (p *Program) EvalStream(ctx context.Context, batchSize int, next func() ([]Word, bool), emit func([][]Word) error) error {
-	return p.EvalStreamOpts(ctx, batchSize, next, emit, Options{})
-}
-
-// EvalStreamOpts is EvalStream with explicit options.
-func (p *Program) EvalStreamOpts(ctx context.Context, batchSize int, next func() ([]Word, bool), emit func([][]Word) error, opts Options) error {
 	if batchSize <= 0 {
 		batchSize = DefaultStreamBatch
 	}
@@ -52,7 +47,7 @@ func (p *Program) EvalStreamOpts(ctx context.Context, batchSize int, next func()
 		if len(window) == 0 {
 			return nil
 		}
-		outs, err := p.EvalBatchOpts(ctx, window, opts)
+		outs, err := p.EvalBatch(ctx, window)
 		if err != nil {
 			return err
 		}

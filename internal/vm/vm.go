@@ -19,11 +19,9 @@
 // batched evaluation oblivious: the instruction and memory-access
 // sequence is a function of the program alone.
 //
-// Levels matter for two reasons: gates within one level are
-// independent, so a wide level × batch product can optionally be split
-// across workers (Brent's schedule, lock-step per level); and the
-// level structure is what makes the bounded circuit classes of the
-// paper amenable to this style of evaluation at all.
+// Levels matter because gates within one level are independent: the
+// compiler may lay a level out in any order (it sorts by opcode), and
+// slots freed by one level's readers are safely reused by the next.
 package vm
 
 import (
@@ -60,15 +58,10 @@ const (
 )
 
 // pollStep is how many instructions run between context/budget
-// checkpoints on the serial path. Word gates are nanosecond-scale;
-// finer polling would dominate the work, coarser would make deadlines
-// and budget trips sloppy within wide levels.
+// checkpoints. Word gates are nanosecond-scale; finer polling would
+// dominate the work, coarser would make deadlines and budget trips
+// sloppy within wide levels.
 const pollStep = 512
-
-// parallelMinWork is the instructions×lanes product below which a level
-// runs inline: goroutine fan-out costs more than it saves on small
-// level-batch products.
-const parallelMinWork = 1 << 15
 
 type constInit struct {
 	slot int32
@@ -87,9 +80,9 @@ type constInit struct {
 // therefore sized by the maximum number of simultaneously live wires,
 // not the circuit size — the difference between a cache-resident
 // working set and streaming the whole circuit through memory once per
-// instruction. Slots are recycled only at level boundaries, so the
-// per-level parallel executor stays race-free: a slot freed by level
-// L's readers is reused no earlier than level L+1.
+// instruction. Slots are recycled only at level boundaries: a slot
+// freed by level L's readers is reused no earlier than level L+1, so
+// instructions within a level never alias.
 type Program struct {
 	ops      []uint8
 	dst      []int32
@@ -201,9 +194,8 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 	// Pass 3: place instructions level by level and assign slots.
 	// expire[L] lists slots whose wire was last read at level L-1 or
 	// earlier; they rejoin the free list when level L begins, which the
-	// level-by-level executors (serial and parallel alike) make safe: a
-	// slot freed by level L-1's readers is rewritten no earlier than
-	// level L, after the barrier.
+	// level-by-level executor makes safe: a slot freed by level L-1's
+	// readers is rewritten no earlier than level L.
 	slotOf := make([]int32, n)
 	expire := make([][]int32, depth+2)
 	var free []int32
@@ -351,15 +343,6 @@ func (p *Program) NumInputs() int { return len(p.inputSlots) }
 // NumOutputs returns the per-request output width.
 func (p *Program) NumOutputs() int { return len(p.outSlots) }
 
-// Options tunes one EvalBatch call.
-type Options struct {
-	// Workers is the goroutine count for per-level parallelism: a level
-	// whose instructions×lanes product clears an internal threshold is
-	// split across up to this many goroutines. ≤ 1 runs serially (the
-	// default; batching already amortizes decode without threads).
-	Workers int
-}
-
 // EvalBatch runs every input vector through the program in lock-step
 // and returns one output vector per request, positionally. An empty
 // batch returns an empty result. Each inputs[r] must have exactly
@@ -373,12 +356,7 @@ type Options struct {
 // (the slow path; the fast path pays nothing). The whole batch runs
 // under one obs vm-eval span carrying gates and batch_size counters —
 // one span per batch, never per request.
-func (p *Program) EvalBatch(ctx context.Context, inputs [][]Word) ([][]Word, error) {
-	return p.EvalBatchOpts(ctx, inputs, Options{})
-}
-
-// EvalBatchOpts is EvalBatch with explicit options.
-func (p *Program) EvalBatchOpts(ctx context.Context, inputs [][]Word, opts Options) (_ [][]Word, err error) {
+func (p *Program) EvalBatch(ctx context.Context, inputs [][]Word) (_ [][]Word, err error) {
 	B := len(inputs)
 	ctx, sp := obs.StartSpan(ctx, obs.StageVMEval)
 	defer func() {
@@ -433,21 +411,11 @@ func (p *Program) EvalBatchOpts(ctx context.Context, inputs [][]Word, opts Optio
 
 	bud := guard.FromContext(ctx)
 	inj := faultinject.FromContext(ctx)
-	workers := opts.Workers
 
 	done := 0 // completed instructions, charged as gates against bud
 	start := 0
 	for _, e32 := range p.levelEnd {
 		end := int(e32)
-		if workers > 1 && inj == nil && (end-start)*B >= parallelMinWork {
-			if err := p.checkpoint(ctx, bud, done); err != nil {
-				return nil, err
-			}
-			p.execParallel(vals, S, start, end, workers)
-			done += end - start
-			start = end
-			continue
-		}
 		for s := start; s < end; {
 			e := s + pollStep
 			if e > end {
@@ -489,6 +457,17 @@ func (p *Program) EvalBatchOpts(ctx context.Context, inputs [][]Word, opts Optio
 	return out, nil
 }
 
+// Options and EvalBatchOpts are a shim for the frozen benchmark module,
+// which calls EvalBatchOpts(ctx, inputs, Options{Workers: 1}). Workers
+// is ignored: it used to split wide levels across goroutines, which no
+// compiled query was wide enough to benefit from.
+type Options struct{ Workers int }
+
+// EvalBatchOpts is EvalBatch; the options select nothing.
+func (p *Program) EvalBatchOpts(ctx context.Context, inputs [][]Word, _ Options) ([][]Word, error) {
+	return p.EvalBatch(ctx, inputs)
+}
+
 // checkpoint polls ctx and charges the instructions completed so far
 // against the budget's gate cap.
 func (p *Program) checkpoint(ctx context.Context, bud *guard.Budget, done int) error {
@@ -509,27 +488,6 @@ func (p *Program) getSlab(n int) []Word {
 
 func (p *Program) putSlab(s []Word) {
 	p.slabs.Put(&s)
-}
-
-// execParallel splits the level's instruction range into contiguous
-// chunks across workers. Instructions of one level write disjoint wires
-// and read only earlier levels, so no synchronization beyond the final
-// barrier is needed.
-func (p *Program) execParallel(vals []Word, S, lo, hi, workers int) {
-	chunk := (hi - lo + workers - 1) / workers
-	var wg sync.WaitGroup
-	for s := lo; s < hi; s += chunk {
-		e := s + chunk
-		if e > hi {
-			e = hi
-		}
-		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			p.exec(vals, S, s, e)
-		}(s, e)
-	}
-	wg.Wait()
 }
 
 // execFaulty is exec with per-instruction fault-injection hits, so the

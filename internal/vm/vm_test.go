@@ -93,14 +93,14 @@ func randInputs(rng *rand.Rand, n, B int) [][]Word {
 
 // checkAgainstInterp runs the batch through the vm and each request
 // through the reference gate-walk evaluator, and compares.
-func checkAgainstInterp(t *testing.T, c *boolcircuit.Circuit, inputs [][]Word, opts Options) {
+func checkAgainstInterp(t *testing.T, c *boolcircuit.Circuit, inputs [][]Word) {
 	t.Helper()
 	ctx := context.Background()
 	prog, err := Compile(ctx, c)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	got, err := prog.EvalBatchOpts(ctx, inputs, opts)
+	got, err := prog.EvalBatch(ctx, inputs)
 	if err != nil {
 		t.Fatalf("EvalBatch: %v", err)
 	}
@@ -127,7 +127,7 @@ func TestVMMatchesInterpAllOps(t *testing.T) {
 	c := allOpsCircuit()
 	rng := rand.New(rand.NewSource(1))
 	for _, B := range []int{1, 2, 7, 64} {
-		checkAgainstInterp(t, c, randInputs(rng, c.NumInputs(), B), Options{})
+		checkAgainstInterp(t, c, randInputs(rng, c.NumInputs(), B))
 	}
 	// Edge values: zeros, ones, extremes, negative mod operands.
 	edges := [][]Word{
@@ -136,24 +136,15 @@ func TestVMMatchesInterpAllOps(t *testing.T) {
 		{1<<63 - 1, -(1 << 62), 3, -7},
 		{-5, 7, 0, 1},
 	}
-	checkAgainstInterp(t, c, edges, Options{})
+	checkAgainstInterp(t, c, edges)
 }
 
 func TestVMMatchesInterpRandomCircuits(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := randomCircuit(rng, 1+rng.Intn(6), 1+rng.Intn(200))
-		checkAgainstInterp(t, c, randInputs(rng, c.NumInputs(), 1+rng.Intn(16)), Options{})
+		checkAgainstInterp(t, c, randInputs(rng, c.NumInputs(), 1+rng.Intn(16)))
 	}
-}
-
-func TestVMParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	// Wide enough that the parallel path actually engages
-	// (instructions×lanes ≥ the internal threshold).
-	c := randomCircuit(rng, 4, 3000)
-	inputs := randInputs(rng, c.NumInputs(), 16)
-	checkAgainstInterp(t, c, inputs, Options{Workers: 4})
 }
 
 func TestVMEmptyBatch(t *testing.T) {
@@ -172,7 +163,7 @@ func TestVMEmptyBatch(t *testing.T) {
 
 func TestVMBatchOfOne(t *testing.T) {
 	c := allOpsCircuit()
-	checkAgainstInterp(t, c, [][]Word{{3, 5, -2, 9}}, Options{})
+	checkAgainstInterp(t, c, [][]Word{{3, 5, -2, 9}})
 }
 
 func TestVMInputWidthMismatch(t *testing.T) {

@@ -132,7 +132,10 @@ func (c *Client) Do(ctx context.Context, req Request) (Response, error) {
 		c.mu.Lock()
 		delete(c.pend, req.ID)
 		c.mu.Unlock()
-		c.fail(fmt.Errorf("%w: %v", ErrClientClosed, err))
+		// The request whose write hit the dead connection gets the same
+		// typed error as the ones fail resolves.
+		err = fmt.Errorf("%w: %v", ErrClientClosed, err)
+		c.fail(err)
 		return Response{}, err
 	}
 

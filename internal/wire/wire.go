@@ -115,8 +115,8 @@ type Response struct {
 	Status Status
 	// CacheHit reports the plan came from the cache (hit lane).
 	CacheHit bool
-	// Tier names the evaluation tier that served ("vm", "oblivious",
-	// "relational", "ram").
+	// Tier names the evaluation tier that served ("vm", "relational",
+	// "ram").
 	Tier string
 	// Rows is the output cardinality.
 	Rows uint32

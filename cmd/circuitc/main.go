@@ -54,7 +54,7 @@ func main() {
 		exportDir = flag.String("export", "", "write a generated workload database for the query as columnar files under this directory (circuitd -db serves it)")
 		exportN   = flag.Int("export-n", 16, "tuples per relation for -export")
 		exportSd  = flag.Int64("export-seed", 1, "generator seed for -export")
-		semStats  = flag.Bool("sem-stats", false, "compile the canonical pair through semantic CSE and print merge statistics plus the plan's semantic digest")
+		semStats  = flag.Bool("sem-stats", false, "compile the canonical pair through semantic CSE and print merge statistics plus the plan's fingerprint")
 	)
 	flag.Parse()
 
@@ -163,10 +163,10 @@ func main() {
 	}
 
 	if *semStats {
-		// Compile the canonical pair the way the engine does with
-		// SemanticCSE on, then report what the signature-guided merger
-		// did and which semantic digest the plan carries — two queries
-		// printing the same digest serve from one engine cache entry.
+		// Compile the canonical pair through gate-level semantic CSE and
+		// report what the signature-guided merger did, beside the pair's
+		// fingerprint — two queries printing the same fp serve from one
+		// engine cache entry.
 		canon, err := query.Canonicalize(q, dcs)
 		if err != nil {
 			log.Fatal(err)
@@ -177,17 +177,9 @@ func main() {
 			log.Fatal(err)
 		}
 		rep := compiled.Opt
-		fmt.Printf("semantic CSE:     %d merges (%d prover-confirmed, %d unproven), K=%d signatures\n",
-			rep.SemMerges, rep.SemProven, rep.SemUnproven, rep.SemSignatureK)
-		dig, err := core.SemanticDigest(compiled)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if dig.Valid() {
-			fmt.Printf("plan identity:    fp=%s sem=%s\n", canon.FP.Short(), dig.Hex[:16])
-		} else {
-			fmt.Printf("plan identity:    fp=%s sem=none (ambiguous output columns)\n", canon.FP.Short())
-		}
+		fmt.Printf("semantic CSE:     %d prover-confirmed merges, K=%d signatures\n",
+			rep.SemMerges, rep.SemSignatureK)
+		fmt.Printf("plan identity:    fp=%s\n", canon.FP.Short())
 	}
 
 	if *storeDir != "" {

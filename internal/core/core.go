@@ -298,8 +298,8 @@ type CompileOptions struct {
 	// SemanticCSE additionally runs the probabilistic-signature semantic
 	// CSE pass (opt.BoolSem) after the structural word-level passes,
 	// merging provably equivalent gates that structural hashing misses.
-	// Ignored when NoOpt is set. The default configuration adopts only
-	// prover-confirmed merges, so the result is exact.
+	// Ignored when NoOpt is set. Only prover-confirmed merges are
+	// adopted, so the result is exact.
 	SemanticCSE bool
 }
 
@@ -360,8 +360,7 @@ func CompileQueryOptsCtx(ctx context.Context, q *query.Query, dcs query.DCSet, o
 		if opts.SemanticCSE {
 			var sem opt.SemStats
 			optimized, sem, err = opt.BoolSem(ctx, obl.C, opt.SemConfig{})
-			report.SemMerges, report.SemProven = sem.Merges, sem.Proven
-			report.SemUnproven, report.SemSignatureK = sem.Unproven, sem.K
+			report.SemMerges, report.SemSignatureK = sem.Merges, sem.K
 			osp.AddInt(obs.CounterSemMerges, int64(sem.Merges))
 		} else {
 			optimized, err = opt.BoolCtx(ctx, obl.C)

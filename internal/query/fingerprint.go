@@ -5,17 +5,32 @@
 // requests whose queries differ only by variable names, atom order, or
 // constraint order therefore denote the *same* circuit, and a serving
 // engine should compile it once. Fingerprint makes that sharing sound:
-// it hashes a canonical form of the pair obtained by alpha-renaming
-// variables into a canonical order (computed by color refinement plus
-// individualization over the constraint-annotated hypergraph), sorting
-// atoms, and sorting constraints.
+// it hashes a canonical form of the pair obtained by folding repeated
+// atoms of a full query, alpha-renaming variables into a canonical order
+// (computed by color refinement plus individualization over the
+// constraint-annotated hypergraph), sorting atoms, and sorting
+// constraints.
+//
+// For full queries the fingerprint is the query's identity, not just
+// its shape's. Every variable of a full CQ is a head variable, so a
+// homomorphism that fixes the head is the identity and the query's core
+// is its set of distinct (relation, variable tuple) atoms: two full CQs
+// over the same head are equivalent iff those sets are equal. Folding
+// repeated atoms therefore makes equal fingerprints coincide with
+// Equivalent for full queries under one constraint set, and the
+// redundant atom is never compiled. Two things are deliberately left
+// as given. The constraint set is hashed as written — a loose extra
+// bound on the same (X, Y) is a different pair — because callers mint
+// fresh fingerprints that way. Non-full queries keep every atom: no
+// circuit plan exists for them to share, and the RAM tier evaluates
+// the request as written.
 //
 // Equal fingerprints imply equal canonical forms (up to SHA-256
 // collision), so a cache keyed by Fingerprint never serves a plan for a
-// structurally different query. The converse — isomorphic pairs always
-// mapping to equal fingerprints — holds whenever the canonical search
-// completes within its node budget (Canonical.Complete); a truncated
-// search can only cost a cache miss, never a wrong answer.
+// different query. The converse — equivalent full pairs always mapping
+// to equal fingerprints — holds whenever the canonical search completes
+// within its node budget (Canonical.Complete); a truncated search can
+// only cost a cache miss, never a wrong answer.
 package query
 
 import (
@@ -23,13 +38,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Fingerprint identifies a (query, DC set) pair up to variable renaming
-// and atom/constraint reordering.
+// Fingerprint identifies a (query, DC set) pair up to variable renaming,
+// atom/constraint reordering and, for full queries, atom repetition.
 type Fingerprint [sha256.Size]byte
 
 // String returns the full hex fingerprint.
@@ -44,7 +60,9 @@ func (f Fingerprint) Short() string { return hex.EncodeToString(f[:4]) }
 // of the canonical plan back to the original query's names.
 type Canonical struct {
 	// Query is a fresh canonical copy: variables are renamed x0..x{n-1}
-	// in canonical order and atoms are sorted.
+	// in canonical order and atoms are sorted. For a full query it is
+	// the core: each distinct (relation, variable tuple) atom once, so
+	// it may have fewer atoms than the input.
 	Query *Query
 	// DCs is the constraint set remapped onto canonical variables and
 	// sorted.
@@ -79,6 +97,7 @@ func Canonicalize(q *Query, dcs DCSet) (*Canonical, error) {
 	if err := dcs.Validate(q); err != nil {
 		return nil, err
 	}
+	q = foldRepeatedAtoms(q)
 	cz := &canonizer{q: q, dcs: dcs, n: q.NVars(), seen: map[string]struct{}{}}
 	cz.search(cz.refine(make([]int, cz.n)))
 	perm := cz.bestPerm
@@ -117,6 +136,46 @@ func Canonicalize(q *Query, dcs DCSet) (*Canonical, error) {
 		VarMap:   perm,
 		Complete: !cz.truncated,
 	}, nil
+}
+
+// foldRepeatedAtoms returns a full query without the atoms that repeat
+// an earlier atom's relation name and variable tuple (see the package
+// comment). The input is returned as is when nothing repeats or the
+// query is not full; otherwise a copy sharing everything but the atom
+// list.
+func foldRepeatedAtoms(q *Query) *Query {
+	if !q.IsFull() {
+		return q
+	}
+	// Nothing repeats on nearly every request: find the first repeat
+	// before allocating, so the common path costs compares only.
+	first := 0
+	for first < len(q.Atoms) && !repeatsEarlier(q.Atoms, first) {
+		first++
+	}
+	if first == len(q.Atoms) {
+		return q
+	}
+	kept := append(make([]Atom, 0, len(q.Atoms)-1), q.Atoms[:first]...)
+	for i := first + 1; i < len(q.Atoms); i++ {
+		if !repeatsEarlier(q.Atoms, i) {
+			kept = append(kept, q.Atoms[i])
+		}
+	}
+	folded := *q
+	folded.Atoms = kept
+	return &folded
+}
+
+// repeatsEarlier reports whether atoms[i] has the name and variable
+// tuple of some atoms[j], j < i.
+func repeatsEarlier(atoms []Atom, i int) bool {
+	for _, b := range atoms[:i] {
+		if b.Name == atoms[i].Name && slices.Equal(b.Vars, atoms[i].Vars) {
+			return true
+		}
+	}
+	return false
 }
 
 // Budget for the individualization-refinement search. Queries have at

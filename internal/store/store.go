@@ -37,34 +37,11 @@ const tmpExt = ".tmp"
 type manifest struct {
 	Format int                     `json:"format"`
 	Plans  map[string]manifestPlan `json:"plans"`
-	// Aliases maps source fingerprints (hex) onto the plans that serve
-	// them. Optional and additive: manifests written before aliases
-	// existed decode without it, and the plan artifact format is
-	// untouched (no PlanFormatVersion bump). Unlike plans, aliases live
-	// only in the manifest — losing it costs re-discovery (a recompile
-	// that re-establishes the alias), never answers.
-	Aliases map[string]Alias `json:"aliases,omitempty"`
 }
 
 type manifestPlan struct {
 	Bytes int64 `json:"bytes"`
 	Gates int64 `json:"gates"`
-}
-
-// Alias records that one fingerprint's requests are served by another
-// fingerprint's plan: the two canonical pairs were found semantically
-// equivalent (equal behavioral digests, see core.SemanticDigest), so
-// the engine keeps one cache entry and one artifact for both shapes.
-type Alias struct {
-	// Target is the hex fingerprint of the plan that serves this shape.
-	Target string `json:"target"`
-	// Digest is the shared semantic digest, re-verified against the
-	// target plan on warm start before the alias is trusted.
-	Digest string `json:"digest"`
-	// Rename maps the target plan's canonical output columns onto this
-	// shape's canonical columns, in case the two canonical forms name
-	// corresponding columns differently.
-	Rename map[string]string `json:"rename,omitempty"`
 }
 
 // Stats is a point-in-time snapshot of a store's counters.
@@ -86,9 +63,8 @@ type Stats struct {
 type Store struct {
 	dir string
 
-	mu      sync.Mutex
-	plans   map[query.Fingerprint]manifestPlan
-	aliases map[query.Fingerprint]Alias
+	mu    sync.Mutex
+	plans map[query.Fingerprint]manifestPlan
 
 	hits, misses, writes atomic.Int64
 	corrupt              atomic.Int64
@@ -111,11 +87,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{
-		dir:     dir,
-		plans:   map[query.Fingerprint]manifestPlan{},
-		aliases: map[query.Fingerprint]Alias{},
-	}
+	s := &Store{dir: dir, plans: map[query.Fingerprint]manifestPlan{}}
 	if env := os.Getenv("CIRCUITQL_STORE_SLOW_WRITE"); env != "" {
 		if d, err := time.ParseDuration(env); err == nil && d > 0 {
 			s.slowWrite = d
@@ -169,25 +141,6 @@ func Open(dir string) (*Store, error) {
 		if _, ok := s.plans[fp]; !ok {
 			dirty = true // entry without a file: dropped by rebuild
 		}
-	}
-	for key, al := range m.Aliases {
-		src, err := parseFingerprint(key)
-		if err != nil {
-			dirty = true
-			continue
-		}
-		target, err := parseFingerprint(al.Target)
-		if err != nil {
-			dirty = true
-			continue
-		}
-		if _, ok := s.plans[target]; !ok {
-			// Orphaned: the plan this alias points at is gone; the shape
-			// will recompile and re-alias on its next request.
-			dirty = true
-			continue
-		}
-		s.aliases[src] = al
 	}
 	if dirty {
 		s.mu.Lock()
@@ -336,68 +289,11 @@ func (s *Store) dropLocked(fp query.Fingerprint, quarantine bool) {
 	s.writeManifestLocked() //nolint:errcheck // index rebuilds on next Open
 }
 
-// PutAlias records that src's requests are served by the plan named in
-// al (which must be stored), and rewrites the manifest. An existing
-// alias for src is replaced — re-aliasing after the old target was
-// evicted repoints, it does not accumulate.
-func (s *Store) PutAlias(src query.Fingerprint, al Alias) error {
-	target, err := parseFingerprint(al.Target)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.plans[target]; !ok {
-		return fmt.Errorf("store: alias target %s has no stored plan", target.Short())
-	}
-	s.aliases[src] = al
-	return s.writeManifestLocked()
-}
-
-// ResolveAlias returns the stored alias for src, if any.
-func (s *Store) ResolveAlias(src query.Fingerprint) (Alias, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	al, ok := s.aliases[src]
-	return al, ok
-}
-
-// Aliases returns a copy of every stored alias, keyed by source
-// fingerprint — the warm-start verification set.
-func (s *Store) Aliases() map[query.Fingerprint]Alias {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[query.Fingerprint]Alias, len(s.aliases))
-	for fp, al := range s.aliases {
-		out[fp] = al
-	}
-	return out
-}
-
-// DropAlias removes src's alias (a warm-start digest mismatch, or the
-// shape got its own plan) and rewrites the manifest. Dropping a
-// missing alias is a no-op.
-func (s *Store) DropAlias(src query.Fingerprint) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.aliases[src]; !ok {
-		return nil
-	}
-	delete(s.aliases, src)
-	return s.writeManifestLocked()
-}
-
 // writeManifestLocked rewrites the manifest atomically; s.mu held.
 func (s *Store) writeManifestLocked() error {
 	m := manifest{Format: PlanFormatVersion, Plans: make(map[string]manifestPlan, len(s.plans))}
 	for fp, mp := range s.plans {
 		m.Plans[fp.String()] = mp
-	}
-	if len(s.aliases) > 0 {
-		m.Aliases = make(map[string]Alias, len(s.aliases))
-		for fp, al := range s.aliases {
-			m.Aliases[fp.String()] = al
-		}
 	}
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {

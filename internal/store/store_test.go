@@ -2,8 +2,10 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"circuitql/internal/query"
@@ -177,9 +179,32 @@ func TestStoreVerify(t *testing.T) {
 	}
 }
 
-// TestStoreAliases: aliases round-trip through the manifest, survive
-// reopen, are dropped when their target plan disappears, and never
-// outlive a target the directory lost.
+// parentManifest is MANIFEST.json as the last release with plan aliasing
+// wrote it for a store holding one plan and one alias onto it.
+const parentManifest = `{
+  "format": %[1]d,
+  "plans": {
+    "%[2]s": {
+      "bytes": %[3]d,
+      "gates": %[4]d
+    }
+  },
+  "aliases": {
+    "deadbeef00000000000000000000000000000000000000000000000000000000": {
+      "target": "%[2]s",
+      "digest": "5f0c1a7e9d3b2468ace013579bdf02468ace013579bdf02468ace013579bdf0a",
+      "rename": {
+        "x1": "x2"
+      }
+    }
+  }
+}
+`
+
+// TestStoreAliases: the aliases map an older release kept in the
+// manifest is not part of the format any more. A manifest that still
+// carries one opens without error, serves its plans, and loses the key
+// the next time the manifest is rewritten.
 func TestStoreAliases(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -187,68 +212,49 @@ func TestStoreAliases(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	canon, compiled, _ := compileCatalog(t, "path3")
-	if err := s.PutPlan(FromCompiled(canon, compiled)); err != nil {
+	art := FromCompiled(canon, compiled)
+	if err := s.PutPlan(art); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(s.planPath(canon.FP))
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifestPath := filepath.Join(dir, manifestName)
+	old := fmt.Sprintf(parentManifest, PlanFormatVersion, canon.FP, info.Size(), art.Gates)
+	if err := os.WriteFile(manifestPath, []byte(old), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	src := query.Fingerprint{0xde, 0xad, 0xbe, 0xef}
-	al := Alias{
-		Target: canon.FP.String(),
-		Digest: "0123456789abcdef",
-		Rename: map[string]string{"A": "X"},
-	}
-	// Aliasing to an unstored target is refused outright.
-	if err := s.PutAlias(src, Alias{Target: query.Fingerprint{1}.String()}); err == nil {
-		t.Fatal("PutAlias accepted a target with no stored plan")
-	}
-	if err := s.PutAlias(src, al); err != nil {
-		t.Fatalf("PutAlias: %v", err)
-	}
-	got, ok := s.ResolveAlias(src)
-	if !ok || got.Target != al.Target || got.Digest != al.Digest || got.Rename["A"] != "X" {
-		t.Fatalf("ResolveAlias = %+v, %v", got, ok)
-	}
-
-	// Reopen: the alias survives via the manifest.
 	s2, err := Open(dir)
 	if err != nil {
-		t.Fatalf("reopen: %v", err)
+		t.Fatalf("Open with an aliases map in the manifest: %v", err)
 	}
-	if got, ok := s2.ResolveAlias(src); !ok || got.Target != al.Target {
-		t.Fatalf("alias lost on reopen: %+v, %v", got, ok)
+	if _, err := s2.GetPlan(canon.FP); err != nil {
+		t.Fatalf("GetPlan: %v", err)
 	}
-	if all := s2.Aliases(); len(all) != 1 {
-		t.Fatalf("Aliases() returned %d entries, want 1", len(all))
+	if kept, err := os.ReadFile(manifestPath); err != nil || string(kept) != old {
+		t.Fatalf("Open rewrote a manifest whose plans were all in order (err %v)", err)
 	}
 
-	// DropAlias removes it durably.
-	if err := s2.DropAlias(src); err != nil {
-		t.Fatalf("DropAlias: %v", err)
+	canon2, compiled2, _ := compileCatalog(t, "path2")
+	if err := s2.PutPlan(FromCompiled(canon2, compiled2)); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := s2.ResolveAlias(src); ok {
-		t.Fatal("alias resolvable after DropAlias")
+	rewritten, err := os.ReadFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(rewritten), "aliases") {
+		t.Fatalf("rewritten manifest still carries the aliases key:\n%s", rewritten)
 	}
 	s3, err := Open(dir)
 	if err != nil {
-		t.Fatalf("reopen after drop: %v", err)
+		t.Fatalf("reopen: %v", err)
 	}
-	if _, ok := s3.ResolveAlias(src); ok {
-		t.Fatal("dropped alias resurrected by reopen")
-	}
-
-	// An alias whose target plan file vanished is an orphan: Open
-	// discards it instead of serving a dangling pointer.
-	if err := s3.PutAlias(src, al); err != nil {
-		t.Fatalf("re-PutAlias: %v", err)
-	}
-	if err := os.Remove(filepath.Join(dir, canon.FP.String()+planExt)); err != nil {
-		t.Fatal(err)
-	}
-	s4, err := Open(dir)
-	if err != nil {
-		t.Fatalf("reopen after target loss: %v", err)
-	}
-	if _, ok := s4.ResolveAlias(src); ok {
-		t.Fatal("orphaned alias survived Open without its target plan")
+	for _, fp := range []query.Fingerprint{canon.FP, canon2.FP} {
+		if _, err := s3.GetPlan(fp); err != nil {
+			t.Fatalf("GetPlan(%s) after the rewrite: %v", fp.Short(), err)
+		}
 	}
 }

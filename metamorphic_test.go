@@ -1,12 +1,12 @@
 // Metamorphic differential tier: equivalence-preserving rewrites of a
-// query — atom reordering, variable renaming, atom duplication — must
-// change neither its answers on any database nor its semantic plan
-// digest (core.SemanticDigest). The first two rewrites also preserve
-// the canonical fingerprint (canonicalization merges α-variants);
-// duplication does not, which is exactly the gap the semantic digest
-// closes, so the harness asserts the fingerprints diverge there — a
-// canonicalizer that started deduplicating atoms would make the
-// digest's aliasing test vacuous, and this tier would say so.
+// full query — atom reordering, variable renaming, atom repetition —
+// change neither its answers on any database nor its identity: every
+// such variant canonicalizes to the base's fingerprint (repeated atoms
+// are folded before anything is compiled), so the engine's cache,
+// singleflight, batcher and store treat them as one query. The tier is
+// kept non-vacuous from the other side by near misses — rewrites one
+// atom away from an equivalence — which must get a fingerprint of their
+// own and must disagree with the base on some database.
 package circuitql
 
 import (
@@ -22,9 +22,17 @@ import (
 // Small on purpose: every variant is its own semantic-CSE compile.
 const metaN = 3
 
+// Near misses are only evaluated on the RAM tier, so they can afford
+// larger databases and more seeds to find a distinguishing one.
+const (
+	nearMissN     = 8
+	nearMissSeeds = 256
+)
+
 // metamorphicCases: per query family, the base shape plus hardcoded
-// equivalence-preserving rewrites. kind "alpha" variants must share the
-// base's canonical fingerprint; "dup" variants must not.
+// rewrites. kind "alpha" (reorder / rename) and "dup" (repeated atom)
+// variants are equivalent to the base and must share its fingerprint;
+// "near" variants are not and must not.
 var metamorphicCases = []struct {
 	name     string
 	base     string
@@ -37,6 +45,9 @@ var metamorphicCases = []struct {
 			{"alpha", "Q(A,B,C) :- S(B,C), R(A,B)"},
 			{"alpha", "Q(X,Y,Z) :- R(X,Y), S(Y,Z)"},
 			{"dup", "Q(A,B,C) :- R(A,B), R(A,B), S(B,C)"},
+			{"near", "Q(A,B,C) :- R(A,B), R(B,A), S(B,C)"},
+			{"near", "Q(A,B,C) :- R(A,B), S(A,B), S(B,C)"},
+			{"near", "Q(A,B,C) :- R(A,B), S(C,B)"},
 		},
 	},
 	{
@@ -46,6 +57,8 @@ var metamorphicCases = []struct {
 			{"alpha", "Q(A,B,C,D) :- T(C,D), R(A,B), S(B,C)"},
 			{"alpha", "Q(W,X,Y,Z) :- R(W,X), S(X,Y), T(Y,Z)"},
 			{"dup", "Q(A,B,C,D) :- R(A,B), S(B,C), S(B,C), T(C,D)"},
+			{"near", "Q(A,B,C,D) :- R(A,B), S(B,C), S(C,B), T(C,D)"},
+			{"near", "Q(A,B,C,D) :- R(A,B), S(B,C), T(D,C)"},
 		},
 	},
 	{
@@ -55,6 +68,8 @@ var metamorphicCases = []struct {
 			{"alpha", "Q(A,B,C) :- T(A,C), S(B,C), R(A,B)"},
 			{"alpha", "Q(X,Y,Z) :- R(X,Y), S(Y,Z), T(X,Z)"},
 			{"dup", "Q(A,B,C) :- R(A,B), S(B,C), T(A,C), R(A,B)"},
+			{"near", "Q(A,B,C) :- R(A,B), S(B,C), T(A,C), R(B,A)"},
+			{"near", "Q(A,B,C) :- R(A,B), S(B,C), T(C,A)"},
 		},
 	},
 	{
@@ -64,30 +79,34 @@ var metamorphicCases = []struct {
 			{"alpha", "Q(A,B,C,D) :- U(D,A), T(C,D), S(B,C), R(A,B)"},
 			{"alpha", "Q(W,X,Y,Z) :- R(W,X), S(X,Y), T(Y,Z), U(Z,W)"},
 			{"dup", "Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D), U(D,A), T(C,D)"},
+			{"near", "Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D), U(D,A), T(D,C)"},
+			{"near", "Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D), U(A,D)"},
 		},
 	},
 }
 
-// metaCompile canonicalizes and compiles one shape through the
-// semantic-CSE pipeline, returning the compile, its canonical pair, and
-// its semantic digest.
-func metaCompile(t *testing.T, src string) (*core.Compiled, *query.Canonical, core.SemDigest) {
+// metaCanon canonicalizes one shape under uniform cardinalities.
+func metaCanon(t *testing.T, src string) *query.Canonical {
 	t.Helper()
 	q := query.MustParse(src)
 	canon, err := query.Canonicalize(q, UniformCardinalities(q, metaN))
 	if err != nil {
 		t.Fatalf("canonicalize %q: %v", src, err)
 	}
+	return canon
+}
+
+// metaCompile compiles one shape's canonical pair through the
+// semantic-CSE pipeline.
+func metaCompile(t *testing.T, src string) (*core.Compiled, *query.Canonical) {
+	t.Helper()
+	canon := metaCanon(t, src)
 	cq, err := core.CompileQueryOptsCtx(context.Background(), canon.Query, canon.DCs,
 		core.CompileOptions{SemanticCSE: true})
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
-	dig, err := core.SemanticDigest(cq)
-	if err != nil {
-		t.Fatalf("digest %q: %v", src, err)
-	}
-	return cq, canon, dig
+	return cq, canon
 }
 
 // metaRows evaluates a compiled canonical plan on db and renames its
@@ -113,10 +132,7 @@ func metaRows(t *testing.T, cq *core.Compiled, canon *query.Canonical, src strin
 func TestMetamorphicEquivalence(t *testing.T) {
 	for _, tc := range metamorphicCases {
 		t.Run(tc.name, func(t *testing.T) {
-			baseCQ, baseCanon, baseDig := metaCompile(t, tc.base)
-			if !baseDig.Valid() {
-				t.Fatalf("base %q has no semantic digest", tc.base)
-			}
+			baseCQ, baseCanon := metaCompile(t, tc.base)
 			if rep := baseCQ.Opt; rep == nil || rep.SemSignatureK == 0 {
 				t.Fatalf("base %q did not run the semantic pipeline: %+v", tc.base, baseCQ.Opt)
 			}
@@ -127,21 +143,25 @@ func TestMetamorphicEquivalence(t *testing.T) {
 				cq        *core.Compiled
 				canon     *query.Canonical
 			}
-			variants := make([]variant, 0, len(tc.variants))
+			var variants []variant
+			var nearMisses []string
 			for _, v := range tc.variants {
-				cq, canon, dig := metaCompile(t, v.src)
-				if dig.Hex != baseDig.Hex {
-					t.Errorf("%s variant %q: digest diverges from base", v.kind, v.src)
+				if v.kind == "near" {
+					if metaCanon(t, v.src).FP == baseCanon.FP {
+						t.Errorf("near miss %q shares the base's fingerprint", v.src)
+					}
+					nearMisses = append(nearMisses, v.src)
+					continue
 				}
-				switch v.kind {
-				case "alpha":
-					if canon.FP != baseCanon.FP {
-						t.Errorf("alpha variant %q does not share the canonical fingerprint", v.src)
-					}
-				case "dup":
-					if canon.FP == baseCanon.FP {
-						t.Errorf("dup variant %q shares the canonical fingerprint; the digest test is vacuous", v.src)
-					}
+				cq, canon := metaCompile(t, v.src)
+				if canon.FP != baseCanon.FP {
+					t.Errorf("%s variant %q does not share the canonical fingerprint", v.kind, v.src)
+				}
+				if got, want := len(canon.Query.Atoms), len(baseCanon.Query.Atoms); got != want {
+					t.Errorf("%s variant %q: %d canonical atoms, base has %d", v.kind, v.src, got, want)
+				}
+				if got, want := cq.Obliv.C.Size(), baseCQ.Obliv.C.Size(); got != want {
+					t.Errorf("%s variant %q: %d word gates, base has %d", v.kind, v.src, got, want)
 				}
 				variants = append(variants, variant{v.kind, v.src, cq, canon})
 			}
@@ -161,6 +181,26 @@ func TestMetamorphicEquivalence(t *testing.T) {
 					if d := testutil.DiffRows(wantRows, got, "RAM(base)", v.kind+" variant"); d != "" {
 						t.Errorf("seed %d: %s variant %q diverges: %s", seed, v.kind, v.src, d)
 					}
+				}
+			}
+
+			for _, src := range nearMisses {
+				nearQ := query.MustParse(src)
+				differs := false
+				for seed := int64(1); seed <= nearMissSeeds && !differs; seed++ {
+					db := testutil.RandomDB(baseQ, seed, nearMissN)
+					want, err := EvaluateRAM(baseQ, db)
+					if err != nil {
+						t.Fatalf("seed %d: RAM: %v", seed, err)
+					}
+					got, err := EvaluateRAM(nearQ, db)
+					if err != nil {
+						t.Fatalf("seed %d: RAM %q: %v", seed, src, err)
+					}
+					differs = testutil.DiffRows(testutil.Rows(want), testutil.Rows(got), "base", "near miss") != ""
+				}
+				if !differs {
+					t.Errorf("near miss %q agrees with the base on all %d seeds; it is not a near miss", src, nearMissSeeds)
 				}
 			}
 		})

@@ -66,7 +66,9 @@ func buildFuzzCircuit(data []byte) (*boolcircuit.Circuit, int) {
 // FuzzVMCompile pins the vectorized evaluator to the reference
 // gate-walk interpreter: any circuit the builder can produce must
 // compile, and EvalBatch must agree with boolcircuit.Evaluate on every
-// lane of a derived input batch.
+// lane of a derived input batch — evaluated whole at a stride of 16
+// (nine lanes), its first five lanes at a stride of 8, and its first
+// lane alone at a stride of one.
 func FuzzVMCompile(f *testing.F) {
 	f.Add([]byte{3, 0, 0x12, 1, 0x34, 10, 0x56, 11, 0x78, 2, 0x9a}, int64(1))
 	f.Add([]byte{1, 7, 0xff, 8, 0x01, 9, 0x10, 3, 0x23}, int64(-12345))
@@ -78,8 +80,8 @@ func FuzzVMCompile(f *testing.F) {
 		if err != nil {
 			t.Fatalf("compile: %v", err)
 		}
-		const B = 5
-		inputs := make([][]Word, B)
+		inputs := make([][]Word, 9)
+		want := make([][]Word, len(inputs))
 		state := uint64(seed)
 		for r := range inputs {
 			inputs[r] = make([]Word, nIn)
@@ -91,20 +93,21 @@ func FuzzVMCompile(f *testing.F) {
 				z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 				inputs[r][i] = int64(z ^ (z >> 31))
 			}
-		}
-		got, err := prog.EvalBatch(context.Background(), inputs)
-		if err != nil {
-			t.Fatalf("EvalBatch: %v", err)
-		}
-		for r, in := range inputs {
-			want, err := c.Evaluate(in)
-			if err != nil {
+			if want[r], err = c.Evaluate(inputs[r]); err != nil {
 				t.Fatalf("interp: %v", err)
 			}
-			for i := range want {
-				if got[r][i] != want[i] {
-					t.Fatalf("lane %d output %d: vm=%d interp=%d (inputs %x)",
-						r, i, got[r][i], want[i], binary.BigEndian.AppendUint64(nil, uint64(in[0])))
+		}
+		for _, B := range []int{1, 5, 9} {
+			got, err := prog.EvalBatch(context.Background(), inputs[:B])
+			if err != nil {
+				t.Fatalf("EvalBatch of %d: %v", B, err)
+			}
+			for r := range got {
+				for i := range want[r] {
+					if got[r][i] != want[r][i] {
+						t.Fatalf("batch of %d, lane %d output %d: vm=%d interp=%d (inputs %x)",
+							B, r, i, got[r][i], want[r][i], binary.BigEndian.AppendUint64(nil, uint64(inputs[r][0])))
+					}
 				}
 			}
 		}

@@ -6,77 +6,60 @@ import (
 	"testing"
 )
 
-// TestLaneKernelsMatchScalar cross-checks every lane kernel against its
-// scalar loop on random and adversarial data, across lengths that
-// exercise the full-vector path, the scalar tail, and the
-// shorter-than-one-vector case. On amd64 with AVX2 this is the test
-// that pins the assembly kernels' operand order and semantics.
+// TestLaneKernelsMatchScalar cross-checks every vector run kernel
+// against the scalar run kernel on random and adversarial data, across
+// strides of one, two and three 8-lane groups and run lengths from one
+// instruction up. On amd64 with AVX2 this is the test that pins the
+// assembly kernels' operand order and semantics.
 func TestLaneKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	edge := []Word{0, 1, -1, 2, -2, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
-	fill := func(s []Word) {
-		for i := range s {
-			if rng.Intn(4) == 0 {
-				s[i] = edge[rng.Intn(len(edge))]
-			} else {
-				s[i] = Word(rng.Uint64())
-			}
-		}
-	}
-	bin := []struct {
-		name   string
-		lane   func(d, a, b []Word)
-		scalar func(d, a, b []Word)
+	ops := []struct {
+		name string
+		op   uint8
 	}{
-		{"add", laneAdd, scalarAdd},
-		{"sub", laneSub, scalarSub},
-		{"and", laneAnd, scalarAnd},
-		{"or", laneOr, scalarOr},
-		{"xor", laneXor, scalarXor},
-		{"eq", laneEq, scalarEq},
-		{"lt", laneLt, scalarLt},
+		{"add", opAdd}, {"sub", opSub}, {"and", opAnd}, {"or", opOr}, {"xor", opXor},
+		{"not", opNot}, {"eq", opEq}, {"lt", opLt}, {"mux", opMux},
 	}
-	for _, n := range []int{1, 3, 4, 5, 7, 8, 13, 64, 100} {
-		a, b, c := make([]Word, n), make([]Word, n), make([]Word, n)
-		got, want := make([]Word, n), make([]Word, n)
-		for trial := 0; trial < 20; trial++ {
-			fill(a)
-			fill(b)
-			fill(c)
-			// Make sure eq sees genuine equalities too.
-			if n > 1 {
-				b[rng.Intn(n)] = a[rng.Intn(n)]
-				copy(b[:n/2], a[:n/2])
-			}
-			// Mux conditions: mix of zero and nonzero.
-			for i := range c {
-				if rng.Intn(2) == 0 {
-					c[i] = 0
-				}
-			}
-			for _, k := range bin {
-				k.lane(got, a, b)
-				k.scalar(want, a, b)
+	// Operands come from the lower half of the slots and destinations
+	// from the upper half, as in a compiled level: no instruction of a
+	// run reads what another writes.
+	const slots = 48
+	for _, S := range []int{8, 16, 24} {
+		for _, n := range []int{1, 2, 5, 24} {
+			dst, a, b, c := make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, n)
+			got, want := make([]Word, slots*S), make([]Word, slots*S)
+			for trial := 0; trial < 20; trial++ {
 				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("n=%d %s: lane[%d]=%d, scalar=%d (a=%d b=%d)",
-							n, k.name, i, got[i], want[i], a[i], b[i])
+					if rng.Intn(4) == 0 {
+						got[i] = edge[rng.Intn(len(edge))]
+					} else {
+						got[i] = Word(rng.Uint64())
 					}
 				}
-			}
-			laneNot(got, a)
-			scalarNot(want, a)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d not: lane[%d]=%d, scalar=%d (a=%d)", n, i, got[i], want[i], a[i])
+				for i, d := range rng.Perm(slots / 2)[:n] {
+					dst[i] = int32(slots/2 + d)
+					a[i], b[i], c[i] = int32(rng.Intn(slots/2)), int32(rng.Intn(slots/2)), int32(rng.Intn(slots/2))
+					// Make sure eq sees genuine equalities and mux both
+					// kinds of condition: copy half of a's lanes into b,
+					// zero half of c's.
+					for l := 0; l < S; l += 2 {
+						got[int(b[i])*S+l] = got[int(a[i])*S+l]
+						got[int(c[i])*S+l+1] = 0
+					}
 				}
-			}
-			laneMux(got, a, b, c)
-			scalarMux(want, a, b, c)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d mux: lane[%d]=%d, scalar=%d (a=%d b=%d c=%d)",
-						n, i, got[i], want[i], a[i], b[i], c[i])
+				for _, k := range ops {
+					copy(want, got)
+					if !vecRun(got, S, k.op, dst, a, b, c) {
+						t.Skip("no vector kernels on this platform or CPU")
+					}
+					stridedRun(want, S, k.op, dst, a, b, c)
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("S=%d n=%d %s: slot %d lane %d: vector=%d, scalar=%d",
+								S, n, k.name, i/S, i%S, got[i], want[i])
+						}
+					}
 				}
 			}
 		}

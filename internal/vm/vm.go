@@ -27,6 +27,7 @@ package vm
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"circuitql/internal/boolcircuit"
@@ -88,6 +89,7 @@ type Program struct {
 	dst      []int32
 	a, b, c  []int32
 	levelEnd []int32 // ops[levelEnd[l-1]:levelEnd[l]] is level l+1
+	runEnd   []int32 // ops[runEnd[k-1]:runEnd[k]] is one opcode, inside one level, at most pollStep long
 
 	numGates int // circuit size (|V|), for reporting
 	numSlots int // slab width: max simultaneously live wires
@@ -257,7 +259,10 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 		at := levelEnd[d-1]
 		for op, cnt := range cur {
 			cur[op] = at
-			at += cnt
+			for end := at + cnt; at < end; {
+				at = min(at+pollStep, end)
+				p.runEnd = append(p.runEnd, at)
+			}
 		}
 		for _, i32 := range level {
 			if placed&0xfff == 0 {
@@ -337,6 +342,10 @@ func (p *Program) Instructions() int { return len(p.ops) }
 // Levels returns the number of instruction levels (the circuit depth).
 func (p *Program) Levels() int { return len(p.levelEnd) }
 
+// Runs returns the number of same-opcode runs the executor dispatches:
+// the levels' opcode runs, split where longer than pollStep.
+func (p *Program) Runs() int { return len(p.runEnd) }
+
 // NumInputs returns the per-request input width.
 func (p *Program) NumInputs() int { return len(p.inputSlots) }
 
@@ -378,12 +387,22 @@ func (p *Program) EvalBatch(ctx context.Context, inputs [][]Word) (_ [][]Word, e
 		}
 	}
 
-	// Lane stride: B rounded up to a multiple of 8 so the vector
-	// kernels never need tail code. Padding lanes carry garbage through
-	// every (total) operation and are never read back.
-	S := (B + 7) &^ 7
-	vals := p.getSlab(p.numSlots * S)
-	defer p.putSlab(vals)
+	// Lane stride: one word per slot for a single request — its values
+	// then fit in L1 and no instruction streams padding — else B rounded
+	// up to a multiple of 8 so the vector kernels never need tail code.
+	// Padding lanes carry garbage through every (total) operation and are
+	// never read back.
+	S := 1
+	if B > 1 {
+		S = (B + 7) &^ 7
+	}
+	if p.numSlots*S > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: vm: batch of %d over %d slots exceeds the slab index range",
+			guard.ErrInvalidInput, B, p.numSlots)
+	}
+	slab := p.getSlab(p.numSlots * S)
+	defer p.slabs.Put(slab)
+	vals := (*slab)[:p.numSlots*S]
 
 	// Prefill: constants splat across lanes, inputs transpose from
 	// request-major to slot-major (padding lanes zeroed — the slab is
@@ -412,31 +431,26 @@ func (p *Program) EvalBatch(ctx context.Context, inputs [][]Word) (_ [][]Word, e
 	bud := guard.FromContext(ctx)
 	inj := faultinject.FromContext(ctx)
 
-	done := 0 // completed instructions, charged as gates against bud
-	start := 0
-	for _, e32 := range p.levelEnd {
-		end := int(e32)
-		for s := start; s < end; {
-			e := s + pollStep
-			if e > end {
-				e = end
-			}
-			if err := p.checkpoint(ctx, bud, done); err != nil {
+	// Walk the run table: one kernel call per run, and a checkpoint
+	// whenever the next run would put more than pollStep instructions
+	// past the last one. Completed instructions are charged as gates.
+	lo, polled := 0, 0
+	for _, e := range p.runEnd {
+		hi := int(e)
+		if hi-polled > pollStep {
+			if err := p.checkpoint(ctx, bud, lo); err != nil {
 				return nil, err
 			}
-			if inj != nil {
-				if err := p.execFaulty(inj, vals, S, s, e); err != nil {
-					return nil, err
-				}
-			} else {
-				p.exec(vals, S, s, e)
-			}
-			done += e - s
-			s = e
+			polled = lo
 		}
-		start = end
+		if inj == nil {
+			p.execRun(vals, S, lo, hi)
+		} else if err := p.execFaulty(inj, vals, S, lo, hi); err != nil {
+			return nil, err
+		}
+		lo = hi
 	}
-	if err := p.checkpoint(ctx, bud, done); err != nil {
+	if err := p.checkpoint(ctx, bud, lo); err != nil {
 		return nil, err
 	}
 
@@ -477,186 +491,133 @@ func (p *Program) checkpoint(ctx context.Context, bud *guard.Budget, done int) e
 	return nil
 }
 
-func (p *Program) getSlab(n int) []Word {
-	if v, ok := p.slabs.Get().(*[]Word); ok {
-		if cap(*v) >= n {
-			return (*v)[:n]
-		}
+// getSlab returns a pooled arena of at least n words. Every slab is
+// sized for a stride of 8 or more, so a program served alternately at a
+// batch of one and at small batches keeps reusing one arena (a stride-1
+// evaluation touches only its first numSlots words).
+func (p *Program) getSlab(n int) *[]Word {
+	if s, ok := p.slabs.Get().(*[]Word); ok && cap(*s) >= n {
+		return s
 	}
-	return make([]Word, n)
+	s := make([]Word, max(n, 8*p.numSlots))
+	return &s
 }
 
-func (p *Program) putSlab(s []Word) {
-	p.slabs.Put(&s)
-}
-
-// execFaulty is exec with per-instruction fault-injection hits, so the
-// engine's fault matrices see the same word-gate site the interpreted
-// evaluator reports to.
+// execFaulty is execRun with a fault-injection hit before every
+// instruction, so the engine's fault matrices see the same word-gate
+// site the interpreted evaluator reports to.
 func (p *Program) execFaulty(inj *faultinject.Injector, vals []Word, S, lo, hi int) error {
 	for ii := lo; ii < hi; ii++ {
 		if err := inj.Hit(faultinject.SiteWordGate); err != nil {
 			return fmt.Errorf("vm: instr %d: %w", ii, err)
 		}
-		p.exec(vals, S, ii, ii+1)
+		p.execRun(vals, S, ii, ii+1)
 	}
 	return nil
 }
 
-// exec runs instructions [lo,hi) over all S lanes. Levels are
-// opcode-sorted at compile time, so the range decomposes into few
-// same-op runs; each run dispatches once and goes to a batch kernel
-// that loops instructions natively (AVX2 amd64) or to the portable
-// per-instruction path.
-func (p *Program) exec(vals []Word, S int, lo, hi int) {
-	for s := lo; s < hi; {
-		op := p.ops[s]
-		e := s + 1
-		for e < hi && p.ops[e] == op {
-			e++
+// execRun runs instructions [lo,hi), all one opcode and independent of
+// one another, over all S lanes: the scalar kernel directly at a stride
+// of one, a vector kernel where the platform has one for the opcode,
+// the scalar kernel lane by lane otherwise.
+func (p *Program) execRun(vals []Word, S, lo, hi int) {
+	op := p.ops[lo]
+	dst, a, b, c := p.dst[lo:hi], p.a[lo:hi], p.b[lo:hi], p.c[lo:hi]
+	if S == 1 {
+		scalarRun(vals, op, dst, a, b, c)
+	} else if !vecRun(vals, S, op, dst, a, b, c) {
+		stridedRun(vals, S, op, dst, a, b, c)
+	}
+}
+
+// stridedRun is the portable path at a stride above one, and the
+// multiply/modulus path everywhere: it scales the run's slot indices by
+// the stride once, then runs the scalar kernel on each lane's view of
+// the slab (lane l of slot s is vals[l:][s*S]). Lanes may go one after
+// the other because no instruction of a level reads a slot another
+// writes. A run is at most pollStep long.
+func stridedRun(vals []Word, S int, op uint8, dst, a, b, c []int32) {
+	var sd, sa, sb, sc [pollStep]int32
+	n, s32 := len(dst), int32(S)
+	for i := range dst {
+		sd[i], sa[i], sb[i], sc[i] = dst[i]*s32, a[i]*s32, b[i]*s32, c[i]*s32
+	}
+	for l := 0; l < S; l++ {
+		scalarRun(vals[l:], op, sd[:n], sa[:n], sb[:n], sc[:n])
+	}
+}
+
+// scalarRun is the one plain-Go kernel: vals[dst[i]] = vals[a[i]] op
+// vals[b[i]] for every instruction of a run. Comparisons and mux are
+// computed arithmetically (0/1 words, an all-ones or all-zero select
+// mask), so no branch depends on a wire value. b and c hold -1 where
+// the opcode has no such operand and are not read there.
+func scalarRun(vals []Word, op uint8, dst, a, b, c []int32) {
+	a, b, c = a[:len(dst)], b[:len(dst)], c[:len(dst)]
+	switch op {
+	case opAdd:
+		for i, d := range dst {
+			vals[uint32(d)] = vals[uint32(a[i])] + vals[uint32(b[i])]
 		}
-		p.execRun(vals, S, op, s, e)
-		s = e
-	}
-}
-
-// execSlow runs one same-op instruction run through the per-instruction
-// lane kernels: the portable path, the fault-injection path, and the
-// multiply/modulus path everywhere. Mux and the comparisons are
-// computed arithmetically so the per-lane work has no data-dependent
-// branches.
-func (p *Program) execSlow(vals []Word, S int, op uint8, lo, hi int) {
-	for ii := lo; ii < hi; ii++ {
-		d := vals[int(p.dst[ii])*S:][:S:S]
-		a := vals[int(p.a[ii])*S:][:S:S]
-		a = a[:len(d)]
-		if op == opNot {
-			laneNot(d, a)
-			continue
+	case opSub:
+		for i, d := range dst {
+			vals[uint32(d)] = vals[uint32(a[i])] - vals[uint32(b[i])]
 		}
-		b := vals[int(p.b[ii])*S:][:S:S]
-		b = b[:len(d)]
-		switch op {
-		case opAdd:
-			laneAdd(d, a, b)
-		case opSub:
-			laneSub(d, a, b)
-		case opMul:
-			scalarMul(d, a, b)
-		case opMod:
-			scalarMod(d, a, b)
-		case opAnd:
-			laneAnd(d, a, b)
-		case opOr:
-			laneOr(d, a, b)
-		case opXor:
-			laneXor(d, a, b)
-		case opEq:
-			laneEq(d, a, b)
-		case opLt:
-			laneLt(d, a, b)
-		case opMux:
-			cw := vals[int(p.c[ii])*S:][:S:S]
-			cw = cw[:len(d)]
-			laneMux(d, a, b, cw)
+	case opMul:
+		for i, d := range dst {
+			vals[uint32(d)] = vals[uint32(a[i])] * vals[uint32(b[i])]
+		}
+	case opMod:
+		for i, d := range dst {
+			vals[uint32(d)] = wordMod(vals[uint32(a[i])], vals[uint32(b[i])])
+		}
+	case opAnd:
+		for i, d := range dst {
+			vals[uint32(d)] = vals[uint32(a[i])] & vals[uint32(b[i])]
+		}
+	case opOr:
+		for i, d := range dst {
+			vals[uint32(d)] = vals[uint32(a[i])] | vals[uint32(b[i])]
+		}
+	case opXor:
+		for i, d := range dst {
+			vals[uint32(d)] = vals[uint32(a[i])] ^ vals[uint32(b[i])]
+		}
+	case opNot:
+		for i, d := range dst {
+			vals[uint32(d)] = ^vals[uint32(a[i])]
+		}
+	case opEq:
+		for i, d := range dst {
+			vals[uint32(d)] = b2w(vals[uint32(a[i])] == vals[uint32(b[i])])
+		}
+	case opLt:
+		for i, d := range dst {
+			vals[uint32(d)] = b2w(vals[uint32(a[i])] < vals[uint32(b[i])])
+		}
+	case opMux:
+		for i, d := range dst {
+			m := -b2w(vals[uint32(c[i])] != 0) // 0 or all-ones
+			vals[uint32(d)] = vals[uint32(a[i])]&m | vals[uint32(b[i])]&^m
 		}
 	}
 }
 
-// Scalar lane loops: the portable implementation of every kernel, and
-// the tail path behind the amd64 vector kernels. Multiplication and
-// modulus stay scalar everywhere (AVX2 has no 64-bit multiply; modulus
-// needs per-lane division regardless).
-
-func scalarAdd(d, a, b []Word) {
-	a, b = a[:len(d)], b[:len(d)]
-	for l := range d {
-		d[l] = a[l] + b[l]
+// wordMod is the circuit's modulus: a non-negative result, and zero for
+// a zero divisor.
+func wordMod(a, b Word) Word {
+	if b == 0 {
+		return 0
 	}
-}
-
-func scalarSub(d, a, b []Word) {
-	a, b = a[:len(d)], b[:len(d)]
-	for l := range d {
-		d[l] = a[l] - b[l]
-	}
-}
-
-func scalarMul(d, a, b []Word) {
-	a, b = a[:len(d)], b[:len(d)]
-	for l := range d {
-		d[l] = a[l] * b[l]
-	}
-}
-
-func scalarMod(d, a, b []Word) {
-	a, b = a[:len(d)], b[:len(d)]
-	for l := range d {
-		bv := b[l]
-		if bv == 0 {
-			d[l] = 0
-			continue
+	m := a % b
+	if m < 0 {
+		if b < 0 {
+			m -= b
+		} else {
+			m += b
 		}
-		m := a[l] % bv
-		if m < 0 {
-			if bv < 0 {
-				m -= bv
-			} else {
-				m += bv
-			}
-		}
-		d[l] = m
 	}
-}
-
-func scalarAnd(d, a, b []Word) {
-	a, b = a[:len(d)], b[:len(d)]
-	for l := range d {
-		d[l] = a[l] & b[l]
-	}
-}
-
-func scalarOr(d, a, b []Word) {
-	a, b = a[:len(d)], b[:len(d)]
-	for l := range d {
-		d[l] = a[l] | b[l]
-	}
-}
-
-func scalarXor(d, a, b []Word) {
-	a, b = a[:len(d)], b[:len(d)]
-	for l := range d {
-		d[l] = a[l] ^ b[l]
-	}
-}
-
-func scalarNot(d, a []Word) {
-	a = a[:len(d)]
-	for l := range d {
-		d[l] = ^a[l]
-	}
-}
-
-func scalarEq(d, a, b []Word) {
-	a, b = a[:len(d)], b[:len(d)]
-	for l := range d {
-		d[l] = b2w(a[l] == b[l])
-	}
-}
-
-func scalarLt(d, a, b []Word) {
-	a, b = a[:len(d)], b[:len(d)]
-	for l := range d {
-		d[l] = b2w(a[l] < b[l])
-	}
-}
-
-func scalarMux(d, a, b, cw []Word) {
-	a, b, cw = a[:len(d)], b[:len(d)], cw[:len(d)]
-	for l := range d {
-		m := -b2w(cw[l] != 0) // 0 or all-ones
-		d[l] = (a[l] & m) | (b[l] &^ m)
-	}
+	return m
 }
 
 func b2w(b bool) Word {

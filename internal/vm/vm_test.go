@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -198,33 +200,71 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
+// chainCircuit is n gates deep and n gates live: every gate feeds the
+// next, so each level is one single-instruction run and checkpoints have
+// to accumulate across runs and levels.
+func chainCircuit(n int) *boolcircuit.Circuit {
+	c := boolcircuit.New()
+	in := c.Inputs(4)
+	w := in[0]
+	for i := 0; i < n; i++ {
+		switch i % 3 {
+		case 0:
+			w = c.Add(w, in[i%4])
+		case 1:
+			w = c.Xor(w, in[i%4])
+		default:
+			w = c.Sub(w, in[i%4])
+		}
+	}
+	c.MarkOutput(w)
+	return c
+}
+
 func TestVMMidBatchCancellation(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	c := randomCircuit(rng, 4, 5000)
+	c := chainCircuit(5000)
 	prog, err := Compile(context.Background(), c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs := randInputs(rng, c.NumInputs(), 8)
-	// First verify the happy path, then let the context die after a few
-	// checkpoints: the evaluation must stop early with ErrCanceled.
-	if _, err := prog.EvalBatch(context.Background(), inputs); err != nil {
-		t.Fatal(err)
+	if prog.Instructions() != 5000 || prog.Levels() != 5000 {
+		t.Fatalf("chain has %d instructions in %d levels, want 5000 in 5000", prog.Instructions(), prog.Levels())
 	}
-	ctx := &countdownCtx{Context: context.Background()}
-	ctx.polls.Store(3)
-	_, err = prog.EvalBatch(ctx, inputs)
-	if !errors.Is(err, guard.ErrCanceled) {
-		t.Fatalf("mid-batch cancel: err=%v, want ErrCanceled", err)
+	rng := rand.New(rand.NewSource(7))
+	for _, B := range []int{1, 8} {
+		inputs := randInputs(rng, c.NumInputs(), B)
+		// The happy path first, counting polls: the cadence is one per
+		// pollStep instructions however many levels those span, plus the
+		// one on entry and the one at the end.
+		const plenty = 1 << 40
+		ctx := &countdownCtx{Context: context.Background()}
+		ctx.polls.Store(plenty)
+		if _, err := prog.EvalBatch(ctx, inputs); err != nil {
+			t.Fatal(err)
+		}
+		polls := plenty - ctx.polls.Load()
+		if lo, hi := int64(5000/pollStep), int64(5000/pollStep+3); polls < lo || polls > hi {
+			t.Fatalf("B=%d: %d polls over 5000 instructions, want %d..%d", B, polls, lo, hi)
+		}
+		// Then let the context die after a few checkpoints: the
+		// evaluation must stop early with ErrCanceled.
+		ctx.polls.Store(3)
+		_, err = prog.EvalBatch(ctx, inputs)
+		if !errors.Is(err, guard.ErrCanceled) {
+			t.Fatalf("B=%d mid-batch cancel: err=%v, want ErrCanceled", B, err)
+		}
+		if over := -1 - ctx.polls.Load(); over != 0 {
+			t.Fatalf("B=%d: %d polls after the one that reported cancellation", B, over)
+		}
 	}
 }
 
 func TestVMBudgetExhaustionMidLevel(t *testing.T) {
-	// One wide level: thousands of independent gates at depth 1, so the
-	// budget trips partway through a single level, not at a boundary.
-	// (Gates are hash-consed, so each must be structurally distinct, and
-	// every one is marked as an output so dead-gate elimination keeps
-	// the level wide.)
+	// One wide level of one opcode: thousands of independent gates at
+	// depth 1, so the budget trips partway through what would be a single
+	// run were runs not split at pollStep. (Gates are hash-consed, so each
+	// must be structurally distinct, and every one is marked as an output
+	// so dead-gate elimination keeps the level wide.)
 	c := boolcircuit.New()
 	in := c.Inputs(2)
 	for i := 0; i < 3000; i++ {
@@ -237,10 +277,16 @@ func TestVMBudgetExhaustionMidLevel(t *testing.T) {
 	if prog.Levels() != 1 {
 		t.Fatalf("wide circuit has %d levels, want 1", prog.Levels())
 	}
-	ctx := guard.WithBudget(context.Background(), &guard.Budget{MaxGates: 1000})
-	_, err = prog.EvalBatch(ctx, randInputs(rand.New(rand.NewSource(9)), 2, 4))
-	if !errors.Is(err, guard.ErrBudgetExceeded) {
-		t.Fatalf("budget mid-level: err=%v, want ErrBudgetExceeded", err)
+	for _, B := range []int{1, 4} {
+		ctx := guard.WithBudget(context.Background(), &guard.Budget{MaxGates: 1000})
+		_, err = prog.EvalBatch(ctx, randInputs(rand.New(rand.NewSource(9)), 2, B))
+		if !errors.Is(err, guard.ErrBudgetExceeded) {
+			t.Fatalf("B=%d budget mid-level: err=%v, want ErrBudgetExceeded", B, err)
+		}
+		// 512 completed instructions pass the cap of 1000, 1024 do not.
+		if !strings.Contains(err.Error(), "after 1024 instructions") {
+			t.Fatalf("B=%d: budget tripped at the wrong checkpoint: %v", B, err)
+		}
 	}
 }
 
@@ -250,17 +296,35 @@ func TestVMFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := faultinject.New()
-	boom := errors.New("injected word-gate fault")
-	in.FailAt(faultinject.SiteWordGate, 3, boom)
-	ctx := faultinject.WithInjector(context.Background(), in)
-	_, err = prog.EvalBatch(ctx, [][]Word{{1, 2, 3, 4}})
-	if !errors.Is(err, boom) {
-		t.Fatalf("injected fault: err=%v, want %v", err, boom)
-	}
-	// Without the injector the same program still evaluates.
-	if _, err := prog.EvalBatch(context.Background(), [][]Word{{1, 2, 3, 4}}); err != nil {
-		t.Fatal(err)
+	for _, B := range []int{1, 8} {
+		inputs := randInputs(rand.New(rand.NewSource(13)), c.NumInputs(), B)
+		in := faultinject.New()
+		boom := errors.New("injected word-gate fault")
+		in.FailAt(faultinject.SiteWordGate, 3, boom)
+		ctx := faultinject.WithInjector(context.Background(), in)
+		_, err = prog.EvalBatch(ctx, inputs)
+		if !errors.Is(err, boom) {
+			t.Fatalf("B=%d injected fault: err=%v, want %v", B, err, boom)
+		}
+		// An injector whose rule never fires sees one word-gate hit per
+		// instruction, and the per-instruction path computes the same
+		// answers as the per-run one.
+		in = faultinject.New()
+		in.FailAt(faultinject.SiteWordGate, 1<<40, boom)
+		got, err := prog.EvalBatch(faultinject.WithInjector(context.Background(), in), inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hits := in.Hits(faultinject.SiteWordGate); hits != int64(prog.Instructions()) {
+			t.Fatalf("B=%d: injector saw %d word-gate hits, want %d", B, hits, prog.Instructions())
+		}
+		want, err := prog.EvalBatch(context.Background(), inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("B=%d: outputs differ with an idle injector: %v vs %v", B, got, want)
+		}
 	}
 }
 
@@ -293,6 +357,36 @@ func TestVMSlabReuse(t *testing.T) {
 			}
 		}
 	}
+
+	// One program served alternately at a batch of one and at small
+	// batches — what same-fingerprint coalescing does — settles on one
+	// arena: in steady state an evaluation allocates its two output
+	// vectors and nothing else. (The race detector makes sync.Pool drop
+	// items at random, so the count only holds without it.)
+	fresh, err := Compile(context.Background(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := fresh.getSlab(fresh.numSlots); cap(*s) < 8*fresh.numSlots {
+		t.Fatalf("the first slab, taken for a stride of one, holds %d words: too few for a stride of 8 over %d slots", cap(*s), fresh.numSlots)
+	}
+	if raceEnabled {
+		return
+	}
+	var batches [][][]Word
+	for _, B := range []int{1, 8, 1, 16} {
+		batches = append(batches, randInputs(rng, c.NumInputs(), B))
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		for _, inputs := range batches {
+			if _, err := prog.EvalBatch(context.Background(), inputs); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if want := float64(2 * len(batches)); allocs != want {
+		t.Fatalf("alternating B in {1,8,1,16}: %v allocations per round, want %v (two output vectors per evaluation)", allocs, want)
+	}
 }
 
 func TestVMProgramShape(t *testing.T) {
@@ -321,13 +415,22 @@ func TestVMProgramShape(t *testing.T) {
 
 // TestVMLevelsAreOpcodeRuns pins the layout Compile writes in place: the
 // levels partition the instruction buffer, every level is a sequence of
-// opcode runs in ascending opcode order (what the executor's once-per-run
-// dispatch relies on), and no instruction writes a slot one of its own
-// operands occupies.
+// opcode runs in ascending opcode order, no instruction writes a slot one
+// of its own operands occupies, and the run table the executor walks
+// partitions the buffer into runs of one opcode that cross no level
+// boundary and are at most pollStep long.
 func TestVMLevelsAreOpcodeRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
-		p, err := Compile(context.Background(), randomCircuit(rng, 6, 400))
+		c := randomCircuit(rng, 6, 400)
+		if trial == 0 {
+			// One level wider than pollStep, so a run has to be split.
+			in := c.InputIDs()
+			for i := 0; i < 3*pollStep; i++ {
+				c.MarkOutput(c.Xor(in[0], c.Const(int64(1000+i))))
+			}
+		}
+		p, err := Compile(context.Background(), c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,6 +451,32 @@ func TestVMLevelsAreOpcodeRuns(t *testing.T) {
 		}
 		if int(lo) != p.Instructions() {
 			t.Fatalf("levels cover %d of %d instructions", lo, p.Instructions())
+		}
+
+		lo, level, longest := 0, 0, int32(0)
+		for k, hi := range p.runEnd {
+			if hi <= lo {
+				t.Fatalf("run %d is empty or backwards: [%d,%d)", k, lo, hi)
+			}
+			longest = max(longest, hi-lo)
+			for p.levelEnd[level] <= lo {
+				level++
+			}
+			if hi > p.levelEnd[level] {
+				t.Fatalf("run %d [%d,%d) crosses the end of level %d at %d", k, lo, hi, level+1, p.levelEnd[level])
+			}
+			for i := lo + 1; i < hi; i++ {
+				if p.ops[i] != p.ops[lo] {
+					t.Fatalf("run %d [%d,%d) mixes opcodes %d and %d", k, lo, hi, p.ops[lo], p.ops[i])
+				}
+			}
+			lo = hi
+		}
+		if int(lo) != p.Instructions() {
+			t.Fatalf("runs cover %d of %d instructions", lo, p.Instructions())
+		}
+		if longest > pollStep || (trial == 0 && longest != pollStep) {
+			t.Fatalf("trial %d: longest run is %d instructions, pollStep is %d", trial, longest, pollStep)
 		}
 	}
 }

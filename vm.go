@@ -55,6 +55,10 @@ func (p *VMProgram) Slots() int { return p.prog.Slots() }
 // depth).
 func (p *VMProgram) Levels() int { return p.prog.Levels() }
 
+// Runs returns how many same-opcode runs the instructions fall into:
+// the evaluator dispatches once per run.
+func (p *VMProgram) Runs() int { return p.prog.Runs() }
+
 // EvalBatch evaluates Q(D) for every database in lock-step and returns
 // one output relation per database, positionally. Every database must
 // conform to the bounds the query was compiled against (packing fails

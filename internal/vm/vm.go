@@ -1,7 +1,7 @@
 // Package vm is the vectorized batch evaluator for word circuits: a
 // compiler from boolcircuit gate DAGs into a flat structure-of-arrays
 // instruction buffer, and an evaluator that runs B requests through the
-// program in lock-step, level by level.
+// program in lock-step, one same-opcode run of instructions at a time.
 //
 // The paper's circuits are data independent — the gate sequence never
 // depends on tuple values — so the per-gate decode work (operand
@@ -11,17 +11,19 @@
 // the live instructions out contiguously in level order (opcode and
 // operand slot indices in parallel arrays, no Gate structs, no
 // interface dispatch), and register-allocates wire values into reusable
-// slots so the evaluator's arena slab (vals[slot*B+r], all B lanes of
-// one value adjacent) is sized by the maximum live width of the
-// circuit, not its total size — the working set stays cache-resident
-// where the interpreter streams the whole circuit. Comparison and
-// mux gates are computed arithmetically per lane, keeping even the
-// batched evaluation oblivious: the instruction and memory-access
-// sequence is a function of the program alone.
+// slots so the evaluator's arena slab (vals[slot*S+r], the S lanes of
+// one value adjacent; S is 1 for a single request, else B rounded up to
+// a multiple of 8) is sized by the maximum live width of the circuit,
+// not its total size — the working set stays cache-resident where the
+// interpreter streams the whole circuit. Comparison and mux gates are
+// computed arithmetically per lane, keeping the evaluation oblivious at
+// every stride: the instruction and memory-access sequence is a
+// function of the program alone.
 //
 // Levels matter because gates within one level are independent: the
-// compiler may lay a level out in any order (it sorts by opcode), and
-// slots freed by one level's readers are safely reused by the next.
+// compiler may lay a level out in any order (it sorts by opcode, and
+// records where each same-opcode run ends), and slots freed by one
+// level's readers are safely reused by the next.
 package vm
 
 import (
@@ -58,10 +60,10 @@ const (
 	numOps = int(opMux) + 1
 )
 
-// pollStep is how many instructions run between context/budget
-// checkpoints. Word gates are nanosecond-scale; finer polling would
-// dominate the work, coarser would make deadlines and budget trips
-// sloppy within wide levels.
+// pollStep is the most instructions that run between context/budget
+// checkpoints, and so the longest run in the run table. Word gates are
+// nanosecond-scale; finer polling would dominate the work, coarser
+// would make deadlines and budget trips sloppy within wide levels.
 const pollStep = 512
 
 type constInit struct {
@@ -71,8 +73,8 @@ type constInit struct {
 
 // Program is a compiled word circuit in executable form: one
 // structure-of-arrays instruction buffer (ops/dst/a/b/c in parallel,
-// contiguous per level), the constant and input prefill templates, and
-// an arena pool for wire-value slabs. A Program is immutable after
+// contiguous per level), the run table over it, the constant and input
+// prefill templates, and an arena pool for wire-value slabs. A Program is immutable after
 // Compile and safe for concurrent EvalBatch calls.
 //
 // Operands are SLOTS, not circuit wire ids: the compiler drops gates
@@ -241,9 +243,11 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 	// counting the level's opcodes first and then writing every
 	// instruction straight to its final position — so the executor
 	// dispatches once per run instead of once per instruction and hands
-	// each run to a batch kernel in one call. Slots are still allocated
-	// in ascending gate id, which keeps the slot assignment independent
-	// of the layout.
+	// each run to a kernel in one call. The same counts give the run
+	// table: where each opcode's run ends, split every pollStep
+	// instructions so the executor can checkpoint between runs only.
+	// Slots are still allocated in ascending gate id, which keeps the
+	// slot assignment independent of the layout.
 	placed := 0
 	for d := 1; d <= depth; d++ {
 		free = append(free, expire[d]...)
@@ -357,14 +361,17 @@ func (p *Program) NumOutputs() int { return len(p.outSlots) }
 // batch returns an empty result. Each inputs[r] must have exactly
 // NumInputs values.
 //
-// The instruction loop polls ctx every few hundred instructions and
-// charges completed instructions against any guard.Budget on ctx
-// (MaxGates), so cancellation, deadlines, and budget exhaustion cut the
-// evaluation short even inside one wide level. When ctx carries a
-// faultinject.Injector, each instruction reports to the word-gate site
-// (the slow path; the fast path pays nothing). The whole batch runs
-// under one obs vm-eval span carrying gates and batch_size counters —
-// one span per batch, never per request.
+// The executor walks the compile-time run table: one kernel call per
+// same-opcode run, no scan for run boundaries. It polls ctx and charges
+// completed instructions against any guard.Budget on ctx (MaxGates) at
+// least once every pollStep instructions — runs are never longer, and
+// short runs accumulate across levels up to that many — so
+// cancellation, deadlines, and budget exhaustion cut the evaluation
+// short even inside one wide level. When ctx carries a
+// faultinject.Injector, every instruction reports to the word-gate site
+// and runs as a run of one (the slow path; the fast path pays nothing).
+// The whole batch runs under one obs vm-eval span carrying gates and
+// batch_size counters — one span per batch, never per request.
 func (p *Program) EvalBatch(ctx context.Context, inputs [][]Word) (_ [][]Word, err error) {
 	B := len(inputs)
 	ctx, sp := obs.StartSpan(ctx, obs.StageVMEval)
@@ -550,7 +557,10 @@ func stridedRun(vals []Word, S int, op uint8, dst, a, b, c []int32) {
 // scalarRun is the one plain-Go kernel: vals[dst[i]] = vals[a[i]] op
 // vals[b[i]] for every instruction of a run. Comparisons and mux are
 // computed arithmetically (0/1 words, an all-ones or all-zero select
-// mask), so no branch depends on a wire value. b and c hold -1 where
+// mask), so no branch or address depends on a wire value (modulus
+// alone tests its divisor and the remainder's sign). Indexing through
+// uint32 keeps the bounds check — a negative slot is a huge one — and
+// lets the index load fold into one instruction. b and c hold -1 where
 // the opcode has no such operand and are not read there.
 func scalarRun(vals []Word, op uint8, dst, a, b, c []int32) {
 	a, b, c = a[:len(dst)], b[:len(dst)], c[:len(dst)]

@@ -74,8 +74,8 @@ type constInit struct {
 // Program is a compiled word circuit in executable form: one
 // structure-of-arrays instruction buffer (ops/dst/a/b/c in parallel,
 // contiguous per level), the run table over it, the constant and input
-// prefill templates, and an arena pool for wire-value slabs. A Program is immutable after
-// Compile and safe for concurrent EvalBatch calls.
+// prefill templates, and an arena pool for wire-value slabs. A Program
+// is immutable after Compile and safe for concurrent EvalBatch calls.
 //
 // Operands are SLOTS, not circuit wire ids: the compiler drops gates
 // unreachable from any output, then runs a liveness pass that reuses a
@@ -403,13 +403,14 @@ func (p *Program) EvalBatch(ctx context.Context, inputs [][]Word) (_ [][]Word, e
 	if B > 1 {
 		S = (B + 7) &^ 7
 	}
-	if p.numSlots*S > math.MaxInt32 {
+	words := p.numSlots * S
+	if words > math.MaxInt32 { // stridedRun scales slot indices in int32
 		return nil, fmt.Errorf("%w: vm: batch of %d over %d slots exceeds the slab index range",
 			guard.ErrInvalidInput, B, p.numSlots)
 	}
-	slab := p.getSlab(p.numSlots * S)
+	slab := p.getSlab(words)
 	defer p.slabs.Put(slab)
-	vals := (*slab)[:p.numSlots*S]
+	vals := (*slab)[:words]
 
 	// Prefill: constants splat across lanes, inputs transpose from
 	// request-major to slot-major (padding lanes zeroed — the slab is

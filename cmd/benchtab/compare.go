@@ -4,7 +4,7 @@
 // The CI perf job pipes the raw bench output in:
 //
 //	go test -bench=. -benchtime=3x -count=3 -run=^$ ./... | tee bench.out
-//	benchtab -bench-parse bench.out -bench-out BENCH_$(date +%F).json \
+//	benchtab -bench-parse bench.out -bench-out benchtab-snapshot.json \
 //	         -bench-baseline BENCH_baseline.json
 //
 // Each benchmark's ns/op is the minimum across its -count samples (the
@@ -32,8 +32,8 @@ type BenchResult struct {
 	Samples int     `json:"samples"`
 }
 
-// BenchSnapshot is the JSON document written to BENCH_<date>.json and
-// committed as BENCH_baseline.json.
+// BenchSnapshot is the JSON document written to benchtab-snapshot.json
+// and committed as BENCH_baseline.json.
 type BenchSnapshot struct {
 	Date       string                 `json:"date"`
 	Benchmarks map[string]BenchResult `json:"benchmarks"`

@@ -54,7 +54,6 @@ func main() {
 		exportDir = flag.String("export", "", "write a generated workload database for the query as columnar files under this directory (circuitd -db serves it)")
 		exportN   = flag.Int("export-n", 16, "tuples per relation for -export")
 		exportSd  = flag.Int64("export-seed", 1, "generator seed for -export")
-		semStats  = flag.Bool("sem-stats", false, "compile the canonical pair through semantic CSE and print merge statistics plus the plan's fingerprint")
 	)
 	flag.Parse()
 
@@ -79,6 +78,13 @@ func main() {
 	fmt.Printf("query:            %s\n", q)
 	fmt.Printf("constraints:      |R_F| ≤ %g for every atom\n", *n)
 	fmt.Printf("LOGDAPB:          %s bits (DAPB ≈ %.4g tuples)\n", b.RatString(), exp2(bf))
+	// Two requests printing the same fingerprint are one query to the
+	// engine: one cache entry, one compile, one stored plan.
+	canon, err := query.Canonicalize(q, dcs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("fingerprint:      %s\n", canon.FP.Short())
 
 	res, err := panda.CompileFCQ(q, dcs)
 	if err != nil {
@@ -162,34 +168,10 @@ func main() {
 			w.Fhtw.RatString(), w.DAFhtw.RatString(), w.DASubw.RatString())
 	}
 
-	if *semStats {
-		// Compile the canonical pair through gate-level semantic CSE and
-		// report what the signature-guided merger did, beside the pair's
-		// fingerprint — two queries printing the same fp serve from one
-		// engine cache entry.
-		canon, err := query.Canonicalize(q, dcs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		compiled, err := core.CompileQueryOptsCtx(context.Background(), canon.Query, canon.DCs,
-			core.CompileOptions{SemanticCSE: true})
-		if err != nil {
-			log.Fatal(err)
-		}
-		rep := compiled.Opt
-		fmt.Printf("semantic CSE:     %d prover-confirmed merges, K=%d signatures\n",
-			rep.SemMerges, rep.SemSignatureK)
-		fmt.Printf("plan identity:    fp=%s\n", canon.FP.Short())
-	}
-
 	if *storeDir != "" {
 		// The engine compiles the canonicalized pair, so persist exactly
 		// that: the artifact's fingerprint then matches what circuitd
 		// computes for any structurally identical request.
-		canon, err := query.Canonicalize(q, dcs)
-		if err != nil {
-			log.Fatal(err)
-		}
 		compiled, err := core.CompileQueryOptsCtx(context.Background(), canon.Query, canon.DCs,
 			core.CompileOptions{NoOpt: *noOpt})
 		if err != nil {

@@ -295,12 +295,6 @@ type CompileOptions struct {
 	// constructions verbatim — the escape hatch for debugging and for
 	// measuring the constructions' raw constant factors.
 	NoOpt bool
-	// SemanticCSE additionally runs the probabilistic-signature semantic
-	// CSE pass (opt.BoolSem) after the structural word-level passes,
-	// merging provably equivalent gates that structural hashing misses.
-	// Ignored when NoOpt is set. Only prover-confirmed merges are
-	// adopted, so the result is exact.
-	SemanticCSE bool
 }
 
 // CompileQuery runs the full pipeline for a full CQ: PANDA-C to a
@@ -356,15 +350,7 @@ func CompileQueryOptsCtx(ctx context.Context, q *query.Query, dcs query.DCSet, o
 		_, osp := obs.StartSpan(ctx, obs.StageOptimize)
 		optStart := time.Now()
 		report.WordGatesBefore, report.WordDepthBefore = obl.C.Size(), obl.C.Depth()
-		var optimized *boolcircuit.Circuit
-		if opts.SemanticCSE {
-			var sem opt.SemStats
-			optimized, sem, err = opt.BoolSem(ctx, obl.C, opt.SemConfig{})
-			report.SemMerges, report.SemSignatureK = sem.Merges, sem.K
-			osp.AddInt(obs.CounterSemMerges, int64(sem.Merges))
-		} else {
-			optimized, err = opt.BoolCtx(ctx, obl.C)
-		}
+		optimized, err := opt.BoolCtx(ctx, obl.C)
 		if err != nil {
 			osp.SetError(err)
 			osp.End()

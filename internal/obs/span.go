@@ -79,11 +79,6 @@ const (
 	CounterOptGatesBefore = "gates_before"
 	CounterOptGatesAfter  = "gates_after"
 	CounterOptNanos       = "opt_ns"
-
-	// CounterSemMerges counts gate merges adopted by semantic CSE
-	// (probabilistic-signature candidates confirmed by the exact prover
-	// or Unproven-mode agreement) beyond what structural hashing found.
-	CounterSemMerges = "sem_merges"
 )
 
 // Attr is one key/value attached to a span: an integer counter

@@ -39,7 +39,7 @@ import (
 // The rebuild polls ctx and any guard.Budget gate cap it carries every
 // 4096 gates and fails with the typed guard errors.
 func BoolCtx(ctx context.Context, c *boolcircuit.Circuit) (*boolcircuit.Circuit, error) {
-	folded, err := rebuild(ctx, c, nil)
+	folded, err := rebuild(ctx, c)
 	if err != nil {
 		return nil, err
 	}
@@ -75,10 +75,8 @@ func improves(next, best *boolcircuit.Circuit) bool {
 
 // rebuild folds c forward into a fresh builder: every input (their
 // allocation order is the packing contract) and every gate of the output
-// cone, in order, through emit. merge, when non-nil, may return the
-// already-rebuilt wire a gate is to be replaced by instead of being
-// emitted (m maps old ids to new wires, -1 for dead gates), or -1.
-func rebuild(ctx context.Context, c *boolcircuit.Circuit, merge func(i int, m []int) int) (*boolcircuit.Circuit, error) {
+// cone, in order, through emit.
+func rebuild(ctx context.Context, c *boolcircuit.Circuit) (*boolcircuit.Circuit, error) {
 	n := c.Size()
 	budget := guard.FromContext(ctx)
 	live, count, err := c.OutputCone(ctx)
@@ -103,11 +101,6 @@ func rebuild(ctx context.Context, c *boolcircuit.Circuit, merge func(i int, m []
 		case g.Op == boolcircuit.OpConst:
 			m[i] = nc.Const(g.K)
 		default:
-			if merge != nil {
-				if m[i] = merge(i, m); m[i] >= 0 {
-					continue
-				}
-			}
 			a, b, cond := -1, -1, -1
 			if g.A >= 0 {
 				a = m[g.A]

@@ -57,22 +57,6 @@ func boolCase(t *testing.T, build func() *boolcircuit.Circuit) goldenCase {
 	return goldenCase{c.Size(), o.Size(), c.Depth(), o.Depth()}
 }
 
-// boolSemCase is boolCase through the semantic-CSE pipeline
-// (opt.BoolSem): the signature-guided merger must be as deterministic
-// as structural CSE, and its golden entries pin that determinism plus
-// the counts themselves.
-func boolSemCase(t *testing.T, build func() *boolcircuit.Circuit) goldenCase {
-	t.Helper()
-	c := build()
-	o, _ := mustBoolSem(t, c, opt.SemConfig{})
-	c2 := build()
-	o2, _ := mustBoolSem(t, c2, opt.SemConfig{})
-	if c.Size() != c2.Size() || o.Size() != o2.Size() {
-		t.Fatalf("nondeterministic semantic-CSE sizes: %d/%d then %d/%d", c.Size(), o.Size(), c2.Size(), o2.Size())
-	}
-	return goldenCase{c.Size(), o.Size(), c.Depth(), o.Depth()}
-}
-
 func TestGoldenWorkedExamples(t *testing.T) {
 	tri := query.Triangle()
 	got := map[string]goldenCase{
@@ -106,35 +90,6 @@ func TestGoldenWorkedExamples(t *testing.T) {
 			opcircuits.MarkOutputs(c, opcircuits.DegJoin(c, r, s, 2))
 			return c
 		}),
-		// The same Boolean worked examples through the semantic-CSE
-		// pipeline: signature bucketing plus the equivalence prover must
-		// land on gate counts no worse than structural CSE (asserted
-		// below), and exactly where these entries pin them.
-		"fig3_pk_join_m8_semcse": boolSemCase(t, func() *boolcircuit.Circuit {
-			c := boolcircuit.New()
-			r := opcircuits.NewInput(c, []string{"A", "B"}, 8)
-			s := opcircuits.NewInput(c, []string{"B", "C"}, 8)
-			opcircuits.MarkOutputs(c, opcircuits.PKJoin(c, r, s))
-			return c
-		}),
-		"fig4_deg_join_m3_n5_deg2_semcse": boolSemCase(t, func() *boolcircuit.Circuit {
-			c := boolcircuit.New()
-			r := opcircuits.NewInput(c, []string{"A", "B"}, 3)
-			s := opcircuits.NewInput(c, []string{"B", "C"}, 5)
-			opcircuits.MarkOutputs(c, opcircuits.DegJoin(c, r, s, 2))
-			return c
-		}),
-	}
-	// Semantic CSE subsumes structural CSE: on the same construction it
-	// may only merge more, never fewer.
-	for _, pair := range [][2]string{
-		{"fig3_pk_join_m8_semcse", "fig3_pk_join_m8"},
-		{"fig4_deg_join_m3_n5_deg2_semcse", "fig4_deg_join_m3_n5_deg2"},
-	} {
-		if got[pair[0]].GatesAfter > got[pair[1]].GatesAfter {
-			t.Errorf("%s ends at %d gates, above structural CSE's %d",
-				pair[0], got[pair[0]].GatesAfter, got[pair[1]].GatesAfter)
-		}
 	}
 
 	path := filepath.Join("testdata", "golden.json")

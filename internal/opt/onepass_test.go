@@ -24,15 +24,6 @@ func mustBool(t testing.TB, c *boolcircuit.Circuit) *boolcircuit.Circuit {
 	return o
 }
 
-func mustBoolSem(t testing.TB, c *boolcircuit.Circuit, cfg opt.SemConfig) (*boolcircuit.Circuit, opt.SemStats) {
-	t.Helper()
-	o, st, err := opt.BoolSem(context.Background(), c, cfg)
-	if err != nil {
-		t.Fatalf("opt.BoolSem: %v", err)
-	}
-	return o, st
-}
-
 // assertMatchesReference holds the one-pass optimizer against the old
 // rebuild-until-no-shrink loop on c: the same circuit gate for gate
 // (hence the same Size, Depth, input order and output wires) and the
@@ -197,7 +188,6 @@ func TestBoolCancelMidOptimize(t *testing.T) {
 	c := wideSynthetic(1_000_000)
 	for name, run := range map[string]func(context.Context) error{
 		"BoolCtx": func(ctx context.Context) error { _, err := opt.BoolCtx(ctx, c); return err },
-		"BoolSem": func(ctx context.Context) error { _, _, err := opt.BoolSem(ctx, c, opt.SemConfig{}); return err },
 	} {
 		t.Run(name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())

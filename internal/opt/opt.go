@@ -22,7 +22,8 @@
 //     collapse, identity-projection and no-op-cap forwarding;
 //   - dead-gate elimination from the output cone (relcircuit.Prune).
 //
-// Word-level passes (BoolCtx), one fold-forward rebuild and one sweep:
+// Word-level passes (BoolCtx, the only word-level optimizer), one
+// fold-forward rebuild and one sweep:
 //
 //   - global value numbering: the circuit is rebuilt gate by gate in
 //     topological order through the builder's structural hash, so gates
@@ -55,12 +56,6 @@ type Report struct {
 	WordGatesBefore, WordGatesAfter int
 	WordDepthBefore, WordDepthAfter int
 	Elapsed                         time.Duration
-
-	// Semantic-CSE fields, populated only when the BoolSem pass ran
-	// (CompileOptions.SemanticCSE): prover-confirmed merges adopted
-	// beyond structural hashing, and the signature vector count.
-	SemMerges     int
-	SemSignatureK int
 }
 
 // WordReduction returns the fractional word-gate reduction in [0, 1].
@@ -79,7 +74,8 @@ func (r Report) RelReduction() float64 {
 	return 1 - float64(r.RelGatesAfter)/float64(r.RelGatesBefore)
 }
 
-// maxPasses bounds the rewrite→CSE→prune fixpoint loops. Each pass only
-// shrinks the circuit, so the loop terminates on its own; the cap is a
-// backstop against a pathological slow convergence.
+// maxPasses bounds the rewrite→CSE→prune fixpoint loop of Rel and of the
+// test-only multi-pass reference (BoolCtx itself is one pass). Each pass
+// only shrinks the circuit, so the loop terminates on its own; the cap is
+// a backstop against a pathological slow convergence.
 const maxPasses = 8

@@ -19,7 +19,7 @@ import (
 )
 
 // metaN is the per-relation cardinality bound for metamorphic compiles.
-// Small on purpose: every variant is its own semantic-CSE compile.
+// Small on purpose: every variant is its own compile.
 const metaN = 3
 
 // Near misses are only evaluated on the RAM tier, so they can afford
@@ -96,13 +96,12 @@ func metaCanon(t *testing.T, src string) *query.Canonical {
 	return canon
 }
 
-// metaCompile compiles one shape's canonical pair through the
-// semantic-CSE pipeline.
+// metaCompile compiles one shape's canonical pair through the pipeline
+// the engine runs.
 func metaCompile(t *testing.T, src string) (*core.Compiled, *query.Canonical) {
 	t.Helper()
 	canon := metaCanon(t, src)
-	cq, err := core.CompileQueryOptsCtx(context.Background(), canon.Query, canon.DCs,
-		core.CompileOptions{SemanticCSE: true})
+	cq, err := core.CompileQueryCtx(context.Background(), canon.Query, canon.DCs)
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
@@ -133,10 +132,6 @@ func TestMetamorphicEquivalence(t *testing.T) {
 	for _, tc := range metamorphicCases {
 		t.Run(tc.name, func(t *testing.T) {
 			baseCQ, baseCanon := metaCompile(t, tc.base)
-			if rep := baseCQ.Opt; rep == nil || rep.SemSignatureK == 0 {
-				t.Fatalf("base %q did not run the semantic pipeline: %+v", tc.base, baseCQ.Opt)
-			}
-
 			baseQ := query.MustParse(tc.base)
 			type variant struct {
 				kind, src string

@@ -78,9 +78,9 @@ func WithPriority(ctx context.Context, p Priority) context.Context {
 }
 
 // QoSSnapshot is a point-in-time view of an Engine's overload-protection
-// state: per-lane admissions and sheds, reroutes, deadline failures by
-// stage, degradation actions, live queue gauges, and the current
-// degradation level.
+// state: per-lane admissions and sheds, deadline failures by stage,
+// degradation actions, live queue gauges, and the current degradation
+// level.
 type QoSSnapshot = qos.Snapshot
 
 // Fingerprint identifies a (query, DC set) pair up to variable renaming

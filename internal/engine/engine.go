@@ -21,12 +21,26 @@
 //     relational circuit, then to the RAM evaluator;
 //   - independent requests fan out across a bounded worker pool.
 //
+// A request takes one of two paths, both readable top to bottom in this
+// file. Admission (enqueue) looks the plan up once, under the shard
+// lock it already takes to read closed, and the job carries what it
+// found:
+//
+//   - hit path (process → answer): the job holds its plan for its
+//     lifetime — an entry evicted or expired while the job was queued is
+//     as valid as the day it was compiled — so a worker goes straight to
+//     ValidateDB → tier ladder (vm: program → pack → batcher/EvalBatch →
+//     decode) → rename, and never touches the cache again;
+//   - miss path (process → acquire → answer): cache re-check →
+//     singleflight join → store load → compile → insert → persist, then
+//     the same hit path.
+//
 // Overload protection (internal/qos holds the policy pieces):
 //
-//   - admission is cost-classed into two lanes — requests expected to
-//     hit the plan cache vs. requests that need a compile — each with
-//     its own queue depth and concurrency cap, so a burst of expensive
-//     compile misses cannot starve cached hits;
+//   - admission is cost-classed into two lanes — requests that hold a
+//     cached plan vs. requests that need a compile — each with its own
+//     queue depth and concurrency cap, so a burst of expensive compile
+//     misses cannot starve cached hits;
 //   - under ShedOnFull / ShedAdaptive a full lane rejects immediately
 //     with a typed *guard.OverloadError carrying a retry-after hint
 //     (ShedBlock keeps the legacy blocking submit);
@@ -68,6 +82,39 @@ const (
 	TierVM         = "vm"
 	TierRelational = "relational"
 	TierRAM        = "ram"
+)
+
+// tierID indexes the tier table and the per-tier shard state.
+type tierID int
+
+const (
+	tierVM tierID = iota
+	tierRel
+	tierRAM
+	numTiers
+)
+
+// tiers is the one table of what the engine knows per tier: its public
+// name and the deadline-accounting stage a request is in while the tier
+// runs. The per-tier estimators and served counters on shard are
+// indexed the same way.
+var tiers = [numTiers]struct {
+	name  string
+	stage qos.DeadlineStage
+}{
+	tierVM:  {TierVM, qos.StageOblivious},
+	tierRel: {TierRelational, qos.StageRelational},
+	tierRAM: {TierRAM, qos.StageRAM},
+}
+
+// The ladders an entry can walk, by entry kind (entry.ladder).
+var (
+	ladderCompiled = []tierID{tierVM, tierRel, tierRAM}
+	// A plan loaded from the store has no relational layer (its gates
+	// carry closures with no wire format): vm, then straight to RAM.
+	ladderStored = []tierID{tierVM, tierRAM}
+	// A negative entry (sticky compile failure) is pinned to RAM.
+	ladderRAM = []tierID{tierRAM}
 )
 
 // ShedPolicy decides what happens when an admission lane's queue is
@@ -113,9 +160,6 @@ type Config struct {
 	// of cached plans; the least recently used plans are evicted beyond
 	// it. 0 selects 1<<22 gates; negative means unlimited.
 	MaxCacheGates int64
-	// MaxPlans optionally caps the number of cached plans regardless of
-	// size. 0 means no count cap.
-	MaxPlans int
 	// Workers is the concurrency cap of the cached-hit lane. 0 selects
 	// GOMAXPROCS.
 	Workers int
@@ -270,33 +314,30 @@ type shard struct {
 	// qos state
 	ledger       qos.Ledger
 	estServe     [qos.NumLanes]qos.Estimator // whole-request service time per lane
-	estVM        qos.Estimator               // per-tier eval estimates for deadline shares
-	estRel       qos.Estimator
-	estRAM       qos.Estimator
+	estTier      [numTiers]qos.Estimator     // per-tier eval estimates for deadline shares
 	laneInFlight [qos.NumLanes]atomic.Int64
 
 	// counters (metrics.go holds the snapshot type)
 	hits, misses, evictions    atomic.Int64
 	compiles, compileErrs      atomic.Int64
 	requests, inFlight, failed atomic.Int64
-	servedVM, servedRel        atomic.Int64
-	servedRAM                  atomic.Int64
+	served                     [numTiers]atomic.Int64
 	compileLat, evalLat        latencyHist
 }
 
+// job is one submitted request on its way through a lane. ent is the
+// plan admission found in the cache (nil on the miss lane): the job
+// owns it from then on, whatever the cache does in the meantime.
 type job struct {
 	ctx      context.Context
 	req      Request
 	canon    *query.Canonical
 	canonErr error
+	ent      *entry
 	lane     qos.Lane
+	enqueued time.Time // set only when the engine traces; starts the admission span
 	out      chan Result
 }
-
-// errReroute is the internal signal that a hit-classified request found
-// its plan gone (evicted or expired between classification and
-// processing) and must be re-queued onto the miss lane.
-var errReroute = errors.New("engine: plan gone; reroute to miss lane")
 
 // newShard starts one shard. cfg is the already-defaulted per-shard
 // slice of the engine configuration (New divides workers, queue depths,
@@ -308,7 +349,7 @@ func newShard(cfg Config) *shard {
 	}
 	e := &shard{
 		cfg:      cfg,
-		cache:    newPlanCache(cfg.MaxCacheGates, cfg.MaxPlans, negTTL),
+		cache:    newPlanCache(cfg.MaxCacheGates, negTTL),
 		flights:  newFlightGroup(),
 		jobsHit:  make(chan *job, cfg.QueueDepth),
 		jobsMiss: make(chan *job, cfg.MissQueueDepth),
@@ -332,14 +373,14 @@ func (e *shard) worker(jobs chan *job, lane qos.Lane) {
 	for j := range jobs {
 		e.laneInFlight[lane].Add(1)
 		start := time.Now()
-		res, requeued := e.process(j)
+		res := e.process(j)
 		e.estServe[lane].Observe(time.Since(start))
 		e.laneInFlight[lane].Add(-1)
-		if !requeued {
-			j.out <- res
-		}
+		j.out <- res
 	}
 }
+
+// --- Admission: Submit → canonicalize → enqueue -------------------------
 
 // ladderOn reports whether the degradation ladder is active.
 func (e *shard) ladderOn() bool { return e.cfg.Policy != (qos.Policy{}) }
@@ -374,9 +415,9 @@ func (e *shard) retryAfter(lane qos.Lane) time.Duration {
 	return qos.RetryAfter(queued, workers, e.estServe[lane].Estimate())
 }
 
-// canonicalize is the classification half of Submit, with the same
-// panic containment processInner used to provide (a nil Query panics
-// inside query.Canonicalize).
+// canonicalize is the first step of Submit. A nil Query panics inside
+// query.Canonicalize; the panic is contained here and surfaces as the
+// request's typed error.
 func canonicalize(req Request) (c *query.Canonical, err error) {
 	defer guard.Recover(&err)
 	c, err = query.Canonicalize(req.Query, req.DCs)
@@ -386,41 +427,37 @@ func canonicalize(req Request) (c *query.Canonical, err error) {
 	return c, err
 }
 
-// classify picks the admission lane: LaneHit when a live cached plan
-// exists (the request should only pay evaluation), LaneMiss otherwise.
-// Requests that already failed canonicalization take the hit lane —
-// they fail fast in a worker without burning a compile slot.
-func (e *shard) classify(j *job) qos.Lane {
-	if j.canonErr != nil {
-		return qos.LaneHit
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cache.peek(j.canon.FP) != nil {
-		return qos.LaneHit
-	}
-	return qos.LaneMiss
-}
-
 // admit counts an accepted request.
 func (e *shard) admit(lane qos.Lane) {
 	e.ledger.Admit(lane)
 	e.requests.Add(1)
 }
 
-// enqueue classifies an already-canonicalized job into an admission
-// lane and enqueues it; j.out will receive exactly one Result. Under
-// ShedBlock (the default) submission blocks while the lane is full;
-// under ShedOnFull / ShedAdaptive a full lane rejects immediately with
-// a typed *guard.OverloadError carrying a retry-after hint. A canceled
-// context or a closed engine resolves the result immediately with an
-// error.
+// enqueue admits an already-canonicalized job: it looks the plan up —
+// the request's only cache lookup, under the same lock acquisition that
+// reads closed — picks the lane from what it found, and enqueues;
+// j.out will receive exactly one Result. A job that holds a plan rides
+// the hit lane and only pays evaluation; one that found none rides the
+// miss lane. Requests that already failed canonicalization take the hit
+// lane — they fail fast in a worker without burning a compile slot.
+//
+// Under ShedBlock (the default) submission blocks while the lane is
+// full; under ShedOnFull / ShedAdaptive a full lane rejects immediately
+// with a typed *guard.OverloadError carrying a retry-after hint. A
+// canceled context or a closed engine resolves the result immediately
+// with an error.
 func (e *shard) enqueue(j *job) {
 	ctx, out := j.ctx, j.out
 	e.submitM.RLock()
 	defer e.submitM.RUnlock()
+	if e.cfg.Tracer != nil {
+		j.enqueued = time.Now()
+	}
 	e.mu.Lock()
 	closed := e.closed
+	if !closed && j.canonErr == nil {
+		j.ent = e.cache.get(j.canon.FP)
+	}
 	e.mu.Unlock()
 	if closed {
 		if e.cfg.ShedPolicy != ShedBlock {
@@ -433,14 +470,11 @@ func (e *shard) enqueue(j *job) {
 		out <- Result{Err: fmt.Errorf("%w: engine is closed", guard.ErrInvalidInput)}
 		return
 	}
-	// Once j is sent its worker owns it (requeue rewrites j.lane), so
-	// the accounting below uses this copy.
-	lane := e.classify(j)
-	j.lane = lane
-	jobs := e.jobsHit
-	if lane == qos.LaneMiss {
-		jobs = e.jobsMiss
+	lane, jobs := qos.LaneMiss, e.jobsMiss
+	if j.ent != nil || j.canonErr != nil {
+		lane, jobs = qos.LaneHit, e.jobsHit
 	}
+	j.lane = lane
 
 	if e.cfg.ShedPolicy == ShedBlock {
 		select {
@@ -468,227 +502,253 @@ func (e *shard) enqueue(j *job) {
 	}
 }
 
-// close stops accepting requests, drains queued ones, waits for the
-// workers, then cancels and waits for any detached compiles nobody is
-// left to consume. Safe to call more than once, including concurrently
-// with itself and with enqueue.
-func (e *shard) close() error {
-	e.closeOnce.Do(func() {
-		e.mu.Lock()
-		e.closed = true
-		e.mu.Unlock()
-		// Take the write half so no Submit is mid-send, then close the
-		// lanes: workers drain what was accepted and exit.
-		e.submitM.Lock()
-		close(e.jobsHit)
-		close(e.jobsMiss)
-		e.submitM.Unlock()
-	})
-	e.wg.Wait()
-	e.lifeCancel()
-	e.compileWG.Wait()
-	return nil
-}
+// --- A request on a worker ----------------------------------------------
 
-// shutdown is close bounded by ctx: when ctx expires the shard-scoped
-// compile context is canceled, so queued requests drain promptly with
-// typed errors instead of waiting out arbitrarily long compiles.
-// Callers still own their request contexts; shutdown only bounds
-// shard-owned work.
-func (e *shard) shutdown(ctx context.Context) error {
-	if ctx != nil {
-		stop := context.AfterFunc(ctx, e.lifeCancel)
-		defer stop()
-	}
-	return e.close()
-}
-
-// metrics returns a snapshot of the shard's counters.
-func (e *shard) metrics() Metrics {
-	e.mu.Lock()
-	plans, gates := e.cache.len(), e.cache.gates
-	e.mu.Unlock()
-	return Metrics{
-		Hits:             e.hits.Load(),
-		Misses:           e.misses.Load(),
-		Evictions:        e.evictions.Load(),
-		Compiles:         e.compiles.Load(),
-		CompileErrors:    e.compileErrs.Load(),
-		Requests:         e.requests.Load(),
-		InFlight:         e.inFlight.Load(),
-		Failed:           e.failed.Load(),
-		ServedVM:         e.servedVM.Load(),
-		ServedRelational: e.servedRel.Load(),
-		ServedRAM:        e.servedRAM.Load(),
-		CachedPlans:      plans,
-		CachedGates:      gates,
-		CompileLatency:   e.compileLat.snapshot(),
-		EvalLatency:      e.evalLat.snapshot(),
-	}
-}
-
-// qosSnapshot returns the shard's admission/degradation snapshot:
-// ledger counters, live lane gauges, the current ladder level, and the
-// recent eval p95.
-func (e *shard) qosSnapshot() qos.Snapshot {
-	s := e.ledger.Snapshot()
-	s.Lanes = []qos.LaneStats{
-		{Lane: qos.LaneHit.String(), Queued: len(e.jobsHit), Depth: cap(e.jobsHit),
-			Workers: e.cfg.Workers, InFlight: int(e.laneInFlight[qos.LaneHit].Load())},
-		{Lane: qos.LaneMiss.String(), Queued: len(e.jobsMiss), Depth: cap(e.jobsMiss),
-			Workers: e.cfg.MissWorkers, InFlight: int(e.laneInFlight[qos.LaneMiss].Load())},
-	}
-	s.Level = e.level()
-	s.EvalP95 = e.evalLat.snapshot().Quantile(0.95)
-	return s
-}
-
-// requeue moves a hit-classified job whose plan vanished onto the miss
-// lane, without blocking the hit worker. False when the miss lane is
-// full or the engine is closing — the caller sheds instead.
-func (e *shard) requeue(j *job) bool {
-	e.submitM.RLock()
-	defer e.submitM.RUnlock()
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
-		return false
-	}
-	j.lane = qos.LaneMiss
-	select {
-	case e.jobsMiss <- j:
-		e.ledger.Reroute()
-		return true
-	default:
-		return false
-	}
-}
-
-// process runs one request: fetch-or-compile the plan, validate the
-// database, evaluate through the tiers, and rename the output back to
-// the request's variable names. requeued means the job was re-queued
-// onto the miss lane and no result must be delivered yet.
-func (e *shard) process(j *job) (res Result, requeued bool) {
+// process runs one admitted request on a lane worker. A job that holds
+// its plan goes straight to answer (the hit path); one that does not
+// acquires a plan first (the miss path). The two defers are the whole
+// epilogue: Recover turns a panic anywhere below into res.Err, then
+// finish — which must see the final res.Err — does the accounting.
+func (e *shard) process(j *job) (res Result) {
 	ctx := j.ctx
-	// The serve span is declared first so its defer runs last, after the
-	// panic-recovery defers below have folded any failure into res.Err.
 	if e.cfg.Tracer != nil && obs.SpanFromContext(ctx) == nil {
 		ctx = obs.WithTracer(ctx, e.cfg.Tracer)
 	}
 	ctx, sp := obs.StartSpan(ctx, obs.StageServe)
-	defer func() {
-		sp.SetTag("fingerprint", res.Fingerprint.Short())
-		sp.SetTag("lane", j.lane.String())
-		if requeued {
-			sp.SetTag("reroute", "miss")
-		}
-		if res.CacheHit {
-			sp.SetTag("cache", "hit")
-		} else {
-			sp.SetTag("cache", "miss")
-		}
-		if res.Tier != "" {
-			sp.SetTag("tier", res.Tier)
-		}
-		sp.SetError(res.Err)
-		sp.End()
-	}()
+	if sp != nil && !j.enqueued.IsZero() {
+		// The traced request began at enqueue; what it spent queued
+		// behind the lane is the admission span.
+		sp.Start = j.enqueued
+		_, adm := obs.StartSpan(ctx, obs.StageAdmit)
+		adm.Start = j.enqueued
+		adm.End()
+	}
 	e.inFlight.Add(1)
-	defer e.inFlight.Add(-1)
-	defer func() {
-		if res.Err != nil {
-			e.failed.Add(1)
-		}
-	}()
-	// Deadline accounting: stage tracks how far the request got before
-	// its wall clock ran out; the counter must fire after the fold below
-	// has finalized res.Err.
 	stage := qos.StageQueued
-	defer func() {
-		if qos.DeadlineExceeded(res.Err) {
-			e.ledger.Deadline(stage)
-		}
-	}()
-	// Defers run LIFO: Recover (below) fills err from a panic in
-	// processInner, then this closure folds it into res. The fold must
-	// be deferred — as a plain statement after the call it would be
-	// skipped when a panic unwinds, returning a zero Result whose nil
-	// Err reads as success.
-	var err error
-	defer func() {
-		if err != nil && res.Err == nil {
-			res.Err = err
-		}
-	}()
-	defer guard.Recover(&err)
-	res = e.processInner(ctx, j, &stage)
-	if errors.Is(res.Err, errReroute) {
-		if e.requeue(j) {
-			requeued = true
-			res = Result{Fingerprint: res.Fingerprint}
-		} else {
-			e.ledger.Shed(qos.LaneMiss, qos.ShedReroute)
-			res.Err = qos.Overload(qos.LaneMiss, qos.ShedReroute, e.retryAfter(qos.LaneMiss))
-		}
-	}
-	return res, requeued
-}
+	defer e.finish(j, sp, &stage, &res)
+	defer guard.Recover(&res.Err)
 
-func (e *shard) processInner(ctx context.Context, j *job, stage *qos.DeadlineStage) Result {
-	if err := guard.Poll(ctx); err != nil {
-		return Result{Err: err}
-	}
-	if j.canonErr != nil {
-		return Result{Err: j.canonErr}
-	}
-	res := Result{Fingerprint: j.canon.FP}
-
-	*stage = qos.StageCompile
-	compileStart := time.Now()
-	ent, hit, err := e.plan(ctx, j.canon, j.lane)
-	if err != nil {
-		res.Err = err
+	if res.Err = guard.Poll(ctx); res.Err != nil {
 		return res
 	}
-	res.CacheHit = hit
-	if !hit {
-		res.CompileTime = time.Since(compileStart)
-	}
-
-	if err := query.ValidateDB(j.req.Query, j.req.DCs, j.req.DB); err != nil {
-		res.Err = err
+	if res.Err = j.canonErr; res.Err != nil {
 		return res
 	}
+	res.Fingerprint = j.canon.FP
 
-	evalStart := time.Now()
-	out, tier, attempts, err := e.evaluate(ctx, ent, j.req, stage)
-	res.EvalTime = time.Since(evalStart)
-	res.Attempts = attempts
-	if err != nil {
-		res.Err = err
-		return res
+	ent := j.ent
+	res.CacheHit = ent != nil
+	if ent == nil {
+		stage = qos.StageCompile
+		start := time.Now()
+		ent, res.CacheHit, res.Err = e.acquire(ctx, j.canon)
+		if res.Err != nil {
+			return res
+		}
+		if !res.CacheHit {
+			res.CompileTime = time.Since(start)
+		}
 	}
-	e.evalLat.observe(res.EvalTime)
-	res.Tier = tier
-	switch tier {
-	case TierVM:
-		e.servedVM.Add(1)
-	case TierRelational:
-		e.servedRel.Add(1)
-	case TierRAM:
-		e.servedRAM.Add(1)
+	if res.CacheHit {
+		e.hits.Add(1)
 	}
-	if tier != TierRAM {
-		out = renameOutput(out, j.canon, j.req.Query)
-	}
-	res.Output = out
+	e.answer(ctx, ent, j, &stage, &res)
 	return res
 }
 
-// plan returns the cached plan for the canonical pair, joining or
-// starting a compile flight on a miss. hit reports a cache hit (no
-// waiting on a compile). The compile itself runs detached, on an
+// finish is process's epilogue, run once res is final: in-flight and
+// failure counters, the deadline ledger (stage is how far the request
+// got before its wall clock ran out), and the serve span's tags.
+func (e *shard) finish(j *job, sp *obs.Span, stage *qos.DeadlineStage, res *Result) {
+	e.inFlight.Add(-1)
+	if res.Err != nil {
+		e.failed.Add(1)
+	}
+	if qos.DeadlineExceeded(res.Err) {
+		e.ledger.Deadline(*stage)
+	}
+	if sp == nil {
+		return // untraced: nothing to format
+	}
+	sp.SetTag("fingerprint", res.Fingerprint.Short())
+	sp.SetTag("lane", j.lane.String())
+	if res.CacheHit {
+		sp.SetTag("cache", "hit")
+	} else {
+		sp.SetTag("cache", "miss")
+	}
+	if res.Tier != "" {
+		sp.SetTag("tier", res.Tier)
+	}
+	sp.SetError(res.Err)
+	sp.End()
+}
+
+// --- Hit path: plan in hand → validate → tier ladder → rename -----------
+
+// answer is the hit path: with the plan in hand, validate the database
+// against the request's DCs, evaluate through the entry's tier ladder,
+// and rename the output back to the request's variable names. It takes
+// no shard lock (vmProgram re-charges the cache once per entry, on the
+// first vm evaluation).
+func (e *shard) answer(ctx context.Context, ent *entry, j *job, stage *qos.DeadlineStage, res *Result) {
+	req := j.req
+	if res.Err = query.ValidateDB(req.Query, req.DCs, req.DB); res.Err != nil {
+		return
+	}
+	start := time.Now()
+	out, t, attempts, err := e.evaluate(ctx, ent, req, stage)
+	res.EvalTime = time.Since(start)
+	res.Attempts = attempts
+	if err != nil {
+		res.Err = err
+		return
+	}
+	e.evalLat.observe(res.EvalTime)
+	e.served[t].Add(1)
+	res.Tier = tiers[t].name
+	if t != tierRAM {
+		// The circuits computed the canonical query; RAM ran the
+		// request's own.
+		out = renameOutput(out, j.canon, req.Query)
+	}
+	res.Output = out
+}
+
+// ladder picks the entry's tier list and, for a RAM-pinned entry, the
+// attempt that records why the circuit tiers are absent.
+func (ent *entry) ladder() ([]tierID, []TierAttempt) {
+	switch {
+	case ent.compiled == nil:
+		return ladderRAM, []TierAttempt{{Tier: TierVM, Err: ent.compileErr}}
+	case ent.compiled.Rel == nil:
+		return ladderStored, nil
+	}
+	return ladderCompiled, nil
+}
+
+// evaluate runs the tier ladder for one request. All tiers compute the
+// same Q(D), so a fault in a faster tier degrades the strategy, never
+// the answer. When the plan is RAM-only (sticky compile failure) the
+// ladder starts at the RAM tier, with the pinned reason recorded.
+//
+// Deadline propagation: with a deadline on ctx, each tier attempt is
+// budgeted its share of the remaining wall clock (qos.PlanTier), so a
+// stuck tier cannot eat the cheaper fallbacks' time, and a tier whose
+// estimated duration already exceeds its share is skipped outright.
+func (e *shard) evaluate(ctx context.Context, ent *entry, req Request, stage *qos.DeadlineStage) (*relation.Relation, tierID, []TierAttempt, error) {
+	ladder, attempts := ent.ladder()
+	for i, t := range ladder {
+		name, est := tiers[t].name, &e.estTier[t]
+		*stage = tiers[t].stage
+		tctx, cancel, skip, reason := qos.PlanTier(ctx, len(ladder)-i, est.Estimate())
+		if skip {
+			cancel()
+			e.ledger.Degrade(qos.DegradeTierSkip)
+			attempts = append(attempts, TierAttempt{Tier: name, Err: reason})
+			continue
+		}
+		start := time.Now()
+		tierCtx, sp := obs.StartSpan(tctx, obs.StageTier+name)
+		obs.Tiers.Attempt(name)
+		out, err := e.runTier(tierCtx, t, ent, req)
+		if err == nil && out != nil {
+			sp.AddInt(obs.CounterRows, int64(out.Len()))
+		}
+		sp.SetError(err)
+		sp.End()
+		cancel()
+		attempts = append(attempts, TierAttempt{Tier: name, Err: err})
+		if err == nil {
+			est.Observe(time.Since(start))
+			obs.Tiers.Serve(name, len(attempts) > 1)
+			return out, t, attempts, nil
+		}
+		if ctx != nil && ctx.Err() != nil {
+			// The request's own clock ran out (a tier burning only its
+			// share falls through to the next tier instead).
+			return nil, 0, attempts, err
+		}
+	}
+	last := attempts[len(attempts)-1].Err
+	return nil, 0, attempts, fmt.Errorf("engine: all evaluation tiers failed: %w", last)
+}
+
+// runTier evaluates one tier, containing its panics.
+func (e *shard) runTier(ctx context.Context, t tierID, ent *entry, req Request) (out *relation.Relation, err error) {
+	defer guard.Recover(&err)
+	switch t {
+	case tierVM:
+		return e.evalVM(ctx, ent, req)
+	case tierRel:
+		return ent.compiled.EvaluateRelationalCtx(ctx, req.DB, false)
+	}
+	return query.EvaluateCtx(ctx, req.Query, req.DB)
+}
+
+// evalVM is the vm tier, one span per step: the entry's vm.Program
+// (compiled once per entry, under a vm-compile span), pack the database
+// into input words, evaluate — coalesced with concurrent
+// same-fingerprint requests into one lock-step batch when batching is
+// configured — and decode the output words back into a relation.
+func (e *shard) evalVM(ctx context.Context, ent *entry, req Request) (*relation.Relation, error) {
+	prog, err := ent.vmProgram(ctx, e)
+	if err != nil {
+		return nil, err
+	}
+
+	_, sp := obs.StartSpan(ctx, obs.StagePack)
+	inputs, err := ent.compiled.PackOblivious(req.DB)
+	sp.SetError(err)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+
+	var raw []vm.Word
+	if e.batches != nil {
+		raw, err = e.batches.do(ctx, ent.fp, prog, inputs)
+	} else {
+		var outs [][]vm.Word
+		if outs, err = prog.EvalBatch(ctx, [][]vm.Word{inputs}); err == nil {
+			raw = outs[0]
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	_, sp = obs.StartSpan(ctx, obs.StageDecode)
+	out, err := ent.compiled.DecodeOblivious(raw)
+	sp.SetError(err)
+	sp.End()
+	return out, err
+}
+
+// renameOutput maps a canonical plan's output columns back to the
+// request's variable names and column order. The circuit computed the
+// canonical query, whose free variables are x<i>; VarMap says which
+// request variable each one is.
+func renameOutput(out *relation.Relation, canon *query.Canonical, reqQ *query.Query) *relation.Relation {
+	if out == nil || reqQ.Free.Empty() {
+		return out
+	}
+	m := make(map[string]string, reqQ.Free.Len())
+	names := make([]string, 0, reqQ.Free.Len())
+	for _, v := range reqQ.Free.Vars() {
+		reqName := reqQ.VarNames[v]
+		m[canon.Query.VarNames[canon.VarMap[v]]] = reqName
+		names = append(names, reqName)
+	}
+	return out.Rename(m).Project(names...)
+}
+
+// --- Miss path: cache re-check → flight → store load → compile → persist
+
+// acquire is the miss path up to the plan: re-check the cache (the plan
+// may have been compiled while the job was queued — that still counts
+// as a hit), else join or start the fingerprint's compile flight and
+// wait for it. The compile itself runs detached (runFlight), on an
 // engine-scoped context that inherits the requester's budget, tracer,
 // and fault injector but not its cancellation — so a follower whose
 // leader request dies does not lose the compile, and a leader whose own
@@ -696,13 +756,8 @@ func (e *shard) processInner(ctx context.Context, j *job, stage *qos.DeadlineSta
 // whose flight fails transiently (the engine shutting down aside) loops
 // back to start or join a fresh flight under its own, still-live
 // context.
-//
-// A hit-lane request that finds no plan (evicted or expired since
-// classification) returns errReroute under shedding policies so the
-// worker re-queues it on the miss lane instead of occupying a hit slot
-// for a compile wait.
-func (e *shard) plan(ctx context.Context, canon *query.Canonical, lane qos.Lane) (*entry, bool, error) {
-	first := true
+func (e *shard) acquire(ctx context.Context, canon *query.Canonical) (ent *entry, hit bool, err error) {
+	waited := false
 	for {
 		if e.lifeCtx.Err() != nil {
 			return nil, false, fmt.Errorf("%w: engine is shutting down", guard.ErrCanceled)
@@ -710,22 +765,14 @@ func (e *shard) plan(ctx context.Context, canon *query.Canonical, lane qos.Lane)
 		e.mu.Lock()
 		if ent := e.cache.get(canon.FP); ent != nil {
 			e.mu.Unlock()
-			if first {
-				e.hits.Add(1)
-			}
-			return ent, first, nil
+			return ent, !waited, nil
 		}
-		if first && lane == qos.LaneHit && e.cfg.ShedPolicy != ShedBlock {
-			e.mu.Unlock()
-			return nil, false, errReroute
-		}
-		if first {
-			first = false
+		if !waited {
+			waited = true
 			e.misses.Add(1)
 		}
 		fl, leader := e.flights.join(canon.FP)
 		e.mu.Unlock()
-
 		if leader {
 			e.compileWG.Add(1)
 			go e.runFlight(fl, canon, ctx)
@@ -747,7 +794,8 @@ func (e *shard) plan(ctx context.Context, canon *query.Canonical, lane qos.Lane)
 }
 
 // runFlight leads one compile flight to completion on the engine-scoped
-// context. reqCtx is only mined for values (budget, tracer, injector) —
+// context: store load → compile → insert → resolve the flight →
+// persist. reqCtx is only mined for values (budget, tracer, injector) —
 // its cancellation does not propagate. The persistent store, when
 // configured, is consulted before the compiler: a disk hit promotes the
 // stored plan into the cache and the compiler never runs (Compiles does
@@ -938,157 +986,81 @@ func (e *shard) chargeVM(ent *entry, extra int64) {
 	}
 }
 
-// tierEst returns the duration estimator for a tier.
-func (e *shard) tierEst(tier string) *qos.Estimator {
-	switch tier {
-	case TierVM:
-		return &e.estVM
-	case TierRelational:
-		return &e.estRel
-	default:
-		return &e.estRAM
+// --- Lifecycle and snapshots --------------------------------------------
+
+// close stops accepting requests, drains queued ones, waits for the
+// workers, then cancels and waits for any detached compiles nobody is
+// left to consume. Safe to call more than once, including concurrently
+// with itself and with enqueue.
+func (e *shard) close() error {
+	e.closeOnce.Do(func() {
+		e.mu.Lock()
+		e.closed = true
+		e.mu.Unlock()
+		// Take the write half so no Submit is mid-send, then close the
+		// lanes: workers drain what was accepted and exit.
+		e.submitM.Lock()
+		close(e.jobsHit)
+		close(e.jobsMiss)
+		e.submitM.Unlock()
+	})
+	e.wg.Wait()
+	e.lifeCancel()
+	e.compileWG.Wait()
+	return nil
+}
+
+// shutdown is close bounded by ctx: when ctx expires the shard-scoped
+// compile context is canceled, so queued requests drain promptly with
+// typed errors instead of waiting out arbitrarily long compiles.
+// Callers still own their request contexts; shutdown only bounds
+// shard-owned work.
+func (e *shard) shutdown(ctx context.Context) error {
+	if ctx != nil {
+		stop := context.AfterFunc(ctx, e.lifeCancel)
+		defer stop()
+	}
+	return e.close()
+}
+
+// metrics returns a snapshot of the shard's counters.
+func (e *shard) metrics() Metrics {
+	e.mu.Lock()
+	plans, gates := e.cache.len(), e.cache.gates
+	e.mu.Unlock()
+	return Metrics{
+		Hits:             e.hits.Load(),
+		Misses:           e.misses.Load(),
+		Evictions:        e.evictions.Load(),
+		Compiles:         e.compiles.Load(),
+		CompileErrors:    e.compileErrs.Load(),
+		Requests:         e.requests.Load(),
+		InFlight:         e.inFlight.Load(),
+		Failed:           e.failed.Load(),
+		ServedVM:         e.served[tierVM].Load(),
+		ServedRelational: e.served[tierRel].Load(),
+		ServedRAM:        e.served[tierRAM].Load(),
+		CachedPlans:      plans,
+		CachedGates:      gates,
+		CompileLatency:   e.compileLat.snapshot(),
+		EvalLatency:      e.evalLat.snapshot(),
 	}
 }
 
-// stageFor maps a tier name onto its deadline-accounting stage.
-func stageFor(tier string) qos.DeadlineStage {
-	switch tier {
-	case TierVM:
-		return qos.StageOblivious
-	case TierRelational:
-		return qos.StageRelational
-	default:
-		return qos.StageRAM
+// qosSnapshot returns the shard's admission/degradation snapshot:
+// ledger counters, live lane gauges, the current ladder level, and the
+// recent eval p95.
+func (e *shard) qosSnapshot() qos.Snapshot {
+	s := e.ledger.Snapshot()
+	s.Lanes = []qos.LaneStats{
+		{Lane: qos.LaneHit.String(), Queued: len(e.jobsHit), Depth: cap(e.jobsHit),
+			Workers: e.cfg.Workers, InFlight: int(e.laneInFlight[qos.LaneHit].Load())},
+		{Lane: qos.LaneMiss.String(), Queued: len(e.jobsMiss), Depth: cap(e.jobsMiss),
+			Workers: e.cfg.MissWorkers, InFlight: int(e.laneInFlight[qos.LaneMiss].Load())},
 	}
-}
-
-// evaluate runs the tier ladder for one request. All tiers compute the
-// same Q(D), so a fault in a faster tier degrades the strategy, never
-// the answer. When the plan is RAM-only (sticky compile failure) the
-// ladder starts at the RAM tier, with the pinned reason recorded.
-//
-// Deadline propagation: with a deadline on ctx, each tier attempt is
-// budgeted its share of the remaining wall clock (qos.PlanTier), so a
-// stuck tier cannot eat the cheaper fallbacks' time, and a tier whose
-// estimated duration already exceeds its share is skipped outright.
-func (e *shard) evaluate(ctx context.Context, ent *entry, req Request, stage *qos.DeadlineStage) (*relation.Relation, string, []TierAttempt, error) {
-	type tier struct {
-		name string
-		run  func(ctx context.Context) (*relation.Relation, error)
-	}
-	var tiers []tier
-	var attempts []TierAttempt
-	if ent.compiled != nil {
-		tiers = append(tiers,
-			tier{TierVM, func(ctx context.Context) (out *relation.Relation, err error) {
-				defer guard.Recover(&err)
-				return e.evalVM(ctx, ent, req)
-			}},
-		)
-		if ent.compiled.Rel != nil {
-			// A plan warm-loaded from the store has no relational layer
-			// (its gates carry closures with no wire format), so the
-			// ladder skips straight from the vm tier to RAM.
-			tiers = append(tiers,
-				tier{TierRelational, func(ctx context.Context) (out *relation.Relation, err error) {
-					defer guard.Recover(&err)
-					return ent.compiled.EvaluateRelationalCtx(ctx, req.DB, false)
-				}},
-			)
-		}
-	} else {
-		attempts = append(attempts, TierAttempt{Tier: TierVM, Err: ent.compileErr})
-	}
-	tiers = append(tiers, tier{TierRAM, func(ctx context.Context) (out *relation.Relation, err error) {
-		defer guard.Recover(&err)
-		return query.EvaluateCtx(ctx, req.Query, req.DB)
-	}})
-
-	for i, t := range tiers {
-		if stage != nil {
-			*stage = stageFor(t.name)
-		}
-		tctx, cancel, skip, reason := qos.PlanTier(ctx, len(tiers)-i, e.tierEst(t.name).Estimate())
-		if skip {
-			cancel()
-			e.ledger.Degrade(qos.DegradeTierSkip)
-			attempts = append(attempts, TierAttempt{Tier: t.name, Err: reason})
-			continue
-		}
-		start := time.Now()
-		tierCtx, sp := obs.StartSpan(tctx, obs.StageTier+t.name)
-		obs.Tiers.Attempt(t.name)
-		out, err := t.run(tierCtx)
-		if err == nil && out != nil {
-			sp.AddInt(obs.CounterRows, int64(out.Len()))
-		}
-		sp.SetError(err)
-		sp.End()
-		cancel()
-		attempts = append(attempts, TierAttempt{Tier: t.name, Err: err})
-		if err == nil {
-			e.tierEst(t.name).Observe(time.Since(start))
-			obs.Tiers.Serve(t.name, len(attempts) > 1)
-			return out, t.name, attempts, nil
-		}
-		if ctx != nil && ctx.Err() != nil {
-			// The request's own clock ran out (a tier burning only its
-			// share falls through to the next tier instead).
-			return nil, "", attempts, err
-		}
-	}
-	last := attempts[len(attempts)-1].Err
-	return nil, "", attempts, fmt.Errorf("engine: all evaluation tiers failed: %w", last)
-}
-
-// evalVM serves one request through the vectorized evaluator: lazily
-// compile the plan's oblivious circuit into a vm.Program (once per
-// cache entry, under a vm-compile span), pack the database into input
-// words, evaluate — coalesced with concurrent same-fingerprint
-// requests into one lock-step batch when batching is configured — and
-// decode the output words back into a relation.
-func (e *shard) evalVM(ctx context.Context, ent *entry, req Request) (*relation.Relation, error) {
-	prog, err := ent.vmProgram(ctx, e)
-	if err != nil {
-		return nil, err
-	}
-	inputs, err := ent.compiled.PackOblivious(req.DB)
-	if err != nil {
-		return nil, err
-	}
-	var raw []vm.Word
-	if e.batches != nil {
-		raw, err = e.batches.do(ctx, ent.fp, prog, inputs)
-	} else {
-		outs, berr := prog.EvalBatch(ctx, [][]vm.Word{inputs})
-		if berr != nil {
-			err = berr
-		} else {
-			raw = outs[0]
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return ent.compiled.DecodeOblivious(raw)
-}
-
-// renameOutput maps a canonical plan's output columns back to the
-// request's variable names and column order. The circuit computed the
-// canonical query, whose free variables are x<i>; VarMap says which
-// request variable each one is.
-func renameOutput(out *relation.Relation, canon *query.Canonical, reqQ *query.Query) *relation.Relation {
-	if out == nil || reqQ.Free.Empty() {
-		return out
-	}
-	m := make(map[string]string, reqQ.Free.Len())
-	names := make([]string, 0, reqQ.Free.Len())
-	for _, v := range reqQ.Free.Vars() {
-		reqName := reqQ.VarNames[v]
-		m[canon.Query.VarNames[canon.VarMap[v]]] = reqName
-		names = append(names, reqName)
-	}
-	return out.Rename(m).Project(names...)
+	s.Level = e.level()
+	s.EvalP95 = e.evalLat.snapshot().Quantile(0.95)
+	return s
 }
 
 // ctxDone tolerates a nil context (the facade allows it).

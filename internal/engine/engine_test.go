@@ -274,7 +274,7 @@ type queryResult struct {
 	want *relation.Relation
 }
 
-// TestEngineProcessPanicContained: a panic escaping processInner outside
+// TestEngineProcessPanicContained: a panic on the request path outside
 // the per-tier recovers (here: Canonicalize dereferencing a nil Query)
 // must surface as a typed error, never as a zero Result whose nil Err
 // reads as success.

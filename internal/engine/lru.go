@@ -57,7 +57,7 @@ type entry struct {
 // vmProgram returns the entry's vectorized program, compiling it on
 // first use under a vm-compile span. A structural compile failure is
 // sticky for the entry's lifetime — the vm tier then fails fast and the
-// ladder falls through to the interpreted oblivious tier — but a
+// ladder falls through to the next tier — but a
 // failure tied to the requesting context (cancellation, budget) is not,
 // so one impatient caller can't pin the fast path off.
 //
@@ -104,7 +104,6 @@ func vmCost(p *vm.Program) int64 {
 // heals. Not self-locking — the engine's mutex guards all calls.
 type planCache struct {
 	maxGates int64
-	maxPlans int
 	negTTL   time.Duration // 0: negative entries never expire
 	now      func() time.Time
 	entries  map[query.Fingerprint]*entry
@@ -112,10 +111,9 @@ type planCache struct {
 	gates    int64
 }
 
-func newPlanCache(maxGates int64, maxPlans int, negTTL time.Duration) *planCache {
+func newPlanCache(maxGates int64, negTTL time.Duration) *planCache {
 	return &planCache{
 		maxGates: maxGates,
-		maxPlans: maxPlans,
 		negTTL:   negTTL,
 		now:      time.Now,
 		entries:  map[query.Fingerprint]*entry{},
@@ -137,7 +135,9 @@ func (c *planCache) remove(e *entry) {
 
 // get returns the entry and marks it most recently used. An expired
 // negative entry is dropped and reported as a miss, forcing a
-// recompile.
+// recompile. The engine calls it once per request, at admission (and
+// once more per flight wait on the miss path); the caller then owns the
+// returned entry whatever the cache does next.
 func (c *planCache) get(fp query.Fingerprint) *entry {
 	e, ok := c.entries[fp]
 	if !ok {
@@ -151,17 +151,8 @@ func (c *planCache) get(fp query.Fingerprint) *entry {
 	return e
 }
 
-// peek is get without the recency bump, for admission classification.
-func (c *planCache) peek(fp query.Fingerprint) *entry {
-	e, ok := c.entries[fp]
-	if !ok || c.expired(e) {
-		return nil
-	}
-	return e
-}
-
 // add inserts an entry and evicts least-recently-used entries until the
-// cache is within its gate and plan budgets, returning the evicted
+// cache is within its gate budget, returning the evicted
 // entries (so the owner can write compiled victims back to the plan
 // store after releasing its lock). The newest entry is never evicted,
 // even if it alone exceeds the budget — the request that compiled it
@@ -179,13 +170,9 @@ func (c *planCache) add(e *entry) (evicted []*entry) {
 	e.elem = c.order.PushFront(e)
 	c.entries[e.fp] = e
 	c.gates += e.gates
-	for c.order.Len() > 1 &&
-		((c.maxGates > 0 && c.gates > c.maxGates) || (c.maxPlans > 0 && c.order.Len() > c.maxPlans)) {
-		back := c.order.Back()
-		victim := back.Value.(*entry)
-		c.order.Remove(back)
-		delete(c.entries, victim.fp)
-		c.gates -= victim.gates
+	for c.order.Len() > 1 && c.maxGates > 0 && c.gates > c.maxGates {
+		victim := c.order.Back().Value.(*entry)
+		c.remove(victim)
 		evicted = append(evicted, victim)
 	}
 	return evicted
@@ -206,14 +193,11 @@ func (c *planCache) recharge(e *entry, extra int64) (evicted []*entry) {
 	e.gates += extra
 	c.gates += extra
 	for c.order.Len() > 1 && c.maxGates > 0 && c.gates > c.maxGates {
-		back := c.order.Back()
-		victim := back.Value.(*entry)
+		victim := c.order.Back().Value.(*entry)
 		if victim == e {
 			break
 		}
-		c.order.Remove(back)
-		delete(c.entries, victim.fp)
-		c.gates -= victim.gates
+		c.remove(victim)
 		evicted = append(evicted, victim)
 	}
 	return evicted

@@ -17,7 +17,7 @@ func testEntry(b byte, gates int64) *entry {
 // back under the gate budget — but never the recharged entry itself,
 // and never an entry that was already evicted.
 func TestPlanCacheRecharge(t *testing.T) {
-	c := newPlanCache(100, 0, 0)
+	c := newPlanCache(100, 0)
 	a, b := testEntry(1, 40), testEntry(2, 40)
 	c.add(a)
 	c.add(b) // b is now most recently used; both fit (80 ≤ 100)
@@ -26,10 +26,10 @@ func TestPlanCacheRecharge(t *testing.T) {
 	if n := len(c.recharge(b, 30)); n != 1 {
 		t.Fatalf("recharge evicted %d entries, want 1", n)
 	}
-	if c.peek(a.fp) != nil {
+	if c.entries[a.fp] != nil {
 		t.Fatal("LRU entry survived a recharge past the budget")
 	}
-	if c.peek(b.fp) != b {
+	if c.entries[b.fp] != b {
 		t.Fatal("recharged entry was evicted")
 	}
 	if b.gates != 70 || c.gates != 70 {
@@ -41,8 +41,8 @@ func TestPlanCacheRecharge(t *testing.T) {
 	if n := len(c.recharge(b, 50)); n != 0 {
 		t.Fatalf("sole-entry recharge evicted %d entries", n)
 	}
-	if c.gates != 120 || c.peek(b.fp) != b {
-		t.Fatalf("sole entry: gates=%d present=%v", c.gates, c.peek(b.fp) != nil)
+	if c.gates != 120 || c.entries[b.fp] != b {
+		t.Fatalf("sole entry: gates=%d present=%v", c.gates, c.entries[b.fp] != nil)
 	}
 
 	// Recharging an entry that was evicted in the meantime is a no-op.
@@ -73,7 +73,7 @@ func TestVMProgramChargedToCache(t *testing.T) {
 	canon := mustCanon(t, req)
 	s := e.shardOf(canon.FP)
 	s.mu.Lock()
-	ent := s.cache.peek(canon.FP)
+	ent := s.cache.entries[canon.FP]
 	s.mu.Unlock()
 	if ent == nil {
 		t.Fatal("plan not cached")

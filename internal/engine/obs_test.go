@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"circuitql/internal/obs"
 	"circuitql/internal/query"
@@ -58,7 +59,8 @@ func TestEngineConcurrentServeSpanTrees(t *testing.T) {
 		switch name {
 		case obs.StageServe, obs.StageCompile, obs.StageLPSolve, obs.StageProofSeq,
 			obs.StageRelCirc, obs.StageBoolCirc, obs.StageOptimize, obs.StageBitblast,
-			obs.StageRelEval, obs.StageBoolEval, obs.StageVMComp, obs.StageVMEval:
+			obs.StageRelEval, obs.StageBoolEval, obs.StageVMComp, obs.StageVMEval,
+			obs.StageAdmit, obs.StagePack, obs.StageDecode:
 			return true
 		}
 		return strings.HasPrefix(name, obs.StageTier)
@@ -104,5 +106,54 @@ func TestEngineConcurrentServeSpanTrees(t *testing.T) {
 			t.Fatal("serve span recorded no tier attempt child")
 		}
 		walk(root, root)
+	}
+}
+
+// spanTree renders a span tree as nested names, children in start
+// order: "serve{admission tier/vm{pack vm-eval decode}}".
+func spanTree(s *obs.Span) string {
+	out := s.Name
+	if cs := s.Children(); len(cs) > 0 {
+		names := make([]string, len(cs))
+		for i, c := range cs {
+			names[i] = spanTree(c)
+		}
+		out += "{" + strings.Join(names, " ") + "}"
+	}
+	return out
+}
+
+// TestEngineHitSpanTree: a cache hit records one span per step of the
+// hit path and nothing else — no compile, no cache or store stage — and
+// the steps account for the request: each child lies inside the serve
+// span, which begins at enqueue.
+func TestEngineHitSpanTree(t *testing.T) {
+	tracer := obs.NewTracer(4)
+	e := New(Config{Tracer: tracer})
+	defer e.Close()
+	req := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 5, 8)
+	if res := e.Serve(context.Background(), req); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	res := e.Serve(context.Background(), req)
+	if res.Err != nil || !res.CacheHit || res.Tier != TierVM {
+		t.Fatalf("warm serve: err=%v hit=%v tier=%q", res.Err, res.CacheHit, res.Tier)
+	}
+
+	root := tracer.Last(1)[0]
+	const want = "serve{admission tier/vm{pack vm-eval decode}}"
+	if got := spanTree(root); got != want {
+		t.Fatalf("hit span tree = %s, want %s", got, want)
+	}
+	end := root.Start.Add(root.Duration())
+	var sum time.Duration
+	for _, c := range root.Children() {
+		if c.Start.Before(root.Start) || c.Start.Add(c.Duration()).After(end) {
+			t.Fatalf("%s [%v +%v] lies outside serve [%v +%v]", c.Name, c.Start, c.Duration(), root.Start, root.Duration())
+		}
+		sum += c.Duration()
+	}
+	if sum > root.Duration() {
+		t.Fatalf("children sum to %v, more than serve's %v", sum, root.Duration())
 	}
 }

@@ -524,10 +524,10 @@ func TestEngineDeadlineSkipsDoomedTier(t *testing.T) {
 	// tier cheap, then hand in a deadline that only fits the RAM tier.
 	// (Repeated observations swamp whatever the warm serve recorded.)
 	for i := 0; i < 16; i++ {
-		e.shards[0].estVM.Observe(10 * time.Second)
-		e.shards[0].estRel.Observe(10 * time.Second)
+		e.shards[0].estTier[tierVM].Observe(10 * time.Second)
+		e.shards[0].estTier[tierRel].Observe(10 * time.Second)
 	}
-	e.shards[0].estRAM.Observe(time.Microsecond)
+	e.shards[0].estTier[tierRAM].Observe(time.Microsecond)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
@@ -553,52 +553,119 @@ func TestEngineDeadlineSkipsDoomedTier(t *testing.T) {
 	}
 }
 
-// TestEngineRerouteOnEvictedPlan: under a shedding policy, a request
-// classified onto the hit lane whose plan is evicted before processing
-// is re-queued onto the miss lane (counted as a reroute) and still
-// answered correctly.
-func TestEngineRerouteOnEvictedPlan(t *testing.T) {
-	e := New(Config{Workers: 1, MissWorkers: 1, ShedPolicy: ShedOnFull})
-	defer e.Close()
-	req := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 71, 10)
-	if res := e.Serve(context.Background(), req); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	canon := mustCanon(t, req)
-
-	// Park the hit worker so the classified-as-hit job sits queued while
-	// we evict its plan.
+// parkHitWorker warms a small plan and submits it again under a context
+// whose first Err() poll blocks, pinning the engine's single hit worker
+// inside process() until release is called; hit-lane jobs submitted
+// meanwhile sit queued, holding the entry admission gave them.
+func parkHitWorker(t *testing.T, e *Engine, seed int64) (release func()) {
+	t.Helper()
 	gate := make(chan struct{})
-	gateReq := mkReq(t, "Q(A,B) :- R(A,B), S(A,B)", 72, 8)
+	gateReq := mkReq(t, "Q(A,B) :- R(A,B), S(A,B)", seed, 8)
 	if res := e.Serve(context.Background(), gateReq); res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	gateCtx := &gateContext{Context: context.Background(), gate: gate}
-	gateOut := e.Submit(gateCtx, gateReq) // hit lane; blocks in Poll via gate
+	out := e.Submit(&gateContext{Context: context.Background(), gate: gate}, gateReq)
+	return func() {
+		close(gate)
+		if res := <-out; res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+}
 
-	out := e.Submit(context.Background(), req) // classified hit, queued behind the gate
+// TestEngineQueuedHitKeepsEvictedPlan: a request admitted onto the hit
+// lane owns the plan it was admitted with. Evicting that plan from the
+// cache before a worker picks the job up changes nothing for it: it is
+// answered from the entry it holds — a cache hit on the vm tier, no
+// compile, nothing shed.
+func TestEngineQueuedHitKeepsEvictedPlan(t *testing.T) {
+	e := New(Config{Workers: 1, MissWorkers: 1, ShedPolicy: ShedOnFull})
+	defer e.Close()
+	req := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 71, 10)
+	want := e.Serve(context.Background(), req)
+	if want.Err != nil {
+		t.Fatal(want.Err)
+	}
+	canon := mustCanon(t, req)
+	release := parkHitWorker(t, e, 72)
+	compiles := e.Metrics().Compiles
+
+	out := e.Submit(context.Background(), req) // holds the plan, queued behind the gate
 	s := e.shardOf(canon.FP)
 	s.mu.Lock()
-	ent := s.cache.peek(canon.FP)
+	ent := s.cache.entries[canon.FP]
 	if ent == nil {
 		t.Fatal("plan missing before eviction")
 	}
 	s.cache.remove(ent)
 	s.mu.Unlock()
-	close(gate)
+	release()
 
-	if res := <-gateOut; res.Err != nil {
-		t.Fatal(res.Err)
-	}
 	res := <-out
 	if res.Err != nil {
-		t.Fatalf("rerouted request failed: %v", res.Err)
+		t.Fatalf("queued hit failed after its plan was evicted: %v", res.Err)
 	}
-	if res.CacheHit {
-		t.Fatal("rerouted request reported a cache hit")
+	if !res.CacheHit || res.Tier != TierVM {
+		t.Fatalf("hit=%v tier=%q, want a vm-tier cache hit from the held entry", res.CacheHit, res.Tier)
 	}
-	if s := e.QoS(); s.Rerouted != 1 {
-		t.Fatalf("rerouted=%d, want 1", s.Rerouted)
+	if !res.Output.Equal(want.Output) {
+		t.Fatal("answer from the held entry differs from the cached serve")
+	}
+	if m := e.Metrics(); m.Compiles != compiles {
+		t.Fatalf("compiles went %d → %d; the held plan must not be recompiled", compiles, m.Compiles)
+	}
+	if q := e.QoS(); q.TotalShed() != 0 {
+		t.Fatalf("shed = %v, want none", q.Shed)
+	}
+}
+
+// TestEngineQueuedHitKeepsExpiredNegativeEntry is the negative-entry
+// twin: a queued request holding a RAM-pinned entry whose NegativeTTL
+// lapses before pickup is still answered by the RAM tier, with the
+// pinned reason as a typed attempt; the next request finds the entry
+// expired and recompiles.
+func TestEngineQueuedHitKeepsExpiredNegativeEntry(t *testing.T) {
+	e := New(Config{Workers: 1, MissWorkers: 1, ShedPolicy: ShedOnFull, NegativeTTL: time.Minute})
+	defer e.Close()
+	var clock atomic.Int64
+	clock.Store(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano())
+	s := e.shards[0]
+	s.mu.Lock()
+	s.cache.now = func() time.Time { return time.Unix(0, clock.Load()) }
+	s.mu.Unlock()
+
+	req := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 73, 10)
+	canon := mustCanon(t, req)
+	s.mu.Lock()
+	s.cache.add(&entry{fp: canon.FP, canon: canon,
+		compileErr: guard.Invalidf("test: transiently misclassified"), gates: 1})
+	s.mu.Unlock()
+	release := parkHitWorker(t, e, 74)
+	compiles := e.Metrics().Compiles
+
+	out := e.Submit(context.Background(), req) // holds the negative entry
+	clock.Add(int64(time.Minute) + 1)          // TTL lapses while it is queued
+	release()
+
+	res := <-out
+	if res.Err != nil || !res.CacheHit || res.Tier != TierRAM {
+		t.Fatalf("err=%v hit=%v tier=%q, want a RAM-tier hit from the held entry", res.Err, res.CacheHit, res.Tier)
+	}
+	if len(res.Attempts) != 2 || res.Attempts[0].Tier != TierVM ||
+		!errors.Is(res.Attempts[0].Err, guard.ErrInvalidInput) ||
+		res.Attempts[1].Tier != TierRAM || res.Attempts[1].Err != nil {
+		t.Fatalf("attempts = %v, want typed vm pin reason then RAM served", res.Attempts)
+	}
+	if m := e.Metrics(); m.Compiles != compiles {
+		t.Fatalf("compiles went %d → %d before the expired entry was looked up again", compiles, m.Compiles)
+	}
+
+	res = e.Serve(context.Background(), req)
+	if res.Err != nil || res.CacheHit || res.Tier != TierVM {
+		t.Fatalf("next request: err=%v hit=%v tier=%q, want a recompiled vm serve", res.Err, res.CacheHit, res.Tier)
+	}
+	if m := e.Metrics(); m.Compiles != compiles+1 {
+		t.Fatalf("next request: compiles=%d, want %d", m.Compiles, compiles+1)
 	}
 }
 

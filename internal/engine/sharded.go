@@ -63,7 +63,7 @@ func spread(total, n, i int) int {
 
 // shardSlice derives shard i's configuration from the already-defaulted
 // engine-wide configuration: worker counts and queue depths spread
-// their totals, cache budgets divide evenly, and everything else is
+// their totals, the cache budget divides evenly, and everything else is
 // inherited.
 func (c Config) shardSlice(i, n int) Config {
 	if n <= 1 {
@@ -79,12 +79,6 @@ func (c Config) shardSlice(i, n int) Config {
 		sc.MaxCacheGates = c.MaxCacheGates / int64(n)
 		if sc.MaxCacheGates < 1 {
 			sc.MaxCacheGates = 1
-		}
-	}
-	if c.MaxPlans > 0 {
-		sc.MaxPlans = c.MaxPlans / n
-		if sc.MaxPlans < 1 {
-			sc.MaxPlans = 1
 		}
 	}
 	return sc

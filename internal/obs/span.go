@@ -36,7 +36,7 @@ import (
 // tier attempts nest under StageEvaluate; an engine request is a
 // StageServe root spanning both.
 const (
-	StageServe    = "serve"            // one engine request (compile wait + evaluate)
+	StageServe    = "serve"            // one engine request (admission + compile wait + evaluate)
 	StageCompile  = "compile"          // core.CompileQueryCtx end to end
 	StageLPSolve  = "lp-solve"         // Shannon-flow bound derivation (exact LPs)
 	StageProofSeq = "proofseq"         // proof-sequence search
@@ -52,6 +52,9 @@ const (
 	StageVMEval   = "vm-eval"          // one batched vm evaluation (one span per batch)
 	StageStore    = "store-load"       // plan-store read + decode on a cache miss
 	StageTier     = "tier/"            // + tier name: one tier attempt of the ladder
+	StageAdmit    = "admission"        // enqueue → worker pickup (the lane queue wait)
+	StagePack     = "pack"             // database → vm input words
+	StageDecode   = "decode"           // vm output words → relation
 )
 
 // Canonical counter keys. A span's integer counters sum across

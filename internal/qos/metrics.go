@@ -19,10 +19,6 @@ const (
 	// ShedPriority: the degradation ladder was at LevelCritical and the
 	// request's priority was below normal.
 	ShedPriority
-	// ShedReroute: a hit-classified request turned out to need a
-	// compile (its plan was evicted or expired between classification
-	// and processing) and the miss lane was full.
-	ShedReroute
 	// ShedDraining: the engine was shutting down. Under a shedding
 	// policy a draining replica rejects new work with a typed overload
 	// error — "retry elsewhere" — rather than an input error.
@@ -37,8 +33,6 @@ func (r ShedReason) String() string {
 		return "queue_full"
 	case ShedPriority:
 		return "priority"
-	case ShedReroute:
-		return "reroute"
 	case ShedDraining:
 		return "draining"
 	}
@@ -139,14 +133,13 @@ func batchBucket(size int) int {
 }
 
 // Ledger counts admission and degradation decisions, lock-free. Every
-// request is counted exactly once as admitted or shed at submission;
-// reroutes and per-stage deadline failures are counted as they happen,
-// so the exposed counters reconcile exactly with client-observed
-// outcomes (the soak harness asserts this).
+// request is counted exactly once, as admitted or shed, at submission
+// (admitted + shed == submissions); per-stage deadline failures are
+// counted as they happen, so the exposed counters reconcile exactly
+// with client-observed outcomes (the soak harness asserts this).
 type Ledger struct {
 	admitted [NumLanes]atomic.Int64
 	shed     [NumLanes][numShedReasons]atomic.Int64
-	rerouted atomic.Int64
 	deadline [numDeadlineStages]atomic.Int64
 	degraded [numDegradeActions]atomic.Int64
 
@@ -160,10 +153,6 @@ func (l *Ledger) Admit(lane Lane) { l.admitted[lane].Add(1) }
 
 // Shed counts one request rejected from lane for reason.
 func (l *Ledger) Shed(lane Lane, reason ShedReason) { l.shed[lane][reason].Add(1) }
-
-// Reroute counts one hit-classified request re-queued onto the miss
-// lane after its plan disappeared.
-func (l *Ledger) Reroute() { l.rerouted.Add(1) }
 
 // Deadline counts one request whose deadline expired at stage.
 func (l *Ledger) Deadline(stage DeadlineStage) { l.deadline[stage].Add(1) }
@@ -194,9 +183,8 @@ type LaneStats struct {
 type Snapshot struct {
 	Admitted map[string]int64            // by lane
 	Shed     map[string]map[string]int64 // by lane, then reason
-	Rerouted int64
-	Deadline map[string]int64 // by stage
-	Degraded map[string]int64 // by action
+	Deadline map[string]int64            // by stage
+	Degraded map[string]int64            // by action
 	Lanes    []LaneStats
 	Level    Level
 	EvalP95  time.Duration
@@ -243,7 +231,6 @@ func Merge(snaps ...Snapshot) Snapshot {
 		for a, v := range s.Degraded {
 			m.Degraded[a] += v
 		}
-		m.Rerouted += s.Rerouted
 		m.Batches += s.Batches
 		m.BatchedRequests += s.BatchedRequests
 		for i, v := range s.BatchSizes {
@@ -308,7 +295,6 @@ func (l *Ledger) Snapshot() Snapshot {
 		Shed:            make(map[string]map[string]int64, NumLanes),
 		Deadline:        make(map[string]int64, numDeadlineStages),
 		Degraded:        make(map[string]int64, numDegradeActions),
-		Rerouted:        l.rerouted.Load(),
 		Batches:         l.batches.Load(),
 		BatchedRequests: l.batchedReqs.Load(),
 	}
@@ -345,9 +331,6 @@ func (s Snapshot) Families() []obs.Family {
 		Help: "Requests whose deadline expired, by pipeline stage.", Type: obs.TypeCounter}
 	degraded := obs.Family{Name: "circuitql_qos_degraded_total",
 		Help: "Degradation-ladder measures taken, by action.", Type: obs.TypeCounter}
-	rerouted := obs.Family{Name: "circuitql_qos_rerouted_total",
-		Help: "Hit-classified requests re-queued onto the miss lane.", Type: obs.TypeCounter,
-		Samples: []obs.Sample{{Value: float64(s.Rerouted)}}}
 	queue := obs.Family{Name: "circuitql_qos_lane_queue", Help: "Requests queued per admission lane.", Type: obs.TypeGauge}
 	depth := obs.Family{Name: "circuitql_qos_lane_queue_capacity", Help: "Queue capacity per admission lane.", Type: obs.TypeGauge}
 	inflight := obs.Family{Name: "circuitql_qos_lane_in_flight", Help: "Requests being processed per admission lane.", Type: obs.TypeGauge}
@@ -398,5 +381,5 @@ func (s Snapshot) Families() []obs.Family {
 		depth.Samples = append(depth.Samples, obs.Sample{Labels: lbl, Value: float64(ls.Depth)})
 		inflight.Samples = append(inflight.Samples, obs.Sample{Labels: lbl, Value: float64(ls.InFlight)})
 	}
-	return []obs.Family{admitted, shed, rerouted, deadline, degraded, batches, batchedReqs, batchSizes, queue, depth, inflight, level}
+	return []obs.Family{admitted, shed, deadline, degraded, batches, batchedReqs, batchSizes, queue, depth, inflight, level}
 }

@@ -44,8 +44,8 @@ type Lane int
 
 // Admission lanes, cheap first.
 const (
-	// LaneHit: a cached plan is expected; the request should only pay
-	// evaluation.
+	// LaneHit: the request holds a cached plan (found at admission); it
+	// only pays evaluation.
 	LaneHit Lane = iota
 	// LaneMiss: a compile (or a wait on someone else's compile) is
 	// expected.

@@ -157,7 +157,6 @@ func TestLedgerSnapshotAndFamilies(t *testing.T) {
 	l.Admit(LaneMiss)
 	l.Shed(LaneMiss, ShedQueueFull)
 	l.Shed(LaneHit, ShedPriority)
-	l.Reroute()
 	l.Deadline(StageQueued)
 	l.Deadline(StageOblivious)
 	l.Degrade(DegradeNoOpt)
@@ -172,7 +171,7 @@ func TestLedgerSnapshotAndFamilies(t *testing.T) {
 	if s.Shed["miss"]["queue_full"] != 1 || s.Shed["hit"]["priority"] != 1 {
 		t.Fatalf("shed = %v", s.Shed)
 	}
-	if s.Rerouted != 1 || s.Deadline["queued"] != 1 || s.Deadline["oblivious"] != 1 || s.Degraded["noopt"] != 1 {
+	if s.Deadline["queued"] != 1 || s.Deadline["oblivious"] != 1 || s.Degraded["noopt"] != 1 {
 		t.Fatalf("counters: %+v", s)
 	}
 

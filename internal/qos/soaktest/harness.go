@@ -264,22 +264,13 @@ func Run(cfg Config) (Report, qos.Snapshot, error) {
 }
 
 // Reconcile checks the qos ledger against the client-observed totals:
-// every submission was either admitted to a lane or shed at admission
-// (queue_full, priority, or draining — reroute sheds were admitted
-// first and are excluded). A non-nil error means the books don't
-// balance.
+// every submission was counted once, as admitted to a lane or as shed
+// (queue_full, priority, or draining). A non-nil error means the books
+// don't balance.
 func Reconcile(rep Report, snap qos.Snapshot) error {
-	shedAtAdmission := int64(0)
-	for _, by := range snap.Shed {
-		for reason, v := range by {
-			if reason != qos.ShedReroute.String() {
-				shedAtAdmission += v
-			}
-		}
-	}
-	if got := snap.TotalAdmitted() + shedAtAdmission; got != rep.Submitted {
-		return fmt.Errorf("ledger reconcile: admitted %d + shed-at-admission %d = %d, clients submitted %d",
-			snap.TotalAdmitted(), shedAtAdmission, got, rep.Submitted)
+	if got := snap.TotalAdmitted() + snap.TotalShed(); got != rep.Submitted {
+		return fmt.Errorf("ledger reconcile: admitted %d + shed %d = %d, clients submitted %d",
+			snap.TotalAdmitted(), snap.TotalShed(), got, rep.Submitted)
 	}
 	sum := rep.Served + rep.Overloaded + rep.Deadline + rep.Budget +
 		rep.Canceled + rep.Invalid + rep.Internal + rep.Injected + int64(len(rep.Untyped))

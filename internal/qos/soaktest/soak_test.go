@@ -41,7 +41,7 @@ func TestSoakChaos(t *testing.T) {
 			MissQueueDepth: 4,
 			ShedPolicy:     engine.ShedAdaptive,
 			NegativeTTL:    100 * time.Millisecond,
-			MaxCacheGates:  1 << 20, // small enough to force evictions/reroutes
+			MaxCacheGates:  1 << 20, // small enough to force evictions
 		},
 	})
 	if err != nil {

@@ -22,6 +22,7 @@ import (
 
 	"circuitql/internal/bound"
 	"circuitql/internal/core"
+	"circuitql/internal/engine"
 	"circuitql/internal/ghd"
 	"circuitql/internal/guard"
 	"circuitql/internal/obs"
@@ -193,22 +194,21 @@ func PolymatroidBoundCtx(ctx context.Context, q *Query, dcs DCSet) (r *big.Rat, 
 	return res.LogValue, nil
 }
 
-// Evaluation tier names, in degradation order. TierVM is the engine's
-// vectorized fast path (ServeResult.Tier); EvaluateResilient's own
-// ladder starts at the oblivious tier.
+// Evaluation tier names, in degradation order — the engine's
+// vocabulary. TierVM is the engine's vectorized fast path
+// (ServeResult.Tier); EvaluateResilient's own ladder starts at the
+// oblivious tier, which only the facade has.
 const (
-	TierVM         = "vm"
+	TierVM         = engine.TierVM
 	TierOblivious  = "oblivious"
-	TierRelational = "relational"
-	TierRAM        = "ram"
+	TierRelational = engine.TierRelational
+	TierRAM        = engine.TierRAM
 )
 
-// TierAttempt records one tier's outcome during EvaluateResilient: its
-// name and the error that made it fail (nil for the tier that served).
-type TierAttempt struct {
-	Tier string
-	Err  error
-}
+// TierAttempt records one tier's outcome, in a TierReport or a
+// ServeResult: its name and the error that made it fail (nil for the
+// tier that served).
+type TierAttempt = engine.TierAttempt
 
 // TierReport explains how EvaluateResilient produced its answer: which
 // tier served the result and why every earlier tier was rejected.

@@ -21,6 +21,16 @@
 //     relational circuit, then to the RAM evaluator;
 //   - independent requests fan out across a bounded worker pool.
 //
+// Everything admission derives before it touches a shard — the canonical
+// form, its fingerprint (the cache key and the shard route) and the
+// output rename plan — is a function of (Query, DCs) alone, as the
+// circuit is. Prepare computes it once and returns the request carrying
+// it; Submit uses that memo when the request still holds the very Query
+// and DCs it was made from, and canonicalizes as it always did
+// otherwise. Either way the job carries one *prepared, so nothing after
+// admission knows which it was. The database check (ValidateDB) is not
+// a function of the pair and runs on every request.
+//
 // A request takes one of two paths, both readable top to bottom in this
 // file. Admission (enqueue) looks the plan up once, under the shard
 // lock it already takes to read closed, and the job carries what it
@@ -60,6 +70,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -258,6 +269,81 @@ type Request struct {
 	Query *query.Query
 	DCs   query.DCSet
 	DB    query.Database
+
+	// prep is Prepare's memo of what (Query, DCs) determine; nil on a
+	// plain request. Unexported, so a caller cannot pair a request with
+	// another query's canonical form.
+	prep *prepared
+}
+
+// prepared is everything the engine derives from a request's (Query,
+// DCs) pair alone — the paper's circuit is a function of that pair, and
+// so is all of admission up to the database check. It is shared by
+// every request carrying it and never written after prepare returns.
+type prepared struct {
+	// The pair this was derived from. Submit trusts the memo only for a
+	// request still holding these very values (of).
+	query *query.Query
+	dcs   query.DCSet
+
+	// canon is the canonical form — its FP is the plan-cache key and the
+	// shard route — or nil with err the typed canonicalization failure.
+	canon *query.Canonical
+	err   error
+
+	// The output rename plan: canonical column → request variable name,
+	// and the request's free variables in projection order.
+	rename map[string]string
+	names  []string
+}
+
+// Prepare returns req carrying everything the engine derives from
+// (Query, DCs) alone: the canonical form and fingerprint (or the typed
+// error canonicalization fails with) and the output rename plan. Submit
+// then skips that work for every request made from the returned value —
+// with any DB — as long as Query and DCs are left as they are; a request
+// whose Query or DCs was replaced afterwards is served as a plain one.
+// The query and constraints must not be mutated after Prepare.
+func Prepare(req Request) Request {
+	req.prep = prepare(req)
+	return req
+}
+
+// prepare canonicalizes the pair and builds the rename plan.
+func prepare(req Request) *prepared {
+	p := &prepared{query: req.Query, dcs: req.DCs}
+	if p.canon, p.err = canonicalize(req); p.err != nil {
+		return p
+	}
+	// The circuit computes the canonical query, whose free variables are
+	// x<i>; VarMap says which request variable each one is.
+	q := req.Query
+	p.rename = make(map[string]string, q.Free.Len())
+	p.names = make([]string, 0, q.Free.Len())
+	for _, v := range q.Free.Vars() {
+		p.rename[p.canon.Query.VarNames[p.canon.VarMap[v]]] = q.VarNames[v]
+		p.names = append(p.names, q.VarNames[v])
+	}
+	return p
+}
+
+// canonicalize contains query.Canonicalize: a nil Query panics inside
+// it, and the panic surfaces as the request's typed error.
+func canonicalize(req Request) (c *query.Canonical, err error) {
+	defer guard.Recover(&err)
+	c, err = query.Canonicalize(req.Query, req.DCs)
+	if err != nil {
+		err = guard.Invalidf("engine: %v", err)
+	}
+	return c, err
+}
+
+// of reports whether p was derived from req's own Query and DCs: the
+// same query pointer and the same constraint slice (length and backing
+// array), not merely equal ones.
+func (p *prepared) of(req Request) bool {
+	return p != nil && p.query == req.Query && len(p.dcs) == len(req.DCs) &&
+		(len(p.dcs) == 0 || &p.dcs[0] == &req.DCs[0])
 }
 
 // TierAttempt records one tier's outcome (nil error for the tier that
@@ -331,11 +417,11 @@ type shard struct {
 type job struct {
 	ctx      context.Context
 	req      Request
-	canon    *query.Canonical
-	canonErr error
+	prep     *prepared // the request's own memo, or what Submit derived
 	ent      *entry
 	lane     qos.Lane
-	enqueued time.Time // set only when the engine traces; starts the admission span
+	enqueued time.Time     // set only when the engine traces; starts the admission span
+	canonDur time.Duration // what Submit spent canonicalizing; 0 when the memo served
 	out      chan Result
 }
 
@@ -380,7 +466,7 @@ func (e *shard) worker(jobs chan *job, lane qos.Lane) {
 	}
 }
 
-// --- Admission: Submit → canonicalize → enqueue -------------------------
+// --- Admission: Submit → memo check (else canonicalize) → enqueue --------
 
 // ladderOn reports whether the degradation ladder is active.
 func (e *shard) ladderOn() bool { return e.cfg.Policy != (qos.Policy{}) }
@@ -415,18 +501,6 @@ func (e *shard) retryAfter(lane qos.Lane) time.Duration {
 	return qos.RetryAfter(queued, workers, e.estServe[lane].Estimate())
 }
 
-// canonicalize is the first step of Submit. A nil Query panics inside
-// query.Canonicalize; the panic is contained here and surfaces as the
-// request's typed error.
-func canonicalize(req Request) (c *query.Canonical, err error) {
-	defer guard.Recover(&err)
-	c, err = query.Canonicalize(req.Query, req.DCs)
-	if err != nil {
-		err = guard.Invalidf("engine: %v", err)
-	}
-	return c, err
-}
-
 // admit counts an accepted request.
 func (e *shard) admit(lane qos.Lane) {
 	e.ledger.Admit(lane)
@@ -455,8 +529,8 @@ func (e *shard) enqueue(j *job) {
 	}
 	e.mu.Lock()
 	closed := e.closed
-	if !closed && j.canonErr == nil {
-		j.ent = e.cache.get(j.canon.FP)
+	if !closed && j.prep.err == nil {
+		j.ent = e.cache.get(j.prep.canon.FP)
 	}
 	e.mu.Unlock()
 	if closed {
@@ -471,7 +545,7 @@ func (e *shard) enqueue(j *job) {
 		return
 	}
 	lane, jobs := qos.LaneMiss, e.jobsMiss
-	if j.ent != nil || j.canonErr != nil {
+	if j.ent != nil || j.prep.err != nil {
 		lane, jobs = qos.LaneHit, e.jobsHit
 	}
 	j.lane = lane
@@ -516,9 +590,17 @@ func (e *shard) process(j *job) (res Result) {
 	}
 	ctx, sp := obs.StartSpan(ctx, obs.StageServe)
 	if sp != nil && !j.enqueued.IsZero() {
-		// The traced request began at enqueue; what it spent queued
-		// behind the lane is the admission span.
-		sp.Start = j.enqueued
+		// The traced request began when Submit did: canonicalization, if
+		// Submit had to do it, ended at enqueue, and what the job then
+		// spent queued behind the lane is the admission span. A span ends
+		// when End is called, so canonicalize is placed to end now; its
+		// duration is the measured one.
+		sp.Start = j.enqueued.Add(-j.canonDur)
+		if j.canonDur > 0 {
+			_, can := obs.StartSpan(ctx, obs.StageCanon)
+			can.Start = time.Now().Add(-j.canonDur)
+			can.End()
+		}
 		_, adm := obs.StartSpan(ctx, obs.StageAdmit)
 		adm.Start = j.enqueued
 		adm.End()
@@ -531,17 +613,18 @@ func (e *shard) process(j *job) (res Result) {
 	if res.Err = guard.Poll(ctx); res.Err != nil {
 		return res
 	}
-	if res.Err = j.canonErr; res.Err != nil {
+	if res.Err = j.prep.err; res.Err != nil {
 		return res
 	}
-	res.Fingerprint = j.canon.FP
+	canon := j.prep.canon
+	res.Fingerprint = canon.FP
 
 	ent := j.ent
 	res.CacheHit = ent != nil
 	if ent == nil {
 		stage = qos.StageCompile
 		start := time.Now()
-		ent, res.CacheHit, res.Err = e.acquire(ctx, j.canon)
+		ent, res.CacheHit, res.Err = e.acquire(ctx, canon)
 		if res.Err != nil {
 			return res
 		}
@@ -572,6 +655,7 @@ func (e *shard) finish(j *job, sp *obs.Span, stage *qos.DeadlineStage, res *Resu
 	}
 	sp.SetTag("fingerprint", res.Fingerprint.Short())
 	sp.SetTag("lane", j.lane.String())
+	sp.SetTag("prepared", strconv.FormatBool(j.prep == j.req.prep))
 	if res.CacheHit {
 		sp.SetTag("cache", "hit")
 	} else {
@@ -593,7 +677,11 @@ func (e *shard) finish(j *job, sp *obs.Span, stage *qos.DeadlineStage, res *Resu
 // first vm evaluation).
 func (e *shard) answer(ctx context.Context, ent *entry, j *job, stage *qos.DeadlineStage, res *Result) {
 	req := j.req
-	if res.Err = query.ValidateDB(req.Query, req.DCs, req.DB); res.Err != nil {
+	_, sp := obs.StartSpan(ctx, obs.StageValidate)
+	res.Err = query.ValidateDB(req.Query, req.DCs, req.DB)
+	sp.SetError(res.Err)
+	sp.End()
+	if res.Err != nil {
 		return
 	}
 	start := time.Now()
@@ -610,7 +698,9 @@ func (e *shard) answer(ctx context.Context, ent *entry, j *job, stage *qos.Deadl
 	if t != tierRAM {
 		// The circuits computed the canonical query; RAM ran the
 		// request's own.
-		out = renameOutput(out, j.canon, req.Query)
+		_, sp := obs.StartSpan(ctx, obs.StageRename)
+		out = renameOutput(out, j.prep)
+		sp.End()
 	}
 	res.Output = out
 }
@@ -726,21 +816,12 @@ func (e *shard) evalVM(ctx context.Context, ent *entry, req Request) (*relation.
 }
 
 // renameOutput maps a canonical plan's output columns back to the
-// request's variable names and column order. The circuit computed the
-// canonical query, whose free variables are x<i>; VarMap says which
-// request variable each one is.
-func renameOutput(out *relation.Relation, canon *query.Canonical, reqQ *query.Query) *relation.Relation {
-	if out == nil || reqQ.Free.Empty() {
+// request's variable names and column order, by the plan prepare built.
+func renameOutput(out *relation.Relation, p *prepared) *relation.Relation {
+	if out == nil || len(p.names) == 0 {
 		return out
 	}
-	m := make(map[string]string, reqQ.Free.Len())
-	names := make([]string, 0, reqQ.Free.Len())
-	for _, v := range reqQ.Free.Vars() {
-		reqName := reqQ.VarNames[v]
-		m[canon.Query.VarNames[canon.VarMap[v]]] = reqName
-		names = append(names, reqName)
-	}
-	return out.Rename(m).Project(names...)
+	return out.Rename(p.rename).Project(p.names...)
 }
 
 // --- Miss path: cache re-check → flight → store load → compile → persist

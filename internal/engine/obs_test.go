@@ -60,7 +60,8 @@ func TestEngineConcurrentServeSpanTrees(t *testing.T) {
 		case obs.StageServe, obs.StageCompile, obs.StageLPSolve, obs.StageProofSeq,
 			obs.StageRelCirc, obs.StageBoolCirc, obs.StageOptimize, obs.StageBitblast,
 			obs.StageRelEval, obs.StageBoolEval, obs.StageVMComp, obs.StageVMEval,
-			obs.StageAdmit, obs.StagePack, obs.StageDecode:
+			obs.StageCanon, obs.StageAdmit, obs.StageValidate, obs.StagePack,
+			obs.StageDecode, obs.StageRename:
 			return true
 		}
 		return strings.HasPrefix(name, obs.StageTier)
@@ -126,34 +127,55 @@ func spanTree(s *obs.Span) string {
 // TestEngineHitSpanTree: a cache hit records one span per step of the
 // hit path and nothing else — no compile, no cache or store stage — and
 // the steps account for the request: each child lies inside the serve
-// span, which begins at enqueue.
+// span, which begins when Submit did. A prepared request has no
+// canonicalize step; a plain one has it first, and the serve span's
+// prepared tag says which it was.
 func TestEngineHitSpanTree(t *testing.T) {
 	tracer := obs.NewTracer(4)
 	e := New(Config{Tracer: tracer})
 	defer e.Close()
-	req := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 5, 8)
-	if res := e.Serve(context.Background(), req); res.Err != nil {
+	plain := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 5, 8)
+	if res := e.Serve(context.Background(), plain); res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	res := e.Serve(context.Background(), req)
-	if res.Err != nil || !res.CacheHit || res.Tier != TierVM {
-		t.Fatalf("warm serve: err=%v hit=%v tier=%q", res.Err, res.CacheHit, res.Tier)
-	}
-
-	root := tracer.Last(1)[0]
-	const want = "serve{admission tier/vm{pack vm-eval decode}}"
-	if got := spanTree(root); got != want {
-		t.Fatalf("hit span tree = %s, want %s", got, want)
-	}
-	end := root.Start.Add(root.Duration())
-	var sum time.Duration
-	for _, c := range root.Children() {
-		if c.Start.Before(root.Start) || c.Start.Add(c.Duration()).After(end) {
-			t.Fatalf("%s [%v +%v] lies outside serve [%v +%v]", c.Name, c.Start, c.Duration(), root.Start, root.Duration())
+	for _, c := range []struct {
+		req      Request
+		prepared string
+		want     string
+	}{
+		{Prepare(plain), "true", "serve{admission validate tier/vm{pack vm-eval decode} rename}"},
+		{plain, "false", "serve{canonicalize admission validate tier/vm{pack vm-eval decode} rename}"},
+	} {
+		res := e.Serve(context.Background(), c.req)
+		if res.Err != nil || !res.CacheHit || res.Tier != TierVM {
+			t.Fatalf("warm serve: err=%v hit=%v tier=%q", res.Err, res.CacheHit, res.Tier)
 		}
-		sum += c.Duration()
-	}
-	if sum > root.Duration() {
-		t.Fatalf("children sum to %v, more than serve's %v", sum, root.Duration())
+		root := tracer.Last(1)[0]
+		if got := spanTree(root); got != c.want {
+			t.Fatalf("prepared=%s: hit span tree = %s, want %s", c.prepared, got, c.want)
+		}
+		tag := ""
+		for _, a := range root.Attrs() {
+			if a.Key == "prepared" {
+				tag = a.Str
+			}
+		}
+		if tag != c.prepared {
+			t.Fatalf("serve span prepared tag = %q, want %q", tag, c.prepared)
+		}
+		end := root.Start.Add(root.Duration())
+		var sum time.Duration
+		for _, c := range root.Children() {
+			if c.Start.Before(root.Start) || c.Start.Add(c.Duration()).After(end) {
+				t.Fatalf("%s [%v +%v] lies outside serve [%v +%v]", c.Name, c.Start, c.Duration(), root.Start, root.Duration())
+			}
+			if c.Duration() <= 0 {
+				t.Fatalf("%s has non-positive duration %v", c.Name, c.Duration())
+			}
+			sum += c.Duration()
+		}
+		if sum > root.Duration() {
+			t.Fatalf("children sum to %v, more than serve's %v", sum, root.Duration())
+		}
 	}
 }

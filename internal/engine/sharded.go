@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"circuitql/internal/guard"
 	"circuitql/internal/qos"
@@ -142,23 +143,31 @@ func (e *Engine) shardFor(j *job) *shard {
 	if len(e.shards) == 1 {
 		return e.shards[0]
 	}
-	if j.canonErr != nil {
+	if j.prep.err != nil {
 		return e.shards[e.rr.Add(1)%uint64(len(e.shards))]
 	}
-	return e.shardOf(j.canon.FP)
+	return e.shardOf(j.prep.canon.FP)
 }
 
 // Submit classifies a request into its shard's admission lane and
 // enqueues it, returning a channel that will receive exactly one
-// Result. Under ShedBlock (the default) submission blocks while the
-// lane is full; under ShedOnFull / ShedAdaptive a full lane rejects
-// immediately with a typed *guard.OverloadError carrying a retry-after
-// hint. A canceled context or a closed engine resolves the result
-// immediately with an error.
+// Result. A request made by Prepare and still holding the Query and DCs
+// it was prepared from is admitted on its memo; any other is
+// canonicalized here. Under ShedBlock (the default) submission blocks
+// while the lane is full; under ShedOnFull / ShedAdaptive a full lane
+// rejects immediately with a typed *guard.OverloadError carrying a
+// retry-after hint. A canceled context or a closed engine resolves the
+// result immediately with an error.
 func (e *Engine) Submit(ctx context.Context, req Request) <-chan Result {
 	out := make(chan Result, 1)
-	j := &job{ctx: ctx, req: req, out: out}
-	j.canon, j.canonErr = canonicalize(req)
+	j := &job{ctx: ctx, req: req, out: out, prep: req.prep}
+	if !j.prep.of(req) {
+		// A plain request, or one whose Query or DCs was replaced after
+		// Prepare: derive everything from the pair it holds now.
+		start := time.Now()
+		j.prep = prepare(req)
+		j.canonDur = time.Since(start)
+	}
 	e.shardFor(j).enqueue(j)
 	return out
 }

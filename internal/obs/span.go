@@ -52,9 +52,12 @@ const (
 	StageVMEval   = "vm-eval"          // one batched vm evaluation (one span per batch)
 	StageStore    = "store-load"       // plan-store read + decode on a cache miss
 	StageTier     = "tier/"            // + tier name: one tier attempt of the ladder
+	StageCanon    = "canonicalize"     // query.Canonicalize in Submit; absent on a prepared request
 	StageAdmit    = "admission"        // enqueue → worker pickup (the lane queue wait)
+	StageValidate = "validate"         // query.ValidateDB: the database against the request's DCs
 	StagePack     = "pack"             // database → vm input words
 	StageDecode   = "decode"           // vm output words → relation
+	StageRename   = "rename"           // canonical output columns → the request's names and order
 )
 
 // Canonical counter keys. A span's integer counters sum across

@@ -36,6 +36,11 @@ import (
 // fingerprint without changing the plan's cost — callers mint unlimited
 // distinct compile-miss work from one template at a bounded compile
 // price.
+//
+// Requests built with an even seed are prepared (engine.Prepare), those
+// with an odd seed plain, so a run over consecutive seeds — Shapes, the
+// load harness — drives both admission forms through the same faults,
+// evictions and shutdown, reproducibly.
 func MakeRequest(src string, seed int64, n, salt int) (engine.Request, error) {
 	q, err := query.Parse(src)
 	if err != nil {
@@ -53,7 +58,11 @@ func MakeRequest(src string, seed int64, n, salt int) (engine.Request, error) {
 		}
 		dcs = append(dcs, extra...)
 	}
-	return engine.Request{Query: q, DCs: dcs, DB: db}, nil
+	req := engine.Request{Query: q, DCs: dcs, DB: db}
+	if seed%2 == 0 {
+		req = engine.Prepare(req)
+	}
+	return req, nil
 }
 
 // templates mixes compilable full queries with a non-full shape that

@@ -5,9 +5,12 @@
 package query
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"circuitql/internal/faultinject"
@@ -303,11 +306,17 @@ func EvaluateCtx(ctx context.Context, q *Query, db Database) (*relation.Relation
 // instance must conform — cardinality constraints bound |R_F| and
 // degree constraints bound the observed degrees. Violations surface as
 // guard.ErrInvalidInput with a description of the offending relation.
+//
+// It runs on every served request, so it reads the stored relations in
+// place: only an atom with a repeated variable (R(A,A)), whose relation
+// is the selected and collapsed one, is materialized by AtomRelation.
 func ValidateDB(q *Query, dcs DCSet, db Database) error {
 	if err := q.Validate(); err != nil {
 		return guard.Invalidf("query: %v", err)
 	}
-	atomRels := make([]*relation.Relation, len(q.Atoms))
+	// rels[i] holds atom i's tuples with one column per distinct
+	// variable, in order of first occurrence (atomColumn).
+	rels := make([]*relation.Relation, len(q.Atoms))
 	for i, a := range q.Atoms {
 		r, ok := db[a.Name]
 		if !ok {
@@ -317,18 +326,21 @@ func ValidateDB(q *Query, dcs DCSet, db Database) error {
 			return guard.Invalidf("query: relation %q has arity %d, atom %s uses %d variables",
 				a.Name, r.Arity(), a.Name, len(a.Vars))
 		}
-		ar, err := AtomRelation(q, db, a)
-		if err != nil {
-			return guard.Invalidf("query: %v", err)
+		if a.VarSet().Len() != len(a.Vars) {
+			var err error
+			if r, err = AtomRelation(q, db, a); err != nil {
+				return guard.Invalidf("query: %v", err)
+			}
 		}
-		atomRels[i] = ar
+		rels[i] = r
 	}
+	var rows []relation.Tuple // degreeAt's scratch, shared by every check
 	for _, dc := range dcs {
 		for i, a := range q.Atoms {
 			if a.VarSet() != dc.Y {
 				continue
 			}
-			r := atomRels[i]
+			r := rels[i]
 			if dc.IsCardinality() {
 				if float64(r.Len()) > dc.N+1e-9 {
 					return guard.Invalidf("query: relation %q has %d tuples, exceeding compiled cardinality bound %g",
@@ -336,14 +348,70 @@ func ValidateDB(q *Query, dcs DCSet, db Database) error {
 				}
 				continue
 			}
-			on := dc.X.Names(q.VarNames)
-			if got := float64(r.Degree(on...)); got > dc.N+1e-9 {
+			var cols [MaxVars]int
+			on := cols[:0]
+			for x := dc.X; x != 0; {
+				v := bits.TrailingZeros32(uint32(x))
+				on = append(on, atomColumn(a, v))
+				x = x.Remove(v)
+			}
+			var deg int
+			if deg, rows = degreeAt(r, on, rows); float64(deg) > dc.N+1e-9 {
 				return guard.Invalidf("query: relation %q has degree %g on %v, exceeding compiled degree bound %g",
-					a.Name, got, on, dc.N)
+					a.Name, float64(deg), dc.X.Names(q.VarNames), dc.N)
 			}
 		}
 	}
 	return nil
+}
+
+// atomColumn returns the column of variable v among atom a's distinct
+// variables in order of first occurrence — the schema AtomRelation
+// gives a collapsed atom, and plain position when nothing repeats. v
+// must occur in a.
+func atomColumn(a Atom, v int) int {
+	col, seen := 0, VarSet(0)
+	for _, w := range a.Vars {
+		if w == v {
+			break
+		}
+		if !seen.Has(w) {
+			seen = seen.Add(w)
+			col++
+		}
+	}
+	return col
+}
+
+// degreeAt returns max_t |σ_{on=t}(r)|, the degree of r on the columns
+// on (non-empty), as relation.Degree does by attribute name. It sorts
+// tuple headers collected into rows — the stored tuples are neither
+// copied nor touched — and returns the longest run, along with rows for
+// the next call to reuse.
+func degreeAt(r *relation.Relation, on []int, rows []relation.Tuple) (int, []relation.Tuple) {
+	rows = rows[:0]
+	r.Each(func(t relation.Tuple) { rows = append(rows, t) })
+	byOn := func(s, t relation.Tuple) int {
+		for _, c := range on {
+			if d := cmp.Compare(s[c], t[c]); d != 0 {
+				return d
+			}
+		}
+		return 0
+	}
+	slices.SortFunc(rows, byOn)
+	deg, run := 0, 0
+	for i, t := range rows {
+		if i > 0 && byOn(rows[i-1], t) == 0 {
+			run++
+		} else {
+			run = 1
+		}
+		if run > deg {
+			deg = run
+		}
+	}
+	return deg, rows
 }
 
 // DeriveDC measures the database and returns the tightest degree

@@ -56,9 +56,10 @@ func (c ServerConfig) withDefaults() ServerConfig {
 }
 
 // shapeKey identifies a parsed request shape: the server-side artifacts
-// (parsed query, derived constraints, generated database) are pure
-// functions of these fields, so they are built once and shared across
-// requests — packing and evaluation never mutate them.
+// (parsed query, derived constraints, generated database, and what
+// engine.Prepare derives from the first two) are pure functions of these
+// fields, so they are built once and shared across requests — admission,
+// packing and evaluation never mutate them.
 type shapeKey struct {
 	query  string
 	dcs    string
@@ -66,9 +67,16 @@ type shapeKey struct {
 	seed   int64
 }
 
+// maxShapes bounds the shape memo; reaching it resets the memo.
+const maxShapes = 4096
+
+// shape is one memo entry. It is inserted empty and built through once,
+// so concurrent first requests of a shape build it one time and all
+// hand the engine the same request.
 type shape struct {
-	req engine.Request
-	err error
+	once sync.Once
+	req  engine.Request
+	err  error
 }
 
 // Server serves the wire protocol over a listener: one reader and one
@@ -342,26 +350,29 @@ func statusOf(err error) Status {
 }
 
 // shapeFor resolves a request's engine.Request: parse the query,
-// generate its seeded workload, derive constraints, merge extras —
-// memoized per (query, dcs, tuples, seed) since request shapes repeat
-// heavily under serving load and DeriveDC walks the whole database.
+// generate its seeded workload, derive constraints, merge extras,
+// prepare — memoized per (query, dcs, tuples, seed) since request shapes
+// repeat heavily under serving load, DeriveDC walks the whole database
+// and canonicalization is the largest non-circuit step of a hit.
 func (s *Server) shapeFor(req Request) (engine.Request, error) {
 	key := shapeKey{query: req.Query, dcs: req.DCs, tuples: req.Tuples, seed: req.Seed}
 	s.shapeMu.RLock()
 	sh := s.shapes[key]
 	s.shapeMu.RUnlock()
 	if sh == nil {
-		sh = &shape{}
-		sh.req, sh.err = s.buildShape(req)
 		s.shapeMu.Lock()
-		// Bound the memo: a vocabulary explosion (fuzzed shapes, salted
-		// constraints) resets it rather than growing without limit.
-		if len(s.shapes) >= 4096 {
-			s.shapes = map[shapeKey]*shape{}
+		if sh = s.shapes[key]; sh == nil {
+			// Bound the memo: a vocabulary explosion (fuzzed shapes, salted
+			// constraints) resets it rather than growing without limit.
+			if len(s.shapes) >= maxShapes {
+				s.shapes = map[shapeKey]*shape{}
+			}
+			sh = &shape{}
+			s.shapes[key] = sh
 		}
-		s.shapes[key] = sh
 		s.shapeMu.Unlock()
 	}
+	sh.once.Do(func() { sh.req, sh.err = s.buildShape(req) })
 	return sh.req, sh.err
 }
 
@@ -390,5 +401,5 @@ func (s *Server) buildShape(req Request) (engine.Request, error) {
 		}
 		dcs = append(dcs, extra...)
 	}
-	return engine.Request{Query: q, DCs: dcs, DB: db}, nil
+	return engine.Prepare(engine.Request{Query: q, DCs: dcs, DB: db}), nil
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"circuitql/internal/engine"
+	"circuitql/internal/query"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -339,5 +340,88 @@ func TestServerShutdownDrains(t *testing.T) {
 	t.Logf("drain served %d/8 racing requests", served)
 	if _, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
 		t.Fatal("listener still accepting after shutdown")
+	}
+}
+
+// captureEval answers at once and records the query pointer of every
+// request it is handed.
+type captureEval struct {
+	mu      sync.Mutex
+	queries []*query.Query
+}
+
+func (c *captureEval) Submit(_ context.Context, req engine.Request) <-chan engine.Result {
+	c.mu.Lock()
+	c.queries = append(c.queries, req.Query)
+	c.mu.Unlock()
+	out := make(chan engine.Result, 1)
+	out <- engine.Result{}
+	return out
+}
+
+// TestShapeBuiltOnceUnderConcurrency: concurrent first requests of one
+// shape build it once — every one of them hands the evaluator the same
+// parsed query (and so the same prepared request), not a private copy.
+func TestShapeBuiltOnceUnderConcurrency(t *testing.T) {
+	ev := &captureEval{}
+	srv := NewServer(ev, ServerConfig{Tuples: 8})
+	const n = 32
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			if resp := srv.dispatch(Request{ID: uint64(i), Query: triangleQ}); resp.Status != StatusOK {
+				t.Errorf("request %d: status %v: %s", i, resp.Status, resp.Err)
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if len(ev.queries) != n {
+		t.Fatalf("evaluator saw %d requests, want %d", len(ev.queries), n)
+	}
+	for i, q := range ev.queries {
+		if q == nil || q != ev.queries[0] {
+			t.Fatalf("request %d was handed query %p, request 0 %p: the shape was built more than once", i, q, ev.queries[0])
+		}
+	}
+}
+
+// TestShapeMemoBounded: the shape memo never holds more than maxShapes
+// entries — one more distinct shape resets it — and a shape evicted by
+// the reset is simply built again.
+func TestShapeMemoBounded(t *testing.T) {
+	srv := NewServer(&captureEval{}, ServerConfig{Tuples: 1})
+	shapeN := func(i int) Request { return Request{Query: "Q(A) :- R(A)", Seed: int64(i + 1)} }
+	for i := 0; i < maxShapes; i++ {
+		if _, err := srv.shapeFor(shapeN(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(srv.shapes); got != maxShapes {
+		t.Fatalf("memo holds %d shapes after %d distinct requests, want %d", got, maxShapes, maxShapes)
+	}
+	first, err := srv.shapeFor(shapeN(0))
+	if err != nil || len(srv.shapes) != maxShapes {
+		t.Fatalf("a memoized shape moved the memo: err=%v len=%d", err, len(srv.shapes))
+	}
+	if _, err := srv.shapeFor(shapeN(maxShapes)); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(srv.shapes); got != 1 {
+		t.Fatalf("memo holds %d shapes after overflowing, want 1 (reset, then the new shape)", got)
+	}
+	again, err := srv.shapeFor(shapeN(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Query == first.Query {
+		t.Fatal("shape 0 survived the reset")
+	}
+	if again.Query.String() != first.Query.String() || len(srv.shapes) != 2 {
+		t.Fatalf("rebuilt shape 0 = %s (memo %d), want %s (memo 2)", again.Query, len(srv.shapes), first.Query)
 	}
 }

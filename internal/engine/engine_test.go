@@ -317,10 +317,11 @@ func flightLeaderSetup(t *testing.T, e *Engine, req Request) (<-chan Result, fun
 		t.Fatal("a flight is already in progress")
 	}
 	done := make(chan Result, 1)
+	before := s.misses.Load()
 	go func() { done <- e.Serve(context.Background(), req) }()
 	// The follower records its miss and joins the flight under one
-	// critical section, so misses > 0 implies it is waiting on fl.done.
-	for s.misses.Load() == 0 {
+	// critical section, so one more miss implies it is waiting on fl.done.
+	for s.misses.Load() == before {
 		time.Sleep(time.Millisecond)
 	}
 	return done, func(ent *entry, err error) {

@@ -41,8 +41,13 @@ func blockMissLane(t *testing.T, e *Engine, req Request) (<-chan Result, func())
 	if !leader {
 		t.Fatal("a flight is already in progress")
 	}
+	// The miss is counted in the critical section that joins the flight,
+	// so one more miss than before means the worker is parked on fl.done.
+	// (Counting from zero would return at once on an engine that has
+	// served a miss already, before the worker had picked the job up.)
+	before := s.misses.Load()
 	out := e.Submit(context.Background(), req)
-	for s.misses.Load() == 0 {
+	for s.misses.Load() == before {
 		time.Sleep(time.Millisecond)
 	}
 	return out, func() {

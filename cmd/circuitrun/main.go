@@ -104,7 +104,9 @@ func main() {
 	fmt.Printf("compiled in %v: relational %d gates (cost %.6g), oblivious %d gates depth %d\n",
 		time.Since(start), st.RelationalGates, st.Cost, st.Gates, st.Depth)
 	if rep := cq.OptimizerReport(); rep != nil {
-		fmt.Printf("optimizer: rel %d -> %d gates, word %d -> %d gates (%.1f%% smaller) in %v\n",
+		// The word circuit is folded as it is built, so "built" is already
+		// below the raw lowering; -no-opt prints the raw count.
+		fmt.Printf("optimizer: rel %d -> %d gates, word %d built -> %d after the sweep (%.1f%% swept) in %v\n",
 			rep.RelGatesBefore, rep.RelGatesAfter,
 			rep.WordGatesBefore, rep.WordGatesAfter, 100*rep.WordReduction(), rep.Elapsed)
 	}

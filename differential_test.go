@@ -363,11 +363,13 @@ func TestOptimizerPreservesStats(t *testing.T) {
 			t.Errorf("%s: report rel before-size %d disagrees with raw compile %d",
 				ent.Name, rep.RelGatesBefore, raw.Stats().RelationalGates)
 		}
-		// WordGatesBefore counts the lowering of the already
-		// rel-optimized circuit (the word passes' true input), so it can
-		// only be at or below the fully raw pipeline's word count.
-		if rep.WordGatesBefore > raw.Stats().Gates {
-			t.Errorf("%s: report word before-size %d exceeds raw compile %d",
+		// WordGatesBefore counts the gates the rewriting builder built
+		// while lowering the already rel-optimized circuit: folded, not
+		// yet swept, so strictly between the fully raw pipeline's word
+		// count and the final one on any query where folding and the
+		// sweep both do something — which is every catalog query.
+		if rep.WordGatesBefore >= raw.Stats().Gates {
+			t.Errorf("%s: report word before-size %d is not below raw compile %d",
 				ent.Name, rep.WordGatesBefore, raw.Stats().Gates)
 		}
 		if rep.WordGatesAfter > rep.WordGatesBefore || rep.RelGatesAfter > rep.RelGatesBefore {

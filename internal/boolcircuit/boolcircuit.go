@@ -10,6 +10,22 @@
 // never from data — and then evaluated on any conforming instance. The
 // builder performs structural hashing (identical gates are shared), which
 // only shrinks size and depth.
+//
+// There are two builders over one gate store. New is the paper's: every
+// call appends the gate it names (or shares the identical one), so the
+// constructions of Section 5 come out verbatim. NewRewriting is the
+// optimizer: before a gate is pushed it goes through the rewrite table of
+// rewrite.go — constant folding with the evaluator's exact semantics,
+// algebraic identities, commutative normalization, constant-chain
+// collapse — so Add, Mux and the rest may return an existing wire, a
+// constant or a differently shaped gate that carries the same value on
+// every input vector. A rewrite reads only a gate's own operands, which
+// are final when the gate is built, so a circuit built this way is
+// already what re-optimizing it would produce (DESIGN.md, "Circuit
+// optimizer"); the gates the rewrites left unused are swept by Prune.
+// Rewriting is a property of the builder, not of the circuit: Prune's
+// copy, Read's result and New never rewrite, and the flag is not
+// serialized.
 package boolcircuit
 
 import (
@@ -84,6 +100,9 @@ type Circuit struct {
 	table  []int32
 	shift  uint8 // 64 - log2(len(table)): a hash's top bits pick the slot
 	maxDep int32
+	// rewrite routes every computation gate through emit (rewrite.go)
+	// before it is pushed. Set only by NewRewriting.
+	rewrite bool
 }
 
 // maxGates is the largest gate count a circuit can hold: operands are
@@ -94,9 +113,18 @@ const maxGates = math.MaxInt32
 // circuits do not rebuild their table every few gates.
 const minReserve = 32
 
-// New returns an empty circuit.
+// New returns an empty circuit whose builder emits exactly the gates it
+// is asked for.
 func New() *Circuit {
 	return &Circuit{}
+}
+
+// NewRewriting returns an empty circuit whose builder is the word-level
+// optimizer: Add … Lt, Not and Mux return a wire carrying the value of
+// the gate asked for, after the rewrites of emit, and build a gate only
+// when none applies. Input, Const and MarkOutput behave as with New.
+func NewRewriting() *Circuit {
+	return &Circuit{rewrite: true}
 }
 
 // Grow reserves room for n more gates — gate storage and the
@@ -257,7 +285,17 @@ func (c *Circuit) Const(v int64) int {
 func (c *Circuit) bin(op Op, a, b int) int {
 	c.check(a)
 	c.check(b)
-	return c.push(Gate{Op: op, A: int32(a), B: int32(b), C: -1})
+	return c.gate(op, a, b, -1)
+}
+
+// gate builds one computation gate on checked operands (-1 where the
+// operation has none): verbatim, or through the rewrite table when the
+// builder is a rewriting one.
+func (c *Circuit) gate(op Op, a, b, cond int) int {
+	if c.rewrite {
+		return c.emit(op, a, b, cond)
+	}
+	return c.push(Gate{Op: op, A: int32(a), B: int32(b), C: int32(cond)})
 }
 
 func (c *Circuit) check(w int) {
@@ -290,7 +328,7 @@ func (c *Circuit) Xor(a, b int) int { return c.bin(OpXor, a, b) }
 // Not returns the bitwise complement.
 func (c *Circuit) Not(a int) int {
 	c.check(a)
-	return c.push(Gate{Op: OpNot, A: int32(a), B: -1, C: -1})
+	return c.gate(OpNot, a, -1, -1)
 }
 
 // Eq returns a == b as 0/1.
@@ -322,7 +360,7 @@ func (c *Circuit) Mux(cond, a, b int) int {
 	c.check(cond)
 	c.check(a)
 	c.check(b)
-	return c.push(Gate{Op: OpMux, A: int32(a), B: int32(b), C: int32(cond)})
+	return c.gate(OpMux, a, b, cond)
 }
 
 // OutputCone marks the gates the outputs depend on and counts them.
@@ -453,20 +491,7 @@ func (c *Circuit) EvaluateCtx(ctx context.Context, inputs []int64) (_ []int64, e
 		case OpMul:
 			vals[i] = vals[g.A] * vals[g.B]
 		case OpMod:
-			b := vals[g.B]
-			if b == 0 {
-				vals[i] = 0
-			} else {
-				m := vals[g.A] % b
-				if m < 0 {
-					if b < 0 {
-						m -= b
-					} else {
-						m += b
-					}
-				}
-				vals[i] = m
-			}
+			vals[i] = mod(vals[g.A], vals[g.B])
 		case OpAnd:
 			vals[i] = vals[g.A] & vals[g.B]
 		case OpOr:
@@ -494,6 +519,22 @@ func (c *Circuit) EvaluateCtx(ctx context.Context, inputs []int64) (_ []int64, e
 		out[i] = vals[w]
 	}
 	return out, nil
+}
+
+// mod is OpMod: the non-negative remainder, and a mod 0 = 0.
+func mod(a, b int64) int64 {
+	if b == 0 {
+		return 0
+	}
+	m := a % b
+	if m < 0 {
+		if b < 0 {
+			m -= b
+		} else {
+			m += b
+		}
+	}
+	return m
 }
 
 func b2i(b bool) int64 {

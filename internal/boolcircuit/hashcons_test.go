@@ -90,9 +90,99 @@ func checkHashCons(t *testing.T, data []byte) (shared int) {
 	return shared
 }
 
+// checkRewritingInvariants runs the same program through the public
+// methods of a rewriting builder, where a call may return an operand, a
+// constant or another gate than the one named, and checks what has to
+// hold of the circuit whatever was rewritten: no two computation gates
+// or constants are equal, every operand precedes its gate, every depth
+// is what its operands' depths make it, the table stays at load one
+// half, and no gate is left that the table would itself rewrite away
+// (a constant-only gate, x op x, a double complement).
+func checkRewritingInvariants(t *testing.T, data []byte) {
+	t.Helper()
+	c := NewRewriting()
+	if len(data) > 0 {
+		c.Grow([]int{0, 1, 40, 5000}[data[0]%4])
+		data = data[1:]
+	}
+	c.Input()
+	for ; len(data) >= 6; data = data[6:] {
+		n := c.Size()
+		a := (int(data[1])<<8 | int(data[2])) % n
+		b := (int(data[3])<<8 | int(data[4])) % n
+		k := data[5]
+		switch op := data[0] % 16; op {
+		case 0:
+			c.Input()
+		case 1, 2:
+			c.Const(int64(int8(k)))
+		case 3:
+			c.ReleaseHashTable()
+		case 4:
+			c.Grow(int(k))
+		case 5:
+			c.Not(a)
+		case 6:
+			c.Mux(int(k)%n, a, b)
+		default:
+			c.bin([]Op{OpAdd, OpSub, OpMul, OpMod, OpAnd, OpOr, OpXor, OpEq, OpLt}[int(op)%9], a, b)
+		}
+		// A call that was rewritten to an existing wire pushes nothing, and
+		// only a push rebuilds a released table.
+		if c.Size() > n && len(c.table) < 2*c.Size() {
+			t.Fatalf("table of %d slots for %d gates: load above one half", len(c.table), c.Size())
+		}
+	}
+
+	seen := make(map[Gate]int, c.Size())
+	var maxDep int32
+	for id, g := range c.gates {
+		if g.Op != OpInput {
+			if first, dup := seen[g]; dup {
+				t.Fatalf("gates %d and %d are both %+v", first, id, g)
+			}
+			seen[g] = id
+		}
+		var d int32
+		consts, operands := 0, 0
+		for _, op := range [3]int32{g.A, g.B, g.C} {
+			if op >= int32(id) {
+				t.Fatalf("gate %d %+v reads wire %d", id, g, op)
+			}
+			if op >= 0 {
+				operands++
+				d = max(d, c.depth[op])
+				if c.gates[op].Op == OpConst {
+					consts++
+				}
+			}
+		}
+		if g.Op != OpInput && g.Op != OpConst {
+			d++
+			if g.Op != OpMux && consts == operands {
+				t.Fatalf("gate %d %+v has only constant operands: it should have been folded", id, g)
+			}
+			if g.A == g.B && g.Op != OpAdd && g.Op != OpMul && g.Op != OpMod {
+				t.Fatalf("gate %d %+v has equal operands: the table has a rule for it", id, g)
+			}
+			if g.Op == OpNot && c.gates[g.A].Op == OpNot {
+				t.Fatalf("gate %d is a double complement", id)
+			}
+		}
+		if c.depth[id] != d {
+			t.Fatalf("gate %d %+v: depth %d, operands make it %d", id, g, c.depth[id], d)
+		}
+		maxDep = max(maxDep, d)
+	}
+	if c.maxDep != maxDep {
+		t.Fatalf("depth %d, the gates make it %d", c.Depth(), maxDep)
+	}
+}
+
 // TestHashConsAgainstModel drives a few thousand pushes — enough for
 // the table to double seven or eight times from each starting size —
-// from a narrow operand range, so a good share of them are repeats.
+// from a narrow operand range, so a good share of them are repeats. The
+// same programs then go through the rewriting builder.
 func TestHashConsAgainstModel(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -111,12 +201,14 @@ func TestHashConsAgainstModel(t *testing.T) {
 		if shared < 3000 {
 			t.Fatalf("seed %d: only %d of ~9000 pushes hit an existing gate; the test has stopped exercising sharing", seed, shared)
 		}
+		checkRewritingInvariants(t, data)
 	}
 }
 
-// FuzzHashCons hands checkHashCons to the fuzzer. The seeds are long
-// enough (170 and 340 steps) to cross the first few doublings under
-// every sizing hint.
+// FuzzHashCons hands checkHashCons, and the rewriting builder's
+// checkRewritingInvariants, to the fuzzer. The seeds are long enough
+// (170 and 340 steps) to cross the first few doublings under every
+// sizing hint.
 func FuzzHashCons(f *testing.F) {
 	for hint := byte(0); hint < 4; hint++ {
 		for _, steps := range []int{170, 340} {
@@ -133,6 +225,7 @@ func FuzzHashCons(f *testing.F) {
 			t.Skip()
 		}
 		checkHashCons(t, data)
+		checkRewritingInvariants(t, data)
 	})
 }
 

@@ -69,11 +69,18 @@ func CompileOblivious(rc *relcircuit.Circuit) (*ObliviousCircuit, error) {
 // gate count against any guard.Budget gate cap, so a tight budget aborts
 // the lowering instead of materialising an enormous circuit. The whole
 // lowering runs under an obs boolcircuit span counting the word gates
-// built.
-func CompileObliviousCtx(ctx context.Context, rc *relcircuit.Circuit) (_ *ObliviousCircuit, err error) {
+// built. The circuit is the paper's, gate for gate (boolcircuit.New).
+func CompileObliviousCtx(ctx context.Context, rc *relcircuit.Circuit) (*ObliviousCircuit, error) {
+	return lower(ctx, rc, boolcircuit.New())
+}
+
+// lower is the lowering itself, into the empty builder c: the paper's
+// verbatim one for the exported entry points, the rewriting one for a
+// served compile, which then holds the folded circuit and never the raw
+// one.
+func lower(ctx context.Context, rc *relcircuit.Circuit, c *boolcircuit.Circuit) (_ *ObliviousCircuit, err error) {
 	ctx, sp := obs.StartSpan(ctx, obs.StageBoolCirc)
 	budget := guard.FromContext(ctx)
-	c := boolcircuit.New()
 	c.Grow(wordGateEstimate(rc))
 	defer func() {
 		sp.AddInt(obs.CounterGates, int64(c.Size()))
@@ -152,9 +159,9 @@ func CompileObliviousCtx(ctx context.Context, rc *relcircuit.Circuit) (_ *Oblivi
 		})
 		offset += r.Capacity() * (1 + len(r.Schema))
 	}
-	// The circuit is finished: the optimizer reads it and builds its
-	// own, the evaluators and the plan cache only read it, so nothing
-	// should keep the hash-consing table alive for the plan's lifetime.
+	// The circuit is finished: the sweep copies it without hashing, the
+	// evaluators and the plan cache only read it, so nothing should keep
+	// the hash-consing table alive for the plan's lifetime.
 	c.ReleaseHashTable()
 	return oc, nil
 }
@@ -291,14 +298,17 @@ type packSpec struct {
 // CompileOptions tunes the compile pipeline. The zero value is the
 // default: optimizer passes enabled.
 type CompileOptions struct {
-	// NoOpt skips the internal/opt passes, emitting the paper's
-	// constructions verbatim — the escape hatch for debugging and for
-	// measuring the constructions' raw constant factors.
+	// NoOpt skips the optimizer — opt.Rel, the rewriting word-circuit
+	// builder and the sweep — emitting the paper's constructions
+	// verbatim: the escape hatch for debugging and for measuring the
+	// constructions' raw constant factors.
 	NoOpt bool
 }
 
 // CompileQuery runs the full pipeline for a full CQ: PANDA-C to a
-// relational circuit, then the oblivious lowering, then the optimizer.
+// relational circuit, opt.Rel on it, then the oblivious lowering through
+// the rewriting builder — the word-level optimizer, folding each gate as
+// it is built — and a sweep of the gates that left unused.
 func CompileQuery(q *query.Query, dcs query.DCSet) (*Compiled, error) {
 	return CompileQueryCtx(context.Background(), q, dcs)
 }
@@ -341,27 +351,33 @@ func CompileQueryOptsCtx(ctx context.Context, q *query.Query, dcs query.DCSet, o
 		report.Elapsed = time.Since(optStart)
 	}
 
-	obl, err := CompileObliviousCtx(ctx, rel)
+	builder := boolcircuit.NewRewriting()
+	if opts.NoOpt {
+		builder = boolcircuit.New()
+	}
+	obl, err := lower(ctx, rel, builder)
 	if err != nil {
 		return nil, err
 	}
 
 	if !opts.NoOpt {
+		// The lowering folded as it built; what is left of the word-level
+		// optimizer is sweeping out the gates the rewrites left unused.
 		_, osp := obs.StartSpan(ctx, obs.StageOptimize)
 		optStart := time.Now()
 		report.WordGatesBefore, report.WordDepthBefore = obl.C.Size(), obl.C.Depth()
-		optimized, err := opt.BoolCtx(ctx, obl.C)
+		swept, err := obl.C.Prune(ctx)
 		if err != nil {
 			osp.SetError(err)
 			osp.End()
 			return nil, err
 		}
-		if optimized.NumInputs() != obl.C.NumInputs() || len(optimized.Outputs()) != len(obl.C.Outputs()) {
+		if swept.NumInputs() != obl.C.NumInputs() || len(swept.Outputs()) != len(obl.C.Outputs()) {
 			osp.End()
 			return nil, fmt.Errorf("%w: core: optimizer changed the circuit interface (%d/%d inputs, %d/%d outputs)",
-				guard.ErrInternal, optimized.NumInputs(), obl.C.NumInputs(), len(optimized.Outputs()), len(obl.C.Outputs()))
+				guard.ErrInternal, swept.NumInputs(), obl.C.NumInputs(), len(swept.Outputs()), len(obl.C.Outputs()))
 		}
-		obl.C = optimized
+		obl.C = swept
 		report.WordGatesAfter, report.WordDepthAfter = obl.C.Size(), obl.C.Depth()
 		report.Elapsed += time.Since(optStart)
 		osp.AddInt(obs.CounterOptGatesBefore, int64(report.WordGatesBefore))

@@ -22,18 +22,24 @@
 //     collapse, identity-projection and no-op-cap forwarding;
 //   - dead-gate elimination from the output cone (relcircuit.Prune).
 //
-// Word-level passes (BoolCtx, the only word-level optimizer), one
-// fold-forward rebuild and one sweep:
+// Word level: the rewrite table — constant folding and algebraic
+// identities (x+0, x·0, x·1, x&x, x|x, x^x, ¬¬x, mux with constant or
+// equal arms, constant-chain collapse for +, ^, &, |), commutative
+// normalization, and global value numbering through the structural hash
+// — is not in this package. It is boolcircuit's rewriting builder
+// (boolcircuit.NewRewriting), and it has two drivers:
 //
-//   - global value numbering: the circuit is rebuilt gate by gate in
-//     topological order through the builder's structural hash, so gates
-//     that become identical after rewriting merge;
-//   - constant folding and algebraic identities (x+0, x·0, x·1, x&x,
-//     x|x, x^x, ¬¬x, mux with constant or equal arms, constant-chain
-//     collapse for +, ^, &, |);
-//   - dead-gate elimination from the output cone;
-//   - level recompaction: depths are recomputed on the rebuilt circuit,
-//     so the vm compiler sees tighter, wider levels.
+//   - a served compile lowers straight through that builder and then only
+//     sweeps the gates folding left unused (core.CompileQueryOptsCtx,
+//     boolcircuit.Prune); no raw circuit is built and nothing is hashed
+//     twice;
+//   - BoolCtx, here, is for circuits that were built some other way — a
+//     deserialized circuit, a raw lowering, a fuzzer's: it replays the
+//     output cone through a rewriting builder, sweeps, and adopts the
+//     result if it improves.
+//
+// Either way depths are recomputed as gates are built, so the vm
+// compiler sees tighter, wider levels.
 //
 // Every pass preserves input-wire allocation order and output marking
 // order, so packing layouts, output offsets, and serialized artifacts
@@ -45,11 +51,15 @@ package opt
 import "time"
 
 // Report summarizes one optimization run for observability and the
-// cost-aware plan cache. The word-level "before" numbers describe the
-// input to the word passes — the lowering of the already rel-optimized
-// circuit — so they sit at or below what a fully unoptimized pipeline
-// would have produced; WordReduction therefore understates the combined
-// two-layer win slightly.
+// cost-aware plan cache. No raw word circuit is materialized — the
+// lowering folds as it builds (boolcircuit.NewRewriting) — so the
+// word-level "before" numbers are the circuit as built, before the
+// sweep: WordGatesBefore/WordDepthBefore already include every builder-
+// time rewrite, and WordReduction is the share the sweep removed, not
+// the optimizer's whole yield. The raw count is what a NoOpt compile of
+// the same query builds (TestReductionFloor measures against that).
+// Elapsed covers the relational passes and the sweep; the folding has no
+// time of its own, it is part of the lowering.
 type Report struct {
 	RelGatesBefore, RelGatesAfter   int
 	RelDepthBefore, RelDepthAfter   int

@@ -6,7 +6,8 @@ import "circuitql/internal/boolcircuit"
 // reference the one-pass version is held against: rebuild the output
 // cone through the builder again and again until a pass stops shrinking
 // the circuit, adopting a pass only if it is smaller, or as small and
-// shallower. It is the old loop verbatim, minus ctx.
+// shallower. It is the old loop verbatim, minus ctx; the rewrite table it
+// loops over is the only one there is, boolcircuit's rewriting builder.
 func boolMultiPassRef(c *boolcircuit.Circuit) *boolcircuit.Circuit {
 	best := c
 	for pass := 0; pass < maxPasses; pass++ {
@@ -39,33 +40,18 @@ func boolPassRef(c *boolcircuit.Circuit) *boolcircuit.Circuit {
 		}
 	}
 
-	nc := boolcircuit.New()
+	nc := boolcircuit.NewRewriting()
 	m := make([]int, n)
 	for i := 0; i < n; i++ {
 		g := c.GateAt(i)
-		if g.Op == boolcircuit.OpInput {
+		switch {
+		case g.Op == boolcircuit.OpInput:
 			m[i] = nc.Input()
-			continue
-		}
-		if !live[i] {
+		case live[i]:
+			m[i] = build(nc, g, m)
+		default:
 			m[i] = -1
-			continue
 		}
-		if g.Op == boolcircuit.OpConst {
-			m[i] = nc.Const(g.K)
-			continue
-		}
-		a, b, cond := -1, -1, -1
-		if g.A >= 0 {
-			a = m[g.A]
-		}
-		if g.B >= 0 {
-			b = m[g.B]
-		}
-		if g.C >= 0 {
-			cond = m[g.C]
-		}
-		m[i] = emit(nc, g.Op, a, b, cond)
 	}
 	for _, o := range outs {
 		nc.MarkOutput(m[o])

@@ -131,8 +131,14 @@ type Response struct {
 	Err string
 }
 
-// enc appends fixed-width fields to a payload buffer.
+// enc appends fixed-width fields to a frame buffer: the 4 bytes of the
+// length prefix, which writeFrame fills in, then the payload.
 type enc struct{ b []byte }
+
+// newEnc returns an encoder with the length prefix reserved and room for
+// n payload bytes, so a message sized up front is built in, and written
+// from, the one buffer.
+func newEnc(n int) enc { return enc{b: make([]byte, 4, 4+n)} }
 
 func (e *enc) u8(v byte) { e.b = append(e.b, v) }
 func (e *enc) u32(v uint32) {
@@ -198,17 +204,17 @@ func (d *dec) str() string {
 	return s
 }
 
-// writeFrame writes one length-prefixed payload. The caller serializes
+// writeFrame writes the frame e holds — newEnc's reserved prefix, set
+// here to the payload length, and the payload. The caller serializes
 // concurrent writers; the frame itself is a single Write so a
 // conforming io.Writer cannot interleave it.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame", len(payload))
+func writeFrame(w io.Writer, e enc) error {
+	payload := len(e.b) - 4
+	if payload > MaxFrame {
+		return fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame", payload)
 	}
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
-	_, err := w.Write(buf)
+	binary.BigEndian.PutUint32(e.b, uint32(payload))
+	_, err := w.Write(e.b)
 	return err
 }
 
@@ -239,9 +245,16 @@ func header(d *dec, kind byte) {
 	}
 }
 
+// Payload bytes of a request and of a response outside their strings:
+// kind, version, the fixed-width fields and each string's length word.
+const (
+	requestFixed  = 1 + 1 + 8 + 1 + 8 + 4 + 8 + 4 + 4
+	responseFixed = 1 + 1 + 8 + 1 + 1 + 4 + 4 + 4 + 8 + 8 + 8 + 4
+)
+
 // WriteRequest frames and writes one request.
 func WriteRequest(w io.Writer, req Request) error {
-	var e enc
+	e := newEnc(requestFixed + len(req.Query) + len(req.DCs))
 	e.u8(kindRequest)
 	e.u8(version)
 	e.u64(req.ID)
@@ -251,7 +264,7 @@ func WriteRequest(w io.Writer, req Request) error {
 	e.u64(uint64(req.Seed))
 	e.str(req.Query)
 	e.str(req.DCs)
-	return writeFrame(w, e.b)
+	return writeFrame(w, e)
 }
 
 // ReadRequest reads and decodes one request frame.
@@ -276,7 +289,7 @@ func ReadRequest(r io.Reader) (Request, error) {
 
 // WriteResponse frames and writes one response.
 func WriteResponse(w io.Writer, resp Response) error {
-	var e enc
+	e := newEnc(responseFixed + len(resp.Tier) + len(resp.Fingerprint) + len(resp.Err))
 	e.u8(kindResponse)
 	e.u8(version)
 	e.u64(resp.ID)
@@ -293,7 +306,7 @@ func WriteResponse(w io.Writer, resp Response) error {
 	e.u64(uint64(resp.EvalTime))
 	e.u64(uint64(resp.RetryAfter))
 	e.str(resp.Err)
-	return writeFrame(w, e.b)
+	return writeFrame(w, e)
 }
 
 // ReadResponse reads and decodes one response frame.

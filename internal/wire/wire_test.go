@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -59,6 +60,31 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteFrameAllocatesOnce: a message is sized up front and built
+// behind its own length prefix, so writing it costs the one buffer — a
+// size constant that fell behind the fields would show as a regrowth.
+func TestWriteFrameAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	req := Request{ID: 3, Priority: 1, Deadline: time.Second, Tuples: 16, Seed: 9,
+		Query: "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", DCs: "R <= 64, S|A <= 2"}
+	resp := Response{ID: 3, Status: StatusOverloaded, CacheHit: true, Tier: "vm", Rows: 42,
+		Fingerprint: "deadbeef01234567", EvalTime: time.Millisecond, Err: "overloaded: queue_full"}
+	for name, write := range map[string]func() error{
+		"request":  func() error { return WriteRequest(io.Discard, req) },
+		"response": func() error { return WriteResponse(io.Discard, resp) },
+	} {
+		if n := testing.AllocsPerRun(200, func() {
+			if err := write(); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 1 {
+			t.Errorf("%s: %v allocations per frame, want 1", name, n)
+		}
+	}
+}
+
 func TestFrameRejectsGarbage(t *testing.T) {
 	// Oversized length prefix.
 	var buf bytes.Buffer
@@ -81,7 +107,7 @@ func TestFrameRejectsGarbage(t *testing.T) {
 		t.Fatal("kind mismatch accepted")
 	}
 	// A string length running past the payload.
-	var e enc
+	e := newEnc(0)
 	e.u8(kindRequest)
 	e.u8(version)
 	e.u64(1)       // id
@@ -91,7 +117,7 @@ func TestFrameRejectsGarbage(t *testing.T) {
 	e.u64(0)       // seed
 	e.u32(1 << 30) // query length lying about the payload
 	buf.Reset()
-	if err := writeFrame(&buf, e.b); err != nil {
+	if err := writeFrame(&buf, e); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadRequest(&buf); err == nil {

@@ -9,8 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -70,7 +68,7 @@ func BenchmarkE2PandaCTriangle(b *testing.B) {
 			var res *panda.CompileResult
 			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = panda.CompileFCQ(q, query.Cardinalities(q, n))
+				res, err = panda.CompileFCQCtx(context.Background(), q, query.Cardinalities(q, n))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -78,7 +76,7 @@ func BenchmarkE2PandaCTriangle(b *testing.B) {
 			b.ReportMetric(float64(res.Circuit.Size()), "rel-gates")
 			b.ReportMetric(res.Circuit.Cost(), "cost")
 		})
-		res, err := panda.CompileFCQ(q, query.Cardinalities(q, n))
+		res, err := panda.CompileFCQCtx(context.Background(), q, query.Cardinalities(q, n))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,7 +107,7 @@ func BenchmarkE3Theorem3Suite(b *testing.B) {
 			var res *panda.CompileResult
 			var err error
 			for i := 0; i < b.N; i++ {
-				res, err = panda.CompileFCQ(e.Query, query.Cardinalities(e.Query, n))
+				res, err = panda.CompileFCQCtx(context.Background(), e.Query, query.Cardinalities(e.Query, n))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -132,11 +130,11 @@ func BenchmarkE4Theorem4Oblivious(b *testing.B) {
 		b.Run(fmt.Sprintf("N=%g", n), func(b *testing.B) {
 			var obl *core.ObliviousCircuit
 			for i := 0; i < b.N; i++ {
-				res, err := panda.CompileFCQ(q, query.Cardinalities(q, n))
+				res, err := panda.CompileFCQCtx(context.Background(), q, query.Cardinalities(q, n))
 				if err != nil {
 					b.Fatal(err)
 				}
-				obl, err = core.CompileOblivious(res.Circuit)
+				obl, err = core.CompileObliviousCtx(context.Background(), res.Circuit)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -144,11 +142,11 @@ func BenchmarkE4Theorem4Oblivious(b *testing.B) {
 			b.ReportMetric(float64(obl.C.Size()), "word-gates")
 			b.ReportMetric(float64(obl.C.Depth()), "depth")
 		})
-		res, err := panda.CompileFCQ(q, query.Cardinalities(q, n))
+		res, err := panda.CompileFCQCtx(context.Background(), q, query.Cardinalities(q, n))
 		if err != nil {
 			b.Fatal(err)
 		}
-		obl, err := core.CompileOblivious(res.Circuit)
+		obl, err := core.CompileObliviousCtx(context.Background(), res.Circuit)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -220,14 +218,14 @@ func BenchmarkE7OutputSensitive(b *testing.B) {
 	q := query.Path3()
 	const n = 256
 	dcs := query.Cardinalities(q, n)
-	plan, err := yannakakis.NewPlan(q, dcs)
+	plan, err := yannakakis.NewPlanCtx(context.Background(), q, dcs)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("count-circuit", func(b *testing.B) {
 		var cc *yannakakis.CountCircuit
 		for i := 0; i < b.N; i++ {
-			cc, err = plan.CompileCount()
+			cc, err = plan.CompileCountCtx(context.Background())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -240,14 +238,14 @@ func BenchmarkE7OutputSensitive(b *testing.B) {
 		b.Run(fmt.Sprintf("eval-OUT=%g", out), func(b *testing.B) {
 			var ec *yannakakis.EvalCircuit
 			for i := 0; i < b.N; i++ {
-				ec, err = plan.CompileEval(out)
+				ec, err = plan.CompileEvalCtx(context.Background(), out)
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(ec.Circuit.Cost(), "cost")
 		})
-		ec, err := plan.CompileEval(out)
+		ec, err := plan.CompileEvalCtx(context.Background(), out)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,11 +260,11 @@ func BenchmarkE7OutputSensitive(b *testing.B) {
 // PRAM processors (Brent's theorem: steps ≤ W/P + D).
 func BenchmarkE8BrentSpeedup(b *testing.B) {
 	q := query.Triangle()
-	res, err := panda.CompileFCQ(q, query.Cardinalities(q, 16))
+	res, err := panda.CompileFCQCtx(context.Background(), q, query.Cardinalities(q, 16))
 	if err != nil {
 		b.Fatal(err)
 	}
-	obl, err := core.CompileOblivious(res.Circuit)
+	obl, err := core.CompileObliviousCtx(context.Background(), res.Circuit)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -299,7 +297,7 @@ func BenchmarkE9NaiveCrossover(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := panda.CompileFCQ(q, dcs)
+				res, err := panda.CompileFCQCtx(context.Background(), q, dcs)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -329,13 +327,13 @@ func BenchmarkE10Aggregates(b *testing.B) {
 		b.Run(sr.Name, func(b *testing.B) {
 			var ac *semiring.Circuit
 			for i := 0; i < b.N; i++ {
-				ac, err = semiring.Compile(sr, q, dcs, 4096)
+				ac, err = semiring.Compile(context.Background(), sr, q, dcs, 4096)
 				if err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(ac.Circuit.Cost(), "cost")
-			got, err := ac.Evaluate(db, false)
+			got, err := ac.Evaluate(context.Background(), db, false)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -352,11 +350,11 @@ func BenchmarkE11BoundsAndProofs(b *testing.B) {
 		b.Run(e.Name, func(b *testing.B) {
 			var seqLen int
 			for i := 0; i < b.N; i++ {
-				res, err := boundpkg.LogDAPB(e.Query, query.Cardinalities(e.Query, 256))
+				res, err := boundpkg.LogDAPBCtx(context.Background(), e.Query, query.Cardinalities(e.Query, 256))
 				if err != nil {
 					b.Fatal(err)
 				}
-				seq, _, err := proofseq.Build(e.Query, res)
+				seq, _, err := proofseq.BuildCtx(context.Background(), e.Query, res)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -380,15 +378,15 @@ func BenchmarkE12Widths(b *testing.B) {
 			dcs := query.Cardinalities(e.Query, 256)
 			var f, df, ds float64
 			for i := 0; i < b.N; i++ {
-				fr, _, err := ghd.Fhtw(e.Query)
+				fr, _, err := ghd.FhtwCtx(context.Background(), e.Query)
 				if err != nil {
 					b.Fatal(err)
 				}
-				dfr, _, err := ghd.DAFhtw(e.Query, dcs)
+				dfr, _, err := ghd.DAFhtwCtx(context.Background(), e.Query, dcs)
 				if err != nil {
 					b.Fatal(err)
 				}
-				dsr, err := ghd.DASubw(e.Query, dcs, 12)
+				dsr, err := ghd.DASubwCtx(context.Background(), e.Query, dcs, 12)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -457,7 +455,7 @@ func BenchmarkAblationHeavyLightVsPanda(b *testing.B) {
 			var ratio float64
 			for i := 0; i < b.N; i++ {
 				hl, _ := baseline.HeavyLightTriangle(n)
-				res, err := panda.CompileFCQ(q, query.Cardinalities(q, n))
+				res, err := panda.CompileFCQCtx(context.Background(), q, query.Cardinalities(q, n))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -506,11 +504,11 @@ func BenchmarkAblationSortNetworks(b *testing.B) {
 // word widths (free-XOR garbling, half-gates).
 func BenchmarkSecureCostModel(b *testing.B) {
 	q := query.Triangle()
-	res, err := panda.CompileFCQ(q, query.Cardinalities(q, 16))
+	res, err := panda.CompileFCQCtx(context.Background(), q, query.Cardinalities(q, 16))
 	if err != nil {
 		b.Fatal(err)
 	}
-	obl, err := core.CompileOblivious(res.Circuit)
+	obl, err := core.CompileObliviousCtx(context.Background(), res.Circuit)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -524,97 +522,6 @@ func BenchmarkSecureCostModel(b *testing.B) {
 			b.ReportMetric(float64(bc.NonLinear), "nonlinear-gates")
 			b.ReportMetric(float64(bc.GarbledBytes(128))/(1<<20), "garbled-MiB")
 		})
-	}
-}
-
-// BenchmarkEngineCachedVsCold measures the point of the serving engine:
-// a warm plan cache turns every request into pure evaluation, so cached
-// serving must beat cold Compile+Evaluate by a wide margin (the ISSUE
-// acceptance bar is ≥10×; compilation alone is tens of milliseconds
-// while evaluation is sub-millisecond at this size).
-func BenchmarkEngineCachedVsCold(b *testing.B) {
-	q := query.Triangle()
-	db := workload.TriangleDB(workload.TriangleUniform, 3, 12)
-	dcs, err := query.DeriveDC(q, db)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("cold-compile+evaluate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cq, err := Compile(q, dcs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := cq.Evaluate(db); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("engine-cached", func(b *testing.B) {
-		e := NewEngine(EngineConfig{})
-		defer e.Close()
-		ctx := context.Background()
-		if r := e.Serve(ctx, q, dcs, db); r.Err != nil { // warm the cache
-			b.Fatal(r.Err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if r := e.Serve(ctx, q, dcs, db); r.Err != nil {
-				b.Fatal(r.Err)
-			}
-		}
-		b.StopTimer()
-		m := e.Metrics()
-		b.ReportMetric(float64(m.Hits), "cache-hits")
-		b.ReportMetric(float64(m.Compiles), "compiles")
-	})
-}
-
-// BenchmarkBatchEval measures the vectorized batch evaluator across
-// queries and batch sizes. The headline metric is ns/req — wall time
-// per EvalBatch call divided across the batch — which is what the
-// engine's request coalescing amortizes; ns/op is the whole-batch
-// latency a coalesced caller observes. The ISSUE acceptance bar is
-// ≥10× amortized throughput vs single-request interpreted evaluation
-// at batch 64 (see BenchmarkVMvsInterp for the interpreted side).
-func BenchmarkBatchEval(b *testing.B) {
-	ctx := context.Background()
-	for _, tc := range []struct {
-		name string
-		q    *query.Query
-	}{
-		{"triangle", query.Triangle()},
-		{"path3", query.Path3()},
-		{"cycle4", query.Cycle4()},
-	} {
-		const n = 12
-		db := workload.ForQuery(tc.q, 1, n)
-		dcs, err := query.DeriveDC(tc.q, db)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cq, err := Compile(tc.q, dcs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		prog, err := cq.CompileVM(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, size := range []int{1, 16, 64} {
-			dbs := make([]Database, size)
-			for i := range dbs {
-				dbs[i] = db
-			}
-			b.Run(fmt.Sprintf("%s/batch=%d", tc.name, size), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := prog.EvalBatch(ctx, dbs); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/req")
-			})
-		}
 	}
 }
 
@@ -632,13 +539,13 @@ func BenchmarkVMvsInterp(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cq, err := Compile(q, dcs)
+	cq, err := Compile(context.Background(), q, dcs)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("interp-single", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := cq.Evaluate(db); err != nil {
+			if _, err := cq.Evaluate(context.Background(), db); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -671,13 +578,13 @@ func BenchmarkObliviousEvaluation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cq, err := Compile(q, dcs)
+	cq, err := Compile(context.Background(), q, dcs)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cq.Evaluate(db); err != nil {
+		if _, err := cq.Evaluate(context.Background(), db); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -713,144 +620,13 @@ func BenchmarkOptimizedVsRaw(b *testing.B) {
 			b.Run(tc.name+"/"+mode.name, func(b *testing.B) {
 				b.ReportMetric(float64(cq.Stats().Gates), "word-gates")
 				for i := 0; i < b.N; i++ {
-					if _, err := cq.Evaluate(db); err != nil {
+					if _, err := cq.Evaluate(context.Background(), db); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 		}
 	}
-}
-
-// BenchmarkServeSharded measures sharded serving throughput: parallel
-// clients zipf-pick from a pool of warm same-template plans (salted
-// constraints mint distinct fingerprints, so shards get distinct work)
-// and submit closed-loop. shards=1 is the single-mutex engine; shards=8
-// splits the plan cache, singleflight, lanes, and batcher eight ways so
-// same-shape contention stops serializing unrelated requests. The
-// speedup is core-bound — on a single-core runner the two converge;
-// ns/op per shard count is the honest record (see BENCH_baseline.json).
-func BenchmarkServeSharded(b *testing.B) {
-	q := query.Triangle()
-	const n, shapeCount = 12, 8
-	type shape struct {
-		dcs DCSet
-		db  Database
-	}
-	shapes := make([]shape, shapeCount)
-	for i := range shapes {
-		db := workload.ForQuery(q, int64(1+i), n)
-		dcs, err := query.DeriveDC(q, db)
-		if err != nil {
-			b.Fatal(err)
-		}
-		extra, err := query.ParseDC(q, fmt.Sprintf("R <= %d", 4*(n+i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		shapes[i] = shape{dcs: append(dcs, extra...), db: db}
-	}
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			e := NewEngine(EngineConfig{Shards: shards, BatchMaxSize: 8})
-			defer e.Close()
-			ctx := context.Background()
-			for _, s := range shapes { // warm every plan
-				if r := e.Serve(ctx, q, s.dcs, s.db); r.Err != nil {
-					b.Fatal(r.Err)
-				}
-			}
-			var failures atomic.Int64
-			var seq atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				rng := rand.New(rand.NewSource(7919 * seq.Add(1)))
-				zipf := rand.NewZipf(rng, 1.4, 1, shapeCount-1)
-				for pb.Next() {
-					s := shapes[zipf.Uint64()]
-					if r := e.Serve(ctx, q, s.dcs, s.db); r.Err != nil {
-						failures.Add(1)
-					}
-				}
-			})
-			b.StopTimer()
-			if f := failures.Load(); f > 0 {
-				b.Fatalf("%d requests failed", f)
-			}
-			m := e.Metrics()
-			if m.Misses > shapeCount {
-				b.Fatalf("warm pool recompiled: %d misses for %d shapes", m.Misses, shapeCount)
-			}
-			b.ReportMetric(float64(m.Hits), "cache-hits")
-		})
-	}
-}
-
-// BenchmarkWarmStart is the restart-cost benchmark behind the plan
-// store: acquiring the triangle/path3/cycle4 plans by warm-loading a
-// populated store (what a restarted circuitd -store does before its
-// first request) versus compiling the same set from scratch.
-// TestStoreRestartZeroCompiles gates the ratio on one timed restart.
-func BenchmarkWarmStart(b *testing.B) {
-	type shape struct {
-		q   *Query
-		dcs DCSet
-	}
-	var shapes []shape
-	for _, q := range []*query.Query{query.Triangle(), query.Path3(), query.Cycle4()} {
-		db := workload.ForQuery(q, 1, 12)
-		dcs, err := query.DeriveDC(q, db)
-		if err != nil {
-			b.Fatal(err)
-		}
-		shapes = append(shapes, shape{q: q, dcs: dcs})
-	}
-
-	// Populate one store with all three compiled plans.
-	dir := b.TempDir()
-	st, err := OpenPlanStore(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e := NewEngine(EngineConfig{Store: st})
-	for _, s := range shapes {
-		db := workload.ForQuery(s.q, 1, 12)
-		if r := e.Serve(context.Background(), s.q, s.dcs, db); r.Err != nil {
-			b.Fatal(r.Err)
-		}
-	}
-	if err := e.Close(); err != nil {
-		b.Fatal(err)
-	}
-
-	b.Run("cold-compile", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, s := range shapes {
-				if _, err := Compile(s.q, s.dcs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("warm-start", func(b *testing.B) {
-		var compiles int64
-		for i := 0; i < b.N; i++ {
-			st, err := OpenPlanStore(dir)
-			if err != nil {
-				b.Fatal(err)
-			}
-			e := NewEngine(EngineConfig{Store: st, WarmStart: true})
-			m := e.Metrics()
-			if m.CachedPlans < len(shapes) {
-				b.Fatalf("warm-load promoted %d plans, want %d", m.CachedPlans, len(shapes))
-			}
-			compiles += m.Compiles
-			if err := e.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(compiles), "compiles")
-	})
 }
 
 // BenchmarkCompileStages times the three word-level stages every served

@@ -25,10 +25,25 @@
 //
 // A minimal session:
 //
+//	ctx := context.Background()
 //	q, _ := circuitql.ParseQuery("Q(A,B,C) :- R(A,B), S(B,C), T(A,C)")
 //	dcs := circuitql.UniformCardinalities(q, 1024)
-//	cq, _ := circuitql.Compile(q, dcs)
-//	out, _ := cq.Evaluate(db) // any db with |R|,|S|,|T| ≤ 1024
+//	cq, _ := circuitql.Compile(ctx, q, dcs)
+//	out, _ := cq.Evaluate(ctx, db) // any db with |R|,|S|,|T| ≤ 1024
+//
+// Compilation solves exponential-size exact LPs and searches for a proof
+// sequence, so every entry point that can block takes a context first
+// and follows one contract:
+//
+//   - the context's deadline and cancellation are honored inside the
+//     hot loops (LP pivots, proof-sequence search, circuit
+//     construction, gate evaluation), so calls return promptly;
+//   - a *Budget attached with WithBudget caps LP pivots, circuit gate
+//     counts, and intermediate-relation rows;
+//   - failures carry a typed cause — errors.Is against
+//     ErrBudgetExceeded, ErrCanceled, ErrInvalidInput, or ErrInternal
+//     classifies them — and panics escaping the internals are converted
+//     to ErrInternal instead of crossing the API boundary.
 package circuitql
 
 import (
@@ -38,7 +53,9 @@ import (
 	"math/big"
 
 	"circuitql/internal/bitblast"
+	"circuitql/internal/bound"
 	"circuitql/internal/core"
+	"circuitql/internal/ghd"
 	"circuitql/internal/guard"
 	"circuitql/internal/opt"
 	"circuitql/internal/panda"
@@ -85,9 +102,14 @@ func UniformCardinalities(q *Query, n float64) DCSet { return query.Cardinalitie
 func DeriveConstraints(q *Query, db Database) (DCSet, error) { return query.DeriveDC(q, db) }
 
 // EvaluateRAM is the reference (non-circuit) evaluator, used for
-// cross-checking.
-func EvaluateRAM(q *Query, db Database) (*Relation, error) {
-	return EvaluateRAMCtx(context.Background(), q, db)
+// cross-checking. The database is validated upfront (no constraint
+// conformance — the RAM evaluator accepts any instance).
+func EvaluateRAM(ctx context.Context, q *Query, db Database) (out *Relation, err error) {
+	defer guard.Recover(&err)
+	if err := query.ValidateDB(q, nil, db); err != nil {
+		return nil, err
+	}
+	return query.EvaluateCtx(ctx, q, db)
 }
 
 // CompiledQuery is a fully compiled worst-case-optimal circuit for a
@@ -99,9 +121,13 @@ type CompiledQuery struct {
 // Compile builds the PANDA-C relational circuit and its oblivious
 // lowering for a full CQ under the given constraints, then runs the
 // internal/opt optimizer passes (CSE, constant/empty propagation,
-// dead-gate elimination, level recompaction) over both layers.
-func Compile(q *Query, dcs DCSet) (*CompiledQuery, error) {
-	return CompileCtx(context.Background(), q, dcs)
+// dead-gate elimination, level recompaction) over both layers. The exact
+// LPs, the proof-sequence search, and both circuit-construction layers
+// poll ctx and respect any Budget it carries: a pathological query under
+// a tight deadline or gate cap returns ErrBudgetExceeded instead of
+// hanging.
+func Compile(ctx context.Context, q *Query, dcs DCSet) (*CompiledQuery, error) {
+	return CompileOpts(ctx, q, dcs, CompileOptions{})
 }
 
 // CompileOptions tunes the compile pipeline; the zero value enables the
@@ -112,7 +138,7 @@ type CompileOptions = core.CompileOptions
 // compile.
 type OptReport = opt.Report
 
-// CompileOpts is Compile with explicit pipeline options under a context.
+// CompileOpts is Compile with explicit pipeline options.
 func CompileOpts(ctx context.Context, q *Query, dcs DCSet, opts CompileOptions) (cq *CompiledQuery, err error) {
 	defer guard.Recover(&err)
 	inner, err := core.CompileQueryOptsCtx(ctx, q, dcs, opts)
@@ -128,16 +154,27 @@ func (c *CompiledQuery) OptimizerReport() *OptReport { return c.inner.Opt }
 
 // Evaluate runs the oblivious circuit on db and returns Q(D). The same
 // CompiledQuery evaluates any database conforming to the constraints it
-// was compiled for.
-func (c *CompiledQuery) Evaluate(db Database) (*Relation, error) {
-	return c.EvaluateCtx(context.Background(), db)
+// was compiled for. The database is validated upfront against the query
+// and the compiled constraint set (missing relations, arity mismatches,
+// cardinality or degree overruns surface as ErrInvalidInput before any
+// circuit work starts).
+func (c *CompiledQuery) Evaluate(ctx context.Context, db Database) (out *Relation, err error) {
+	defer guard.Recover(&err)
+	if err := query.ValidateDB(c.inner.Query, c.inner.DC, db); err != nil {
+		return nil, err
+	}
+	return c.inner.EvaluateObliviousCtx(ctx, db)
 }
 
 // EvaluateRelational runs the relational-circuit layer (faster; same
 // result), optionally verifying that every wire conforms to its declared
-// bound.
-func (c *CompiledQuery) EvaluateRelational(db Database, check bool) (*Relation, error) {
-	return c.EvaluateRelationalCtx(context.Background(), db, check)
+// bound. The database is validated upfront, as in Evaluate.
+func (c *CompiledQuery) EvaluateRelational(ctx context.Context, db Database, check bool) (out *Relation, err error) {
+	defer guard.Recover(&err)
+	if err := query.ValidateDB(c.inner.Query, c.inner.DC, db); err != nil {
+		return nil, err
+	}
+	return c.inner.EvaluateRelationalCtx(ctx, db, check)
 }
 
 // Stats summarizes the compiled circuits.
@@ -207,9 +244,11 @@ func (c *CompiledQuery) SecureCost(wordBits, kappaBits int) SecureCost {
 // circuit (every wire one bit; gates AND/OR/XOR only) at the given word
 // width, returning its gate count and depth — the paper's strict §4.1
 // model made concrete. Width must be 64 when the defaults are in play
-// (the dummy-handling sentinel needs the full word).
-func (c *CompiledQuery) BitLevel(width int) (gates, depth int, err error) {
-	res, err := bitblast.Blast(c.inner.Obliv.C, width)
+// (the dummy-handling sentinel needs the full word). The bit-level
+// circuit counts against a Budget's gate cap while it is built.
+func (c *CompiledQuery) BitLevel(ctx context.Context, width int) (gates, depth int, err error) {
+	defer guard.Recover(&err)
+	res, err := bitblast.BlastCtx(ctx, c.inner.Obliv.C, width)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -241,15 +280,7 @@ func LoadArtifact(r io.Reader) (*Artifact, error) {
 // Evaluate runs the loaded circuit; db must be keyed and shaped as the
 // artifact's input specs demand (for PANDA artifacts: panda.PrepareDB
 // naming, which EvaluatePrepared of the original CompiledQuery used).
-func (a *Artifact) Evaluate(db map[string]*Relation) (map[int]*Relation, error) {
-	return a.EvaluateCtx(context.Background(), db)
-}
-
-// EvaluateCtx is Evaluate under a context, matching the facade's other
-// Ctx variants: the gate loop polls ctx (deadline and cancellation
-// surface as ErrBudgetExceeded / ErrCanceled), any guard.Budget carried
-// by ctx applies, and panics are contained as ErrInternal.
-func (a *Artifact) EvaluateCtx(ctx context.Context, db map[string]*Relation) (out map[int]*Relation, err error) {
+func (a *Artifact) Evaluate(ctx context.Context, db map[string]*Relation) (out map[int]*Relation, err error) {
 	defer guard.Recover(&err)
 	return a.oc.EvaluateCtx(ctx, db)
 }
@@ -287,13 +318,22 @@ type BooleanQuery struct {
 }
 
 // CompileBoolean compiles a Boolean conjunctive query (no free
-// variables) into an oblivious decision circuit.
-func CompileBoolean(q *Query, dcs DCSet) (*BooleanQuery, error) {
-	return CompileBooleanCtx(context.Background(), q, dcs)
+// variables) into an oblivious decision circuit (see Compile for what
+// ctx governs).
+func CompileBoolean(ctx context.Context, q *Query, dcs DCSet) (bq *BooleanQuery, err error) {
+	defer guard.Recover(&err)
+	bc, err := core.CompileBooleanCtx(ctx, q, dcs)
+	if err != nil {
+		return nil, err
+	}
+	return &BooleanQuery{inner: bc}, nil
 }
 
 // Decide evaluates the decision circuit on db.
-func (b *BooleanQuery) Decide(db Database) (bool, error) { return b.inner.Decide(db) }
+func (b *BooleanQuery) Decide(ctx context.Context, db Database) (ok bool, err error) {
+	defer guard.Recover(&err)
+	return b.inner.DecideCtx(ctx, db)
+}
 
 // Stats returns the decision circuit's word-gate count and depth.
 func (b *BooleanQuery) Stats() (gates, depth int) {
@@ -302,8 +342,13 @@ func (b *BooleanQuery) Stats() (gates, depth int) {
 
 // PolymatroidBound returns LOGDAPB(Q) in bits (log₂ of the worst-case
 // output size bound) under the constraints.
-func PolymatroidBound(q *Query, dcs DCSet) (*big.Rat, error) {
-	return PolymatroidBoundCtx(context.Background(), q, dcs)
+func PolymatroidBound(ctx context.Context, q *Query, dcs DCSet) (r *big.Rat, err error) {
+	defer guard.Recover(&err)
+	res, err := bound.LogDAPBCtx(ctx, q, dcs)
+	if err != nil {
+		return nil, err
+	}
+	return res.LogValue, nil
 }
 
 // Widths bundles the width measures of Sections 6-7.
@@ -315,8 +360,22 @@ type Widths struct {
 
 // ComputeWidths returns fhtw, da-fhtw, and da-subw for the query
 // (free-connex variants for non-full queries).
-func ComputeWidths(q *Query, dcs DCSet) (Widths, error) {
-	return ComputeWidthsCtx(context.Background(), q, dcs)
+func ComputeWidths(ctx context.Context, q *Query, dcs DCSet) (w Widths, err error) {
+	defer guard.Recover(&err)
+	f, _, err := ghd.FhtwCtx(ctx, q)
+	if err != nil {
+		return w, err
+	}
+	df, _, err := ghd.DAFhtwCtx(ctx, q, dcs)
+	if err != nil {
+		return w, err
+	}
+	ds, err := ghd.DASubwCtx(ctx, q, dcs, 24)
+	if err != nil {
+		return w, err
+	}
+	w.Fhtw, w.DAFhtw, w.DASubw = f, df, ds
+	return w, nil
 }
 
 // OutputSensitiveQuery bundles the two circuit families of Theorem 5.
@@ -326,26 +385,48 @@ type OutputSensitiveQuery struct {
 }
 
 // OutputSensitive prepares the output-sensitive pipeline: a GHD plan of
-// degree-aware-fhtw-optimal width and the OUT-computing circuit.
-func OutputSensitive(q *Query, dcs DCSet) (*OutputSensitiveQuery, error) {
-	return OutputSensitiveCtx(context.Background(), q, dcs)
+// degree-aware-fhtw-optimal width and the OUT-computing circuit. The
+// width search, the per-bag PANDA-C compilations, and the count-circuit
+// construction all poll ctx and respect any Budget it carries.
+func OutputSensitive(ctx context.Context, q *Query, dcs DCSet) (o *OutputSensitiveQuery, err error) {
+	defer guard.Recover(&err)
+	plan, err := yannakakis.NewPlanCtx(ctx, q, dcs)
+	if err != nil {
+		return nil, err
+	}
+	cc, err := plan.CompileCountCtx(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &OutputSensitiveQuery{plan: plan, count: cc}, nil
 }
 
 // Count evaluates the first circuit family: |Q(D)| from DC alone.
-func (o *OutputSensitiveQuery) Count(db Database) (int, error) {
-	return o.count.Count(db, false)
+func (o *OutputSensitiveQuery) Count(ctx context.Context, db Database) (n int, err error) {
+	defer guard.Recover(&err)
+	return o.count.CountCtx(ctx, db, false)
 }
 
 // EvalCircuit builds the second circuit family for a given output bound;
 // it computes Q(D) for every conforming D with |Q(D)| ≤ out.
-func (o *OutputSensitiveQuery) EvalCircuit(out int) (*yannakakis.EvalCircuit, error) {
-	return o.plan.CompileEval(float64(out))
+func (o *OutputSensitiveQuery) EvalCircuit(ctx context.Context, out int) (ec *yannakakis.EvalCircuit, err error) {
+	defer guard.Recover(&err)
+	return o.plan.CompileEvalCtx(ctx, float64(out))
 }
 
 // Evaluate runs the full two-phase protocol: count, then build and run
 // the evaluation circuit with OUT = |Q(D)|.
-func (o *OutputSensitiveQuery) Evaluate(db Database) (*Relation, error) {
-	return o.EvaluateCtx(context.Background(), db)
+func (o *OutputSensitiveQuery) Evaluate(ctx context.Context, db Database) (out *Relation, err error) {
+	defer guard.Recover(&err)
+	n, err := o.count.CountCtx(ctx, db, false)
+	if err != nil {
+		return nil, err
+	}
+	ec, err := o.plan.CompileEvalCtx(ctx, float64(n))
+	if err != nil {
+		return nil, err
+	}
+	return ec.EvaluateCtx(ctx, db, false)
 }
 
 // CountCircuitStats reports the OUT-circuit's relational stats.

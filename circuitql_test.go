@@ -1,6 +1,7 @@
 package circuitql
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -17,22 +18,22 @@ func TestFacadeCompileAndEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cq, err := Compile(q, dcs)
+	cq, err := Compile(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cq.Evaluate(db)
+	got, err := cq.Evaluate(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := EvaluateRAM(q, db)
+	want, err := EvaluateRAM(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
 		t.Fatalf("facade evaluate mismatch")
 	}
-	rel, err := cq.EvaluateRelational(db, true)
+	rel, err := cq.EvaluateRelational(context.Background(), db, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,14 +55,14 @@ func TestFacadeBoundsAndWidths(t *testing.T) {
 		t.Fatal(err)
 	}
 	dcs := UniformCardinalities(q, 1024)
-	b, err := PolymatroidBound(q, dcs)
+	b, err := PolymatroidBound(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Cmp(big.NewRat(15, 1)) != 0 {
 		t.Fatalf("LOGDAPB = %v, want 15", b)
 	}
-	w, err := ComputeWidths(q, dcs)
+	w, err := ComputeWidths(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,22 +90,22 @@ func TestFacadeOutputSensitive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	os, err := OutputSensitive(q, dcs)
+	os, err := OutputSensitive(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := EvaluateRAM(q, db)
+	want, err := EvaluateRAM(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := os.Count(db)
+	n, err := os.Count(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != want.Len() {
 		t.Fatalf("Count = %d, want %d", n, want.Len())
 	}
-	got, err := os.Evaluate(db)
+	got, err := os.Evaluate(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}

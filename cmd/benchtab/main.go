@@ -1,18 +1,14 @@
 // Command benchtab regenerates every experiment table of EXPERIMENTS.md
 // (E1-E12, the per-figure/per-theorem reproductions listed in DESIGN.md)
 // in one run. Pass -experiment E4 to run a single one.
-//
-// With -bench-parse it instead acts as the CI benchmark comparator: it
-// parses `go test -bench` output, writes a JSON snapshot, and fails on
-// gated regressions against a committed baseline (see compare.go).
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"math"
-	"os"
 	"strings"
 
 	"circuitql/internal/baseline"
@@ -35,24 +31,14 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchtab: ")
-	var (
-		only       = flag.String("experiment", "", "run a single experiment (E1..E12)")
-		benchParse = flag.String("bench-parse", "", "comparator mode: file of `go test -bench` output to parse ('-' for stdin)")
-		benchOut   = flag.String("bench-out", "", "comparator mode: write the parsed snapshot to this JSON file")
-		benchBase  = flag.String("bench-baseline", "", "comparator mode: baseline JSON to compare against")
-		benchGate  = flag.String("bench-gate", "^(BenchmarkEngineCachedVsCold|BenchmarkBatchEval|BenchmarkServeSharded|BenchmarkWarmStart|BenchmarkCompileStages)", "comparator mode: regexp of benchmarks whose regression fails the run")
-		benchThr   = flag.Float64("bench-threshold", 25, "comparator mode: regression threshold in percent")
-	)
+	only := flag.String("experiment", "", "run a single experiment (E1..E12)")
 	flag.Parse()
-
-	if *benchParse != "" {
-		os.Exit(benchCompare(*benchParse, *benchOut, *benchBase, *benchGate, *benchThr))
-	}
+	ctx := context.Background()
 
 	experiments := []struct {
 		id   string
 		name string
-		run  func()
+		run  func(context.Context)
 	}{
 		{"E1", "Figure 1: heavy/light triangle circuit", e1},
 		{"E2", "Figure 2: PANDA-C triangle circuit", e2},
@@ -72,10 +58,9 @@ func main() {
 			continue
 		}
 		fmt.Printf("== %s — %s ==\n", e.id, e.name)
-		e.run()
+		e.run(ctx)
 		fmt.Println()
 	}
-
 }
 
 func must[T any](v T, err error) T {
@@ -85,7 +70,7 @@ func must[T any](v T, err error) T {
 	return v
 }
 
-func e1() {
+func e1(context.Context) {
 	tb := stats.NewTable("N", "rel gates", "depth", "cost", "cost/N^1.5")
 	var xs, ys []float64
 	for _, n := range []float64{256, 1024, 4096, 16384, 65536} {
@@ -99,12 +84,12 @@ func e1() {
 	fmt.Printf("fitted cost exponent: %.3f (paper: 1.5)\n", k)
 }
 
-func e2() {
+func e2(ctx context.Context) {
 	q := query.Triangle()
 	tb := stats.NewTable("N", "rel gates", "depth", "cost", "restarts", "cost/N^1.5")
 	var xs, ys []float64
 	for _, n := range []float64{64, 256, 1024, 4096, 16384} {
-		res := must(panda.CompileFCQ(q, query.Cardinalities(q, n)))
+		res := must(panda.CompileFCQCtx(ctx, q, query.Cardinalities(q, n)))
 		tb.Row(n, res.Circuit.Size(), res.Circuit.Depth(), res.Circuit.Cost(),
 			res.Restarts, res.Circuit.Cost()/math.Pow(n, 1.5))
 		xs = append(xs, n)
@@ -113,11 +98,11 @@ func e2() {
 	fmt.Print(tb)
 	k, _ := stats.FitPowerLaw(xs, ys)
 	fmt.Printf("fitted cost exponent: %.3f (paper: 1.5 up to polylog)\n", k)
-	res := must(panda.CompileFCQ(q, query.Cardinalities(q, 1024)))
+	res := must(panda.CompileFCQCtx(ctx, q, query.Cardinalities(q, 1024)))
 	fmt.Printf("proof sequence: %s\n", res.Seq.Label(q.VarNames))
 }
 
-func e3() {
+func e3(ctx context.Context) {
 	suite := []query.CatalogEntry{
 		{Name: "triangle", Query: query.Triangle()},
 		{Name: "path3", Query: query.Path3()},
@@ -129,8 +114,8 @@ func e3() {
 	tb := stats.NewTable("query", "ρ*", "DAPB", "rel gates", "cost", "cost/(N+DAPB)")
 	for _, e := range suite {
 		dcs := query.Cardinalities(e.Query, n)
-		res := must(panda.CompileFCQ(e.Query, dcs))
-		rho := must(bound.FractionalEdgeCoverNumber(e.Query))
+		res := must(panda.CompileFCQCtx(ctx, e.Query, dcs))
+		rho := must(bound.FractionalEdgeCoverNumber(ctx, e.Query))
 		rhoF, _ := rho.Float64()
 		dapb := res.Bound.Value()
 		tb.Row(e.Name, rhoF, dapb, res.Circuit.Size(), res.Circuit.Cost(),
@@ -144,26 +129,26 @@ func e3() {
 	q := query.Triangle()
 	dt := stats.NewTable("constraints", "DAPB", "cost")
 	base := query.Cardinalities(q, n)
-	res := must(panda.CompileFCQ(q, base))
+	res := must(panda.CompileFCQCtx(ctx, q, base))
 	dt.Row("cardinalities only", res.Bound.Value(), res.Circuit.Cost())
 	fd := append(query.Cardinalities(q, n),
 		query.DegreeConstraint{X: query.SetOf(0), Y: query.SetOf(0, 1), N: 1})
-	res = must(panda.CompileFCQ(q, fd))
+	res = must(panda.CompileFCQCtx(ctx, q, fd))
 	dt.Row("+ FD A→B", res.Bound.Value(), res.Circuit.Cost())
 	deg := append(query.Cardinalities(q, n),
 		query.DegreeConstraint{X: query.SetOf(1), Y: query.SetOf(1, 2), N: 8})
-	res = must(panda.CompileFCQ(q, deg))
+	res = must(panda.CompileFCQCtx(ctx, q, deg))
 	dt.Row("+ deg(BC|B) ≤ 8", res.Bound.Value(), res.Circuit.Cost())
 	fmt.Print(dt)
 }
 
-func e4() {
+func e4(ctx context.Context) {
 	q := query.Triangle()
 	tb := stats.NewTable("N", "word gates", "depth", "gates/(N+DAPB)", "depth/log²(gates)")
 	var xs, ys []float64
 	for _, n := range []float64{8, 16, 32, 64} {
-		res := must(panda.CompileFCQ(q, query.Cardinalities(q, n)))
-		obl := must(core.CompileOblivious(res.Circuit))
+		res := must(panda.CompileFCQCtx(ctx, q, query.Cardinalities(q, n)))
+		obl := must(core.CompileObliviousCtx(ctx, res.Circuit))
 		budget := 3*n + math.Pow(n, 1.5)
 		lg := math.Log2(float64(obl.C.Size()))
 		tb.Row(n, obl.C.Size(), obl.C.Depth(), float64(obl.C.Size())/budget,
@@ -179,15 +164,15 @@ func e4() {
 	fmt.Println("\nstrict bit-level circuits (width 64):")
 	bt := stats.NewTable("N", "word gates", "bit gates", "bit depth")
 	for _, n := range []float64{3, 4} {
-		res := must(panda.CompileFCQ(q, query.Cardinalities(q, n)))
-		obl := must(core.CompileOblivious(res.Circuit))
-		blasted := must(bitblast.Blast(obl.C, 64))
+		res := must(panda.CompileFCQCtx(ctx, q, query.Cardinalities(q, n)))
+		obl := must(core.CompileObliviousCtx(ctx, res.Circuit))
+		blasted := must(bitblast.BlastCtx(ctx, obl.C, 64))
 		bt.Row(n, obl.C.Size(), blasted.C.Size(), blasted.C.Depth())
 	}
 	fmt.Print(bt)
 }
 
-func e5() {
+func e5(context.Context) {
 	tb := stats.NewTable("M=N'", "word gates", "depth", "gates/(M+N')")
 	var xs, ys []float64
 	for _, m := range []int{64, 256, 1024, 4096} {
@@ -207,7 +192,7 @@ func e5() {
 	fmt.Println("Figure 3 worked example: see TestPKJoinPaperExample (byte-exact).")
 }
 
-func e6() {
+func e6(context.Context) {
 	const m, nprime = 64, 512
 	tb := stats.NewTable("deg bound N", "word gates", "depth", "gates/(MN+N')", "gates/(M·N') naive")
 	for _, deg := range []int{2, 4, 8, 16, 32} {
@@ -223,19 +208,19 @@ func e6() {
 	fmt.Println("Figure 4 worked example: see TestDegJoinPaperExample (byte-exact).")
 }
 
-func e7() {
+func e7(ctx context.Context) {
 	q := query.Path3()
 	const n = 256
 	dcs := query.Cardinalities(q, n)
-	plan := must(yannakakis.NewPlan(q, dcs))
-	cc := must(plan.CompileCount())
+	plan := must(yannakakis.NewPlanCtx(ctx, q, dcs))
+	cc := must(plan.CompileCountCtx(ctx))
 	w, _ := plan.Width.Float64()
 	fmt.Printf("plan: da-fhtw = %.2f bits; OUT-circuit: %d gates, cost %.6g\n",
 		w, cc.Circuit.Size(), cc.Circuit.Cost())
 	tb := stats.NewTable("OUT", "rel gates", "cost", "cost/(N+2^w+OUT)")
 	var xs, ys []float64
 	for _, out := range []float64{64, 256, 1024, 4096, 16384} {
-		ec := must(plan.CompileEval(out))
+		ec := must(plan.CompileEvalCtx(ctx, out))
 		budget := 3*n + math.Exp2(w) + out
 		tb.Row(out, ec.Circuit.Size(), ec.Circuit.Cost(), ec.Circuit.Cost()/budget)
 		xs = append(xs, out)
@@ -246,10 +231,10 @@ func e7() {
 	fmt.Printf("fitted cost exponent vs OUT: %.3f (paper: ≤ 1 once OUT dominates)\n", k)
 }
 
-func e8() {
+func e8(ctx context.Context) {
 	q := query.Triangle()
-	res := must(panda.CompileFCQ(q, query.Cardinalities(q, 16)))
-	obl := must(core.CompileOblivious(res.Circuit))
+	res := must(panda.CompileFCQCtx(ctx, q, query.Cardinalities(q, 16)))
+	obl := must(core.CompileObliviousCtx(ctx, res.Circuit))
 	w := core.BrentSchedule(obl.C, 1)
 	d := obl.C.Depth()
 	fmt.Printf("circuit: W = %d gates, D = %d depth; Brent bound W/P + D\n", w, d)
@@ -261,20 +246,20 @@ func e8() {
 	fmt.Print(tb)
 }
 
-func e9() {
+func e9(ctx context.Context) {
 	q := query.Triangle()
 	tb := stats.NewTable("N", "naive cost (N^3)", "PANDA-C cost", "naive/PANDA-C")
 	for _, n := range []float64{4, 16, 64, 256, 1024, 4096} {
 		dcs := query.Cardinalities(q, n)
 		naive, _ := must2(baseline.NaiveCircuit(q, dcs))
-		res := must(panda.CompileFCQ(q, dcs))
+		res := must(panda.CompileFCQCtx(ctx, q, dcs))
 		tb.Row(n, naive.Cost(), res.Circuit.Cost(), naive.Cost()/res.Circuit.Cost())
 	}
 	fmt.Print(tb)
 	fmt.Println("PANDA-C wins from small N on; the gap grows as N^1.5/polylog.")
 }
 
-func e10() {
+func e10(ctx context.Context) {
 	q := query.Path2Projected()
 	r := semiring.Annotate(workload.UniformBinary(1, 64, 16), func(relation.Tuple) int64 { return 1 })
 	s := semiring.Annotate(workload.UniformBinary(2, 64, 16), func(relation.Tuple) int64 { return 1 })
@@ -286,8 +271,8 @@ func e10() {
 		semiring.SumProduct(), semiring.MinPlus(), semiring.MaxPlus(), semiring.BoolOrAnd(),
 	} {
 		want := must(semiring.EvaluateRAM(sr, q, db))
-		ac := must(semiring.Compile(sr, q, dcs, float64(want.Len())))
-		got := must(ac.Evaluate(db, true))
+		ac := must(semiring.Compile(ctx, sr, q, dcs, float64(want.Len())))
+		got := must(ac.Evaluate(ctx, db, true))
 		ok := "yes"
 		if !got.Equal(want) {
 			ok = "NO"
@@ -297,11 +282,11 @@ func e10() {
 	fmt.Print(tb)
 }
 
-func e11() {
+func e11(ctx context.Context) {
 	tb := stats.NewTable("query", "LOGDAPB/logN", "proof steps", "decomps", "witness checks")
 	for _, e := range query.Catalog() {
-		res := must(bound.LogDAPB(e.Query, query.Cardinalities(e.Query, 256)))
-		seq, delta, err := proofseq.Build(e.Query, res)
+		res := must(bound.LogDAPBCtx(ctx, e.Query, query.Cardinalities(e.Query, 256)))
+		seq, delta, err := proofseq.BuildCtx(ctx, e.Query, res)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -324,7 +309,7 @@ func e11() {
 	fmt.Print(tb)
 }
 
-func e12() {
+func e12(ctx context.Context) {
 	tb := stats.NewTable("query", "fhtw", "da-fhtw/logN", "da-subw/logN")
 	for _, e := range []query.CatalogEntry{
 		{Name: "triangle", Query: query.Triangle()},
@@ -335,15 +320,15 @@ func e12() {
 		{Name: "path3_endpoints", Query: query.Path3Endpoints()},
 	} {
 		dcs := query.Cardinalities(e.Query, 256)
-		f, _, err := ghd.Fhtw(e.Query)
+		f, _, err := ghd.FhtwCtx(ctx, e.Query)
 		if err != nil {
 			log.Fatal(err)
 		}
-		df, _, err := ghd.DAFhtw(e.Query, dcs)
+		df, _, err := ghd.DAFhtwCtx(ctx, e.Query, dcs)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ds, err := ghd.DASubw(e.Query, dcs, 16)
+		ds, err := ghd.DASubwCtx(ctx, e.Query, dcs, 16)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -56,6 +56,7 @@ func main() {
 		exportSd  = flag.Int64("export-seed", 1, "generator seed for -export")
 	)
 	flag.Parse()
+	ctx := context.Background()
 
 	q, err := circuitql.ParseQuery(*src)
 	if err != nil {
@@ -70,7 +71,7 @@ func main() {
 		dcs = append(dcs, extra...)
 	}
 
-	b, err := circuitql.PolymatroidBound(q, dcs)
+	b, err := circuitql.PolymatroidBound(ctx, q, dcs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func main() {
 	}
 	fmt.Printf("fingerprint:      %s\n", canon.FP.Short())
 
-	res, err := panda.CompileFCQ(q, dcs)
+	res, err := panda.CompileFCQCtx(ctx, q, dcs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,13 +124,13 @@ func main() {
 	}
 
 	if !*noObliv {
-		obl, err := core.CompileOblivious(res.Circuit)
+		obl, err := core.CompileObliviousCtx(ctx, res.Circuit)
 		if err != nil {
 			log.Fatal(err)
 		}
 		if !*noOpt {
 			before := obl.C.Size()
-			if obl.C, err = opt.BoolCtx(context.Background(), obl.C); err != nil {
+			if obl.C, err = opt.BoolCtx(ctx, obl.C); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("word-level opt:   %d gates -> %d (%.1f%% smaller)\n",
@@ -160,7 +161,7 @@ func main() {
 	}
 
 	if *widthsToo {
-		w, err := circuitql.ComputeWidths(q, dcs)
+		w, err := circuitql.ComputeWidths(ctx, q, dcs)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -172,7 +173,7 @@ func main() {
 		// The engine compiles the canonicalized pair, so persist exactly
 		// that: the artifact's fingerprint then matches what circuitd
 		// computes for any structurally identical request.
-		compiled, err := core.CompileQueryOptsCtx(context.Background(), canon.Query, canon.DCs,
+		compiled, err := core.CompileQueryOptsCtx(ctx, canon.Query, canon.DCs,
 			core.CompileOptions{NoOpt: *noOpt})
 		if err != nil {
 			log.Fatal(err)

@@ -111,13 +111,13 @@ func main() {
 			rep.WordGatesBefore, rep.WordGatesAfter, 100*rep.WordReduction(), rep.Elapsed)
 	}
 
-	want, err := circuitql.EvaluateRAM(q, db)
+	want, err := circuitql.EvaluateRAM(ctx, q, db)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	start = time.Now()
-	rel, err := cq.EvaluateRelationalCtx(ctx, db, true)
+	rel, err := cq.EvaluateRelational(ctx, db, true)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func main() {
 
 	if *obl {
 		start = time.Now()
-		out, err := cq.EvaluateCtx(ctx, db)
+		out, err := cq.Evaluate(ctx, db)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func main() {
 		// Single-request baseline through the interpreted oblivious
 		// circuit — the path a non-batched serve pays per request.
 		start = time.Now()
-		if _, err := cq.EvaluateCtx(ctx, db); err != nil {
+		if _, err := cq.Evaluate(ctx, db); err != nil {
 			log.Fatal(err)
 		}
 		single := time.Since(start)

@@ -103,7 +103,7 @@ func TestDifferentialCatalog(t *testing.T) {
 				var wantAll [][]string
 				for seed := int64(1); seed <= diffSeeds; seed++ {
 					db := testutil.RandomDB(q, seed, n)
-					want, err := EvaluateRAM(q, db)
+					want, err := EvaluateRAM(context.Background(), q, db)
 					if err != nil {
 						t.Fatalf("seed %d: RAM: %v", seed, err)
 					}
@@ -114,8 +114,8 @@ func TestDifferentialCatalog(t *testing.T) {
 						name string
 						eval func() (*Relation, error)
 					}{
-						{"relational", func() (*Relation, error) { return raw.EvaluateRelational(db, true) }},
-						{"oblivious", func() (*Relation, error) { return raw.Evaluate(db) }},
+						{"relational", func() (*Relation, error) { return raw.EvaluateRelational(context.Background(), db, true) }},
+						{"oblivious", func() (*Relation, error) { return raw.Evaluate(context.Background(), db) }},
 						{"vm", func() (*Relation, error) {
 							outs, err := rawVM.EvalBatch(context.Background(), []Database{db})
 							if err != nil {
@@ -123,8 +123,8 @@ func TestDifferentialCatalog(t *testing.T) {
 							}
 							return outs[0], nil
 						}},
-						{"opt-relational", func() (*Relation, error) { return opt.EvaluateRelational(db, true) }},
-						{"opt-oblivious", func() (*Relation, error) { return opt.Evaluate(db) }},
+						{"opt-relational", func() (*Relation, error) { return opt.EvaluateRelational(context.Background(), db, true) }},
+						{"opt-oblivious", func() (*Relation, error) { return opt.Evaluate(context.Background(), db) }},
 						{"opt-vm", func() (*Relation, error) {
 							outs, err := optVM.EvalBatch(context.Background(), []Database{db})
 							if err != nil {
@@ -156,17 +156,17 @@ func TestDifferentialCatalog(t *testing.T) {
 				}
 
 			case q.Free.Empty():
-				bq, err := CompileBoolean(q, dcs)
+				bq, err := CompileBoolean(context.Background(), q, dcs)
 				if err != nil {
 					t.Fatalf("compile boolean: %v", err)
 				}
 				for seed := int64(1); seed <= diffSeeds; seed++ {
 					db := testutil.RandomDB(q, seed, n)
-					want, err := EvaluateRAM(q, db)
+					want, err := EvaluateRAM(context.Background(), q, db)
 					if err != nil {
 						t.Fatalf("seed %d: RAM: %v", seed, err)
 					}
-					got, err := bq.Decide(db)
+					got, err := bq.Decide(context.Background(), db)
 					if err != nil {
 						t.Fatalf("seed %d: decide: %v", seed, err)
 					}
@@ -176,17 +176,17 @@ func TestDifferentialCatalog(t *testing.T) {
 				}
 
 			default:
-				os, err := OutputSensitive(q, dcs)
+				os, err := OutputSensitive(context.Background(), q, dcs)
 				if err != nil {
 					t.Fatalf("output-sensitive compile: %v", err)
 				}
 				for seed := int64(1); seed <= diffSeeds; seed++ {
 					db := testutil.RandomDB(q, seed, n)
-					want, err := EvaluateRAM(q, db)
+					want, err := EvaluateRAM(context.Background(), q, db)
 					if err != nil {
 						t.Fatalf("seed %d: RAM: %v", seed, err)
 					}
-					got, err := os.Evaluate(db)
+					got, err := os.Evaluate(context.Background(), db)
 					if err != nil {
 						t.Fatalf("seed %d: output-sensitive: %v", seed, err)
 					}
@@ -221,7 +221,7 @@ func TestDifferentialDerivedConstraints(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: derive: %v", seed, err)
 				}
-				want, err := EvaluateRAM(q, db)
+				want, err := EvaluateRAM(context.Background(), q, db)
 				if err != nil {
 					t.Fatalf("seed %d: RAM: %v", seed, err)
 				}
@@ -232,9 +232,9 @@ func TestDifferentialDerivedConstraints(t *testing.T) {
 				for _, tier := range []string{"opt-relational", "opt-oblivious"} {
 					var got *Relation
 					if tier == "opt-relational" {
-						got, err = opt.EvaluateRelational(db, true)
+						got, err = opt.EvaluateRelational(context.Background(), db, true)
 					} else {
-						got, err = opt.Evaluate(db)
+						got, err = opt.Evaluate(context.Background(), db)
 					}
 					if err != nil {
 						t.Fatalf("seed %d: %s: %v", seed, tier, err)
@@ -272,7 +272,7 @@ func TestDifferentialStoreRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("canonicalize: %v", err)
 			}
-			fresh, err := core.CompileQuery(canon.Query, canon.DCs)
+			fresh, err := core.CompileQueryCtx(context.Background(), canon.Query, canon.DCs)
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
@@ -300,7 +300,7 @@ func TestDifferentialStoreRoundTrip(t *testing.T) {
 			}
 			for seed := int64(1); seed <= diffSeeds; seed++ {
 				db := testutil.RandomDB(canon.Query, seed, n)
-				want, err := EvaluateRAM(canon.Query, db)
+				want, err := EvaluateRAM(context.Background(), canon.Query, db)
 				if err != nil {
 					t.Fatalf("seed %d: RAM: %v", seed, err)
 				}
@@ -309,8 +309,8 @@ func TestDifferentialStoreRoundTrip(t *testing.T) {
 					name string
 					eval func() (*Relation, error)
 				}{
-					{"fresh-oblivious", func() (*Relation, error) { return fresh.EvaluateOblivious(db) }},
-					{"store-oblivious", func() (*Relation, error) { return warm.EvaluateOblivious(db) }},
+					{"fresh-oblivious", func() (*Relation, error) { return fresh.EvaluateObliviousCtx(context.Background(), db) }},
+					{"store-oblivious", func() (*Relation, error) { return warm.EvaluateObliviousCtx(context.Background(), db) }},
 					{"store-vm", func() (*Relation, error) {
 						packed, err := warm.PackOblivious(db)
 						if err != nil {

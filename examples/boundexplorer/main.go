@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,6 +21,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	log.SetFlags(0)
 	const n = 256 // uniform cardinality per relation (log N = 8)
 
@@ -29,19 +31,19 @@ func main() {
 		q := e.Query
 		dcs := circuitql.UniformCardinalities(q, n)
 
-		rho, err := bound.FractionalEdgeCoverNumber(q)
+		rho, err := bound.FractionalEdgeCoverNumber(ctx, q)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := bound.LogDAPB(q, dcs)
+		res, err := bound.LogDAPBCtx(ctx, q, dcs)
 		if err != nil {
 			log.Fatal(err)
 		}
-		seq, _, err := proofseq.Build(q, res)
+		seq, _, err := proofseq.BuildCtx(ctx, q, res)
 		if err != nil {
 			log.Fatal(err)
 		}
-		w, err := circuitql.ComputeWidths(q, dcs)
+		w, err := circuitql.ComputeWidths(ctx, q, dcs)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,7 +57,7 @@ func main() {
 	// Zoom in on the triangle: the full derivation.
 	q := query.Triangle()
 	dcs := circuitql.UniformCardinalities(q, n)
-	res, err := bound.LogDAPB(q, dcs)
+	res, err := bound.LogDAPBCtx(ctx, q, dcs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func main() {
 	}
 	fmt.Println("  witness identity verified exactly (Σδ·n = LOGDAPB) ✓")
 
-	seq, delta, err := proofseq.Build(q, res)
+	seq, delta, err := proofseq.BuildCtx(ctx, q, res)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,7 +88,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res2, err := bound.LogDAPB(q, append(dcs, fd...))
+	res2, err := bound.LogDAPBCtx(ctx, q, append(dcs, fd...))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,6 +26,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A chain join whose output is usually far below its worst case:
 	// supplier -> part -> region -> warehouse provenance paths. Its GHD
 	// has three bags, so the third Yannakakis phase runs output-bounded
@@ -46,7 +48,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	os, err := circuitql.OutputSensitive(q, dcs)
+	os, err := circuitql.OutputSensitive(ctx, q, dcs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func main() {
 
 	// Phase 1: the server evaluates the count circuit (one round trip).
 	g, d, cost := os.CountCircuitStats()
-	out, err := os.Count(db)
+	out, err := os.Count(ctx, db)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,18 +66,18 @@ func main() {
 	fmt.Printf("phase 1 result:   OUT = %d output tuples (client reveals this)\n\n", out)
 
 	// Phase 2: circuit parameterized by (DC, OUT).
-	ec, err := os.EvalCircuit(out)
+	ec, err := os.EvalCircuit(ctx, out)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("phase 2 (server): evaluation circuit %d relational gates, depth %d, cost %.0f\n",
 		ec.Circuit.Size(), ec.Circuit.Depth(), ec.Circuit.Cost())
 
-	got, err := ec.Evaluate(db, false)
+	got, err := ec.EvaluateCtx(ctx, db, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	want, err := circuitql.EvaluateRAM(q, db)
+	want, err := circuitql.EvaluateRAM(ctx, q, db)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -88,13 +90,13 @@ func main() {
 	// values against the worst-case N² the naive sizing would pay.
 	fmt.Println("phase-2 circuit cost as a function of the revealed OUT:")
 	worstOut := n * n * n
-	worst, err := os.EvalCircuit(worstOut)
+	worst, err := os.EvalCircuit(ctx, worstOut)
 	if err != nil {
 		log.Fatal(err)
 	}
 	tb := stats.NewTable("OUT", "relational cost", "vs worst case N³")
 	for _, o := range []int{4, 16, 64, 256, 1024, worstOut} {
-		e, err := os.EvalCircuit(o)
+		e, err := os.EvalCircuit(ctx, o)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// The paper's running example: the triangle query.
 	q, err := circuitql.ParseQuery("Q(A,B,C) :- R(A,B), S(B,C), T(A,C)")
 	if err != nil {
@@ -40,7 +42,7 @@ func main() {
 
 	// Compile once. The circuit depends only on (Q, DC) — it would
 	// evaluate *any* database within these constraints.
-	cq, err := circuitql.Compile(q, dcs)
+	cq, err := circuitql.Compile(ctx, q, dcs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,11 +53,11 @@ func main() {
 		st.RelationalGates, st.RelationalDepth, st.Cost)
 	fmt.Printf("oblivious circuit:  %d word gates, depth %d\n", st.Gates, st.Depth)
 
-	out, err := cq.Evaluate(db)
+	out, err := cq.Evaluate(ctx, db)
 	if err != nil {
 		log.Fatal(err)
 	}
-	want, err := circuitql.EvaluateRAM(q, db)
+	want, err := circuitql.EvaluateRAM(ctx, q, db)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,6 +29,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Q(patient, drug, outcome): join prescriptions with reactions and a
 	// monitoring table — structurally a triangle.
 	q, err := circuitql.ParseQuery("Q(P,D,O) :- Prescribed(P,D), Reacted(D,O), Monitored(P,O)")
@@ -44,7 +46,7 @@ func main() {
 	// Public information between the parties: the agreed upper bounds.
 	dcs := circuitql.UniformCardinalities(q, n)
 
-	cq, err := circuitql.Compile(q, dcs)
+	cq, err := circuitql.Compile(ctx, q, dcs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,11 +69,11 @@ func main() {
 	// Oblivious evaluation: the access pattern is fixed by the circuit,
 	// so an adversary observing the computation learns nothing beyond
 	// the declared bounds.
-	out, err := cq.Evaluate(db)
+	out, err := cq.Evaluate(ctx, db)
 	if err != nil {
 		log.Fatal(err)
 	}
-	want, err := circuitql.EvaluateRAM(q, db)
+	want, err := circuitql.EvaluateRAM(ctx, q, db)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func main() {
 	sIn := opcircuits.NewInput(c, []string{"D", "O"}, 3)
 	joined := opcircuits.PKJoin(c, rIn, sIn)
 	opcircuits.MarkOutputs(c, joined)
-	res, err := bitblast.Blast(c, 64)
+	res, err := bitblast.BlastCtx(ctx, c, 64)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,6 +19,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	q, err := circuitql.ParseQuery("Q(A,B,C) :- R(A,B), S(B,C), T(A,C)")
 	if err != nil {
 		log.Fatal(err)
@@ -25,7 +27,7 @@ func main() {
 
 	const n = 24 // per-relation cardinality cap baked into the "chip"
 	dcs := circuitql.UniformCardinalities(q, n)
-	cq, err := circuitql.Compile(q, dcs)
+	cq, err := circuitql.Compile(ctx, q, dcs)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,11 +47,11 @@ func main() {
 	tb := stats.NewTable("graph", "|E| per table", "triangles", "verified")
 	for _, k := range kinds {
 		db := workload.TriangleDB(k.kind, 7, n)
-		out, err := cq.Evaluate(db)
+		out, err := cq.Evaluate(ctx, db)
 		if err != nil {
 			log.Fatal(err)
 		}
-		want, err := circuitql.EvaluateRAM(q, db)
+		want, err := circuitql.EvaluateRAM(ctx, q, db)
 		if err != nil {
 			log.Fatal(err)
 		}

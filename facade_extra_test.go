@@ -2,6 +2,7 @@ package circuitql
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ func compiledTriangle(t *testing.T) (*CompiledQuery, *Query, Database) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cq, err := Compile(q, dcs)
+	cq, err := Compile(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +62,11 @@ func TestArtifactRoundTripViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := art.Evaluate(pdb)
+	outs, err := art.Evaluate(context.Background(), pdb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := cq.Evaluate(db)
+	want, err := cq.Evaluate(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +112,11 @@ func TestBitLevelFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cq, err := Compile(q, UniformCardinalities(q, 3))
+	cq, err := Compile(context.Background(), q, UniformCardinalities(q, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gates, depth, err := cq.BitLevel(64)
+	gates, depth, err := cq.BitLevel(context.Background(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestBitLevelFacade(t *testing.T) {
 	if gates <= wordGates || depth <= 0 {
 		t.Fatalf("bit level = %d gates depth %d (word %d)", gates, depth, wordGates)
 	}
-	if _, _, err := cq.BitLevel(0); err == nil {
+	if _, _, err := cq.BitLevel(context.Background(), 0); err == nil {
 		t.Fatal("width 0 accepted")
 	}
 }

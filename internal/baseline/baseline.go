@@ -10,6 +10,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -194,6 +195,6 @@ func consistent(q *query.Query, rels []*relation.Relation, assignment []int64, v
 
 // HashJoinPlan evaluates the query by a left-deep hash-join plan in
 // ascending-cardinality atom order — the conventional RAM baseline.
-func HashJoinPlan(q *query.Query, db query.Database) (*relation.Relation, error) {
-	return query.Evaluate(q, db)
+func HashJoinPlan(ctx context.Context, q *query.Query, db query.Database) (*relation.Relation, error) {
+	return query.EvaluateCtx(ctx, q, db)
 }

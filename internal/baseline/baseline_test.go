@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -24,11 +25,11 @@ func TestNaiveCircuitCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, err := c.Evaluate(pdb, true)
+	vals, err := c.EvaluateCtx(context.Background(), pdb, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := query.Evaluate(q, db)
+	want, err := query.EvaluateCtx(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +76,11 @@ func TestHeavyLightTriangleCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vals, err := c.Evaluate(pdb, true)
+		vals, err := c.EvaluateCtx(context.Background(), pdb, true)
 		if err != nil {
 			t.Fatalf("kind %d: %v", kind, err)
 		}
-		want, err := query.Evaluate(q, db)
+		want, err := query.EvaluateCtx(context.Background(), q, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +125,7 @@ func TestGenericJoinMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
-		want, err := query.Evaluate(q, db)
+		want, err := query.EvaluateCtx(context.Background(), q, db)
 		if err != nil {
 			t.Fatal(err)
 		}

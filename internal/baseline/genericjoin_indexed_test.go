@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"circuitql/internal/query"
@@ -22,7 +23,7 @@ func TestGenericJoinIndexedMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
-		want, err := query.Evaluate(q, db)
+		want, err := query.EvaluateCtx(context.Background(), q, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +52,7 @@ func TestGenericJoinIndexedSelfJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := query.Evaluate(q, db)
+	want, err := query.EvaluateCtx(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func BenchmarkHashJoinPlan(b *testing.B) {
 	db := workload.TriangleDB(workload.TriangleUniform, 37, 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := HashJoinPlan(q, db); err != nil {
+		if _, err := HashJoinPlan(context.Background(), q, db); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"circuitql/internal/boolcircuit"
+	"circuitql/internal/guard"
 	"circuitql/internal/obs"
 )
 
@@ -42,17 +43,14 @@ type Result struct {
 	// inputs [i·Width, (i+1)·Width), LSB first; likewise outputs.
 }
 
-// Blast converts the word-level circuit to a pure Boolean circuit at the
-// given bit width (1-64).
-func Blast(src *boolcircuit.Circuit, width int) (*Result, error) {
-	return BlastCtx(context.Background(), src, width)
-}
-
-// BlastCtx is Blast under a context, running the whole expansion inside
-// an obs bitblast span that counts the bit-level gates produced.
+// BlastCtx converts the word-level circuit to a pure Boolean circuit at
+// the given bit width (1-64). The expansion runs inside an obs bitblast
+// span that counts the bit-level gates produced; every 256 word gates it
+// polls ctx and checks the circuit built so far against any guard.Budget
+// gate cap (one word gate is up to a few thousand bit gates).
 func BlastCtx(ctx context.Context, src *boolcircuit.Circuit, width int) (_ *Result, err error) {
-	_, sp := obs.StartSpan(ctx, obs.StageBitblast)
-	res, err := blast(src, width)
+	ctx, sp := obs.StartSpan(ctx, obs.StageBitblast)
+	res, err := blast(ctx, src, width)
 	if res != nil {
 		sp.AddInt(obs.CounterGates, int64(res.C.Size()))
 	}
@@ -61,16 +59,22 @@ func BlastCtx(ctx context.Context, src *boolcircuit.Circuit, width int) (_ *Resu
 	return res, err
 }
 
-func blast(src *boolcircuit.Circuit, width int) (*Result, error) {
+func blast(ctx context.Context, src *boolcircuit.Circuit, width int) (*Result, error) {
 	if width < 1 || width > 64 {
 		return nil, fmt.Errorf("bitblast: width %d out of range [1, 64]", width)
 	}
+	budget := guard.FromContext(ctx)
 	b := &blaster{src: src, dst: boolcircuit.New(), width: width}
 	b.zero = b.dst.Const(0)
 	b.one = b.dst.Const(1)
 
 	words := make([]word, src.Size())
 	for id := 0; id < src.Size(); id++ {
+		if id&0xff == 0 {
+			if err := budget.CheckGates(ctx, b.dst.Size()); err != nil {
+				return nil, err
+			}
+		}
 		g := src.GateAt(id)
 		var w word
 		switch g.Op {

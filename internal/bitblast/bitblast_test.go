@@ -1,6 +1,7 @@
 package bitblast
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -17,7 +18,7 @@ import (
 // against the word evaluator on the given input vectors.
 func crossCheck(t *testing.T, c *boolcircuit.Circuit, width int, inputVectors [][]int64) *Result {
 	t.Helper()
-	res, err := Blast(c, width)
+	res, err := BlastCtx(context.Background(), c, width)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +36,11 @@ func crossCheck(t *testing.T, c *boolcircuit.Circuit, width int, inputVectors []
 		}
 	}
 	for vi, inputs := range inputVectors {
-		want, err := c.Evaluate(inputs)
+		want, err := c.EvaluateCtx(context.Background(), inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bits, err := res.C.Evaluate(PackWords(inputs, width))
+		bits, err := res.C.EvaluateCtx(context.Background(), PackWords(inputs, width))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +161,7 @@ func TestBlastPKJoinCircuit(t *testing.T) {
 	t.Logf("pk join: %d word gates -> %d bit gates (width 64)", c.Size(), res.C.Size())
 
 	// Decode the bit-level output and check the relation itself.
-	bits, err := res.C.Evaluate(PackWords(append(pr, ps...), 64))
+	bits, err := res.C.EvaluateCtx(context.Background(), PackWords(append(pr, ps...), 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestBlastSelectWithExpressions(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := crossCheck(t, c, 16, [][]int64{packed})
-	bits, err := res.C.Evaluate(PackWords(packed, 16))
+	bits, err := res.C.EvaluateCtx(context.Background(), PackWords(packed, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,10 +208,10 @@ func TestBlastSelectWithExpressions(t *testing.T) {
 func TestBlastRejectsBadWidth(t *testing.T) {
 	c := boolcircuit.New()
 	c.Input()
-	if _, err := Blast(c, 0); err == nil {
+	if _, err := BlastCtx(context.Background(), c, 0); err == nil {
 		t.Fatal("width 0 accepted")
 	}
-	if _, err := Blast(c, 65); err == nil {
+	if _, err := BlastCtx(context.Background(), c, 65); err == nil {
 		t.Fatal("width 65 accepted")
 	}
 }
@@ -236,15 +237,15 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 func TestBlastTriangleEndToEnd(t *testing.T) {
 	q := query.Triangle()
 	dcs := query.Cardinalities(q, 3)
-	cres, err := panda.CompileFCQ(q, dcs)
+	cres, err := panda.CompileFCQCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obl, err := core.CompileOblivious(cres.Circuit)
+	obl, err := core.CompileObliviousCtx(context.Background(), cres.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Blast(obl.C, 64)
+	res, err := BlastCtx(context.Background(), obl.C, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestBlastTriangleEndToEnd(t *testing.T) {
 		}
 		inputs = append(inputs, packed...)
 	}
-	bits, err := res.C.Evaluate(PackWords(inputs, 64))
+	bits, err := res.C.EvaluateCtx(context.Background(), PackWords(inputs, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestBlastTriangleEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := query.Evaluate(q, db)
+	want, err := query.EvaluateCtx(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -440,16 +440,11 @@ func (c *Circuit) Prune(ctx context.Context) (*Circuit, error) {
 	return nc, nil
 }
 
-// Evaluate runs the circuit on the given input values (positional, one
-// per Input allocation) and returns the values of all marked outputs in
-// marking order. Evaluation order is the fixed gate order — the access
-// pattern is input independent by construction.
-func (c *Circuit) Evaluate(inputs []int64) ([]int64, error) {
-	return c.EvaluateCtx(context.Background(), inputs)
-}
-
-// EvaluateCtx is Evaluate under a context. The gate loop polls ctx every
-// 4096 gates (word gates are nanosecond-scale; finer polling would
+// EvaluateCtx runs the circuit on the given input values (positional,
+// one per Input allocation) and returns the values of all marked outputs
+// in marking order. Evaluation order is the fixed gate order — the access
+// pattern is input independent by construction. The gate loop polls ctx
+// every 4096 gates (word gates are nanosecond-scale; finer polling would
 // dominate the work) and, when ctx carries a faultinject.Injector, each
 // gate reports to the word-gate site. The pass runs under one obs
 // boolcircuit-eval span counting gates evaluated — per evaluation, not

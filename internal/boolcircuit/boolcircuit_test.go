@@ -1,6 +1,7 @@
 package boolcircuit
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,7 +14,7 @@ func evalOne(t *testing.T, build func(c *Circuit) int, inputs ...int64) int64 {
 	_ = ins
 	out := build(c)
 	c.MarkOutput(out)
-	got, err := c.Evaluate(inputs)
+	got, err := c.EvaluateCtx(context.Background(), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestArithmeticGates(t *testing.T) {
 	c.MarkOutput(c.Sub(a, b))
 	c.MarkOutput(c.Mul(a, b))
 	c.MarkOutput(c.ModC(a, b))
-	out, err := c.Evaluate([]int64{17, 5})
+	out, err := c.EvaluateCtx(context.Background(), []int64{17, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestModSemantics(t *testing.T) {
 	c.MarkOutput(c.ModC(a, b))
 	cases := [][3]int64{{7, 2, 1}, {-7, 2, 1}, {7, 0, 0}, {-3, 5, 2}}
 	for _, cs := range cases {
-		out, err := c.Evaluate([]int64{cs[0], cs[1]})
+		out, err := c.EvaluateCtx(context.Background(), []int64{cs[0], cs[1]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func TestComparisons(t *testing.T) {
 	c.MarkOutput(c.Ge(a, b))
 	c.MarkOutput(c.Ne(a, b))
 	check := func(x, y int64, want [6]int64) {
-		out, err := c.Evaluate([]int64{x, y})
+		out, err := c.EvaluateCtx(context.Background(), []int64{x, y})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,15 +86,15 @@ func TestMux(t *testing.T) {
 	c := New()
 	cond, a, b := c.Input(), c.Input(), c.Input()
 	c.MarkOutput(c.Mux(cond, a, b))
-	out, _ := c.Evaluate([]int64{1, 10, 20})
+	out, _ := c.EvaluateCtx(context.Background(), []int64{1, 10, 20})
 	if out[0] != 10 {
 		t.Fatalf("mux(1) = %d", out[0])
 	}
-	out, _ = c.Evaluate([]int64{0, 10, 20})
+	out, _ = c.EvaluateCtx(context.Background(), []int64{0, 10, 20})
 	if out[0] != 20 {
 		t.Fatalf("mux(0) = %d", out[0])
 	}
-	out, _ = c.Evaluate([]int64{5, 10, 20}) // any nonzero selects a
+	out, _ = c.EvaluateCtx(context.Background(), []int64{5, 10, 20}) // any nonzero selects a
 	if out[0] != 10 {
 		t.Fatalf("mux(5) = %d", out[0])
 	}
@@ -141,7 +142,7 @@ func TestBitwiseAndBool(t *testing.T) {
 	c.MarkOutput(c.Xor(a, b))
 	c.MarkOutput(c.Not(a))
 	c.MarkOutput(c.NotB(c.Bool(a)))
-	out, _ := c.Evaluate([]int64{0b1100, 0b1010})
+	out, _ := c.EvaluateCtx(context.Background(), []int64{0b1100, 0b1010})
 	if out[0] != 0b1000 || out[1] != 0b1110 || out[2] != 0b0110 {
 		t.Fatalf("bitwise = %v", out[:3])
 	}
@@ -156,7 +157,7 @@ func TestBitwiseAndBool(t *testing.T) {
 func TestEvaluateInputCountMismatch(t *testing.T) {
 	c := New()
 	c.Input()
-	if _, err := c.Evaluate(nil); err == nil {
+	if _, err := c.EvaluateCtx(context.Background(), nil); err == nil {
 		t.Fatal("expected input count error")
 	}
 }
@@ -179,7 +180,7 @@ func TestArithmeticProperty(t *testing.T) {
 	c.MarkOutput(c.Mul(a, b))
 	c.MarkOutput(c.Lt(a, b))
 	f := func(x, y int64) bool {
-		out, err := c.Evaluate([]int64{x, y})
+		out, err := c.EvaluateCtx(context.Background(), []int64{x, y})
 		if err != nil {
 			return false
 		}
@@ -202,7 +203,7 @@ func TestObliviousnessByConstruction(t *testing.T) {
 	c.MarkOutput(c.Mux(c.Lt(a, b), a, b))
 	sizeBefore, depthBefore := c.Size(), c.Depth()
 	for i := 0; i < 10; i++ {
-		if _, err := c.Evaluate([]int64{int64(i), int64(10 - i)}); err != nil {
+		if _, err := c.EvaluateCtx(context.Background(), []int64{int64(i), int64(10 - i)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -342,11 +342,11 @@ func TestPrune(t *testing.T) {
 		for i := range in {
 			in[i] = rng.Int63n(200) - 100
 		}
-		want, err := c.Evaluate(in)
+		want, err := c.EvaluateCtx(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := p.Evaluate(in)
+		got, err := p.EvaluateCtx(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -167,11 +167,11 @@ func TestRewriteTable(t *testing.T) {
 			raw.MarkOutput(row.build(raw, rx, ry))
 			for _, vx := range edge {
 				for _, vy := range edge {
-					want, err := raw.Evaluate([]int64{vx, vy})
+					want, err := raw.EvaluateCtx(context.Background(), []int64{vx, vy})
 					if err != nil {
 						t.Fatal(err)
 					}
-					out, err := c.Evaluate([]int64{vx, vy})
+					out, err := c.EvaluateCtx(context.Background(), []int64{vx, vy})
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -2,6 +2,7 @@ package boolcircuit
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -63,11 +64,11 @@ func TestSerializeRoundTrip(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = rng.Int63n(2000) - 1000
 	}
-	want, err := c.Evaluate(inputs)
+	want, err := c.EvaluateCtx(context.Background(), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c2.Evaluate(inputs)
+	got, err := c2.EvaluateCtx(context.Background(), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestSerializeNegativeConstants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := c2.Evaluate([]int64{67})
+	out, err := c2.EvaluateCtx(context.Background(), []int64{67})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func BenchmarkEvaluateSequential(b *testing.B) {
 	inputs := make([]int64, c.NumInputs())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Evaluate(inputs); err != nil {
+		if _, err := c.EvaluateCtx(context.Background(), inputs); err != nil {
 			b.Fatal(err)
 		}
 	}

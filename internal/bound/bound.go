@@ -91,25 +91,15 @@ func Log2Rat(n float64) *big.Rat {
 	return r
 }
 
-// LogDAPB computes the degree-aware polymatroid bound of the full variable
-// set: max h([n]) over Γ_n ∩ HDC.
-func LogDAPB(q *query.Query, dcs query.DCSet) (*Result, error) {
-	return LogBound(q, dcs, q.AllVars())
-}
-
-// LogDAPBCtx is LogDAPB under a context: the underlying exact LP polls
+// LogDAPBCtx computes the degree-aware polymatroid bound of the full
+// variable set: max h([n]) over Γ_n ∩ HDC. The underlying exact LP polls
 // ctx and charges pivots against any attached guard.Budget.
 func LogDAPBCtx(ctx context.Context, q *query.Query, dcs query.DCSet) (*Result, error) {
 	return LogBoundCtx(ctx, q, dcs, q.AllVars())
 }
 
-// LogBound computes max h(target) over Γ_n ∩ HDC for an arbitrary
+// LogBoundCtx computes max h(target) over Γ_n ∩ HDC for an arbitrary
 // non-empty target ⊆ [n] (used per GHD bag by the width computations).
-func LogBound(q *query.Query, dcs query.DCSet, target query.VarSet) (*Result, error) {
-	return LogBoundCtx(context.Background(), q, dcs, target)
-}
-
-// LogBoundCtx is LogBound under a context.
 func LogBoundCtx(ctx context.Context, q *query.Query, dcs query.DCSet, target query.VarSet) (*Result, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -120,17 +110,12 @@ func LogBoundCtx(ctx context.Context, q *query.Query, dcs query.DCSet, target qu
 	return LogBoundRawCtx(ctx, q, dcs, target)
 }
 
-// LogBoundRaw is LogBound without the requirement that every constraint's
-// Y set be a hyperedge of the query. PANDA-C's truncation path re-derives
-// bounds over the degree constraints of *derived* relations (projections
-// and decomposition sub-relations), whose attribute sets are arbitrary
-// subsets of [n]; this entry point serves that case. Constraints must
-// still satisfy X ⊆ Y and N ≥ 1.
-func LogBoundRaw(q *query.Query, dcs query.DCSet, target query.VarSet) (*Result, error) {
-	return LogBoundRawCtx(context.Background(), q, dcs, target)
-}
-
-// LogBoundRawCtx is LogBoundRaw under a context.
+// LogBoundRawCtx is LogBoundCtx without the requirement that every
+// constraint's Y set be a hyperedge of the query. PANDA-C's truncation
+// path re-derives bounds over the degree constraints of *derived*
+// relations (projections and decomposition sub-relations), whose
+// attribute sets are arbitrary subsets of [n]; this entry point serves
+// that case. Constraints must still satisfy X ⊆ Y and N ≥ 1.
 func LogBoundRawCtx(ctx context.Context, q *query.Query, dcs query.DCSet, target query.VarSet) (*Result, error) {
 	for _, dc := range dcs {
 		if !dc.X.SubsetOf(dc.Y) || dc.N < 1 {
@@ -362,8 +347,9 @@ func (r *Result) CheckWitness(q *query.Query) error {
 
 // FractionalEdgeCoverNumber returns ρ*(Q): the minimum total weight of a
 // fractional edge cover of the query hypergraph. Under uniform cardinality
-// constraints N, the AGM (and polymatroid) bound is N^ρ*.
-func FractionalEdgeCoverNumber(q *query.Query) (*big.Rat, error) {
+// constraints N, the AGM (and polymatroid) bound is N^ρ*. The LP polls
+// ctx.
+func FractionalEdgeCoverNumber(ctx context.Context, q *query.Query) (*big.Rat, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -381,7 +367,7 @@ func FractionalEdgeCoverNumber(q *query.Query) (*big.Rat, error) {
 		}
 		p.AddGE(coeffs, lp.Rat(1, 1))
 	}
-	sol, err := p.Solve()
+	sol, err := p.SolveCtx(ctx)
 	if err != nil {
 		return nil, err
 	}

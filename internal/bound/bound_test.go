@@ -1,6 +1,7 @@
 package bound
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestLog2Rat(t *testing.T) {
 // (the AGM bound N^{3/2}) — the paper's Example 1 and inequality (2).
 func TestTriangleAGM(t *testing.T) {
 	q := query.Triangle()
-	res, err := LogDAPB(q, query.Cardinalities(q, 1024)) // log N = 10
+	res, err := LogDAPBCtx(context.Background(), q, query.Cardinalities(q, 1024)) // log N = 10
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestEdgeCoverNumbers(t *testing.T) {
 		{query.LoomisWhitney4(), 4, 3},
 	}
 	for _, c := range cases {
-		rho, err := FractionalEdgeCoverNumber(c.q)
+		rho, err := FractionalEdgeCoverNumber(context.Background(), c.q)
 		if err != nil {
 			t.Fatalf("%v: %v", c.q, err)
 		}
@@ -67,11 +68,11 @@ func TestEdgeCoverNumbers(t *testing.T) {
 func TestUniformCardinalityMatchesAGM(t *testing.T) {
 	for _, e := range query.Catalog() {
 		q := e.Query
-		res, err := LogDAPB(q, query.Cardinalities(q, 256)) // log N = 8
+		res, err := LogDAPBCtx(context.Background(), q, query.Cardinalities(q, 256)) // log N = 8
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
-		rho, err := FractionalEdgeCoverNumber(q)
+		rho, err := FractionalEdgeCoverNumber(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +93,7 @@ func TestTriangleWithFD(t *testing.T) {
 	dcs := query.Cardinalities(q, 1024)
 	ab := query.SetOf(q.VarIndex("A"), q.VarIndex("B"))
 	dcs = append(dcs, query.DegreeConstraint{X: query.SetOf(q.VarIndex("A")), Y: ab, N: 1})
-	res, err := LogDAPB(q, dcs)
+	res, err := LogDAPBCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestTriangleWithDegree(t *testing.T) {
 	b := query.SetOf(q.VarIndex("B"))
 	bc := query.SetOf(q.VarIndex("B"), q.VarIndex("C"))
 	dcs = append(dcs, query.DegreeConstraint{X: b, Y: bc, N: 4})
-	res, err := LogDAPB(q, dcs)
+	res, err := LogDAPBCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestHeterogeneousCardinalities(t *testing.T) {
 		{X: 0, Y: query.SetOf(idx("B"), idx("C")), N: 64},
 		{X: 0, Y: query.SetOf(idx("A"), idx("C")), N: 256},
 	}
-	res, err := LogDAPB(q, dcs)
+	res, err := LogDAPBCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestLogBoundSubTarget(t *testing.T) {
 	q := query.Triangle()
 	dcs := query.Cardinalities(q, 1024)
 	ab := query.SetOf(q.VarIndex("A"), q.VarIndex("B"))
-	res, err := LogBound(q, dcs, ab)
+	res, err := LogBoundCtx(context.Background(), q, dcs, ab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestUnboundedWithoutConstraints(t *testing.T) {
 	q := query.Triangle()
 	// Only one cardinality constraint: C is unconstrained from above.
 	dcs := query.DCSet{{X: 0, Y: query.SetOf(0, 1), N: 4}}
-	if _, err := LogDAPB(q, dcs); err == nil {
+	if _, err := LogDAPBCtx(context.Background(), q, dcs); err == nil {
 		t.Fatal("expected unbounded error")
 	}
 }
@@ -168,11 +169,11 @@ func TestUnboundedWithoutConstraints(t *testing.T) {
 func TestInvalidInputs(t *testing.T) {
 	q := query.Triangle()
 	dcs := query.Cardinalities(q, 4)
-	if _, err := LogBound(q, dcs, 0); err == nil {
+	if _, err := LogBoundCtx(context.Background(), q, dcs, 0); err == nil {
 		t.Fatal("expected error for empty target")
 	}
 	bad := query.DCSet{{X: query.SetOf(2), Y: query.SetOf(0, 1), N: 4}}
-	if _, err := LogDAPB(q, bad); err == nil {
+	if _, err := LogDAPBCtx(context.Background(), q, bad); err == nil {
 		t.Fatal("expected error for invalid DC")
 	}
 }
@@ -182,7 +183,7 @@ func TestInvalidInputs(t *testing.T) {
 func TestWitnessDeltaSupportsDC(t *testing.T) {
 	q := query.Cycle4()
 	dcs := query.Cardinalities(q, 64)
-	res, err := LogDAPB(q, dcs)
+	res, err := LogDAPBCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +207,11 @@ func TestWitnessDeltaSupportsDC(t *testing.T) {
 // only increase the bound.
 func TestBoundMonotoneInConstraints(t *testing.T) {
 	q := query.Triangle()
-	small, err := LogDAPB(q, query.Cardinalities(q, 16))
+	small, err := LogDAPBCtx(context.Background(), q, query.Cardinalities(q, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := LogDAPB(q, query.Cardinalities(q, 256))
+	large, err := LogDAPBCtx(context.Background(), q, query.Cardinalities(q, 256))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package bound
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -42,11 +43,11 @@ func TestBoundSoundOnData(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := LogDAPB(q, dcs)
+			res, err := LogDAPBCtx(context.Background(), q, dcs)
 			if err != nil {
 				t.Fatalf("%s: %v", e.Name, err)
 			}
-			out, err := query.Evaluate(full, db)
+			out, err := query.EvaluateCtx(context.Background(), full, db)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,11 +77,11 @@ func TestBoundTightOnWorstCase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := LogDAPB(q, dcs)
+		res, err := LogDAPBCtx(context.Background(), q, dcs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := query.Evaluate(q, db)
+		out, err := query.EvaluateCtx(context.Background(), q, db)
 		if err != nil {
 			t.Fatal(err)
 		}

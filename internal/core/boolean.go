@@ -25,15 +25,11 @@ type BooleanCircuit struct {
 // ResultAttr is the 0/1 answer column of a Boolean circuit's output.
 const ResultAttr = "result"
 
-// CompileBoolean compiles a Boolean CQ (no free variables) into a
+// CompileBooleanCtx compiles a Boolean CQ (no free variables) into a
 // decision circuit: the full-join PANDA-C circuit followed by a global
 // count and a threshold (count ≥ 1). The output relation always
-// contains exactly one tuple over {result}.
-func CompileBoolean(q *query.Query, dcs query.DCSet) (*BooleanCircuit, error) {
-	return CompileBooleanCtx(context.Background(), q, dcs)
-}
-
-// CompileBooleanCtx is CompileBoolean under a context (see CompileQueryCtx).
+// contains exactly one tuple over {result}. See CompileQueryCtx for what
+// ctx governs.
 func CompileBooleanCtx(ctx context.Context, q *query.Query, dcs query.DCSet) (*BooleanCircuit, error) {
 	if !q.IsBoolean() {
 		return nil, fmt.Errorf("core: %s is not a Boolean query", q)
@@ -61,12 +57,7 @@ func CompileBooleanCtx(ctx context.Context, q *query.Query, dcs query.DCSet) (*B
 	return &BooleanCircuit{Query: q, Rel: c, RelOutput: out, Obliv: obl}, nil
 }
 
-// Decide evaluates the oblivious decision circuit.
-func (bc *BooleanCircuit) Decide(db query.Database) (bool, error) {
-	return bc.DecideCtx(context.Background(), db)
-}
-
-// DecideCtx is Decide under a context.
+// DecideCtx evaluates the oblivious decision circuit.
 func (bc *BooleanCircuit) DecideCtx(ctx context.Context, db query.Database) (bool, error) {
 	pdb, err := panda.PrepareDB(bc.Query, db)
 	if err != nil {
@@ -87,12 +78,12 @@ func (bc *BooleanCircuit) DecideCtx(ctx context.Context, db query.Database) (boo
 }
 
 // DecideRelational evaluates the relational layer (for checking).
-func (bc *BooleanCircuit) DecideRelational(db query.Database, check bool) (bool, error) {
+func (bc *BooleanCircuit) DecideRelational(ctx context.Context, db query.Database, check bool) (bool, error) {
 	pdb, err := panda.PrepareDB(bc.Query, db)
 	if err != nil {
 		return false, err
 	}
-	outs, err := bc.Rel.Evaluate(pdb, check)
+	outs, err := bc.Rel.EvaluateCtx(ctx, pdb, check)
 	if err != nil {
 		return false, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 func TestBooleanTriangleDecision(t *testing.T) {
 	q := query.BooleanTriangle()
 	dcs := query.Cardinalities(q, 6)
-	bc, err := CompileBoolean(q, dcs)
+	bc, err := CompileBooleanCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,14 +31,14 @@ func TestBooleanTriangleDecision(t *testing.T) {
 		db   query.Database
 		want bool
 	}{{trueDB, true}, {falseDB, false}} {
-		got, err := bc.Decide(tc.db)
+		got, err := bc.DecideCtx(context.Background(), tc.db)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != tc.want {
 			t.Fatalf("Decide = %v, want %v", got, tc.want)
 		}
-		rgot, err := bc.DecideRelational(tc.db, true)
+		rgot, err := bc.DecideRelational(context.Background(), tc.db, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +51,7 @@ func TestBooleanTriangleDecision(t *testing.T) {
 func TestBooleanDecisionRandom(t *testing.T) {
 	q := query.BooleanTriangle()
 	dcs := query.Cardinalities(q, 8)
-	bc, err := CompileBoolean(q, dcs)
+	bc, err := CompileBooleanCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +62,11 @@ func TestBooleanDecisionRandom(t *testing.T) {
 			"S": randomBinary(rng, 8, 4),
 			"T": randomBinary(rng, 8, 4),
 		}
-		ref, err := query.Evaluate(q, db)
+		ref, err := query.EvaluateCtx(context.Background(), q, db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := bc.Decide(db)
+		got, err := bc.DecideCtx(context.Background(), db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +77,7 @@ func TestBooleanDecisionRandom(t *testing.T) {
 }
 
 func TestCompileBooleanRejectsNonBoolean(t *testing.T) {
-	if _, err := CompileBoolean(query.Triangle(), query.Cardinalities(query.Triangle(), 4)); err == nil {
+	if _, err := CompileBooleanCtx(context.Background(), query.Triangle(), query.Cardinalities(query.Triangle(), 4)); err == nil {
 		t.Fatal("expected non-Boolean error")
 	}
 }

@@ -54,22 +54,19 @@ type ObliviousCircuit struct {
 	Outputs []OutputSpec
 }
 
-// CompileOblivious lowers a relational circuit gate by gate into an
+// CompileObliviousCtx lowers a relational circuit gate by gate into an
 // oblivious circuit. Every wire's slot capacity is the ceiling of its
 // declared cardinality bound; join strategies are chosen from the
 // declared degree bounds exactly as Section 5 prescribes (primary-key
 // join when the degree bound is 1, degree-bounded join otherwise,
 // cross product when there are no common attributes).
-func CompileOblivious(rc *relcircuit.Circuit) (*ObliviousCircuit, error) {
-	return CompileObliviousCtx(context.Background(), rc)
-}
-
-// CompileObliviousCtx is CompileOblivious under a context: the lowering
-// loop polls ctx per relational gate and charges the growing word-level
-// gate count against any guard.Budget gate cap, so a tight budget aborts
-// the lowering instead of materialising an enormous circuit. The whole
-// lowering runs under an obs boolcircuit span counting the word gates
-// built. The circuit is the paper's, gate for gate (boolcircuit.New).
+//
+// The lowering loop polls ctx per relational gate and charges the
+// growing word-level gate count against any guard.Budget gate cap, so a
+// tight budget aborts the lowering instead of materialising an enormous
+// circuit. The whole lowering runs under an obs boolcircuit span
+// counting the word gates built. The circuit is the paper's, gate for
+// gate (boolcircuit.New).
 func CompileObliviousCtx(ctx context.Context, rc *relcircuit.Circuit) (*ObliviousCircuit, error) {
 	return lower(ctx, rc, boolcircuit.New())
 }
@@ -199,14 +196,10 @@ func wordGateEstimate(rc *relcircuit.Circuit) int {
 	return int(math.Min(perUnit*sum, maxHint))
 }
 
-// Evaluate packs the named relations, runs the circuit, and decodes
-// every output. Relations must conform to the bounds the circuit was
-// compiled for (otherwise packing fails on capacity).
-func (oc *ObliviousCircuit) Evaluate(db map[string]*relation.Relation) (map[int]*relation.Relation, error) {
-	return oc.EvaluateCtx(context.Background(), db)
-}
-
-// EvaluateCtx is Evaluate under a context (see boolcircuit.EvaluateCtx).
+// EvaluateCtx packs the named relations, runs the circuit, and decodes
+// every output (see boolcircuit.EvaluateCtx for what ctx governs).
+// Relations must conform to the bounds the circuit was compiled for
+// (otherwise packing fails on capacity).
 func (oc *ObliviousCircuit) EvaluateCtx(ctx context.Context, db map[string]*relation.Relation) (map[int]*relation.Relation, error) {
 	inputs, err := oc.pack(db)
 	if err != nil {
@@ -305,19 +298,15 @@ type CompileOptions struct {
 	NoOpt bool
 }
 
-// CompileQuery runs the full pipeline for a full CQ: PANDA-C to a
+// CompileQueryCtx runs the full pipeline for a full CQ: PANDA-C to a
 // relational circuit, opt.Rel on it, then the oblivious lowering through
 // the rewriting builder — the word-level optimizer, folding each gate as
 // it is built — and a sweep of the gates that left unused.
-func CompileQuery(q *query.Query, dcs query.DCSet) (*Compiled, error) {
-	return CompileQueryCtx(context.Background(), q, dcs)
-}
-
-// CompileQueryCtx is CompileQuery under a context: both the PANDA-C
-// compilation and the oblivious lowering poll ctx and respect any
-// guard.Budget it carries. The pipeline runs under an obs compile span
-// whose children are the lp-solve, proofseq, relcircuit, boolcircuit,
-// and optimize stages.
+//
+// Both the PANDA-C compilation and the oblivious lowering poll ctx and
+// respect any guard.Budget it carries. The pipeline runs under an obs
+// compile span whose children are the lp-solve, proofseq, relcircuit,
+// boolcircuit, and optimize stages.
 func CompileQueryCtx(ctx context.Context, q *query.Query, dcs query.DCSet) (*Compiled, error) {
 	return CompileQueryOptsCtx(ctx, q, dcs, CompileOptions{})
 }
@@ -399,13 +388,8 @@ func CompileQueryOptsCtx(ctx context.Context, q *query.Query, dcs query.DCSet, o
 	}, nil
 }
 
-// EvaluateOblivious runs the oblivious circuit on a database and returns
-// Q(D).
-func (cq *Compiled) EvaluateOblivious(db query.Database) (*relation.Relation, error) {
-	return cq.EvaluateObliviousCtx(context.Background(), db)
-}
-
-// EvaluateObliviousCtx is EvaluateOblivious under a context.
+// EvaluateObliviousCtx runs the oblivious circuit on a database and
+// returns Q(D).
 func (cq *Compiled) EvaluateObliviousCtx(ctx context.Context, db query.Database) (*relation.Relation, error) {
 	pdb, err := panda.PrepareDB(cq.Query, db)
 	if err != nil {
@@ -545,13 +529,8 @@ func (cq *Compiled) DecodeOblivious(raw []int64) (*relation.Relation, error) {
 	return outs[cq.RelOutput], nil
 }
 
-// EvaluateRelational runs the relational circuit (the reference layer)
-// with optional bound checking.
-func (cq *Compiled) EvaluateRelational(db query.Database, check bool) (*relation.Relation, error) {
-	return cq.EvaluateRelationalCtx(context.Background(), db, check)
-}
-
-// EvaluateRelationalCtx is EvaluateRelational under a context.
+// EvaluateRelationalCtx runs the relational circuit (the reference
+// layer) with optional bound checking.
 func (cq *Compiled) EvaluateRelationalCtx(ctx context.Context, db query.Database, check bool) (*relation.Relation, error) {
 	pdb, err := panda.PrepareDB(cq.Query, db)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -25,22 +26,22 @@ func endToEnd(t *testing.T, q *query.Query, db query.Database) *Compiled {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cq, err := CompileQuery(q, dcs)
+	cq, err := CompileQueryCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	got, err := cq.EvaluateOblivious(db)
+	got, err := cq.EvaluateObliviousCtx(context.Background(), db)
 	if err != nil {
 		t.Fatalf("oblivious eval: %v", err)
 	}
-	want, err := query.Evaluate(q, db)
+	want, err := query.EvaluateCtx(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Equal(want) {
 		t.Fatalf("oblivious output %v ≠ reference %v", got, want)
 	}
-	rel, err := cq.EvaluateRelational(db, true)
+	rel, err := cq.EvaluateRelationalCtx(context.Background(), db, true)
 	if err != nil {
 		t.Fatalf("relational eval: %v", err)
 	}
@@ -100,7 +101,7 @@ func TestEndToEndStar3(t *testing.T) {
 func TestObliviousReuseAcrossInstances(t *testing.T) {
 	q := query.Triangle()
 	dcs := query.Cardinalities(q, 10)
-	cq, err := CompileQuery(q, dcs)
+	cq, err := CompileQueryCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +113,11 @@ func TestObliviousReuseAcrossInstances(t *testing.T) {
 			"S": randomBinary(rng, 10, 5),
 			"T": randomBinary(rng, 10, 5),
 		}
-		got, err := cq.EvaluateOblivious(db)
+		got, err := cq.EvaluateObliviousCtx(context.Background(), db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := query.Evaluate(q, db)
+		want, err := query.EvaluateCtx(context.Background(), q, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +136,7 @@ func TestObliviousReuseAcrossInstances(t *testing.T) {
 func TestDepthIsPolylog(t *testing.T) {
 	depthFor := func(n float64) int {
 		q := query.Triangle()
-		cq, err := CompileQuery(q, query.Cardinalities(q, n))
+		cq, err := CompileQueryCtx(context.Background(), q, query.Cardinalities(q, n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +149,7 @@ func TestDepthIsPolylog(t *testing.T) {
 	// And it is far below the size (a sequential circuit would have
 	// depth ~ size).
 	q := query.Triangle()
-	cq, err := CompileQuery(q, query.Cardinalities(q, 32))
+	cq, err := CompileQueryCtx(context.Background(), q, query.Cardinalities(q, 32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestDepthIsPolylog(t *testing.T) {
 // near-linear speedup while P ≪ W/D.
 func TestBrentSchedule(t *testing.T) {
 	q := query.Triangle()
-	cq, err := CompileQuery(q, query.Cardinalities(q, 16))
+	cq, err := CompileQueryCtx(context.Background(), q, query.Cardinalities(q, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +193,11 @@ func TestBrentSchedule(t *testing.T) {
 
 func TestEvaluateMissingRelation(t *testing.T) {
 	q := query.Triangle()
-	cq, err := CompileQuery(q, query.Cardinalities(q, 4))
+	cq, err := CompileQueryCtx(context.Background(), q, query.Cardinalities(q, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cq.Obliv.Evaluate(map[string]*relation.Relation{}); err == nil {
+	if _, err := cq.Obliv.EvaluateCtx(context.Background(), map[string]*relation.Relation{}); err == nil {
 		t.Fatal("expected missing relation error")
 	}
 }
@@ -205,7 +206,7 @@ func TestEvaluateMissingRelation(t *testing.T) {
 // bound fails loudly instead of silently truncating.
 func TestCapacityOverflowRejected(t *testing.T) {
 	q := query.Triangle()
-	cq, err := CompileQuery(q, query.Cardinalities(q, 3))
+	cq, err := CompileQueryCtx(context.Background(), q, query.Cardinalities(q, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestCapacityOverflowRejected(t *testing.T) {
 		"S": randomBinary(rng, 3, 6),
 		"T": randomBinary(rng, 3, 6),
 	}
-	if _, err := cq.EvaluateOblivious(db); err == nil {
+	if _, err := cq.EvaluateObliviousCtx(context.Background(), db); err == nil {
 		t.Fatal("expected capacity error")
 	}
 }

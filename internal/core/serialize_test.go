@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -13,11 +14,11 @@ import (
 func TestObliviousArtifactRoundTrip(t *testing.T) {
 	q := query.Triangle()
 	dcs := query.Cardinalities(q, 8)
-	res, err := panda.CompileFCQ(q, dcs)
+	res, err := panda.CompileFCQCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obl, err := CompileOblivious(res.Circuit)
+	obl, err := CompileObliviousCtx(context.Background(), res.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +51,11 @@ func TestObliviousArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := obl.Evaluate(pdb)
+	want, err := obl.EvaluateCtx(context.Background(), pdb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := loaded.Evaluate(pdb)
+	got, err := loaded.EvaluateCtx(context.Background(), pdb)
 	if err != nil {
 		t.Fatal(err)
 	}

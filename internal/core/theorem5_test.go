@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -19,15 +20,15 @@ import (
 func TestCountCircuitLowersToWordGates(t *testing.T) {
 	q := query.Path2()
 	dcs := query.Cardinalities(q, 10)
-	plan, err := yannakakis.NewPlan(q, dcs)
+	plan, err := yannakakis.NewPlanCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := plan.CompileCount()
+	cc, err := plan.CompileCountCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	obl, err := CompileOblivious(cc.Circuit)
+	obl, err := CompileObliviousCtx(context.Background(), cc.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestCountCircuitLowersToWordGates(t *testing.T) {
 			"R": randomBinary(rng, 10, 5),
 			"S": randomBinary(rng, 10, 5),
 		}
-		want, err := query.Evaluate(q, db)
+		want, err := query.EvaluateCtx(context.Background(), q, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +46,7 @@ func TestCountCircuitLowersToWordGates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs, err := obl.Evaluate(pdb)
+		outs, err := obl.EvaluateCtx(context.Background(), pdb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,16 +64,16 @@ func TestCountCircuitLowersToWordGates(t *testing.T) {
 func TestEvalCircuitLowersToWordGates(t *testing.T) {
 	q := query.Path2()
 	dcs := query.Cardinalities(q, 8)
-	plan, err := yannakakis.NewPlan(q, dcs)
+	plan, err := yannakakis.NewPlanCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const out = 24
-	ec, err := plan.CompileEval(out)
+	ec, err := plan.CompileEvalCtx(context.Background(), out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	obl, err := CompileOblivious(ec.Circuit)
+	obl, err := CompileObliviousCtx(context.Background(), ec.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestEvalCircuitLowersToWordGates(t *testing.T) {
 				"R": randomBinary(rng, 8, 5),
 				"S": randomBinary(rng, 8, 5),
 			}
-			w, err := query.Evaluate(q, db)
+			w, err := query.EvaluateCtx(context.Background(), q, db)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +99,7 @@ func TestEvalCircuitLowersToWordGates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs, err := obl.Evaluate(pdb)
+		outs, err := obl.EvaluateCtx(context.Background(), pdb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,11 +127,11 @@ func TestSemiringCircuitLowersToWordGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ac, err := semiring.Compile(sr, q, dcs, float64(want.Len()))
+	ac, err := semiring.Compile(context.Background(), sr, q, dcs, float64(want.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	obl, err := CompileOblivious(ac.Circuit)
+	obl, err := CompileObliviousCtx(context.Background(), ac.Circuit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestSemiringCircuitLowersToWordGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := obl.Evaluate(pdb)
+	outs, err := obl.EvaluateCtx(context.Background(), pdb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestFigure1LowersToWordGates(t *testing.T) {
 		"T": randomBinary(rng, 6, 4),
 	}
 	hl, out := baseline.HeavyLightTriangle(6)
-	obl, err := CompileOblivious(hl)
+	obl, err := CompileObliviousCtx(context.Background(), hl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +168,11 @@ func TestFigure1LowersToWordGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := obl.Evaluate(pdb)
+	outs, err := obl.EvaluateCtx(context.Background(), pdb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := query.Evaluate(q, db)
+	want, err := query.EvaluateCtx(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestEngineServesCorrectResults(t *testing.T) {
 		}
 		db := workload.ForQuery(ent.Query, 3, 12)
 		dcs := mustDerive(t, ent.Query, db)
-		want, err := query.Evaluate(ent.Query, db)
+		want, err := query.EvaluateCtx(context.Background(), ent.Query, db)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", ent.Name, err)
 		}
@@ -98,7 +98,7 @@ func TestEngineSharesPlansAcrossRenaming(t *testing.T) {
 	if !r2.CacheHit {
 		t.Fatal("renamed query missed the cache")
 	}
-	want, err := query.Evaluate(q2, db)
+	want, err := query.EvaluateCtx(context.Background(), q2, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestEngineNonFullQueryServedByRAM(t *testing.T) {
 	q := query.Path2Projected()
 	db := workload.ForQuery(q, 9, 16)
 	req := Request{Query: q, DCs: mustDerive(t, q, db), DB: db}
-	want, err := query.Evaluate(q, db)
+	want, err := query.EvaluateCtx(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestEngineServeBatch(t *testing.T) {
 		{Name: "star3", Query: query.Star3()},
 	} {
 		db := workload.ForQuery(ent.Query, 11, 10)
-		want, err := query.Evaluate(ent.Query, db)
+		want, err := query.EvaluateCtx(context.Background(), ent.Query, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -342,7 +342,7 @@ func TestEngineFollowerOutlivesCanceledLeader(t *testing.T) {
 	q := query.MustParse("Q(A,B,C) :- R(A,B), S(B,C), T(A,C)")
 	db := workload.ForQuery(q, 5, 8)
 	req := Request{Query: q, DCs: mustDerive(t, q, db), DB: db}
-	want, err := query.Evaluate(q, db)
+	want, err := query.EvaluateCtx(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestEngineInternalCompileFaultNotSticky(t *testing.T) {
 	q := query.MustParse("Q(A,B,C) :- R(A,B), S(B,C), T(A,C)")
 	db := workload.ForQuery(q, 6, 8)
 	req := Request{Query: q, DCs: mustDerive(t, q, db), DB: db}
-	want, err := query.Evaluate(q, db)
+	want, err := query.EvaluateCtx(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}

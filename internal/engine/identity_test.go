@@ -59,7 +59,7 @@ func serveAll(t *testing.T, e *Engine, reqs []Request) []Result {
 		if res.Err != nil {
 			t.Fatalf("%s: %v", reqs[i].Query, res.Err)
 		}
-		want, err := query.Evaluate(reqs[i].Query, reqs[i].DB)
+		want, err := query.EvaluateCtx(context.Background(), reqs[i].Query, reqs[i].DB)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -54,7 +54,7 @@ func TestPrepareAgreesWithPlain(t *testing.T) {
 		} {
 			plain := Request{Query: q, DCs: dcs, DB: db}
 			ePlain, ePrep := New(Config{}), New(Config{})
-			want, err := query.Evaluate(q, db)
+			want, err := query.EvaluateCtx(context.Background(), q, db)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,7 +113,7 @@ func TestPrepareSwappedPairServedPlain(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	want, err := query.Evaluate(swapped.Query, swapped.DB)
+	want, err := query.EvaluateCtx(context.Background(), swapped.Query, swapped.DB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestPrepareSwappedPairServedPlain(t *testing.T) {
 	if !other.prep.of(other) {
 		t.Fatal("changing the database invalidated the memo")
 	}
-	want, err = query.Evaluate(other.Query, other.DB)
+	want, err = query.EvaluateCtx(context.Background(), other.Query, other.DB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestPreparedRequestConcurrent(t *testing.T) {
 	e := New(Config{Shards: 2, BatchMaxSize: 4, QueueDepth: 128})
 	defer e.Close()
 	req := Prepare(mkReq(t, "Q(X,Y,Z) :- S(Y,Z), T(X,Z), R(X,Y)", 7, 8))
-	want, err := query.Evaluate(req.Query, req.DB)
+	want, err := query.EvaluateCtx(context.Background(), req.Query, req.DB)
 	if err != nil {
 		t.Fatal(err)
 	}

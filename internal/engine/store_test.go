@@ -119,7 +119,8 @@ func TestStoreRestartZeroCompiles(t *testing.T) {
 	// isolated runs the ratio has median 14× and first percentile 9.2×
 	// (race build, 100 runs: 9.7× and 7.2×), so 4× leaves a factor of two
 	// in both builds (EXPERIMENTS.md, "Warm start against cold compile").
-	// BenchmarkWarmStart keeps the ledger's ~20× on larger shapes.
+	// The ledger's store.get_ms against core.compile_ms is the same
+	// ratio on the benchmark's larger shapes.
 	const factor = 4
 	coldCompile := time.Duration(m1.CompileLatency.SumMicros) * time.Microsecond
 	t.Logf("warm start %v, cold compiles %v: %.1f×", warmDur, coldCompile, float64(coldCompile)/float64(warmDur))

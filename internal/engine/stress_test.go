@@ -47,7 +47,7 @@ func TestEngineStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := query.Evaluate(q, db)
+		want, err := query.EvaluateCtx(context.Background(), q, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestEngineStressSmallCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := query.Evaluate(q, db)
+		want, err := query.EvaluateCtx(context.Background(), q, db)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,7 @@ func TestEngineVMTierServes(t *testing.T) {
 	e := New(Config{})
 	defer e.Close()
 	req := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 81, 10)
-	want, err := query.Evaluate(req.Query, req.DB)
+	want, err := query.EvaluateCtx(context.Background(), req.Query, req.DB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestEngineBatchCoalescing(t *testing.T) {
 	})
 	defer e.Close()
 	req := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 83, 10)
-	want, err := query.Evaluate(req.Query, req.DB)
+	want, err := query.EvaluateCtx(context.Background(), req.Query, req.DB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestEngineBatchAcrossFingerprints(t *testing.T) {
 		}
 	}
 	for _, r := range []Request{reqA, reqB} {
-		want, err := query.Evaluate(r.Query, r.DB)
+		want, err := query.EvaluateCtx(context.Background(), r.Query, r.DB)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -382,13 +382,8 @@ func (d *Decomp) canonical() string {
 	return key + fmt.Sprint(edges)
 }
 
-// FracCoverWidth returns the fractional edge cover number of the bag
-// using the query's hyperedges.
-func FracCoverWidth(q *query.Query, bag query.VarSet) (*big.Rat, error) {
-	return FracCoverWidthCtx(context.Background(), q, bag)
-}
-
-// FracCoverWidthCtx is FracCoverWidth under a context.
+// FracCoverWidthCtx returns the fractional edge cover number of the bag
+// using the query's hyperedges; the LP polls ctx.
 func FracCoverWidthCtx(ctx context.Context, q *query.Query, bag query.VarSet) (*big.Rat, error) {
 	edges := q.Edges()
 	p := lp.NewProblem(len(edges), lp.Minimize)
@@ -417,13 +412,9 @@ func FracCoverWidthCtx(ctx context.Context, q *query.Query, bag query.VarSet) (*
 	return sol.Objective, nil
 }
 
-// Fhtw returns the fractional hypertree width of q (free-connex for
-// non-full queries) and a witnessing decomposition.
-func Fhtw(q *query.Query) (*big.Rat, *Decomp, error) {
-	return FhtwCtx(context.Background(), q)
-}
-
-// FhtwCtx is Fhtw under a context: the per-bag edge-cover LPs poll ctx.
+// FhtwCtx returns the fractional hypertree width of q (free-connex for
+// non-full queries) and a witnessing decomposition; the per-bag
+// edge-cover LPs poll ctx.
 func FhtwCtx(ctx context.Context, q *query.Query) (*big.Rat, *Decomp, error) {
 	decomps := Enumerate(q, 0)
 	if len(decomps) == 0 {
@@ -450,17 +441,12 @@ func FhtwCtx(ctx context.Context, q *query.Query) (*big.Rat, *Decomp, error) {
 	return best, bestD, nil
 }
 
-// DAFhtw returns the degree-aware fractional hypertree width of q under
-// dcs, in bits: min over decompositions of max over bags of
+// DAFhtwCtx returns the degree-aware fractional hypertree width of q
+// under dcs, in bits: min over decompositions of max over bags of
 // max{h(bag) : h ∈ Γ ∩ HDC} (equation (6)), together with the best
 // decomposition. For non-full non-Boolean queries decompositions are
-// restricted to free-connex ones.
-func DAFhtw(q *query.Query, dcs query.DCSet) (*big.Rat, *Decomp, error) {
-	return DAFhtwCtx(context.Background(), q, dcs)
-}
-
-// DAFhtwCtx is DAFhtw under a context: each bag's polymatroid-bound LP
-// polls ctx and charges the attached budget.
+// restricted to free-connex ones. Each bag's polymatroid-bound LP polls
+// ctx and charges the attached budget.
 func DAFhtwCtx(ctx context.Context, q *query.Query, dcs query.DCSet) (*big.Rat, *Decomp, error) {
 	decomps := Enumerate(q, 0)
 	if len(decomps) == 0 {
@@ -496,7 +482,7 @@ func decompDABits(ctx context.Context, q *query.Query, dcs query.DCSet, d *Decom
 	return w, nil
 }
 
-// DASubw returns the degree-aware submodular width of q under dcs in
+// DASubwCtx returns the degree-aware submodular width of q under dcs in
 // bits (Section 7): max over h ∈ Γ ∩ HDC of min over decompositions of
 // max over bags of h(bag). Exactly: for each way of selecting one bag
 // per decomposition (the bag attaining each inner maximum), solve
@@ -507,13 +493,8 @@ func decompDABits(ctx context.Context, q *query.Query, dcs query.DCSet, d *Decom
 // with LP results memoized by the selected-bag set. Decomposition
 // enumeration is capped at maxDecomps (an upper bound on the true
 // da-subw results if the cap truncates; the catalog queries fit well
-// inside it).
-func DASubw(q *query.Query, dcs query.DCSet, maxDecomps int) (*big.Rat, error) {
-	return DASubwCtx(context.Background(), q, dcs, maxDecomps)
-}
-
-// DASubwCtx is DASubw under a context: the branch-and-bound over bag
-// selectors polls ctx at every node and the selector LPs poll it too.
+// inside it). The branch-and-bound polls ctx at every node and the
+// selector LPs poll it too.
 func DASubwCtx(ctx context.Context, q *query.Query, dcs query.DCSet, maxDecomps int) (*big.Rat, error) {
 	if maxDecomps <= 0 {
 		maxDecomps = 24

@@ -1,6 +1,7 @@
 package ghd
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestFhtwValues(t *testing.T) {
 		{query.LoomisWhitney4(), 4, 3}, // single bag, cover 4/3
 	}
 	for _, c := range cases {
-		w, d, err := Fhtw(c.q)
+		w, d, err := FhtwCtx(context.Background(), c.q)
 		if err != nil {
 			t.Fatalf("%s: %v", c.q, err)
 		}
@@ -60,12 +61,12 @@ func TestFhtwValues(t *testing.T) {
 // free-connex GHDs can increase the width. Q(A,C) :- R(A,B), S(B,C) is
 // acyclic (fhtw 1 as a full query) but its free-connex width is 2.
 func TestFreeConnexRaisesWidth(t *testing.T) {
-	full, _, err := Fhtw(query.Path2())
+	full, _, err := FhtwCtx(context.Background(), query.Path2())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ratEq(t, full, 1, 1, "fhtw(full path2)")
-	proj, d, err := Fhtw(query.Path2Projected())
+	proj, d, err := FhtwCtx(context.Background(), query.Path2Projected())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +85,11 @@ func TestDAFhtwUniformMatchesFhtw(t *testing.T) {
 		{Name: "cycle4", Query: query.Cycle4()},
 	} {
 		q := e.Query
-		fw, _, err := Fhtw(q)
+		fw, _, err := FhtwCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dw, d, err := DAFhtw(q, query.Cardinalities(q, 256))
+		dw, d, err := DAFhtwCtx(context.Background(), q, query.Cardinalities(q, 256))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +111,7 @@ func TestDAFhtwDegreeAware(t *testing.T) {
 	a := query.SetOf(q.VarIndex("A"))
 	ab := query.SetOf(q.VarIndex("A"), q.VarIndex("B"))
 	dcs = append(dcs, query.DegreeConstraint{X: a, Y: ab, N: 1})
-	dw, _, err := DAFhtw(q, dcs)
+	dw, _, err := DAFhtwCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +123,11 @@ func TestDAFhtwDegreeAware(t *testing.T) {
 func TestDASubwCycle4(t *testing.T) {
 	q := query.Cycle4()
 	dcs := query.Cardinalities(q, 256)
-	sw, err := DASubw(q, dcs, 24)
+	sw, err := DASubwCtx(context.Background(), q, dcs, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw, _, err := DAFhtw(q, dcs)
+	fw, _, err := DAFhtwCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestDASubwCycle4(t *testing.T) {
 func TestDASubwTriangle(t *testing.T) {
 	q := query.Triangle()
 	dcs := query.Cardinalities(q, 16)
-	sw, err := DASubw(q, dcs, 8)
+	sw, err := DASubwCtx(context.Background(), q, dcs, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ const (
 	Minimize
 )
 
-// Status describes the outcome of Solve.
+// Status describes the outcome of SolveCtx.
 type Status int
 
 // Solver outcomes.
@@ -153,7 +153,7 @@ func Coeffs(pairs ...int64) map[int]*big.Rat {
 // Rat returns a rational from a numerator/denominator pair.
 func Rat(num, den int64) *big.Rat { return big.NewRat(num, den) }
 
-// Solution is the result of Solve.
+// Solution is the result of SolveCtx.
 type Solution struct {
 	Status    Status
 	Objective *big.Rat   // optimal value in the problem's own sense
@@ -161,23 +161,21 @@ type Solution struct {
 	Dual      []*big.Rat // dual values, one per constraint row
 }
 
-// Solve runs two-phase simplex. The returned Solution has Status Optimal,
-// Infeasible, or Unbounded; X and Dual are populated only when Optimal.
+// SolveCtx runs two-phase simplex. The returned Solution has Status
+// Optimal, Infeasible, or Unbounded; X and Dual are populated only when
+// Optimal.
 //
 // Dual sign convention: for a Maximize problem, the dual of a ≤ row is
 // ≥ 0 and the dual of a ≥ row is ≤ 0 (and vice versa for Minimize);
 // equality rows have free duals. With these conventions,
 // Σ_i Dual_i · rhs_i = Objective at optimality (strong duality), which
 // the tests verify.
-func (p *Problem) Solve() (*Solution, error) {
-	return p.SolveCtx(context.Background())
-}
-
-// SolveCtx is Solve under a context: the simplex loop polls ctx at
-// sub-pivot granularity (so cancellation and deadlines interrupt even a
-// single large exact-rational pivot promptly) and charges every pivot
-// against the guard.Budget attached to ctx, if any. Interruptions
-// surface as guard.ErrCanceled or guard.ErrBudgetExceeded.
+//
+// The simplex loop polls ctx at sub-pivot granularity (so cancellation
+// and deadlines interrupt even a single large exact-rational pivot
+// promptly) and charges every pivot against the guard.Budget attached to
+// ctx, if any. Interruptions surface as guard.ErrCanceled or
+// guard.ErrBudgetExceeded.
 //
 // Observability: each solve accumulates lp_solves/lp_pivots onto the
 // enclosing obs span, so a compile's lp-solve stage reports how many

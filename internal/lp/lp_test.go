@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -56,7 +57,7 @@ func TestSimpleMax(t *testing.T) {
 	p.SetObjectiveInt(1, 2)
 	p.AddLE(Coeffs(0, 1, 1, 1), Rat(4, 1))
 	p.AddLE(Coeffs(0, 1, 1, 3), Rat(6, 1))
-	sol, err := p.Solve()
+	sol, err := p.SolveCtx(context.Background())
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("status %v err %v", sol.Status, err)
 	}
@@ -75,7 +76,7 @@ func TestFractionalOptimum(t *testing.T) {
 	p.SetObjectiveInt(1, 1)
 	p.AddLE(Coeffs(0, 2, 1, 1), Rat(3, 1))
 	p.AddLE(Coeffs(0, 1, 1, 2), Rat(3, 1))
-	sol, _ := p.Solve()
+	sol, _ := p.SolveCtx(context.Background())
 	ratEq(t, sol.Objective, 2, 1, "objective")
 	checkStrongDuality(t, p, sol)
 
@@ -87,7 +88,7 @@ func TestFractionalOptimum(t *testing.T) {
 	q.AddLE(Coeffs(1, 1), Rat(1, 1))
 	q.AddLE(Coeffs(2, 1), Rat(1, 1))
 	q.AddLE(Coeffs(1, 1, 2, 1), Rat(3, 2))
-	sol2, _ := q.Solve()
+	sol2, _ := q.SolveCtx(context.Background())
 	ratEq(t, sol2.Objective, 3, 2, "objective")
 	checkStrongDuality(t, q, sol2)
 	checkDualFeasible(t, q, sol2)
@@ -103,7 +104,7 @@ func TestMinimizeWithGE(t *testing.T) {
 	p.AddGE(Coeffs(0, 1, 2, 1), Rat(1, 1))
 	p.AddGE(Coeffs(0, 1, 1, 1), Rat(1, 1))
 	p.AddGE(Coeffs(1, 1, 2, 1), Rat(1, 1))
-	sol, err := p.Solve()
+	sol, err := p.SolveCtx(context.Background())
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("status %v err %v", sol.Status, err)
 	}
@@ -122,7 +123,7 @@ func TestEquality(t *testing.T) {
 	p.SetObjectiveInt(1, 1)
 	p.AddEQ(Coeffs(0, 1, 1, 1), Rat(2, 1))
 	p.AddLE(Coeffs(0, 1), Rat(1, 1))
-	sol, _ := p.Solve()
+	sol, _ := p.SolveCtx(context.Background())
 	if sol.Status != Optimal {
 		t.Fatalf("status %v", sol.Status)
 	}
@@ -135,7 +136,7 @@ func TestInfeasible(t *testing.T) {
 	p.SetObjectiveInt(0, 1)
 	p.AddLE(Coeffs(0, 1), Rat(1, 1))
 	p.AddGE(Coeffs(0, 1), Rat(2, 1))
-	sol, err := p.Solve()
+	sol, err := p.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestUnbounded(t *testing.T) {
 	p := NewProblem(2, Maximize)
 	p.SetObjectiveInt(0, 1)
 	p.AddLE(Coeffs(1, 1), Rat(5, 1)) // x unconstrained above
-	sol, err := p.Solve()
+	sol, err := p.SolveCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestNegativeRHS(t *testing.T) {
 	p := NewProblem(1, Maximize)
 	p.SetObjectiveInt(0, -1)
 	p.AddLE(Coeffs(0, -1), Rat(-3, 1))
-	sol, _ := p.Solve()
+	sol, _ := p.SolveCtx(context.Background())
 	if sol.Status != Optimal {
 		t.Fatalf("status %v", sol.Status)
 	}
@@ -181,7 +182,7 @@ func TestDegenerateCycleGuard(t *testing.T) {
 	p.AddLE(map[int]*big.Rat{0: Rat(1, 4), 1: Rat(-60, 1), 2: Rat(-1, 25), 3: Rat(9, 1)}, Rat(0, 1))
 	p.AddLE(map[int]*big.Rat{0: Rat(1, 2), 1: Rat(-90, 1), 2: Rat(-1, 50), 3: Rat(3, 1)}, Rat(0, 1))
 	p.AddLE(Coeffs(2, 1), Rat(1, 1))
-	sol, err := p.Solve()
+	sol, err := p.SolveCtx(context.Background())
 	if err != nil || sol.Status != Optimal {
 		t.Fatalf("status %v err %v", sol.Status, err)
 	}
@@ -212,7 +213,7 @@ func TestRandomDualityProperty(t *testing.T) {
 		for j := 0; j < n; j++ {
 			p.AddLE(Coeffs(int64(j), 1), Rat(50, 1))
 		}
-		sol, err := p.Solve()
+		sol, err := p.SolveCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +243,7 @@ func TestMinimizeEqualityDuals(t *testing.T) {
 	p.SetObjectiveInt(1, 3)
 	p.AddEQ(Coeffs(0, 1, 1, 1), Rat(4, 1))
 	p.AddGE(Coeffs(0, 1), Rat(1, 1))
-	sol, _ := p.Solve()
+	sol, _ := p.SolveCtx(context.Background())
 	if sol.Status != Optimal {
 		t.Fatalf("status %v", sol.Status)
 	}

@@ -41,7 +41,7 @@ type Transcript struct {
 // output bits and the transcript.
 //
 // The circuit must be Boolean — every wire 0/1, gates among
-// INPUT/CONST/AND/OR/XOR — which is what bitblast.Blast produces.
+// INPUT/CONST/AND/OR/XOR — which is what bitblast.BlastCtx produces.
 func Run(c *boolcircuit.Circuit, inputs []int64, owner []int, seed int64) ([]int64, Transcript, error) {
 	if len(inputs) != c.NumInputs() {
 		return nil, Transcript{}, fmt.Errorf("mpcsim: got %d inputs, want %d", len(inputs), c.NumInputs())

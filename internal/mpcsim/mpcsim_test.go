@@ -1,6 +1,7 @@
 package mpcsim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // returning the reconstructed word outputs.
 func runBlasted(t *testing.T, c *boolcircuit.Circuit, width int, inputs []int64, seed int64) ([]int64, Transcript) {
 	t.Helper()
-	res, err := bitblast.Blast(c, width)
+	res, err := bitblast.BlastCtx(context.Background(), c, width)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +41,7 @@ func TestGMWMatchesPlainEvaluation(t *testing.T) {
 	rng := rand.New(rand.NewSource(801))
 	for iter := 0; iter < 20; iter++ {
 		inputs := []int64{int64(rng.Intn(200) - 100), int64(rng.Intn(200) - 100)}
-		want, err := c.Evaluate(inputs)
+		want, err := c.EvaluateCtx(context.Background(), inputs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +80,7 @@ func TestGMWJoinQuery(t *testing.T) {
 	}
 	inputs := append(pr, ps...)
 
-	res, err := bitblast.Blast(c, 64)
+	res, err := bitblast.BlastCtx(context.Background(), c, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestTranscriptShapeIsOblivious(t *testing.T) {
 	c := boolcircuit.New()
 	a, b := c.Input(), c.Input()
 	c.MarkOutput(c.Mux(c.Lt(a, b), c.Mul(a, b), c.Add(a, b)))
-	res, err := bitblast.Blast(c, 16)
+	res, err := bitblast.BlastCtx(context.Background(), c, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

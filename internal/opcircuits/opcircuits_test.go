@@ -1,6 +1,7 @@
 package opcircuits
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -37,7 +38,7 @@ func (h *harness) input(rel *relation.Relation, capacity int) ORel {
 func (h *harness) run(out ORel) *relation.Relation {
 	h.t.Helper()
 	MarkOutputs(h.c, out)
-	vals, err := h.c.Evaluate(h.inputs)
+	vals, err := h.c.EvaluateCtx(context.Background(), h.inputs)
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -375,7 +376,7 @@ func TestOperatorsAreOblivious(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vals, err := c.Evaluate(append(rv, sv...))
+		vals, err := c.EvaluateCtx(context.Background(), append(rv, sv...))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,7 +10,7 @@ import (
 
 // BoolCtx optimizes a word-level oblivious circuit that was not built
 // through the rewriting builder — a deserialized circuit, a raw lowering
-// (core.CompileOblivious), a fuzzer's — in one pass: the output cone is
+// (core.CompileObliviousCtx), a fuzzer's — in one pass: the output cone is
 // replayed in topological order through boolcircuit.NewRewriting, whose
 // builder applies constant folding, the algebraic identities and
 // hash-consing (global value numbering) to each gate before it is pushed,

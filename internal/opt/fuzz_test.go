@@ -186,12 +186,12 @@ func FuzzOptimize(f *testing.F) {
 					in[i] = int64(rng.Intn(7)) - 3
 				}
 			}
-			want, err := c.Evaluate(in)
+			want, err := c.EvaluateCtx(context.Background(), in)
 			if err != nil {
 				t.Fatalf("original evaluate: %v", err)
 			}
 			for name, oc := range map[string]*boolcircuit.Circuit{"optimized": o, "built rewriting": built} {
-				got, err := oc.Evaluate(in)
+				got, err := oc.EvaluateCtx(context.Background(), in)
 				if err != nil {
 					t.Fatalf("%s evaluate: %v", name, err)
 				}

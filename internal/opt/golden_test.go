@@ -1,6 +1,7 @@
 package opt_test
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -67,7 +68,7 @@ func TestGoldenWorkedExamples(t *testing.T) {
 		}),
 		// Figure 2 / Example 2: the PANDA-C triangle circuit.
 		"fig2_pandac_triangle_n64": relCase(t, func() *relcircuit.Circuit {
-			res, err := panda.CompileFCQ(tri, query.Cardinalities(tri, 64))
+			res, err := panda.CompileFCQCtx(context.Background(), tri, query.Cardinalities(tri, 64))
 			if err != nil {
 				t.Fatal(err)
 			}

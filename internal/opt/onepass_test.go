@@ -103,12 +103,12 @@ func assertMatchesReference(t *testing.T, c *boolcircuit.Circuit, rng *rand.Rand
 				in[i] = int64(rng.Intn(7)) - 3
 			}
 		}
-		want, err := c.Evaluate(in)
+		want, err := c.EvaluateCtx(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, o := range map[string]*boolcircuit.Circuit{"one pass": got, "reference": ref} {
-			out, err := o.Evaluate(in)
+			out, err := o.EvaluateCtx(context.Background(), in)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -256,11 +256,11 @@ func assertSameShape(t *testing.T, fused, twoStep *boolcircuit.Circuit, rng *ran
 		for i := range in {
 			in[i] = int64(rng.Intn(9)) - 1
 		}
-		got, err := fused.Evaluate(in)
+		got, err := fused.EvaluateCtx(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := twoStep.Evaluate(in)
+		want, err := twoStep.EvaluateCtx(context.Background(), in)
 		if err != nil {
 			t.Fatal(err)
 		}

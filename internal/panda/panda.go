@@ -100,18 +100,15 @@ type restartEntry struct {
 	delta proofseq.Vec
 }
 
-// Compile runs PANDA-C for the target variable set (the full set for an
-// FCQ; a bag for GHD-based evaluation). The result's Output gate carries
-// exactly Π_target(⋈ of the atoms with variables ⊆ target) restricted to
-// tuples compatible with every atom — i.e. the bag relation the
-// Yannakakis phases consume. For a full CQ this is exactly Q(D).
-func Compile(q *query.Query, dcs query.DCSet, target query.VarSet) (*CompileResult, error) {
-	return CompileCtx(context.Background(), q, dcs, target)
-}
-
-// CompileCtx is Compile under a context: the proof-sequence search, the
-// exact LPs, and the circuit-construction loops all poll ctx, and gate
-// emission is charged against any rguard.Budget attached to ctx.
+// CompileCtx runs PANDA-C for the target variable set (the full set for
+// an FCQ; a bag for GHD-based evaluation). The result's Output gate
+// carries exactly Π_target(⋈ of the atoms with variables ⊆ target)
+// restricted to tuples compatible with every atom — i.e. the bag relation
+// the Yannakakis phases consume. For a full CQ this is exactly Q(D).
+//
+// The proof-sequence search, the exact LPs, and the circuit-construction
+// loops all poll ctx, and gate emission is charged against any
+// rguard.Budget attached to ctx.
 func CompileCtx(ctx context.Context, q *query.Query, dcs query.DCSet, target query.VarSet) (*CompileResult, error) {
 	c := relcircuit.New()
 	res, err := CompileIntoCtx(ctx, c, nil, q, dcs, target)
@@ -133,17 +130,12 @@ func CompileCtx(ctx context.Context, q *query.Query, dcs query.DCSet, target que
 	return res, nil
 }
 
-// CompileInto runs PANDA-C into an existing circuit. inputs maps atom
-// indices to already-created input gates (as built by BuildInputs); pass
-// nil to create fresh input gates. The output gate is NOT marked as a
-// circuit output — callers composing several PANDA subcircuits (the
-// Yannakakis circuits compute one bag per GHD node over shared inputs)
-// wire it onward themselves.
-func CompileInto(c *relcircuit.Circuit, inputs map[int]int, q *query.Query, dcs query.DCSet, target query.VarSet) (*CompileResult, error) {
-	return CompileIntoCtx(context.Background(), c, inputs, q, dcs, target)
-}
-
-// CompileIntoCtx is CompileInto under a context (see CompileCtx).
+// CompileIntoCtx runs PANDA-C into an existing circuit (see CompileCtx
+// for what ctx governs). inputs maps atom indices to already-created
+// input gates (as built by BuildInputs); pass nil to create fresh input
+// gates. The output gate is NOT marked as a circuit output — callers
+// composing several PANDA subcircuits (the Yannakakis circuits compute
+// one bag per GHD node over shared inputs) wire it onward themselves.
 func CompileIntoCtx(ctx context.Context, c *relcircuit.Circuit, inputs map[int]int, q *query.Query, dcs query.DCSet, target query.VarSet) (*CompileResult, error) {
 	if err := q.Validate(); err != nil {
 		return nil, rguard.Invalidf("%v", err)
@@ -223,12 +215,8 @@ func CompileIntoCtx(ctx context.Context, c *relcircuit.Circuit, inputs map[int]i
 	}, nil
 }
 
-// CompileFCQ compiles the full query (target = all variables).
-func CompileFCQ(q *query.Query, dcs query.DCSet) (*CompileResult, error) {
-	return Compile(q, dcs, q.AllVars())
-}
-
-// CompileFCQCtx is CompileFCQ under a context (see CompileCtx).
+// CompileFCQCtx compiles the full query (target = all variables; see
+// CompileCtx).
 func CompileFCQCtx(ctx context.Context, q *query.Query, dcs query.DCSet) (*CompileResult, error) {
 	return CompileCtx(ctx, q, dcs, q.AllVars())
 }
@@ -260,7 +248,7 @@ func (co *compiler) attrsOf(s query.VarSet) []string { return s.Names(co.q.VarNa
 // BuildInputs creates one input gate per atom with its declared
 // constraints attached (cardinality, degree bounds, and the trivial
 // deg = 1 on the full attribute set used by semijoin costing) and
-// returns the atom-index-to-gate map CompileInto consumes.
+// returns the atom-index-to-gate map CompileIntoCtx consumes.
 func BuildInputs(c *relcircuit.Circuit, q *query.Query, dcs query.DCSet) map[int]int {
 	inputs := make(map[int]int, len(q.Atoms))
 	for i, a := range q.Atoms {

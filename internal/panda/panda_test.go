@@ -1,6 +1,7 @@
 package panda
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -27,7 +28,7 @@ func compileAndCheck(t *testing.T, q *query.Query, db query.Database) *CompileRe
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CompileFCQ(q, dcs)
+	res, err := CompileFCQCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatalf("compile %s: %v", q, err)
 	}
@@ -35,12 +36,12 @@ func compileAndCheck(t *testing.T, q *query.Query, db query.Database) *CompileRe
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, err := res.Circuit.Evaluate(pdb, true)
+	vals, err := res.Circuit.EvaluateCtx(context.Background(), pdb, true)
 	if err != nil {
 		t.Fatalf("evaluate %s: %v\n%s", q, err, res.Circuit.String())
 	}
 	got := vals[res.Output]
-	want, err := query.Evaluate(&query.Query{
+	want, err := query.EvaluateCtx(context.Background(), &query.Query{
 		VarNames: q.VarNames, Free: q.AllVars(), Atoms: q.Atoms,
 	}, db)
 	if err != nil {
@@ -153,7 +154,7 @@ func TestCompileEmptyRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := CompileFCQ(q, dcs)
+	res, err := CompileFCQCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestCompileEmptyRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, err := res.Circuit.Evaluate(pdb, true)
+	vals, err := res.Circuit.EvaluateCtx(context.Background(), pdb, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestCompileSubTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	ab := query.SetOf(q.VarIndex("A"), q.VarIndex("B"))
-	res, err := Compile(q, dcs, ab)
+	res, err := CompileCtx(context.Background(), q, dcs, ab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestCompileSubTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, err := res.Circuit.Evaluate(pdb, true)
+	vals, err := res.Circuit.EvaluateCtx(context.Background(), pdb, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestCompileSubTarget(t *testing.T) {
 func TestCircuitIsDataIndependent(t *testing.T) {
 	q := query.Triangle()
 	dcs := query.Cardinalities(q, 32)
-	res, err := CompileFCQ(q, dcs)
+	res, err := CompileFCQCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +224,11 @@ func TestCircuitIsDataIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vals, err := res.Circuit.Evaluate(pdb, true)
+		vals, err := res.Circuit.EvaluateCtx(context.Background(), pdb, true)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		want, err := query.Evaluate(q, db)
+		want, err := query.EvaluateCtx(context.Background(), q, db)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,7 +245,7 @@ func TestCostMatchesTheorem3(t *testing.T) {
 	for _, logN := range []int{4, 6, 8, 10, 12} {
 		n := float64(int(1) << uint(logN))
 		q := query.Triangle()
-		res, err := CompileFCQ(q, query.Cardinalities(q, n))
+		res, err := CompileFCQCtx(context.Background(), q, query.Cardinalities(q, n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +266,7 @@ func TestGateCountPolylog(t *testing.T) {
 	sizes := map[int]int{}
 	for _, logN := range []int{4, 8, 12} {
 		q := query.Triangle()
-		res, err := CompileFCQ(q, query.Cardinalities(q, float64(int(1)<<uint(logN))))
+		res, err := CompileFCQCtx(context.Background(), q, query.Cardinalities(q, float64(int(1)<<uint(logN))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,10 +298,10 @@ func TestPrepareDBSelfJoin(t *testing.T) {
 
 func TestCompileRejectsInvalid(t *testing.T) {
 	q := query.Triangle()
-	if _, err := CompileFCQ(q, query.DCSet{{X: query.SetOf(2), Y: query.SetOf(0, 1), N: 4}}); err == nil {
+	if _, err := CompileFCQCtx(context.Background(), q, query.DCSet{{X: query.SetOf(2), Y: query.SetOf(0, 1), N: 4}}); err == nil {
 		t.Fatal("expected invalid DC error")
 	}
-	if _, err := Compile(q, query.Cardinalities(q, 4), 0); err == nil {
+	if _, err := CompileCtx(context.Background(), q, query.Cardinalities(q, 4), 0); err == nil {
 		t.Fatal("expected invalid target error")
 	}
 }

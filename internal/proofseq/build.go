@@ -13,7 +13,7 @@ import (
 	"circuitql/internal/query"
 )
 
-// Build constructs a proof sequence for the Shannon-flow inequality
+// BuildCtx constructs a proof sequence for the Shannon-flow inequality
 // ⟨δ, h⟩ ≥ h(target) certified by a polymatroid-bound result, where δ is
 // the result's dual vector over the degree constraints (InitialDelta).
 //
@@ -25,15 +25,11 @@ import (
 // (composition and decomposition steps are functional identities and are
 // generated on demand). The returned sequence always passes Verify; if
 // the search exhausts its budget an error is returned.
-func Build(q *query.Query, res *bound.Result) (Sequence, Vec, error) {
-	return BuildCtx(context.Background(), q, res)
-}
-
-// BuildCtx is Build under a context: the bounded search polls ctx at
-// every expanded state, so cancellation and deadlines interrupt even
-// adversarial witnesses whose search space blows up. Each build runs
-// under an obs proofseq span carrying the step count and the number of
-// search states expanded.
+//
+// The bounded search polls ctx at every expanded state, so cancellation
+// and deadlines interrupt even adversarial witnesses whose search space
+// blows up. Each build runs under an obs proofseq span carrying the step
+// count and the number of search states expanded.
 func BuildCtx(ctx context.Context, q *query.Query, res *bound.Result) (_ Sequence, _ Vec, err error) {
 	ctx, sp := obs.StartSpan(ctx, obs.StageProofSeq)
 	defer func() {

@@ -1,6 +1,7 @@
 package proofseq
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -105,11 +106,11 @@ func TestVecBasics(t *testing.T) {
 // dcs, asserting success.
 func buildFor(t *testing.T, q *query.Query, dcs query.DCSet) (Sequence, Vec, *bound.Result) {
 	t.Helper()
-	res, err := bound.LogDAPB(q, dcs)
+	res, err := bound.LogDAPBCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatalf("bound: %v", err)
 	}
-	seq, delta, err := Build(q, res)
+	seq, delta, err := BuildCtx(context.Background(), q, res)
 	if err != nil {
 		t.Fatalf("Build(%s): %v", q, err)
 	}
@@ -174,11 +175,11 @@ func TestBuildWithDegreeConstraint(t *testing.T) {
 func TestBuildSubTarget(t *testing.T) {
 	q := query.Triangle()
 	_, _, _, AB, _, _, _ := triangleSets(q)
-	res, err := bound.LogBound(q, query.Cardinalities(q, 256), AB)
+	res, err := bound.LogBoundCtx(context.Background(), q, query.Cardinalities(q, 256), AB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, delta, err := Build(q, res)
+	seq, delta, err := BuildCtx(context.Background(), q, res)
 	if err != nil {
 		t.Fatal(err)
 	}

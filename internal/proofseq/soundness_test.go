@@ -1,6 +1,7 @@
 package proofseq
 
 import (
+	"context"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -71,11 +72,11 @@ func TestSequenceSoundOnCoveragePolymatroids(t *testing.T) {
 	rng := rand.New(rand.NewSource(501))
 	for _, e := range query.Catalog() {
 		q := e.Query
-		res, err := bound.LogDAPB(q, query.Cardinalities(q, 64))
+		res, err := bound.LogDAPBCtx(context.Background(), q, query.Cardinalities(q, 64))
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}
-		seq, delta, err := Build(q, res)
+		seq, delta, err := BuildCtx(context.Background(), q, res)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name, err)
 		}

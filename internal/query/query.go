@@ -258,17 +258,12 @@ func dedupNames(q *Query, a Atom) []string {
 	return names
 }
 
-// Evaluate computes Q(D) by the reference RAM strategy: join all atoms
-// (smallest-first) and project onto the free variables. For Boolean
-// queries the result is a zero-arity relation containing the empty tuple
-// iff the query is true.
-func Evaluate(q *Query, db Database) (*relation.Relation, error) {
-	return EvaluateCtx(context.Background(), q, db)
-}
-
-// EvaluateCtx is Evaluate under a context: each join step polls ctx,
-// charges the intermediate relation against any guard.Budget row cap,
-// and reports to any faultinject.Injector's RAM-join site.
+// EvaluateCtx computes Q(D) by the reference RAM strategy: join all
+// atoms (smallest-first) and project onto the free variables. For
+// Boolean queries the result is a zero-arity relation containing the
+// empty tuple iff the query is true. Each join step polls ctx, charges
+// the intermediate relation against any guard.Budget row cap, and
+// reports to any faultinject.Injector's RAM-join site.
 func EvaluateCtx(ctx context.Context, q *Query, db Database) (*relation.Relation, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -122,7 +123,7 @@ func TestEvaluateTriangle(t *testing.T) {
 		"S": relation.FromTuples([]string{"x", "y"}, relation.Tuple{2, 3}, relation.Tuple{3, 4}),
 		"T": relation.FromTuples([]string{"x", "y"}, relation.Tuple{1, 3}, relation.Tuple{4, 6}),
 	}
-	out, err := Evaluate(q, db)
+	out, err := EvaluateCtx(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestEvaluateBoolean(t *testing.T) {
 		"S": relation.FromTuples([]string{"x", "y"}, relation.Tuple{2, 3}),
 		"T": relation.FromTuples([]string{"x", "y"}, relation.Tuple{1, 3}),
 	}
-	out, err := Evaluate(q, db)
+	out, err := EvaluateCtx(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestEvaluateBoolean(t *testing.T) {
 		t.Fatalf("true Boolean query returned %d tuples", out.Len())
 	}
 	db["T"] = relation.FromTuples([]string{"x", "y"}, relation.Tuple{9, 9})
-	out, err = Evaluate(q, db)
+	out, err = EvaluateCtx(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestEvaluateSelfJoinRepeatedVar(t *testing.T) {
 	db := Database{
 		"R": relation.FromTuples([]string{"x", "y"}, relation.Tuple{1, 1}, relation.Tuple{1, 2}, relation.Tuple{3, 3}),
 	}
-	out, err := Evaluate(q, db)
+	out, err := EvaluateCtx(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestEvaluateSelfJoinRepeatedVar(t *testing.T) {
 }
 
 func TestEvaluateMissingRelation(t *testing.T) {
-	if _, err := Evaluate(Triangle(), Database{}); err == nil {
+	if _, err := EvaluateCtx(context.Background(), Triangle(), Database{}); err == nil {
 		t.Fatal("expected missing-relation error")
 	}
 }

@@ -1,6 +1,7 @@
 package relcircuit
 
 import (
+	"context"
 	"testing"
 
 	"circuitql/internal/expr"
@@ -37,11 +38,11 @@ func TestPruneDropsDeadGates(t *testing.T) {
 		"R": relation.FromTuples([]string{"A", "B"}, relation.Tuple{1, 2}),
 		"S": relation.FromTuples([]string{"B", "C"}, relation.Tuple{2, 3}),
 	}
-	want, err := c.Evaluate(db, true)
+	want, err := c.EvaluateCtx(context.Background(), db, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pruned.Evaluate(db, true)
+	got, err := pruned.EvaluateCtx(context.Background(), db, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -426,22 +426,19 @@ func checkBound(id int, r *relation.Relation, b Bound) error {
 	return nil
 }
 
-// Evaluate runs the circuit on db: each input gate reads db[gate.Name],
-// which must carry exactly the gate's attribute set. When check is true,
-// every wire (including inputs) is verified against its declared bound,
-// and a violation aborts evaluation — this is how tests establish that
-// the compiler's bound bookkeeping is sound. The result maps output gate
-// ids to relations.
-func (c *Circuit) Evaluate(db map[string]*relation.Relation, check bool) (map[int]*relation.Relation, error) {
-	return c.EvaluateCtx(context.Background(), db, check)
-}
-
-// EvaluateCtx is Evaluate under a context: the gate loop polls ctx,
-// charges each materialised wire against any guard.Budget row cap, and
-// reports each gate to any faultinject.Injector carried by ctx. The
-// whole pass runs under one obs relcircuit-eval span counting gates
-// evaluated and rows materialized (the spans are per evaluation, never
-// per gate, so tracing costs nothing on the gate loop).
+// EvaluateCtx runs the circuit on db: each input gate reads
+// db[gate.Name], which must carry exactly the gate's attribute set. When
+// check is true, every wire (including inputs) is verified against its
+// declared bound, and a violation aborts evaluation — this is how tests
+// establish that the compiler's bound bookkeeping is sound. The result
+// maps output gate ids to relations.
+//
+// The gate loop polls ctx, charges each materialised wire against any
+// guard.Budget row cap, and reports each gate to any
+// faultinject.Injector carried by ctx. The whole pass runs under one obs
+// relcircuit-eval span counting gates evaluated and rows materialized
+// (the spans are per evaluation, never per gate, so tracing costs
+// nothing on the gate loop).
 func (c *Circuit) EvaluateCtx(ctx context.Context, db map[string]*relation.Relation, check bool) (_ map[int]*relation.Relation, err error) {
 	ctx, sp := obs.StartSpan(ctx, obs.StageRelEval)
 	rows := int64(0)

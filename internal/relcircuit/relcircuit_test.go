@@ -1,6 +1,7 @@
 package relcircuit
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestSelectProjectJoinEvaluate(t *testing.T) {
 	p := c.Project(j, []string{"A", "C"}, Card(9))
 	c.MarkOutput(p)
 
-	out, err := c.Evaluate(db2(t), true)
+	out, err := c.EvaluateCtx(context.Background(), db2(t), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +47,11 @@ func TestBoundViolationDetected(t *testing.T) {
 	c := New()
 	r := c.Input("R", []string{"A", "B"}, Card(2)) // actual has 3 tuples
 	c.MarkOutput(r)
-	if _, err := c.Evaluate(db2(t), true); err == nil {
+	if _, err := c.EvaluateCtx(context.Background(), db2(t), true); err == nil {
 		t.Fatal("expected cardinality bound violation")
 	}
 	// Unchecked evaluation succeeds.
-	if _, err := c.Evaluate(db2(t), false); err != nil {
+	if _, err := c.EvaluateCtx(context.Background(), db2(t), false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -59,7 +60,7 @@ func TestDegreeBoundViolation(t *testing.T) {
 	c := New()
 	s := c.Input("S", []string{"B", "C"}, Card(3).WithDeg([]string{"B"}, 1)) // deg_B = 2 actually
 	c.MarkOutput(s)
-	if _, err := c.Evaluate(db2(t), true); err == nil {
+	if _, err := c.EvaluateCtx(context.Background(), db2(t), true); err == nil {
 		t.Fatal("expected degree bound violation")
 	}
 }
@@ -120,7 +121,7 @@ func TestOrderGate(t *testing.T) {
 	r := c.Input("R", []string{"A", "B"}, Card(3))
 	o := c.Order(r, []string{"B"}, Card(3))
 	c.MarkOutput(o)
-	out, err := c.Evaluate(db2(t), true)
+	out, err := c.EvaluateCtx(context.Background(), db2(t), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestAggGate(t *testing.T) {
 	s := c.Input("S", []string{"B", "C"}, Card(3))
 	a := c.Agg(s, []string{"B"}, relation.AggCount, "", "count", Card(3))
 	c.MarkOutput(a)
-	out, err := c.Evaluate(db2(t), true)
+	out, err := c.EvaluateCtx(context.Background(), db2(t), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestMapGate(t *testing.T) {
 		{As: "double", E: expr.Mul(expr.Attr("B"), expr.Const(2))},
 	}, Card(3))
 	c.MarkOutput(m)
-	out, err := c.Evaluate(db2(t), true)
+	out, err := c.EvaluateCtx(context.Background(), db2(t), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestMissingRelation(t *testing.T) {
 	c := New()
 	g := c.Input("Missing", []string{"A"}, Card(1))
 	c.MarkOutput(g)
-	if _, err := c.Evaluate(map[string]*relation.Relation{}, false); err == nil {
+	if _, err := c.EvaluateCtx(context.Background(), map[string]*relation.Relation{}, false); err == nil {
 		t.Fatal("expected missing relation error")
 	}
 }

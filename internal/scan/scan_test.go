@@ -1,6 +1,7 @@
 package scan
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -14,7 +15,7 @@ func runScan(t *testing.T, xs []int64, op Op) []int64 {
 	for _, w := range Scan(c, wires, op) {
 		c.MarkOutput(w)
 	}
-	out, err := c.Evaluate(xs)
+	out, err := c.EvaluateCtx(context.Background(), xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func runSegScan(t *testing.T, keys, vals []int64, op Op) []int64 {
 	for _, w := range SegmentedScan(c, keyWires, valWires, op) {
 		c.MarkOutput(w)
 	}
-	out, err := c.Evaluate(inputs)
+	out, err := c.EvaluateCtx(context.Background(), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestSegmentedScanMultiColumnKeys(t *testing.T) {
 	for _, w := range SegmentedScan(c, keyWires, valWires, Add) {
 		c.MarkOutput(w)
 	}
-	got, err := c.Evaluate(inputs)
+	got, err := c.EvaluateCtx(context.Background(), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestMaskKeys(t *testing.T) {
 			c.MarkOutput(w)
 		}
 	}
-	got, err := c.Evaluate([]int64{1, 42, 0, 42})
+	got, err := c.EvaluateCtx(context.Background(), []int64{1, 42, 0, 42})
 	if err != nil {
 		t.Fatal(err)
 	}

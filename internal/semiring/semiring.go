@@ -9,6 +9,7 @@
 package semiring
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -207,14 +208,14 @@ type Circuit struct {
 // Compile builds the annotated circuit for q under dcs with output bound
 // out. The db evaluated against must provide annotated atom relations
 // (PrepareDB builds them).
-func Compile(sr Semiring, q *query.Query, dcs query.DCSet, out float64) (*Circuit, error) {
+func Compile(ctx context.Context, sr Semiring, q *query.Query, dcs query.DCSet, out float64) (*Circuit, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	if err := dcs.Validate(q); err != nil {
 		return nil, err
 	}
-	_, decomp, err := ghd.DAFhtw(q, dcs)
+	_, decomp, err := ghd.DAFhtwCtx(ctx, q, dcs)
 	if err != nil {
 		return nil, err
 	}
@@ -351,12 +352,12 @@ func PrepareDB(q *query.Query, db map[string]*relation.Relation) (map[string]*re
 }
 
 // Evaluate runs the annotated circuit.
-func (ac *Circuit) Evaluate(db map[string]*relation.Relation, check bool) (*relation.Relation, error) {
+func (ac *Circuit) Evaluate(ctx context.Context, db map[string]*relation.Relation, check bool) (*relation.Relation, error) {
 	pdb, err := PrepareDB(ac.Query, db)
 	if err != nil {
 		return nil, err
 	}
-	outs, err := ac.Circuit.Evaluate(pdb, check)
+	outs, err := ac.Circuit.EvaluateCtx(ctx, pdb, check)
 	if err != nil {
 		return nil, err
 	}

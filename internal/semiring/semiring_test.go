@@ -1,6 +1,7 @@
 package semiring
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -99,11 +100,11 @@ func TestCircuitMatchesRAM(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ac, err := Compile(sr, q, dcs, float64(want.Len())+1)
+				ac, err := Compile(context.Background(), sr, q, dcs, float64(want.Len())+1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := ac.Evaluate(db, true)
+				got, err := ac.Evaluate(context.Background(), db, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -136,11 +137,11 @@ func TestCircuitFullQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ac, err := Compile(SumProduct(), q, dcs, float64(want.Len()))
+	ac, err := Compile(context.Background(), SumProduct(), q, dcs, float64(want.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ac.Evaluate(db, true)
+	got, err := ac.Evaluate(context.Background(), db, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sortnet
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -21,7 +22,7 @@ func runOddEven(t *testing.T, vals []int64) []int64 {
 	for _, s := range out {
 		c.MarkOutput(s.Cols[0])
 	}
-	got, err := c.Evaluate(inputs)
+	got, err := c.EvaluateCtx(context.Background(), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestOddEvenDummiesLast(t *testing.T) {
 		c.MarkOutput(s.Valid)
 		c.MarkOutput(s.Cols[0])
 	}
-	got, err := c.Evaluate(inputs)
+	got, err := c.EvaluateCtx(context.Background(), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sortnet
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -43,7 +44,7 @@ func buildAndSort(t *testing.T, rows [][]int64, valid []bool, keys []int) [][]in
 			c.MarkOutput(w)
 		}
 	}
-	vals, err := c.Evaluate(inputs)
+	vals, err := c.EvaluateCtx(context.Background(), inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestSortIsOblivious(t *testing.T) {
 			want = append(want, inputs[2*i+1])
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		got, err := c.Evaluate(inputs)
+		got, err := c.EvaluateCtx(context.Background(), inputs)
 		if err != nil {
 			t.Fatal(err)
 		}

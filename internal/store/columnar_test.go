@@ -173,7 +173,7 @@ func TestColumnarToVMEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeOblivious: %v", err)
 	}
-	want, err := compiled.EvaluateOblivious(mem)
+	want, err := compiled.EvaluateObliviousCtx(context.Background(), mem)
 	if err != nil {
 		t.Fatalf("EvaluateOblivious: %v", err)
 	}

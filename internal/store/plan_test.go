@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"circuitql/internal/core"
@@ -32,7 +33,7 @@ func compileCatalog(t testing.TB, name string) (*query.Canonical, *core.Compiled
 	if err != nil {
 		t.Fatalf("Canonicalize(%s): %v", name, err)
 	}
-	compiled, err := core.CompileQuery(canon.Query, canon.DCs)
+	compiled, err := core.CompileQueryCtx(context.Background(), canon.Query, canon.DCs)
 	if err != nil {
 		t.Fatalf("CompileQuery(%s): %v", name, err)
 	}
@@ -92,11 +93,11 @@ func TestPlanRoundTrip(t *testing.T) {
 		if warm.Rel != nil {
 			t.Fatalf("%s: warm plan unexpectedly has a relational layer", name)
 		}
-		wantOut, err := compiled.EvaluateOblivious(db)
+		wantOut, err := compiled.EvaluateObliviousCtx(context.Background(), db)
 		if err != nil {
 			t.Fatalf("%s: original EvaluateOblivious: %v", name, err)
 		}
-		gotOut, err := warm.EvaluateOblivious(db)
+		gotOut, err := warm.EvaluateObliviousCtx(context.Background(), db)
 		if err != nil {
 			t.Fatalf("%s: warm EvaluateOblivious: %v", name, err)
 		}

@@ -65,7 +65,7 @@ func buildFuzzCircuit(data []byte) (*boolcircuit.Circuit, int) {
 
 // FuzzVMCompile pins the vectorized evaluator to the reference
 // gate-walk interpreter: any circuit the builder can produce must
-// compile, and EvalBatch must agree with boolcircuit.Evaluate on every
+// compile, and EvalBatch must agree with boolcircuit.EvaluateCtx on every
 // lane of a derived input batch — evaluated whole at a stride of 16
 // (nine lanes), its first five lanes at a stride of 8, and its first
 // lane alone at a stride of one.
@@ -93,7 +93,7 @@ func FuzzVMCompile(f *testing.F) {
 				z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 				inputs[r][i] = int64(z ^ (z >> 31))
 			}
-			if want[r], err = c.Evaluate(inputs[r]); err != nil {
+			if want[r], err = c.EvaluateCtx(context.Background(), inputs[r]); err != nil {
 				t.Fatalf("interp: %v", err)
 			}
 		}

@@ -110,7 +110,7 @@ func checkAgainstInterp(t *testing.T, c *boolcircuit.Circuit, inputs [][]Word) {
 		t.Fatalf("got %d results, want %d", len(got), len(inputs))
 	}
 	for r, in := range inputs {
-		want, err := c.Evaluate(in)
+		want, err := c.EvaluateCtx(context.Background(), in)
 		if err != nil {
 			t.Fatalf("request %d: interp: %v", r, err)
 		}
@@ -346,7 +346,7 @@ func TestVMSlabReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		for r, in := range inputs {
-			want, err := c.Evaluate(in)
+			want, err := c.EvaluateCtx(context.Background(), in)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"testing"
 
 	"circuitql/internal/query"
@@ -54,7 +55,7 @@ func TestFDBinary(t *testing.T) {
 func TestWorstCaseTriangle(t *testing.T) {
 	db := WorstCaseTriangle(16)
 	q := query.Triangle()
-	out, err := query.Evaluate(q, db)
+	out, err := query.EvaluateCtx(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestForQuery(t *testing.T) {
 			t.Fatalf("%s len = %d", name, r.Len())
 		}
 	}
-	if _, err := query.Evaluate(q, db); err != nil {
+	if _, err := query.EvaluateCtx(context.Background(), q, db); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -114,16 +114,10 @@ type Plan struct {
 	Width  *big.Rat // da-fhtw in bits
 }
 
-// NewPlan picks the da-fhtw-optimal (free-connex where required)
-// decomposition.
-func NewPlan(q *query.Query, dcs query.DCSet) (*Plan, error) {
-	return NewPlanCtx(context.Background(), q, dcs)
-}
-
-// NewPlanCtx is NewPlan under a context: the width search (and its exact
-// LPs) polls ctx and respects any guard.Budget it carries. The search
-// runs under an obs yannakakis-plan span (its LP solves accumulate
-// there).
+// NewPlanCtx picks the da-fhtw-optimal (free-connex where required)
+// decomposition. The width search (and its exact LPs) polls ctx and
+// respects any guard.Budget it carries. The search runs under an obs
+// yannakakis-plan span (its LP solves accumulate there).
 func NewPlanCtx(ctx context.Context, q *query.Query, dcs query.DCSet) (_ *Plan, err error) {
 	ctx, sp := obs.StartSpan(ctx, obs.StageYanPlan)
 	defer func() {
@@ -176,13 +170,8 @@ func (p *Plan) bagRelationRAM(db map[string]*relation.Relation, bag query.VarSet
 	return acc, nil
 }
 
-// EvaluateRAM runs the GHD + 3-phase Yannakakis reference algorithm and
-// returns Q(D).
-func (p *Plan) EvaluateRAM(db query.Database) (*relation.Relation, error) {
-	return p.EvaluateRAMCtx(context.Background(), db)
-}
-
-// EvaluateRAMCtx is EvaluateRAM under a context, polling once per bag.
+// EvaluateRAMCtx runs the GHD + 3-phase Yannakakis reference algorithm
+// and returns Q(D), polling ctx once per bag.
 func (p *Plan) EvaluateRAMCtx(ctx context.Context, db query.Database) (*relation.Relation, error) {
 	pdb, err := panda.PrepareDB(p.Query, db)
 	if err != nil {
@@ -239,8 +228,8 @@ func (p *Plan) EvaluateRAMCtx(ctx context.Context, db query.Database) (*relation
 }
 
 // CountRAM returns |Q(D)| by the reference algorithm.
-func (p *Plan) CountRAM(db query.Database) (int, error) {
-	out, err := p.EvaluateRAM(db)
+func (p *Plan) CountRAM(ctx context.Context, db query.Database) (int, error) {
+	out, err := p.EvaluateRAMCtx(ctx, db)
 	if err != nil {
 		return 0, err
 	}
@@ -350,13 +339,8 @@ type EvalCircuit struct {
 	OUT     float64
 }
 
-// CompileEval builds Yannakakis-C (Algorithm 9) for the given output
-// bound.
-func (p *Plan) CompileEval(out float64) (*EvalCircuit, error) {
-	return p.CompileEvalCtx(context.Background(), out)
-}
-
-// CompileEvalCtx is CompileEval under a context (see NewPlanCtx).
+// CompileEvalCtx builds Yannakakis-C (Algorithm 9) for the given output
+// bound (see NewPlanCtx for what ctx governs).
 func (p *Plan) CompileEvalCtx(ctx context.Context, out float64) (*EvalCircuit, error) {
 	if out < 1 {
 		out = 1
@@ -394,12 +378,8 @@ func (p *Plan) CompileEvalCtx(ctx context.Context, out float64) (*EvalCircuit, e
 	return &EvalCircuit{Plan: p, Circuit: pruned, Output: mapping[root], OUT: out}, nil
 }
 
-// Evaluate runs the evaluation circuit on a database.
-func (e *EvalCircuit) Evaluate(db query.Database, check bool) (*relation.Relation, error) {
-	return e.EvaluateCtx(context.Background(), db, check)
-}
-
-// EvaluateCtx is Evaluate under a context (see relcircuit.EvaluateCtx).
+// EvaluateCtx runs the evaluation circuit on a database (see
+// relcircuit.EvaluateCtx for what ctx governs).
 func (e *EvalCircuit) EvaluateCtx(ctx context.Context, db query.Database, check bool) (*relation.Relation, error) {
 	pdb, err := panda.PrepareDB(e.Plan.Query, db)
 	if err != nil {
@@ -424,14 +404,10 @@ type CountCircuit struct {
 // output.
 const CountAttr = "out"
 
-// CompileCount builds the OUT-computing circuit.
-func (p *Plan) CompileCount() (*CountCircuit, error) {
-	return p.CompileCountCtx(context.Background())
-}
-
-// CompileCountCtx is CompileCount under a context (see NewPlanCtx). The
-// per-bag PANDA-C compilations and the fold both run under an obs
-// yannakakis-count span counting the relational gates built.
+// CompileCountCtx builds the OUT-computing circuit (see NewPlanCtx for
+// what ctx governs). The per-bag PANDA-C compilations and the fold both
+// run under an obs yannakakis-count span counting the relational gates
+// built.
 func (p *Plan) CompileCountCtx(ctx context.Context) (_ *CountCircuit, err error) {
 	ctx, sp := obs.StartSpan(ctx, obs.StageYanCount)
 	c := relcircuit.New()
@@ -490,12 +466,8 @@ func (p *Plan) CompileCountCtx(ctx context.Context) (_ *CountCircuit, err error)
 
 func cntAttr(v int) string { return fmt.Sprintf("cnt·%d", v) }
 
-// Count runs the count circuit and returns |Q(D)|.
-func (cc *CountCircuit) Count(db query.Database, check bool) (int, error) {
-	return cc.CountCtx(context.Background(), db, check)
-}
-
-// CountCtx is Count under a context (see relcircuit.EvaluateCtx).
+// CountCtx runs the count circuit and returns |Q(D)| (see
+// relcircuit.EvaluateCtx for what ctx governs).
 func (cc *CountCircuit) CountCtx(ctx context.Context, db query.Database, check bool) (int, error) {
 	pdb, err := panda.PrepareDB(cc.Plan.Query, db)
 	if err != nil {

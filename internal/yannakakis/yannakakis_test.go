@@ -1,6 +1,7 @@
 package yannakakis
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -34,16 +35,16 @@ func checkQuery(t *testing.T, q *query.Query, db query.Database) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := NewPlan(q, dcs)
+	plan, err := NewPlanCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
-	want, err := query.Evaluate(q, db)
+	want, err := query.EvaluateCtx(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	gotRAM, err := plan.EvaluateRAM(db)
+	gotRAM, err := plan.EvaluateRAMCtx(context.Background(), db)
 	if err != nil {
 		t.Fatalf("RAM: %v", err)
 	}
@@ -51,11 +52,11 @@ func checkQuery(t *testing.T, q *query.Query, db query.Database) {
 		t.Fatalf("%s RAM Yannakakis: got %v want %v", q, gotRAM, want)
 	}
 
-	cc, err := plan.CompileCount()
+	cc, err := plan.CompileCountCtx(context.Background())
 	if err != nil {
 		t.Fatalf("count circuit: %v", err)
 	}
-	cnt, err := cc.Count(db, true)
+	cnt, err := cc.CountCtx(context.Background(), db, true)
 	if err != nil {
 		t.Fatalf("count eval: %v", err)
 	}
@@ -63,11 +64,11 @@ func checkQuery(t *testing.T, q *query.Query, db query.Database) {
 		t.Fatalf("%s count circuit = %d, want %d", q, cnt, want.Len())
 	}
 
-	ec, err := plan.CompileEval(float64(cnt))
+	ec, err := plan.CompileEvalCtx(context.Background(), float64(cnt))
 	if err != nil {
 		t.Fatalf("eval circuit: %v", err)
 	}
-	got, err := ec.Evaluate(db, true)
+	got, err := ec.EvaluateCtx(context.Background(), db, true)
 	if err != nil {
 		t.Fatalf("eval circuit run: %v", err)
 	}
@@ -137,11 +138,11 @@ func TestEmptyResult(t *testing.T) {
 func TestCountCircuitIsOutputIndependent(t *testing.T) {
 	q := query.Path2()
 	dcs := query.Cardinalities(q, 12)
-	plan, err := NewPlan(q, dcs)
+	plan, err := NewPlanCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := plan.CompileCount()
+	cc, err := plan.CompileCountCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +152,11 @@ func TestCountCircuitIsOutputIndependent(t *testing.T) {
 			"R": randomBinary(rng, 12, 5),
 			"S": randomBinary(rng, 12, 5),
 		}
-		want, err := query.Evaluate(q, db)
+		want, err := query.EvaluateCtx(context.Background(), q, db)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := cc.Count(db, true)
+		got, err := cc.CountCtx(context.Background(), db, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,12 +172,12 @@ func TestCountCircuitIsOutputIndependent(t *testing.T) {
 func TestEvalCircuitCostScalesWithOUT(t *testing.T) {
 	q := query.Path2()
 	dcs := query.Cardinalities(q, 64)
-	plan, err := NewPlan(q, dcs)
+	plan, err := NewPlanCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cost := func(out float64) float64 {
-		ec, err := plan.CompileEval(out)
+		ec, err := plan.CompileEvalCtx(context.Background(), out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,29 +206,29 @@ func TestEvalRejectsUndersizedOUT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := NewPlan(q, dcs)
+	plan, err := NewPlanCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := query.Evaluate(q, db)
+	want, err := query.EvaluateCtx(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want.Len() < 4 {
 		t.Skip("instance too small to undersize")
 	}
-	ec, err := plan.CompileEval(float64(want.Len() / 2))
+	ec, err := plan.CompileEvalCtx(context.Background(), float64(want.Len()/2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ec.Evaluate(db, true); err == nil {
+	if _, err := ec.EvaluateCtx(context.Background(), db, true); err == nil {
 		t.Fatal("expected bound violation with undersized OUT")
 	}
 }
 
 func TestPlanValidation(t *testing.T) {
 	q := query.Triangle()
-	if _, err := NewPlan(q, query.DCSet{{X: query.SetOf(2), Y: query.SetOf(0, 1), N: 2}}); err == nil {
+	if _, err := NewPlanCtx(context.Background(), q, query.DCSet{{X: query.SetOf(2), Y: query.SetOf(0, 1), N: 2}}); err == nil {
 		t.Fatal("expected invalid DC error")
 	}
 }
@@ -289,15 +290,15 @@ func TestBowtiePlanRAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := NewPlan(q, dcs)
+	plan, err := NewPlanCtx(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := plan.EvaluateRAM(db)
+	got, err := plan.EvaluateRAMCtx(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := query.Evaluate(q, db)
+	want, err := query.EvaluateCtx(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func metaCompile(t *testing.T, src string) (*core.Compiled, *query.Canonical) {
 // directly against the base reference even for renamed variants.
 func metaRows(t *testing.T, cq *core.Compiled, canon *query.Canonical, src string, baseQ *query.Query, db Database) []string {
 	t.Helper()
-	out, err := cq.EvaluateOblivious(db)
+	out, err := cq.EvaluateObliviousCtx(context.Background(), db)
 	if err != nil {
 		t.Fatalf("evaluate %q: %v", src, err)
 	}
@@ -163,7 +163,7 @@ func TestMetamorphicEquivalence(t *testing.T) {
 
 			for seed := int64(1); seed <= diffSeeds; seed++ {
 				db := testutil.RandomDB(baseQ, seed, metaN)
-				want, err := EvaluateRAM(baseQ, db)
+				want, err := EvaluateRAM(context.Background(), baseQ, db)
 				if err != nil {
 					t.Fatalf("seed %d: RAM: %v", seed, err)
 				}
@@ -184,11 +184,11 @@ func TestMetamorphicEquivalence(t *testing.T) {
 				differs := false
 				for seed := int64(1); seed <= nearMissSeeds && !differs; seed++ {
 					db := testutil.RandomDB(baseQ, seed, nearMissN)
-					want, err := EvaluateRAM(baseQ, db)
+					want, err := EvaluateRAM(context.Background(), baseQ, db)
 					if err != nil {
 						t.Fatalf("seed %d: RAM: %v", seed, err)
 					}
-					got, err := EvaluateRAM(nearQ, db)
+					got, err := EvaluateRAM(context.Background(), nearQ, db)
 					if err != nil {
 						t.Fatalf("seed %d: RAM %q: %v", seed, src, err)
 					}

@@ -27,7 +27,7 @@ func TestCompileSpanChildrenCoverWallTime(t *testing.T) {
 
 	tracer := obs.NewTracer(4)
 	ctx := obs.WithTracer(context.Background(), tracer)
-	cq, err := CompileCtx(ctx, q, dcs)
+	cq, err := Compile(ctx, q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCompileSpanChildrenCoverWallTime(t *testing.T) {
 	}
 
 	// Evaluation spans attach as fresh roots under the same tracer.
-	if _, err := cq.EvaluateCtx(ctx, db); err != nil {
+	if _, err := cq.Evaluate(ctx, db); err != nil {
 		t.Fatal(err)
 	}
 	roots = tracer.Last(0)

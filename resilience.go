@@ -1,34 +1,17 @@
-// Resilience layer of the facade: context-aware compile/evaluate
-// variants, resource budgets, panic containment at the API boundary,
-// and tiered degradation.
-//
-// Every entry point here follows the same contract:
-//
-//   - the context's deadline and cancellation are honored inside the
-//     hot loops (LP pivots, proof-sequence search, circuit
-//     construction, gate evaluation), so calls return promptly;
-//   - a *Budget attached with WithBudget caps LP pivots, circuit gate
-//     counts, and intermediate-relation rows;
-//   - failures carry a typed cause — errors.Is against
-//     ErrBudgetExceeded, ErrCanceled, ErrInvalidInput, or ErrInternal
-//     classifies them — and panics escaping the internals are converted
-//     to ErrInternal instead of crossing the API boundary.
+// Budgets, typed failure causes and tiered degradation: the vocabulary
+// of the contract every blocking entry point follows (package doc).
+
 package circuitql
 
 import (
 	"context"
 	"fmt"
-	"math/big"
 
-	"circuitql/internal/bound"
-	"circuitql/internal/core"
 	"circuitql/internal/engine"
-	"circuitql/internal/ghd"
 	"circuitql/internal/guard"
 	"circuitql/internal/obs"
 	"circuitql/internal/qos"
 	"circuitql/internal/query"
-	"circuitql/internal/yannakakis"
 )
 
 // Budget caps the resources a compile or evaluate call may consume:
@@ -37,14 +20,14 @@ import (
 // WithBudget; a nil budget (or absent field) means unlimited.
 type Budget = guard.Budget
 
-// WithBudget attaches a resource budget to the context. Every
-// context-aware entry point consults it.
+// WithBudget attaches a resource budget to the context. Every blocking
+// entry point consults it.
 func WithBudget(ctx context.Context, b *Budget) context.Context {
 	return guard.WithBudget(ctx, b)
 }
 
-// Typed failure causes. Classify errors from the context-aware entry
-// points with errors.Is.
+// Typed failure causes. Classify errors from any entry point with
+// errors.Is.
 var (
 	// ErrBudgetExceeded: a resource cap tripped — LP pivots, gates,
 	// rows, or the context's deadline (wall clock is a budget too).
@@ -67,132 +50,6 @@ var (
 // request, why, and how long the caller should back off. Retrieve with
 // errors.As; it matches ErrOverloaded under errors.Is.
 type OverloadError = guard.OverloadError
-
-// CompileCtx is Compile under a context: the exact LPs, the
-// proof-sequence search, and both circuit-construction layers poll ctx
-// and respect any Budget it carries. A pathological query under a tight
-// deadline or gate cap returns ErrBudgetExceeded instead of hanging.
-func CompileCtx(ctx context.Context, q *Query, dcs DCSet) (cq *CompiledQuery, err error) {
-	defer guard.Recover(&err)
-	c, err := core.CompileQueryCtx(ctx, q, dcs)
-	if err != nil {
-		return nil, err
-	}
-	return &CompiledQuery{inner: c}, nil
-}
-
-// EvaluateCtx is Evaluate under a context. The database is validated
-// upfront against the query and the compiled constraint set (missing
-// relations, arity mismatches, cardinality or degree overruns surface
-// as ErrInvalidInput before any circuit work starts).
-func (c *CompiledQuery) EvaluateCtx(ctx context.Context, db Database) (out *Relation, err error) {
-	defer guard.Recover(&err)
-	if err := query.ValidateDB(c.inner.Query, c.inner.DC, db); err != nil {
-		return nil, err
-	}
-	return c.inner.EvaluateObliviousCtx(ctx, db)
-}
-
-// EvaluateRelationalCtx is EvaluateRelational under a context.
-func (c *CompiledQuery) EvaluateRelationalCtx(ctx context.Context, db Database, check bool) (out *Relation, err error) {
-	defer guard.Recover(&err)
-	if err := query.ValidateDB(c.inner.Query, c.inner.DC, db); err != nil {
-		return nil, err
-	}
-	return c.inner.EvaluateRelationalCtx(ctx, db, check)
-}
-
-// EvaluateRAMCtx is EvaluateRAM under a context, with upfront database
-// validation (no constraint conformance — the RAM evaluator accepts any
-// instance).
-func EvaluateRAMCtx(ctx context.Context, q *Query, db Database) (out *Relation, err error) {
-	defer guard.Recover(&err)
-	if err := query.ValidateDB(q, nil, db); err != nil {
-		return nil, err
-	}
-	return query.EvaluateCtx(ctx, q, db)
-}
-
-// CompileBooleanCtx is CompileBoolean under a context (see CompileCtx).
-func CompileBooleanCtx(ctx context.Context, q *Query, dcs DCSet) (bq *BooleanQuery, err error) {
-	defer guard.Recover(&err)
-	bc, err := core.CompileBooleanCtx(ctx, q, dcs)
-	if err != nil {
-		return nil, err
-	}
-	return &BooleanQuery{inner: bc}, nil
-}
-
-// DecideCtx is Decide under a context.
-func (b *BooleanQuery) DecideCtx(ctx context.Context, db Database) (ok bool, err error) {
-	defer guard.Recover(&err)
-	return b.inner.DecideCtx(ctx, db)
-}
-
-// OutputSensitiveCtx is OutputSensitive under a context: the width
-// search, the per-bag PANDA-C compilations, and the count-circuit
-// construction all poll ctx and respect any Budget it carries.
-func OutputSensitiveCtx(ctx context.Context, q *Query, dcs DCSet) (o *OutputSensitiveQuery, err error) {
-	defer guard.Recover(&err)
-	plan, err := yannakakis.NewPlanCtx(ctx, q, dcs)
-	if err != nil {
-		return nil, err
-	}
-	cc, err := plan.CompileCountCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &OutputSensitiveQuery{plan: plan, count: cc}, nil
-}
-
-// CountCtx is Count under a context.
-func (o *OutputSensitiveQuery) CountCtx(ctx context.Context, db Database) (n int, err error) {
-	defer guard.Recover(&err)
-	return o.count.CountCtx(ctx, db, false)
-}
-
-// EvaluateCtx is the two-phase Evaluate under a context.
-func (o *OutputSensitiveQuery) EvaluateCtx(ctx context.Context, db Database) (out *Relation, err error) {
-	defer guard.Recover(&err)
-	n, err := o.count.CountCtx(ctx, db, false)
-	if err != nil {
-		return nil, err
-	}
-	ec, err := o.plan.CompileEvalCtx(ctx, float64(n))
-	if err != nil {
-		return nil, err
-	}
-	return ec.EvaluateCtx(ctx, db, false)
-}
-
-// ComputeWidthsCtx is ComputeWidths under a context.
-func ComputeWidthsCtx(ctx context.Context, q *Query, dcs DCSet) (w Widths, err error) {
-	defer guard.Recover(&err)
-	f, _, err := ghd.FhtwCtx(ctx, q)
-	if err != nil {
-		return w, err
-	}
-	df, _, err := ghd.DAFhtwCtx(ctx, q, dcs)
-	if err != nil {
-		return w, err
-	}
-	ds, err := ghd.DASubwCtx(ctx, q, dcs, 24)
-	if err != nil {
-		return w, err
-	}
-	w.Fhtw, w.DAFhtw, w.DASubw = f, df, ds
-	return w, nil
-}
-
-// PolymatroidBoundCtx is PolymatroidBound under a context.
-func PolymatroidBoundCtx(ctx context.Context, q *Query, dcs DCSet) (r *big.Rat, err error) {
-	defer guard.Recover(&err)
-	res, err := bound.LogDAPBCtx(ctx, q, dcs)
-	if err != nil {
-		return nil, err
-	}
-	return res.LogValue, nil
-}
 
 // Evaluation tier names, in degradation order — the engine's
 // vocabulary. TierVM is the engine's vectorized fast path

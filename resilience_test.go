@@ -1,6 +1,7 @@
 package circuitql
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -23,7 +24,7 @@ func triangleSetup(t *testing.T) (*Query, DCSet, Database, *CompiledQuery) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cq, err := Compile(q, dcs)
+	cq, err := Compile(context.Background(), q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestCompileLPPivotBudgetTrips(t *testing.T) {
 	}
 	b := &Budget{MaxLPPivots: 3}
 	ctx := WithBudget(context.Background(), b)
-	_, err = CompileCtx(ctx, q, UniformCardinalities(q, 1024))
+	_, err = Compile(ctx, q, UniformCardinalities(q, 1024))
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -64,7 +65,7 @@ func TestCompileGateBudgetTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := WithBudget(context.Background(), &Budget{MaxGates: 50})
-	_, err = CompileCtx(ctx, q, UniformCardinalities(q, 1024))
+	_, err = Compile(ctx, q, UniformCardinalities(q, 1024))
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -75,7 +76,7 @@ func TestCompileDeadlineReturnsTypedError(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := CompileCtx(ctx, q, dcs)
+	_, err := Compile(ctx, q, dcs)
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded (deadline is a budget)", err)
@@ -93,7 +94,7 @@ func TestCompileCancellationReturnsWithin100ms(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := CompileCtx(ctx, q, dcs)
+		_, err := Compile(ctx, q, dcs)
 		done <- err
 	}()
 	time.Sleep(30 * time.Millisecond) // let the compile get into the LPs
@@ -124,7 +125,7 @@ func TestEvaluateResilientServesObliviousWhenHealthy(t *testing.T) {
 	if len(report.Attempts) != 1 || report.Attempts[0].Err != nil {
 		t.Fatalf("attempts = %+v", report.Attempts)
 	}
-	want, err := EvaluateRAM(cq.inner.Query, db)
+	want, err := EvaluateRAM(context.Background(), cq.inner.Query, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestEvaluateResilientDegradesToRelational(t *testing.T) {
 	if !errors.Is(report.Attempts[0].Err, faultinject.ErrInjected) {
 		t.Fatalf("oblivious attempt error = %v, want injected", report.Attempts[0].Err)
 	}
-	want, err := EvaluateRAM(q, db)
+	want, err := EvaluateRAM(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestEvaluateResilientDegradesToRAM(t *testing.T) {
 			t.Fatalf("%s attempt error = %v, want injected", tier, report.Attempts[i].Err)
 		}
 	}
-	want, err := EvaluateRAM(q, db)
+	want, err := EvaluateRAM(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +266,7 @@ func TestEvaluateResilientContainsPanics(t *testing.T) {
 	if !errors.As(oblErr, &ie) || ie.Payload != "injected chaos" {
 		t.Fatalf("panic payload not preserved: %v", oblErr)
 	}
-	want, err := EvaluateRAM(q, db)
+	want, err := EvaluateRAM(context.Background(), q, db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestEvaluateValidatesDatabaseUpfront(t *testing.T) {
 		broken[k] = v
 	}
 	delete(broken, "T")
-	if _, err := cq.Evaluate(broken); !errors.Is(err, ErrInvalidInput) {
+	if _, err := cq.Evaluate(context.Background(), broken); !errors.Is(err, ErrInvalidInput) {
 		t.Fatalf("missing relation: err = %v, want ErrInvalidInput", err)
 	}
 
@@ -293,7 +294,7 @@ func TestEvaluateValidatesDatabaseUpfront(t *testing.T) {
 		bad[k] = v
 	}
 	bad["T"] = NewRelation("A")
-	if _, err := cq.Evaluate(bad); !errors.Is(err, ErrInvalidInput) {
+	if _, err := cq.Evaluate(context.Background(), bad); !errors.Is(err, ErrInvalidInput) {
 		t.Fatalf("arity mismatch: err = %v, want ErrInvalidInput", err)
 	}
 
@@ -307,12 +308,12 @@ func TestEvaluateValidatesDatabaseUpfront(t *testing.T) {
 		over.Insert(i, i+1)
 	}
 	big["R"] = over
-	if _, err := cq.Evaluate(big); !errors.Is(err, ErrInvalidInput) {
+	if _, err := cq.Evaluate(context.Background(), big); !errors.Is(err, ErrInvalidInput) {
 		t.Fatalf("cardinality overrun: err = %v, want ErrInvalidInput", err)
 	}
 
 	// The RAM reference validates the query/database pairing too.
-	if _, err := EvaluateRAM(q, bad); !errors.Is(err, ErrInvalidInput) {
+	if _, err := EvaluateRAM(context.Background(), q, bad); !errors.Is(err, ErrInvalidInput) {
 		t.Fatalf("EvaluateRAM arity mismatch: err = %v, want ErrInvalidInput", err)
 	}
 }
@@ -320,8 +321,149 @@ func TestEvaluateValidatesDatabaseUpfront(t *testing.T) {
 func TestEvaluateRowBudgetTrips(t *testing.T) {
 	_, _, db, cq := triangleSetup(t)
 	ctx := WithBudget(context.Background(), &Budget{MaxRows: 1})
-	_, err := cq.EvaluateRelationalCtx(ctx, db, false)
+	_, err := cq.EvaluateRelational(ctx, db, false)
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	}
+}
+
+// entryPoint is one blocking facade call, closed over fixtures built
+// once, so the contract tests below are one loop each.
+type entryPoint struct {
+	name string
+	// evaluates marks the entry points that walk gates or joins — the
+	// ones faultinject can reach through the context.
+	evaluates bool
+	call      func(ctx context.Context) error
+}
+
+// blockingEntryPoints is every facade entry point that takes a context:
+// the compile side runs on pathologicalQuery wherever the work starts
+// from a query (minutes if the context is ignored), the evaluate side on
+// small compiled fixtures.
+func blockingEntryPoints(t *testing.T) []entryPoint {
+	t.Helper()
+	bg := context.Background()
+	q, _, db, cq := triangleSetup(t)
+	hardQ, hardDCs := pathologicalQuery(t)
+
+	var buf bytes.Buffer
+	if _, err := cq.WriteArtifact(&buf); err != nil {
+		t.Fatal(err)
+	}
+	art, err := LoadArtifact(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pdb, err := cq.PrepareInputs(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	boolQ, err := ParseQuery("Q() :- R(A,B), S(B,A)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	boolDB := Database{"R": workload.UniformBinary(3, 6, 6), "S": workload.UniformBinary(4, 6, 6)}
+	bq, err := CompileBoolean(bg, boolQ, UniformCardinalities(boolQ, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pathQ, err := ParseQuery("Q(A,C) :- R(A,B), S(B,C)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pathDB := Database{"R": workload.UniformBinary(3, 15, 8), "S": workload.UniformBinary(4, 15, 8)}
+	pathDCs, err := DeriveConstraints(pathQ, pathDB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	osq, err := OutputSensitive(bg, pathQ, pathDCs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	return []entryPoint{
+		{"Compile", false, func(ctx context.Context) error { _, err := Compile(ctx, hardQ, hardDCs); return err }},
+		{"CompileOpts", false, func(ctx context.Context) error {
+			_, err := CompileOpts(ctx, hardQ, hardDCs, CompileOptions{NoOpt: true})
+			return err
+		}},
+		{"CompileBoolean", false, func(ctx context.Context) error {
+			boolHard := *hardQ
+			boolHard.Free = 0
+			_, err := CompileBoolean(ctx, &boolHard, hardDCs)
+			return err
+		}},
+		{"OutputSensitive", false, func(ctx context.Context) error { _, err := OutputSensitive(ctx, hardQ, hardDCs); return err }},
+		{"ComputeWidths", false, func(ctx context.Context) error { _, err := ComputeWidths(ctx, hardQ, hardDCs); return err }},
+		{"PolymatroidBound", false, func(ctx context.Context) error { _, err := PolymatroidBound(ctx, hardQ, hardDCs); return err }},
+		{"OutputSensitiveQuery.EvalCircuit", false, func(ctx context.Context) error { _, err := osq.EvalCircuit(ctx, 64); return err }},
+		{"CompiledQuery.BitLevel", false, func(ctx context.Context) error { _, _, err := cq.BitLevel(ctx, 64); return err }},
+		{"CompiledQuery.CompileVM", false, func(ctx context.Context) error { _, err := cq.CompileVM(ctx); return err }},
+
+		{"EvaluateRAM", true, func(ctx context.Context) error { _, err := EvaluateRAM(ctx, q, db); return err }},
+		{"CompiledQuery.Evaluate", true, func(ctx context.Context) error { _, err := cq.Evaluate(ctx, db); return err }},
+		{"CompiledQuery.EvaluateRelational", true, func(ctx context.Context) error {
+			_, err := cq.EvaluateRelational(ctx, db, false)
+			return err
+		}},
+		{"CompiledQuery.EvaluateResilient", true, func(ctx context.Context) error {
+			_, _, err := cq.EvaluateResilient(ctx, db)
+			return err
+		}},
+		{"Artifact.Evaluate", true, func(ctx context.Context) error { _, err := art.Evaluate(ctx, pdb); return err }},
+		{"BooleanQuery.Decide", true, func(ctx context.Context) error { _, err := bq.Decide(ctx, boolDB); return err }},
+		{"OutputSensitiveQuery.Count", true, func(ctx context.Context) error { _, err := osq.Count(ctx, pathDB); return err }},
+		{"OutputSensitiveQuery.Evaluate", true, func(ctx context.Context) error { _, err := osq.Evaluate(ctx, pathDB); return err }},
+	}
+}
+
+// An already-canceled context comes back as ErrCanceled from every
+// blocking entry point before the work is done: within the 100 ms bar of
+// TestCompileCancellationReturnsWithin100ms, on inputs whose compile
+// side takes seconds to minutes when the context is ignored.
+func TestEveryEntryPointHonorsCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, ep := range blockingEntryPoints(t) {
+		t.Run(ep.name, func(t *testing.T) {
+			start := time.Now()
+			err := ep.call(ctx)
+			if !errors.Is(err, ErrCanceled) {
+				t.Fatalf("err = %v, want ErrCanceled", err)
+			}
+			if took := time.Since(start); took > 100*time.Millisecond {
+				t.Fatalf("returned after %v, want ≤ 100ms", took)
+			}
+		})
+	}
+}
+
+// A panic inside a gate or a join never crosses the API boundary: every
+// evaluating entry point returns it as ErrInternal with the payload
+// preserved. Each evaluator's site is armed, so the entry point fails
+// whichever evaluator it runs (EvaluateResilient walks all three tiers
+// and reports the last).
+func TestEveryEvaluatingEntryPointContainsPanics(t *testing.T) {
+	for _, ep := range blockingEntryPoints(t) {
+		if !ep.evaluates {
+			continue
+		}
+		t.Run(ep.name, func(t *testing.T) {
+			in := faultinject.New()
+			for _, site := range []faultinject.Site{faultinject.SiteWordGate, faultinject.SiteRelGate, faultinject.SiteRAMJoin} {
+				in.PanicAt(site, 1, "injected chaos")
+			}
+			err := ep.call(faultinject.WithInjector(context.Background(), in))
+			if !errors.Is(err, ErrInternal) {
+				t.Fatalf("err = %v, want ErrInternal", err)
+			}
+			var ie *guard.InternalError
+			if !errors.As(err, &ie) || ie.Payload != "injected chaos" {
+				t.Fatalf("panic payload not preserved: %v", err)
+			}
+		})
 	}
 }

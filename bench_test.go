@@ -635,10 +635,11 @@ func BenchmarkOptimizedVsRaw(b *testing.B) {
 // the vm compile — on the two templates the repo benchmark's cold path is
 // made of. The first two are read off the spans of the engine's own
 // compile entry point, core.CompileQueryCtx, so what is timed is what is
-// served; the LP and PANDA-C run inside that call and are left out.
-// ns/op is the sum of the three; lowerfold-ns, sweep-ns and vmcompile-ns
-// split it, and gates is the served circuit's size (a change here means
-// the optimizer's output moved, not just its speed).
+// served. ns/op is the sum of the three; lowerfold-ns, sweep-ns and
+// vmcompile-ns split it, and gates is the served circuit's size (a change
+// here means the optimizer's output moved, not just its speed). lp-ns is
+// the exact bound LP of the same call, from its lp-solve span: the stage
+// before PANDA-C, reported beside the three and not part of ns/op.
 func BenchmarkCompileStages(b *testing.B) {
 	ctx := context.Background()
 	for _, tc := range []struct {
@@ -651,7 +652,7 @@ func BenchmarkCompileStages(b *testing.B) {
 	} {
 		dcs := query.Cardinalities(tc.q, tc.n)
 		b.Run(tc.name, func(b *testing.B) {
-			var lowerFold, sweep, vmCompile time.Duration
+			var lpSolve, lowerFold, sweep, vmCompile time.Duration
 			gates := 0
 			for i := 0; i < b.N; i++ {
 				tracer := obs.NewTracer(1)
@@ -661,6 +662,8 @@ func BenchmarkCompileStages(b *testing.B) {
 				}
 				for _, stage := range tracer.Last(1)[0].Children() {
 					switch stage.Name {
+					case obs.StageLPSolve:
+						lpSolve += stage.Duration()
 					case obs.StageBoolCirc:
 						lowerFold += stage.Duration()
 					case obs.StageOptimize:
@@ -676,6 +679,7 @@ func BenchmarkCompileStages(b *testing.B) {
 			}
 			perOp := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.N) }
 			b.ReportMetric(perOp(lowerFold+sweep+vmCompile), "ns/op")
+			b.ReportMetric(perOp(lpSolve), "lp-ns")
 			b.ReportMetric(perOp(lowerFold), "lowerfold-ns")
 			b.ReportMetric(perOp(sweep), "sweep-ns")
 			b.ReportMetric(perOp(vmCompile), "vmcompile-ns")

@@ -110,6 +110,61 @@ func LogBoundCtx(ctx context.Context, q *query.Query, dcs query.DCSet, target qu
 	return LogBoundRawCtx(ctx, q, dcs, target)
 }
 
+// The shared, read-only values of the polymatroid LP's rows.
+var zero, one, minusOne = new(big.Rat), lp.Rat(1, 1), lp.Rat(-1, 1)
+
+// eachSubmod enumerates the elemental submodularities
+// h(S∪i) + h(S∪j) ≥ h(S∪ij) + h(S), i < j, S ⊆ [n]∖{i,j}.
+func eachSubmod(q *query.Query, fn func(s query.VarSet, i, j int)) {
+	for i := 0; i < q.NVars(); i++ {
+		for j := i + 1; j < q.NVars(); j++ {
+			q.AllVars().Remove(i).Remove(j).Subsets(func(s query.VarSet) { fn(s, i, j) })
+		}
+	}
+}
+
+// PolymatroidLP returns the maximization LP over Γ_n ∩ HDC with a zero
+// objective: variable int(S)-1 is h(S) for non-empty S ⊆ [n] (h(∅) = 0
+// is implicit), followed by extra variables of the caller's. Row k is
+// dcs[k], h(Y) - h(X) ≤ log N; then one ≥ 0 row per elemental
+// submodularity, in eachSubmod's order; then h([n]) - h([n]∖{v}) ≥ 0 for
+// v = 0..n-1. The dual is read back by that order.
+func PolymatroidLP(q *query.Query, dcs query.DCSet, extra int) *lp.Problem {
+	p := lp.NewProblem(int(q.AllVars())+extra, lp.Maximize)
+	terms := make([]lp.Term, 0, 4)
+	add := func(s query.VarSet, c *big.Rat) {
+		if !s.Empty() {
+			terms = append(terms, lp.Term{Var: int(s) - 1, Coef: c})
+		}
+	}
+	for _, dc := range dcs {
+		terms = append(terms[:0], lp.Term{Var: int(dc.Y) - 1, Coef: one})
+		if dc.X == dc.Y {
+			// Vacuous either way; this is the row X = Y has always
+			// produced, kept because the pivot sequence is pinned.
+			terms[0].Coef = minusOne
+		} else {
+			add(dc.X, minusOne)
+		}
+		p.AddLE(terms, Log2Rat(dc.N))
+	}
+	eachSubmod(q, func(s query.VarSet, i, j int) {
+		terms = terms[:0]
+		add(s.Add(i), one)
+		add(s.Add(j), one)
+		add(s.Add(i).Add(j), minusOne)
+		add(s, minusOne)
+		p.AddGE(terms, zero)
+	})
+	for v := 0; v < q.NVars(); v++ {
+		terms = terms[:0]
+		add(q.AllVars(), one)
+		add(q.AllVars().Remove(v), minusOne)
+		p.AddGE(terms, zero)
+	}
+	return p
+}
+
 // LogBoundRawCtx is LogBoundCtx without the requirement that every
 // constraint's Y set be a hyperedge of the query. PANDA-C's truncation
 // path re-derives bounds over the degree constraints of *derived*
@@ -125,78 +180,8 @@ func LogBoundRawCtx(ctx context.Context, q *query.Query, dcs query.DCSet, target
 	if target.Empty() || !target.SubsetOf(q.AllVars()) {
 		return nil, fmt.Errorf("bound: invalid target %v", target)
 	}
-	n := q.NVars()
-	nvars := (1 << uint(n)) - 1 // h(S) for non-empty S; h(∅) = 0 implicit
-	varOf := func(s query.VarSet) int { return int(s) - 1 }
-
-	p := lp.NewProblem(nvars, lp.Maximize)
-	p.SetObjectiveInt(varOf(target), 1)
-
-	// Degree constraints: h(Y) - h(X) ≤ log N.
-	type dcRow struct {
-		row int
-		dc  query.DegreeConstraint
-	}
-	dcRows := make([]dcRow, 0, len(dcs))
-	for _, dc := range dcs {
-		coeffs := map[int]*big.Rat{varOf(dc.Y): lp.Rat(1, 1)}
-		if !dc.X.Empty() {
-			coeffs[varOf(dc.X)] = lp.Rat(-1, 1)
-		}
-		r := p.AddLE(coeffs, Log2Rat(dc.N))
-		dcRows = append(dcRows, dcRow{row: r, dc: dc})
-	}
-
-	// Elemental submodularities: h(S∪i) + h(S∪j) - h(S∪ij) - h(S) ≥ 0.
-	type smRow struct {
-		row  int
-		s    query.VarSet
-		i, j int
-	}
-	var smRows []smRow
-	full := q.AllVars()
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			rest := full.Remove(i).Remove(j)
-			rest.Subsets(func(s query.VarSet) {
-				coeffs := map[int]*big.Rat{}
-				add := func(set query.VarSet, w int64) {
-					if set.Empty() {
-						return
-					}
-					k := varOf(set)
-					if c, ok := coeffs[k]; ok {
-						c.Add(c, lp.Rat(w, 1))
-					} else {
-						coeffs[k] = lp.Rat(w, 1)
-					}
-				}
-				add(s.Add(i), 1)
-				add(s.Add(j), 1)
-				add(s.Add(i).Add(j), -1)
-				add(s, -1)
-				r := p.AddGE(coeffs, lp.Rat(0, 1))
-				smRows = append(smRows, smRow{row: r, s: s, i: i, j: j})
-			})
-		}
-	}
-
-	// Elemental monotonicities: h([n]) - h([n]\{i}) ≥ 0.
-	type moRow struct {
-		row int
-		v   int
-	}
-	moRows := make([]moRow, 0, n)
-	for i := 0; i < n; i++ {
-		coeffs := map[int]*big.Rat{varOf(full): lp.Rat(1, 1)}
-		rest := full.Remove(i)
-		if !rest.Empty() {
-			coeffs[varOf(rest)] = lp.Rat(-1, 1)
-		}
-		r := p.AddGE(coeffs, lp.Rat(0, 1))
-		moRows = append(moRows, moRow{row: r, v: i})
-	}
-
+	p := PolymatroidLP(q, dcs, 0)
+	p.SetObjectiveInt(int(target)-1, 1)
 	sol, err := p.SolveCtx(ctx)
 	if err != nil {
 		return nil, err
@@ -209,27 +194,27 @@ func LogBoundRawCtx(ctx context.Context, q *query.Query, dcs query.DCSet, target
 		return nil, fmt.Errorf("bound: LP %v", sol.Status)
 	}
 
+	// Read the witness off the dual, row by row in PolymatroidLP's order.
+	// GE-row duals are ≤ 0 for Maximize; the witness multiplier is -y.
 	res := &Result{Target: target, LogValue: sol.Objective}
-	for _, dr := range dcRows {
-		w := sol.Dual[dr.row]
-		if w.Sign() > 0 {
-			res.Witness.Delta = append(res.Witness.Delta, DeltaTerm{DC: dr.dc, Weight: new(big.Rat).Set(w)})
+	for k, dc := range dcs {
+		if w := sol.Dual[k]; w.Sign() > 0 {
+			res.Witness.Delta = append(res.Witness.Delta, DeltaTerm{DC: dc, Weight: w})
 		}
 	}
-	for _, sr := range smRows {
-		// GE-row duals are ≤ 0 for Maximize; the witness multiplier is -y.
-		w := new(big.Rat).Neg(sol.Dual[sr.row])
-		if w.Sign() > 0 {
-			res.Witness.Submod = append(res.Witness.Submod, SubmodTerm{S: sr.s, I: sr.i, J: sr.j, Weight: w})
+	row := len(dcs)
+	eachSubmod(q, func(s query.VarSet, i, j int) {
+		if w := sol.Dual[row]; w.Sign() < 0 {
+			res.Witness.Submod = append(res.Witness.Submod, SubmodTerm{S: s, I: i, J: j, Weight: w.Neg(w)})
+		}
+		row++
+	})
+	for v := 0; v < q.NVars(); v++ {
+		if w := sol.Dual[row+v]; w.Sign() < 0 {
+			res.Witness.Mono = append(res.Witness.Mono, MonoTerm{V: v, Weight: w.Neg(w)})
 		}
 	}
-	for _, mr := range moRows {
-		w := new(big.Rat).Neg(sol.Dual[mr.row])
-		if w.Sign() > 0 {
-			res.Witness.Mono = append(res.Witness.Mono, MonoTerm{V: mr.v, Weight: w})
-		}
-	}
-	res.fillSlack(q, nvars)
+	res.fillSlack(q, p.NumVars())
 	return res, nil
 }
 
@@ -359,13 +344,13 @@ func FractionalEdgeCoverNumber(ctx context.Context, q *query.Query) (*big.Rat, e
 		p.SetObjectiveInt(i, 1)
 	}
 	for v := 0; v < q.NVars(); v++ {
-		coeffs := map[int]*big.Rat{}
+		var terms []lp.Term
 		for i, e := range edges {
 			if e.Has(v) {
-				coeffs[i] = lp.Rat(1, 1)
+				terms = append(terms, lp.Term{Var: i, Coef: one})
 			}
 		}
-		p.AddGE(coeffs, lp.Rat(1, 1))
+		p.AddGE(terms, one)
 	}
 	sol, err := p.SolveCtx(ctx)
 	if err != nil {

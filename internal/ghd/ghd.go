@@ -391,16 +391,16 @@ func FracCoverWidthCtx(ctx context.Context, q *query.Query, bag query.VarSet) (*
 		p.SetObjectiveInt(i, 1)
 	}
 	for _, v := range bag.Vars() {
-		coeffs := map[int]*big.Rat{}
+		var terms []lp.Term
 		for i, e := range edges {
 			if e.Has(v) {
-				coeffs[i] = lp.Rat(1, 1)
+				terms = append(terms, lp.Term{Var: i, Coef: lp.Rat(1, 1)})
 			}
 		}
-		if len(coeffs) == 0 {
+		if len(terms) == 0 {
 			return nil, fmt.Errorf("ghd: bag variable %d in no edge", v)
 		}
-		p.AddGE(coeffs, lp.Rat(1, 1))
+		p.AddGE(terms, lp.Rat(1, 1))
 	}
 	sol, err := p.SolveCtx(ctx)
 	if err != nil {
@@ -596,57 +596,13 @@ func maximalBags(bags []query.VarSet) []query.VarSet {
 // selected bag. The optimum lower-bounds min_i max_t h(bag); maximizing
 // over selectors gives da-subw exactly.
 func selectorValue(ctx context.Context, q *query.Query, dcs query.DCSet, bags []query.VarSet) (*big.Rat, error) {
-	// Reuse the bound LP machinery by maximizing the minimum of several
-	// targets: add variable z with z ≤ h(bag_i).
-	n := q.NVars()
-	nvars := (1 << uint(n)) - 1
-	p := lp.NewProblem(nvars+1, lp.Maximize)
-	z := nvars
+	// The bound LP with one more variable z, maximized under z ≤ h(bag_i):
+	// the maximum of the minimum of several targets.
+	p := bound.PolymatroidLP(q, dcs, 1)
+	z := p.NumVars() - 1
 	p.SetObjectiveInt(z, 1)
-	varOf := func(s query.VarSet) int { return int(s) - 1 }
-
-	for _, dc := range dcs {
-		coeffs := map[int]*big.Rat{varOf(dc.Y): lp.Rat(1, 1)}
-		if !dc.X.Empty() {
-			coeffs[varOf(dc.X)] = lp.Rat(-1, 1)
-		}
-		p.AddLE(coeffs, bound.Log2Rat(dc.N))
-	}
-	full := q.AllVars()
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			rest := full.Remove(i).Remove(j)
-			rest.Subsets(func(s query.VarSet) {
-				coeffs := map[int]*big.Rat{}
-				add := func(set query.VarSet, w int64) {
-					if set.Empty() {
-						return
-					}
-					k := varOf(set)
-					if c, ok := coeffs[k]; ok {
-						c.Add(c, lp.Rat(w, 1))
-					} else {
-						coeffs[k] = lp.Rat(w, 1)
-					}
-				}
-				add(s.Add(i), 1)
-				add(s.Add(j), 1)
-				add(s.Add(i).Add(j), -1)
-				add(s, -1)
-				p.AddGE(coeffs, lp.Rat(0, 1))
-			})
-		}
-	}
-	for i := 0; i < n; i++ {
-		coeffs := map[int]*big.Rat{varOf(full): lp.Rat(1, 1)}
-		rest := full.Remove(i)
-		if !rest.Empty() {
-			coeffs[varOf(rest)] = lp.Rat(-1, 1)
-		}
-		p.AddGE(coeffs, lp.Rat(0, 1))
-	}
 	for _, bag := range bags {
-		p.AddGE(map[int]*big.Rat{varOf(bag): lp.Rat(1, 1), z: lp.Rat(-1, 1)}, lp.Rat(0, 1))
+		p.AddGE([]lp.Term{{Var: int(bag) - 1, Coef: lp.Rat(1, 1)}, {Var: z, Coef: lp.Rat(-1, 1)}}, new(big.Rat))
 	}
 	sol, err := p.SolveCtx(ctx)
 	if err != nil {

@@ -1,14 +1,17 @@
 // Package lp implements an exact linear programming solver: a dense
-// two-phase primal simplex over arbitrary-precision rationals
-// (math/big.Rat) with Bland's anti-cycling rule and dual-solution
-// extraction.
+// two-phase primal simplex with Bland's anti-cycling rule and
+// dual-solution extraction. Every tableau entry is an exact rational, an
+// int64 numerator and denominator under overflow-checked arithmetic; the
+// one entry an operation would overflow is carried in math/big.Rat from
+// that operation on (see num), so no result is ever rounded.
 //
 // Exact arithmetic matters here: the polymatroid bound LPs of the paper
 // have optima like 3/2·log N, and the Shannon-flow machinery consumes the
 // *dual* solution as a proof witness, where an epsilon-rounded multiplier
-// would break the downstream bookkeeping. Problem sizes are tiny (2^n
-// variables for constant query size n), so exactness costs nothing that
-// matters.
+// would break the downstream bookkeeping. It is not free: the LPs have
+// 2^n variables for query size n, and with a big.Rat allocated per entry
+// per pivot the solve was half of a served cold compile. The word-sized
+// entries take that constant factor; the 2^n stays (ROADMAP item 4).
 package lp
 
 import (
@@ -60,10 +63,23 @@ const (
 	rowEQ                // Σ a·x = b
 )
 
+// Term is one entry Coef·x[Var] of a sparse constraint row.
+type Term struct {
+	Var  int
+	Coef *big.Rat
+}
+
+// entry is a stored Term.
+type entry struct {
+	col int
+	v   num
+}
+
+// row is one constraint: its entries are Problem.terms[lo:hi].
 type row struct {
 	kind   rowKind
-	coeffs map[int]*big.Rat
-	rhs    *big.Rat
+	lo, hi int
+	rhs    num
 }
 
 // Problem is a linear program over non-negative variables x ≥ 0.
@@ -72,6 +88,7 @@ type Problem struct {
 	nvars int
 	obj   []*big.Rat
 	rows  []row
+	terms []entry // every row's entries, in row order
 }
 
 // NewProblem creates a problem with nvars non-negative variables and a
@@ -104,50 +121,47 @@ func (p *Problem) SetObjectiveInt(i int, v int64) {
 	p.obj[i] = new(big.Rat).SetInt64(v)
 }
 
-func cloneCoeffs(coeffs map[int]*big.Rat) map[int]*big.Rat {
-	c := make(map[int]*big.Rat, len(coeffs))
-	for i, v := range coeffs {
-		c[i] = new(big.Rat).Set(v)
-	}
-	return c
-}
-
-func (p *Problem) addRow(kind rowKind, coeffs map[int]*big.Rat, rhs *big.Rat) int {
-	for i := range coeffs {
-		if i < 0 || i >= p.nvars {
-			panic(guard.Invalidf("lp: coefficient for variable %d out of range", i))
+// addRow stores the row's values, not the caller's slice or rationals;
+// terms naming one variable twice add up.
+func (p *Problem) addRow(kind rowKind, terms []Term, rhs *big.Rat) int {
+	lo := len(p.terms)
+	for _, t := range terms {
+		if t.Var < 0 || t.Var >= p.nvars {
+			p.terms = p.terms[:lo]
+			panic(guard.Invalidf("lp: coefficient for variable %d out of range", t.Var))
 		}
+		p.terms = append(p.terms, entry{col: t.Var, v: fromRat(t.Coef)})
 	}
-	p.rows = append(p.rows, row{kind: kind, coeffs: cloneCoeffs(coeffs), rhs: new(big.Rat).Set(rhs)})
+	p.rows = append(p.rows, row{kind: kind, lo: lo, hi: len(p.terms), rhs: fromRat(rhs)})
 	return len(p.rows) - 1
 }
 
-// AddLE adds the constraint Σ coeffs·x ≤ rhs and returns its row index.
-func (p *Problem) AddLE(coeffs map[int]*big.Rat, rhs *big.Rat) int {
-	return p.addRow(rowLE, coeffs, rhs)
+// AddLE adds the constraint Σ terms ≤ rhs and returns its row index.
+func (p *Problem) AddLE(terms []Term, rhs *big.Rat) int {
+	return p.addRow(rowLE, terms, rhs)
 }
 
-// AddGE adds the constraint Σ coeffs·x ≥ rhs and returns its row index.
-func (p *Problem) AddGE(coeffs map[int]*big.Rat, rhs *big.Rat) int {
-	return p.addRow(rowGE, coeffs, rhs)
+// AddGE adds the constraint Σ terms ≥ rhs and returns its row index.
+func (p *Problem) AddGE(terms []Term, rhs *big.Rat) int {
+	return p.addRow(rowGE, terms, rhs)
 }
 
-// AddEQ adds the constraint Σ coeffs·x = rhs and returns its row index.
-func (p *Problem) AddEQ(coeffs map[int]*big.Rat, rhs *big.Rat) int {
-	return p.addRow(rowEQ, coeffs, rhs)
+// AddEQ adds the constraint Σ terms = rhs and returns its row index.
+func (p *Problem) AddEQ(terms []Term, rhs *big.Rat) int {
+	return p.addRow(rowEQ, terms, rhs)
 }
 
-// Coeffs is a convenience constructor for sparse coefficient maps from
-// (index, numerator) pairs with unit denominators.
-func Coeffs(pairs ...int64) map[int]*big.Rat {
+// Coeffs is a convenience constructor for sparse rows from (index,
+// numerator) pairs with unit denominators.
+func Coeffs(pairs ...int64) []Term {
 	if len(pairs)%2 != 0 {
 		panic(guard.Invalidf("lp: Coeffs needs (index, value) pairs"))
 	}
-	m := make(map[int]*big.Rat, len(pairs)/2)
+	terms := make([]Term, 0, len(pairs)/2)
 	for i := 0; i < len(pairs); i += 2 {
-		m[int(pairs[i])] = new(big.Rat).SetInt64(pairs[i+1])
+		terms = append(terms, Term{Var: int(pairs[i]), Coef: new(big.Rat).SetInt64(pairs[i+1])})
 	}
-	return m
+	return terms
 }
 
 // Rat returns a rational from a numerator/denominator pair.
@@ -212,130 +226,96 @@ func (p *Problem) SolveCtx(ctx context.Context) (*Solution, error) {
 	return t.extract(), nil
 }
 
-// tableau is the dense simplex tableau. Columns: structural variables
-// [0, n), slacks [n, n+m) (one per row; equality rows get a slack column
-// that is fixed to zero by never allowing it to enter), then the rhs.
-// Artificial variables are appended during phase 1 and frozen afterwards.
+// tableau is the dense simplex tableau, row-major in one slice. Columns:
+// structural variables [0, n), slacks [n, n+m) (one per row; an equality
+// row's slack stays all-zero and banned), artificials [n+m, cols) in row
+// order for the rows that need one, then the rhs. Row m is the objective.
+// Bland's rule picks by column and basis index, so this order is part of
+// the result: it fixes the pivot sequence and with it the dual vertex the
+// witness, the proof sequence and the plan are built from.
 type tableau struct {
 	p        *Problem
-	m, n     int // constraint count, structural variable count
-	cols     int // current number of variable columns (excl. rhs)
-	nart     int // number of artificial columns
-	a        [][]*big.Rat
+	m, n     int   // constraint count, structural variable count
+	cols     int   // number of variable columns (excl. rhs)
+	a        []num // (m+1) rows of cols+1 entries
 	basis    []int // basis[i] = column basic in row i
 	flipped  []bool
-	isSlack  []int // column -> row index if slack, else -1
 	banned   []bool
 	artStart int
+	artCol   []int // artCol[i] = artificial column of row i, or -1
+	nz       []int // scratch: the pivot row's non-zero columns
 
 	ctx    context.Context
 	budget *guard.Budget
 	pivots int64
 }
 
-func newTableau(ctx context.Context, p *Problem) (*tableau, error) {
-	m, n := len(p.rows), p.nvars
-	t := &tableau{p: p, m: m, n: n, ctx: ctx, budget: guard.FromContext(ctx)}
-	t.cols = n + m
-	t.a = make([][]*big.Rat, m+1) // +1 objective row
-	t.flipped = make([]bool, m)
-	for i := 0; i <= m; i++ {
-		if i&15 == 0 {
-			if err := guard.Poll(ctx); err != nil {
-				return nil, err
-			}
-		}
-		t.a[i] = make([]*big.Rat, t.cols+1)
-		for j := range t.a[i] {
-			t.a[i][j] = new(big.Rat)
-		}
-	}
-	t.basis = make([]int, m)
-	t.isSlack = make([]int, t.cols)
-	for j := range t.isSlack {
-		t.isSlack[j] = -1
-	}
-	t.banned = make([]bool, t.cols)
+func (t *tableau) row(i int) []num { return t.a[i*(t.cols+1) : (i+1)*(t.cols+1)] }
 
+func newTableau(ctx context.Context, p *Problem) (*tableau, error) {
+	if err := guard.Poll(ctx); err != nil {
+		return nil, err
+	}
+	m, n := len(p.rows), p.nvars
+	t := &tableau{p: p, m: m, n: n, cols: n + m, artStart: n + m, ctx: ctx, budget: guard.FromContext(ctx)}
+	t.basis = make([]int, m)
+	t.flipped = make([]bool, m)
+	t.artCol = make([]int, m)
+	// Rows are normalized to rhs ≥ 0. A row whose slack is +1 after that
+	// starts with the slack basic; an equality, a flipped ≤ or an
+	// unflipped ≥ row starts with an artificial.
 	for i, r := range p.rows {
-		for j, v := range r.coeffs {
-			t.a[i][j].Set(v)
+		t.flipped[i] = r.rhs.sign() < 0
+		t.basis[i], t.artCol[i] = n+i, -1
+		if r.kind == rowEQ || (r.kind == rowGE) != t.flipped[i] {
+			t.basis[i], t.artCol[i] = t.cols, t.cols
+			t.cols++
 		}
-		t.a[i][t.cols].Set(r.rhs)
-		slack := n + i
-		t.isSlack[slack] = i
+	}
+	t.a = make([]num, (m+1)*(t.cols+1))
+	t.banned = make([]bool, t.cols)
+	t.nz = make([]int, 0, t.cols+1)
+	for i, r := range p.rows {
+		row := t.row(i)
+		for _, e := range p.terms[r.lo:r.hi] {
+			row[e.col] = row[e.col].add(e.v)
+		}
+		row[t.cols] = r.rhs
 		switch r.kind {
 		case rowLE:
-			t.a[i][slack].SetInt64(1)
+			row[n+i] = one
 		case rowGE:
-			t.a[i][slack].SetInt64(-1)
+			row[n+i] = minusOne
 		case rowEQ:
-			// No usable slack: ban the column (it stays all-zero).
-			t.banned[slack] = true
+			t.banned[n+i] = true
 		}
-		// Normalize to rhs ≥ 0.
-		if t.a[i][t.cols].Sign() < 0 {
-			t.flipped[i] = true
-			for j := 0; j <= t.cols; j++ {
-				t.a[i][j].Neg(t.a[i][j])
+		if t.flipped[i] {
+			for j := range row {
+				row[j] = row[j].neg()
 			}
+		}
+		if j := t.artCol[i]; j >= 0 {
+			row[j] = one
 		}
 	}
 	return t, nil
 }
 
-// needsArtificial reports whether row i lacks a ready basic column (a
-// slack with coefficient +1 after normalization).
-func (t *tableau) needsArtificial(i int) bool {
-	slack := t.n + i
-	return t.banned[slack] || t.a[i][slack].Sign() != 1
-}
-
-func (t *tableau) addColumn() int {
-	j := t.cols
-	t.cols++
-	for i := range t.a {
-		t.a[i] = append(t.a[i], new(big.Rat))
-		// Keep rhs as the last element: swap the new zero with rhs.
-		last := len(t.a[i]) - 1
-		t.a[i][last], t.a[i][last-1] = t.a[i][last-1], t.a[i][last]
-	}
-	t.isSlack = append(t.isSlack, -1)
-	t.banned = append(t.banned, false)
-	return j
-}
-
 // phase1 finds a basic feasible solution; it reports feasibility.
 func (t *tableau) phase1() (bool, error) {
-	t.artStart = t.cols
-	var artRows []int
-	for i := 0; i < t.m; i++ {
-		if !t.needsArtificial(i) {
-			t.basis[i] = t.n + i
-			continue
-		}
-		j := t.addColumn()
-		t.a[i][j].SetInt64(1)
-		t.basis[i] = j
-		artRows = append(artRows, i)
-		t.nart++
-	}
-	if t.nart == 0 {
+	if t.cols == t.artStart {
 		return true, nil
 	}
 	// Phase-1 objective: maximize -Σ artificials. Objective row holds
-	// reduced costs; start with +1 in artificial columns then zero the
-	// basic ones by subtracting their rows.
-	obj := t.a[t.m]
-	for j := 0; j <= t.cols; j++ {
-		obj[j].SetInt64(0)
-	}
+	// reduced costs: +1 in artificial columns, then the basic ones zeroed
+	// by subtracting their rows.
+	obj := t.row(t.m)
 	for j := t.artStart; j < t.cols; j++ {
-		obj[j].SetInt64(1)
+		obj[j] = one
 	}
-	for _, i := range artRows {
-		for j := 0; j <= t.cols; j++ {
-			obj[j].Sub(obj[j], t.a[i][j])
+	for i, j := range t.artCol {
+		if j >= 0 {
+			subMul(obj, t.row(i), one)
 		}
 	}
 	st, err := t.iterate()
@@ -346,27 +326,24 @@ func (t *tableau) phase1() (bool, error) {
 		// Phase 1 cannot be unbounded (objective bounded by 0).
 		return false, nil
 	}
-	if t.a[t.m][t.cols].Sign() != 0 {
+	if obj[t.cols].sign() != 0 {
 		return false, nil // residual artificial value -> infeasible
 	}
-	// Drive basic artificials out (degenerate rows).
+	// Drive basic artificials out (degenerate rows). A row that is
+	// all-zero over the real columns is a redundant constraint: its
+	// artificial stays basic at value zero.
 	for i := 0; i < t.m; i++ {
 		if t.basis[i] < t.artStart {
 			continue
 		}
-		pivoted := false
+		row := t.row(i)
 		for j := 0; j < t.artStart; j++ {
-			if !t.banned[j] && t.a[i][j].Sign() != 0 {
+			if !t.banned[j] && row[j].sign() != 0 {
 				if err := t.pivot(i, j); err != nil {
 					return false, err
 				}
-				pivoted = true
 				break
 			}
-		}
-		if !pivoted {
-			// Row is all-zero over real columns: redundant constraint.
-			// Leave the artificial basic at value zero but ban pivots in.
 		}
 	}
 	// Freeze artificial columns.
@@ -378,37 +355,37 @@ func (t *tableau) phase1() (bool, error) {
 
 // phase2 optimizes the real objective from the current feasible basis.
 func (t *tableau) phase2() (Status, error) {
-	obj := t.a[t.m]
-	for j := 0; j <= t.cols; j++ {
-		obj[j].SetInt64(0)
-	}
-	neg := big.NewRat(-1, 1)
+	obj := t.row(t.m)
+	clear(obj)
 	for j := 0; j < t.n; j++ {
-		c := new(big.Rat).Set(t.p.obj[j])
-		if t.p.sense == Minimize {
-			c.Mul(c, neg)
+		// Reduced cost row starts at -c for a max problem.
+		obj[j] = fromRat(t.p.obj[j])
+		if t.p.sense == Maximize {
+			obj[j] = obj[j].neg()
 		}
-		obj[j].Neg(c) // reduced cost row starts at -c for a max problem
 	}
 	// Express in terms of the current basis: zero out basic columns.
 	for i := 0; i < t.m; i++ {
-		b := t.basis[i]
-		if obj[b].Sign() == 0 {
-			continue
-		}
-		factor := new(big.Rat).Set(obj[b])
-		for j := 0; j <= t.cols; j++ {
-			tmp := new(big.Rat).Mul(factor, t.a[i][j])
-			obj[j].Sub(obj[j], tmp)
+		if f := obj[t.basis[i]]; f.sign() != 0 {
+			subMul(obj, t.row(i), f)
 		}
 	}
 	return t.iterate()
 }
 
+// subMul subtracts f·src from dst, visiting src's non-zero columns only.
+func subMul(dst, src []num, f num) {
+	for j := range src {
+		if src[j].sign() != 0 {
+			dst[j] = dst[j].sub(f.mul(src[j]))
+		}
+	}
+}
+
 // iterate runs simplex pivots with Bland's rule until optimal,
 // unbounded, or interrupted by the context or pivot budget.
 func (t *tableau) iterate() (Status, error) {
-	obj := t.a[t.m]
+	obj := t.row(t.m)
 	for {
 		if err := t.budget.Pivot(t.ctx); err != nil {
 			return Optimal, err
@@ -416,7 +393,7 @@ func (t *tableau) iterate() (Status, error) {
 		// Entering column: smallest index with negative reduced cost.
 		enter := -1
 		for j := 0; j < t.cols; j++ {
-			if !t.banned[j] && obj[j].Sign() < 0 {
+			if !t.banned[j] && obj[j].sign() < 0 {
 				enter = j
 				break
 			}
@@ -426,14 +403,14 @@ func (t *tableau) iterate() (Status, error) {
 		}
 		// Ratio test with Bland tie-breaking on basis variable index.
 		leave := -1
-		var best *big.Rat
+		var best num
 		for i := 0; i < t.m; i++ {
-			if t.a[i][enter].Sign() <= 0 {
+			row := t.row(i)
+			if row[enter].sign() <= 0 {
 				continue
 			}
-			ratio := new(big.Rat).Quo(t.a[i][t.cols], t.a[i][enter])
-			if leave < 0 || ratio.Cmp(best) < 0 ||
-				(ratio.Cmp(best) == 0 && t.basis[i] < t.basis[leave]) {
+			ratio := row[t.cols].quo(row[enter])
+			if c := ratio.cmp(best); leave < 0 || c < 0 || (c == 0 && t.basis[i] < t.basis[leave]) {
 				leave, best = i, ratio
 			}
 		}
@@ -447,14 +424,19 @@ func (t *tableau) iterate() (Status, error) {
 	}
 }
 
-// pivot makes column enter basic in row leave. A single exact-rational
-// pivot touches m·cols entries, so it polls the context every few rows
-// to keep the cancellation latency well under the row-elimination cost.
+// pivot makes column enter basic in row leave. Only the columns where the
+// pivot row is non-zero change, so only those are visited. A pivot still
+// touches up to m·cols entries, so it polls the context every few rows to
+// keep the cancellation latency well under the row-elimination cost.
 func (t *tableau) pivot(leave, enter int) error {
-	prow := t.a[leave]
-	inv := new(big.Rat).Inv(prow[enter])
-	for j := 0; j <= t.cols; j++ {
-		prow[j].Mul(prow[j], inv)
+	prow := t.row(leave)
+	inv := one.quo(prow[enter])
+	nz := t.nz[:0]
+	for j := range prow {
+		if prow[j].sign() != 0 {
+			prow[j] = prow[j].mul(inv)
+			nz = append(nz, j)
+		}
 	}
 	for i := 0; i <= t.m; i++ {
 		if i&15 == 0 {
@@ -462,13 +444,13 @@ func (t *tableau) pivot(leave, enter int) error {
 				return err
 			}
 		}
-		if i == leave || t.a[i][enter].Sign() == 0 {
+		row := t.row(i)
+		f := row[enter]
+		if i == leave || f.sign() == 0 {
 			continue
 		}
-		factor := new(big.Rat).Set(t.a[i][enter])
-		for j := 0; j <= t.cols; j++ {
-			tmp := new(big.Rat).Mul(factor, prow[j])
-			t.a[i][j].Sub(t.a[i][j], tmp)
+		for _, j := range nz {
+			row[j] = row[j].sub(f.mul(prow[j]))
 		}
 	}
 	t.basis[leave] = enter
@@ -477,6 +459,7 @@ func (t *tableau) pivot(leave, enter int) error {
 
 // extract builds the Solution from an optimal tableau.
 func (t *tableau) extract() *Solution {
+	out := func(a num) *big.Rat { return new(big.Rat).Set(a.rat()) }
 	sol := &Solution{Status: Optimal}
 	sol.X = make([]*big.Rat, t.n)
 	for j := range sol.X {
@@ -484,42 +467,35 @@ func (t *tableau) extract() *Solution {
 	}
 	for i, b := range t.basis {
 		if b < t.n {
-			sol.X[b].Set(t.a[i][t.cols])
+			sol.X[b] = out(t.row(i)[t.cols])
 		}
 	}
-	obj := new(big.Rat).Set(t.a[t.m][t.cols])
+	obj := t.row(t.m)
+	sol.Objective = out(obj[t.cols])
 	if t.p.sense == Minimize {
-		obj.Neg(obj)
+		sol.Objective.Neg(sol.Objective)
 	}
-	sol.Objective = obj
 
 	// Duals. The reduced cost of a column with zero objective coefficient
-	// equals y'·A_col, where y' is the dual of the *normalized* tableau
-	// rows and A_col the column's original tableau coefficients. Each
-	// row's slack (or, for equality rows, its phase-1 artificial) is such
-	// a column with a single ±1 entry, so y'_i is read off directly; the
-	// dual of the original row then flips sign iff the row was
-	// rhs-normalized, and again for Minimize (which we solved negated).
+	// equals y·A_col, where y is the dual of the original rows and A_col
+	// the column's original coefficients. Each row's slack (or, for an
+	// equality row, its phase-1 artificial) is such a column with a
+	// single ±1 entry, so y_i is read off directly: +1 for a ≤ row's
+	// slack, -1 for a ≥ row's, and +1 in the rhs-normalized row for an
+	// artificial. Minimize was solved negated.
 	sol.Dual = make([]*big.Rat, t.m)
-	for i := 0; i < t.m; i++ {
-		y := new(big.Rat)
-		switch t.p.rows[i].kind {
+	for i, r := range t.p.rows {
+		var y *big.Rat
+		switch r.kind {
+		case rowLE:
+			y = out(obj[t.n+i])
+		case rowGE:
+			y = out(obj[t.n+i].neg())
 		case rowEQ:
-			for j := t.artStart; j < t.cols; j++ {
-				if t.artForRow(j) == i {
-					y.Set(t.a[t.m][j]) // artificial coefficient is +1
-					break
-				}
-			}
-		default:
-			y.Set(t.a[t.m][t.n+i])
-			coefPositive := (t.p.rows[i].kind == rowLE) != t.flipped[i]
-			if !coefPositive {
+			y = out(obj[t.artCol[i]])
+			if t.flipped[i] {
 				y.Neg(y)
 			}
-		}
-		if t.flipped[i] {
-			y.Neg(y)
 		}
 		if t.p.sense == Minimize {
 			y.Neg(y)
@@ -527,38 +503,4 @@ func (t *tableau) extract() *Solution {
 		sol.Dual[i] = y
 	}
 	return sol
-}
-
-// artForRow returns the constraint row an artificial column was created
-// for, or -1. Artificial columns were added in row order during phase 1,
-// with coefficient 1 in exactly their row at creation time; we track this
-// by scanning creation order.
-func (t *tableau) artForRow(col int) int {
-	// Reconstruct: artificial columns were appended in increasing row
-	// order for rows that needed one.
-	k := col - t.artStart
-	cnt := 0
-	for i := 0; i < t.m; i++ {
-		if t.needsArtificialOriginal(i) {
-			if cnt == k {
-				return i
-			}
-			cnt++
-		}
-	}
-	return -1
-}
-
-// needsArtificialOriginal mirrors the phase-1 decision using only
-// immutable problem data (kind and flip status plus original slack sign).
-func (t *tableau) needsArtificialOriginal(i int) bool {
-	switch t.p.rows[i].kind {
-	case rowEQ:
-		return true
-	case rowLE:
-		return t.flipped[i] // flipped LE has slack -1
-	case rowGE:
-		return !t.flipped[i] // unflipped GE has slack -1
-	}
-	return false
 }

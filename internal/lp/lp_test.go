@@ -19,7 +19,7 @@ func checkStrongDuality(t *testing.T, p *Problem, sol *Solution) {
 	t.Helper()
 	sum := new(big.Rat)
 	for i, r := range p.rows {
-		sum.Add(sum, new(big.Rat).Mul(sol.Dual[i], r.rhs))
+		sum.Add(sum, new(big.Rat).Mul(sol.Dual[i], r.rhs.rat()))
 	}
 	if sum.Cmp(sol.Objective) != 0 {
 		t.Fatalf("strong duality violated: y·b = %v, obj = %v", sum, sol.Objective)
@@ -33,8 +33,10 @@ func checkDualFeasible(t *testing.T, p *Problem, sol *Solution) {
 	for j := 0; j < p.nvars; j++ {
 		lhs := new(big.Rat)
 		for i, r := range p.rows {
-			if c, ok := r.coeffs[j]; ok {
-				lhs.Add(lhs, new(big.Rat).Mul(sol.Dual[i], c))
+			for _, e := range p.terms[r.lo:r.hi] {
+				if e.col == j {
+					lhs.Add(lhs, new(big.Rat).Mul(sol.Dual[i], e.v.rat()))
+				}
 			}
 		}
 		switch p.sense {
@@ -84,7 +86,7 @@ func TestFractionalOptimum(t *testing.T) {
 	// x + y ≤ 3/2 -> h = 3/2.
 	q := NewProblem(3, Maximize)
 	q.SetObjectiveInt(0, 1)
-	q.AddLE(map[int]*big.Rat{0: Rat(1, 1), 1: Rat(-1, 1), 2: Rat(-1, 1)}, Rat(0, 1))
+	q.AddLE(Coeffs(0, 1, 1, -1, 2, -1), Rat(0, 1))
 	q.AddLE(Coeffs(1, 1), Rat(1, 1))
 	q.AddLE(Coeffs(2, 1), Rat(1, 1))
 	q.AddLE(Coeffs(1, 1, 2, 1), Rat(3, 2))
@@ -179,8 +181,8 @@ func TestDegenerateCycleGuard(t *testing.T) {
 	p.SetObjectiveInt(1, -150)
 	p.SetObjective(2, Rat(1, 50))
 	p.SetObjectiveInt(3, -6)
-	p.AddLE(map[int]*big.Rat{0: Rat(1, 4), 1: Rat(-60, 1), 2: Rat(-1, 25), 3: Rat(9, 1)}, Rat(0, 1))
-	p.AddLE(map[int]*big.Rat{0: Rat(1, 2), 1: Rat(-90, 1), 2: Rat(-1, 50), 3: Rat(3, 1)}, Rat(0, 1))
+	p.AddLE([]Term{{0, Rat(1, 4)}, {1, Rat(-60, 1)}, {2, Rat(-1, 25)}, {3, Rat(9, 1)}}, Rat(0, 1))
+	p.AddLE([]Term{{0, Rat(1, 2)}, {1, Rat(-90, 1)}, {2, Rat(-1, 50)}, {3, Rat(3, 1)}}, Rat(0, 1))
 	p.AddLE(Coeffs(2, 1), Rat(1, 1))
 	sol, err := p.SolveCtx(context.Background())
 	if err != nil || sol.Status != Optimal {
@@ -191,28 +193,61 @@ func TestDegenerateCycleGuard(t *testing.T) {
 	checkDualFeasible(t, p, sol)
 }
 
+// randomProblem draws a small LP. Plain, it is a maximization with
+// non-negative ≤ rows and a box, hence feasible and bounded. Mixed, it has
+// either sense, ≤, ≥ and = rows, fractional and negative coefficients,
+// negative right-hand sides, repeated variables within a row and often no
+// box, so infeasible and unbounded problems come up too.
+func randomProblem(rng *rand.Rand, mixed bool) *Problem {
+	n := 2 + rng.Intn(4)
+	m := 2 + rng.Intn(5)
+	sense := Maximize
+	if mixed && rng.Intn(3) == 0 {
+		sense = Minimize
+	}
+	p := NewProblem(n, sense)
+	for j := 0; j < n; j++ {
+		p.SetObjectiveInt(j, int64(rng.Intn(9)-2))
+	}
+	for i := 0; i < m; i++ {
+		var terms []Term
+		for j := 0; j < n; j++ {
+			terms = append(terms, Term{j, Rat(int64(rng.Intn(5)), 1)}) // non-negative -> bounded
+		}
+		rhs := Rat(int64(1+rng.Intn(20)), 1)
+		if !mixed {
+			p.AddLE(terms, rhs)
+			continue
+		}
+		for j := range terms {
+			terms[j].Coef = Rat(int64(rng.Intn(9)-4), int64(1+rng.Intn(3)))
+		}
+		terms = append(terms, Term{rng.Intn(n), Rat(1, 2)})
+		rhs = Rat(int64(rng.Intn(26)-5), int64(1+rng.Intn(4)))
+		switch rng.Intn(6) {
+		case 0:
+			p.AddEQ(terms, rhs)
+		case 1, 2:
+			p.AddGE(terms, rhs)
+		default:
+			p.AddLE(terms, rhs)
+		}
+	}
+	// Box constraints guarantee boundedness even with zero rows.
+	if !mixed || rng.Intn(2) == 0 {
+		for j := 0; j < n; j++ {
+			p.AddLE(Coeffs(int64(j), 1), Rat(50, 1))
+		}
+	}
+	return p
+}
+
 // TestRandomDualityProperty solves random feasible bounded LPs and checks
 // strong duality and dual feasibility hold exactly.
 func TestRandomDualityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for iter := 0; iter < 60; iter++ {
-		n := 2 + rng.Intn(4)
-		m := 2 + rng.Intn(5)
-		p := NewProblem(n, Maximize)
-		for j := 0; j < n; j++ {
-			p.SetObjectiveInt(j, int64(rng.Intn(9)-2))
-		}
-		for i := 0; i < m; i++ {
-			coeffs := map[int]*big.Rat{}
-			for j := 0; j < n; j++ {
-				coeffs[j] = Rat(int64(rng.Intn(5)), 1) // non-negative -> bounded
-			}
-			p.AddLE(coeffs, Rat(int64(1+rng.Intn(20)), 1))
-		}
-		// Box constraints guarantee boundedness even with zero rows.
-		for j := 0; j < n; j++ {
-			p.AddLE(Coeffs(int64(j), 1), Rat(50, 1))
-		}
+		p := randomProblem(rng, false)
 		sol, err := p.SolveCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -225,10 +260,10 @@ func TestRandomDualityProperty(t *testing.T) {
 		// Primal feasibility of the reported solution.
 		for i, r := range p.rows {
 			lhs := new(big.Rat)
-			for j, c := range r.coeffs {
-				lhs.Add(lhs, new(big.Rat).Mul(c, sol.X[j]))
+			for _, e := range p.terms[r.lo:r.hi] {
+				lhs.Add(lhs, new(big.Rat).Mul(e.v.rat(), sol.X[e.col]))
 			}
-			if lhs.Cmp(r.rhs) > 0 {
+			if lhs.Cmp(r.rhs.rat()) > 0 {
 				t.Fatalf("iter %d: primal infeasible row %d", iter, i)
 			}
 		}

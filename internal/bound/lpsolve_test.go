@@ -1,11 +1,12 @@
-package bound
+package bound_test
 
 import (
 	"context"
 	"testing"
 
+	"circuitql/internal/bound"
+	"circuitql/internal/qos/soaktest"
 	"circuitql/internal/query"
-	"circuitql/internal/testutil"
 	"circuitql/internal/workload"
 )
 
@@ -14,7 +15,11 @@ import (
 // data plus the loose salt constraint, canonicalized as the engine does.
 func servedCycle4(tb testing.TB) (*query.Query, query.DCSet) {
 	tb.Helper()
-	canon, err := testutil.ServedShape(query.Cycle4(), 1, 8, 33)
+	req, err := soaktest.MakeRequest(query.Cycle4().String(), 1, 8, 33)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	canon, err := query.Canonicalize(req.Query, req.DCs)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -27,7 +32,7 @@ func servedCycle4(tb testing.TB) (*query.Query, query.DCSet) {
 func TestServedSolveAllocations(t *testing.T) {
 	q, dcs := servedCycle4(t)
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := LogBoundCtx(context.Background(), q, dcs, q.AllVars()); err != nil {
+		if _, err := bound.LogBoundCtx(context.Background(), q, dcs, q.AllVars()); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -58,7 +63,7 @@ func BenchmarkLPSolve(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := LogBoundCtx(context.Background(), tc.q, tc.dcs, tc.q.AllVars()); err != nil {
+				if _, err := bound.LogBoundCtx(context.Background(), tc.q, tc.dcs, tc.q.AllVars()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -28,10 +28,7 @@ func corruptPlanFile(t testing.TB, dir string, fp query.Fingerprint) {
 
 // storeReq builds a serving request for a catalog query with
 // constraints derived from its standard workload database.
-func storeReq(t testing.TB, name string) Request { return storeReqN(t, name, 6) }
-
-// storeReqN is storeReq over relations of the given size.
-func storeReqN(t testing.TB, name string, tuples int) Request {
+func storeReq(t testing.TB, name string) Request {
 	t.Helper()
 	var q *query.Query
 	for _, ent := range query.Catalog() {
@@ -42,7 +39,7 @@ func storeReqN(t testing.TB, name string, tuples int) Request {
 	if q == nil {
 		t.Fatalf("no catalog query %q", name)
 	}
-	db := workload.ForQuery(q, 1, tuples)
+	db := workload.ForQuery(q, 1, 6)
 	dcs, err := query.DeriveDC(q, db)
 	if err != nil {
 		t.Fatalf("DeriveDC(%s): %v", name, err)
@@ -54,12 +51,9 @@ func storeReqN(t testing.TB, name string, tuples int) Request {
 // engine with a persistent store compiles each shape once; a second
 // engine warm-started from the same directory serves every one of them
 // without a single compile, from loading the store through serving —
-// and at least 1.5× faster than the cold compiles it replaces.
+// and at least 2.5× faster than the cold compiles it replaces.
 func TestStoreRestartZeroCompiles(t *testing.T) {
 	names := []string{"triangle", "path3", "cycle4"}
-	// 12-tuple relations: plans of ~50-100 k gates, the size the daemon
-	// serves, so that one scheduling stall is small against either side.
-	req := func(name string) Request { return storeReqN(t, name, 12) }
 	dir := t.TempDir()
 	ctx := context.Background()
 
@@ -70,7 +64,7 @@ func TestStoreRestartZeroCompiles(t *testing.T) {
 	eng1 := New(Config{Store: st1, Shards: 2})
 	cold := make(map[string]Result, len(names))
 	for _, name := range names {
-		res := eng1.Serve(ctx, req(name))
+		res := eng1.Serve(ctx, storeReq(t, name))
 		if res.Err != nil {
 			t.Fatalf("cold %s: %v", name, res.Err)
 		}
@@ -96,8 +90,23 @@ func TestStoreRestartZeroCompiles(t *testing.T) {
 	start := time.Now()
 	eng2 := New(Config{Store: st2, WarmStart: true, Shards: 2})
 	warmDur := time.Since(start)
+	// Two more restarts, timed only: a single sample spreads 5-14 ms from
+	// run to run, and the ratio's first percentile with it (2.2× against
+	// 3.1× for the fastest of three).
+	for i := 0; i < 2; i++ {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		start := time.Now()
+		eng := New(Config{Store: st, WarmStart: true, Shards: 2})
+		if d := time.Since(start); d < warmDur {
+			warmDur = d
+		}
+		eng.Close()
+	}
 	for _, name := range names {
-		res := eng2.Serve(ctx, req(name))
+		res := eng2.Serve(ctx, storeReq(t, name))
 		if res.Err != nil {
 			t.Fatalf("warm %s: %v", name, res.Err)
 		}
@@ -121,18 +130,18 @@ func TestStoreRestartZeroCompiles(t *testing.T) {
 		t.Fatalf("warm load read %d plans from disk, want ≥%d", m2.StoreHits, len(names))
 	}
 
-	// One ~45 ms timed restart against ~215 ms of cold compiles. The ratio
-	// was 14× while an exact LP over big.Rat was most of a small compile;
-	// with the LP at under a millisecond it is what decoding a plan costs
-	// against lowering and vm-compiling it: over 100 isolated runs median
-	// 4.6×, minimum 3.8× (race build, 30 runs: 2.9× and 2.7×), so 1.5×
-	// leaves a factor of 2.5, 1.8 under the worst race run (EXPERIMENTS.md,
-	// "The exact LP at machine-word speed"). The ledger's store.get_ms
-	// against core.compile_ms is the same ratio on the benchmark's shapes.
-	const factor = 1.5
+	// The fastest of three ~6.5 ms restarts against ~29 ms of cold compiles:
+	// what decoding a plan costs against lowering and vm-compiling it. Over
+	// 200 isolated runs the ratio has median 4.4×, first percentile 3.1×
+	// and minimum 2.8×, so 2.5× sits 1.8 under the median and a warm load
+	// twice as slow fails (EXPERIMENTS.md, "The exact LP at machine-word
+	// speed"). The race detector slows the two sides unevenly (60 runs:
+	// median 3.7×, minimum 2.7×), so a race build asserts only the
+	// deterministic part above.
+	const factor = 2.5
 	coldCompile := time.Duration(m1.CompileLatency.SumMicros) * time.Microsecond
 	t.Logf("warm start %v, cold compiles %v: %.1f×", warmDur, coldCompile, float64(coldCompile)/float64(warmDur))
-	if float64(warmDur)*factor > float64(coldCompile) {
+	if !raceEnabled && float64(warmDur)*factor > float64(coldCompile) {
 		t.Errorf("warm start loaded all shapes in %v, cold compiles took %v — want ≥%.1f× speedup",
 			warmDur, coldCompile, factor)
 	}

@@ -459,7 +459,13 @@ func (t *tableau) pivot(leave, enter int) error {
 
 // extract builds the Solution from an optimal tableau.
 func (t *tableau) extract() *Solution {
-	out := func(a num) *big.Rat { return new(big.Rat).Set(a.rat()) }
+	// A promoted entry's big.Rat is the tableau's own: the caller gets a copy.
+	out := func(a num) *big.Rat {
+		if a.big != nil {
+			return new(big.Rat).Set(a.big)
+		}
+		return a.rat()
+	}
 	sol := &Solution{Status: Optimal}
 	sol.X = make([]*big.Rat, t.n)
 	for j := range sol.X {

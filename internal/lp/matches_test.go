@@ -3,7 +3,6 @@ package lp_test
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -13,13 +12,10 @@ import (
 	"circuitql/internal/ghd"
 	"circuitql/internal/guard"
 	"circuitql/internal/lp"
+	"circuitql/internal/qos/soaktest"
 	"circuitql/internal/query"
-	"circuitql/internal/testutil"
 	"circuitql/internal/workload"
 )
-
-var fullMatrix = flag.Bool("lp-matrix", false,
-	"TestSolveMatchesReference: every derived-DC seed of the 870-LP matrix (minutes: the reference takes seconds on a five-variable query)")
 
 // boundLP is the LP bound.LogBoundCtx solves for the full variable set.
 func boundLP(q *query.Query, dcs query.DCSet) *lp.Problem {
@@ -33,18 +29,21 @@ func boundLP(q *query.Query, dcs query.DCSet) *lp.Problem {
 // status, objective, primal, dual and pivot count.
 func TestSolveMatchesReference(t *testing.T) {
 	// The matrix: every catalog query under uniform cardinalities and
-	// under constraints derived from seeded data. Without -lp-matrix the
-	// queries of five and more variables, whose reference solve takes
-	// seconds, keep two of the twenty seeds.
+	// under constraints derived from seeded data, 870 LPs and about a
+	// minute, nearly all of it the reference on the one five-variable
+	// query, the bowtie. Under -short, and under the race detector (eight
+	// minutes for nothing: neither solver shares state), the bowtie keeps
+	// two of the twenty seeds and two of the seven cardinalities, 793 LPs.
 	t.Run("matrix", func(t *testing.T) {
 		solved := 0
 		for _, e := range query.Catalog() {
+			reduced := e.Query.NVars() > 4 && (testing.Short() || raceEnabled)
 			seeds := int64(20)
-			if e.Query.NVars() > 4 && !*fullMatrix {
+			if reduced {
 				seeds = 2
 			}
 			for _, n := range []float64{2, 3, 7, 16, 100, 256, 1000} {
-				if e.Query.NVars() > 4 && !*fullMatrix && n != 7 && n != 1000 {
+				if reduced && n != 7 && n != 1000 {
 					continue
 				}
 				lp.CheckAgainstReference(t, fmt.Sprintf("%s/N=%g", e.Name, n), boundLP(e.Query, query.Cardinalities(e.Query, n)))
@@ -79,12 +78,8 @@ func TestSolveMatchesReference(t *testing.T) {
 			{"Q(A,B,C) :- R(A,B), S(B,C)", 4},
 			{"Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D), U(D,A)", 8},
 		} {
-			q, err := query.Parse(served.src)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for seed := int64(1); seed <= 2; seed++ {
-				lp.CheckAgainstReference(t, fmt.Sprintf("%s/%d tuples/seed %d", served.src, served.tuples, seed), servedLP(t, q, seed, served.tuples))
+				lp.CheckAgainstReference(t, fmt.Sprintf("%s/%d tuples/seed %d", served.src, served.tuples, seed), servedLP(t, served.src, seed, served.tuples))
 			}
 		}
 	})
@@ -138,10 +133,16 @@ func TestSolveMatchesReference(t *testing.T) {
 	})
 }
 
-// servedLP is the bound LP of a served shape under the salt DC.
-func servedLP(t testing.TB, q *query.Query, seed int64, tuples int) *lp.Problem {
+// servedLP is the bound LP of a served shape: constraints derived from
+// the seeded data plus the salt DC of a cold-compile request,
+// canonicalized as the engine does.
+func servedLP(t testing.TB, src string, seed int64, tuples int) *lp.Problem {
 	t.Helper()
-	canon, err := testutil.ServedShape(q, seed, tuples, 32+seed)
+	req, err := soaktest.MakeRequest(src, seed, tuples, int(32+seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := query.Canonicalize(req.Query, req.DCs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,9 @@ func servedLP(t testing.TB, q *query.Query, seed int64, tuples int) *lp.Problem 
 }
 
 // servedCycle4LP is the cold-compile workload's LP: 15 variables, 41 rows.
-func servedCycle4LP(t testing.TB) *lp.Problem { return servedLP(t, query.Cycle4(), 1, 8) }
+func servedCycle4LP(t testing.TB) *lp.Problem {
+	return servedLP(t, query.Cycle4().String(), 1, 8)
+}
 
 // TestPivotBudgetTripsWhereItDid charges the same budget at the same
 // points as the reference: under every pivot budget k, both solvers fail

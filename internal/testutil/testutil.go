@@ -13,7 +13,6 @@ import (
 
 	"circuitql/internal/query"
 	"circuitql/internal/relation"
-	"circuitql/internal/workload"
 )
 
 // RandomDB returns a deterministic pseudo-random database for q with at
@@ -100,24 +99,4 @@ func DiffRows(wantRows, gotRows []string, want, got string) string {
 		}
 	}
 	return ""
-}
-
-// ServedShape resolves a wire request the way the daemon does — the
-// seeded uniform database of the given size, the constraints derived
-// from it, the loose salt constraint "R <= salt" the repo benchmark's
-// fresh-fingerprint requests carry (0 for none) — and returns the
-// canonical pair a served compile sees.
-func ServedShape(q *query.Query, seed int64, tuples int, salt int64) (*query.Canonical, error) {
-	dcs, err := query.DeriveDC(q, workload.ForQuery(q, seed, tuples))
-	if err != nil {
-		return nil, err
-	}
-	if salt != 0 {
-		more, err := query.ParseDC(q, fmt.Sprintf("R <= %d", salt))
-		if err != nil {
-			return nil, err
-		}
-		dcs = append(dcs, more...)
-	}
-	return query.Canonicalize(q, dcs)
 }

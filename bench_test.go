@@ -687,3 +687,83 @@ func BenchmarkCompileStages(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkServedTiers sizes the engine's tier ladder on the shapes the
+// store and the ledger serve (catalog query · tuples per relation,
+// derived constraints). Per shape: the vm tier as the engine runs it
+// (pack, a batch of one, decode), the RAM tier, the relational circuit
+// — the facade's reference layer, not an engine tier: slower than RAM
+// and no more oblivious — and a compile with and without the optimizer,
+// with the word gates each leaves for every later evaluation. The
+// ladder is ordered by obliviousness, not by speed: RAM is the fastest
+// tier on every shape.
+func BenchmarkServedTiers(b *testing.B) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		q    *query.Query
+		n    int
+	}{
+		{"triangle16", query.Triangle(), 16},
+		{"cycle4x8", query.Cycle4(), 8},
+		{"path3x8", query.Path3(), 8},
+	} {
+		db := workload.ForQuery(tc.q, 1, tc.n)
+		dcs, err := query.DeriveDC(tc.q, db)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, mode := range []struct {
+			name  string
+			noOpt bool
+		}{{"compile-opt", false}, {"compile-noopt", true}} {
+			b.Run(tc.name+"/"+mode.name, func(b *testing.B) {
+				var compiled *core.Compiled
+				for i := 0; i < b.N; i++ {
+					if compiled, err = core.CompileQueryOptsCtx(ctx, tc.q, dcs, core.CompileOptions{NoOpt: mode.noOpt}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(compiled.Obliv.C.Size()), "word-gates")
+			})
+		}
+		compiled, err := core.CompileQueryCtx(ctx, tc.q, dcs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		prog, err := vm.Compile(ctx, compiled.Obliv.C)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, tier := range []struct {
+			name string
+			run  func() (*Relation, error)
+		}{
+			{"vm", func() (*Relation, error) {
+				in, err := compiled.PackOblivious(db)
+				if err != nil {
+					return nil, err
+				}
+				outs, err := prog.EvalBatch(ctx, [][]vm.Word{in})
+				if err != nil {
+					return nil, err
+				}
+				return compiled.DecodeOblivious(outs[0])
+			}},
+			{"relational", func() (*Relation, error) { return compiled.EvaluateRelationalCtx(ctx, db, false) }},
+			{"ram", func() (*Relation, error) { return query.EvaluateCtx(ctx, tc.q, db) }},
+		} {
+			b.Run(tc.name+"/"+tier.name, func(b *testing.B) {
+				rows := 0
+				for i := 0; i < b.N; i++ {
+					out, err := tier.run()
+					if err != nil {
+						b.Fatal(err)
+					}
+					rows = out.Len()
+				}
+				b.ReportMetric(float64(rows), "rows")
+			})
+		}
+	}
+}

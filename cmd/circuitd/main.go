@@ -59,7 +59,8 @@
 // Overload protection: -max-inflight caps concurrent evaluation,
 // -queue-depth bounds each admission lane, and -shed-policy picks what a
 // full lane does (block, shed with a typed retry-after error, or
-// adaptive degradation). SIGINT/SIGTERM triggers a graceful drain
+// adaptive: shed, and shed below-normal-priority requests first once a
+// lane is three-quarters full). SIGINT/SIGTERM triggers a graceful drain
 // bounded by -drain: queued requests get that long to finish before
 // engine-owned work is canceled with typed errors.
 package main
@@ -106,7 +107,7 @@ func run() int {
 		noOpt      = flag.Bool("no-opt", false, "compile plans without the circuit optimizer")
 		inflight   = flag.Int("max-inflight", 0, "concurrently evaluating requests on the cached-hit lane (0: GOMAXPROCS; compile misses get half)")
 		queueDepth = flag.Int("queue-depth", 0, "queued requests per admission lane beyond its workers (0: 2x the lane's workers)")
-		shed       = flag.String("shed-policy", "block", "full-queue behavior: block (wait), shed (reject with a typed overload error), adaptive (shed plus load-based degradation)")
+		shed       = flag.String("shed-policy", "block", "full-queue behavior: block (wait), shed (reject with a typed overload error), adaptive (shed, and shed low-priority requests first when a lane is 3/4 full)")
 		drain      = flag.Duration("drain", 10*time.Second, "graceful-drain bound on shutdown; queued work past it fails with typed errors")
 		listen     = flag.String("listen", "", "wire-protocol TCP listen address (e.g. :7420); pipelined binary requests served concurrently")
 		shards     = flag.Int("shards", 0, "engine shards routed by plan fingerprint, each with its own cache and lanes (0: 1)")

@@ -7,7 +7,11 @@
 //	circuitrun -query 'Q(A,B,C) :- R(A,B), S(B,C), T(A,C)' -n 16 -seed 1 [-workload uniform|skewed|worstcase]
 //
 // Relations are generated per distinct atom name with n tuples each; for
-// the triangle query the -workload flag selects the data shape.
+// the triangle query the -workload flag selects the data shape. An empty
+// Q(D) makes the verification vacuous, so the generator seed is advanced
+// (up to seedTries times, the seed used is printed) until the query has
+// an answer; when it never does, or CSV data has none, the run says so
+// instead of claiming a verified result.
 //
 // With -trace the run is recorded by the obs tracer and the span tree of
 // each pipeline phase — compile with its lp-solve / proofseq /
@@ -30,6 +34,9 @@ import (
 	"circuitql/internal/relation"
 	"circuitql/internal/workload"
 )
+
+// seedTries bounds the search for generated data with a non-empty Q(D).
+const seedTries = 16
 
 func main() {
 	log.SetFlags(0)
@@ -58,7 +65,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var db circuitql.Database
+	var (
+		db   circuitql.Database
+		want *circuitql.Relation // the reference answer Q(D)
+	)
 	if *dir != "" {
 		db = circuitql.Database{}
 		for _, a := range q.Atoms {
@@ -76,14 +86,35 @@ func main() {
 			}
 			db[a.Name] = rel
 		}
-	} else if q.String() == query.Triangle().String() {
-		k := map[string]workload.TriangleKind{
-			"uniform": workload.TriangleUniform, "skewed": workload.TriangleSkewed,
-			"worstcase": workload.TriangleWorstCase,
-		}[*kind]
-		db = workload.TriangleDB(k, *seed, *n)
+		if want, err = circuitql.EvaluateRAM(ctx, q, db); err != nil {
+			log.Fatal(err)
+		}
 	} else {
-		db = workload.ForQuery(q, *seed, *n)
+		generate := func(seed int64) circuitql.Database { return workload.ForQuery(q, seed, *n) }
+		if q.String() == query.Triangle().String() {
+			k := map[string]workload.TriangleKind{
+				"uniform": workload.TriangleUniform, "skewed": workload.TriangleSkewed,
+				"worstcase": workload.TriangleWorstCase,
+			}[*kind]
+			generate = func(seed int64) circuitql.Database { return workload.TriangleDB(k, seed, *n) }
+		}
+		used := *seed
+		for try := int64(0); try < seedTries; try++ {
+			used = *seed + try
+			db = generate(used)
+			if want, err = circuitql.EvaluateRAM(ctx, q, db); err != nil {
+				log.Fatal(err)
+			}
+			if want.Len() > 0 {
+				break
+			}
+		}
+		switch {
+		case want.Len() == 0:
+			fmt.Printf("Q(D) is empty at every seed %d..%d\n", *seed, used)
+		case used != *seed:
+			fmt.Printf("using seed %d: Q(D) is empty at seeds %d..%d\n", used, *seed, used-1)
+		}
 	}
 
 	dcs, err := circuitql.DeriveConstraints(q, db)
@@ -111,11 +142,6 @@ func main() {
 			rep.WordGatesBefore, rep.WordGatesAfter, 100*rep.WordReduction(), rep.Elapsed)
 	}
 
-	want, err := circuitql.EvaluateRAM(ctx, q, db)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	start = time.Now()
 	rel, err := cq.EvaluateRelational(ctx, db, true)
 	if err != nil {
@@ -137,7 +163,11 @@ func main() {
 			log.Fatal("oblivious circuit result DIFFERS from reference")
 		}
 	}
-	fmt.Printf("verified against reference evaluation ✓ (|Q(D)| = %d)\n", want.Len())
+	if want.Len() > 0 {
+		fmt.Printf("verified against reference evaluation ✓ (|Q(D)| = %d)\n", want.Len())
+	} else {
+		fmt.Println("vacuous: the circuits agree with the reference evaluation only on an empty Q(D); nothing was verified")
+	}
 
 	if *batch > 0 {
 		prog, err := cq.CompileVM(ctx)

@@ -9,8 +9,8 @@
 // requests share one plan regardless of variable names or atom order;
 // concurrent cold requests for the same fingerprint compile once
 // (singleflight); eviction is cost-aware LRU charged by gate count; and
-// each evaluation runs a tier ladder (vm program → relational circuit →
-// RAM evaluator) under the caller's context and Budget.
+// each evaluation runs a tier ladder (vm program → RAM evaluator) under
+// the caller's context and Budget.
 package circuitql
 
 import (
@@ -53,9 +53,8 @@ const (
 	// ShedOnFull: a full lane rejects immediately with ErrOverloaded
 	// carrying a retry-after hint, keeping latency bounded.
 	ShedOnFull = engine.ShedOnFull
-	// ShedAdaptive: ShedOnFull plus the degradation ladder — under
-	// sustained pressure new compiles skip the optimizer and
-	// low-priority work is shed first.
+	// ShedAdaptive: ShedOnFull, and while a lane is critically full
+	// below-normal-priority work is shed first.
 	ShedAdaptive = engine.ShedAdaptive
 )
 
@@ -79,8 +78,7 @@ func WithPriority(ctx context.Context, p Priority) context.Context {
 
 // QoSSnapshot is a point-in-time view of an Engine's overload-protection
 // state: per-lane admissions and sheds, deadline failures by stage,
-// degradation actions, live queue gauges, and the current degradation
-// level.
+// degradation actions, live queue gauges, and the current load level.
 type QoSSnapshot = qos.Snapshot
 
 // Fingerprint identifies a (query, DC set) pair up to variable renaming

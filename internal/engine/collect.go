@@ -25,7 +25,6 @@ func (m Metrics) Families() []obs.Family {
 		Type: obs.TypeCounter,
 		Samples: []obs.Sample{
 			{Labels: []obs.Label{{Name: "tier", Value: TierVM}}, Value: float64(m.ServedVM)},
-			{Labels: []obs.Label{{Name: "tier", Value: TierRelational}}, Value: float64(m.ServedRelational)},
 			{Labels: []obs.Label{{Name: "tier", Value: TierRAM}}, Value: float64(m.ServedRAM)},
 		},
 	}

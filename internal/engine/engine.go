@@ -15,10 +15,11 @@
 //   - the cache is a cost-aware LRU charged by gate count, so a handful
 //     of enormous circuits cannot squeeze out every small plan;
 //   - each request evaluates under the caller's context and
-//     guard.Budget, through a tier ladder (vm → relational → RAM): the
-//     plan's word circuit runs as an internal/vm program — a single
-//     request is a batch of one — and a fault there degrades to the
-//     relational circuit, then to the RAM evaluator;
+//     guard.Budget, through a tier ladder (vm → RAM): the plan's word
+//     circuit runs as an internal/vm program — a single request is a
+//     batch of one — and a fault there degrades to the RAM evaluator.
+//     The ladder is a function of the entry alone, so a plan compiled
+//     here and the same plan loaded from the store are served alike;
 //   - independent requests fan out across a bounded worker pool.
 //
 // Everything admission derives before it touches a shard — the canonical
@@ -58,8 +59,9 @@
 //     and compile leaders detach onto an engine-scoped context so an
 //     impatient caller's deadline never kills a compile that followers
 //     are waiting on;
-//   - a degradation ladder (qos.Policy) disables the optimizer for new
-//     compiles under pressure and sheds low-priority work first;
+//   - under ShedAdaptive, below-normal-priority requests are shed
+//     first once a lane is critically full (qos.Load.Level); load never
+//     changes what a compile builds, so a fingerprint has one plan;
 //   - sticky negative plan-cache entries expire after NegativeTTL so a
 //     misclassified shape heals instead of being pinned to the RAM tier
 //     forever.
@@ -90,9 +92,8 @@ import (
 // oblivious word circuit, compiled once into an internal/vm program and
 // evaluated in batches; it is the engine's only circuit evaluator.
 const (
-	TierVM         = "vm"
-	TierRelational = "relational"
-	TierRAM        = "ram"
+	TierVM  = "vm"
+	TierRAM = "ram"
 )
 
 // tierID indexes the tier table and the per-tier shard state.
@@ -100,7 +101,6 @@ type tierID int
 
 const (
 	tierVM tierID = iota
-	tierRel
 	tierRAM
 	numTiers
 )
@@ -114,18 +114,15 @@ var tiers = [numTiers]struct {
 	stage qos.DeadlineStage
 }{
 	tierVM:  {TierVM, qos.StageOblivious},
-	tierRel: {TierRelational, qos.StageRelational},
 	tierRAM: {TierRAM, qos.StageRAM},
 }
 
-// The ladders an entry can walk, by entry kind (entry.ladder).
+// The two ladders (entry.ladder): a positive entry — compiled here or
+// loaded from the store, the engine does not tell them apart — walks
+// vm → RAM; a negative one (sticky compile failure) is pinned to RAM.
 var (
-	ladderCompiled = []tierID{tierVM, tierRel, tierRAM}
-	// A plan loaded from the store has no relational layer (its gates
-	// carry closures with no wire format): vm, then straight to RAM.
-	ladderStored = []tierID{tierVM, tierRAM}
-	// A negative entry (sticky compile failure) is pinned to RAM.
-	ladderRAM = []tierID{tierRAM}
+	ladderPlan = []tierID{tierVM, tierRAM}
+	ladderRAM  = []tierID{tierRAM}
 )
 
 // ShedPolicy decides what happens when an admission lane's queue is
@@ -139,9 +136,9 @@ const (
 	// ShedOnFull rejects immediately with a typed *guard.OverloadError
 	// (matching guard.ErrOverloaded) carrying a retry-after hint.
 	ShedOnFull
-	// ShedAdaptive is ShedOnFull plus the degradation ladder: under
-	// pressure new compiles skip the optimizer and under critical load
-	// low-priority requests are shed at admission.
+	// ShedAdaptive is ShedOnFull plus priority shedding: while a lane
+	// is critically full (qos.Load.Level), below-normal-priority
+	// requests are shed at admission before the lane overflows.
 	ShedAdaptive
 )
 
@@ -190,10 +187,6 @@ type Config struct {
 	// compile failure pinned to the RAM tier) stays before the shape is
 	// retried. 0 selects 30s; negative means never expire.
 	NegativeTTL time.Duration
-	// Policy maps load onto degradation levels. The zero value selects
-	// qos.DefaultPolicy when ShedPolicy is ShedAdaptive and disables the
-	// ladder otherwise.
-	Policy qos.Policy
 	// Tracer, when set, records a span tree per request (serve →
 	// compile stages → tier attempts) into its ring buffer and
 	// per-stage aggregates. nil disables tracing; the hot paths then
@@ -253,9 +246,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NegativeTTL == 0 {
 		c.NegativeTTL = 30 * time.Second
-	}
-	if c.ShedPolicy == ShedAdaptive && c.Policy == (qos.Policy{}) {
-		c.Policy = qos.DefaultPolicy()
 	}
 	if c.BatchMaxSize > 1 && c.BatchWindow == 0 {
 		c.BatchWindow = 250 * time.Microsecond
@@ -468,28 +458,18 @@ func (e *shard) worker(jobs chan *job, lane qos.Lane) {
 
 // --- Admission: Submit → memo check (else canonicalize) → enqueue --------
 
-// ladderOn reports whether the degradation ladder is active.
-func (e *shard) ladderOn() bool { return e.cfg.Policy != (qos.Policy{}) }
-
-// load assembles the qos picture of current pressure.
-func (e *shard) load() qos.Load {
+// level grades the lanes' current occupancy; only ShedAdaptive acts on
+// it.
+func (e *shard) level() qos.Level {
+	if e.cfg.ShedPolicy != ShedAdaptive {
+		return qos.LevelNormal
+	}
 	return qos.Load{
 		HitQueue:  len(e.jobsHit),
 		HitDepth:  cap(e.jobsHit),
 		MissQueue: len(e.jobsMiss),
 		MissDepth: cap(e.jobsMiss),
-		InFlight:  int(e.inFlight.Load()),
-		Workers:   e.cfg.Workers + e.cfg.MissWorkers,
-		EvalP95:   e.evalLat.snapshot().Quantile(0.95),
-	}
-}
-
-// level grades the current load on the degradation ladder.
-func (e *shard) level() qos.Level {
-	if !e.ladderOn() {
-		return qos.LevelNormal
-	}
-	return e.cfg.Policy.Level(e.load())
+	}.Level()
 }
 
 // retryAfter estimates when lane will have capacity again.
@@ -561,8 +541,7 @@ func (e *shard) enqueue(j *job) {
 	}
 
 	// Shedding policies never block the caller.
-	if e.cfg.ShedPolicy == ShedAdaptive &&
-		qos.PriorityOf(ctx) < qos.PriorityNormal && e.level() >= qos.LevelCritical {
+	if e.level() >= qos.LevelCritical && qos.PriorityOf(ctx) < qos.PriorityNormal {
 		e.ledger.Shed(lane, qos.ShedPriority)
 		out <- Result{Err: qos.Overload(lane, qos.ShedPriority, e.retryAfter(lane))}
 		return
@@ -706,25 +685,22 @@ func (e *shard) answer(ctx context.Context, ent *entry, j *job, stage *qos.Deadl
 }
 
 // ladder picks the entry's tier list and, for a RAM-pinned entry, the
-// attempt that records why the circuit tiers are absent.
+// attempt that records why the circuit tier is absent.
 func (ent *entry) ladder() ([]tierID, []TierAttempt) {
-	switch {
-	case ent.compiled == nil:
+	if ent.compiled == nil {
 		return ladderRAM, []TierAttempt{{Tier: TierVM, Err: ent.compileErr}}
-	case ent.compiled.Rel == nil:
-		return ladderStored, nil
 	}
-	return ladderCompiled, nil
+	return ladderPlan, nil
 }
 
-// evaluate runs the tier ladder for one request. All tiers compute the
-// same Q(D), so a fault in a faster tier degrades the strategy, never
-// the answer. When the plan is RAM-only (sticky compile failure) the
-// ladder starts at the RAM tier, with the pinned reason recorded.
+// evaluate runs the tier ladder for one request. Both tiers compute the
+// same Q(D), so a fault in the oblivious tier degrades the strategy,
+// never the answer. When the plan is RAM-only (sticky compile failure)
+// the ladder starts at the RAM tier, with the pinned reason recorded.
 //
 // Deadline propagation: with a deadline on ctx, each tier attempt is
 // budgeted its share of the remaining wall clock (qos.PlanTier), so a
-// stuck tier cannot eat the cheaper fallbacks' time, and a tier whose
+// stuck vm attempt cannot eat the RAM fallback's time, and a tier whose
 // estimated duration already exceeds its share is skipped outright.
 func (e *shard) evaluate(ctx context.Context, ent *entry, req Request, stage *qos.DeadlineStage) (*relation.Relation, tierID, []TierAttempt, error) {
 	ladder, attempts := ent.ladder()
@@ -767,11 +743,8 @@ func (e *shard) evaluate(ctx context.Context, ent *entry, req Request, stage *qo
 // runTier evaluates one tier, containing its panics.
 func (e *shard) runTier(ctx context.Context, t tierID, ent *entry, req Request) (out *relation.Relation, err error) {
 	defer guard.Recover(&err)
-	switch t {
-	case tierVM:
+	if t == tierVM {
 		return e.evalVM(ctx, ent, req)
-	case tierRel:
-		return ent.compiled.EvaluateRelationalCtx(ctx, req.DB, false)
 	}
 	return query.EvaluateCtx(ctx, req.Query, req.DB)
 }
@@ -971,14 +944,13 @@ func entryFromArtifact(a *store.PlanArtifact, canon *query.Canonical) (*entry, e
 }
 
 // persist writes a compiled plan to the persistent store, once. Only
-// positive, cacheable entries with their relational layer intact are
-// candidates (a warm-loaded entry is already on disk and its stored
-// flag is set). Failures are recorded in the store's counters and the
-// entry stays unpersisted — the next eviction retries.
+// positive, cacheable entries are candidates (a warm-loaded entry is
+// already on disk and its stored flag is set). Failures are recorded in
+// the store's counters and the entry stays unpersisted — the next
+// eviction retries.
 func (e *shard) persist(ent *entry) {
 	st := e.cfg.Store
-	if st == nil || ent == nil || ent.compiled == nil || ent.compiled.Rel == nil ||
-		ent.uncached || ent.stored.Load() {
+	if st == nil || ent == nil || ent.compiled == nil || ent.uncached || ent.stored.Load() {
 		return
 	}
 	if err := st.PutPlan(store.FromCompiled(ent.canon, ent.compiled)); err == nil {
@@ -1012,19 +984,12 @@ func (e *shard) compile(ctx context.Context, canon *query.Canonical) (*entry, er
 		ent.gates = 1
 		return ent, nil
 	}
-	noOpt := e.cfg.NoOpt
-	if !noOpt && e.ladderOn() && e.level() >= qos.LevelPressure {
-		// Under pressure the raw construction is cheaper to produce and
-		// the cache charges its gate count honestly.
-		noOpt = true
-		e.ledger.Degrade(qos.DegradeNoOpt)
-	}
 	start := time.Now()
 	var compiled *core.Compiled
 	err := func() (err error) {
 		defer guard.Recover(&err)
 		compiled, err = core.CompileQueryOptsCtx(ctx, canon.Query, canon.DCs,
-			core.CompileOptions{NoOpt: noOpt})
+			core.CompileOptions{NoOpt: e.cfg.NoOpt})
 		return err
 	}()
 	e.compiles.Add(1)
@@ -1110,27 +1075,25 @@ func (e *shard) metrics() Metrics {
 	plans, gates := e.cache.len(), e.cache.gates
 	e.mu.Unlock()
 	return Metrics{
-		Hits:             e.hits.Load(),
-		Misses:           e.misses.Load(),
-		Evictions:        e.evictions.Load(),
-		Compiles:         e.compiles.Load(),
-		CompileErrors:    e.compileErrs.Load(),
-		Requests:         e.requests.Load(),
-		InFlight:         e.inFlight.Load(),
-		Failed:           e.failed.Load(),
-		ServedVM:         e.served[tierVM].Load(),
-		ServedRelational: e.served[tierRel].Load(),
-		ServedRAM:        e.served[tierRAM].Load(),
-		CachedPlans:      plans,
-		CachedGates:      gates,
-		CompileLatency:   e.compileLat.snapshot(),
-		EvalLatency:      e.evalLat.snapshot(),
+		Hits:           e.hits.Load(),
+		Misses:         e.misses.Load(),
+		Evictions:      e.evictions.Load(),
+		Compiles:       e.compiles.Load(),
+		CompileErrors:  e.compileErrs.Load(),
+		Requests:       e.requests.Load(),
+		InFlight:       e.inFlight.Load(),
+		Failed:         e.failed.Load(),
+		ServedVM:       e.served[tierVM].Load(),
+		ServedRAM:      e.served[tierRAM].Load(),
+		CachedPlans:    plans,
+		CachedGates:    gates,
+		CompileLatency: e.compileLat.snapshot(),
+		EvalLatency:    e.evalLat.snapshot(),
 	}
 }
 
 // qosSnapshot returns the shard's admission/degradation snapshot:
-// ledger counters, live lane gauges, the current ladder level, and the
-// recent eval p95.
+// ledger counters, live lane gauges, and the current load level.
 func (e *shard) qosSnapshot() qos.Snapshot {
 	s := e.ledger.Snapshot()
 	s.Lanes = []qos.LaneStats{
@@ -1140,7 +1103,6 @@ func (e *shard) qosSnapshot() qos.Snapshot {
 			Workers: e.cfg.MissWorkers, InFlight: int(e.laneInFlight[qos.LaneMiss].Load())},
 	}
 	s.Level = e.level()
-	s.EvalP95 = e.evalLat.snapshot().Quantile(0.95)
 	return s
 }
 

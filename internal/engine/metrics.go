@@ -111,9 +111,8 @@ type Metrics struct {
 	Failed   int64 // requests that returned an error
 
 	// Per-tier serve counts (which evaluation strategy answered).
-	ServedVM         int64
-	ServedRelational int64
-	ServedRAM        int64
+	ServedVM  int64
+	ServedRAM int64
 
 	// Cache occupancy.
 	CachedPlans int
@@ -144,8 +143,7 @@ func (m Metrics) String() string {
 	fmt.Fprintf(&b, "cache: hits=%d misses=%d evictions=%d plans=%d gates=%d\n",
 		m.Hits, m.Misses, m.Evictions, m.CachedPlans, m.CachedGates)
 	fmt.Fprintf(&b, "compiles=%d errors=%d latency: %v\n", m.Compiles, m.CompileErrors, m.CompileLatency)
-	fmt.Fprintf(&b, "tiers: vm=%d relational=%d ram=%d\n",
-		m.ServedVM, m.ServedRelational, m.ServedRAM)
+	fmt.Fprintf(&b, "tiers: vm=%d ram=%d\n", m.ServedVM, m.ServedRAM)
 	if m.StorePlans > 0 || m.StoreHits > 0 || m.StoreWrites > 0 {
 		fmt.Fprintf(&b, "store: plans=%d hits=%d misses=%d writes=%d corrupt=%d read=%dB written=%dB\n",
 			m.StorePlans, m.StoreHits, m.StoreMisses, m.StoreWrites,

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"circuitql/internal/guard"
 	"circuitql/internal/qos"
 	"circuitql/internal/query"
+	"circuitql/internal/store"
 	"circuitql/internal/workload"
 )
 
@@ -143,13 +145,19 @@ func TestEngineHitLaneIsolation(t *testing.T) {
 // policy sheds below-normal-priority work at admission with a typed
 // reason, while normal-priority work is still admitted.
 func TestEngineAdaptiveShedsLowPriority(t *testing.T) {
-	e := New(Config{Workers: 1, MissWorkers: 1, MissQueueDepth: 2, ShedPolicy: ShedAdaptive,
-		Policy: qos.Policy{PressureFrac: 0.25, CriticalFrac: 0.5}})
+	e := New(Config{Workers: 1, MissWorkers: 1, MissQueueDepth: 4, ShedPolicy: ShedAdaptive})
 	defer e.Close()
 
 	parkedOut, resolve := blockMissLane(t, e, mkReq(t, "Q(A,B) :- R(A,B), S(A,B)", 11, 8))
-	queuedOut := e.Submit(context.Background(), mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C)", 12, 8))
-	// Miss queue now 1/2 full — at CriticalFrac.
+	var queuedOut []<-chan Result
+	for _, src := range []string{
+		"Q(A,B,C) :- R(A,B), S(B,C)",
+		"Q(A,B,C) :- R(A,B), S(A,C)",
+		"Q(A,B,C,D) :- R(A,B), S(A,C), T(A,D)",
+	} {
+		queuedOut = append(queuedOut, e.Submit(context.Background(), mkReq(t, src, 12, 8)))
+	}
+	// Miss queue now 3/4 full: critical, with room for one more.
 
 	low := qos.WithPriority(context.Background(), qos.PriorityLow)
 	res := <-e.Submit(low, mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 13, 8))
@@ -161,12 +169,66 @@ func TestEngineAdaptiveShedsLowPriority(t *testing.T) {
 	normalOut := e.Submit(context.Background(), mkReq(t, "Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D)", 14, 8))
 	resolve()
 	<-parkedOut
-	<-queuedOut
+	for _, out := range queuedOut {
+		<-out
+	}
 	if res := <-normalOut; res.Err != nil {
 		t.Fatalf("normal-priority request failed: %v", res.Err)
 	}
 	if s := e.QoS(); s.Shed["miss"]["priority"] != 1 {
 		t.Fatalf("priority sheds = %v, want 1", s.Shed)
+	}
+}
+
+// cachedPlanSHA is the SHA-256 of the plan artifact e holds for req —
+// the bytes the store would write for it.
+func cachedPlanSHA(t *testing.T, e *Engine, req Request) [sha256.Size]byte {
+	t.Helper()
+	canon := mustCanon(t, req)
+	s := e.shardOf(canon.FP)
+	s.mu.Lock()
+	ent := s.cache.get(canon.FP)
+	s.mu.Unlock()
+	if ent == nil || ent.compiled == nil {
+		t.Fatalf("no compiled plan cached for %s", req.Query)
+	}
+	data, err := store.EncodePlan(store.FromCompiled(ent.canon, ent.compiled))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sha256.Sum256(data)
+}
+
+// TestEngineCompileIgnoresLoad: the plan is a function of (Q, DC), not
+// of how busy the engine was when it compiled. A shape compiled by an
+// adaptive engine whose miss queue is half full encodes to the same
+// bytes as the same shape compiled by an idle engine.
+func TestEngineCompileIgnoresLoad(t *testing.T) {
+	target := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 15, 8)
+
+	idle := New(Config{})
+	defer idle.Close()
+	if res := idle.Serve(context.Background(), target); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+
+	// One miss worker, parked; target and a filler queue behind it, so
+	// when the worker reaches target the filler still occupies half of
+	// the two-deep miss queue.
+	busy := New(Config{Workers: 1, MissWorkers: 1, MissQueueDepth: 2, ShedPolicy: ShedAdaptive})
+	defer busy.Close()
+	parkedOut, resolve := blockMissLane(t, busy, mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C)", 16, 8))
+	targetOut := busy.Submit(context.Background(), target)
+	fillerOut := busy.Submit(context.Background(), mkReq(t, "Q(A,B) :- R(A,B), S(A,B)", 17, 8))
+	resolve()
+	<-parkedOut
+	if res := <-targetOut; res.Err != nil || res.CacheHit {
+		t.Fatalf("err=%v cacheHit=%v, want a fresh compile under load", res.Err, res.CacheHit)
+	}
+	<-fillerOut
+
+	if got, want := cachedPlanSHA(t, busy, target), cachedPlanSHA(t, idle, target); got != want {
+		t.Fatalf("plan compiled with the miss queue half full encodes to %x, compiled idle to %x", got, want)
 	}
 }
 
@@ -469,7 +531,7 @@ func TestEngineDeadlineMatrix(t *testing.T) {
 			}
 			return outcome{res, "oblivious"}
 		}},
-		{"relational", func(t *testing.T) outcome {
+		{"ram", func(t *testing.T) outcome {
 			e := New(Config{Workers: 1, MissWorkers: 1, ShedPolicy: ShedOnFull})
 			defer e.Close()
 			req := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 54, 10)
@@ -478,21 +540,21 @@ func TestEngineDeadlineMatrix(t *testing.T) {
 			}
 			in := faultinject.New()
 			in.FailAt(faultinject.SiteWordGate, 1, nil) // ordinary fault fails tier 1
-			const nth = 2                               // relational circuits are small; the 2nd gate exists
-			in.FailAt(faultinject.SiteRelGate, nth, deadlineErr())
-			ctx := faultinject.WithInjector(&flipCtx{in: in, site: faultinject.SiteRelGate, after: nth}, in)
+			const nth = 2                               // a three-atom query joins twice
+			in.FailAt(faultinject.SiteRAMJoin, nth, deadlineErr())
+			ctx := faultinject.WithInjector(&flipCtx{in: in, site: faultinject.SiteRAMJoin, after: nth}, in)
 			res := <-e.Submit(ctx, req)
-			if s := e.QoS(); s.Deadline["relational"] != 1 {
-				t.Fatalf("deadline[relational]=%d, want 1 (%v)", s.Deadline["relational"], s.Deadline)
+			if s := e.QoS(); s.Deadline["ram"] != 1 {
+				t.Fatalf("deadline[ram]=%d, want 1 (%v)", s.Deadline["ram"], s.Deadline)
 			}
 			if len(res.Attempts) != 2 ||
-				res.Attempts[0].Tier != TierVM || res.Attempts[1].Tier != TierRelational {
-				t.Fatalf("attempts = %v, want failed vm then relational", res.Attempts)
+				res.Attempts[0].Tier != TierVM || res.Attempts[1].Tier != TierRAM {
+				t.Fatalf("attempts = %v, want failed vm then ram", res.Attempts)
 			}
 			if errors.Is(res.Attempts[0].Err, context.DeadlineExceeded) {
 				t.Fatalf("tier-1 failure misclassified as deadline: %v", res.Attempts[0].Err)
 			}
-			return outcome{res, "relational"}
+			return outcome{res, "ram"}
 		}},
 	}
 	for _, c := range cases {
@@ -515,7 +577,7 @@ func TestEngineDeadlineMatrix(t *testing.T) {
 }
 
 // TestEngineDeadlineSkipsDoomedTier: with a deadline too tight for the
-// estimated circuit cost, the tier ladder skips straight to a cheaper
+// estimated circuit cost, the tier ladder skips straight to the RAM
 // tier (recording a typed skip reason) instead of burning the remaining
 // clock on a doomed attempt.
 func TestEngineDeadlineSkipsDoomedTier(t *testing.T) {
@@ -525,12 +587,11 @@ func TestEngineDeadlineSkipsDoomedTier(t *testing.T) {
 	if res := e.Serve(context.Background(), req); res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	// Teach the estimators that circuit tiers are expensive and the RAM
+	// Teach the estimators that the vm tier is expensive and the RAM
 	// tier cheap, then hand in a deadline that only fits the RAM tier.
 	// (Repeated observations swamp whatever the warm serve recorded.)
 	for i := 0; i < 16; i++ {
 		e.shards[0].estTier[tierVM].Observe(10 * time.Second)
-		e.shards[0].estTier[tierRel].Observe(10 * time.Second)
 	}
 	e.shards[0].estTier[tierRAM].Observe(time.Microsecond)
 
@@ -541,7 +602,7 @@ func TestEngineDeadlineSkipsDoomedTier(t *testing.T) {
 		t.Fatalf("deadline-aware ladder failed outright: %v", res.Err)
 	}
 	if res.Tier != TierRAM {
-		t.Fatalf("served by %q, want the RAM tier after skipping doomed tiers", res.Tier)
+		t.Fatalf("served by %q, want the RAM tier after skipping the doomed vm tier", res.Tier)
 	}
 	skips := 0
 	for _, a := range res.Attempts[:len(res.Attempts)-1] {
@@ -550,11 +611,11 @@ func TestEngineDeadlineSkipsDoomedTier(t *testing.T) {
 		}
 		skips++
 	}
-	if skips != 2 {
-		t.Fatalf("skipped %d tiers, want 2 (vm, relational)", skips)
+	if skips != 1 {
+		t.Fatalf("skipped %d tiers, want 1 (vm)", skips)
 	}
-	if s := e.QoS(); s.Degraded["tier_skip"] != 2 {
-		t.Fatalf("degraded[tier_skip]=%d, want 2", s.Degraded["tier_skip"])
+	if s := e.QoS(); s.Degraded["tier_skip"] != 1 {
+		t.Fatalf("degraded[tier_skip]=%d, want 1", s.Degraded["tier_skip"])
 	}
 }
 

@@ -255,7 +255,6 @@ func (m Metrics) add(o Metrics) Metrics {
 	m.InFlight += o.InFlight
 	m.Failed += o.Failed
 	m.ServedVM += o.ServedVM
-	m.ServedRelational += o.ServedRelational
 	m.ServedRAM += o.ServedRAM
 	m.CachedPlans += o.CachedPlans
 	m.CachedGates += o.CachedGates
@@ -298,8 +297,8 @@ func (e *Engine) ShardMetrics() []Metrics {
 }
 
 // QoS returns the admission/degradation snapshot aggregated across
-// shards: ledger counters and lane gauges sum, the ladder level and
-// eval p95 take the worst shard (qos.Merge).
+// shards: ledger counters and lane gauges sum, the load level takes the
+// worst shard (qos.Merge).
 func (e *Engine) QoS() qos.Snapshot {
 	if len(e.shards) == 1 {
 		return e.shards[0].qosSnapshot()

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -76,9 +77,9 @@ func wordGateFault() context.Context {
 }
 
 // TestEngineVMFaultFallsThrough: the vm is the only circuit evaluator,
-// so a word-gate fault on a warm plan degrades to the relational tier,
-// and on a plan warm-loaded from the store (which has no relational
-// layer) straight to the RAM tier — the same answer either way.
+// so a word-gate fault degrades to the RAM tier — on a plan compiled
+// here and on one warm-loaded from the store alike, with the same
+// answer either way.
 func TestEngineVMFaultFallsThrough(t *testing.T) {
 	t.Run("compiled plan", func(t *testing.T) {
 		e := New(Config{})
@@ -87,26 +88,11 @@ func TestEngineVMFaultFallsThrough(t *testing.T) {
 		if res := e.Serve(context.Background(), req); res.Err != nil {
 			t.Fatal(res.Err)
 		}
-		checkFellThrough(t, e.Serve(wordGateFault(), req), req, faultinject.ErrInjected, TierRelational)
+		checkFellThrough(t, e.Serve(wordGateFault(), req), req, faultinject.ErrInjected, TierRAM)
 	})
 	t.Run("store-loaded plan", func(t *testing.T) {
-		dir := t.TempDir()
 		req := storeReq(t, "triangle")
-		st1, err := store.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng1 := New(Config{Store: st1})
-		if res := eng1.Serve(context.Background(), req); res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		eng1.Close()
-
-		st2, err := store.Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := New(Config{Store: st2, WarmStart: true})
+		e := warmLoaded(t, req)
 		defer e.Close()
 		res := e.Serve(wordGateFault(), req)
 		if !res.CacheHit {
@@ -116,13 +102,90 @@ func TestEngineVMFaultFallsThrough(t *testing.T) {
 	})
 }
 
+// warmLoaded compiles req's plan into a fresh store with one engine and
+// returns a second engine warm-started from that store, so it holds the
+// plan without having compiled it.
+func warmLoaded(t *testing.T, req Request) *Engine {
+	t.Helper()
+	dir := t.TempDir()
+	st1, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng1 := New(Config{Store: st1})
+	if res := eng1.Serve(context.Background(), req); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	eng1.Close()
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(Config{Store: st2, WarmStart: true})
+}
+
+// TestEngineLadderIgnoresPlanOrigin: a plan is served the same way
+// whether this process compiled it or loaded it from the store. Under a
+// word-gate fault both engines walk the same tier sequence (vm, ram),
+// and under a deadline both give the vm attempt the same share: a vm
+// estimate of 2.5s fits half of a 6s deadline, so the vm tier runs and
+// serves — on a three-tier ladder its third would not fit and the tier
+// would be skipped.
+func TestEngineLadderIgnoresPlanOrigin(t *testing.T) {
+	req := storeReq(t, "triangle")
+	fresh := New(Config{})
+	defer fresh.Close()
+	if res := fresh.Serve(context.Background(), req); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	warm := warmLoaded(t, req)
+	defer warm.Close()
+
+	type walk struct{ faulted, deadlined []string }
+	probe := func(e *Engine) walk {
+		faulted := e.Serve(wordGateFault(), req)
+		for _, s := range e.shards {
+			for i := 0; i < 16; i++ { // swamp what the serves above recorded
+				s.estTier[tierVM].Observe(2500 * time.Millisecond)
+			}
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 6*time.Second)
+		defer cancel()
+		deadlined := e.Serve(ctx, req)
+		for _, res := range []Result{faulted, deadlined} {
+			if res.Err != nil || !res.CacheHit {
+				t.Fatalf("err=%v cacheHit=%v, want a served cache hit", res.Err, res.CacheHit)
+			}
+		}
+		return walk{attemptTiers(faulted), attemptTiers(deadlined)}
+	}
+	got, want := probe(fresh), walk{[]string{TierVM, TierRAM}, []string{TierVM}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("compiled plan walked %v, want %v", got, want)
+	}
+	if got := probe(warm); !reflect.DeepEqual(got, want) {
+		t.Fatalf("store-loaded plan walked %v, the compiled one %v", got, want)
+	}
+	if m := warm.Metrics(); m.Compiles != 0 {
+		t.Fatalf("warm-started engine compiled %d plans, want 0", m.Compiles)
+	}
+}
+
+// attemptTiers lists the tiers a result attempted, in order.
+func attemptTiers(res Result) []string {
+	tiers := make([]string, len(res.Attempts))
+	for i, a := range res.Attempts {
+		tiers[i] = a.Tier
+	}
+	return tiers
+}
+
 // TestEngineBatchPanicContained: a panic inside a coalesced vm batch is
 // contained in the batcher whichever goroutine dispatched it. On the
 // window timer's goroutine an escaped panic would kill the process; on
 // a member's worker it would strand that member's companions. Either
 // way every member must get the same typed internal error for its vm
-// attempt and fall through to the relational tier with the right
-// answer.
+// attempt and fall through to the RAM tier with the right answer.
 func TestEngineBatchPanicContained(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -162,7 +225,7 @@ func TestEngineBatchPanicContained(t *testing.T) {
 			}
 			wg.Wait()
 			for _, res := range results {
-				checkFellThrough(t, res, req, guard.ErrInternal, TierRelational)
+				checkFellThrough(t, res, req, guard.ErrInternal, TierRAM)
 			}
 			if got := e.QoS().Batches - warmBatches; got != 1 {
 				t.Fatalf("members were dispatched in %d batches, want 1", got)

@@ -2,17 +2,13 @@ package obs
 
 import "sync/atomic"
 
-// Tier indices of the evaluation ladder, in degradation order. The
-// string names match the facade and engine tier constants.
-const (
-	tierVM = iota
-	tierOblivious
-	tierRelational
-	tierRAM
-	numTiers
-)
+// The tiers the ledger counts, in degradation order: the engine's
+// ladder is vm → ram, the facade's EvaluateResilient oblivious →
+// relational → ram. The names match the facade and engine tier
+// constants.
+var tierNames = [...]string{"vm", "oblivious", "relational", "ram"}
 
-var tierNames = [numTiers]string{"vm", "oblivious", "relational", "ram"}
+const numTiers = len(tierNames)
 
 func tierIndex(tier string) int {
 	for i, n := range tierNames {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync/atomic"
-	"time"
 
 	"circuitql/internal/obs"
 )
@@ -16,8 +15,8 @@ type ShedReason int
 const (
 	// ShedQueueFull: the classified lane's queue was at capacity.
 	ShedQueueFull ShedReason = iota
-	// ShedPriority: the degradation ladder was at LevelCritical and the
-	// request's priority was below normal.
+	// ShedPriority: the lanes were at LevelCritical and the request's
+	// priority was below normal.
 	ShedPriority
 	// ShedDraining: the engine was shutting down. Under a shedding
 	// policy a draining replica rejects new work with a typed overload
@@ -50,10 +49,9 @@ const (
 	// StageCompile: it expired while waiting on (or leading) a compile
 	// flight.
 	StageCompile
-	// StageOblivious / StageRelational / StageRAM: it expired during
-	// that tier's evaluation.
+	// StageOblivious / StageRAM: it expired during that tier's
+	// evaluation.
 	StageOblivious
-	StageRelational
 	StageRAM
 	numDeadlineStages
 )
@@ -67,32 +65,27 @@ func (s DeadlineStage) String() string {
 		return "compile"
 	case StageOblivious:
 		return "oblivious"
-	case StageRelational:
-		return "relational"
 	case StageRAM:
 		return "ram"
 	}
 	return "unknown"
 }
 
-// DegradeAction is one measure of the degradation ladder.
+// DegradeAction is a way a request was served by less than its plan's
+// first tier.
 type DegradeAction int
 
 // Degradation actions.
 const (
-	// DegradeNoOpt: a new compile skipped the optimizer passes.
-	DegradeNoOpt DegradeAction = iota
 	// DegradeTierSkip: a tier was skipped because its estimated
 	// duration exceeded its share of the request's deadline.
-	DegradeTierSkip
+	DegradeTierSkip DegradeAction = iota
 	numDegradeActions
 )
 
 // String names the action for labels.
 func (a DegradeAction) String() string {
 	switch a {
-	case DegradeNoOpt:
-		return "noopt"
 	case DegradeTierSkip:
 		return "tier_skip"
 	}
@@ -187,7 +180,6 @@ type Snapshot struct {
 	Degraded map[string]int64            // by action
 	Lanes    []LaneStats
 	Level    Level
-	EvalP95  time.Duration
 
 	// Batches / BatchedRequests describe vm batch coalescing: mean
 	// occupancy is BatchedRequests / Batches. BatchSizes is the
@@ -200,9 +192,9 @@ type Snapshot struct {
 
 // Merge sums counter snapshots from several ledgers (one per engine
 // shard) into one exposition-ready snapshot. Counters add; lane gauges
-// add by lane name in first-seen order; Level and EvalP95 take the max
-// across shards — the most-degraded shard is what a load balancer or
-// operator needs to see.
+// add by lane name in first-seen order; Level takes the max across
+// shards — the fullest shard is what a load balancer or operator needs
+// to see.
 func Merge(snaps ...Snapshot) Snapshot {
 	m := Snapshot{
 		Admitted: make(map[string]int64),
@@ -251,9 +243,6 @@ func Merge(snaps ...Snapshot) Snapshot {
 		if s.Level > m.Level {
 			m.Level = s.Level
 		}
-		if s.EvalP95 > m.EvalP95 {
-			m.EvalP95 = s.EvalP95
-		}
 	}
 	return m
 }
@@ -287,8 +276,8 @@ func (s Snapshot) TotalDeadline() int64 {
 	return n
 }
 
-// Snapshot copies the counters. Lanes, Level, and EvalP95 are the
-// caller's to fill (the engine owns those gauges).
+// Snapshot copies the counters. Lanes and Level are the caller's to
+// fill (the engine owns those gauges).
 func (l *Ledger) Snapshot() Snapshot {
 	s := Snapshot{
 		Admitted:        make(map[string]int64, NumLanes),
@@ -330,7 +319,7 @@ func (s Snapshot) Families() []obs.Family {
 	deadline := obs.Family{Name: "circuitql_qos_deadline_exceeded_total",
 		Help: "Requests whose deadline expired, by pipeline stage.", Type: obs.TypeCounter}
 	degraded := obs.Family{Name: "circuitql_qos_degraded_total",
-		Help: "Degradation-ladder measures taken, by action.", Type: obs.TypeCounter}
+		Help: "Degradation measures taken, by action.", Type: obs.TypeCounter}
 	queue := obs.Family{Name: "circuitql_qos_lane_queue", Help: "Requests queued per admission lane.", Type: obs.TypeGauge}
 	depth := obs.Family{Name: "circuitql_qos_lane_queue_capacity", Help: "Queue capacity per admission lane.", Type: obs.TypeGauge}
 	inflight := obs.Family{Name: "circuitql_qos_lane_in_flight", Help: "Requests being processed per admission lane.", Type: obs.TypeGauge}
@@ -349,7 +338,7 @@ func (s Snapshot) Families() []obs.Family {
 		})
 	}
 	level := obs.Family{Name: "circuitql_qos_degradation_level",
-		Help: "Current degradation-ladder level (0 normal, 1 pressure, 2 critical).", Type: obs.TypeGauge,
+		Help: "Current lane-load level (0 normal, 2 critical).", Type: obs.TypeGauge,
 		Samples: []obs.Sample{{Value: float64(s.Level)}}}
 
 	for lane := Lane(0); lane < NumLanes; lane++ {

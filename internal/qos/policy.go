@@ -1,23 +1,18 @@
 package qos
 
-import "time"
-
-// Level is a degradation rung of the overload ladder.
+// Level grades how full the admission lanes are.
 type Level int
 
-// Degradation levels, healthy first. Each level includes the measures
-// of the levels below it.
+// Load levels. LevelCritical keeps the value 2 it has always been
+// exported under (circuitql_qos_degradation_level); 1 was a level whose
+// only measure — compiling without the optimizer — was deleted, because
+// it left a fingerprint with two possible plans.
 const (
-	// LevelNormal: no degradation.
-	LevelNormal Level = iota
-	// LevelPressure: the optimizer is disabled for new compiles (the
-	// raw construction is cheaper to produce and the cache charges its
-	// gate count honestly); deadline shares tighten no further.
-	LevelPressure
-	// LevelCritical: wide plans are routed past the oblivious tier to
-	// the cheaper relational/RAM tiers, and low-priority requests are
-	// shed at admission.
-	LevelCritical
+	// LevelNormal: nothing is shed that the lanes have room for.
+	LevelNormal Level = 0
+	// LevelCritical: under ShedAdaptive, below-normal-priority requests
+	// are shed at admission.
+	LevelCritical Level = 2
 )
 
 // String names the level.
@@ -25,80 +20,28 @@ func (l Level) String() string {
 	switch l {
 	case LevelNormal:
 		return "normal"
-	case LevelPressure:
-		return "pressure"
 	case LevelCritical:
 		return "critical"
 	}
 	return "unknown"
 }
 
-// Load is a point-in-time picture of serving pressure, assembled by the
-// engine from its queues, worker pools, and latency histograms.
+// Load is a point-in-time picture of the admission lanes, assembled by
+// the engine from its queues.
 type Load struct {
 	HitQueue  int // requests queued in the hit lane
 	HitDepth  int // hit-lane queue capacity
 	MissQueue int // requests queued in the miss lane
 	MissDepth int // miss-lane queue capacity
-	InFlight  int // requests currently being processed (all lanes)
-	Workers   int // total worker count (all lanes)
-	// EvalP95 is the recent 95th-percentile evaluation latency.
-	EvalP95 time.Duration
 }
 
-// queueFrac returns the fuller lane's occupancy fraction in [0, 1].
-func (l Load) queueFrac() float64 {
-	frac := func(q, d int) float64 {
-		if d <= 0 {
-			return 0
-		}
-		f := float64(q) / float64(d)
-		if f > 1 {
-			f = 1
-		}
-		return f
-	}
-	h, m := frac(l.HitQueue, l.HitDepth), frac(l.MissQueue, l.MissDepth)
-	if h > m {
-		return h
-	}
-	return m
-}
-
-// Policy maps load onto degradation levels. The zero value is inert
-// (always LevelNormal); DefaultPolicy returns sensible thresholds.
-type Policy struct {
-	// PressureFrac: queue occupancy (fuller lane) at which LevelPressure
-	// starts. 0 disables the ladder.
-	PressureFrac float64
-	// CriticalFrac: queue occupancy at which LevelCritical starts.
-	CriticalFrac float64
-	// SlowEvalP95: an eval p95 at or above this, with every worker
-	// busy, counts as pressure even while the queues are shallow. 0
-	// disables the latency signal.
-	SlowEvalP95 time.Duration
-}
-
-// DefaultPolicy returns the standard ladder: pressure at half-full
-// queues, critical at three-quarters, latency signal at 250ms p95.
-func DefaultPolicy() Policy {
-	return Policy{PressureFrac: 0.5, CriticalFrac: 0.75, SlowEvalP95: 250 * time.Millisecond}
-}
-
-// Level grades the load. Deterministic: same Load, same answer.
-func (p Policy) Level(l Load) Level {
-	if p.PressureFrac <= 0 {
-		return LevelNormal
-	}
-	frac := l.queueFrac()
-	busy := l.Workers > 0 && l.InFlight >= l.Workers
-	slow := p.SlowEvalP95 > 0 && l.EvalP95 >= p.SlowEvalP95
-	switch {
-	case p.CriticalFrac > 0 && frac >= p.CriticalFrac:
+// Level grades the load: critical once the fuller lane's queue is at
+// least three-quarters full. Deterministic: same Load, same answer.
+func (l Load) Level() Level {
+	// q/d ≥ ¾ in integers; a lane without a queue is never full.
+	full := func(q, d int) bool { return d > 0 && 4*q >= 3*d }
+	if full(l.HitQueue, l.HitDepth) || full(l.MissQueue, l.MissDepth) {
 		return LevelCritical
-	case frac >= p.PressureFrac || (busy && slow):
-		return LevelPressure
-	default:
-		return LevelNormal
 	}
+	return LevelNormal
 }

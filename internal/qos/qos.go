@@ -1,16 +1,17 @@
 // Package qos is the overload-protection policy layer of the serving
-// engine: admission lanes, a degradation ladder, deadline budgets for
-// the tier ladder, and the counters that make shed/degrade decisions
+// engine: admission lanes, priority shedding, deadline budgets for the
+// tier ladder, and the counters that make shed/degrade decisions
 // auditable.
 //
-// The engine's tiered evaluator (oblivious → relational → RAM) trades
-// answer cost for representation power, exactly the lever a saturated
-// server needs: under pressure the system should *choose* a cheaper
-// tier or shed low-value work with a typed error, never block every
-// cached hit behind one expensive PANDA compile. This package holds the
-// policy half of that machinery — classification, thresholds, deadline
-// arithmetic, counters — while internal/engine owns the mechanism
-// (queues, worker pools, the plan cache).
+// The engine's tiered evaluator (oblivious → RAM) gives a saturated
+// server a fallback that needs no circuit: a request near its deadline
+// should skip to the RAM tier or be shed with a typed error, never
+// block every cached hit behind one expensive PANDA compile. What a
+// compile builds is never a function of load — the plan is a function
+// of (Q, DC) alone. This package holds the policy half of that
+// machinery — classification, the one threshold, deadline arithmetic,
+// counters — while internal/engine owns the mechanism (queues, worker
+// pools, the plan cache).
 //
 // Design points:
 //
@@ -26,10 +27,9 @@
 //     remaining and k tiers left gives the next tier t/k, so a request
 //     near its deadline skips straight to a cheaper tier instead of
 //     timing out mid-oblivious-eval.
-//   - A load-aware Policy maps queue depths, in-flight counts, and
-//     recent p95 latency onto degradation levels that disable the
-//     optimizer for new compiles, route wide plans past the oblivious
-//     tier, and shed the lowest-priority work first.
+//   - Load.Level grades queue occupancy; at LevelCritical (the fuller
+//     lane three-quarters full) an adaptive engine sheds
+//     below-normal-priority work before the lane overflows.
 package qos
 
 import (

@@ -54,26 +54,28 @@ func TestRetryAfter(t *testing.T) {
 }
 
 func TestPolicyLevels(t *testing.T) {
-	p := DefaultPolicy()
 	cases := []struct {
 		name string
 		load Load
 		want Level
 	}{
-		{"idle", Load{HitDepth: 8, MissDepth: 4, Workers: 4}, LevelNormal},
-		{"half full hit lane", Load{HitQueue: 4, HitDepth: 8, MissDepth: 4, Workers: 4}, LevelPressure},
-		{"critical miss lane", Load{MissQueue: 3, MissDepth: 4, HitDepth: 8, Workers: 4}, LevelCritical},
-		{"busy and slow", Load{HitDepth: 8, MissDepth: 4, Workers: 4, InFlight: 4, EvalP95: time.Second}, LevelPressure},
-		{"slow but idle workers", Load{HitDepth: 8, MissDepth: 4, Workers: 4, InFlight: 1, EvalP95: time.Second}, LevelNormal},
+		{"idle", Load{HitDepth: 8, MissDepth: 4}, LevelNormal},
+		{"half full hit lane", Load{HitQueue: 4, HitDepth: 8, MissDepth: 4}, LevelNormal},
+		{"just under critical", Load{HitQueue: 5, HitDepth: 8, MissQueue: 2, MissDepth: 4}, LevelNormal},
+		{"critical miss lane", Load{MissQueue: 3, MissDepth: 4, HitDepth: 8}, LevelCritical},
+		{"critical hit lane", Load{HitQueue: 6, HitDepth: 8, MissDepth: 4}, LevelCritical},
+		{"overfull", Load{HitQueue: 9, HitDepth: 8}, LevelCritical},
+		{"no queues", Load{HitQueue: 1, MissQueue: 1}, LevelNormal},
 	}
 	for _, c := range cases {
-		if got := p.Level(c.load); got != c.want {
+		if got := c.load.Level(); got != c.want {
 			t.Errorf("%s: level = %v, want %v", c.name, got, c.want)
 		}
 	}
-	var inert Policy
-	if got := inert.Level(Load{HitQueue: 8, HitDepth: 8}); got != LevelNormal {
-		t.Errorf("zero policy must be inert, got %v", got)
+	// The exported gauge value of critical is part of the /metrics
+	// contract.
+	if LevelCritical != 2 {
+		t.Errorf("LevelCritical = %d, want 2", LevelCritical)
 	}
 }
 
@@ -159,7 +161,7 @@ func TestLedgerSnapshotAndFamilies(t *testing.T) {
 	l.Shed(LaneHit, ShedPriority)
 	l.Deadline(StageQueued)
 	l.Deadline(StageOblivious)
-	l.Degrade(DegradeNoOpt)
+	l.Degrade(DegradeTierSkip)
 
 	s := l.Snapshot()
 	if s.Admitted["hit"] != 2 || s.Admitted["miss"] != 1 {
@@ -171,12 +173,12 @@ func TestLedgerSnapshotAndFamilies(t *testing.T) {
 	if s.Shed["miss"]["queue_full"] != 1 || s.Shed["hit"]["priority"] != 1 {
 		t.Fatalf("shed = %v", s.Shed)
 	}
-	if s.Deadline["queued"] != 1 || s.Deadline["oblivious"] != 1 || s.Degraded["noopt"] != 1 {
+	if s.Deadline["queued"] != 1 || s.Deadline["oblivious"] != 1 || s.Degraded["tier_skip"] != 1 {
 		t.Fatalf("counters: %+v", s)
 	}
 
 	s.Lanes = []LaneStats{{Lane: "hit", Queued: 1, Depth: 8, Workers: 4, InFlight: 2}}
-	s.Level = LevelPressure
+	s.Level = LevelCritical
 	fams := s.Families()
 	byName := map[string]bool{}
 	for _, f := range fams {

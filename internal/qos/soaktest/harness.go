@@ -1,9 +1,9 @@
 // Package soaktest is a chaos soak harness for the serving engine: N
 // concurrent clients replay M query shapes with zipf skew against a
-// live engine while fault injection fires at every evaluation site
-// (word gates, relational gates, RAM join steps), a fraction of
-// requests carry tight deadlines or low priority, and a final wave
-// races submissions against Close.
+// live engine while fault injection fires at every evaluation site the
+// engine has (word gates, RAM join steps), a fraction of requests carry
+// tight deadlines or low priority, and a final wave races submissions
+// against Close.
 //
 // The harness asserts the engine's overload contract from the outside:
 // every rejected request carries a typed guard error, queue occupancy
@@ -177,7 +177,6 @@ func Run(cfg Config) (Report, qos.Snapshot, error) {
 	in := faultinject.New()
 	if cfg.FaultRate > 0 {
 		in.FailRate(faultinject.SiteWordGate, uint64(cfg.Seed)+1, cfg.FaultRate)
-		in.FailRate(faultinject.SiteRelGate, uint64(cfg.Seed)+2, cfg.FaultRate)
 		// One contained panic mid-run, at the site every sticky shape
 		// reaches; tier recovery must convert it to ErrInternal.
 		in.PanicAt(faultinject.SiteRAMJoin, 97, nil)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"testing"
 
-	"circuitql/internal/core"
 	"circuitql/internal/query"
 	"circuitql/internal/relation"
 	"circuitql/internal/vm"
@@ -142,9 +141,10 @@ func TestExportOpenLoad(t *testing.T) {
 	}
 }
 
-// TestColumnarToVMEndToEnd: the full disk tier — columnar files packed
-// straight into the vectorized evaluator, no in-memory Relations —
-// answers exactly what the reference oblivious evaluation answers.
+// TestColumnarToVMEndToEnd: a database exported to columnar files and
+// loaded back the way circuitd -db loads it (DB.Load), packed and run
+// through the vectorized evaluator, answers exactly what the reference
+// oblivious evaluation answers on the in-memory original.
 func TestColumnarToVMEndToEnd(t *testing.T) {
 	_, compiled, mem := compileCatalog(t, "triangle")
 	dir := t.TempDir()
@@ -155,11 +155,13 @@ func TestColumnarToVMEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenDB: %v", err)
 	}
-	packed, err := compiled.PackObliviousSource(func(rel string) (core.TupleSource, error) {
-		return db.Scan(rel)
-	})
+	loaded, err := db.Load()
 	if err != nil {
-		t.Fatalf("PackObliviousSource: %v", err)
+		t.Fatalf("Load: %v", err)
+	}
+	packed, err := compiled.PackOblivious(loaded)
+	if err != nil {
+		t.Fatalf("PackOblivious: %v", err)
 	}
 	prog, err := vm.Compile(context.Background(), compiled.Obliv.C)
 	if err != nil {
@@ -179,56 +181,5 @@ func TestColumnarToVMEndToEnd(t *testing.T) {
 	}
 	if !got.Equal(want) {
 		t.Fatalf("disk-fed vm answered %d rows, reference %d", got.Len(), want.Len())
-	}
-}
-
-// TestPackFromColumnar: streaming the columnar files into
-// PackObliviousSource produces exactly the flat input buffer
-// PackOblivious builds from the in-memory database — the disk tier
-// feeds the oblivious circuit without materializing Relations.
-func TestPackFromColumnar(t *testing.T) {
-	for _, name := range []string{"triangle", "path3", "cycle4", "star3"} {
-		_, compiled, mem := compileCatalog(t, name)
-		dir := t.TempDir()
-		if err := ExportDB(dir, mem); err != nil {
-			t.Fatalf("ExportDB(%s): %v", name, err)
-		}
-		db, err := OpenDB(dir)
-		if err != nil {
-			t.Fatalf("OpenDB(%s): %v", name, err)
-		}
-
-		// Columnar files store rows in canonical sorted order, so pack
-		// the in-memory side from sorted copies — packing preserves the
-		// iteration order of each relation, and the comparison below is
-		// word for word.
-		sorted := make(query.Database, len(mem))
-		for rel, r := range mem {
-			sorted[rel] = r.Sorted(r.Schema()...)
-		}
-		want, err := compiled.PackOblivious(sorted)
-		if err != nil {
-			t.Fatalf("PackOblivious(%s): %v", name, err)
-		}
-		// Each lookup opens a fresh scan: a source is consumed once per
-		// input spec, and a relation can back several specs.
-		got, err := compiled.PackObliviousSource(func(rel string) (core.TupleSource, error) {
-			s, err := db.Scan(rel)
-			if err != nil {
-				return nil, err
-			}
-			return s, nil
-		})
-		if err != nil {
-			t.Fatalf("PackObliviousSource(%s): %v", name, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: packed %d words from disk, %d from memory", name, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: packed word %d differs: %d vs %d", name, i, got[i], want[i])
-			}
-		}
 	}
 }

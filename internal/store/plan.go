@@ -45,8 +45,9 @@ const maxPlanBytes = 1 << 30
 // re-canonicalizing) and the compiled oblivious circuit with its
 // packing metadata. The relational-circuit layer is not persisted —
 // its gates carry closures (predicates, map expressions) with no wire
-// format — so a warm-loaded plan serves the vm and oblivious tiers and
-// falls through to the RAM tier, never the relational one.
+// format — and the engine never evaluates it: a warm-loaded plan is
+// served exactly as a freshly compiled one, by the vm tier and then the
+// RAM tier.
 type PlanArtifact struct {
 	// FP is the canonical fingerprint the plan is stored under.
 	FP query.Fingerprint

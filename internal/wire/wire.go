@@ -115,8 +115,7 @@ type Response struct {
 	Status Status
 	// CacheHit reports the plan came from the cache (hit lane).
 	CacheHit bool
-	// Tier names the evaluation tier that served ("vm", "relational",
-	// "ram").
+	// Tier names the evaluation tier that served ("vm" or "ram").
 	Tier string
 	// Rows is the output cardinality.
 	Rows uint32

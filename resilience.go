@@ -51,14 +51,14 @@ var (
 // errors.As; it matches ErrOverloaded under errors.Is.
 type OverloadError = guard.OverloadError
 
-// Evaluation tier names, in degradation order — the engine's
-// vocabulary. TierVM is the engine's vectorized fast path
-// (ServeResult.Tier); EvaluateResilient's own ladder starts at the
-// oblivious tier, which only the facade has.
+// Evaluation tier names, in degradation order. TierVM and TierRAM are
+// the engine's ladder (ServeResult.Tier); EvaluateResilient's own
+// ladder is oblivious → relational → RAM, and its first two tiers only
+// the facade has.
 const (
 	TierVM         = engine.TierVM
 	TierOblivious  = "oblivious"
-	TierRelational = engine.TierRelational
+	TierRelational = "relational"
 	TierRAM        = engine.TierRAM
 )
 

@@ -633,26 +633,36 @@ func BenchmarkOptimizedVsRaw(b *testing.B) {
 // cold compile pays after PANDA-C — the lowering through the rewriting
 // builder (lower+fold), the sweep of the gates folding left unused, and
 // the vm compile — on the two templates the repo benchmark's cold path is
-// made of. The first two are read off the spans of the engine's own
-// compile entry point, core.CompileQueryCtx, so what is timed is what is
-// served. ns/op is the sum of the three; lowerfold-ns, sweep-ns and
-// vmcompile-ns split it, and gates is the served circuit's size (a change
-// here means the optimizer's output moved, not just its speed). lp-ns is
-// the exact bound LP of the same call, from its lp-solve span: the stage
-// before PANDA-C, reported beside the three and not part of ns/op.
+// made of, under uniform cardinalities, and on the hot-eval shape
+// (triangle at 16 tuples, constraints derived from the data). The first
+// two are read off the spans of the engine's own compile entry point,
+// core.CompileQueryCtx, so what is timed is what is served. ns/op is the
+// sum of the three; lowerfold-ns, sweep-ns and vmcompile-ns split it, and
+// gates is the served circuit's size (a change here means the optimizer's
+// output moved, not just its speed). vm-instructions and vm-levels are
+// what the vm compile made of those gates — its yield beside its cost.
+// lp-ns is the exact bound LP of the same call, from its lp-solve span:
+// the stage before PANDA-C, reported beside the three and not part of
+// ns/op.
 func BenchmarkCompileStages(b *testing.B) {
 	ctx := context.Background()
+	derived, err := query.DeriveDC(query.Triangle(), workload.ForQuery(query.Triangle(), 1, 16))
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		q    *query.Query
-		n    float64
+		dcs  query.DCSet
 	}{
-		{"triangle", query.Triangle(), 12},
-		{"cycle4", query.Cycle4(), 8},
+		{"triangle", query.Triangle(), query.Cardinalities(query.Triangle(), 12)},
+		{"cycle4", query.Cycle4(), query.Cardinalities(query.Cycle4(), 8)},
+		{"triangle16-derived", query.Triangle(), derived},
 	} {
-		dcs := query.Cardinalities(tc.q, tc.n)
+		dcs := tc.dcs
 		b.Run(tc.name, func(b *testing.B) {
 			var lpSolve, lowerFold, sweep, vmCompile time.Duration
+			var prog *vm.Program
 			gates := 0
 			for i := 0; i < b.N; i++ {
 				tracer := obs.NewTracer(1)
@@ -671,7 +681,7 @@ func BenchmarkCompileStages(b *testing.B) {
 					}
 				}
 				t0 := time.Now()
-				if _, err := vm.Compile(ctx, compiled.Obliv.C); err != nil {
+				if prog, err = vm.Compile(ctx, compiled.Obliv.C); err != nil {
 					b.Fatal(err)
 				}
 				vmCompile += time.Since(t0)
@@ -684,6 +694,8 @@ func BenchmarkCompileStages(b *testing.B) {
 			b.ReportMetric(perOp(sweep), "sweep-ns")
 			b.ReportMetric(perOp(vmCompile), "vmcompile-ns")
 			b.ReportMetric(float64(gates), "gates")
+			b.ReportMetric(float64(prog.Instructions()), "vm-instructions")
+			b.ReportMetric(float64(prog.Levels()), "vm-levels")
 		})
 	}
 }

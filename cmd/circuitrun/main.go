@@ -174,8 +174,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\nvm program: %d gates -> %d instructions, %d runs, %d levels, %d slots/lane\n",
-			prog.Gates(), prog.Instructions(), prog.Runs(), prog.Levels(), prog.Slots())
+		swaps, lexes := prog.Fused()
+		fmt.Printf("\nvm program: %d gates -> %d instructions (%d swap, %d lex), %d runs, %d levels, %d slots/lane\n",
+			prog.Gates(), prog.Instructions(), swaps, lexes, prog.Runs(), prog.Levels(), prog.Slots())
 
 		// Single-request baseline through the interpreted oblivious
 		// circuit — the path a non-batched serve pays per request.

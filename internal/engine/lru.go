@@ -74,7 +74,12 @@ func (e *entry) vmProgram(ctx context.Context, owner *shard) (*vm.Program, error
 	ctx, sp := obs.StartSpan(ctx, obs.StageVMComp)
 	prog, err := vm.Compile(ctx, e.compiled.Obliv.C)
 	if err == nil {
+		swaps, lexes := prog.Fused()
 		sp.AddInt(obs.CounterGates, int64(prog.Gates()))
+		sp.AddInt(obs.CounterInstructions, int64(prog.Instructions()))
+		sp.AddInt(obs.CounterLevels, int64(prog.Levels()))
+		sp.AddInt(obs.CounterFusedSwap, int64(swaps))
+		sp.AddInt(obs.CounterFusedLex, int64(lexes))
 	}
 	sp.SetError(err)
 	sp.End()

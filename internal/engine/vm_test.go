@@ -312,6 +312,30 @@ func TestEngineBatchCoalescing(t *testing.T) {
 	if got := counts[obs.StageVMComp]; got != 1 {
 		t.Fatalf("vm-compile spans = %d, want 1 (compiled once per cached plan)", got)
 	}
+	// That span says what the circuit became: a triangle plan sorts, so
+	// both fused forms appear, and every one of them saved instructions.
+	attrs := map[string]int64{}
+	for _, root := range tracer.Last(0) {
+		vmCompileAttrs(root, attrs)
+	}
+	gates, instrs := attrs[obs.CounterGates], attrs[obs.CounterInstructions]
+	swaps, lexes := attrs[obs.CounterFusedSwap], attrs[obs.CounterFusedLex]
+	if swaps == 0 || lexes == 0 || attrs[obs.CounterLevels] == 0 || instrs == 0 || instrs+swaps+3*lexes >= gates {
+		t.Fatalf("vm-compile span counters %v: want gates > instructions + fused_swap + 3·fused_lex, all non-zero, and levels", attrs)
+	}
+}
+
+// vmCompileAttrs collects the integer counters of the vm-compile spans
+// under s.
+func vmCompileAttrs(s *obs.Span, into map[string]int64) {
+	if s.Name == obs.StageVMComp {
+		for _, a := range s.Attrs() {
+			into[a.Key] += a.Int
+		}
+	}
+	for _, c := range s.Children() {
+		vmCompileAttrs(c, into)
+	}
 }
 
 // TestEngineBatchDeadlineFanOut: a member whose context is already dead

@@ -78,6 +78,16 @@ const (
 	// counts.
 	CounterBatchSize = "batch_size"
 
+	// vm-compile counters: the program a word circuit became. gates on
+	// the same span is the circuit's size; instructions is what an
+	// evaluation executes, fused_swap and fused_lex how many of them are
+	// the two fused forms (two and four gates each), levels the depth of
+	// the instruction DAG.
+	CounterInstructions = "instructions"
+	CounterLevels       = "levels"
+	CounterFusedSwap    = "fused_swap"
+	CounterFusedLex     = "fused_lex"
+
 	// Optimizer counters (internal/opt), attached to the optimize span:
 	// word-gate count entering and leaving the passes, and the passes'
 	// wall time in nanoseconds (also visible as the span duration; the

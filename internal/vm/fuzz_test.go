@@ -27,7 +27,23 @@ func buildFuzzCircuit(data []byte) (*boolcircuit.Circuit, int) {
 		pick := func(k byte) int { return wires[int(k)%len(wires)] }
 		a, b := pick(sel), pick(sel>>4)
 		var w int
-		switch op % 13 {
+		switch op % 17 {
+		// Four arms aimed at Compile's peepholes: the two shapes it fuses,
+		// and a near-miss of each that it must leave alone.
+		case 13:
+			w = c.Or(c.Lt(a, b), c.And(c.Eq(a, b), pick(op>>4)))
+		case 14:
+			// The Lt joins the wire pool: a later gate may read it, and it
+			// may end up an output, either of which forbids the fusion.
+			lt := c.Lt(a, b)
+			wires = append(wires, lt)
+			w = c.Or(lt, c.And(c.Eq(b, pick(op>>4)), a))
+		case 15:
+			wires = append(wires, c.Mux(pick(op>>4), a, b))
+			w = c.Mux(pick(op>>4), b, a)
+		case 16:
+			wires = append(wires, c.Mux(pick(op>>4), a, b))
+			w = c.Mux(pick(op>>5), b, a)
 		case 0:
 			w = c.Add(a, b)
 		case 1:
@@ -63,6 +79,39 @@ func buildFuzzCircuit(data []byte) (*boolcircuit.Circuit, int) {
 	return c, nIn
 }
 
+// fuzzSeeds is FuzzVMCompile's seed corpus; the last three are built from
+// the arms that emit the fused shapes and their near-misses.
+var fuzzSeeds = []struct {
+	data []byte
+	seed int64
+}{
+	{[]byte{3, 0, 0x12, 1, 0x34, 10, 0x56, 11, 0x78, 2, 0x9a}, 1},
+	{[]byte{1, 7, 0xff, 8, 0x01, 9, 0x10, 3, 0x23}, -12345},
+	{[]byte{5, 12, 0x42, 12, 0x24, 4, 0x66, 5, 0x99, 6, 0xaa, 0, 0x55}, 1 << 40},
+	{[]byte{2, 11, 0x00, 3, 0x01, 3, 0x10}, 0},
+	{[]byte{4, 15, 0x21, 32, 0x03, 13, 0x10, 30, 0x32, 13, 0x54}, 7},
+	{[]byte{3, 16, 0x21, 33, 0x12, 14, 0x10, 31, 0x20, 0, 0x43}, -3},
+	{[]byte{6, 14, 0x81, 16, 0x9a, 15, 0x10, 13, 0x67, 49, 0x32, 47, 0x54}, 1 << 62},
+}
+
+// TestFuzzSeedsReachThePeepholes keeps the seed corpus from going stale:
+// between them the seeds must make Compile fuse both shapes.
+func TestFuzzSeedsReachThePeepholes(t *testing.T) {
+	var swaps, lexes int
+	for _, seed := range fuzzSeeds {
+		c, _ := buildFuzzCircuit(seed.data)
+		p, err := Compile(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, l := p.Fused()
+		swaps, lexes = swaps+s, lexes+l
+	}
+	if swaps == 0 || lexes == 0 {
+		t.Fatalf("the seed corpus fuses %d swaps and %d lex steps; it must reach both", swaps, lexes)
+	}
+}
+
 // FuzzVMCompile pins the vectorized evaluator to the reference
 // gate-walk interpreter: any circuit the builder can produce must
 // compile, and EvalBatch must agree with boolcircuit.EvaluateCtx on every
@@ -70,10 +119,9 @@ func buildFuzzCircuit(data []byte) (*boolcircuit.Circuit, int) {
 // (nine lanes), its first five lanes at a stride of 8, and its first
 // lane alone at a stride of one.
 func FuzzVMCompile(f *testing.F) {
-	f.Add([]byte{3, 0, 0x12, 1, 0x34, 10, 0x56, 11, 0x78, 2, 0x9a}, int64(1))
-	f.Add([]byte{1, 7, 0xff, 8, 0x01, 9, 0x10, 3, 0x23}, int64(-12345))
-	f.Add([]byte{5, 12, 0x42, 12, 0x24, 4, 0x66, 5, 0x99, 6, 0xaa, 0, 0x55}, int64(1<<40))
-	f.Add([]byte{2, 11, 0x00, 3, 0x01, 3, 0x10}, int64(0))
+	for _, seed := range fuzzSeeds {
+		f.Add(seed.data, seed.seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		c, nIn := buildFuzzCircuit(data)
 		prog, err := Compile(context.Background(), c)

@@ -48,11 +48,17 @@ func vecLtN(vals *Word, dst, a, b *int32, cnt, stride int)
 //go:noescape
 func vecMuxN(vals *Word, dst, a, b, c *int32, cnt, stride int)
 
+//go:noescape
+func vecLexN(vals *Word, dst, a, b, c *int32, cnt, stride int)
+
+//go:noescape
+func vecSwapN(vals *Word, dst, dst2, a, b, c *int32, cnt, stride int)
+
 // vecRun hands one non-empty run at a stride that is a multiple of 8 to
 // its AVX2 kernel. It reports false, having done nothing, when the CPU
 // lacks AVX2 or the opcode has no vector form (multiply and modulus:
 // AVX2 has no 64-bit multiply, and modulus divides per lane anyway).
-func vecRun(vals []Word, S int, op uint8, dst, a, b, c []int32) bool {
+func vecRun(vals []Word, S int, op uint8, dst, dst2, a, b, c []int32) bool {
 	if !useAVX2 {
 		return false
 	}
@@ -76,6 +82,10 @@ func vecRun(vals []Word, S int, op uint8, dst, a, b, c []int32) bool {
 		vecLtN(&vals[0], &dst[0], &a[0], &b[0], cnt, stride)
 	case opMux:
 		vecMuxN(&vals[0], &dst[0], &a[0], &b[0], &c[0], cnt, stride)
+	case opLex:
+		vecLexN(&vals[0], &dst[0], &a[0], &b[0], &c[0], cnt, stride)
+	case opSwap:
+		vecSwapN(&vals[0], &dst[0], &dst2[0], &a[0], &b[0], &c[0], cnt, stride)
 	default:
 		return false
 	}

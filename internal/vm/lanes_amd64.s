@@ -264,3 +264,135 @@ muxnlane:
 	JNZ  muxninstr
 	VZEROUPPER
 	RET
+
+// func vecLexN(vals *Word, dst, a, b, c *int32, cnt, stride int)
+//
+// dst = (a < b) | (a == b) & c, per lane, per instruction: one step of a
+// lexicographic compare with c the verdict of the less significant words.
+// The two compares give all-ones/all-zero lane masks; (lt | eq & c) & 1
+// is then 1 where a < b and c's bit 0 where a == b, which is what the
+// four gates compute for any word c.
+TEXT ·vecLexN(SB), NOSPLIT, $0-56
+	MOVQ     vals+0(FP), R10
+	MOVQ     dst+8(FP), DI
+	MOVQ     a+16(FP), SI
+	MOVQ     b+24(FP), DX
+	MOVQ     c+32(FP), BX
+	MOVQ     cnt+40(FP), CX
+	MOVQ     stride+48(FP), R11
+	MOVQ     R11, R8
+	SHRQ     $6, R8
+	VPCMPEQD Y15, Y15, Y15
+	VPSRLQ   $63, Y15, Y15 // 1 in every lane
+
+lexninstr:
+	MOVL  (DI), R12
+	IMULQ R11, R12
+	ADDQ  R10, R12
+	MOVL  (SI), R13
+	IMULQ R11, R13
+	ADDQ  R10, R13
+	MOVL  (DX), R14
+	IMULQ R11, R14
+	ADDQ  R10, R14
+	MOVL  (BX), AX
+	IMULQ R11, AX
+	ADDQ  R10, AX
+	MOVQ  R8, R9
+
+lexnlane:
+	VMOVDQU  (R13), Y0
+	VMOVDQU  32(R13), Y2
+	VMOVDQU  (R14), Y1
+	VMOVDQU  32(R14), Y3
+	VPCMPEQQ Y1, Y0, Y4 // a == b
+	VPCMPEQQ Y3, Y2, Y5
+	VPCMPGTQ Y0, Y1, Y6 // b > a
+	VPCMPGTQ Y2, Y3, Y7
+	VPAND    (AX), Y4, Y4
+	VPAND    32(AX), Y5, Y5
+	VPOR     Y6, Y4, Y4
+	VPOR     Y7, Y5, Y5
+	VPAND    Y15, Y4, Y4
+	VPAND    Y15, Y5, Y5
+	VMOVDQU  Y4, (R12)
+	VMOVDQU  Y5, 32(R12)
+	ADDQ     $64, R13
+	ADDQ     $64, R14
+	ADDQ     $64, AX
+	ADDQ     $64, R12
+	DECQ     R9
+	JNZ      lexnlane
+	ADDQ $4, DI
+	ADDQ $4, SI
+	ADDQ $4, DX
+	ADDQ $4, BX
+	DECQ CX
+	JNZ  lexninstr
+	VZEROUPPER
+	RET
+
+// func vecSwapN(vals *Word, dst, dst2, a, b, c *int32, cnt, stride int)
+//
+// dst = c != 0 ? a : b and dst2 = c != 0 ? b : a, per lane, per
+// instruction: vecMuxN's zero-mask of the condition, blended both ways.
+// Five lane bases need the registers the other kernels spend on the slab
+// pointer and the lane count: the slab pointer is added from its argument
+// slot, and one lane offset (R9, 0 up to the stride) runs under all five.
+TEXT ·vecSwapN(SB), NOSPLIT, $0-64
+	MOVQ  dst+8(FP), DI
+	MOVQ  dst2+16(FP), R8
+	MOVQ  a+24(FP), SI
+	MOVQ  b+32(FP), DX
+	MOVQ  c+40(FP), BX
+	MOVQ  cnt+48(FP), CX
+	MOVQ  stride+56(FP), R11
+	VPXOR Y15, Y15, Y15 // zero
+
+swapninstr:
+	MOVL  (DI), R12
+	IMULQ R11, R12
+	ADDQ  vals+0(FP), R12
+	MOVL  (R8), R10
+	IMULQ R11, R10
+	ADDQ  vals+0(FP), R10
+	MOVL  (SI), R13
+	IMULQ R11, R13
+	ADDQ  vals+0(FP), R13
+	MOVL  (DX), R14
+	IMULQ R11, R14
+	ADDQ  vals+0(FP), R14
+	MOVL  (BX), AX
+	IMULQ R11, AX
+	ADDQ  vals+0(FP), AX
+	XORQ  R9, R9
+
+swapnlane:
+	VMOVDQU   (AX)(R9*1), Y4
+	VMOVDQU   32(AX)(R9*1), Y5
+	VPCMPEQQ  Y15, Y4, Y4 // all-ones where c == 0
+	VPCMPEQQ  Y15, Y5, Y5
+	VMOVDQU   (R13)(R9*1), Y0
+	VMOVDQU   32(R13)(R9*1), Y2
+	VMOVDQU   (R14)(R9*1), Y1
+	VMOVDQU   32(R14)(R9*1), Y3
+	VPBLENDVB Y4, Y1, Y0, Y6 // b where mask, else a
+	VPBLENDVB Y5, Y3, Y2, Y7
+	VPBLENDVB Y4, Y0, Y1, Y8 // a where mask, else b
+	VPBLENDVB Y5, Y2, Y3, Y9
+	VMOVDQU   Y6, (R12)(R9*1)
+	VMOVDQU   Y7, 32(R12)(R9*1)
+	VMOVDQU   Y8, (R10)(R9*1)
+	VMOVDQU   Y9, 32(R10)(R9*1)
+	ADDQ      $64, R9
+	CMPQ      R9, R11
+	JB        swapnlane
+	ADDQ $4, DI
+	ADDQ $4, R8
+	ADDQ $4, SI
+	ADDQ $4, DX
+	ADDQ $4, BX
+	DECQ CX
+	JNZ  swapninstr
+	VZEROUPPER
+	RET

@@ -10,7 +10,7 @@ import (
 // TestVMWithoutAVX2 runs the differential checks with the vector kernels
 // switched off, so the path a CPU without AVX2 takes at a stride above
 // one — every run through the scalar kernel, lane by lane — is executed
-// on a runner that has AVX2.
+// on a runner that has AVX2, fused opcodes included.
 func TestVMWithoutAVX2(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("the whole suite already runs without AVX2 on this CPU")
@@ -26,4 +26,8 @@ func TestVMWithoutAVX2(t *testing.T) {
 			checkAgainstInterp(t, c, randInputs(rng, c.NumInputs(), B))
 		}
 	}
+	// The fused opcodes have no per-lane fallback of their own: without
+	// their vector kernels they go through stridedRun like the rest.
+	checkPeephole(t)
+	checkCatalog(t)
 }

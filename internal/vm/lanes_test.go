@@ -20,14 +20,17 @@ func TestLaneKernelsMatchScalar(t *testing.T) {
 	}{
 		{"add", opAdd}, {"sub", opSub}, {"and", opAnd}, {"or", opOr}, {"xor", opXor},
 		{"not", opNot}, {"eq", opEq}, {"lt", opLt}, {"mux", opMux},
+		{"lex", opLex}, {"swap", opSwap},
 	}
 	// Operands come from the lower half of the slots and destinations
-	// from the upper half, as in a compiled level: no instruction of a
-	// run reads what another writes.
-	const slots = 48
+	// (two an instruction, the second used by swap alone) from the upper
+	// half, as in a compiled level: no instruction of a run reads what
+	// another writes.
+	const slots = 96
 	for _, S := range []int{8, 16, 24} {
 		for _, n := range []int{1, 2, 5, 24} {
-			dst, a, b, c := make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, n)
+			dst, dst2 := make([]int32, n), make([]int32, n)
+			a, b, c := make([]int32, n), make([]int32, n), make([]int32, n)
 			got, want := make([]Word, slots*S), make([]Word, slots*S)
 			for trial := 0; trial < 20; trial++ {
 				for i := range got {
@@ -37,12 +40,14 @@ func TestLaneKernelsMatchScalar(t *testing.T) {
 						got[i] = Word(rng.Uint64())
 					}
 				}
-				for i, d := range rng.Perm(slots / 2)[:n] {
-					dst[i] = int32(slots/2 + d)
+				perm := rng.Perm(slots / 2)
+				for i := range dst {
+					dst[i], dst2[i] = int32(slots/2+perm[2*i]), int32(slots/2+perm[2*i+1])
 					a[i], b[i], c[i] = int32(rng.Intn(slots/2)), int32(rng.Intn(slots/2)), int32(rng.Intn(slots/2))
-					// Make sure eq sees genuine equalities and mux both
-					// kinds of condition: copy half of a's lanes into b,
-					// zero half of c's.
+					// Make sure eq and lex see genuine equalities and mux
+					// and swap both kinds of condition: copy half of a's
+					// lanes into b, zero half of c's. The other lanes of c
+					// are random words, almost never 0 or 1.
 					for l := 0; l < S; l += 2 {
 						got[int(b[i])*S+l] = got[int(a[i])*S+l]
 						got[int(c[i])*S+l+1] = 0
@@ -50,10 +55,10 @@ func TestLaneKernelsMatchScalar(t *testing.T) {
 				}
 				for _, k := range ops {
 					copy(want, got)
-					if !vecRun(got, S, k.op, dst, a, b, c) {
+					if !vecRun(got, S, k.op, dst, dst2, a, b, c) {
 						t.Skip("no vector kernels on this platform or CPU")
 					}
-					stridedRun(want, S, k.op, dst, a, b, c)
+					stridedRun(want, S, k.op, dst, dst2, a, b, c)
 					for i := range got {
 						if got[i] != want[i] {
 							t.Fatalf("S=%d n=%d %s: slot %d lane %d: vector=%d, scalar=%d",

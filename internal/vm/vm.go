@@ -7,8 +7,11 @@
 // depends on tuple values — so the per-gate decode work (operand
 // lookup, opcode dispatch, bounds checks) is identical for every
 // request and can be paid once per gate instead of once per gate per
-// request. The compiler drops gates unreachable from the outputs, lays
-// the live instructions out contiguously in level order (opcode and
+// request. The compiler drops gates unreachable from the outputs, fuses
+// the two shapes a sorting network's comparator lowers to (a
+// lexicographic-compare step, four gates; a conditional swap, two) into
+// one instruction each, lays the instructions out contiguously in level
+// order (opcode and
 // operand slot indices in parallel arrays, no Gate structs, no
 // interface dispatch), and register-allocates wire values into reusable
 // slots so the evaluator's arena slab (vals[slot*S+r], the S lanes of
@@ -43,9 +46,12 @@ import (
 type Word = int64
 
 // vm opcodes: the compute subset of boolcircuit ops (inputs and
-// constants are prefilled, not executed).
+// constants are prefilled, not executed) and two fused forms Compile
+// finds in the gate list, one instruction each for the two shapes a
+// sorting network's comparator lowers to.
 const (
-	opAdd uint8 = iota
+	opNone uint8 = iota // not an instruction: a dead, input, constant or fused-away gate
+	opAdd
 	opSub
 	opMul
 	opMod
@@ -56,12 +62,31 @@ const (
 	opEq
 	opLt
 	opMux
+	// opLex is one step of a lexicographic compare,
+	// dst = (a < b) | (a == b) & acc, the four gates
+	// Or(Lt(a,b), And(Eq(a,b), acc)) in one.
+	opLex
+	// opSwap is a conditional swap, dst = c != 0 ? a : b and
+	// dst2 = c != 0 ? b : a, the two gates Mux(c,a,b) and Mux(c,b,a).
+	opSwap
 
-	numOps = int(opMux) + 1
+	numOps = int(opSwap) + 1
+
+	// opSwapHi marks, during Compile only, the MUX gate whose value is the
+	// second destination of another gate's opSwap.
+	opSwapHi = uint8(numOps)
 )
 
-// pollStep is the most instructions that run between context/budget
-// checkpoints, and so the longest run in the run table. Word gates are
+// gateWeight is how many circuit gates one instruction of each opcode
+// stands for: what an evaluation budget is charged.
+var gateWeight = [numOps]int32{
+	opAdd: 1, opSub: 1, opMul: 1, opMod: 1, opAnd: 1, opOr: 1, opXor: 1,
+	opNot: 1, opEq: 1, opLt: 1, opMux: 1, opLex: 4, opSwap: 2,
+}
+
+// pollStep is the longest run in the run table, in instructions, and the
+// most gates that run between context/budget checkpoints unless a single
+// run of fused instructions stands for more. Word gates are
 // nanosecond-scale; finer polling would dominate the work, coarser
 // would make deadlines and budget trips sloppy within wide levels.
 const pollStep = 512
@@ -72,10 +97,11 @@ type constInit struct {
 }
 
 // Program is a compiled word circuit in executable form: one
-// structure-of-arrays instruction buffer (ops/dst/a/b/c in parallel,
-// contiguous per level), the run table over it, the constant and input
-// prefill templates, and an arena pool for wire-value slabs. A Program
-// is immutable after Compile and safe for concurrent EvalBatch calls.
+// structure-of-arrays instruction buffer (ops/dst/dst2/a/b/c in
+// parallel, contiguous per level), the run table over it, the constant
+// and input prefill templates, and an arena pool for wire-value slabs. A
+// Program is immutable after Compile and safe for concurrent EvalBatch
+// calls.
 //
 // Operands are SLOTS, not circuit wire ids: the compiler drops gates
 // unreachable from any output, then runs a liveness pass that reuses a
@@ -89,12 +115,15 @@ type constInit struct {
 type Program struct {
 	ops      []uint8
 	dst      []int32
+	dst2     []int32 // opSwap's second destination, -1 elsewhere
 	a, b, c  []int32
 	levelEnd []int32 // ops[levelEnd[l-1]:levelEnd[l]] is level l+1
 	runEnd   []int32 // ops[runEnd[k-1]:runEnd[k]] is one opcode, inside one level, at most pollStep long
+	runGates []int32 // circuit gates computed once run k has finished (gateWeight, cumulative)
 
-	numGates int // circuit size (|V|), for reporting
-	numSlots int // slab width: max simultaneously live wires
+	numGates     int // circuit size (|V|), for reporting
+	numSlots     int // slab width: max simultaneously live wires
+	swaps, lexes int // fused instructions of each kind
 
 	inputSlots []int32 // slot per circuit input, -1 when the input is dead
 	outSlots   []int32
@@ -107,12 +136,16 @@ type Program struct {
 // polls ctx and charges the circuit's size against any guard.Budget the
 // context carries.
 //
-// Three passes: (1) mark gates reachable from the outputs — the
-// interpreter pays for every gate ever built, the vm does not; (2)
-// bucket live compute gates by depth level, laid out contiguously in
-// ascending id per level so operands always resolve to earlier levels;
-// (3) assign value slots by liveness, freeing a wire's slot at the
-// level boundary after its last reader.
+// Four passes over flat per-gate arrays: (1) count each wire's live
+// readers backwards from the outputs — the interpreter pays for every
+// gate ever built, the vm only for those with a reader; (2) going
+// forward, decide what instruction each live gate becomes — itself, the
+// root of a fused lexicographic step, half of a fused swap, or nothing —
+// its level in the DAG of those instructions, and every wire's last
+// reader; (3) bucket the instructions by level, in ascending id so
+// operands always resolve to earlier levels; (4) lay each level out in
+// opcode runs and assign value slots by liveness, freeing a wire's slot
+// at the level boundary after its last reader.
 func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 	if c == nil {
 		return nil, fmt.Errorf("%w: vm: nil circuit", guard.ErrInvalidInput)
@@ -121,86 +154,174 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 	if err := guard.FromContext(ctx).CheckGates(ctx, n); err != nil {
 		return nil, err
 	}
-	depth := c.Depth()
+	p := &Program{numGates: n}
 	outs := c.Outputs()
 
-	// Pass 1: reachability from the outputs.
-	reach, _, err := c.OutputCone(ctx)
-	if err != nil {
-		return nil, err
+	// Pass 1: uses[w] counts the live gates reading wire w, an output mark
+	// counting as one more reader, and stops at two: zero is a dead gate,
+	// one a gate a peephole may fuse into its only reader, and a byte per
+	// gate keeps the array the size of a reachability bitmap's. Operand ids
+	// are smaller than the reader's, so one backward sweep settles it.
+	uses := make([]uint8, n)
+	use := func(w int32) {
+		if w >= 0 && uses[w] < 2 {
+			uses[w]++
+		}
+	}
+	for _, id := range outs {
+		use(int32(id))
+	}
+	for i := n - 1; i >= 0; i-- {
+		if i&0xfff == 0 {
+			if err := guard.Poll(ctx); err != nil {
+				return nil, err
+			}
+		}
+		if uses[i] != 0 {
+			g := c.GateAt(i)
+			use(g.A)
+			use(g.B)
+			use(g.C)
+		}
 	}
 
-	// Pass 2: level sizes of live compute gates, and last-use levels for
-	// the liveness pass. lastLevel[w] is the deepest level reading wire
-	// w; outputs are pinned past every level so the final transpose can
-	// read them. levelEnd[d] counts level d's instructions, then (prefix
-	// sum) becomes the index where they end in the instruction buffer.
-	levelEnd := make([]int32, depth+1)
+	// Pass 2: kind[i] is the opcode gate i executes as, and level[i] its
+	// level among the instructions: one more than the deepest of the wires
+	// the instruction reads, which for a fused step are not the gate's own
+	// operands. Two peepholes, O(1) per gate:
+	//
+	// An OR that lexStep recognizes becomes opLex and the three gates
+	// under it, each read by nothing else, become nothing; they were
+	// visited (and counted into their levels) before their root, so the
+	// counts are taken back. The step then sits where its inputs allow,
+	// up to two levels above where the OR sat.
+	//
+	// A MUX becomes the second destination of the previous MUX of its
+	// level — previous in id order, which is the order a level is laid
+	// out in — when that one selects between the same two wires on the
+	// same condition the other way round. lastMux[d] is that previous MUX
+	// of level d, as id+1, cleared once it has a partner.
+	//
+	// lastLevel[w] is the deepest level reading wire w, for the liveness
+	// pass. A fused-away gate's vote is not taken back: its Lt and Eq sat
+	// no deeper than the step that replaces them, and its And at most one
+	// level deeper, so the worst case holds one slot one level too long.
+	//
+	// slotOf[i] will be wire i's value slot once pass 4 places it; until
+	// then, for an opLex root, it indexes lexReads, the three wires the
+	// step reads, so that pass 4 need not match the shape again.
+	depth := c.Depth()
+	kind := make([]uint8, n)
+	level := make([]int32, n)
 	lastLevel := make([]int32, n)
+	slotOf := make([]int32, n)
+	var lexReads [][3]int32
+	lastMux := make([]int32, depth+1)
+	bucketEnd := make([]int32, depth+1) // entries of level d, then (prefix sum) where they end in byLevel
 	for i := 0; i < n; i++ {
 		if i&0xfff == 0 {
 			if err := guard.Poll(ctx); err != nil {
 				return nil, err
 			}
 		}
-		if !reach[i] {
+		if uses[i] == 0 {
 			continue
 		}
 		g := c.GateAt(i)
-		if g.Op == boolcircuit.OpInput || g.Op == boolcircuit.OpConst {
+		if g.Op == boolcircuit.OpInput {
 			continue
 		}
-		d := int32(c.DepthOf(i))
-		levelEnd[d]++
-		for _, op := range [3]int32{g.A, g.B, g.C} {
-			if op >= 0 && lastLevel[op] < d {
-				lastLevel[op] = d
+		if g.Op == boolcircuit.OpConst {
+			p.consts = append(p.consts, constInit{slot: int32(i), k: g.K}) // slot: the wire, until pass 4 gives it one
+			continue
+		}
+		op, ok := vmOp(g.Op)
+		if !ok {
+			return nil, fmt.Errorf("%w: vm: unsupported op %v at gate %d", guard.ErrInvalidInput, g.Op, i)
+		}
+		ra, rb, rc := g.A, g.B, g.C
+		if op == opOr {
+			if m, ok := lexStep(c, uses, g); ok {
+				op, ra, rb, rc = opLex, m.a, m.b, m.acc
+				for _, dead := range [3]int32{m.lt, m.and, m.eq} {
+					kind[dead] = opNone
+					bucketEnd[level[dead]]--
+				}
+				slotOf[i] = int32(len(lexReads))
+				lexReads = append(lexReads, [3]int32{ra, rb, rc})
 			}
 		}
+		d := level[ra]
+		if rb >= 0 {
+			d = max(d, level[rb])
+		}
+		if rc >= 0 {
+			d = max(d, level[rc])
+		}
+		d++
+		lastLevel[ra] = max(lastLevel[ra], d)
+		if rb >= 0 {
+			lastLevel[rb] = max(lastLevel[rb], d)
+		}
+		if rc >= 0 {
+			lastLevel[rc] = max(lastLevel[rc], d)
+		}
+		if op == opMux {
+			if j := lastMux[d] - 1; j >= 0 && crossedMux(c.GateAt(int(j)), g) {
+				kind[j], op = opSwap, opSwapHi
+				lastMux[d] = 0
+				p.swaps++
+			} else {
+				lastMux[d] = int32(i) + 1
+			}
+		}
+		kind[i], level[i] = op, d
+		bucketEnd[d]++
+	}
+	// A fused-away gate may have sat deeper than any instruction does.
+	for depth > 0 && bucketEnd[depth] == 0 {
+		depth--
 	}
 	for d := 1; d <= depth; d++ {
-		levelEnd[d] += levelEnd[d-1]
+		bucketEnd[d] += bucketEnd[d-1]
 	}
-	total := int(levelEnd[depth])
+	entries := int(bucketEnd[depth])
+	total := entries - p.swaps // a swap's second half is an entry, not an instruction
+	// Outputs are pinned past every level so the final transpose can read
+	// them.
 	pinned := int32(depth + 1)
 	for _, id := range outs {
 		lastLevel[id] = pinned
 	}
 
-	p := &Program{
-		ops:      make([]uint8, total),
-		dst:      make([]int32, total),
-		a:        make([]int32, total),
-		b:        make([]int32, total),
-		c:        make([]int32, total),
-		levelEnd: levelEnd[1:],
-		numGates: n,
-	}
-	// Bucket live compute gates by level into one flat array (ascending
+	// Pass 3: bucket the entries by level into one flat array (ascending
 	// id within a level, since ids are visited in order). Gate ids are
-	// NOT monotone in depth — a later-built gate can sit at a shallower
+	// NOT monotone in level — a later-built gate can sit at a shallower
 	// level — so slot recycling must run in level order, not id order.
-	byLevel := make([]int32, total)
+	byLevel := make([]int32, entries)
 	fill := make([]int32, depth+1) // next free index of level d in byLevel
-	copy(fill[1:], levelEnd)
-	for i := 0; i < n; i++ {
-		if !reach[i] {
-			continue
+	copy(fill[1:], bucketEnd)
+	for i, k := range kind {
+		if k != opNone {
+			d := level[i]
+			byLevel[fill[d]] = int32(i)
+			fill[d]++
 		}
-		if op := c.GateAt(i).Op; op == boolcircuit.OpInput || op == boolcircuit.OpConst {
-			continue
-		}
-		d := c.DepthOf(i)
-		byLevel[fill[d]] = int32(i)
-		fill[d]++
 	}
 
-	// Pass 3: place instructions level by level and assign slots.
+	p.ops = make([]uint8, total)
+	p.dst = make([]int32, total)
+	p.dst2 = make([]int32, total)
+	p.a = make([]int32, total)
+	p.b = make([]int32, total)
+	p.c = make([]int32, total)
+	p.levelEnd = make([]int32, 0, depth)
+
+	// Pass 4: place instructions level by level and assign slots.
 	// expire[L] lists slots whose wire was last read at level L-1 or
 	// earlier; they rejoin the free list when level L begins, which the
 	// level-by-level executor makes safe: a slot freed by level L-1's
 	// readers is rewritten no earlier than level L.
-	slotOf := make([]int32, n)
 	expire := make([][]int32, depth+2)
 	var free []int32
 	var next int32
@@ -224,17 +345,14 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 	// place in the request vector; a dead input gets slot -1 (validated
 	// but never stored). Dead constants vanish entirely.
 	for _, id := range c.InputIDs() {
-		if !reach[id] {
+		if uses[id] == 0 {
 			p.inputSlots = append(p.inputSlots, -1)
 			continue
 		}
 		p.inputSlots = append(p.inputSlots, alloc(int32(id)))
 	}
-	for i := 0; i < n; i++ {
-		g := c.GateAt(i)
-		if g.Op == boolcircuit.OpConst && reach[i] {
-			p.consts = append(p.consts, constInit{slot: alloc(int32(i)), k: g.K})
-		}
+	for i := range p.consts {
+		p.consts[i].slot = alloc(p.consts[i].slot)
 	}
 
 	// Within a level instructions are independent (their operands all
@@ -245,61 +363,122 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 	// dispatches once per run instead of once per instruction and hands
 	// each run to a kernel in one call. The same counts give the run
 	// table: where each opcode's run ends, split every pollStep
-	// instructions so the executor can checkpoint between runs only.
-	// Slots are still allocated in ascending gate id, which keeps the
-	// slot assignment independent of the layout.
+	// instructions so the executor can checkpoint between runs only, and
+	// how many circuit gates are done by then. Slots are still allocated
+	// in ascending gate id, which keeps the slot assignment independent
+	// of the layout.
+	var at, gates int32
 	placed := 0
 	for d := 1; d <= depth; d++ {
 		free = append(free, expire[d]...)
-		level := byLevel[levelEnd[d-1]:levelEnd[d]]
+		entries := byLevel[bucketEnd[d-1]:bucketEnd[d]]
 		var cur [numOps]int32
-		for _, i32 := range level {
-			op, ok := vmOp(c.GateAt(int(i32)).Op)
-			if !ok {
-				return nil, fmt.Errorf("%w: vm: unsupported op %v at gate %d", guard.ErrInvalidInput, c.GateAt(int(i32)).Op, i32)
+		for _, i32 := range entries {
+			if k := kind[i32]; k != opSwapHi {
+				cur[k]++
 			}
-			cur[op]++
 		}
-		at := levelEnd[d-1]
 		for op, cnt := range cur {
 			cur[op] = at
 			for end := at + cnt; at < end; {
-				at = min(at+pollStep, end)
+				run := min(pollStep, end-at)
+				at += run
+				gates += run * gateWeight[op]
 				p.runEnd = append(p.runEnd, at)
+				p.runGates = append(p.runGates, gates)
 			}
 		}
-		for _, i32 := range level {
+		p.levelEnd = append(p.levelEnd, at)
+		var swapAt int32 // where the level's last opSwap went; its second half follows before the next one
+		for _, i32 := range entries {
 			if placed&0xfff == 0 {
 				if err := guard.Poll(ctx); err != nil {
 					return nil, err
 				}
 			}
 			placed++
-			g := c.GateAt(int(i32))
-			op, _ := vmOp(g.Op)
-			j := cur[op]
-			cur[op]++
-			p.ops[j] = op
+			k := kind[i32]
+			if k == opSwapHi {
+				p.dst2[swapAt] = alloc(i32)
+				continue
+			}
+			j := cur[k]
+			cur[k]++
+			p.ops[j] = k
 			// Operand slots resolve BEFORE the dst allocation: a dst may
 			// legally reuse a slot freed at this very boundary, but never
 			// one of its own operands' (those are live through this level
 			// by definition of lastLevel).
-			p.a[j] = slotOf[g.A]
+			g := c.GateAt(int(i32))
+			ra, rb, rc := g.A, g.B, g.C
+			if k == opLex {
+				r := lexReads[slotOf[i32]]
+				ra, rb, rc = r[0], r[1], r[2]
+			}
+			p.a[j] = slotOf[ra]
 			p.b[j], p.c[j] = -1, -1
-			if g.B >= 0 {
-				p.b[j] = slotOf[g.B]
+			if rb >= 0 {
+				p.b[j] = slotOf[rb]
 			}
-			if g.C >= 0 {
-				p.c[j] = slotOf[g.C]
+			if rc >= 0 {
+				p.c[j] = slotOf[rc]
 			}
-			p.dst[j] = alloc(i32)
+			p.dst[j], p.dst2[j] = alloc(i32), -1
+			if k == opSwap {
+				swapAt = j
+			}
 		}
 	}
 	for _, id := range outs {
 		p.outSlots = append(p.outSlots, slotOf[id])
 	}
 	p.numSlots = int(next)
+	p.lexes = len(lexReads)
 	return p, nil
+}
+
+// lexMatch is one lexicographic-compare step found in the gate list:
+// Or(lt, and) with lt = Lt(a,b), and = And(eq, acc), eq = Eq over a and b.
+type lexMatch struct {
+	a, b, acc   int32 // what the fused instruction reads
+	lt, and, eq int32 // the gates it makes unnecessary
+}
+
+// lexStep reports whether g, an OR gate, computes
+// (a < b) | (a == b) & acc through three gates nothing else needs: an Lt
+// and an And as its operands in either order, the And over acc and an Eq
+// in either order, the Eq over the Lt's two wires in either order, and
+// each of the three with exactly one live reader, which an output mark
+// would add to. uses is Compile's reader count. The fused form is exact
+// for any acc word, not only 0/1: both sides keep acc's bit 0 where a == b.
+func lexStep(c *boolcircuit.Circuit, uses []uint8, g boolcircuit.Gate) (lexMatch, bool) {
+	if uses[g.A] != 1 || uses[g.B] != 1 {
+		return lexMatch{}, false
+	}
+	lt, and := g.A, g.B
+	if c.GateAt(int(lt)).Op != boolcircuit.OpLt {
+		lt, and = and, lt
+	}
+	gl, ga := c.GateAt(int(lt)), c.GateAt(int(and))
+	if gl.Op != boolcircuit.OpLt || ga.Op != boolcircuit.OpAnd {
+		return lexMatch{}, false
+	}
+	for _, ea := range [2][2]int32{{ga.A, ga.B}, {ga.B, ga.A}} {
+		eq, acc := ea[0], ea[1]
+		ge := c.GateAt(int(eq))
+		samePair := ge.A == gl.A && ge.B == gl.B || ge.A == gl.B && ge.B == gl.A
+		if ge.Op == boolcircuit.OpEq && uses[eq] == 1 && samePair {
+			return lexMatch{a: gl.A, b: gl.B, acc: acc, lt: lt, and: and, eq: eq}, true
+		}
+	}
+	return lexMatch{}, false
+}
+
+// crossedMux reports whether two MUX gates select between the same two
+// wires on the same condition, each taking what the other leaves. Reading
+// the same three wires, they sit on the same level.
+func crossedMux(lo, hi boolcircuit.Gate) bool {
+	return lo.C == hi.C && lo.A == hi.B && lo.B == hi.A
 }
 
 // vmOp maps a circuit compute op to its instruction opcode.
@@ -339,11 +518,18 @@ func (p *Program) Gates() int { return p.numGates }
 // simultaneously live wires after the liveness pass.
 func (p *Program) Slots() int { return p.numSlots }
 
-// Instructions returns the number of compute instructions executed per
-// lane (live gates minus inputs and constants).
+// Instructions returns the number of instructions executed per lane:
+// the live compute gates, less three for every fused lexicographic step
+// and one for every fused swap.
 func (p *Program) Instructions() int { return len(p.ops) }
 
-// Levels returns the number of instruction levels (the circuit depth).
+// Fused returns how many instructions are conditional swaps (two MUX
+// gates each) and how many are lexicographic-compare steps (four gates
+// each).
+func (p *Program) Fused() (swaps, lexes int) { return p.swaps, p.lexes }
+
+// Levels returns the number of instruction levels: the depth of the
+// circuit with every fused step counted as one gate.
 func (p *Program) Levels() int { return len(p.levelEnd) }
 
 // Runs returns the number of same-opcode runs the executor dispatches:
@@ -363,11 +549,13 @@ func (p *Program) NumOutputs() int { return len(p.outSlots) }
 //
 // The executor walks the compile-time run table: one kernel call per
 // same-opcode run, no scan for run boundaries. It polls ctx and charges
-// completed instructions against any guard.Budget on ctx (MaxGates) at
-// least once every pollStep instructions — runs are never longer, and
-// short runs accumulate across levels up to that many — so
-// cancellation, deadlines, and budget exhaustion cut the evaluation
-// short even inside one wide level. When ctx carries a
+// the circuit gates completed — a fused instruction counts as the gates
+// it stands for — against any guard.Budget on ctx (MaxGates) whenever the
+// next run would put more than pollStep gates past the last checkpoint:
+// runs are never longer than pollStep instructions, and short runs
+// accumulate across levels up to that many gates, so cancellation,
+// deadlines, and budget exhaustion cut the evaluation short even inside
+// one wide level. When ctx carries a
 // faultinject.Injector, every instruction reports to the word-gate site
 // and runs as a run of one (the slow path; the fast path pays nothing).
 // The whole batch runs under one obs vm-eval span carrying gates and
@@ -440,25 +628,25 @@ func (p *Program) EvalBatch(ctx context.Context, inputs [][]Word) (_ [][]Word, e
 	inj := faultinject.FromContext(ctx)
 
 	// Walk the run table: one kernel call per run, and a checkpoint
-	// whenever the next run would put more than pollStep instructions
-	// past the last one. Completed instructions are charged as gates.
-	lo, polled := 0, 0
-	for _, e := range p.runEnd {
-		hi := int(e)
-		if hi-polled > pollStep {
-			if err := p.checkpoint(ctx, bud, lo); err != nil {
+	// whenever the next run would put more than pollStep gates past the
+	// last one. done and polled count circuit gates, not instructions.
+	lo, done, polled := 0, 0, 0
+	for k, e := range p.runEnd {
+		hi, after := int(e), int(p.runGates[k])
+		if after-polled > pollStep {
+			if err := p.checkpoint(ctx, bud, done); err != nil {
 				return nil, err
 			}
-			polled = lo
+			polled = done
 		}
 		if inj == nil {
 			p.execRun(vals, S, lo, hi)
 		} else if err := p.execFaulty(inj, vals, S, lo, hi); err != nil {
 			return nil, err
 		}
-		lo = hi
+		lo, done = hi, after
 	}
-	if err := p.checkpoint(ctx, bud, lo); err != nil {
+	if err := p.checkpoint(ctx, bud, done); err != nil {
 		return nil, err
 	}
 
@@ -490,11 +678,11 @@ func (p *Program) EvalBatchOpts(ctx context.Context, inputs [][]Word, _ Options)
 	return p.EvalBatch(ctx, inputs)
 }
 
-// checkpoint polls ctx and charges the instructions completed so far
+// checkpoint polls ctx and charges the circuit gates completed so far
 // against the budget's gate cap.
 func (p *Program) checkpoint(ctx context.Context, bud *guard.Budget, done int) error {
 	if err := bud.CheckGates(ctx, done); err != nil {
-		return fmt.Errorf("vm: after %d instructions: %w", done, err)
+		return fmt.Errorf("vm: after %d gates: %w", done, err)
 	}
 	return nil
 }
@@ -530,11 +718,11 @@ func (p *Program) execFaulty(inj *faultinject.Injector, vals []Word, S, lo, hi i
 // the scalar kernel lane by lane otherwise.
 func (p *Program) execRun(vals []Word, S, lo, hi int) {
 	op := p.ops[lo]
-	dst, a, b, c := p.dst[lo:hi], p.a[lo:hi], p.b[lo:hi], p.c[lo:hi]
+	dst, dst2, a, b, c := p.dst[lo:hi], p.dst2[lo:hi], p.a[lo:hi], p.b[lo:hi], p.c[lo:hi]
 	if S == 1 {
-		scalarRun(vals, op, dst, a, b, c)
-	} else if !vecRun(vals, S, op, dst, a, b, c) {
-		stridedRun(vals, S, op, dst, a, b, c)
+		scalarRun(vals, op, dst, dst2, a, b, c)
+	} else if !vecRun(vals, S, op, dst, dst2, a, b, c) {
+		stridedRun(vals, S, op, dst, dst2, a, b, c)
 	}
 }
 
@@ -544,27 +732,27 @@ func (p *Program) execRun(vals []Word, S, lo, hi int) {
 // the slab (lane l of slot s is vals[l:][s*S]). Lanes may go one after
 // the other because no instruction of a level reads a slot another
 // writes. A run is at most pollStep long.
-func stridedRun(vals []Word, S int, op uint8, dst, a, b, c []int32) {
-	var sd, sa, sb, sc [pollStep]int32
+func stridedRun(vals []Word, S int, op uint8, dst, dst2, a, b, c []int32) {
+	var sd, sd2, sa, sb, sc [pollStep]int32
 	n, s32 := len(dst), int32(S)
 	for i := range dst {
-		sd[i], sa[i], sb[i], sc[i] = dst[i]*s32, a[i]*s32, b[i]*s32, c[i]*s32
+		sd[i], sd2[i], sa[i], sb[i], sc[i] = dst[i]*s32, dst2[i]*s32, a[i]*s32, b[i]*s32, c[i]*s32
 	}
 	for l := 0; l < S; l++ {
-		scalarRun(vals[l:], op, sd[:n], sa[:n], sb[:n], sc[:n])
+		scalarRun(vals[l:], op, sd[:n], sd2[:n], sa[:n], sb[:n], sc[:n])
 	}
 }
 
 // scalarRun is the one plain-Go kernel: vals[dst[i]] = vals[a[i]] op
-// vals[b[i]] for every instruction of a run. Comparisons and mux are
-// computed arithmetically (0/1 words, an all-ones or all-zero select
-// mask), so no branch or address depends on a wire value (modulus
-// alone tests its divisor and the remainder's sign). Indexing through
-// uint32 keeps the bounds check — a negative slot is a huge one — and
-// lets the index load fold into one instruction. b and c hold -1 where
-// the opcode has no such operand and are not read there.
-func scalarRun(vals []Word, op uint8, dst, a, b, c []int32) {
-	a, b, c = a[:len(dst)], b[:len(dst)], c[:len(dst)]
+// vals[b[i]] for every instruction of a run. Comparisons, mux and the
+// two fused forms are computed arithmetically (0/1 words, an all-ones or
+// all-zero select mask), so no branch or address depends on a wire value
+// (modulus alone tests its divisor and the remainder's sign). Indexing
+// through uint32 keeps the bounds check — a negative slot is a huge one
+// — and lets the index load fold into one instruction. b, c and dst2
+// hold -1 where the opcode has no such operand and are not read there.
+func scalarRun(vals []Word, op uint8, dst, dst2, a, b, c []int32) {
+	dst2, a, b, c = dst2[:len(dst)], a[:len(dst)], b[:len(dst)], c[:len(dst)]
 	switch op {
 	case opAdd:
 		for i, d := range dst {
@@ -610,6 +798,18 @@ func scalarRun(vals []Word, op uint8, dst, a, b, c []int32) {
 		for i, d := range dst {
 			m := -b2w(vals[uint32(c[i])] != 0) // 0 or all-ones
 			vals[uint32(d)] = vals[uint32(a[i])]&m | vals[uint32(b[i])]&^m
+		}
+	case opLex:
+		for i, d := range dst {
+			x, y := vals[uint32(a[i])], vals[uint32(b[i])]
+			vals[uint32(d)] = b2w(x < y) | b2w(x == y)&vals[uint32(c[i])]
+		}
+	case opSwap:
+		for i, d := range dst {
+			x, y := vals[uint32(a[i])], vals[uint32(b[i])]
+			t := (x ^ y) & -b2w(vals[uint32(c[i])] != 0) // x^y where the swap is taken, else 0
+			vals[uint32(d)] = y ^ t
+			vals[uint32(dst2[i])] = x ^ t
 		}
 	}
 }

@@ -3,6 +3,7 @@ package vm
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -47,7 +48,16 @@ func randomCircuit(rng *rand.Rand, nIn, nGates int) *boolcircuit.Circuit {
 	pick := func() int { return wires[rng.Intn(len(wires))] }
 	for i := 0; i < nGates; i++ {
 		var w int
-		switch rng.Intn(12) {
+		switch rng.Intn(14) {
+		case 12:
+			// One lexicographic-compare step, the shape Compile fuses.
+			a, b := pick(), pick()
+			w = c.Or(c.Lt(a, b), c.And(c.Eq(a, b), pick()))
+		case 13:
+			// A conditional swap; both halves join the wire pool.
+			cond, a, b := pick(), pick(), pick()
+			wires = append(wires, c.Mux(cond, a, b))
+			w = c.Mux(cond, b, a)
 		case 0:
 			w = c.Add(pick(), pick())
 		case 1:
@@ -283,9 +293,80 @@ func TestVMBudgetExhaustionMidLevel(t *testing.T) {
 		if !errors.Is(err, guard.ErrBudgetExceeded) {
 			t.Fatalf("B=%d budget mid-level: err=%v, want ErrBudgetExceeded", B, err)
 		}
-		// 512 completed instructions pass the cap of 1000, 1024 do not.
-		if !strings.Contains(err.Error(), "after 1024 instructions") {
+		// 512 completed gates pass the cap of 1000, 1024 do not.
+		if !strings.Contains(err.Error(), "after 1024 gates") {
 			t.Fatalf("B=%d: budget tripped at the wrong checkpoint: %v", B, err)
+		}
+	}
+	t.Run("fused", budgetChargesSourceGates)
+}
+
+// budgetChargesSourceGates: MaxGates is a cap on circuit gates, so a
+// program of fused instructions must trip it where the same gates unfused
+// would, give or take one run — not 1.9× later, which is what charging
+// instructions would do. The twin circuit has the same gates in the same
+// levels and fuses nothing: every Lt is also an output, and the two MUXes
+// of a pair listen to different conditions.
+func budgetChargesSourceGates(t *testing.T) {
+	const k = 1000 // lex steps and swap pairs, each: 6k gates in all
+	build := func(fusable bool) *boolcircuit.Circuit {
+		c := boolcircuit.New()
+		in := c.Inputs(4)
+		for i := 0; i < k; i++ {
+			a, b := in[0], c.Const(int64(i))
+			lt := c.Lt(a, b)
+			c.MarkOutput(c.Or(lt, c.And(c.Eq(a, b), in[1])))
+			cond := in[2]
+			if !fusable {
+				c.MarkOutput(lt)
+				cond = in[3]
+			}
+			c.MarkOutput(c.Mux(in[2], a, b))
+			c.MarkOutput(c.Mux(cond, b, a))
+		}
+		return c
+	}
+	var progs [2]*Program
+	for i, fusable := range []bool{true, false} {
+		var err error
+		if progs[i], err = Compile(context.Background(), build(fusable)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fused, plain := progs[0], progs[1]
+	if swaps, lexes := fused.Fused(); swaps != k || lexes != k || fused.Instructions() != 2*k {
+		t.Fatalf("fused program: %d swaps, %d lex steps, %d instructions; want %d, %d, %d", swaps, lexes, fused.Instructions(), k, k, 2*k)
+	}
+	if swaps, lexes := plain.Fused(); swaps != 0 || lexes != 0 || plain.Instructions() != 6*k {
+		t.Fatalf("twin program: %d swaps, %d lex steps, %d instructions; want 0, 0, %d", swaps, lexes, plain.Instructions(), 6*k)
+	}
+	tripAt := func(p *Program, B, maxGates int) int {
+		ctx := guard.WithBudget(context.Background(), &guard.Budget{MaxGates: int64(maxGates)})
+		_, err := p.EvalBatch(ctx, randInputs(rand.New(rand.NewSource(9)), 4, B))
+		if !errors.Is(err, guard.ErrBudgetExceeded) {
+			t.Fatalf("B=%d cap %d: err=%v, want ErrBudgetExceeded", B, maxGates, err)
+		}
+		var done int
+		if _, err := fmt.Sscanf(err.Error(), "vm: after %d gates", &done); err != nil {
+			t.Fatalf("B=%d cap %d: %v", B, maxGates, err)
+		}
+		return done
+	}
+	// The longest run is pollStep lex steps, four gates each.
+	const oneRun = pollStep * 4
+	for _, B := range []int{1, 8} {
+		for _, maxGates := range []int{1, 1000, 2500, 3999, 5000, 6*k - 1} {
+			got, want := tripAt(fused, B, maxGates), tripAt(plain, B, maxGates)
+			if got <= maxGates || got < want-oneRun || got > want+oneRun {
+				t.Fatalf("B=%d cap %d: fused program tripped after %d gates, its unfused twin after %d", B, maxGates, got, want)
+			}
+		}
+		// A cap the circuit fits under passes both, to the gate.
+		for _, p := range progs {
+			ctx := guard.WithBudget(context.Background(), &guard.Budget{MaxGates: 6 * k})
+			if _, err := p.EvalBatch(ctx, randInputs(rand.New(rand.NewSource(9)), 4, B)); err != nil {
+				t.Fatalf("B=%d cap %d: %v", B, 6*k, err)
+			}
 		}
 	}
 }
@@ -415,12 +496,15 @@ func TestVMProgramShape(t *testing.T) {
 
 // TestVMLevelsAreOpcodeRuns pins the layout Compile writes in place: the
 // levels partition the instruction buffer, every level is a sequence of
-// opcode runs in ascending opcode order, no instruction writes a slot one
-// of its own operands occupies, and the run table the executor walks
-// partitions the buffer into runs of one opcode that cross no level
-// boundary and are at most pollStep long.
+// opcode runs in ascending opcode order, the levels are levels of the
+// fused DAG — an instruction reads only slots written at an earlier level
+// (or prefilled) and no two instructions of a level write the same slot —
+// and the run table the executor walks partitions the buffer into runs of
+// one opcode that cross no level boundary and are at most pollStep long,
+// with the gates completed after each.
 func TestVMLevelsAreOpcodeRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	var fused int
 	for trial := 0; trial < 20; trial++ {
 		c := randomCircuit(rng, 6, 400)
 		if trial == 0 {
@@ -434,17 +518,39 @@ func TestVMLevelsAreOpcodeRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		swaps, lexes := p.Fused()
+		fused += swaps + lexes
+
+		// writtenAt[s] is the level that last wrote slot s, 0 for a
+		// prefilled or never-written slot.
+		writtenAt := make([]int, p.Slots())
 		lo := int32(0)
 		for l, hi := range p.levelEnd {
-			if hi < lo {
-				t.Fatalf("level %d ends at %d, before it starts at %d", l+1, hi, lo)
+			if hi <= lo {
+				t.Fatalf("level %d is empty or backwards: [%d,%d)", l+1, lo, hi)
 			}
 			for i := lo; i < hi; i++ {
 				if i > lo && p.ops[i] < p.ops[i-1] {
 					t.Fatalf("level %d: opcode %d at %d follows opcode %d", l+1, p.ops[i], i, p.ops[i-1])
 				}
-				if p.dst[i] == p.a[i] || p.dst[i] == p.b[i] || p.dst[i] == p.c[i] {
-					t.Fatalf("instruction %d writes its own operand slot %d", i, p.dst[i])
+				if (p.dst2[i] >= 0) != (p.ops[i] == opSwap) {
+					t.Fatalf("instruction %d (opcode %d) has second destination %d", i, p.ops[i], p.dst2[i])
+				}
+				for _, d := range [2]int32{p.dst[i], p.dst2[i]} {
+					if d < 0 {
+						continue
+					}
+					if writtenAt[d] == l+1 {
+						t.Fatalf("level %d: slot %d is written twice", l+1, d)
+					}
+					writtenAt[d] = l + 1
+				}
+			}
+			for i := lo; i < hi; i++ {
+				for _, s := range [3]int32{p.a[i], p.b[i], p.c[i]} {
+					if s >= 0 && writtenAt[s] == l+1 {
+						t.Fatalf("level %d: instruction %d reads slot %d, which the level writes", l+1, i, s)
+					}
 				}
 			}
 			lo = hi
@@ -453,7 +559,7 @@ func TestVMLevelsAreOpcodeRuns(t *testing.T) {
 			t.Fatalf("levels cover %d of %d instructions", lo, p.Instructions())
 		}
 
-		lo, level, longest := 0, 0, int32(0)
+		lo, level, longest, gates := 0, 0, int32(0), int32(0)
 		for k, hi := range p.runEnd {
 			if hi <= lo {
 				t.Fatalf("run %d is empty or backwards: [%d,%d)", k, lo, hi)
@@ -470,13 +576,23 @@ func TestVMLevelsAreOpcodeRuns(t *testing.T) {
 					t.Fatalf("run %d [%d,%d) mixes opcodes %d and %d", k, lo, hi, p.ops[lo], p.ops[i])
 				}
 			}
+			gates += (hi - lo) * gateWeight[p.ops[lo]]
+			if p.runGates[k] != gates {
+				t.Fatalf("run %d: %d gates done by the run table, %d by the opcodes", k, p.runGates[k], gates)
+			}
 			lo = hi
 		}
 		if int(lo) != p.Instructions() {
 			t.Fatalf("runs cover %d of %d instructions", lo, p.Instructions())
 		}
+		if want := p.Instructions() + swaps + 3*lexes; int(gates) != want {
+			t.Fatalf("the run table ends at %d gates; %d instructions, %d swaps and %d lex steps stand for %d", gates, p.Instructions(), swaps, lexes, want)
+		}
 		if longest > pollStep || (trial == 0 && longest != pollStep) {
 			t.Fatalf("trial %d: longest run is %d instructions, pollStep is %d", trial, longest, pollStep)
 		}
+	}
+	if fused == 0 {
+		t.Fatal("no trial fused anything: the fused layout went unchecked")
 	}
 }

@@ -42,17 +42,23 @@ func (c *CompiledQuery) CompileVM(ctx context.Context) (_ *VMProgram, err error)
 // Gates returns the program's wire count (the circuit's size).
 func (p *VMProgram) Gates() int { return p.prog.Gates() }
 
-// Instructions returns the compute instructions executed per request
-// (gates minus inputs, constants, and dead gates the lowering dropped).
+// Instructions returns the instructions executed per request: gates
+// minus inputs, constants and dead gates the lowering dropped, with each
+// fused super-instruction (see Fused) counted once.
 func (p *VMProgram) Instructions() int { return p.prog.Instructions() }
+
+// Fused returns how many of the instructions are the sorting network's
+// conditional swap (two MUX gates in one) and how many are a
+// lexicographic-compare step (four gates in one).
+func (p *VMProgram) Fused() (swaps, lexes int) { return p.prog.Fused() }
 
 // Slots returns the value slots per request lane: the maximum number of
 // simultaneously live wires after the lowering's liveness pass. The
 // evaluator's working set is Slots × batch-size words.
 func (p *VMProgram) Slots() int { return p.prog.Slots() }
 
-// Levels returns the program's instruction-level count (the circuit's
-// depth).
+// Levels returns the program's instruction-level count: the circuit's
+// depth with every fused step counted as one gate.
 func (p *VMProgram) Levels() int { return p.prog.Levels() }
 
 // Runs returns how many same-opcode runs the instructions fall into:

@@ -171,7 +171,7 @@ func checkPeephole(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if swaps, lexes := p.Fused(); swaps != tc.swaps || lexes != tc.lexes {
-			t.Fatalf("%s: fused %d swaps and %d lex steps, want %d and %d", tc.name, swaps, lexes, tc.swaps, tc.lexes)
+			t.Errorf("%s: fused %d swaps and %d lex steps, want %d and %d", tc.name, swaps, lexes, tc.swaps, tc.lexes)
 		}
 		for _, B := range []int{1, 5} {
 			for trial := 0; trial < 40; trial++ {

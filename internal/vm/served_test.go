@@ -2,6 +2,7 @@ package vm
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -93,18 +94,44 @@ func TestVMCatalogMatchesInterp(t *testing.T) { checkCatalog(t) }
 // TestVMServedShapeSize pins what fusing buys on the benchmark's hot-eval
 // shape, triangle at 16 tuples under derived constraints: 99 408 live
 // gates in 1 426 levels run as at most 55 000 instructions in at most
-// 1 100, in no more slots than before.
+// 1 100, in no more slots than before. With -v it also prints the opcode
+// census of every shape the benchmark serves, the table EXPERIMENTS.md
+// keeps: which opcodes an evaluation is made of, and so what a next
+// fused form could be worth.
 func TestVMServedShapeSize(t *testing.T) {
-	c, _ := servedCircuit(t, query.Triangle(), 1, 16)
-	p, err := Compile(context.Background(), c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	swaps, lexes := p.Fused()
-	t.Logf("triangle·16: %d gates -> %d instructions (%d swap, %d lex), %d runs, %d levels, %d slots",
-		p.Gates(), p.Instructions(), swaps, lexes, p.Runs(), p.Levels(), p.Slots())
-	if p.Instructions() > 55000 || p.Levels() > 1100 || p.Slots() > 1570 {
-		t.Fatalf("triangle·16: %d instructions in %d levels over %d slots; want at most 55000, 1100, 1570",
-			p.Instructions(), p.Levels(), p.Slots())
+	names := [numOps]string{opAdd: "add", opSub: "sub", opMul: "mul", opMod: "mod", opAnd: "and", opOr: "or",
+		opXor: "xor", opNot: "not", opEq: "eq", opLt: "lt", opMux: "mux", opLex: "lex", opSwap: "swap"}
+	for _, shape := range []struct {
+		name, src string
+		tuples    int
+	}{
+		{"triangle·16", "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 16},
+		{"triangle·12", "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 12},
+		{"cycle4·8", "Q(A,B,C,D) :- R(A,B), S(B,C), T(C,D), U(D,A)", 8},
+		{"triangle·4", "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 4},
+		{"path2·4", "Q(A,B,C) :- R(A,B), S(B,C)", 4},
+		{"pair·4", "Q(A,B) :- R(A,B), S(A,B)", 4},
+	} {
+		c, _ := servedCircuit(t, query.MustParse(shape.src), 1, shape.tuples)
+		p, err := Compile(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var count [numOps]int
+		for _, op := range p.ops {
+			count[op]++
+		}
+		census := ""
+		for op, k := range count {
+			if k > 0 {
+				census += fmt.Sprintf(" %s %d", names[op], k)
+			}
+		}
+		t.Logf("%s: %d gates -> %d instructions, %d runs, %d levels, %d slots:%s",
+			shape.name, p.Gates(), p.Instructions(), p.Runs(), p.Levels(), p.Slots(), census)
+		if shape.name == "triangle·16" && (p.Instructions() > 55000 || p.Levels() > 1100 || p.Slots() > 1570) {
+			t.Fatalf("triangle·16: %d instructions in %d levels over %d slots; want at most 55000, 1100, 1570",
+				p.Instructions(), p.Levels(), p.Slots())
+		}
 	}
 }

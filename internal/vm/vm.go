@@ -216,6 +216,7 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 	lastLevel := make([]int32, n)
 	slotOf := make([]int32, n)
 	var lexReads [][3]int32
+	var consts []int32 // the live constant gates
 	lastMux := make([]int32, depth+1)
 	bucketEnd := make([]int32, depth+1) // entries of level d, then (prefix sum) where they end in byLevel
 	for i := 0; i < n; i++ {
@@ -232,7 +233,7 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 			continue
 		}
 		if g.Op == boolcircuit.OpConst {
-			p.consts = append(p.consts, constInit{slot: int32(i), k: g.K}) // slot: the wire, until pass 4 gives it one
+			consts = append(consts, int32(i))
 			continue
 		}
 		op, ok := vmOp(g.Op)
@@ -351,8 +352,8 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 		}
 		p.inputSlots = append(p.inputSlots, alloc(int32(id)))
 	}
-	for i := range p.consts {
-		p.consts[i].slot = alloc(p.consts[i].slot)
+	for _, id := range consts {
+		p.consts = append(p.consts, constInit{slot: alloc(id), k: c.GateAt(int(id)).K})
 	}
 
 	// Within a level instructions are independent (their operands all

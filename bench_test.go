@@ -659,14 +659,13 @@ func BenchmarkCompileStages(b *testing.B) {
 		{"cycle4", query.Cycle4(), query.Cardinalities(query.Cycle4(), 8)},
 		{"triangle16-derived", query.Triangle(), derived},
 	} {
-		dcs := tc.dcs
 		b.Run(tc.name, func(b *testing.B) {
 			var lpSolve, lowerFold, sweep, vmCompile time.Duration
 			var prog *vm.Program
 			gates := 0
 			for i := 0; i < b.N; i++ {
 				tracer := obs.NewTracer(1)
-				compiled, err := core.CompileQueryCtx(obs.WithTracer(ctx, tracer), tc.q, dcs)
+				compiled, err := core.CompileQueryCtx(obs.WithTracer(ctx, tracer), tc.q, tc.dcs)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -21,21 +22,12 @@ const (
 	poisonB Word = ^poisonA
 )
 
-// sharedProgram compiles one catalog query against degree constraints two
-// different seeded databases both satisfy (the element-wise maximum of
-// what each measures), so one program serves both, and packs the two.
-func sharedProgram(t *testing.T, name string, tuples int) (*Program, [2][]Word) {
+// sharedProgram compiles q against degree constraints two different
+// seeded databases both satisfy (the element-wise maximum of what each
+// measures), so one program serves both, and packs the two.
+func sharedProgram(t *testing.T, name string, q *query.Query, tuples int) (*Program, [2][]Word) {
 	t.Helper()
 	ctx := context.Background()
-	var q *query.Query
-	for _, ent := range query.Catalog() {
-		if ent.Name == name {
-			q = ent.Query
-		}
-	}
-	if q == nil {
-		t.Fatalf("no catalog query %q", name)
-	}
 	dbs := [2]query.Database{workload.ForQuery(q, 1, tuples), workload.ForQuery(q, 2, tuples)}
 	dcs, err := query.DeriveDC(q, dbs[0])
 	if err != nil {
@@ -180,6 +172,25 @@ func traceRuns(t *testing.T, p *Program, inputs [][]Word) (trace []int32, out []
 	return trace, out
 }
 
+// budgetTrip runs EvalBatch under a cap of maxGates and returns the gate
+// count of the checkpoint that refused to go on, or false when the whole
+// evaluation fit under the cap.
+func budgetTrip(t *testing.T, p *Program, inputs [][]Word, maxGates int) (done int, tripped bool) {
+	t.Helper()
+	ctx := guard.WithBudget(context.Background(), &guard.Budget{MaxGates: int64(maxGates)})
+	_, err := p.EvalBatch(ctx, inputs)
+	if err == nil {
+		return 0, false
+	}
+	if !errors.Is(err, guard.ErrBudgetExceeded) {
+		t.Fatalf("cap %d: err=%v, want ErrBudgetExceeded", maxGates, err)
+	}
+	if _, scanErr := fmt.Sscanf(err.Error(), "vm: after %d", &done); scanErr != nil || done <= maxGates {
+		t.Fatalf("cap %d: tripped at an unreadable or impossible checkpoint: %v", maxGates, err)
+	}
+	return done, true
+}
+
 // checkpoints returns the position of every budget checkpoint of
 // EvalBatch on inputs, in the unit the evaluator charges, read off the
 // real executor: a gate cap one below a checkpoint trips exactly there.
@@ -187,14 +198,9 @@ func checkpoints(t *testing.T, p *Program, inputs [][]Word) []int {
 	t.Helper()
 	var at []int
 	for limit := 1; ; {
-		ctx := guard.WithBudget(context.Background(), &guard.Budget{MaxGates: int64(limit)})
-		_, err := p.EvalBatch(ctx, inputs)
-		if err == nil {
+		done, tripped := budgetTrip(t, p, inputs, limit)
+		if !tripped {
 			return at
-		}
-		var done int
-		if _, scanErr := fmt.Sscanf(err.Error(), "vm: after %d", &done); scanErr != nil || done <= limit {
-			t.Fatalf("budget of %d: unexpected error %v", limit, err)
 		}
 		at = append(at, done)
 		limit = done
@@ -211,9 +217,10 @@ func checkpoints(t *testing.T, p *Program, inputs [][]Word) []int {
 func TestVMEvalIsOblivious(t *testing.T) {
 	for _, shape := range []struct {
 		query  string
+		q      *query.Query
 		tuples int
-	}{{"triangle", 8}, {"cycle4", 6}} {
-		prog, packed := sharedProgram(t, shape.query, shape.tuples)
+	}{{"triangle", query.Triangle(), 8}, {"cycle4", query.Cycle4(), 6}} {
+		prog, packed := sharedProgram(t, shape.query, shape.q, shape.tuples)
 		for _, B := range []int{1, 8} {
 			var traces [2][]int32
 			var polls [2][]int

@@ -142,16 +142,21 @@ var peepholeCases = []struct {
 	}},
 }
 
-// adversarialInputs returns B input vectors of width n over the values
-// the fused kernels could get wrong: extremes, equal operands, and words
-// that are neither 0 nor 1 where a gate expects a truth value.
+// adversarialWord draws one of the values the fused kernels could get
+// wrong: extremes, small equal-prone values, and words that are neither 0
+// nor 1 where a gate expects a truth value.
+func adversarialWord(rng *rand.Rand) Word {
+	edge := [...]Word{0, 1, -1, 2, 6, math.MinInt64, math.MaxInt64, math.MinInt64 + 1}
+	return edge[rng.Intn(len(edge))]
+}
+
+// adversarialInputs returns B input vectors of width n of such words.
 func adversarialInputs(rng *rand.Rand, n, B int) [][]Word {
-	edge := []Word{0, 1, -1, 2, 6, math.MinInt64, math.MaxInt64, math.MinInt64 + 1}
 	out := make([][]Word, B)
 	for r := range out {
 		out[r] = make([]Word, n)
 		for i := range out[r] {
-			out[r][i] = edge[rng.Intn(len(edge))]
+			out[r][i] = adversarialWord(rng)
 		}
 	}
 	return out

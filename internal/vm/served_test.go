@@ -53,7 +53,7 @@ func checkCatalog(t *testing.T) {
 				inputs[r] = append([]Word(nil), packed...)
 				for i := range inputs[r] {
 					if rng.Intn(4) == 0 {
-						inputs[r][i] = adversarialInputs(rng, 1, 1)[0][0] ^ Word(rng.Intn(3))
+						inputs[r][i] = adversarialWord(rng) ^ Word(rng.Intn(3))
 					}
 				}
 			}

@@ -11,9 +11,8 @@
 // the two shapes a sorting network's comparator lowers to (a
 // lexicographic-compare step, four gates; a conditional swap, two) into
 // one instruction each, lays the instructions out contiguously in level
-// order (opcode and
-// operand slot indices in parallel arrays, no Gate structs, no
-// interface dispatch), and register-allocates wire values into reusable
+// order (opcode and operand slot indices in parallel arrays, no Gate
+// structs, no interface dispatch), and register-allocates wire values into reusable
 // slots so the evaluator's arena slab (vals[slot*S+r], the S lanes of
 // one value adjacent; S is 1 for a single request, else B rounded up to
 // a multiple of 8) is sized by the maximum live width of the circuit,
@@ -286,6 +285,7 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 	for d := 1; d <= depth; d++ {
 		bucketEnd[d] += bucketEnd[d-1]
 	}
+	p.lexes = len(lexReads)
 	entries := int(bucketEnd[depth])
 	total := entries - p.swaps // a swap's second half is an entry, not an instruction
 	// Outputs are pinned past every level so the final transpose can read
@@ -434,7 +434,6 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 		p.outSlots = append(p.outSlots, slotOf[id])
 	}
 	p.numSlots = int(next)
-	p.lexes = len(lexReads)
 	return p, nil
 }
 

@@ -3,7 +3,6 @@ package vm
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -341,14 +340,9 @@ func budgetChargesSourceGates(t *testing.T) {
 		t.Fatalf("twin program: %d swaps, %d lex steps, %d instructions; want 0, 0, %d", swaps, lexes, plain.Instructions(), 6*k)
 	}
 	tripAt := func(p *Program, B, maxGates int) int {
-		ctx := guard.WithBudget(context.Background(), &guard.Budget{MaxGates: int64(maxGates)})
-		_, err := p.EvalBatch(ctx, randInputs(rand.New(rand.NewSource(9)), 4, B))
-		if !errors.Is(err, guard.ErrBudgetExceeded) {
-			t.Fatalf("B=%d cap %d: err=%v, want ErrBudgetExceeded", B, maxGates, err)
-		}
-		var done int
-		if _, err := fmt.Sscanf(err.Error(), "vm: after %d gates", &done); err != nil {
-			t.Fatalf("B=%d cap %d: %v", B, maxGates, err)
+		done, tripped := budgetTrip(t, p, randInputs(rand.New(rand.NewSource(9)), 4, B), maxGates)
+		if !tripped {
+			t.Fatalf("B=%d cap %d: the evaluation fit under the cap", B, maxGates)
 		}
 		return done
 	}

@@ -36,13 +36,11 @@
 // binary wire protocol (internal/wire) on a TCP listener: clients
 // pipeline length-prefixed requests over one connection, responses
 // return out of order correlated by ID, and per-request deadlines and
-// priorities map onto the engine's admission machinery. -shards splits
-// the engine into independently locked shards routed by plan
-// fingerprint; -batch-size/-batch-window enable same-fingerprint vm
-// batch coalescing. Like -admin, -listen keeps the process up past
-// stdin EOF:
+// priorities map onto the engine's admission machinery.
+// -batch-size/-batch-window enable same-fingerprint vm batch
+// coalescing. Like -admin, -listen keeps the process up past stdin EOF:
 //
-//	circuitd -listen :7420 -shards 8 -batch-size 8 </dev/null &
+//	circuitd -listen :7420 -batch-size 8 </dev/null &
 //	circuitload -addr :7420 -clients 16 -duration 10s
 //
 // With -store DIR compiled plans persist across restarts: every compile
@@ -98,7 +96,6 @@ func run() int {
 	var (
 		n          = flag.Int("n", 16, "tuples per generated relation")
 		seed       = flag.Int64("seed", 1, "generator seed")
-		workers    = flag.Int("workers", 0, "engine workers (0: GOMAXPROCS)")
 		cacheGates = flag.Int64("cache-gates", 0, "plan cache budget in gates (0: default, <0: unlimited)")
 		timeout    = flag.Duration("timeout", 0, "per-request timeout (0: none)")
 		gateBudget = flag.Int64("gate-budget", 0, "per-request gate evaluation budget (0: none)")
@@ -110,7 +107,6 @@ func run() int {
 		shed       = flag.String("shed-policy", "block", "full-queue behavior: block (wait), shed (reject with a typed overload error), adaptive (shed, and shed low-priority requests first when a lane is 3/4 full)")
 		drain      = flag.Duration("drain", 10*time.Second, "graceful-drain bound on shutdown; queued work past it fails with typed errors")
 		listen     = flag.String("listen", "", "wire-protocol TCP listen address (e.g. :7420); pipelined binary requests served concurrently")
-		shards     = flag.Int("shards", 0, "engine shards routed by plan fingerprint, each with its own cache and lanes (0: 1)")
 		batchSize  = flag.Int("batch-size", 0, "max same-fingerprint requests coalesced into one vm batch (<=1: off)")
 		batchWin   = flag.Duration("batch-window", 0, "how long a fresh batch waits for companions (0: 250µs when -batch-size enables coalescing)")
 		storeDir   = flag.String("store", "", "persistent plan store directory: compiled plans are written back and warm-loaded on start, so a restart never recompiles a known shape")
@@ -123,13 +119,10 @@ func run() int {
 		log.Print(err)
 		return 2
 	}
-	if *inflight == 0 && *workers != 0 {
-		*inflight = *workers // -workers is the legacy spelling
-	}
 
 	// The persistent plan store makes compiled plans durable: every
-	// compile is written back, and warm-start promotes the whole store
-	// into the plan caches before the first request, so a restarted
+	// compile is written back, and the engine promotes the whole store
+	// into its plan cache before the first request, so a restarted
 	// daemon serves known shapes with zero compiles.
 	var planStore *circuitql.PlanStore
 	if *storeDir != "" {
@@ -174,11 +167,9 @@ func run() int {
 		MaxCacheGates:  *cacheGates,
 		Tracer:         tracer,
 		NoOpt:          *noOpt,
-		Shards:         *shards,
 		BatchMaxSize:   *batchSize,
 		BatchWindow:    *batchWin,
 		Store:          planStore,
-		WarmStart:      planStore != nil,
 	})
 	// Deadline-bounded drain instead of a plain Close: queued requests
 	// get *drain to finish; engine-owned compiles are canceled past it.
@@ -209,7 +200,7 @@ func run() int {
 		})
 		wireErr := make(chan error, 1)
 		go func() { wireErr <- wireSrv.Serve(ln) }()
-		log.Printf("wire protocol listening on %s (shards=%d)", ln.Addr(), eng.ShardCount())
+		log.Printf("wire protocol listening on %s", ln.Addr())
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), *drain)
 			defer cancel()

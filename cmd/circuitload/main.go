@@ -7,13 +7,13 @@
 // Wire mode (-addr) measures a live circuitd across the network,
 // including framing and the round trip:
 //
-//	circuitd -listen :7420 -shards 8 -batch-size 8 </dev/null &
+//	circuitd -listen :7420 -batch-size 8 </dev/null &
 //	circuitload -addr :7420 -clients 16 -duration 10s
 //
-// Embedded mode (no -addr) spins up an in-process engine, so shard and
+// Embedded mode (no -addr) spins up an in-process engine, so worker and
 // batching settings can be swept without a daemon:
 //
-//	circuitload -shards 8 -batch-size 8 -clients 16 -duration 10s
+//	circuitload -workers 8 -batch-size 8 -clients 16 -duration 10s
 //
 // Embedded mode also prints the engine's vm batch-size histogram —
 // the direct evidence of request coalescing under the skewed load —
@@ -51,7 +51,6 @@ func run() int {
 		conns    = flag.Int("conns", 2, "wire connections (wire mode); each multiplexes many requests")
 
 		// Embedded-engine knobs; ignored in wire mode.
-		shardsN  = flag.Int("shards", 1, "engine shards (embedded mode)")
 		workers  = flag.Int("workers", 0, "engine workers (embedded mode; 0: GOMAXPROCS)")
 		batchSz  = flag.Int("batch-size", 8, "vm batch coalescing cap (embedded mode; <=1: off)")
 		batchWin = flag.Duration("batch-window", 0, "batch companion wait (embedded mode; 0: default)")
@@ -82,7 +81,6 @@ func run() int {
 	}
 
 	eng := engine.New(engine.Config{
-		Shards:       *shardsN,
 		Workers:      *workers,
 		BatchMaxSize: *batchSz,
 		BatchWindow:  *batchWin,
@@ -93,8 +91,8 @@ func run() int {
 		log.Print(err)
 		return 1
 	}
-	log.Printf("embedded engine: %d shards, batch<=%d; %d clients x %d shapes, zipf %.2f, %v",
-		eng.ShardCount(), *batchSz, cfg.Clients, cfg.Shapes, cfg.ZipfS, cfg.Duration)
+	log.Printf("embedded engine: batch<=%d; %d clients x %d shapes, zipf %.2f, %v",
+		*batchSz, cfg.Clients, cfg.Shapes, cfg.ZipfS, cfg.Duration)
 	fmt.Print(loadgen.Run(cfg, target))
 
 	snap := eng.QoS()

@@ -96,9 +96,8 @@ func QueryFingerprint(q *Query, dcs DCSet) (Fingerprint, error) {
 // PlanStore is a persistent plan-artifact store: compiled plans survive
 // process restarts as versioned, checksummed files keyed by canonical
 // fingerprint, written atomically so a crash can never corrupt a
-// visible artifact. Set EngineConfig.Store to one (with WarmStart) and
-// a restarted engine serves every previously-compiled shape without
-// recompiling.
+// visible artifact. Set EngineConfig.Store to one and a restarted engine
+// serves every previously-compiled shape without recompiling.
 type PlanStore = store.Store
 
 // PlanStoreStats is a snapshot of a PlanStore's counters: resident
@@ -163,9 +162,6 @@ type EngineRequest = engine.Request
 func (e *Engine) SubmitRequest(ctx context.Context, req EngineRequest) <-chan ServeResult {
 	return e.inner.Submit(ctx, req)
 }
-
-// ShardCount reports how many shards the engine runs (EngineConfig.Shards).
-func (e *Engine) ShardCount() int { return e.inner.ShardCount() }
 
 // ServeBatch fans a slice of independent requests across the worker
 // pool and waits for all of them; results are positional. With

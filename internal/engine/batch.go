@@ -9,16 +9,20 @@ import (
 	"circuitql/internal/guard"
 	"circuitql/internal/obs"
 	"circuitql/internal/qos"
-	"circuitql/internal/query"
 	"circuitql/internal/vm"
 )
 
-// batcher coalesces concurrent same-fingerprint vm evaluations into
-// lock-step batches: the first request of a fingerprint opens a window;
+// batcher coalesces concurrent evaluations of one vm program into
+// lock-step batches: the first request of a program opens a window;
 // companions arriving within it join; the batch dispatches when it
 // fills (maxSize) or the window elapses. One worker's goroutine (or the
 // window timer) runs the whole batch through vm.Program.EvalBatch and
 // fans the per-request output slices back out.
+//
+// Windows are keyed by program, not by fingerprint: a fingerprint has
+// two programs while a hit-lane job still holds an evicted entry and the
+// plan has been recompiled or reloaded from the store, and each program
+// needs its own window.
 //
 // Deadline fan-out: each member keeps waiting on its own context, so a
 // member whose clock runs out unblocks immediately with its deadline
@@ -33,7 +37,7 @@ type batcher struct {
 	ledger  *qos.Ledger
 
 	mu   sync.Mutex
-	pend map[query.Fingerprint]*pendingBatch
+	pend map[*vm.Program]*pendingBatch
 }
 
 type member struct {
@@ -59,31 +63,29 @@ func newBatcher(maxSize int, window time.Duration, lifeCtx context.Context, ledg
 		window:  window,
 		lifeCtx: lifeCtx,
 		ledger:  ledger,
-		pend:    make(map[query.Fingerprint]*pendingBatch),
+		pend:    make(map[*vm.Program]*pendingBatch),
 	}
 }
 
-// do submits one request's packed inputs for fingerprint fp and blocks
-// until its slice of the batch output (or an error) is ready, or until
-// the request's own context dies.
-func (b *batcher) do(ctx context.Context, fp query.Fingerprint, prog *vm.Program, inputs []vm.Word) ([]vm.Word, error) {
+// do submits one request's packed inputs for prog and blocks until its
+// slice of the batch output (or an error) is ready, or until the
+// request's own context dies.
+func (b *batcher) do(ctx context.Context, prog *vm.Program, inputs []vm.Word) ([]vm.Word, error) {
 	m := &member{ctx: ctx, inputs: inputs, out: make(chan memberResult, 1)}
 
 	b.mu.Lock()
-	pb := b.pend[fp]
-	if pb == nil || pb.prog != prog {
-		// First member (or the plan was recompiled mid-window: keep the
-		// old batch dispatching on its own timer and open a fresh one).
+	pb := b.pend[prog]
+	if pb == nil {
 		pb = &pendingBatch{prog: prog, members: []*member{m}}
-		b.pend[fp] = pb
+		b.pend[prog] = pb
 		pb.timer = time.AfterFunc(b.window, func() {
 			b.mu.Lock()
-			if b.pend[fp] != pb {
+			if b.pend[prog] != pb {
 				// Already dispatched by the size trigger.
 				b.mu.Unlock()
 				return
 			}
-			delete(b.pend, fp)
+			delete(b.pend, prog)
 			b.mu.Unlock()
 			b.run(pb)
 		})
@@ -92,7 +94,7 @@ func (b *batcher) do(ctx context.Context, fp query.Fingerprint, prog *vm.Program
 		pb.members = append(pb.members, m)
 		if len(pb.members) >= b.maxSize {
 			// Full: dispatch now on this worker's goroutine.
-			delete(b.pend, fp)
+			delete(b.pend, prog)
 			pb.timer.Stop()
 			b.mu.Unlock()
 			b.run(pb)

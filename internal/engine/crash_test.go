@@ -125,7 +125,7 @@ func TestCrashRecovery(t *testing.T) {
 	}
 
 	// Restart: every surviving plan serves warm, with zero compiles.
-	eng := New(Config{Store: st, WarmStart: true})
+	eng := New(Config{Store: st})
 	defer eng.Close()
 	served := 0
 	for _, name := range []string{"triangle", "path3"} {

@@ -22,9 +22,14 @@
 //     here and the same plan loaded from the store are served alike;
 //   - independent requests fan out across a bounded worker pool.
 //
-// Everything admission derives before it touches a shard — the canonical
-// form, its fingerprint (the cache key and the shard route) and the
-// output rename plan — is a function of (Query, DCs) alone, as the
+// The cache, singleflight map, lanes and batcher are one each, not split
+// N ways by fingerprint: at equal total workers that never raised
+// throughput, and it left a hot fingerprint 1/N of the workers (ROADMAP,
+// "Measured and rejected").
+//
+// Everything admission derives before it touches the engine's state — the
+// canonical form, its fingerprint (the cache key) and the output rename
+// plan — is a function of (Query, DCs) alone, as the
 // circuit is. Prepare computes it once and returns the request carrying
 // it; Submit uses that memo when the request still holds the very Query
 // and DCs it was made from, and canonicalizes as it always did
@@ -33,7 +38,7 @@
 // a function of the pair and runs on every request.
 //
 // A request takes one of two paths, both readable top to bottom in this
-// file. Admission (enqueue) looks the plan up once, under the shard
+// file. Admission (enqueue) looks the plan up once, under the engine
 // lock it already takes to read closed, and the job carries what it
 // found:
 //
@@ -96,7 +101,7 @@ const (
 	TierRAM = "ram"
 )
 
-// tierID indexes the tier table and the per-tier shard state.
+// tierID indexes the tier table and the engine's per-tier state.
 type tierID int
 
 const (
@@ -107,7 +112,7 @@ const (
 
 // tiers is the one table of what the engine knows per tier: its public
 // name and the deadline-accounting stage a request is in while the tier
-// runs. The per-tier estimators and served counters on shard are
+// runs. The per-tier estimators and served counters on Engine are
 // indexed the same way.
 var tiers = [numTiers]struct {
 	name  string
@@ -157,13 +162,6 @@ func (p ShedPolicy) String() string {
 
 // Config sizes the engine. The zero value selects sensible defaults.
 type Config struct {
-	// Shards is how many independent engine shards to run. Requests
-	// route by canonical fingerprint to one shard, which owns its plan
-	// cache, singleflight map, QoS lanes, and batcher, so none of those
-	// locks or windows cross shards. Workers, queue depths, and cache
-	// budgets below are engine-wide totals divided across shards.
-	// 0 selects 1 (the unsharded engine).
-	Shards int
 	// MaxCacheGates caps the summed gate count (relational + oblivious)
 	// of cached plans; the least recently used plans are evicted beyond
 	// it. 0 selects 1<<22 gates; negative means unlimited.
@@ -211,21 +209,14 @@ type Config struct {
 	// compile misses check it before compiling — a disk hit promotes
 	// the stored plan into the cache without running the compiler —
 	// fresh compiles persist their plan, and LRU-evicted compiled plans
-	// write back. One Store is shared by all shards (it is
-	// concurrency-safe); the fingerprint keying makes shard ownership
-	// irrelevant on disk.
+	// write back. New loads every stored plan into the plan cache, so a
+	// restarted engine serves every previously compiled shape without a
+	// single compile; plans beyond the cache budget are evicted normally
+	// (they stay on disk).
 	Store *store.Store
-	// WarmStart, with Store set, loads every stored plan into the shard
-	// plan caches at New, so a restarted engine serves every previously
-	// compiled shape without a single compile. Plans beyond the cache
-	// budget are evicted normally (they stay on disk).
-	WarmStart bool
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
 	if c.MaxCacheGates == 0 {
 		c.MaxCacheGates = 1 << 22
 	}
@@ -276,8 +267,8 @@ type prepared struct {
 	query *query.Query
 	dcs   query.DCSet
 
-	// canon is the canonical form — its FP is the plan-cache key and the
-	// shard route — or nil with err the typed canonicalization failure.
+	// canon is the canonical form — its FP is the plan-cache key — or nil
+	// with err the typed canonicalization failure.
 	canon *query.Canonical
 	err   error
 
@@ -356,13 +347,10 @@ type Result struct {
 	EvalTime    time.Duration
 }
 
-// shard is one self-contained slice of the serving engine: it owns its
-// plan cache, singleflight map, QoS lanes, worker pool, and batcher.
-// The sharded Engine (sharded.go) routes every request whose canonical
-// fingerprint maps here, so cache locks, LRU eviction, and coalescing
-// windows never cross shards, and exactly-once compile per fingerprint
-// holds shard-locally.
-type shard struct {
+// Engine is the serving engine: one plan cache, singleflight map, pair
+// of QoS lanes, worker pool and batcher. Create with New, stop with
+// Close.
+type Engine struct {
 	cfg Config
 
 	mu      sync.Mutex // guards cache, flights, closed
@@ -415,15 +403,15 @@ type job struct {
 	out      chan Result
 }
 
-// newShard starts one shard. cfg is the already-defaulted per-shard
-// slice of the engine configuration (New divides workers, queue depths,
-// and cache budgets across shards before calling this).
-func newShard(cfg Config) *shard {
+// New starts an engine with the given configuration. With a Store, every
+// stored plan is in the cache before New returns.
+func New(cfg Config) *Engine {
+	cfg = cfg.withDefaults()
 	negTTL := cfg.NegativeTTL
 	if negTTL < 0 {
 		negTTL = 0 // never expire
 	}
-	e := &shard{
+	e := &Engine{
 		cfg:      cfg,
 		cache:    newPlanCache(cfg.MaxCacheGates, negTTL),
 		flights:  newFlightGroup(),
@@ -433,6 +421,9 @@ func newShard(cfg Config) *shard {
 	e.lifeCtx, e.lifeCancel = context.WithCancel(context.Background())
 	if cfg.BatchMaxSize > 1 {
 		e.batches = newBatcher(cfg.BatchMaxSize, cfg.BatchWindow, e.lifeCtx, &e.ledger)
+	}
+	if cfg.Store != nil {
+		e.warmLoad()
 	}
 	e.wg.Add(cfg.Workers + cfg.MissWorkers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -444,7 +435,31 @@ func newShard(cfg Config) *shard {
 	return e
 }
 
-func (e *shard) worker(jobs chan *job, lane qos.Lane) {
+// warmLoad promotes every readable plan in the persistent store into the
+// cache, so the first request for a known shape is a cache hit — no
+// compile, no disk read. Stored plans are visited in deterministic
+// fingerprint order; unreadable artifacts are skipped (the store
+// quarantines them) and plans beyond the cache budget are evicted
+// normally, staying available on disk.
+func (e *Engine) warmLoad() {
+	st := e.cfg.Store
+	for _, fp := range st.Plans() {
+		a, err := st.GetPlan(fp)
+		if err != nil {
+			continue
+		}
+		ent, err := entryFromArtifact(a, nil)
+		if err != nil {
+			continue
+		}
+		e.mu.Lock()
+		victims := e.cache.add(ent)
+		e.mu.Unlock()
+		e.evictions.Add(int64(len(victims)))
+	}
+}
+
+func (e *Engine) worker(jobs chan *job, lane qos.Lane) {
 	defer e.wg.Done()
 	for j := range jobs {
 		e.laneInFlight[lane].Add(1)
@@ -458,9 +473,57 @@ func (e *shard) worker(jobs chan *job, lane qos.Lane) {
 
 // --- Admission: Submit → memo check (else canonicalize) → enqueue --------
 
+// Submit admits a request and enqueues it, returning a channel that will
+// receive exactly one Result. A request made by Prepare and still
+// holding the Query and DCs it was prepared from is admitted on its
+// memo; any other is canonicalized here. Under ShedBlock (the default)
+// submission blocks while the lane is full; under ShedOnFull /
+// ShedAdaptive a full lane rejects immediately with a typed
+// *guard.OverloadError carrying a retry-after hint. A canceled context or
+// a closed engine resolves the result immediately with an error.
+func (e *Engine) Submit(ctx context.Context, req Request) <-chan Result {
+	out := make(chan Result, 1)
+	j := &job{ctx: ctx, req: req, out: out, prep: req.prep}
+	if !j.prep.of(req) {
+		// A plain request, or one whose Query or DCs was replaced after
+		// Prepare: derive everything from the pair it holds now.
+		start := time.Now()
+		j.prep = prepare(req)
+		j.canonDur = time.Since(start)
+	}
+	e.enqueue(j)
+	return out
+}
+
+// Serve runs one request to completion on the worker pool.
+func (e *Engine) Serve(ctx context.Context, req Request) Result {
+	select {
+	case res := <-e.Submit(ctx, req):
+		return res
+	case <-ctxDone(ctx):
+		// The job may still run (it polls ctx itself and fails fast);
+		// the caller gets the cancellation immediately.
+		return Result{Err: guard.Poll(ctx)}
+	}
+}
+
+// ServeBatch fans a batch of independent requests across the worker pool
+// and waits for all of them; results are positional.
+func (e *Engine) ServeBatch(ctx context.Context, reqs []Request) []Result {
+	chans := make([]<-chan Result, len(reqs))
+	for i, r := range reqs {
+		chans[i] = e.Submit(ctx, r)
+	}
+	out := make([]Result, len(reqs))
+	for i, ch := range chans {
+		out[i] = <-ch
+	}
+	return out
+}
+
 // level grades the lanes' current occupancy; only ShedAdaptive acts on
 // it.
-func (e *shard) level() qos.Level {
+func (e *Engine) level() qos.Level {
 	if e.cfg.ShedPolicy != ShedAdaptive {
 		return qos.LevelNormal
 	}
@@ -473,7 +536,7 @@ func (e *shard) level() qos.Level {
 }
 
 // retryAfter estimates when lane will have capacity again.
-func (e *shard) retryAfter(lane qos.Lane) time.Duration {
+func (e *Engine) retryAfter(lane qos.Lane) time.Duration {
 	queued, workers := len(e.jobsHit), e.cfg.Workers
 	if lane == qos.LaneMiss {
 		queued, workers = len(e.jobsMiss), e.cfg.MissWorkers
@@ -482,7 +545,7 @@ func (e *shard) retryAfter(lane qos.Lane) time.Duration {
 }
 
 // admit counts an accepted request.
-func (e *shard) admit(lane qos.Lane) {
+func (e *Engine) admit(lane qos.Lane) {
 	e.ledger.Admit(lane)
 	e.requests.Add(1)
 }
@@ -494,13 +557,7 @@ func (e *shard) admit(lane qos.Lane) {
 // the hit lane and only pays evaluation; one that found none rides the
 // miss lane. Requests that already failed canonicalization take the hit
 // lane — they fail fast in a worker without burning a compile slot.
-//
-// Under ShedBlock (the default) submission blocks while the lane is
-// full; under ShedOnFull / ShedAdaptive a full lane rejects immediately
-// with a typed *guard.OverloadError carrying a retry-after hint. A
-// canceled context or a closed engine resolves the result immediately
-// with an error.
-func (e *shard) enqueue(j *job) {
+func (e *Engine) enqueue(j *job) {
 	ctx, out := j.ctx, j.out
 	e.submitM.RLock()
 	defer e.submitM.RUnlock()
@@ -562,7 +619,7 @@ func (e *shard) enqueue(j *job) {
 // acquires a plan first (the miss path). The two defers are the whole
 // epilogue: Recover turns a panic anywhere below into res.Err, then
 // finish — which must see the final res.Err — does the accounting.
-func (e *shard) process(j *job) (res Result) {
+func (e *Engine) process(j *job) (res Result) {
 	ctx := j.ctx
 	if e.cfg.Tracer != nil && obs.SpanFromContext(ctx) == nil {
 		ctx = obs.WithTracer(ctx, e.cfg.Tracer)
@@ -621,7 +678,7 @@ func (e *shard) process(j *job) (res Result) {
 // finish is process's epilogue, run once res is final: in-flight and
 // failure counters, the deadline ledger (stage is how far the request
 // got before its wall clock ran out), and the serve span's tags.
-func (e *shard) finish(j *job, sp *obs.Span, stage *qos.DeadlineStage, res *Result) {
+func (e *Engine) finish(j *job, sp *obs.Span, stage *qos.DeadlineStage, res *Result) {
 	e.inFlight.Add(-1)
 	if res.Err != nil {
 		e.failed.Add(1)
@@ -652,9 +709,9 @@ func (e *shard) finish(j *job, sp *obs.Span, stage *qos.DeadlineStage, res *Resu
 // answer is the hit path: with the plan in hand, validate the database
 // against the request's DCs, evaluate through the entry's tier ladder,
 // and rename the output back to the request's variable names. It takes
-// no shard lock (vmProgram re-charges the cache once per entry, on the
+// no engine lock (vmProgram re-charges the cache once per entry, on the
 // first vm evaluation).
-func (e *shard) answer(ctx context.Context, ent *entry, j *job, stage *qos.DeadlineStage, res *Result) {
+func (e *Engine) answer(ctx context.Context, ent *entry, j *job, stage *qos.DeadlineStage, res *Result) {
 	req := j.req
 	_, sp := obs.StartSpan(ctx, obs.StageValidate)
 	res.Err = query.ValidateDB(req.Query, req.DCs, req.DB)
@@ -702,7 +759,7 @@ func (ent *entry) ladder() ([]tierID, []TierAttempt) {
 // budgeted its share of the remaining wall clock (qos.PlanTier), so a
 // stuck vm attempt cannot eat the RAM fallback's time, and a tier whose
 // estimated duration already exceeds its share is skipped outright.
-func (e *shard) evaluate(ctx context.Context, ent *entry, req Request, stage *qos.DeadlineStage) (*relation.Relation, tierID, []TierAttempt, error) {
+func (e *Engine) evaluate(ctx context.Context, ent *entry, req Request, stage *qos.DeadlineStage) (*relation.Relation, tierID, []TierAttempt, error) {
 	ladder, attempts := ent.ladder()
 	for i, t := range ladder {
 		name, est := tiers[t].name, &e.estTier[t]
@@ -741,7 +798,7 @@ func (e *shard) evaluate(ctx context.Context, ent *entry, req Request, stage *qo
 }
 
 // runTier evaluates one tier, containing its panics.
-func (e *shard) runTier(ctx context.Context, t tierID, ent *entry, req Request) (out *relation.Relation, err error) {
+func (e *Engine) runTier(ctx context.Context, t tierID, ent *entry, req Request) (out *relation.Relation, err error) {
 	defer guard.Recover(&err)
 	if t == tierVM {
 		return e.evalVM(ctx, ent, req)
@@ -754,7 +811,7 @@ func (e *shard) runTier(ctx context.Context, t tierID, ent *entry, req Request) 
 // into input words, evaluate — coalesced with concurrent
 // same-fingerprint requests into one lock-step batch when batching is
 // configured — and decode the output words back into a relation.
-func (e *shard) evalVM(ctx context.Context, ent *entry, req Request) (*relation.Relation, error) {
+func (e *Engine) evalVM(ctx context.Context, ent *entry, req Request) (*relation.Relation, error) {
 	prog, err := ent.vmProgram(ctx, e)
 	if err != nil {
 		return nil, err
@@ -770,7 +827,7 @@ func (e *shard) evalVM(ctx context.Context, ent *entry, req Request) (*relation.
 
 	var raw []vm.Word
 	if e.batches != nil {
-		raw, err = e.batches.do(ctx, ent.fp, prog, inputs)
+		raw, err = e.batches.do(ctx, prog, inputs)
 	} else {
 		var outs [][]vm.Word
 		if outs, err = prog.EvalBatch(ctx, [][]vm.Word{inputs}); err == nil {
@@ -810,7 +867,7 @@ func renameOutput(out *relation.Relation, p *prepared) *relation.Relation {
 // whose flight fails transiently (the engine shutting down aside) loops
 // back to start or join a fresh flight under its own, still-live
 // context.
-func (e *shard) acquire(ctx context.Context, canon *query.Canonical) (ent *entry, hit bool, err error) {
+func (e *Engine) acquire(ctx context.Context, canon *query.Canonical) (ent *entry, hit bool, err error) {
 	waited := false
 	for {
 		if e.lifeCtx.Err() != nil {
@@ -855,7 +912,7 @@ func (e *shard) acquire(ctx context.Context, canon *query.Canonical) (ent *entry
 // stored plan into the cache and the compiler never runs (Compiles does
 // not move), which is what makes a restart against a warm store serve
 // every known shape compile-free.
-func (e *shard) runFlight(fl *flight, canon *query.Canonical, reqCtx context.Context) {
+func (e *Engine) runFlight(fl *flight, canon *query.Canonical, reqCtx context.Context) {
 	defer e.compileWG.Done()
 	cctx := e.lifeCtx
 	if b := guard.FromContext(reqCtx); b != nil {
@@ -898,7 +955,7 @@ func (e *shard) runFlight(fl *flight, canon *query.Canonical, reqCtx context.Con
 // loadStored tries to serve a compile miss from the persistent store.
 // nil (with no error distinction) means "not stored, or unusable" — the
 // caller compiles; the store quarantines corrupt artifacts itself.
-func (e *shard) loadStored(ctx context.Context, canon *query.Canonical) *entry {
+func (e *Engine) loadStored(ctx context.Context, canon *query.Canonical) *entry {
 	st := e.cfg.Store
 	if st == nil {
 		return nil
@@ -948,7 +1005,7 @@ func entryFromArtifact(a *store.PlanArtifact, canon *query.Canonical) (*entry, e
 // already on disk and its stored flag is set). Failures are recorded in
 // the store's counters and the entry stays unpersisted — the next
 // eviction retries.
-func (e *shard) persist(ent *entry) {
+func (e *Engine) persist(ent *entry) {
 	st := e.cfg.Store
 	if st == nil || ent == nil || ent.compiled == nil || ent.uncached || ent.stored.Load() {
 		return
@@ -974,7 +1031,7 @@ func transientErr(err error) bool {
 // exhaustion), so it yields an uncached RAM-only entry: this request is
 // still served, and the next one retries the compile instead of being
 // pinned to the slow tier forever.
-func (e *shard) compile(ctx context.Context, canon *query.Canonical) (*entry, error) {
+func (e *Engine) compile(ctx context.Context, canon *query.Canonical) (*entry, error) {
 	ent := &entry{fp: canon.FP, canon: canon}
 	if !canon.Query.IsFull() {
 		// Theorem 3/4 plans exist for full CQs; everything else is
@@ -1022,7 +1079,7 @@ func (e *shard) compile(ctx context.Context, canon *query.Canonical) (*entry, er
 // compiled: the program's footprint joins the entry's charged cost, and
 // colder plans are evicted if the budget is now exceeded (compiled
 // victims write back to the persistent store).
-func (e *shard) chargeVM(ent *entry, extra int64) {
+func (e *Engine) chargeVM(ent *entry, extra int64) {
 	e.mu.Lock()
 	victims := e.cache.recharge(ent, extra)
 	e.mu.Unlock()
@@ -1034,11 +1091,11 @@ func (e *shard) chargeVM(ent *entry, extra int64) {
 
 // --- Lifecycle and snapshots --------------------------------------------
 
-// close stops accepting requests, drains queued ones, waits for the
+// Close stops accepting requests, drains queued ones, waits for the
 // workers, then cancels and waits for any detached compiles nobody is
 // left to consume. Safe to call more than once, including concurrently
-// with itself and with enqueue.
-func (e *shard) close() error {
+// with itself and with Serve/Submit.
+func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
 		e.mu.Lock()
 		e.closed = true
@@ -1056,25 +1113,26 @@ func (e *shard) close() error {
 	return nil
 }
 
-// shutdown is close bounded by ctx: when ctx expires the shard-scoped
+// Shutdown is Close bounded by ctx: when ctx expires the engine-scoped
 // compile context is canceled, so queued requests drain promptly with
 // typed errors instead of waiting out arbitrarily long compiles.
-// Callers still own their request contexts; shutdown only bounds
-// shard-owned work.
-func (e *shard) shutdown(ctx context.Context) error {
+// Callers still own their request contexts; Shutdown only bounds
+// engine-owned work.
+func (e *Engine) Shutdown(ctx context.Context) error {
 	if ctx != nil {
 		stop := context.AfterFunc(ctx, e.lifeCancel)
 		defer stop()
 	}
-	return e.close()
+	return e.Close()
 }
 
-// metrics returns a snapshot of the shard's counters.
-func (e *shard) metrics() Metrics {
+// Metrics returns a snapshot of the engine's counters and, with a Store,
+// of the store's own ledger.
+func (e *Engine) Metrics() Metrics {
 	e.mu.Lock()
 	plans, gates := e.cache.len(), e.cache.gates
 	e.mu.Unlock()
-	return Metrics{
+	m := Metrics{
 		Hits:           e.hits.Load(),
 		Misses:         e.misses.Load(),
 		Evictions:      e.evictions.Load(),
@@ -1090,11 +1148,22 @@ func (e *shard) metrics() Metrics {
 		CompileLatency: e.compileLat.snapshot(),
 		EvalLatency:    e.evalLat.snapshot(),
 	}
+	if st := e.cfg.Store; st != nil {
+		ss := st.Stats()
+		m.StorePlans = int64(ss.Plans)
+		m.StoreHits = ss.Hits
+		m.StoreMisses = ss.Misses
+		m.StoreWrites = ss.Writes
+		m.StoreCorrupt = ss.Corrupt
+		m.StoreBytesRead = ss.BytesRead
+		m.StoreBytesWritten = ss.BytesWritten
+	}
+	return m
 }
 
-// qosSnapshot returns the shard's admission/degradation snapshot:
-// ledger counters, live lane gauges, and the current load level.
-func (e *shard) qosSnapshot() qos.Snapshot {
+// QoS returns the admission/degradation snapshot: ledger counters, live
+// lane gauges, and the current load level.
+func (e *Engine) QoS() qos.Snapshot {
 	s := e.ledger.Snapshot()
 	s.Lanes = []qos.LaneStats{
 		{Lane: qos.LaneHit.String(), Queued: len(e.jobsHit), Depth: cap(e.jobsHit),

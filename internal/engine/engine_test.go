@@ -22,6 +22,20 @@ func mustDerive(t testing.TB, q *query.Query, db query.Database) query.DCSet {
 	return dcs
 }
 
+// shapeReq builds a distinct full-CQ request by salting the DC set with
+// a per-shape degree bound, minting distinct fingerprints from one
+// query text (the soak harness's trick).
+func shapeReq(t *testing.T, salt int) Request {
+	t.Helper()
+	q := query.MustParse("Q(A,B,C) :- R(A,B), S(B,C), T(A,C)")
+	db := workload.ForQuery(q, int64(100+salt), 8)
+	extra, err := query.ParseDC(q, fmt.Sprintf("R <= %d", 64+salt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Request{Query: q, DCs: append(mustDerive(t, q, db), extra...), DB: db}
+}
+
 // TestEngineServesCorrectResults cross-checks every full catalog query
 // against the reference RAM evaluation, twice (cold then cached).
 func TestEngineServesCorrectResults(t *testing.T) {
@@ -309,26 +323,25 @@ func flightLeaderSetup(t *testing.T, e *Engine, req Request) (<-chan Result, fun
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := e.shardOf(canon.FP)
-	s.mu.Lock()
-	fl, leader := s.flights.join(canon.FP)
-	s.mu.Unlock()
+	e.mu.Lock()
+	fl, leader := e.flights.join(canon.FP)
+	e.mu.Unlock()
 	if !leader {
 		t.Fatal("a flight is already in progress")
 	}
 	done := make(chan Result, 1)
-	before := s.misses.Load()
+	before := e.misses.Load()
 	go func() { done <- e.Serve(context.Background(), req) }()
 	// The follower records its miss and joins the flight under one
 	// critical section, so one more miss implies it is waiting on fl.done.
-	for s.misses.Load() == before {
+	for e.misses.Load() == before {
 		time.Sleep(time.Millisecond)
 	}
 	return done, func(ent *entry, err error) {
-		s.mu.Lock()
+		e.mu.Lock()
 		fl.ent, fl.err = ent, err
-		s.flights.leave(canon.FP)
-		s.mu.Unlock()
+		e.flights.leave(canon.FP)
+		e.mu.Unlock()
 		close(fl.done)
 	}
 }

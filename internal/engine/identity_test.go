@@ -71,16 +71,14 @@ func serveAll(t *testing.T, e *Engine, reqs []Request) []Result {
 }
 
 // TestEngineSemanticSharedEntry: α- and repeated-atom variants racing
-// their first requests on a 4-shard engine compile exactly once, land
-// on one shard, and share one cache entry and one vm program; warm,
-// they coalesce into one batcher window.
+// their first requests compile exactly once and share one cache entry
+// and one vm program; warm, they coalesce into one batcher window.
 func TestEngineSemanticSharedEntry(t *testing.T) {
 	tracer := obs.NewTracer(64)
 	B := len(identityVariants)
 	e := New(Config{
-		Shards:       4,
-		Workers:      4 * B, // every variant must park on the owning shard at once
-		MissWorkers:  4 * B,
+		Workers:      B, // every variant must park at once
+		MissWorkers:  B,
 		BatchMaxSize: B,
 		BatchWindow:  500 * time.Millisecond,
 		Tracer:       tracer,
@@ -108,20 +106,8 @@ func TestEngineSemanticSharedEntry(t *testing.T) {
 		t.Fatalf("warm variants dispatched %d batches, want 1 shared window", got-batches)
 	}
 
-	owners := 0
-	for i, m := range e.ShardMetrics() {
-		switch {
-		case m.CachedPlans == 1 && m.Requests == int64(2*B):
-			owners++
-		case m.CachedPlans != 0 || m.Requests != 0:
-			t.Fatalf("shard %d: cached=%d requests=%d; the variants must all land on one shard", i, m.CachedPlans, m.Requests)
-		}
-	}
-	if owners != 1 {
-		t.Fatalf("%d shards own the plan, want 1", owners)
-	}
-	if m := e.Metrics(); m.Compiles != 1 {
-		t.Fatalf("compiles=%d after the warm round, want 1", m.Compiles)
+	if m := e.Metrics(); m.Compiles != 1 || m.CachedPlans != 1 {
+		t.Fatalf("after the warm round: compiles=%d cached=%d, want 1 and 1", m.Compiles, m.CachedPlans)
 	}
 	counts := map[string]int{}
 	for _, root := range tracer.Last(0) {
@@ -216,7 +202,7 @@ func TestEngineSemanticAliasLifecycle(t *testing.T) {
 	if st2.Len() != 2 {
 		t.Fatalf("store holds %d plans, want the live one and the stale one", st2.Len())
 	}
-	e2 := New(Config{Store: st2, WarmStart: true})
+	e2 := New(Config{Store: st2})
 	defer e2.Close()
 	if m := e2.Metrics(); m.CachedPlans != 1 {
 		t.Fatalf("warm start cached %d plans, want 1 (the repeated-atom artifact is skipped)", m.CachedPlans)

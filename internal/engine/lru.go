@@ -63,9 +63,9 @@ type entry struct {
 //
 // A fresh program's memory footprint (its value slots and instruction
 // buffer, which dominate a resident program) is charged against the
-// owning shard's plan-cache budget exactly once, so lazily-compiled vm
+// owner's plan-cache budget exactly once, so lazily-compiled vm
 // programs are not invisible to Config.MaxCacheGates.
-func (e *entry) vmProgram(ctx context.Context, owner *shard) (*vm.Program, error) {
+func (e *entry) vmProgram(ctx context.Context, owner *Engine) (*vm.Program, error) {
 	e.vmMu.Lock()
 	defer e.vmMu.Unlock()
 	if e.vmProg != nil || e.vmErr != nil {

@@ -71,10 +71,9 @@ func TestVMProgramChargedToCache(t *testing.T) {
 	}
 
 	canon := mustCanon(t, req)
-	s := e.shardOf(canon.FP)
-	s.mu.Lock()
-	ent := s.cache.entries[canon.FP]
-	s.mu.Unlock()
+	e.mu.Lock()
+	ent := e.cache.entries[canon.FP]
+	e.mu.Unlock()
 	if ent == nil {
 		t.Fatal("plan not cached")
 	}

@@ -118,10 +118,8 @@ type Metrics struct {
 	CachedPlans int
 	CachedGates int64
 
-	// Persistent plan store (zero unless Config.Store is set). These are
-	// engine-wide totals taken from the store's own ledger, populated by
-	// Engine.Metrics after shard aggregation — per-shard snapshots leave
-	// them zero so the sum isn't multiplied by the shard count.
+	// Persistent plan store (zero unless Config.Store is set), taken from
+	// the store's own ledger.
 	StorePlans        int64 // plans currently resident on disk
 	StoreHits         int64 // GetPlan calls answered from disk
 	StoreMisses       int64 // GetPlan calls with no artifact

@@ -183,7 +183,7 @@ func TestPrepareFailuresMatchPlain(t *testing.T) {
 		"nil query": {Request{}, guard.ErrInternal},
 		"bad DCs":   {bad, guard.ErrInvalidInput},
 	} {
-		e := New(Config{Shards: 2})
+		e := New(Config{})
 		plain := e.Serve(context.Background(), c.req)
 		before := e.Metrics()
 		prepared := e.Serve(context.Background(), Prepare(c.req))
@@ -204,10 +204,10 @@ func TestPrepareFailuresMatchPlain(t *testing.T) {
 
 // TestPreparedRequestConcurrent: 64 goroutines submit one prepared
 // request — one shared *prepared, canonical form and rename plan — to a
-// sharded, coalescing engine. Under -race this is the check that the
+// coalescing engine. Under -race this is the check that the
 // memo is read-only once Prepare returns.
 func TestPreparedRequestConcurrent(t *testing.T) {
-	e := New(Config{Shards: 2, BatchMaxSize: 4, QueueDepth: 128})
+	e := New(Config{BatchMaxSize: 4, QueueDepth: 128})
 	defer e.Close()
 	req := Prepare(mkReq(t, "Q(X,Y,Z) :- S(Y,Z), T(X,Z), R(X,Y)", 7, 8))
 	want, err := query.EvaluateCtx(context.Background(), req.Query, req.DB)

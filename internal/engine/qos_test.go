@@ -36,10 +36,9 @@ func blockMissLane(t *testing.T, e *Engine, req Request) (<-chan Result, func())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := e.shardOf(canon.FP)
-	s.mu.Lock()
-	fl, leader := s.flights.join(canon.FP)
-	s.mu.Unlock()
+	e.mu.Lock()
+	fl, leader := e.flights.join(canon.FP)
+	e.mu.Unlock()
 	if !leader {
 		t.Fatal("a flight is already in progress")
 	}
@@ -47,17 +46,17 @@ func blockMissLane(t *testing.T, e *Engine, req Request) (<-chan Result, func())
 	// so one more miss than before means the worker is parked on fl.done.
 	// (Counting from zero would return at once on an engine that has
 	// served a miss already, before the worker had picked the job up.)
-	before := s.misses.Load()
+	before := e.misses.Load()
 	out := e.Submit(context.Background(), req)
-	for s.misses.Load() == before {
+	for e.misses.Load() == before {
 		time.Sleep(time.Millisecond)
 	}
 	return out, func() {
-		s.mu.Lock()
+		e.mu.Lock()
 		fl.ent = &entry{fp: canon.FP, canon: canon,
 			compileErr: guard.Invalidf("test: parked flight resolved to RAM"), gates: 1, uncached: true}
-		s.flights.leave(canon.FP)
-		s.mu.Unlock()
+		e.flights.leave(canon.FP)
+		e.mu.Unlock()
 		close(fl.done)
 	}
 }
@@ -185,10 +184,9 @@ func TestEngineAdaptiveShedsLowPriority(t *testing.T) {
 func cachedPlanSHA(t *testing.T, e *Engine, req Request) [sha256.Size]byte {
 	t.Helper()
 	canon := mustCanon(t, req)
-	s := e.shardOf(canon.FP)
-	s.mu.Lock()
-	ent := s.cache.get(canon.FP)
-	s.mu.Unlock()
+	e.mu.Lock()
+	ent := e.cache.get(canon.FP)
+	e.mu.Unlock()
 	if ent == nil || ent.compiled == nil {
 		t.Fatalf("no compiled plan cached for %s", req.Query)
 	}
@@ -243,20 +241,19 @@ func TestEngineNegativeEntryTTLHeals(t *testing.T) {
 	// Deterministic clock.
 	var clock atomic.Int64
 	clock.Store(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano())
-	s := e.shards[0]
-	s.mu.Lock()
-	s.cache.now = func() time.Time { return time.Unix(0, clock.Load()) }
-	s.mu.Unlock()
+	e.mu.Lock()
+	e.cache.now = func() time.Time { return time.Unix(0, clock.Load()) }
+	e.mu.Unlock()
 
 	req := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 21, 10)
 	canon, err := query.Canonicalize(req.Query, req.DCs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	s.cache.add(&entry{fp: canon.FP, canon: canon,
+	e.mu.Lock()
+	e.cache.add(&entry{fp: canon.FP, canon: canon,
 		compileErr: guard.Invalidf("test: transiently misclassified"), gates: 1})
-	s.mu.Unlock()
+	e.mu.Unlock()
 
 	res := e.Serve(context.Background(), req)
 	if res.Err != nil || res.Tier != TierRAM || !res.CacheHit {
@@ -293,10 +290,9 @@ func TestEngineNegativeTTLDisabled(t *testing.T) {
 	defer e.Close()
 	var clock atomic.Int64
 	clock.Store(time.Now().UnixNano())
-	s := e.shards[0]
-	s.mu.Lock()
-	s.cache.now = func() time.Time { return time.Unix(0, clock.Load()) }
-	s.mu.Unlock()
+	e.mu.Lock()
+	e.cache.now = func() time.Time { return time.Unix(0, clock.Load()) }
+	e.mu.Unlock()
 
 	q := query.Path2Projected() // non-full: sticky RAM entry
 	db := workload.ForQuery(q, 22, 8)
@@ -413,6 +409,52 @@ func TestEngineShutdownBoundsDrain(t *testing.T) {
 	}
 }
 
+// TestEngineDrainTyped: under a shedding policy, Submit on a closed
+// engine resolves at once with the typed draining overload, and the
+// ledger counts it as one draining shed on the miss lane.
+func TestEngineDrainTyped(t *testing.T) {
+	e := New(Config{Workers: 2, ShedPolicy: ShedOnFull})
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	res := <-e.Submit(context.Background(), shapeReq(t, 140))
+	var oe *guard.OverloadError
+	if !errors.As(res.Err, &oe) || oe.Reason != "draining" {
+		t.Fatalf("closed engine returned %v, want a draining OverloadError", res.Err)
+	}
+	if s := e.QoS(); s.Shed["miss"]["draining"] != 1 || s.TotalShed() != 1 {
+		t.Fatalf("shed = %v, want exactly one miss/draining", s.Shed)
+	}
+}
+
+// TestEngineLedgerReconciles: on an unloaded coalescing engine every
+// request is admitted once and none is shed, and every vm evaluation —
+// cold or warm, each alone in its window here — is one counted batch.
+func TestEngineLedgerReconciles(t *testing.T) {
+	e := New(Config{Workers: 2, BatchMaxSize: 2, BatchWindow: time.Millisecond})
+	defer e.Close()
+	var total int64
+	for i := 0; i < 10; i++ {
+		req := shapeReq(t, 80+i)
+		for j := 0; j < 2; j++ {
+			if res := e.Serve(context.Background(), req); res.Err != nil || res.Tier != TierVM {
+				t.Fatalf("shape %d: err=%v tier=%q", i, res.Err, res.Tier)
+			}
+			total++
+		}
+	}
+	if m := e.Metrics(); m.Requests != total || m.ServedVM != total {
+		t.Fatalf("requests=%d served by vm=%d, want %d each", m.Requests, m.ServedVM, total)
+	}
+	q := e.QoS()
+	if q.TotalAdmitted() != total || q.TotalShed() != 0 {
+		t.Fatalf("admitted=%d shed=%d, want %d and 0", q.TotalAdmitted(), q.TotalShed(), total)
+	}
+	if q.Batches != total || q.BatchedRequests != total {
+		t.Fatalf("batches=%d batched requests=%d, want %d each", q.Batches, q.BatchedRequests, total)
+	}
+}
+
 func mustCanon(t *testing.T, req Request) *query.Canonical {
 	t.Helper()
 	c, err := query.Canonicalize(req.Query, req.DCs)
@@ -485,19 +527,18 @@ func TestEngineDeadlineMatrix(t *testing.T) {
 			defer e.Close()
 			req := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 52, 8)
 			canon := mustCanon(t, req)
-			s := e.shardOf(canon.FP)
-			s.mu.Lock()
-			fl, leader := s.flights.join(canon.FP) // park the request as follower
-			s.mu.Unlock()
+			e.mu.Lock()
+			fl, leader := e.flights.join(canon.FP) // park the request as follower
+			e.mu.Unlock()
 			if !leader {
 				t.Fatal("flight already present")
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 			defer cancel()
 			res := <-e.Submit(ctx, req)
-			s.mu.Lock()
-			s.flights.leave(canon.FP)
-			s.mu.Unlock()
+			e.mu.Lock()
+			e.flights.leave(canon.FP)
+			e.mu.Unlock()
 			close(fl.done)
 			if s := e.QoS(); s.Deadline["compile"] != 1 {
 				t.Fatalf("deadline[compile]=%d, want 1 (%v)", s.Deadline["compile"], s.Deadline)
@@ -591,9 +632,9 @@ func TestEngineDeadlineSkipsDoomedTier(t *testing.T) {
 	// tier cheap, then hand in a deadline that only fits the RAM tier.
 	// (Repeated observations swamp whatever the warm serve recorded.)
 	for i := 0; i < 16; i++ {
-		e.shards[0].estTier[tierVM].Observe(10 * time.Second)
+		e.estTier[tierVM].Observe(10 * time.Second)
 	}
-	e.shards[0].estTier[tierRAM].Observe(time.Microsecond)
+	e.estTier[tierRAM].Observe(time.Microsecond)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
@@ -657,14 +698,13 @@ func TestEngineQueuedHitKeepsEvictedPlan(t *testing.T) {
 	compiles := e.Metrics().Compiles
 
 	out := e.Submit(context.Background(), req) // holds the plan, queued behind the gate
-	s := e.shardOf(canon.FP)
-	s.mu.Lock()
-	ent := s.cache.entries[canon.FP]
+	e.mu.Lock()
+	ent := e.cache.entries[canon.FP]
 	if ent == nil {
 		t.Fatal("plan missing before eviction")
 	}
-	s.cache.remove(ent)
-	s.mu.Unlock()
+	e.cache.remove(ent)
+	e.mu.Unlock()
 	release()
 
 	res := <-out
@@ -695,17 +735,16 @@ func TestEngineQueuedHitKeepsExpiredNegativeEntry(t *testing.T) {
 	defer e.Close()
 	var clock atomic.Int64
 	clock.Store(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano())
-	s := e.shards[0]
-	s.mu.Lock()
-	s.cache.now = func() time.Time { return time.Unix(0, clock.Load()) }
-	s.mu.Unlock()
+	e.mu.Lock()
+	e.cache.now = func() time.Time { return time.Unix(0, clock.Load()) }
+	e.mu.Unlock()
 
 	req := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 73, 10)
 	canon := mustCanon(t, req)
-	s.mu.Lock()
-	s.cache.add(&entry{fp: canon.FP, canon: canon,
+	e.mu.Lock()
+	e.cache.add(&entry{fp: canon.FP, canon: canon,
 		compileErr: guard.Invalidf("test: transiently misclassified"), gates: 1})
-	s.mu.Unlock()
+	e.mu.Unlock()
 	release := parkHitWorker(t, e, 74)
 	compiles := e.Metrics().Compiles
 

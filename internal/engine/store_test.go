@@ -61,7 +61,7 @@ func TestStoreRestartZeroCompiles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	eng1 := New(Config{Store: st1, Shards: 2})
+	eng1 := New(Config{Store: st1})
 	cold := make(map[string]Result, len(names))
 	for _, name := range names {
 		res := eng1.Serve(ctx, storeReq(t, name))
@@ -88,7 +88,7 @@ func TestStoreRestartZeroCompiles(t *testing.T) {
 	// into the caches during New. Evaluation happens identically on both
 	// sides, so it stays out of the comparison.
 	start := time.Now()
-	eng2 := New(Config{Store: st2, WarmStart: true, Shards: 2})
+	eng2 := New(Config{Store: st2})
 	warmDur := time.Since(start)
 	// Two more restarts, timed only: a single sample spreads 5-14 ms from
 	// run to run, and the ratio's first percentile with it (2.2× against
@@ -99,7 +99,7 @@ func TestStoreRestartZeroCompiles(t *testing.T) {
 			t.Fatalf("reopen: %v", err)
 		}
 		start := time.Now()
-		eng := New(Config{Store: st, WarmStart: true, Shards: 2})
+		eng := New(Config{Store: st})
 		if d := time.Since(start); d < warmDur {
 			warmDur = d
 		}
@@ -147,6 +147,66 @@ func TestStoreRestartZeroCompiles(t *testing.T) {
 	}
 }
 
+// TestStoreMissServesFromDisk: plans the warm start had to evict (the
+// cache holds one of three) are served from the store on their first
+// request — a cache miss that reads the disk and runs no compile.
+func TestStoreMissServesFromDisk(t *testing.T) {
+	names := []string{"triangle", "path3", "cycle4"}
+	dir := t.TempDir()
+	ctx := context.Background()
+
+	st1, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng1 := New(Config{Store: st1})
+	cold := make(map[string]Result, len(names))
+	for _, name := range names {
+		if cold[name] = eng1.Serve(ctx, storeReq(t, name)); cold[name].Err != nil {
+			t.Fatalf("cold %s: %v", name, cold[name].Err)
+		}
+	}
+	eng1.Close()
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(Config{Store: st2, MaxCacheGates: 1})
+	defer eng.Close()
+	loaded := eng.Metrics()
+	if loaded.CachedPlans != 1 || loaded.Evictions != 2 {
+		t.Fatalf("warm start: cached=%d evictions=%d, want 1 and 2", loaded.CachedPlans, loaded.Evictions)
+	}
+	// The resident plan goes first: serving an evicted one displaces it.
+	eng.mu.Lock()
+	for i, name := range names {
+		if eng.cache.entries[reqFP(t, storeReq(t, name))] != nil {
+			names[0], names[i] = names[i], names[0]
+		}
+	}
+	eng.mu.Unlock()
+	for i, name := range names {
+		res := eng.Serve(ctx, storeReq(t, name))
+		if res.Err != nil {
+			t.Fatalf("%s: %v", name, res.Err)
+		}
+		if res.CacheHit != (i == 0) {
+			t.Fatalf("%s: cache hit %v, want %v", name, res.CacheHit, i == 0)
+		}
+		if !res.Output.Equal(cold[name].Output) {
+			t.Fatalf("%s answered differently from the cold run", name)
+		}
+	}
+	m := eng.Metrics()
+	if m.Compiles != 0 {
+		t.Fatalf("compiles=%d, want 0: an evicted plan is read back from the store", m.Compiles)
+	}
+	if got := m.StoreHits - loaded.StoreHits; got != 2 {
+		t.Fatalf("store hits after the warm start: %d, want 2", got)
+	}
+}
+
 // TestStoreQuarantineFallsBackToCompile: a corrupted artifact must not
 // take the shape down — the engine quarantines it via the store and
 // compiles fresh.
@@ -175,7 +235,7 @@ func TestStoreQuarantineFallsBackToCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng2 := New(Config{Store: st2, WarmStart: true})
+	eng2 := New(Config{Store: st2})
 	res := eng2.Serve(ctx, storeReq(t, "triangle"))
 	eng2.Close()
 	if res.Err != nil {

@@ -121,7 +121,7 @@ func warmLoaded(t *testing.T, req Request) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(Config{Store: st2, WarmStart: true})
+	return New(Config{Store: st2})
 }
 
 // TestEngineLadderIgnoresPlanOrigin: a plan is served the same way
@@ -144,10 +144,8 @@ func TestEngineLadderIgnoresPlanOrigin(t *testing.T) {
 	type walk struct{ faulted, deadlined []string }
 	probe := func(e *Engine) walk {
 		faulted := e.Serve(wordGateFault(), req)
-		for _, s := range e.shards {
-			for i := 0; i < 16; i++ { // swamp what the serves above recorded
-				s.estTier[tierVM].Observe(2500 * time.Millisecond)
-			}
+		for i := 0; i < 16; i++ { // swamp what the serves above recorded
+			e.estTier[tierVM].Observe(2500 * time.Millisecond)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 6*time.Second)
 		defer cancel()
@@ -371,9 +369,9 @@ func TestEngineBatchDeadlineFanOut(t *testing.T) {
 	}
 }
 
-// TestEngineBatchAcrossFingerprints: coalescing keys on the plan
-// fingerprint, so requests for different queries never share a batch
-// but both still serve through the vm tier.
+// TestEngineBatchAcrossFingerprints: coalescing keys on the plan's vm
+// program, so requests for different queries never share a batch but
+// both still serve through the vm tier.
 func TestEngineBatchAcrossFingerprints(t *testing.T) {
 	e := New(Config{Workers: 2, BatchMaxSize: 4, BatchWindow: 5 * time.Millisecond})
 	defer e.Close()

@@ -47,7 +47,7 @@ func TestHistQuantiles(t *testing.T) {
 }
 
 // TestLoadSmoke is the CI load-smoke: a zipf closed-loop run against a
-// 4-shard coalescing engine must serve traffic on both lanes, coalesce
+// coalescing engine must serve traffic on both lanes, coalesce
 // at least one multi-request vm batch on the hot shape, keep the
 // engine's books balanced, and leak no goroutines after shutdown. All
 // assertions are core-count independent — the smoke validates behavior,
@@ -56,7 +56,6 @@ func TestLoadSmoke(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	eng := engine.New(engine.Config{
-		Shards:       4,
 		Workers:      4,
 		BatchMaxSize: 8,
 		BatchWindow:  2 * time.Millisecond,
@@ -128,12 +127,12 @@ func TestLoadSmoke(t *testing.T) {
 }
 
 // TestLoadWireTarget runs a short closed loop through the full network
-// stack — loadgen client → wire protocol → sharded engine — and checks
+// stack — loadgen client → wire protocol → engine — and checks
 // the outcome classes line up with what the server reports.
 func TestLoadWireTarget(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	eng := engine.New(engine.Config{Shards: 2, Workers: 2, BatchMaxSize: 4})
+	eng := engine.New(engine.Config{Workers: 2, BatchMaxSize: 4})
 	srv := wire.NewServer(eng, wire.ServerConfig{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

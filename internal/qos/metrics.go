@@ -190,63 +190,6 @@ type Snapshot struct {
 	BatchSizes      [NumBatchBuckets]int64
 }
 
-// Merge sums counter snapshots from several ledgers (one per engine
-// shard) into one exposition-ready snapshot. Counters add; lane gauges
-// add by lane name in first-seen order; Level takes the max across
-// shards — the fullest shard is what a load balancer or operator needs
-// to see.
-func Merge(snaps ...Snapshot) Snapshot {
-	m := Snapshot{
-		Admitted: make(map[string]int64),
-		Shed:     make(map[string]map[string]int64),
-		Deadline: make(map[string]int64),
-		Degraded: make(map[string]int64),
-	}
-	laneIdx := make(map[string]int)
-	for _, s := range snaps {
-		for lane, v := range s.Admitted {
-			m.Admitted[lane] += v
-		}
-		for lane, by := range s.Shed {
-			mb := m.Shed[lane]
-			if mb == nil {
-				mb = make(map[string]int64, len(by))
-				m.Shed[lane] = mb
-			}
-			for r, v := range by {
-				mb[r] += v
-			}
-		}
-		for st, v := range s.Deadline {
-			m.Deadline[st] += v
-		}
-		for a, v := range s.Degraded {
-			m.Degraded[a] += v
-		}
-		m.Batches += s.Batches
-		m.BatchedRequests += s.BatchedRequests
-		for i, v := range s.BatchSizes {
-			m.BatchSizes[i] += v
-		}
-		for _, ls := range s.Lanes {
-			i, ok := laneIdx[ls.Lane]
-			if !ok {
-				i = len(m.Lanes)
-				laneIdx[ls.Lane] = i
-				m.Lanes = append(m.Lanes, LaneStats{Lane: ls.Lane})
-			}
-			m.Lanes[i].Queued += ls.Queued
-			m.Lanes[i].Depth += ls.Depth
-			m.Lanes[i].Workers += ls.Workers
-			m.Lanes[i].InFlight += ls.InFlight
-		}
-		if s.Level > m.Level {
-			m.Level = s.Level
-		}
-	}
-	return m
-}
-
 // TotalShed sums shed counts across lanes and reasons.
 func (s Snapshot) TotalShed() int64 {
 	var n int64

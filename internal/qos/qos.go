@@ -3,7 +3,7 @@
 // tier ladder, and the counters that make shed/degrade decisions
 // auditable.
 //
-// The engine's tiered evaluator (oblivious → RAM) gives a saturated
+// The engine's tiered evaluator (vm → RAM) gives a saturated
 // server a fallback that needs no circuit: a request near its deadline
 // should skip to the RAM tier or be shed with a typed error, never
 // block every cached hit behind one expensive PANDA compile. What a

@@ -1,7 +1,7 @@
 // Package wire is circuitd's concurrent binary protocol: length-
 // prefixed frames over a byte stream, a multiplexing client, and a
-// server that maps wire requests onto the sharded serving engine's
-// admission machinery (deadlines, priorities, typed overload errors).
+// server that maps wire requests onto the serving engine's admission
+// machinery (deadlines, priorities, typed overload errors).
 //
 // Framing: every message is a 4-byte big-endian payload length followed
 // by the payload; the first payload byte is the message kind (request

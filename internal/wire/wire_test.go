@@ -125,7 +125,7 @@ func TestFrameRejectsGarbage(t *testing.T) {
 	}
 }
 
-// startServer runs a wire server over a fresh 4-shard engine on a
+// startServer runs a wire server over a fresh engine on a
 // loopback listener, returning its address and a cleanup-registered
 // shutdown.
 func startServer(t *testing.T, ecfg engine.Config, scfg ServerConfig) (string, *Server, *engine.Engine) {
@@ -154,7 +154,7 @@ const triangleQ = "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)"
 
 func TestServerEndToEnd(t *testing.T) {
 	addr, _, eng := startServer(t,
-		engine.Config{Shards: 4, Workers: 2, BatchMaxSize: 4},
+		engine.Config{Workers: 2, BatchMaxSize: 4},
 		ServerConfig{Tuples: 8})
 	c, err := Dial(addr)
 	if err != nil {
@@ -211,7 +211,7 @@ func TestServerEndToEnd(t *testing.T) {
 // completions would corrupt the framing and fail the decode.
 func TestPipelinedWritesDoNotInterleave(t *testing.T) {
 	addr, _, _ := startServer(t,
-		engine.Config{Shards: 4, Workers: 4, BatchMaxSize: 4},
+		engine.Config{Workers: 4, BatchMaxSize: 4},
 		ServerConfig{Tuples: 8, ConnInFlight: 128})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -263,7 +263,7 @@ func TestPipelinedWritesDoNotInterleave(t *testing.T) {
 // goroutine sent even though responses arrive out of order.
 func TestClientConcurrent(t *testing.T) {
 	addr, _, _ := startServer(t,
-		engine.Config{Shards: 2, Workers: 2, BatchMaxSize: 4},
+		engine.Config{Workers: 2, BatchMaxSize: 4},
 		ServerConfig{Tuples: 8})
 	c, err := Dial(addr)
 	if err != nil {
@@ -307,7 +307,7 @@ func TestClientConcurrent(t *testing.T) {
 // requests finish and flush before connections close; afterwards the
 // listener no longer accepts.
 func TestServerShutdownDrains(t *testing.T) {
-	eng := engine.New(engine.Config{Shards: 2, Workers: 2})
+	eng := engine.New(engine.Config{Workers: 2})
 	defer eng.Close()
 	srv := NewServer(eng, ServerConfig{Tuples: 8})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

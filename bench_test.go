@@ -633,8 +633,10 @@ func BenchmarkOptimizedVsRaw(b *testing.B) {
 // cold compile pays after PANDA-C — the lowering through the rewriting
 // builder (lower+fold), the sweep of the gates folding left unused, and
 // the vm compile — on the two templates the repo benchmark's cold path is
-// made of, under uniform cardinalities, and on the hot-eval shape
-// (triangle at 16 tuples, constraints derived from the data). The first
+// made of, under uniform cardinalities, on the hot-eval shape (triangle
+// at 16 tuples, constraints derived from the data) and on the
+// cold-compile shape (cycle4 at 8 tuples, derived constraints plus the
+// salt "R <= 40", canonicalized as the engine does). The first
 // two are read off the spans of the engine's own compile entry point,
 // core.CompileQueryCtx, so what is timed is what is served. ns/op is the
 // sum of the three; lowerfold-ns, sweep-ns and vmcompile-ns split it, and
@@ -650,6 +652,18 @@ func BenchmarkCompileStages(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	cold, err := query.DeriveDC(query.Cycle4(), workload.ForQuery(query.Cycle4(), 1, 8))
+	if err != nil {
+		b.Fatal(err)
+	}
+	salt, err := query.ParseDC(query.Cycle4(), "R <= 40")
+	if err != nil {
+		b.Fatal(err)
+	}
+	coldCanon, err := query.Canonicalize(query.Cycle4(), append(cold, salt...))
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		q    *query.Query
@@ -658,6 +672,7 @@ func BenchmarkCompileStages(b *testing.B) {
 		{"triangle", query.Triangle(), query.Cardinalities(query.Triangle(), 12)},
 		{"cycle4", query.Cycle4(), query.Cardinalities(query.Cycle4(), 8)},
 		{"triangle16-derived", query.Triangle(), derived},
+		{"cycle4-8-cold", coldCanon.Query, coldCanon.DCs},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var lpSolve, lowerFold, sweep, vmCompile time.Duration

@@ -91,27 +91,39 @@ type Circuit struct {
 	depth   []int32
 	inputs  []int // gate ids of inputs in allocation order
 	outputs []int
-	// table is the hash-consing index: an open-addressed, linearly probed
-	// array of gate id + 1 (0 is an empty slot) whose length is a power of
-	// two at least twice the gate count. It stores no keys — a probe
-	// compares against gates[id] — so it costs 4 bytes a slot. A nil or
-	// too-small table (a fresh, deserialized or released circuit) is
-	// rebuilt from the gate list by the next push; see reserve.
-	table  []int32
-	shift  uint8 // 64 - log2(len(table)): a hash's top bits pick the slot
-	maxDep int32
+	// links, spill and spilled are the hash-consing index, keyed by each
+	// gate's anchor: its newest operand, max(A, B, C). Operands are almost
+	// always recent gates, so a lookup touches recently used memory (see
+	// DESIGN.md, "Hash-consing by newest operand"). links[w].head is id+1
+	// of the newest gate anchored at wire w and links[id].next the id+1 of
+	// the gate anchored at the same wire before gate id; 0 ends a chain. A
+	// chain holds at most chainCap gates. A gate whose anchor's chain is
+	// full, and a constant, which has no operand to anchor on, is filed in
+	// spill instead: an open-addressed, linearly probed table of id+1 at
+	// load at most one half, holding spilled of them. links has one entry
+	// per gate while the index is live; a circuit without one (fresh from
+	// Read or Prune, or released) has it empty, and the next push rebuilds
+	// it (see reindex).
+	links   []link
+	spill   []int32
+	spilled int
+	maxDep  int32
 	// rewrite routes every computation gate through emit (rewrite.go)
 	// before it is pushed. Set only by NewRewriting.
 	rewrite bool
 }
 
+// link is one gate's pair of anchor-chain pointers.
+type link struct{ head, next int32 }
+
+// chainCap bounds an anchor chain, so a wire that is the newest operand
+// of many distinct gates costs a lookup at most chainCap comparisons and
+// one spill probe, not a walk over all of them.
+const chainCap = 32
+
 // maxGates is the largest gate count a circuit can hold: operands are
 // int32 wire ids.
 const maxGates = math.MaxInt32
-
-// minReserve is the smallest gate count reserve sizes for, so tiny
-// circuits do not rebuild their table every few gates.
-const minReserve = 32
 
 // New returns an empty circuit whose builder emits exactly the gates it
 // is asked for.
@@ -127,66 +139,117 @@ func NewRewriting() *Circuit {
 	return &Circuit{rewrite: true}
 }
 
-// Grow reserves room for n more gates — gate storage and the
-// hash-consing table — so a builder that knows roughly how large the
-// circuit will get allocates once instead of doubling its way there. A
-// hint that turns out too small costs nothing but the doublings it did
-// not save.
+// Grow reserves room for n more gates — gate storage, depths and the
+// index's links — so a builder that knows roughly how large the circuit
+// will get allocates once instead of growing by append. The index never
+// rehashes as it grows (only the small spill table doubles), so a hint
+// that turns out too small costs nothing but the regrowth copies it did
+// not save. A total that int32 operands could not address panics as
+// checkCount does.
 func (c *Circuit) Grow(n int) {
-	if total := len(c.gates) + n; n > 0 && 2*total > len(c.table) {
-		c.reserve(total)
+	if n <= 0 {
+		return
 	}
+	total := len(c.gates) + n
+	checkCount(total)
+	c.gates = slices.Grow(c.gates, n)
+	c.depth = slices.Grow(c.depth, n)
+	c.links = slices.Grow(c.links, total-len(c.links))
 }
 
-// ReleaseHashTable drops the hash-consing table. A finished circuit is
-// only ever evaluated or serialized, and the table is a third of what a
+// ReleaseHashTable drops the hash-consing index. A finished circuit is
+// only ever evaluated or serialized, and the index is a fifth of what a
 // cached plan would otherwise pin; the circuit stays valid, and the next
-// push rebuilds the table from the gate list, exactly as after Read.
-func (c *Circuit) ReleaseHashTable() { c.table = nil }
+// push rebuilds the index from the gate list, exactly as after Read.
+func (c *Circuit) ReleaseHashTable() { c.links, c.spill, c.spilled = nil, nil, 0 }
 
-// reserve makes room for total gates: capacity in gates and depth, and a
-// table at load factor at most one half, filled by re-inserting every
-// non-input gate from the gate list. Doubling, the sizing hint and the
-// lazy rebuild of a circuit without a table are all this one routine. A
-// total that int32 operands could not address panics with a
-// guard.ErrBudgetExceeded-class error, which the compile entry points
-// return typed (guard.Recover).
-func (c *Circuit) reserve(total int) {
-	if total > maxGates {
-		panic(fmt.Errorf("%w: boolcircuit: %d gates exceed the %d a circuit can address",
-			guard.ErrBudgetExceeded, total, maxGates))
-	}
-	c.gates = slices.Grow(c.gates, total-len(c.gates))
-	c.depth = slices.Grow(c.depth, total-len(c.depth))
-	size := 2 * minReserve
-	for size < 2*total {
-		size <<= 1
-	}
-	c.table = make([]int32, size)
-	c.shift = uint8(64 - bits.TrailingZeros(uint(size)))
-	mask := uint32(size - 1)
+// reindex builds the index of a circuit that has none from its gate
+// list. It scans ids in ascending order and files a gate only if no equal
+// gate is indexed yet: the gates of one builder are distinct, but a
+// deserialized circuit may repeat one, and then the lower id is the one
+// push will share.
+func (c *Circuit) reindex() {
+	c.links = make([]link, len(c.gates), cap(c.gates))
+	c.spill, c.spilled = nil, 0
 	for id, g := range c.gates {
 		if g.Op == OpInput {
 			continue
 		}
-		// Gates of one builder are distinct, so no comparison is needed;
-		// a deserialized circuit may repeat a gate, and then the lower id
-		// sits first on the probe path and is the one push will share.
-		slot := c.slotOf(g)
-		for c.table[slot] != 0 {
-			slot = (slot + 1) & mask
+		if found, anchor := c.lookup(g); found < 0 {
+			c.file(int32(id), anchor)
 		}
-		c.table[slot] = int32(id) + 1
 	}
 }
 
-// slotOf returns the home slot of g in the current table.
-func (c *Circuit) slotOf(g Gate) uint32 {
+// lookup returns the id of the indexed gate equal to g, or -1 and where
+// a new gate g is to be filed: the anchor wire whose chain has room for
+// it, or -1 for the spill table. Only a full chain sends a lookup on to
+// spill: chains never shrink, so a gate filed in spill was filed there
+// because its chain was already full.
+func (c *Circuit) lookup(g Gate) (found, anchor int32) {
+	anchor = max(g.A, g.B, g.C)
+	if anchor >= 0 {
+		n := 0
+		for e := c.links[anchor].head; e != 0; e = c.links[e-1].next {
+			if c.gates[e-1] == g {
+				return e - 1, anchor
+			}
+			n++
+		}
+		if n < chainCap {
+			return -1, anchor
+		}
+	}
+	if len(c.spill) > 0 {
+		mask := uint64(len(c.spill) - 1)
+		for slot := spillHash(g) & mask; c.spill[slot] != 0; slot = (slot + 1) & mask {
+			if e := c.spill[slot]; c.gates[e-1] == g {
+				return e - 1, -1
+			}
+		}
+	}
+	return -1, -1
+}
+
+// file indexes gate id, which lookup did not find, under anchor, or in
+// the spill table when anchor is -1, doubling the table to keep its load
+// at most one half.
+func (c *Circuit) file(id, anchor int32) {
+	if anchor >= 0 {
+		c.links[id].next = c.links[anchor].head
+		c.links[anchor].head = id + 1
+		return
+	}
+	if 2*(c.spilled+1) > len(c.spill) {
+		old := c.spill
+		c.spill = make([]int32, max(2*len(old), 64))
+		for _, e := range old {
+			if e != 0 {
+				c.spillAt(e)
+			}
+		}
+	}
+	c.spillAt(id + 1)
+	c.spilled++
+}
+
+// spillAt puts entry e (a gate id + 1) in the first free slot of its
+// probe path.
+func (c *Circuit) spillAt(e int32) {
+	mask := uint64(len(c.spill) - 1)
+	slot := spillHash(c.gates[e-1]) & mask
+	for c.spill[slot] != 0 {
+		slot = (slot + 1) & mask
+	}
+	c.spill[slot] = e
+}
+
+// spillHash mixes every field of g; its low bits pick a spill slot.
+func spillHash(g Gate) uint64 {
 	h := (uint64(uint32(g.A)) | uint64(uint32(g.B))<<32) * 0x9e3779b97f4a7c15
 	h ^= (uint64(uint32(g.C))<<8 | uint64(g.Op)) * 0xbf58476d1ce4e5b9
 	h ^= uint64(g.K) * 0x94d049bb133111eb
-	h ^= h >> 32
-	return uint32((h * 0x9e3779b97f4a7c15) >> c.shift)
+	return bits.RotateLeft64((h^h>>32)*0x9e3779b97f4a7c15, 32)
 }
 
 // NumInputs returns the number of input wires allocated.
@@ -227,24 +290,22 @@ func (c *Circuit) MarkOutput(w int) {
 // gate already present (hash-consing). Input gates are never shared.
 func (c *Circuit) push(g Gate) int {
 	id := len(c.gates)
-	if 2*(id+1) > len(c.table) {
-		// Double, but never past what ids can address; at that limit
-		// id+1 is what reserve refuses.
-		c.reserve(max(min(2*id, maxGates), id+1, minReserve))
+	if len(c.links) != id {
+		c.reindex()
 	}
-	var slot uint32
+	anchor := int32(-1)
 	if g.Op != OpInput {
-		mask := uint32(len(c.table) - 1)
-		slot = c.slotOf(g)
-		for e := c.table[slot]; e != 0; e = c.table[slot] {
-			if c.gates[e-1] == g {
-				return int(e - 1)
-			}
-			slot = (slot + 1) & mask
+		var found int32
+		if found, anchor = c.lookup(g); found >= 0 {
+			return int(found)
 		}
-		c.table[slot] = int32(id) + 1
 	}
+	checkCount(id + 1)
 	c.gates = append(c.gates, g)
+	c.links = append(c.links, link{})
+	if g.Op != OpInput {
+		c.file(int32(id), anchor)
+	}
 	var d int32
 	for _, op := range [3]int32{g.A, g.B, g.C} {
 		if op >= 0 && c.depth[op] > d {
@@ -259,6 +320,16 @@ func (c *Circuit) push(g Gate) int {
 		c.maxDep = d
 	}
 	return id
+}
+
+// checkCount panics with a guard.ErrBudgetExceeded-class error when total
+// gates are more than int32 operands can address; the compile entry
+// points return it typed (guard.Recover).
+func checkCount(total int) {
+	if total > maxGates {
+		panic(fmt.Errorf("%w: boolcircuit: %d gates exceed the %d a circuit can address",
+			guard.ErrBudgetExceeded, total, maxGates))
+	}
 }
 
 // Input allocates a new input wire.
@@ -396,7 +467,7 @@ func (c *Circuit) OutputCone(ctx context.Context) (live []bool, count int, err e
 // kept, dead or not, because allocation order is the packing contract;
 // outputs keep their marking order and every wire its depth. The
 // renumbering is injective, so the copy is as hash-consed as c was
-// without hashing anything — it carries no table (see ReleaseHashTable).
+// without hashing anything — it carries no index (see ReleaseHashTable).
 func (c *Circuit) Prune(ctx context.Context) (*Circuit, error) {
 	live, count, err := c.OutputCone(ctx)
 	if err != nil {

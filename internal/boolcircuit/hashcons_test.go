@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"circuitql/internal/guard"
 )
@@ -15,10 +16,11 @@ import (
 // every push must return exactly the id the model returns — the old id
 // for a gate seen before, the next id for a new one, always a new id
 // for an input. The first byte picks a sizing hint (none, far too small,
-// too small, ample); later steps also drop the table and re-hint in
-// mid-build, so the doubling, the hint and the lazy-rebuild paths of
-// reserve all meet the same model. It returns how many pushes were
-// answered with an existing gate.
+// too small, ample); later steps also drop the index and re-hint in
+// mid-build, so the append, the hint and the lazy rebuild (reindex) all
+// meet the same model. No push may leave its anchor chain longer than
+// chainCap, and the finished index must pass checkIndex. It returns how
+// many pushes were answered with an existing gate.
 func checkHashCons(t *testing.T, data []byte) (shared int) {
 	t.Helper()
 	c := New()
@@ -33,7 +35,7 @@ func checkHashCons(t *testing.T, data []byte) (shared int) {
 			shared++
 		}
 		if got := c.push(g); got != want {
-			t.Fatalf("push #%d %+v = %d, model says %d (table %d slots)", len(gates), g, got, want, len(c.table))
+			t.Fatalf("push #%d %+v = %d, model says %d (%d gates spilled)", len(gates), g, got, want, c.spilled)
 		}
 		if want == len(gates) {
 			gates = append(gates, g)
@@ -44,8 +46,8 @@ func checkHashCons(t *testing.T, data []byte) (shared int) {
 		if c.Size() != len(gates) {
 			t.Fatalf("size %d, model %d", c.Size(), len(gates))
 		}
-		if len(c.table) < 2*len(gates) {
-			t.Fatalf("table of %d slots for %d gates: load above one half", len(c.table), len(gates))
+		if w := max(g.A, g.B, g.C); w >= 0 && chainLen(c, w) > chainCap {
+			t.Fatalf("push #%d %+v: wire %d anchors a chain of %d gates, cap %d", len(gates), g, w, chainLen(c, w), chainCap)
 		}
 	}
 
@@ -87,7 +89,67 @@ func checkHashCons(t *testing.T, data []byte) (shared int) {
 			push(g)
 		}
 	}
+	checkIndex(t, c)
 	return shared
+}
+
+// chainLen is the length of wire w's anchor chain.
+func chainLen(c *Circuit, w int32) int {
+	n := 0
+	for e := c.links[w].head; e != 0; e = c.links[e-1].next {
+		n++
+	}
+	return n
+}
+
+// checkIndex holds c's hash-consing index, rebuilt first if c has none,
+// to its invariants: every chain holds at most chainCap gates, each
+// anchored at the chain's wire; every spilled gate is one without
+// operands or with a full chain, and lookup finds it at its own id; the
+// spill table's load is at most one half; and every computation gate and
+// constant is found, at its own id or at an equal gate's lower one.
+func checkIndex(t *testing.T, c *Circuit) {
+	t.Helper()
+	if len(c.links) != len(c.gates) {
+		c.reindex()
+	}
+	for w := range c.gates {
+		n := 0
+		for e := c.links[w].head; e != 0; e = c.links[e-1].next {
+			if g := c.gates[e-1]; max(g.A, g.B, g.C) != int32(w) {
+				t.Fatalf("gate %d %+v is on the chain of wire %d", e-1, g, w)
+			}
+			n++
+		}
+		if n > chainCap {
+			t.Fatalf("wire %d anchors a chain of %d gates, cap %d", w, n, chainCap)
+		}
+	}
+	spilled := 0
+	for _, e := range c.spill {
+		if e == 0 {
+			continue
+		}
+		spilled++
+		g := c.gates[e-1]
+		if w := max(g.A, g.B, g.C); w >= 0 && chainLen(c, w) < chainCap {
+			t.Fatalf("gate %d %+v spilled while wire %d's chain has room", e-1, g, w)
+		}
+		if found, _ := c.lookup(g); found != e-1 {
+			t.Fatalf("spilled gate %d %+v: lookup finds %d", e-1, g, found)
+		}
+	}
+	if spilled != c.spilled || 2*spilled > len(c.spill) {
+		t.Fatalf("%d gates in a spill table of %d slots that counts %d", spilled, len(c.spill), c.spilled)
+	}
+	for id, g := range c.gates {
+		if g.Op == OpInput {
+			continue
+		}
+		if found, _ := c.lookup(g); found < 0 || found > int32(id) || c.gates[found] != g {
+			t.Fatalf("gate %d %+v: lookup finds %d", id, g, found)
+		}
+	}
 }
 
 // checkRewritingInvariants runs the same program through the public
@@ -95,9 +157,10 @@ func checkHashCons(t *testing.T, data []byte) (shared int) {
 // constant or another gate than the one named, and checks what has to
 // hold of the circuit whatever was rewritten: no two computation gates
 // or constants are equal, every operand precedes its gate, every depth
-// is what its operands' depths make it, the table stays at load one
-// half, and no gate is left that the table would itself rewrite away
-// (a constant-only gate, x op x, a double complement).
+// is what its operands' depths make it, the index keeps every chain to
+// chainCap (checkIndex), and no gate is left that the rewrite table
+// would itself rewrite away (a constant-only gate, x op x, a double
+// complement).
 func checkRewritingInvariants(t *testing.T, data []byte) {
 	t.Helper()
 	c := NewRewriting()
@@ -127,12 +190,8 @@ func checkRewritingInvariants(t *testing.T, data []byte) {
 		default:
 			c.bin([]Op{OpAdd, OpSub, OpMul, OpMod, OpAnd, OpOr, OpXor, OpEq, OpLt}[int(op)%9], a, b)
 		}
-		// A call that was rewritten to an existing wire pushes nothing, and
-		// only a push rebuilds a released table.
-		if c.Size() > n && len(c.table) < 2*c.Size() {
-			t.Fatalf("table of %d slots for %d gates: load above one half", len(c.table), c.Size())
-		}
 	}
+	checkIndex(t, c)
 
 	seen := make(map[Gate]int, c.Size())
 	var maxDep int32
@@ -179,10 +238,10 @@ func checkRewritingInvariants(t *testing.T, data []byte) {
 	}
 }
 
-// TestHashConsAgainstModel drives a few thousand pushes — enough for
-// the table to double seven or eight times from each starting size —
-// from a narrow operand range, so a good share of them are repeats. The
-// same programs then go through the rewriting builder.
+// TestHashConsAgainstModel drives a few thousand pushes from a narrow
+// operand range, so a good share of them are repeats and the chains of
+// the first 64 wires fill up and spill. The same programs then go
+// through the rewriting builder.
 func TestHashConsAgainstModel(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -206,9 +265,9 @@ func TestHashConsAgainstModel(t *testing.T) {
 }
 
 // FuzzHashCons hands checkHashCons, and the rewriting builder's
-// checkRewritingInvariants, to the fuzzer. The seeds are long enough
-// (170 and 340 steps) to cross the first few doublings under every
-// sizing hint.
+// checkRewritingInvariants, to the fuzzer: pushes against the model,
+// anchor chains held to chainCap, every spilled gate found. The seeds
+// (170 and 340 steps) run under every sizing hint.
 func FuzzHashCons(f *testing.F) {
 	for hint := byte(0); hint < 4; hint++ {
 		for _, steps := range []int{170, 340} {
@@ -229,10 +288,65 @@ func FuzzHashCons(f *testing.F) {
 	})
 }
 
+// TestHashConsFanOut is the index's worst case: one wire is the newest
+// operand of 1<<16 distinct gates. Every push, and a second push of each
+// gate, must answer what the map model answers; the wire's chain must
+// stop at chainCap with the rest spilled; and the build must stay linear
+// in the gate count. An uncapped chain makes it quadratic — every new
+// gate compares against all the earlier ones, ~2^31 comparisons, 16 s
+// on a 2-vCPU VM where the capped build takes tens of milliseconds — so
+// a loose wall-clock bound tells the two apart.
+func TestHashConsFanOut(t *testing.T) {
+	const users = 1 << 16
+	c := New()
+	older := c.Inputs(users)
+	x := int32(c.Input())
+	ops := []Op{OpAdd, OpSub, OpMul, OpMod}
+	model := map[Gate]int{}
+	var pushes []Gate
+	var want []int
+	for round := 0; round < 2; round++ {
+		for i := 0; i < users; i++ {
+			g := Gate{Op: ops[i%len(ops)], A: int32(older[i]), B: x, C: -1}
+			id, seen := model[g]
+			if !seen {
+				id = c.Size() + len(model)
+				model[g] = id
+			}
+			pushes = append(pushes, g)
+			want = append(want, id)
+		}
+	}
+
+	got := make([]int, len(pushes))
+	start := time.Now()
+	for i, g := range pushes {
+		got[i] = c.push(g)
+	}
+	elapsed := time.Since(start)
+	t.Logf("%d pushes on a fan-out of %d: %v", len(pushes), users, elapsed)
+	for i := range pushes {
+		if got[i] != want[i] {
+			t.Fatalf("push %d %+v = %d, model says %d", i, pushes[i], got[i], want[i])
+		}
+	}
+	if n := chainLen(c, x); n != chainCap {
+		t.Fatalf("the fan-out wire anchors a chain of %d gates, want the cap %d", n, chainCap)
+	}
+	if c.spilled != users-chainCap {
+		t.Fatalf("%d gates spilled, want %d", c.spilled, users-chainCap)
+	}
+	checkIndex(t, c)
+	if elapsed > 2*time.Second {
+		t.Fatalf("%d pushes on one wire's fan-out took %v: the index is no longer linear in it", len(pushes), elapsed)
+	}
+}
+
 // TestReadThenPushSharesOldGates is the lazy-rebuild regression test: a
-// deserialized circuit has no table, and the first push must rebuild it
-// from the gate list so that an existing gate comes back under its old
-// id instead of being appended again. Same after ReleaseHashTable.
+// deserialized circuit has no hash-consing index, and the first push
+// must rebuild it from the gate list so that an existing gate comes back
+// under its old id instead of being appended again. Same after
+// ReleaseHashTable.
 func TestReadThenPushSharesOldGates(t *testing.T) {
 	c := randomCircuit(5, 8, 2000)
 	var buf bytes.Buffer
@@ -245,8 +359,8 @@ func TestReadThenPushSharesOldGates(t *testing.T) {
 	}
 	c.ReleaseHashTable()
 	for name, got := range map[string]*Circuit{"read": loaded, "released": c} {
-		if got.table != nil {
-			t.Fatalf("%s: circuit still carries a %d-slot table", name, len(got.table))
+		if got.links != nil || got.spill != nil {
+			t.Fatalf("%s: circuit still carries an index (%d links, %d spill slots)", name, len(got.links), len(got.spill))
 		}
 		size := got.Size()
 		for id, g := range got.gates {
@@ -291,8 +405,8 @@ func TestPrune(t *testing.T) {
 		t.Fatalf("pruned %d gates/%d inputs/%d outputs from %d/%d/%d (gate %d is dead)",
 			p.Size(), p.NumInputs(), len(p.Outputs()), c.Size(), c.NumInputs(), len(c.Outputs()), dead)
 	}
-	if p.table != nil {
-		t.Fatal("pruned circuit carries a hash table")
+	if p.links != nil || p.spill != nil {
+		t.Fatal("pruned circuit carries a hash-consing index")
 	}
 
 	// Only inputs and the output cone survive, in order, with the depths

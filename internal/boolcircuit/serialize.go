@@ -18,7 +18,7 @@ import (
 //	uvarint outputCount, then output wire uvarints.
 //
 // Inputs are implicit (gates with OpInput, in order); depth is rebuilt
-// on load, the hash-consing table lazily if the circuit grows again.
+// on load, the hash-consing index lazily if the circuit grows again.
 
 const magic = "CQC1"
 
@@ -143,7 +143,7 @@ func (d *decoder) operand(i int) (int32, error) {
 
 // Read deserializes a circuit written by WriteTo, which must be all
 // that is left of r, rebuilding depth information; the hash-consing
-// table is left to the first push.
+// index is left to the first push.
 func Read(r io.Reader) (*Circuit, error) {
 	var data []byte
 	if mem, ok := r.(interface{ Bytes() []byte }); ok {
@@ -219,8 +219,8 @@ func Read(r io.Reader) (*Circuit, error) {
 		c.depth[i] = dep
 		c.maxDep = max(c.maxDep, dep)
 	}
-	// The hash-consing table is only needed if the circuit grows again;
-	// c has none, and the first push would build it (see reserve), so
+	// The hash-consing index is only needed if the circuit grows again;
+	// c has none, and the first push would build it (see reindex), so
 	// read-to-evaluate stays cheap.
 
 	outCount, err := d.uvarint()

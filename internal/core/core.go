@@ -158,7 +158,7 @@ func lower(ctx context.Context, rc *relcircuit.Circuit, c *boolcircuit.Circuit) 
 	}
 	// The circuit is finished: the sweep copies it without hashing, the
 	// evaluators and the plan cache only read it, so nothing should keep
-	// the hash-consing table alive for the plan's lifetime.
+	// the hash-consing index alive for the plan's lifetime.
 	c.ReleaseHashTable()
 	return oc, nil
 }
@@ -170,8 +170,10 @@ func lower(ctx context.Context, rc *relcircuit.Circuit, c *boolcircuit.Circuit) 
 // measured on the catalog (uniform and derived constraints, N = 3..16:
 // the true count is 1.7-6.4 times the sum, 2-4.5 for all but a few).
 // Only allocation depends on it — an estimate that is too low costs the
-// builder the doublings it did not save, one that is too high some
-// zeroed memory, which maxHint bounds.
+// builder the append regrowths it did not save (copies of the gate list,
+// depths and index links, no rehash), one that is too high some zeroed
+// memory, which maxHint bounds. On the cold-compile shape the hint saves
+// 12 MB of allocation and 4-13 ms of lowering a compile (EXPERIMENTS.md).
 func wordGateEstimate(rc *relcircuit.Circuit) int {
 	slots := func(card float64) float64 {
 		if math.IsInf(card, 0) || math.IsNaN(card) {

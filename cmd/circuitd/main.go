@@ -139,12 +139,7 @@ func run() int {
 	// request line evaluates against the relations on disk.
 	var fixedDB circuitql.Database
 	if *dbDir != "" {
-		cdb, err := circuitql.OpenColumnarDB(*dbDir)
-		if err != nil {
-			log.Print(err)
-			return 1
-		}
-		fixedDB, err = cdb.Load()
+		fixedDB, err = circuitql.LoadColumnarDB(*dbDir)
 		if err != nil {
 			log.Print(err)
 			return 1

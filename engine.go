@@ -106,23 +106,21 @@ type PlanStore = store.Store
 type PlanStoreStats = store.Stats
 
 // OpenPlanStore opens (creating if needed) a plan store rooted at dir,
-// sweeping any torn writes a previous crash left behind and reconciling
-// the index against the artifacts actually present.
+// sweeping any torn writes a previous crash left behind. The artifact
+// files in dir are the index: every <fingerprint>.plan present is
+// served, and nothing else is kept beside them.
 func OpenPlanStore(dir string) (*PlanStore, error) { return store.Open(dir) }
 
-// ColumnarDB is an on-disk columnar database directory: one
-// dictionary-compressed, checksummed file per relation, scannable block
-// by block without materializing in-memory relations.
-type ColumnarDB = store.DB
-
 // ExportColumnarDB writes every relation of db as a columnar file under
-// dir (atomically, one file per relation); see OpenColumnarDB to read
-// it back.
+// dir: one dictionary-compressed, checksummed file per relation,
+// written atomically. LoadColumnarDB reads it back.
 func ExportColumnarDB(dir string, db Database) error { return store.ExportDB(dir, db) }
 
-// OpenColumnarDB opens a columnar database directory written by
-// ExportColumnarDB (or circuitc -export).
-func OpenColumnarDB(dir string) (*ColumnarDB, error) { return store.OpenDB(dir) }
+// LoadColumnarDB reads a columnar database directory written by
+// ExportColumnarDB (or circuitc -export) into memory. Every file is
+// checksummed and fully decoded, and a file whose recorded relation
+// name differs from its file name is an error.
+func LoadColumnarDB(dir string) (Database, error) { return store.LoadDB(dir) }
 
 // Engine is a long-lived serving engine over the compile/evaluate
 // pipeline. Create with NewEngine, stop with Close. Safe for concurrent

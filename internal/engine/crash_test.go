@@ -70,9 +70,9 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatal("child did not reach the crash window in time")
 	}
 
-	// Phase 2 in flight: a plan temp file (not a manifest temp) in the
-	// store directory means the child is asleep inside the crash window
-	// between its temp write and the atomic rename.
+	// Phase 2 in flight: a temp file in the store directory means the
+	// child is asleep inside the crash window between its temp write and
+	// the atomic rename.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		if time.Now().After(deadline) {
@@ -82,8 +82,7 @@ func TestCrashRecovery(t *testing.T) {
 		if err == nil {
 			tmp := false
 			for _, ent := range entries {
-				name := ent.Name()
-				if strings.HasSuffix(name, ".tmp") && !strings.HasPrefix(name, "manifest-") {
+				if strings.HasSuffix(ent.Name(), ".tmp") {
 					tmp = true
 				}
 			}

@@ -7,7 +7,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash"
 	"io"
 	"os"
 	"path/filepath"
@@ -32,9 +31,9 @@ const relMagic = "CQR1"
 // relExt is the columnar relation file suffix in a database directory.
 const relExt = ".col"
 
-// DefaultBlockRows is the row-block size WriteColumnar uses: one block
-// is the unit a scan decodes and hands out, so it bounds the memory a
-// streaming consumer holds regardless of relation size.
+// DefaultBlockRows is the number of rows WriteColumnar puts in one
+// block; each block carries its own row count, which ReadColumnar
+// checks against the header's block size and remaining rows.
 const DefaultBlockRows = 1024
 
 // maxRelRows caps the row and dictionary counts the decoder will
@@ -145,290 +144,140 @@ func WriteColumnar(w io.Writer, name string, r *relation.Relation) error {
 	return nil
 }
 
-// hashReader hashes exactly the bytes handed out, so a buffered reader
-// below it can read ahead without polluting the checksum.
-type hashReader struct {
-	br *bufio.Reader
-	h  hash.Hash
-}
-
-func (hr *hashReader) ReadByte() (byte, error) {
-	b, err := hr.br.ReadByte()
-	if err == nil {
-		hr.h.Write([]byte{b})
-	}
-	return b, err
-}
-
-func (hr *hashReader) Read(p []byte) (int, error) {
-	n, err := hr.br.Read(p)
-	if n > 0 {
-		hr.h.Write(p[:n])
-	}
-	return n, err
-}
-
-// RelScan streams one columnar relation block by block. The header and
-// per-column dictionaries are decoded eagerly (they are small — one
-// entry per distinct value); row blocks decode on demand, so a scan
-// holds O(block) rows in memory no matter how large the relation is.
-// The checksum is verified when the last block has been read.
-type RelScan struct {
-	name    string
-	schema  []string
-	rows    int64
-	blockSz int
-
-	hr      *hashReader
-	closer  io.Closer
-	dicts   [][]int64
-	read    int64
-	batch   []relation.Tuple
-	flat    []int64
-	idxBuf  []uint64
-	done    bool
-	scanErr error
-}
-
-// NewRelScan starts a columnar scan over r (which is read to the end;
-// close it after the scan finishes).
-func NewRelScan(r io.Reader) (*RelScan, error) {
-	hr := &hashReader{br: bufio.NewReader(r), h: sha256.New()}
+// ReadColumnar decodes one columnar relation file, returning the name
+// its header records and the relation. It checks, in file order: the
+// magic; the header's version, row count, block size and schema
+// (non-empty, distinct attributes); that every dictionary is strictly
+// sorted; every block's row count and dictionary indexes; and last the
+// SHA-256 of everything before it, with no bytes after that.
+func ReadColumnar(data []byte) (string, *relation.Relation, error) {
+	rd := bytes.NewReader(data)
 	var magic [len(relMagic)]byte
-	if _, err := io.ReadFull(hr, magic[:]); err != nil {
-		return nil, fmt.Errorf("store: columnar magic: %w", err)
+	if _, err := io.ReadFull(rd, magic[:]); err != nil {
+		return "", nil, fmt.Errorf("store: columnar magic: %w", err)
 	}
 	if string(magic[:]) != relMagic {
-		return nil, fmt.Errorf("store: bad columnar magic %q", magic[:])
+		return "", nil, fmt.Errorf("store: bad columnar magic %q", magic[:])
 	}
-	headLen, err := binary.ReadUvarint(hr)
+	headLen, err := binary.ReadUvarint(rd)
 	if err != nil || headLen > 1<<20 {
-		return nil, fmt.Errorf("store: unreadable columnar header length")
+		return "", nil, fmt.Errorf("store: unreadable columnar header length")
 	}
 	headBuf := make([]byte, headLen)
-	if _, err := io.ReadFull(hr, headBuf); err != nil {
-		return nil, fmt.Errorf("store: columnar header: %w", err)
+	if _, err := io.ReadFull(rd, headBuf); err != nil {
+		return "", nil, fmt.Errorf("store: columnar header: %w", err)
 	}
 	var h colHeader
 	if err := json.Unmarshal(headBuf, &h); err != nil {
-		return nil, fmt.Errorf("store: columnar header: %w", err)
+		return "", nil, fmt.Errorf("store: columnar header: %w", err)
 	}
 	if h.Version != RelFormatVersion {
-		return nil, fmt.Errorf("store: unsupported columnar format version %d (decoder speaks %d)",
+		return "", nil, fmt.Errorf("store: unsupported columnar format version %d (decoder speaks %d)",
 			h.Version, RelFormatVersion)
 	}
 	if h.Rows < 0 || h.Rows > maxRelRows {
-		return nil, fmt.Errorf("store: unreasonable row count %d", h.Rows)
+		return "", nil, fmt.Errorf("store: unreasonable row count %d", h.Rows)
 	}
 	if h.BlockRows < 1 || h.BlockRows > 1<<20 {
-		return nil, fmt.Errorf("store: unreasonable block size %d", h.BlockRows)
+		return "", nil, fmt.Errorf("store: unreasonable block size %d", h.BlockRows)
 	}
 	if len(h.Schema) == 0 || len(h.Schema) > 1<<10 {
-		return nil, fmt.Errorf("store: unreasonable schema width %d", len(h.Schema))
+		return "", nil, fmt.Errorf("store: unreasonable schema width %d", len(h.Schema))
 	}
 	seen := map[string]struct{}{}
 	for _, a := range h.Schema {
 		if a == "" {
-			return nil, fmt.Errorf("store: empty attribute name in columnar header")
+			return "", nil, fmt.Errorf("store: empty attribute name in columnar header")
 		}
 		if _, dup := seen[a]; dup {
-			return nil, fmt.Errorf("store: duplicate attribute %q in columnar header", a)
+			return "", nil, fmt.Errorf("store: duplicate attribute %q in columnar header", a)
 		}
 		seen[a] = struct{}{}
 	}
 
-	s := &RelScan{
-		name:    h.Name,
-		schema:  h.Schema,
-		rows:    h.Rows,
-		blockSz: h.BlockRows,
-		hr:      hr,
-		dicts:   make([][]int64, len(h.Schema)),
-	}
-	if c, ok := r.(io.Closer); ok {
-		s.closer = c
-	}
-	for c := range s.dicts {
-		count, err := binary.ReadUvarint(hr)
-		if err != nil || count > maxRelRows {
-			return nil, fmt.Errorf("store: unreadable dictionary for column %q", h.Schema[c])
+	// Every dictionary entry and every block index takes at least one
+	// byte, so a count larger than the bytes left is corrupt; checking
+	// that before allocating keeps a hostile header from driving memory.
+	dicts := make([][]int64, len(h.Schema))
+	for c := range dicts {
+		count, err := binary.ReadUvarint(rd)
+		if err != nil || count > maxRelRows || count > uint64(rd.Len()) {
+			return "", nil, fmt.Errorf("store: unreadable dictionary for column %q", h.Schema[c])
 		}
 		dict := make([]int64, count)
 		prev := int64(0)
 		for i := range dict {
 			if i == 0 {
-				v, err := binary.ReadVarint(hr)
+				v, err := binary.ReadVarint(rd)
 				if err != nil {
-					return nil, fmt.Errorf("store: dictionary for column %q: %w", h.Schema[c], err)
+					return "", nil, fmt.Errorf("store: dictionary for column %q: %w", h.Schema[c], err)
 				}
 				dict[i] = v
 			} else {
-				d, err := binary.ReadUvarint(hr)
+				d, err := binary.ReadUvarint(rd)
 				if err != nil {
-					return nil, fmt.Errorf("store: dictionary for column %q: %w", h.Schema[c], err)
+					return "", nil, fmt.Errorf("store: dictionary for column %q: %w", h.Schema[c], err)
 				}
 				dict[i] = prev + int64(d)
 				if dict[i] <= prev {
-					return nil, fmt.Errorf("store: dictionary for column %q not strictly sorted", h.Schema[c])
+					return "", nil, fmt.Errorf("store: dictionary for column %q not strictly sorted", h.Schema[c])
 				}
 			}
 			prev = dict[i]
 		}
-		s.dicts[c] = dict
+		dicts[c] = dict
 	}
-	return s, nil
-}
 
-// OpenColumnar starts a scan over a columnar relation file. The scan
-// owns the file handle; it closes on the final NextBatch or on Close.
-func OpenColumnar(path string) (*RelScan, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	s, err := NewRelScan(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-// Name returns the relation's name as recorded in the file.
-func (s *RelScan) Name() string { return s.name }
-
-// Schema returns the relation's attribute names in order.
-func (s *RelScan) Schema() []string { return append([]string(nil), s.schema...) }
-
-// Arity returns the number of attributes.
-func (s *RelScan) Arity() int { return len(s.schema) }
-
-// Rows returns the total row count recorded in the header.
-func (s *RelScan) Rows() int64 { return s.rows }
-
-// Close releases the underlying file early; scans read to completion
-// close themselves.
-func (s *RelScan) Close() error {
-	s.done = true
-	if s.closer != nil {
-		c := s.closer
-		s.closer = nil
-		return c.Close()
-	}
-	return nil
-}
-
-// NextBatch decodes and returns the next row block. The returned tuples
-// are valid until the next NextBatch call (the backing buffers are
-// reused). io.EOF signals a clean end of scan — the checksum has been
-// verified; any other error means the file is corrupt or truncated.
-func (s *RelScan) NextBatch() ([]relation.Tuple, error) {
-	if s.scanErr != nil {
-		return nil, s.scanErr
-	}
-	if s.done || s.read >= s.rows {
-		return nil, s.finish()
-	}
-	n64, err := binary.ReadUvarint(s.hr)
-	if err != nil {
-		return nil, s.fail(fmt.Errorf("store: columnar block header: %w", err))
-	}
-	n := int(n64)
-	if n < 1 || n > s.blockSz || int64(n) > s.rows-s.read {
-		return nil, s.fail(fmt.Errorf("store: columnar block claims %d rows (block size %d, %d remaining)",
-			n, s.blockSz, s.rows-s.read))
-	}
-	width := len(s.schema)
-	if cap(s.flat) < n*width {
-		s.flat = make([]int64, n*width)
-		s.idxBuf = make([]uint64, n)
-		s.batch = make([]relation.Tuple, n)
-		for i := range s.batch {
-			s.batch[i] = s.flat[i*width : (i+1)*width]
-		}
-	}
-	batch := s.batch[:n]
-	for c := 0; c < width; c++ {
-		dict := s.dicts[c]
-		for i := 0; i < n; i++ {
-			idx, err := binary.ReadUvarint(s.hr)
-			if err != nil {
-				return nil, s.fail(fmt.Errorf("store: columnar block column %q: %w", s.schema[c], err))
-			}
-			if idx >= uint64(len(dict)) {
-				return nil, s.fail(fmt.Errorf("store: columnar index %d out of range for column %q (dictionary %d)",
-					idx, s.schema[c], len(dict)))
-			}
-			batch[i][c] = dict[idx]
-		}
-	}
-	s.read += int64(n)
-	return batch, nil
-}
-
-// finish verifies the trailing checksum and returns io.EOF (or the
-// corruption error).
-func (s *RelScan) finish() error {
-	if s.scanErr != nil {
-		return s.scanErr
-	}
-	want := s.hr.h.Sum(nil)
-	var sum [sha256.Size]byte
-	// Read the checksum from the buffered reader directly: it is not
-	// part of the hashed stream.
-	if _, err := io.ReadFull(s.hr.br, sum[:]); err != nil {
-		return s.fail(fmt.Errorf("store: columnar checksum: %w", err))
-	}
-	if !bytes.Equal(sum[:], want) {
-		return s.fail(fmt.Errorf("store: columnar checksum mismatch"))
-	}
-	if _, err := s.hr.br.ReadByte(); err != io.EOF {
-		return s.fail(fmt.Errorf("store: trailing bytes after columnar checksum"))
-	}
-	s.scanErr = io.EOF
-	s.Close()
-	return io.EOF
-}
-
-// fail records a terminal scan error and closes the file.
-func (s *RelScan) fail(err error) error {
-	s.scanErr = err
-	s.Close()
-	return err
-}
-
-// Each drives the scan to completion, calling fn for every tuple. The
-// tuple is only valid during the callback (buffers are reused). A
-// non-nil error from fn stops the scan and is returned.
-func (s *RelScan) Each(fn func(relation.Tuple) error) error {
-	for {
-		batch, err := s.NextBatch()
-		if err == io.EOF {
-			return nil
-		}
+	r := relation.New(h.Schema...)
+	width := len(h.Schema)
+	var block []int64
+	for read := int64(0); read < h.Rows; {
+		n64, err := binary.ReadUvarint(rd)
 		if err != nil {
-			return err
+			return "", nil, fmt.Errorf("store: columnar block header: %w", err)
 		}
-		for _, t := range batch {
-			if err := fn(t); err != nil {
-				s.Close()
-				return err
+		if n64 < 1 || n64 > uint64(h.BlockRows) || int64(n64) > h.Rows-read {
+			return "", nil, fmt.Errorf("store: columnar block claims %d rows (block size %d, %d remaining)",
+				n64, h.BlockRows, h.Rows-read)
+		}
+		n := int(n64)
+		if n*width > rd.Len() {
+			return "", nil, fmt.Errorf("store: columnar block of %d rows overruns the file", n)
+		}
+		if cap(block) < n*width {
+			block = make([]int64, n*width)
+		}
+		for c, dict := range dicts {
+			for i := 0; i < n; i++ {
+				idx, err := binary.ReadUvarint(rd)
+				if err != nil {
+					return "", nil, fmt.Errorf("store: columnar block column %q: %w", h.Schema[c], err)
+				}
+				if idx >= uint64(len(dict)) {
+					return "", nil, fmt.Errorf("store: columnar index %d out of range for column %q (dictionary %d)",
+						idx, h.Schema[c], len(dict))
+				}
+				block[i*width+c] = dict[idx]
 			}
 		}
+		for i := 0; i < n; i++ {
+			r.Insert(block[i*width : (i+1)*width]...)
+		}
+		read += int64(n)
 	}
-}
 
-// Materialize reads the whole scan into an in-memory Relation.
-func (s *RelScan) Materialize() (*relation.Relation, error) {
-	r := relation.New(s.schema...)
-	err := s.Each(func(t relation.Tuple) error {
-		r.Insert(t...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	want := sha256.Sum256(data[:len(data)-rd.Len()])
+	var sum [sha256.Size]byte
+	if _, err := io.ReadFull(rd, sum[:]); err != nil {
+		return "", nil, fmt.Errorf("store: columnar checksum: %w", err)
 	}
-	return r, nil
+	if sum != want {
+		return "", nil, fmt.Errorf("store: columnar checksum mismatch")
+	}
+	if rd.Len() != 0 {
+		return "", nil, fmt.Errorf("store: trailing bytes after columnar checksum")
+	}
+	return h.Name, r, nil
 }
 
 // relNamePat restricts relation names to filesystem-safe identifiers:
@@ -475,72 +324,37 @@ func ExportDB(dir string, db query.Database) error {
 	return nil
 }
 
-// DB is an opened columnar database directory: a set of relations that
-// can be scanned block by block or materialized on demand.
-type DB struct {
-	dir   string
-	names []string
-}
-
-// OpenDB opens a columnar database directory, indexing the *.col files
-// present. Leftover temp files from interrupted exports are removed.
-func OpenDB(dir string) (*DB, error) {
+// LoadDB reads a columnar database directory written by ExportDB into
+// memory: each <name>.col file, decoded and checked by ReadColumnar,
+// becomes relation name. A file whose header records another relation
+// name is rejected, so a misfiled copy is never served under its file
+// name. Leftover temp files from interrupted exports are removed.
+func LoadDB(dir string) (query.Database, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	db := &DB{dir: dir}
+	db := query.Database{}
 	for _, ent := range entries {
-		name := ent.Name()
+		file := ent.Name()
 		switch {
-		case strings.HasSuffix(name, tmpExt):
-			os.Remove(filepath.Join(dir, name))
-		case strings.HasSuffix(name, relExt):
-			db.names = append(db.names, strings.TrimSuffix(name, relExt))
+		case strings.HasSuffix(file, tmpExt):
+			os.Remove(filepath.Join(dir, file))
+		case strings.HasSuffix(file, relExt):
+			want := strings.TrimSuffix(file, relExt)
+			data, err := os.ReadFile(filepath.Join(dir, file))
+			if err != nil {
+				return nil, fmt.Errorf("store: %w", err)
+			}
+			name, r, err := ReadColumnar(data)
+			if err != nil {
+				return nil, fmt.Errorf("store: loading %q: %w", want, err)
+			}
+			if name != want {
+				return nil, fmt.Errorf("store: columnar file under %q claims relation %q", want, name)
+			}
+			db[want] = r
 		}
 	}
-	sort.Strings(db.names)
 	return db, nil
-}
-
-// Dir returns the database directory.
-func (db *DB) Dir() string { return db.dir }
-
-// Names returns the relation names present, sorted.
-func (db *DB) Names() []string { return append([]string(nil), db.names...) }
-
-// Has reports whether a relation is present.
-func (db *DB) Has(name string) bool {
-	for _, n := range db.names {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
-// Scan starts a streaming scan of one relation.
-func (db *DB) Scan(name string) (*RelScan, error) {
-	if !db.Has(name) {
-		return nil, fmt.Errorf("%w: store: no columnar relation %q in %s", guard.ErrInvalidInput, name, db.dir)
-	}
-	return OpenColumnar(filepath.Join(db.dir, name+relExt))
-}
-
-// Load materializes the whole database into memory, for the RAM tier
-// and any consumer that needs random access.
-func (db *DB) Load() (query.Database, error) {
-	out := make(query.Database, len(db.names))
-	for _, name := range db.names {
-		s, err := db.Scan(name)
-		if err != nil {
-			return nil, err
-		}
-		r, err := s.Materialize()
-		if err != nil {
-			return nil, fmt.Errorf("store: loading %q: %w", name, err)
-		}
-		out[name] = r
-	}
-	return out, nil
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"circuitql/internal/relation"
@@ -51,9 +50,8 @@ func FuzzPlanDecode(f *testing.F) {
 	})
 }
 
-// FuzzRelScan: the columnar scanner must never panic, and any stream it
-// scans cleanly must round-trip through WriteColumnar to the same
-// relation.
+// FuzzRelScan: the columnar decoder must never panic, and any file it
+// accepts must round-trip through WriteColumnar to the same relation.
 func FuzzRelScan(f *testing.F) {
 	r := relation.New("a", "b")
 	r.Insert(1, 2)
@@ -68,25 +66,17 @@ func FuzzRelScan(f *testing.F) {
 	f.Add(buf.Bytes()[:buf.Len()/2])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := NewRelScan(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		got, err := s.Materialize()
+		name, got, err := ReadColumnar(data)
 		if err != nil {
 			return
 		}
 		var out bytes.Buffer
-		if err := WriteColumnar(&out, s.Name(), got); err != nil {
+		if err := WriteColumnar(&out, name, got); err != nil {
 			t.Fatalf("accepted relation does not re-encode: %v", err)
 		}
-		s2, err := NewRelScan(bytes.NewReader(out.Bytes()))
+		_, back, err := ReadColumnar(out.Bytes())
 		if err != nil {
-			t.Fatalf("re-encoded relation does not scan: %v", err)
-		}
-		back, err := s2.Materialize()
-		if err != nil && err != io.EOF {
-			t.Fatalf("re-encoded relation does not materialize: %v", err)
+			t.Fatalf("re-encoded relation does not decode: %v", err)
 		}
 		if !back.Equal(got) {
 			t.Fatalf("round trip changed the relation: %d vs %d rows", back.Len(), got.Len())

@@ -74,8 +74,8 @@ func TestGoldenPlanFormat(t *testing.T) {
 }
 
 // TestGoldenColumnarFormat pins the columnar relation format the same
-// way: committed v1 bytes must scan, materialize to the fixed relation,
-// and re-encode byte for byte.
+// way: committed v1 bytes must decode to the fixed relation and
+// re-encode byte for byte.
 func TestGoldenColumnarFormat(t *testing.T) {
 	path := filepath.Join("testdata", "golden_rel_v1.col")
 	if *update {
@@ -92,13 +92,9 @@ func TestGoldenColumnarFormat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden columnar artifact missing (regenerate with -update): %v", err)
 	}
-	s, err := NewRelScan(bytes.NewReader(data))
+	_, got, err := ReadColumnar(data)
 	if err != nil {
-		t.Fatalf("scanner no longer reads the committed v1 columnar format: %v", err)
-	}
-	got, err := s.Materialize()
-	if err != nil {
-		t.Fatalf("golden columnar artifact does not materialize: %v", err)
+		t.Fatalf("decoder no longer reads the committed v1 columnar format: %v", err)
 	}
 	if !got.Equal(goldenRelation()) {
 		t.Fatalf("golden columnar artifact decoded to the wrong relation (%d rows)", got.Len())

@@ -1,7 +1,7 @@
 // Package store is the persistence layer under the serving engine: a
 // plan-artifact store that makes compiled circuits durable across
-// process restarts, and a columnar relation format that lets databases
-// stream from disk instead of living as string-keyed in-memory maps.
+// process restarts, and a checksummed columnar relation format for
+// databases kept on disk.
 //
 // The knowledge-compilation view of the paper's circuits treats a
 // compiled plan as a durable, reusable object — the circuit *is* the
@@ -9,8 +9,8 @@
 // checksummed on-disk format keyed by the canonical fingerprint of the
 // (query, degree-constraint) pair, written atomically (temp file +
 // rename) so a crash mid-write can never corrupt a visible artifact,
-// and indexed by a manifest that is rebuilt from the directory when the
-// two disagree (the artifact files are the source of truth).
+// and indexed by the directory itself: the artifact files are the
+// index.
 package store
 
 import (

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -18,31 +17,13 @@ import (
 // ErrNotFound reports a fingerprint with no stored plan.
 var ErrNotFound = errors.New("store: plan not found")
 
-// manifestName is the store's index file. It is a cache of the
-// directory's contents, not the source of truth: Open reconciles it
-// against the *.plan files actually present, adopting artifacts the
-// manifest missed and dropping entries whose file is gone. A crash
-// between an artifact rename and the manifest rewrite therefore loses
-// nothing.
-const manifestName = "MANIFEST.json"
-
 // planExt is the plan artifact file suffix; files are named
-// <fingerprint-hex><planExt>.
+// <fingerprint-hex><planExt>. The set of such files is the store's
+// index: there is no other, so nothing can disagree with it.
 const planExt = ".plan"
 
 // tmpExt marks in-progress writes; Open sweeps leftovers from crashes.
 const tmpExt = ".tmp"
-
-// manifest is the JSON index written to manifestName.
-type manifest struct {
-	Format int                     `json:"format"`
-	Plans  map[string]manifestPlan `json:"plans"`
-}
-
-type manifestPlan struct {
-	Bytes int64 `json:"bytes"`
-	Gates int64 `json:"gates"`
-}
 
 // Stats is a point-in-time snapshot of a store's counters.
 type Stats struct {
@@ -64,7 +45,7 @@ type Store struct {
 	dir string
 
 	mu    sync.Mutex
-	plans map[query.Fingerprint]manifestPlan
+	plans map[query.Fingerprint]struct{}
 
 	hits, misses, writes atomic.Int64
 	corrupt              atomic.Int64
@@ -77,29 +58,20 @@ type Store struct {
 	slowWrite time.Duration
 }
 
-// Open opens (creating if needed) a store rooted at dir and reconciles
-// its manifest with the artifact files present: leftover temp files are
-// removed, artifacts missing from the manifest are adopted, and
-// manifest entries whose file is gone are dropped. Artifacts are not
-// checksummed here — Verify does that, and GetPlan verifies on read —
-// so opening a large store stays cheap.
+// Open opens (creating if needed) a store rooted at dir and indexes
+// the <fingerprint>.plan files present; leftover temp files are
+// removed and anything else, such as the MANIFEST.json an older
+// release kept, is ignored. Artifacts are not checksummed here —
+// Verify does that, and GetPlan verifies on read — so opening a large
+// store stays cheap.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, plans: map[query.Fingerprint]manifestPlan{}}
+	s := &Store{dir: dir, plans: map[query.Fingerprint]struct{}{}}
 	if env := os.Getenv("CIRCUITQL_STORE_SLOW_WRITE"); env != "" {
 		if d, err := time.ParseDuration(env); err == nil && d > 0 {
 			s.slowWrite = d
-		}
-	}
-
-	var m manifest
-	if data, err := os.ReadFile(filepath.Join(dir, manifestName)); err == nil {
-		// A corrupt manifest is recoverable state, not an error: the
-		// directory scan below rebuilds it.
-		if json.Unmarshal(data, &m) != nil || m.Format != PlanFormatVersion {
-			m = manifest{}
 		}
 	}
 
@@ -107,7 +79,6 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	dirty := false
 	for _, ent := range entries {
 		name := ent.Name()
 		switch {
@@ -115,46 +86,13 @@ func Open(dir string) (*Store, error) {
 			// A crash mid-write left this behind; it was never visible.
 			os.Remove(filepath.Join(dir, name))
 		case strings.HasSuffix(name, planExt):
-			fp, err := parseFingerprint(strings.TrimSuffix(name, planExt))
-			if err != nil {
-				continue // not one of ours
+			if fp, err := parseFingerprint(strings.TrimSuffix(name, planExt)); err == nil {
+				s.plans[fp] = struct{}{}
 			}
-			info, err := ent.Info()
-			if err != nil {
-				continue
-			}
-			if mp, ok := m.Plans[fp.String()]; ok && mp.Bytes == info.Size() {
-				s.plans[fp] = mp
-			} else {
-				// Adopt an artifact the manifest missed (crash between
-				// rename and manifest rewrite, or a hand-copied file).
-				s.plans[fp] = manifestPlan{Bytes: info.Size()}
-				dirty = true
-			}
-		}
-	}
-	for key := range m.Plans {
-		fp, err := parseFingerprint(key)
-		if err != nil {
-			continue
-		}
-		if _, ok := s.plans[fp]; !ok {
-			dirty = true // entry without a file: dropped by rebuild
-		}
-	}
-	if dirty {
-		s.mu.Lock()
-		err := s.writeManifestLocked()
-		s.mu.Unlock()
-		if err != nil {
-			return nil, err
 		}
 	}
 	return s, nil
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Len returns how many plans the store indexes.
 func (s *Store) Len() int {
@@ -191,9 +129,9 @@ func (s *Store) planPath(fp query.Fingerprint) string {
 
 // PutPlan persists a plan artifact under its fingerprint, atomically:
 // the encoding is written to a temp file in the store directory, synced,
-// and renamed into place, then the manifest is rewritten (also via
-// rename). A plan already stored under the same fingerprint is left
-// untouched — artifacts are immutable once visible.
+// and renamed into place, then indexed. A plan already stored under the
+// same fingerprint is left untouched — artifacts are immutable once
+// visible.
 func (s *Store) PutPlan(a *PlanArtifact) error {
 	if s.HasPlan(a.FP) {
 		return nil
@@ -233,9 +171,9 @@ func (s *Store) PutPlan(a *PlanArtifact) error {
 	s.bytesW.Add(int64(len(data)))
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.plans[a.FP] = manifestPlan{Bytes: int64(len(data)), Gates: a.Gates}
-	return s.writeManifestLocked()
+	s.plans[a.FP] = struct{}{}
+	s.mu.Unlock()
+	return nil
 }
 
 // GetPlan reads, checksums, and decodes the plan stored for fp.
@@ -254,7 +192,7 @@ func (s *Store) GetPlan(fp query.Fingerprint) (*PlanArtifact, error) {
 	data, err := os.ReadFile(s.planPath(fp))
 	if err != nil {
 		if os.IsNotExist(err) {
-			s.dropLocked(fp, false)
+			s.drop(fp, false)
 			s.misses.Add(1)
 			return nil, ErrNotFound
 		}
@@ -266,7 +204,7 @@ func (s *Store) GetPlan(fp query.Fingerprint) (*PlanArtifact, error) {
 	}
 	if err != nil {
 		s.corrupt.Add(1)
-		s.dropLocked(fp, true)
+		s.drop(fp, true)
 		return nil, err
 	}
 	s.hits.Add(1)
@@ -274,50 +212,14 @@ func (s *Store) GetPlan(fp query.Fingerprint) (*PlanArtifact, error) {
 	return a, nil
 }
 
-// dropLocked removes fp from the index (and optionally quarantines the
-// file) and rewrites the manifest, best-effort.
-func (s *Store) dropLocked(fp query.Fingerprint, quarantine bool) {
+// drop removes fp from the index and optionally quarantines its file.
+func (s *Store) drop(fp query.Fingerprint, quarantine bool) {
 	if quarantine {
 		os.Rename(s.planPath(fp), s.planPath(fp)+".corrupt")
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.plans[fp]; !ok {
-		return
-	}
 	delete(s.plans, fp)
-	s.writeManifestLocked() //nolint:errcheck // index rebuilds on next Open
-}
-
-// writeManifestLocked rewrites the manifest atomically; s.mu held.
-func (s *Store) writeManifestLocked() error {
-	m := manifest{Format: PlanFormatVersion, Plans: make(map[string]manifestPlan, len(s.plans))}
-	for fp, mp := range s.plans {
-		m.Plans[fp.String()] = mp
-	}
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(s.dir, "manifest-*"+tmpExt)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmpName, filepath.Join(s.dir, manifestName)); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
+	s.mu.Unlock()
 }
 
 // VerifyResult reports one artifact's integrity check.

@@ -5,15 +5,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"circuitql/internal/query"
 )
 
 // TestStorePutGetReopen: artifacts persist across Open calls, writes
-// are deduplicated, and the manifest is a rebuildable cache — deleting
-// it loses nothing.
+// are deduplicated, and a reopen rebuilds the index from the directory
+// and sweeps temp leftovers.
 func TestStorePutGetReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -53,7 +52,7 @@ func TestStorePutGetReopen(t *testing.T) {
 		t.Fatalf("GetPlan(unknown) = %v, want ErrNotFound", err)
 	}
 
-	// Reopen: the index survives via the manifest.
+	// Reopen: the index survives via the artifact files.
 	s2, err := Open(dir)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -62,18 +61,15 @@ func TestStorePutGetReopen(t *testing.T) {
 		t.Fatalf("reopened Plans() = %v", got)
 	}
 
-	// Delete the manifest and drop a stray temp file: Open adopts the
-	// artifacts from the directory and sweeps the leftover.
-	if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatal(err)
-	}
+	// Drop a stray temp file: Open indexes the artifacts from the
+	// directory and sweeps the leftover.
 	stray := filepath.Join(dir, "leftover-123"+tmpExt)
 	if err := os.WriteFile(stray, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s3, err := Open(dir)
 	if err != nil {
-		t.Fatalf("open without manifest: %v", err)
+		t.Fatalf("open with a temp leftover: %v", err)
 	}
 	if s3.Len() != 2 {
 		t.Fatalf("rebuilt store indexes %d plans, want 2", s3.Len())
@@ -90,8 +86,94 @@ func TestStorePutGetReopen(t *testing.T) {
 	if _, err := os.Stat(stray); !os.IsNotExist(err) {
 		t.Fatalf("temp leftover survived Open: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatalf("manifest not rewritten on adopt: %v", err)
+}
+
+// TestStoreDirectoryIsIndex: the *.plan files are the whole index. N
+// writes leave exactly N artifacts and nothing else, a fresh Open
+// indexes the same N in the same order and sweeps temp leftovers, and
+// the MANIFEST.json an older release kept is ignored.
+func TestStoreDirectoryIsIndex(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	names := []string{"triangle", "path3", "path2"}
+	var first *PlanArtifact
+	for _, name := range names {
+		canon, compiled, _ := compileCatalog(t, name)
+		a := FromCompiled(canon, compiled)
+		if err := s.PutPlan(a); err != nil {
+			t.Fatalf("PutPlan(%s): %v", name, err)
+		}
+		if first == nil {
+			first = a
+		}
+	}
+	listing := func() []string {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, ent := range entries {
+			out = append(out, ent.Name())
+		}
+		return out
+	}
+	var want []string
+	for _, fp := range s.Plans() {
+		want = append(want, fp.String()+planExt)
+	}
+	if got := listing(); fmt.Sprint(got) != fmt.Sprint(want) || len(got) != len(names) {
+		t.Fatalf("after %d writes the directory holds %v, want exactly %v", len(names), got, want)
+	}
+
+	stray := filepath.Join(dir, "leftover-123"+tmpExt)
+	if err := os.WriteFile(stray, []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if fmt.Sprint(s2.Plans()) != fmt.Sprint(s.Plans()) {
+		t.Fatalf("reopened Plans() = %v, want %v", s2.Plans(), s.Plans())
+	}
+	if got := listing(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("reopen left %v, want exactly %v", got, want)
+	}
+
+	// An older release's manifest, aliases included, is not read.
+	info, err := os.Stat(s.planPath(first.FP))
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifestPath := filepath.Join(dir, "MANIFEST.json")
+	old := fmt.Sprintf(parentManifest, PlanFormatVersion, first.FP, info.Size(), first.Gates)
+	if err := os.WriteFile(manifestPath, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s3, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open beside an older manifest: %v", err)
+	}
+	if s3.Len() != len(names) {
+		t.Fatalf("Open beside an older manifest indexes %d plans, want %d", s3.Len(), len(names))
+	}
+	if _, err := s3.GetPlan(first.FP); err != nil {
+		t.Fatalf("GetPlan beside an older manifest: %v", err)
+	}
+	canon, compiled, _ := compileCatalog(t, "cycle4")
+	if err := s3.PutPlan(FromCompiled(canon, compiled)); err != nil {
+		t.Fatalf("PutPlan beside an older manifest: %v", err)
+	}
+	if s3.Len() != len(names)+1 {
+		t.Fatalf("store indexes %d plans after one more write, want %d", s3.Len(), len(names)+1)
+	}
+	if kept, err := os.ReadFile(manifestPath); err != nil || string(kept) != old {
+		t.Fatalf("the older manifest was rewritten (err %v)", err)
 	}
 }
 
@@ -201,10 +283,10 @@ const parentManifest = `{
 }
 `
 
-// TestStoreAliases: the aliases map an older release kept in the
-// manifest is not part of the format any more. A manifest that still
-// carries one opens without error, serves its plans, and loses the key
-// the next time the manifest is rewritten.
+// TestStoreAliases: the aliases map an older release kept in its
+// manifest is not part of the format any more, and neither is the
+// manifest. A directory that still carries one opens without error,
+// serves its plans, takes new ones, and leaves the file as it was.
 func TestStoreAliases(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -220,7 +302,7 @@ func TestStoreAliases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	manifestPath := filepath.Join(dir, manifestName)
+	manifestPath := filepath.Join(dir, "MANIFEST.json")
 	old := fmt.Sprintf(parentManifest, PlanFormatVersion, canon.FP, info.Size(), art.Gates)
 	if err := os.WriteFile(manifestPath, []byte(old), 0o644); err != nil {
 		t.Fatal(err)
@@ -234,19 +316,12 @@ func TestStoreAliases(t *testing.T) {
 		t.Fatalf("GetPlan: %v", err)
 	}
 	if kept, err := os.ReadFile(manifestPath); err != nil || string(kept) != old {
-		t.Fatalf("Open rewrote a manifest whose plans were all in order (err %v)", err)
+		t.Fatalf("Open rewrote the older manifest (err %v)", err)
 	}
 
 	canon2, compiled2, _ := compileCatalog(t, "path2")
 	if err := s2.PutPlan(FromCompiled(canon2, compiled2)); err != nil {
 		t.Fatal(err)
-	}
-	rewritten, err := os.ReadFile(manifestPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(rewritten), "aliases") {
-		t.Fatalf("rewritten manifest still carries the aliases key:\n%s", rewritten)
 	}
 	s3, err := Open(dir)
 	if err != nil {
@@ -254,7 +329,7 @@ func TestStoreAliases(t *testing.T) {
 	}
 	for _, fp := range []query.Fingerprint{canon.FP, canon2.FP} {
 		if _, err := s3.GetPlan(fp); err != nil {
-			t.Fatalf("GetPlan(%s) after the rewrite: %v", fp.Short(), err)
+			t.Fatalf("GetPlan(%s) after reopening: %v", fp.Short(), err)
 		}
 	}
 }

@@ -52,7 +52,8 @@
 //
 // With -db DIR requests evaluate against a columnar database directory
 // (written by circuitc -export or ExportColumnarDB) instead of
-// generated workloads.
+// generated workloads. A wire request always evaluates a generated
+// workload, so -db and -listen are refused together.
 //
 // Overload protection: -max-inflight caps concurrent evaluation,
 // -queue-depth bounds each admission lane, and -shed-policy picks what a
@@ -69,6 +70,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -89,34 +91,46 @@ func main() {
 	log.SetPrefix("circuitd: ")
 	// log.Fatal would os.Exit past the engine's deferred Close, leaving
 	// queued requests undrained; run returns an exit code instead.
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout))
 }
 
-func run() int {
+// run is the daemon: it serves stdin (and any listeners), writes result
+// lines and the exit summary to stdout, and returns the exit code.
+func run(args []string, stdin io.Reader, stdout io.Writer) int {
+	fs := flag.NewFlagSet("circuitd", flag.ContinueOnError)
 	var (
-		n          = flag.Int("n", 16, "tuples per generated relation")
-		seed       = flag.Int64("seed", 1, "generator seed")
-		cacheGates = flag.Int64("cache-gates", 0, "plan cache budget in gates (0: default, <0: unlimited)")
-		timeout    = flag.Duration("timeout", 0, "per-request timeout (0: none)")
-		gateBudget = flag.Int64("gate-budget", 0, "per-request gate evaluation budget (0: none)")
-		admin      = flag.String("admin", "", "admin HTTP listen address (e.g. :6060) serving /metrics, /healthz, /trace/last, /debug/pprof/")
-		traceRing  = flag.Int("trace-ring", 64, "recent request span trees kept for /trace/last")
-		noOpt      = flag.Bool("no-opt", false, "compile plans without the circuit optimizer")
-		inflight   = flag.Int("max-inflight", 0, "concurrently evaluating requests on the cached-hit lane (0: GOMAXPROCS; compile misses get half)")
-		queueDepth = flag.Int("queue-depth", 0, "queued requests per admission lane beyond its workers (0: 2x the lane's workers)")
-		shed       = flag.String("shed-policy", "block", "full-queue behavior: block (wait), shed (reject with a typed overload error), adaptive (shed, and shed low-priority requests first when a lane is 3/4 full)")
-		drain      = flag.Duration("drain", 10*time.Second, "graceful-drain bound on shutdown; queued work past it fails with typed errors")
-		listen     = flag.String("listen", "", "wire-protocol TCP listen address (e.g. :7420); pipelined binary requests served concurrently")
-		batchSize  = flag.Int("batch-size", 0, "max same-fingerprint requests coalesced into one vm batch (<=1: off)")
-		batchWin   = flag.Duration("batch-window", 0, "how long a fresh batch waits for companions (0: 250µs when -batch-size enables coalescing)")
-		storeDir   = flag.String("store", "", "persistent plan store directory: compiled plans are written back and warm-loaded on start, so a restart never recompiles a known shape")
-		dbDir      = flag.String("db", "", "columnar database directory (see circuitc -export); requests evaluate against it instead of generated workloads")
+		n          = fs.Int("n", 16, "tuples per generated relation")
+		seed       = fs.Int64("seed", 1, "generator seed")
+		cacheGates = fs.Int64("cache-gates", 0, "plan cache budget in gates (0: default, <0: unlimited)")
+		timeout    = fs.Duration("timeout", 0, "per-request timeout (0: none)")
+		gateBudget = fs.Int64("gate-budget", 0, "per-request gate evaluation budget (0: none)")
+		admin      = fs.String("admin", "", "admin HTTP listen address (e.g. :6060) serving /metrics, /healthz, /trace/last, /debug/pprof/")
+		traceRing  = fs.Int("trace-ring", 64, "recent request span trees kept for /trace/last")
+		noOpt      = fs.Bool("no-opt", false, "compile plans without the circuit optimizer")
+		inflight   = fs.Int("max-inflight", 0, "concurrently evaluating requests on the cached-hit lane (0: GOMAXPROCS; compile misses get half)")
+		queueDepth = fs.Int("queue-depth", 0, "queued requests per admission lane beyond its workers (0: 2x the lane's workers)")
+		shed       = fs.String("shed-policy", "block", "full-queue behavior: block (wait), shed (reject with a typed overload error), adaptive (shed, and shed low-priority requests first when a lane is 3/4 full)")
+		drain      = fs.Duration("drain", 10*time.Second, "graceful-drain bound on shutdown; queued work past it fails with typed errors")
+		listen     = fs.String("listen", "", "wire-protocol TCP listen address (e.g. :7420); pipelined binary requests served concurrently")
+		batchSize  = fs.Int("batch-size", 0, "max same-fingerprint requests coalesced into one vm batch (<=1: off)")
+		batchWin   = fs.Duration("batch-window", 0, "how long a fresh batch waits for companions (0: 250µs when -batch-size enables coalescing)")
+		storeDir   = fs.String("store", "", "persistent plan store directory: compiled plans are written back and warm-loaded on start, so a restart never recompiles a known shape")
+		dbDir      = fs.String("db", "", "columnar database directory (see circuitc -export); requests evaluate against it instead of generated workloads")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	policy, err := parseShedPolicy(*shed)
 	if err != nil {
 		log.Print(err)
+		return 2
+	}
+	if *dbDir != "" && *listen != "" {
+		log.Print("-db and -listen cannot be combined: wire requests evaluate generated workloads, never the -db database")
 		return 2
 	}
 
@@ -166,6 +180,14 @@ func run() int {
 		BatchWindow:    *batchWin,
 		Store:          planStore,
 	})
+	// Deferred calls run last-registered first: the summary prints after
+	// the wire server and the engine have drained, store writes included.
+	printSummary := false
+	defer func() {
+		if printSummary {
+			fmt.Fprintf(stdout, "\n%s\n", eng.Metrics())
+		}
+	}()
 	// Deadline-bounded drain instead of a plain Close: queued requests
 	// get *drain to finish; engine-owned compiles are canceled past it.
 	defer func() {
@@ -188,7 +210,7 @@ func run() int {
 			log.Print(err)
 			return 1
 		}
-		wireSrv = wire.NewServer(wireEval{eng}, wire.ServerConfig{
+		wireSrv = wire.NewServer(wireEval{eng, *gateBudget}, wire.ServerConfig{
 			Tuples:      *n,
 			Seed:        *seed,
 			MaxDeadline: *timeout,
@@ -235,6 +257,7 @@ func run() int {
 	// up to -drain to finish.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 
 	// The scanner feeds a channel so the serve loop can select between
 	// input and signals. The goroutine exits with the process; its send
@@ -242,7 +265,7 @@ func run() int {
 	lines := make(chan string)
 	scanErr := make(chan error, 1)
 	go func() {
-		sc := bufio.NewScanner(os.Stdin)
+		sc := bufio.NewScanner(stdin)
 		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 		for sc.Scan() {
 			lines <- sc.Text()
@@ -268,9 +291,9 @@ serve:
 			if line == "" || strings.HasPrefix(line, "#") {
 				continue
 			}
-			if err := serveLine(eng, line, *n, *seed, *timeout, *gateBudget, fixedDB); err != nil {
+			if err := serveLine(stdout, eng, line, *n, *seed, *timeout, *gateBudget, fixedDB); err != nil {
 				failures++
-				fmt.Printf("line %d: error: %v\n", lineNo, err)
+				fmt.Fprintf(stdout, "line %d: error: %v\n", lineNo, err)
 			}
 		case s := <-sig:
 			log.Printf("%v: draining (bound %v)", s, *drain)
@@ -288,7 +311,7 @@ serve:
 		s := <-sig
 		log.Printf("%v: draining (bound %v)", s, *drain)
 	}
-	fmt.Printf("\n%s\n", eng.Metrics())
+	printSummary = true
 	if adminDone != nil {
 		adminDone()
 	}
@@ -300,11 +323,22 @@ serve:
 }
 
 // wireEval adapts the facade Engine to wire.Evaluator: the wire server
-// submits already-assembled engine requests.
-type wireEval struct{ eng *circuitql.Engine }
+// submits assembled engine requests, held to -gate-budget as stdin is.
+type wireEval struct {
+	eng        *circuitql.Engine
+	gateBudget int64
+}
 
 func (w wireEval) Submit(ctx context.Context, req circuitql.EngineRequest) <-chan circuitql.ServeResult {
-	return w.eng.SubmitRequest(ctx, req)
+	return w.eng.SubmitRequest(withGateBudget(ctx, w.gateBudget), req)
+}
+
+// withGateBudget attaches a per-request gate budget when one is set.
+func withGateBudget(ctx context.Context, gates int64) context.Context {
+	if gates > 0 {
+		ctx = circuitql.WithBudget(ctx, &circuitql.Budget{MaxGates: gates})
+	}
+	return ctx
 }
 
 // parseShedPolicy maps the -shed-policy flag onto an engine policy.
@@ -323,7 +357,7 @@ func parseShedPolicy(s string) (circuitql.ShedPolicy, error) {
 // serveLine parses one "query [; constraints]" line, builds its
 // workload (or serves the fixed columnar database when one was loaded),
 // and serves it through the engine.
-func serveLine(eng *circuitql.Engine, line string, n int, seed int64, timeout time.Duration, gateBudget int64, fixedDB circuitql.Database) error {
+func serveLine(stdout io.Writer, eng *circuitql.Engine, line string, n int, seed int64, timeout time.Duration, gateBudget int64, fixedDB circuitql.Database) error {
 	src, dcSrc, hasDC := strings.Cut(line, ";")
 	q, err := circuitql.ParseQuery(strings.TrimSpace(src))
 	if err != nil {
@@ -351,15 +385,11 @@ func serveLine(eng *circuitql.Engine, line string, n int, seed int64, timeout ti
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	if gateBudget > 0 {
-		ctx = circuitql.WithBudget(ctx, &circuitql.Budget{MaxGates: gateBudget})
-	}
-
-	res := eng.Serve(ctx, q, dcs, db)
+	res := eng.Serve(withGateBudget(ctx, gateBudget), q, dcs, db)
 	if res.Err != nil {
 		return res.Err
 	}
-	fmt.Printf("fp=%s hit=%-5v tier=%-10s out=%-4d compile=%v eval=%v  %s\n",
+	fmt.Fprintf(stdout, "fp=%s hit=%-5v tier=%-10s out=%-4d compile=%v eval=%v  %s\n",
 		res.Fingerprint.Short(), res.CacheHit, res.Tier, res.Output.Len(),
 		res.CompileTime.Round(time.Microsecond), res.EvalTime.Round(time.Microsecond), q)
 	return nil

@@ -866,7 +866,8 @@ func renameOutput(out *relation.Relation, p *prepared) *relation.Relation {
 // context dies leaves the flight running for everyone else. A follower
 // whose flight fails transiently (the engine shutting down aside) loops
 // back to start or join a fresh flight under its own, still-live
-// context.
+// context. A leader's flight failure is its own (its budget tripped)
+// and is returned: retrying under the same budget would fail forever.
 func (e *Engine) acquire(ctx context.Context, canon *query.Canonical) (ent *entry, hit bool, err error) {
 	waited := false
 	for {
@@ -890,7 +891,7 @@ func (e *Engine) acquire(ctx context.Context, canon *query.Canonical) (ent *entr
 		}
 		select {
 		case <-fl.done:
-			if transientErr(fl.err) {
+			if transientErr(fl.err) && !leader {
 				if err := guard.Poll(ctx); err != nil {
 					return nil, false, err
 				}

@@ -42,7 +42,7 @@ func TestPrepareAgreesWithPlain(t *testing.T) {
 	for _, ent := range query.Catalog() {
 		q := ent.Query
 		if len(q.Atoms) > 4 {
-			continue // bowtie's compile takes minutes, as in TestEngineServesCorrectResults
+			continue // bowtie's compile takes minutes
 		}
 		// Three tuples keep the uniform-bound plans small: star3's bound
 		// is N³, and its compile goes from 0.2 s to 3 s between 3 and 4.

@@ -16,7 +16,6 @@ import (
 	"circuitql/internal/opt"
 	"circuitql/internal/query"
 	"circuitql/internal/store"
-	"circuitql/internal/testutil"
 	"circuitql/internal/vm"
 	"circuitql/internal/workload"
 )
@@ -128,7 +127,7 @@ func assertMatchesReference(t *testing.T, c *boolcircuit.Circuit, rng *rand.Rand
 // them: a template at a tuple count, a workload.ForQuery database, its
 // derived constraints, the canonical pair. bowtie is out of reach — its
 // PANDA-C compile alone takes minutes — and star3 runs at bound 3 as in
-// the differential harness.
+// the differential oracle.
 func forEachCatalogCase(t *testing.T, f func(t *testing.T, name string, q *query.Query, dcs query.DCSet)) {
 	for _, ent := range query.Catalog() {
 		q, name := ent.Query, ent.Name
@@ -141,7 +140,7 @@ func forEachCatalogCase(t *testing.T, f func(t *testing.T, name string, q *query
 		}
 		dcSets := map[string]query.DCSet{"uniform": query.Cardinalities(q, float64(n))}
 		for seed := int64(1); seed <= 3; seed++ {
-			dcs, err := query.DeriveDC(q, testutil.RandomDB(q, seed, n))
+			dcs, err := query.DeriveDC(q, workload.Random(q, seed, n))
 			if err != nil {
 				t.Fatalf("%s seed %d: derive: %v", name, seed, err)
 			}

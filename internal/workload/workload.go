@@ -158,3 +158,92 @@ func domFor(n int) int {
 	}
 	return dom
 }
+
+// Random returns a deterministic pseudo-random database for q with at
+// most n tuples per distinct atom name, so the instance conforms to
+// query.Cardinalities(q, n). Different seeds vary the data shape, not
+// just the values: the domain swings between dense (heavy value reuse,
+// many join partners) and sparse, per-relation cardinalities range over
+// [0, n] — including the occasional empty relation, which the optimizer's
+// empty-propagation rewrites must not mishandle — and some relations get
+// correlated columns.
+func Random(q *query.Query, seed int64, n int) query.Database {
+	db := query.Database{}
+	idx := int64(0)
+	for _, a := range q.Atoms {
+		if _, ok := db[a.Name]; ok {
+			continue
+		}
+		rng := rand.New(rand.NewSource(seed*1_000_003 + idx))
+		db[a.Name] = randomRelation(rng, n, len(a.Vars))
+		idx++
+	}
+	return db
+}
+
+func randomRelation(rng *rand.Rand, n, arity int) *relation.Relation {
+	schema := make([]string, arity)
+	for i := range schema {
+		schema[i] = string(rune('a' + i))
+	}
+	r := relation.New(schema...)
+
+	// 1 in 8 relations is empty; the rest carry [1, n] tuples.
+	var rows int
+	if rng.Intn(8) == 0 {
+		rows = 0
+	} else {
+		rows = 1 + rng.Intn(n)
+	}
+	// Dense domains force duplicates and many join partners; sparse
+	// domains force misses.
+	dom := 2 + rng.Intn(2*n)
+	correlated := rng.Intn(3) == 0
+
+	row := make([]int64, arity)
+	for tries := 0; r.Len() < rows && tries < 1000*n; tries++ {
+		for i := range row {
+			row[i] = int64(rng.Intn(dom))
+		}
+		if correlated && arity > 1 {
+			row[arity-1] = row[0] // repeat a column: stresses self-join-like keys
+		}
+		r.Insert(row...)
+	}
+	return r
+}
+
+// PlantWitness makes Q(db) non-empty: it picks one value per variable
+// — each from a seeded tuple of the first atom that holds it, so the
+// witness also joins with the data around it — and puts the matching
+// tuple into every atom's relation. A relation that already holds n
+// tuples drops one of its own instead of growing, so db still conforms
+// to query.Cardinalities(q, n). Every relation of db must be non-empty.
+func PlantWitness(q *query.Query, db query.Database, seed int64, n int) {
+	rng := rand.New(rand.NewSource(seed))
+	val := map[int]int64{}
+	for _, a := range q.Atoms {
+		tuples := db[a.Name].Tuples()
+		t := tuples[rng.Intn(len(tuples))]
+		for i, v := range a.Vars {
+			if _, ok := val[v]; !ok {
+				val[v] = t[i]
+			}
+		}
+	}
+	for _, a := range q.Atoms {
+		row := make([]int64, len(a.Vars))
+		for i, v := range a.Vars {
+			row[i] = val[v]
+		}
+		// The witness first, then the relation's own tuples up to n.
+		r := relation.New(db[a.Name].Schema()...)
+		r.Insert(row...)
+		db[a.Name].Each(func(t relation.Tuple) {
+			if r.Len() < n {
+				r.Insert(t...)
+			}
+		})
+		db[a.Name] = r
+	}
+}

@@ -15,12 +15,13 @@ import (
 
 	"circuitql/internal/core"
 	"circuitql/internal/query"
-	"circuitql/internal/testutil"
+	"circuitql/internal/workload"
 )
 
-// metaN is the per-relation cardinality bound for metamorphic compiles.
+// metaN is the per-relation cardinality bound for metamorphic compiles
+// and metaSeeds the number of databases each variant is checked on.
 // Small on purpose: every variant is its own compile.
-const metaN = 3
+const metaN, metaSeeds = 3, 3
 
 // Near misses are only evaluated on the RAM tier, so they can afford
 // larger databases and more seeds to find a distinguishing one.
@@ -108,12 +109,12 @@ func metaCompile(t *testing.T, src string) (*core.Compiled, *query.Canonical) {
 	return cq, canon
 }
 
-// metaRows evaluates a compiled canonical plan on db and renames its
+// metaEval evaluates a compiled canonical plan on db and renames its
 // output columns to the base query's variable names — variable ids
 // correspond positionally across every variant of one family (the
 // parser numbers by first appearance), so the row sets compare
 // directly against the base reference even for renamed variants.
-func metaRows(t *testing.T, cq *core.Compiled, canon *query.Canonical, src string, baseQ *query.Query, db Database) []string {
+func metaEval(t *testing.T, cq *core.Compiled, canon *query.Canonical, src string, baseQ *query.Query, db Database) *Relation {
 	t.Helper()
 	out, err := cq.EvaluateObliviousCtx(context.Background(), db)
 	if err != nil {
@@ -125,7 +126,7 @@ func metaRows(t *testing.T, cq *core.Compiled, canon *query.Canonical, src strin
 		m[canon.Query.VarNames[canon.VarMap[v]]] = baseQ.VarNames[v]
 		proj = append(proj, baseQ.VarNames[v])
 	}
-	return testutil.Rows(out.Rename(m).Project(proj...))
+	return out.Rename(m).Project(proj...)
 }
 
 func TestMetamorphicEquivalence(t *testing.T) {
@@ -161,19 +162,18 @@ func TestMetamorphicEquivalence(t *testing.T) {
 				variants = append(variants, variant{v.kind, v.src, cq, canon})
 			}
 
-			for seed := int64(1); seed <= diffSeeds; seed++ {
-				db := testutil.RandomDB(baseQ, seed, metaN)
+			for seed := int64(1); seed <= metaSeeds; seed++ {
+				db := workload.Random(baseQ, seed, metaN)
 				want, err := EvaluateRAM(context.Background(), baseQ, db)
 				if err != nil {
 					t.Fatalf("seed %d: RAM: %v", seed, err)
 				}
-				wantRows := testutil.Rows(want)
-				if d := testutil.DiffRows(wantRows, metaRows(t, baseCQ, baseCanon, tc.base, baseQ, db), "RAM", "base"); d != "" {
+				if d := relDiff(want, metaEval(t, baseCQ, baseCanon, tc.base, baseQ, db)); d != "" {
 					t.Errorf("seed %d: base circuit diverges from RAM: %s", seed, d)
 				}
 				for _, v := range variants {
-					got := metaRows(t, v.cq, v.canon, v.src, baseQ, db)
-					if d := testutil.DiffRows(wantRows, got, "RAM(base)", v.kind+" variant"); d != "" {
+					got := metaEval(t, v.cq, v.canon, v.src, baseQ, db)
+					if d := relDiff(want, got); d != "" {
 						t.Errorf("seed %d: %s variant %q diverges: %s", seed, v.kind, v.src, d)
 					}
 				}
@@ -183,7 +183,7 @@ func TestMetamorphicEquivalence(t *testing.T) {
 				nearQ := query.MustParse(src)
 				differs := false
 				for seed := int64(1); seed <= nearMissSeeds && !differs; seed++ {
-					db := testutil.RandomDB(baseQ, seed, nearMissN)
+					db := workload.Random(baseQ, seed, nearMissN)
 					want, err := EvaluateRAM(context.Background(), baseQ, db)
 					if err != nil {
 						t.Fatalf("seed %d: RAM: %v", seed, err)
@@ -192,7 +192,7 @@ func TestMetamorphicEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d: RAM %q: %v", seed, src, err)
 					}
-					differs = testutil.DiffRows(testutil.Rows(want), testutil.Rows(got), "base", "near miss") != ""
+					differs = !got.Equal(want)
 				}
 				if !differs {
 					t.Errorf("near miss %q agrees with the base on all %d seeds; it is not a near miss", src, nearMissSeeds)

@@ -235,7 +235,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) int {
 		reg := obs.NewRegistry()
 		reg.Register(func() []obs.Family { return eng.Metrics().Families() })
 		reg.Register(func() []obs.Family { return eng.QoS().Families() })
-		reg.Register(obs.Tiers.Families)
 		reg.Register(obs.TracerFamilies(tracer))
 		ln, err := net.Listen("tcp", *admin)
 		if err != nil {

@@ -78,7 +78,8 @@ func WithPriority(ctx context.Context, p Priority) context.Context {
 
 // QoSSnapshot is a point-in-time view of an Engine's overload-protection
 // state: per-lane admissions and sheds, deadline failures by stage,
-// degradation actions, live queue gauges, and the current load level.
+// deadline-forced tier skips, live queue gauges, and the current load
+// level.
 type QoSSnapshot = qos.Snapshot
 
 // Fingerprint identifies a (query, DC set) pair up to variable renaming

@@ -19,14 +19,14 @@ func (m Metrics) Families() []obs.Family {
 		return obs.Family{Name: name, Help: help, Type: obs.TypeGauge,
 			Samples: []obs.Sample{{Value: float64(v)}}}
 	}
-	tierServed := obs.Family{
-		Name: "circuitql_engine_tier_served_total",
-		Help: "Engine requests answered per evaluation tier.",
-		Type: obs.TypeCounter,
-		Samples: []obs.Sample{
-			{Labels: []obs.Label{{Name: "tier", Value: TierVM}}, Value: float64(m.ServedVM)},
-			{Labels: []obs.Label{{Name: "tier", Value: TierRAM}}, Value: float64(m.ServedRAM)},
-		},
+	attempts := obs.Family{Name: "circuitql_eval_tier_attempts_total", Help: "Evaluation-tier attempts.", Type: obs.TypeCounter}
+	served := obs.Family{Name: "circuitql_eval_tier_served_total", Help: "Evaluations answered per tier.", Type: obs.TypeCounter}
+	fallbacks := obs.Family{Name: "circuitql_eval_tier_fallbacks_total", Help: "Serves that degraded past an earlier tier.", Type: obs.TypeCounter}
+	for _, tc := range m.Tiers {
+		lbl := []obs.Label{{Name: "tier", Value: tc.Tier}}
+		attempts.Samples = append(attempts.Samples, obs.Sample{Labels: lbl, Value: float64(tc.Attempts)})
+		served.Samples = append(served.Samples, obs.Sample{Labels: lbl, Value: float64(tc.Served)})
+		fallbacks.Samples = append(fallbacks.Samples, obs.Sample{Labels: lbl, Value: float64(tc.Fallbacks)})
 	}
 	return []obs.Family{
 		counter("circuitql_engine_requests_total", "Requests processed by the engine.", m.Requests),
@@ -39,7 +39,7 @@ func (m Metrics) Families() []obs.Family {
 		gauge("circuitql_plan_cache_gates", "Summed gate count of cached plans.", m.CachedGates),
 		counter("circuitql_engine_compiles_total", "Compiles actually executed (post singleflight dedup).", m.Compiles),
 		counter("circuitql_engine_compile_errors_total", "Compiles that failed.", m.CompileErrors),
-		tierServed,
+		attempts, served, fallbacks,
 		gauge("circuitql_plan_store_plans", "Plans currently resident in the persistent store.", m.StorePlans),
 		counter("circuitql_plan_store_hits_total", "Plan loads answered from the persistent store.", m.StoreHits),
 		counter("circuitql_plan_store_misses_total", "Plan lookups with no stored artifact.", m.StoreMisses),

@@ -112,8 +112,8 @@ const (
 
 // tiers is the one table of what the engine knows per tier: its public
 // name and the deadline-accounting stage a request is in while the tier
-// runs. The per-tier estimators and served counters on Engine are
-// indexed the same way.
+// runs. The per-tier estimators and counters on Engine are indexed the
+// same way.
 var tiers = [numTiers]struct {
 	name  string
 	stage qos.DeadlineStage
@@ -382,11 +382,11 @@ type Engine struct {
 	laneInFlight [qos.NumLanes]atomic.Int64
 
 	// counters (metrics.go holds the snapshot type)
-	hits, misses, evictions    atomic.Int64
-	compiles, compileErrs      atomic.Int64
-	requests, inFlight, failed atomic.Int64
-	served                     [numTiers]atomic.Int64
-	compileLat, evalLat        latencyHist
+	hits, misses, evictions     atomic.Int64
+	compiles, compileErrs       atomic.Int64
+	requests, inFlight, failed  atomic.Int64
+	attempts, served, fallbacks [numTiers]atomic.Int64
+	compileLat, evalLat         latencyHist
 }
 
 // job is one submitted request on its way through a lane. ent is the
@@ -627,15 +627,14 @@ func (e *Engine) process(j *job) (res Result) {
 	ctx, sp := obs.StartSpan(ctx, obs.StageServe)
 	if sp != nil && !j.enqueued.IsZero() {
 		// The traced request began when Submit did: canonicalization, if
-		// Submit had to do it, ended at enqueue, and what the job then
-		// spent queued behind the lane is the admission span. A span ends
-		// when End is called, so canonicalize is placed to end now; its
-		// duration is the measured one.
+		// Submit had to do it, is [enqueued − canonDur, enqueued], and
+		// what the job then spent queued behind the lane, up to now, is
+		// the admission span.
 		sp.Start = j.enqueued.Add(-j.canonDur)
 		if j.canonDur > 0 {
 			_, can := obs.StartSpan(ctx, obs.StageCanon)
-			can.Start = time.Now().Add(-j.canonDur)
-			can.End()
+			can.Start = sp.Start
+			can.EndAt(j.enqueued)
 		}
 		_, adm := obs.StartSpan(ctx, obs.StageAdmit)
 		adm.Start = j.enqueued
@@ -729,7 +728,6 @@ func (e *Engine) answer(ctx context.Context, ent *entry, j *job, stage *qos.Dead
 		return
 	}
 	e.evalLat.observe(res.EvalTime)
-	e.served[t].Add(1)
 	res.Tier = tiers[t].name
 	if t != tierRAM {
 		// The circuits computed the canonical query; RAM ran the
@@ -759,6 +757,11 @@ func (ent *entry) ladder() ([]tierID, []TierAttempt) {
 // budgeted its share of the remaining wall clock (qos.PlanTier), so a
 // stuck vm attempt cannot eat the RAM fallback's time, and a tier whose
 // estimated duration already exceeds its share is skipped outright.
+//
+// The tier counters (Metrics.Tiers) are kept here: a skipped tier is
+// not an attempt, and a serve after any earlier entry in attempts — a
+// failure, a skip, or a RAM-pinned entry's compile error — is a
+// fallback.
 func (e *Engine) evaluate(ctx context.Context, ent *entry, req Request, stage *qos.DeadlineStage) (*relation.Relation, tierID, []TierAttempt, error) {
 	ladder, attempts := ent.ladder()
 	for i, t := range ladder {
@@ -767,13 +770,13 @@ func (e *Engine) evaluate(ctx context.Context, ent *entry, req Request, stage *q
 		tctx, cancel, skip, reason := qos.PlanTier(ctx, len(ladder)-i, est.Estimate())
 		if skip {
 			cancel()
-			e.ledger.Degrade(qos.DegradeTierSkip)
+			e.ledger.TierSkip()
 			attempts = append(attempts, TierAttempt{Tier: name, Err: reason})
 			continue
 		}
 		start := time.Now()
 		tierCtx, sp := obs.StartSpan(tctx, obs.StageTier+name)
-		obs.Tiers.Attempt(name)
+		e.attempts[t].Add(1)
 		out, err := e.runTier(tierCtx, t, ent, req)
 		if err == nil && out != nil {
 			sp.AddInt(obs.CounterRows, int64(out.Len()))
@@ -784,7 +787,10 @@ func (e *Engine) evaluate(ctx context.Context, ent *entry, req Request, stage *q
 		attempts = append(attempts, TierAttempt{Tier: name, Err: err})
 		if err == nil {
 			est.Observe(time.Since(start))
-			obs.Tiers.Serve(name, len(attempts) > 1)
+			e.served[t].Add(1)
+			if len(attempts) > 1 {
+				e.fallbacks[t].Add(1)
+			}
 			return out, t, attempts, nil
 		}
 		if ctx != nil && ctx.Err() != nil {
@@ -1142,12 +1148,18 @@ func (e *Engine) Metrics() Metrics {
 		Requests:       e.requests.Load(),
 		InFlight:       e.inFlight.Load(),
 		Failed:         e.failed.Load(),
-		ServedVM:       e.served[tierVM].Load(),
-		ServedRAM:      e.served[tierRAM].Load(),
 		CachedPlans:    plans,
 		CachedGates:    gates,
 		CompileLatency: e.compileLat.snapshot(),
 		EvalLatency:    e.evalLat.snapshot(),
+	}
+	for t := range m.Tiers {
+		m.Tiers[t] = TierCounts{
+			Tier:      tiers[t].name,
+			Attempts:  e.attempts[t].Load(),
+			Served:    e.served[t].Load(),
+			Fallbacks: e.fallbacks[t].Load(),
+		}
 	}
 	if st := e.cfg.Store; st != nil {
 		ss := st.Stats()

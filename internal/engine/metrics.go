@@ -94,6 +94,14 @@ func (h LatencyHistogram) String() string {
 		h.Count, h.Mean(), h.Quantile(0.50), h.Quantile(0.99))
 }
 
+// TierCounts is one tier's ladder activity: attempts (a skipped tier is
+// not one), serves, and fallbacks — serves that came after an earlier
+// entry in the request's Attempts.
+type TierCounts struct {
+	Tier                        string
+	Attempts, Served, Fallbacks int64
+}
+
 // Metrics is a point-in-time snapshot of the engine's counters.
 type Metrics struct {
 	// Plan-cache behaviour.
@@ -110,9 +118,8 @@ type Metrics struct {
 	InFlight int64 // requests currently being processed
 	Failed   int64 // requests that returned an error
 
-	// Per-tier serve counts (which evaluation strategy answered).
-	ServedVM  int64
-	ServedRAM int64
+	// Per-tier ladder counts, in degradation order (vm, ram).
+	Tiers [numTiers]TierCounts
 
 	// Cache occupancy.
 	CachedPlans int
@@ -141,7 +148,7 @@ func (m Metrics) String() string {
 	fmt.Fprintf(&b, "cache: hits=%d misses=%d evictions=%d plans=%d gates=%d\n",
 		m.Hits, m.Misses, m.Evictions, m.CachedPlans, m.CachedGates)
 	fmt.Fprintf(&b, "compiles=%d errors=%d latency: %v\n", m.Compiles, m.CompileErrors, m.CompileLatency)
-	fmt.Fprintf(&b, "tiers: vm=%d ram=%d\n", m.ServedVM, m.ServedRAM)
+	fmt.Fprintf(&b, "tiers: vm=%d ram=%d\n", m.Tiers[tierVM].Served, m.Tiers[tierRAM].Served)
 	if m.StorePlans > 0 || m.StoreHits > 0 || m.StoreWrites > 0 {
 		fmt.Fprintf(&b, "store: plans=%d hits=%d misses=%d writes=%d corrupt=%d read=%dB written=%dB\n",
 			m.StorePlans, m.StoreHits, m.StoreMisses, m.StoreWrites,

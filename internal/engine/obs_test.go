@@ -165,6 +165,7 @@ func TestEngineHitSpanTree(t *testing.T) {
 		}
 		end := root.Start.Add(root.Duration())
 		var sum time.Duration
+		var prev *obs.Span
 		for _, c := range root.Children() {
 			if c.Start.Before(root.Start) || c.Start.Add(c.Duration()).After(end) {
 				t.Fatalf("%s [%v +%v] lies outside serve [%v +%v]", c.Name, c.Start, c.Duration(), root.Start, root.Duration())
@@ -172,10 +173,101 @@ func TestEngineHitSpanTree(t *testing.T) {
 			if c.Duration() <= 0 {
 				t.Fatalf("%s has non-positive duration %v", c.Name, c.Duration())
 			}
+			if prev != nil && c.Start.Before(prev.Start.Add(prev.Duration())) {
+				t.Fatalf("%s starts at %v, before %s ends at %v", c.Name, c.Start, prev.Name, prev.Start.Add(prev.Duration()))
+			}
+			prev = c
 			sum += c.Duration()
 		}
 		if sum > root.Duration() {
 			t.Fatalf("children sum to %v, more than serve's %v", sum, root.Duration())
 		}
+	}
+}
+
+// TestEngineTierCounters: the engine's own tier counters over four
+// requests that take every edge of the ladder — a healthy vm serve, a vm
+// fault that falls through to RAM, a non-full query pinned to RAM (its
+// recorded compile failure makes the serve a fallback), and a vm attempt
+// the estimator skips (a skip is not an attempt, but the RAM serve after
+// it is a fallback) — and the one set of tier families they render.
+func TestEngineTierCounters(t *testing.T) {
+	e := New(Config{Workers: 1, MissWorkers: 1})
+	defer e.Close()
+	tri := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 61, 10)
+	q := query.Path2Projected()
+	db := workload.ForQuery(q, 9, 16)
+	nonFull := Request{Query: q, DCs: mustDerive(t, q, db), DB: db}
+	bg := context.Background()
+	// Compile the triangle's plan without serving it, so the first
+	// request is a hit and no request but the four below is counted.
+	canon, err := query.Canonicalize(tri.Query, tri.DCs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := e.acquire(bg, canon); err != nil {
+		t.Fatal(err)
+	}
+
+	steps := []struct {
+		name  string
+		serve func() Result
+		tier  string
+		want  [numTiers]TierCounts
+		skips int64
+	}{
+		{"healthy hit", func() Result { return e.Serve(bg, tri) }, TierVM,
+			[numTiers]TierCounts{{TierVM, 1, 1, 0}, {TierRAM, 0, 0, 0}}, 0},
+		{"vm fault", func() Result { return e.Serve(wordGateFault(), tri) }, TierRAM,
+			[numTiers]TierCounts{{TierVM, 2, 1, 0}, {TierRAM, 1, 1, 1}}, 0},
+		{"non-full", func() Result { return e.Serve(bg, nonFull) }, TierRAM,
+			[numTiers]TierCounts{{TierVM, 2, 1, 0}, {TierRAM, 2, 2, 2}}, 0},
+		{"tier skip", func() Result {
+			// As in TestEngineDeadlineSkipsDoomedTier: a vm estimate far
+			// past the ½ share of the deadline, a cheap RAM one.
+			for i := 0; i < 16; i++ {
+				e.estTier[tierVM].Observe(10 * time.Second)
+			}
+			e.estTier[tierRAM].Observe(time.Microsecond)
+			ctx, cancel := context.WithTimeout(bg, 500*time.Millisecond)
+			defer cancel()
+			return e.Serve(ctx, tri)
+		}, TierRAM, [numTiers]TierCounts{{TierVM, 2, 1, 0}, {TierRAM, 3, 3, 3}}, 1},
+	}
+	for _, s := range steps {
+		res := s.serve()
+		if res.Err != nil || res.Tier != s.tier {
+			t.Fatalf("%s: err=%v tier=%q, want %s", s.name, res.Err, res.Tier, s.tier)
+		}
+		if got := e.Metrics().Tiers; got != s.want {
+			t.Fatalf("%s: tier counts %+v, want %+v", s.name, got, s.want)
+		}
+		if got := e.QoS().TierSkip; got != s.skips {
+			t.Fatalf("%s: TierSkip=%d, want %d", s.name, got, s.skips)
+		}
+	}
+
+	// Every tier family the engine renders, each once: the three
+	// circuitql_eval_tier_* families and no other (no second served
+	// counter beside them).
+	var tierFams []string
+	for _, f := range e.Metrics().Families() {
+		if !strings.Contains(f.Name, "_tier_") {
+			continue
+		}
+		tierFams = append(tierFams, f.Name)
+		var labels []string
+		for _, smp := range f.Samples {
+			for _, l := range smp.Labels {
+				labels = append(labels, l.Name+"="+l.Value)
+			}
+		}
+		if got := strings.Join(labels, ","); got != "tier=vm,tier=ram" {
+			t.Errorf("%s labels = %s, want tier=vm,tier=ram", f.Name, got)
+		}
+	}
+	want := "circuitql_eval_tier_attempts_total circuitql_eval_tier_served_total circuitql_eval_tier_fallbacks_total"
+	if got := strings.Join(tierFams, " "); got != want {
+		t.Errorf("tier families = %s, want %s", got, want)
 	}
 }

@@ -443,8 +443,8 @@ func TestEngineLedgerReconciles(t *testing.T) {
 			total++
 		}
 	}
-	if m := e.Metrics(); m.Requests != total || m.ServedVM != total {
-		t.Fatalf("requests=%d served by vm=%d, want %d each", m.Requests, m.ServedVM, total)
+	if m := e.Metrics(); m.Requests != total || m.Tiers[tierVM].Served != total {
+		t.Fatalf("requests=%d served by vm=%d, want %d each", m.Requests, m.Tiers[tierVM].Served, total)
 	}
 	q := e.QoS()
 	if q.TotalAdmitted() != total || q.TotalShed() != 0 {
@@ -655,8 +655,8 @@ func TestEngineDeadlineSkipsDoomedTier(t *testing.T) {
 	if skips != 1 {
 		t.Fatalf("skipped %d tiers, want 1 (vm)", skips)
 	}
-	if s := e.QoS(); s.Degraded["tier_skip"] != 1 {
-		t.Fatalf("degraded[tier_skip]=%d, want 1", s.Degraded["tier_skip"])
+	if s := e.QoS(); s.TierSkip != 1 {
+		t.Fatalf("TierSkip=%d, want 1", s.TierSkip)
 	}
 }
 

@@ -41,8 +41,8 @@ func TestEngineVMTierServes(t *testing.T) {
 	if !warm.Output.Equal(want) {
 		t.Fatal("vm tier output differs from reference")
 	}
-	if m := e.Metrics(); m.ServedVM < 1 {
-		t.Fatalf("ServedVM=%d, want ≥1", m.ServedVM)
+	if m := e.Metrics(); m.Tiers[tierVM].Served < 1 {
+		t.Fatalf("vm served=%d, want ≥1", m.Tiers[tierVM].Served)
 	}
 }
 

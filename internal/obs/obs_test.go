@@ -82,12 +82,13 @@ func TestSpanEndIdempotent(t *testing.T) {
 	tr := NewTracer(4)
 	ctx := WithTracer(context.Background(), tr)
 	_, sp := StartSpan(ctx, "x")
+	sp.EndAt(sp.Start.Add(5 * time.Millisecond))
+	if d := sp.Duration(); d != 5*time.Millisecond {
+		t.Fatalf("EndAt(start+5ms) recorded %v", d)
+	}
 	sp.End()
-	d := sp.Duration()
-	time.Sleep(time.Millisecond)
-	sp.End()
-	if sp.Duration() != d {
-		t.Fatal("second End changed the duration")
+	if d := sp.Duration(); d != 5*time.Millisecond {
+		t.Fatalf("End after EndAt changed the duration to %v", d)
 	}
 	if n := tr.Aggregates()["x"].Count; n != 1 {
 		t.Fatalf("aggregate count = %d after double End", n)
@@ -140,34 +141,6 @@ func BenchmarkStartSpanNilTracer(b *testing.B) {
 	}
 }
 
-func TestTierLedger(t *testing.T) {
-	var l TierLedger
-	l.Attempt("vm")
-	l.Attempt("oblivious")
-	l.Attempt("relational")
-	l.Serve("relational", true)
-	l.Attempt("nonsense") // unknown tiers are ignored, not counted
-	snap := l.Snapshot()
-	if snap[0].Tier != "vm" || snap[0].Attempts != 1 || snap[0].Serves != 0 {
-		t.Fatalf("vm = %+v", snap[0])
-	}
-	if snap[1].Tier != "oblivious" || snap[1].Attempts != 1 || snap[1].Serves != 0 {
-		t.Fatalf("oblivious = %+v", snap[1])
-	}
-	if snap[2].Attempts != 1 || snap[2].Serves != 1 || snap[2].Fallbacks != 1 {
-		t.Fatalf("relational = %+v", snap[2])
-	}
-	fams := l.Families()
-	if len(fams) != 3 {
-		t.Fatalf("families = %d, want 3", len(fams))
-	}
-	for _, f := range fams {
-		if len(f.Samples) != numTiers {
-			t.Fatalf("%s has %d samples, want one per tier", f.Name, len(f.Samples))
-		}
-	}
-}
-
 // promLine matches every legal non-comment line of the text exposition
 // format: name{labels} value.
 var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? (-?[0-9.e+-]+|\+Inf|-Inf|NaN)$`)
@@ -181,9 +154,8 @@ func TestPrometheusExposition(t *testing.T) {
 
 	reg := NewRegistry()
 	reg.Register(TracerFamilies(tr))
-	reg.Register(Tiers.Families)
 	reg.Register(func() []Family {
-		return []Family{{
+		return []Family{testLabelled, {
 			Name: "circuitql_test_hist", Help: "histogram escape\ncheck", Type: TypeHistogram,
 			Samples: []Sample{{
 				Buckets: []HistBucket{{1e-6, 2}, {1e-3, 5}},
@@ -225,7 +197,7 @@ func TestPrometheusExposition(t *testing.T) {
 		"circuitql_uptime_seconds",
 		`circuitql_stage_total{stage="compile"} 1`,
 		`circuitql_stage_counter_total{stage="compile",counter="gates"} 5`,
-		`circuitql_eval_tier_attempts_total{tier="oblivious"}`,
+		`circuitql_test_labelled_total{tier="b"} 2`,
 		`circuitql_test_hist_bucket{le="+Inf"} 7`,
 		"circuitql_test_hist_sum 0.004",
 		"circuitql_test_hist_count 7",
@@ -253,15 +225,24 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// testLabelled is a counter family with one label, two samples.
+var testLabelled = Family{
+	Name: "circuitql_test_labelled_total", Help: "A labelled test counter.", Type: TypeCounter,
+	Samples: []Sample{
+		{Labels: []Label{{"tier", "a"}}, Value: 1},
+		{Labels: []Label{{"tier", "b"}}, Value: 2},
+	},
+}
+
 func TestMetricsJSON(t *testing.T) {
 	reg := NewRegistry()
-	reg.Register(Tiers.Families)
+	reg.Register(func() []Family { return []Family{testLabelled} })
 	var b strings.Builder
 	if err := reg.WriteJSON(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{`"circuitql_uptime_seconds"`, `"circuitql_eval_tier_attempts_total"`, `"tier": "oblivious"`} {
+	for _, want := range []string{`"circuitql_uptime_seconds"`, `"circuitql_test_labelled_total"`, `"tier": "b"`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("JSON missing %q:\n%s", want, out)
 		}

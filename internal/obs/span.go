@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the pipeline: hierarchical
-// tracing spans carried by context.Context, per-stage aggregates, a
-// process-wide tier ledger, and metric exposition in Prometheus text
-// format and JSON. It depends only on the standard library.
+// tracing spans carried by context.Context, per-stage aggregates, and
+// metric exposition in Prometheus text format and JSON. It depends only
+// on the standard library.
 //
 // The paper's cost currency is circuit size and depth, so spans carry
 // integer counters (gates, wires, rows, pivots, proof steps) alongside
@@ -196,10 +196,19 @@ func (s *Span) Children() []*Span {
 	return out
 }
 
-// End closes the span, records its duration, folds it into the
-// tracer's per-stage aggregates, and — for a root span — publishes the
-// finished tree to the tracer's ring buffer. Idempotent.
+// End closes the span now; see EndAt. On a nil span it does not read
+// the clock.
 func (s *Span) End() {
+	if s != nil {
+		s.EndAt(time.Now())
+	}
+}
+
+// EndAt closes the span at t, records its duration, folds it into the
+// tracer's per-stage aggregates, and — for a root span — publishes the
+// finished tree to the tracer's ring buffer. Idempotent: only the first
+// End or EndAt counts.
+func (s *Span) EndAt(t time.Time) {
 	if s == nil {
 		return
 	}
@@ -209,18 +218,18 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	s.dur = time.Since(s.Start)
-	t, root := s.tracer, s.parent == nil
+	s.dur = t.Sub(s.Start)
+	tr, root := s.tracer, s.parent == nil
 	attrs := make([]Attr, len(s.attrs))
 	copy(attrs, s.attrs)
 	d := s.dur
 	s.mu.Unlock()
-	if t == nil {
+	if tr == nil {
 		return
 	}
-	t.record(s.Name, d, attrs)
+	tr.record(s.Name, d, attrs)
 	if root {
-		t.push(s)
+		tr.push(s)
 	}
 }
 

@@ -71,27 +71,6 @@ func (s DeadlineStage) String() string {
 	return "unknown"
 }
 
-// DegradeAction is a way a request was served by less than its plan's
-// first tier.
-type DegradeAction int
-
-// Degradation actions.
-const (
-	// DegradeTierSkip: a tier was skipped because its estimated
-	// duration exceeded its share of the request's deadline.
-	DegradeTierSkip DegradeAction = iota
-	numDegradeActions
-)
-
-// String names the action for labels.
-func (a DegradeAction) String() string {
-	switch a {
-	case DegradeTierSkip:
-		return "tier_skip"
-	}
-	return "unknown"
-}
-
 // NumBatchBuckets sizes the coalesced-batch occupancy histogram:
 // bucket 0 counts dispatches of exactly 1 request (no coalescing
 // happened), bucket i (i ≥ 1) counts dispatches of (2^{i-1}, 2^i]
@@ -134,7 +113,7 @@ type Ledger struct {
 	admitted [NumLanes]atomic.Int64
 	shed     [NumLanes][numShedReasons]atomic.Int64
 	deadline [numDeadlineStages]atomic.Int64
-	degraded [numDegradeActions]atomic.Int64
+	tierSkip atomic.Int64
 
 	batches     atomic.Int64
 	batchedReqs atomic.Int64
@@ -150,8 +129,9 @@ func (l *Ledger) Shed(lane Lane, reason ShedReason) { l.shed[lane][reason].Add(1
 // Deadline counts one request whose deadline expired at stage.
 func (l *Ledger) Deadline(stage DeadlineStage) { l.deadline[stage].Add(1) }
 
-// Degrade counts one degradation measure taken.
-func (l *Ledger) Degrade(action DegradeAction) { l.degraded[action].Add(1) }
+// TierSkip counts one tier skipped because its estimated duration
+// exceeded its share of the request's deadline.
+func (l *Ledger) TierSkip() { l.tierSkip.Add(1) }
 
 // Batch counts one coalesced vm dispatch covering size requests, so
 // mean batch occupancy is BatchedRequests / Batches. The dispatch is
@@ -177,7 +157,7 @@ type Snapshot struct {
 	Admitted map[string]int64            // by lane
 	Shed     map[string]map[string]int64 // by lane, then reason
 	Deadline map[string]int64            // by stage
-	Degraded map[string]int64            // by action
+	TierSkip int64                       // tiers skipped for their deadline share
 	Lanes    []LaneStats
 	Level    Level
 
@@ -226,7 +206,7 @@ func (l *Ledger) Snapshot() Snapshot {
 		Admitted:        make(map[string]int64, NumLanes),
 		Shed:            make(map[string]map[string]int64, NumLanes),
 		Deadline:        make(map[string]int64, numDeadlineStages),
-		Degraded:        make(map[string]int64, numDegradeActions),
+		TierSkip:        l.tierSkip.Load(),
 		Batches:         l.batches.Load(),
 		BatchedRequests: l.batchedReqs.Load(),
 	}
@@ -244,9 +224,6 @@ func (l *Ledger) Snapshot() Snapshot {
 	for st := DeadlineStage(0); st < numDeadlineStages; st++ {
 		s.Deadline[st.String()] = l.deadline[st].Load()
 	}
-	for a := DegradeAction(0); a < numDegradeActions; a++ {
-		s.Degraded[a.String()] = l.degraded[a].Load()
-	}
 	return s
 }
 
@@ -262,7 +239,8 @@ func (s Snapshot) Families() []obs.Family {
 	deadline := obs.Family{Name: "circuitql_qos_deadline_exceeded_total",
 		Help: "Requests whose deadline expired, by pipeline stage.", Type: obs.TypeCounter}
 	degraded := obs.Family{Name: "circuitql_qos_degraded_total",
-		Help: "Degradation measures taken, by action.", Type: obs.TypeCounter}
+		Help: "Degradation measures taken, by action.", Type: obs.TypeCounter,
+		Samples: []obs.Sample{{Labels: []obs.Label{{Name: "action", Value: "tier_skip"}}, Value: float64(s.TierSkip)}}}
 	queue := obs.Family{Name: "circuitql_qos_lane_queue", Help: "Requests queued per admission lane.", Type: obs.TypeGauge}
 	depth := obs.Family{Name: "circuitql_qos_lane_queue_capacity", Help: "Queue capacity per admission lane.", Type: obs.TypeGauge}
 	inflight := obs.Family{Name: "circuitql_qos_lane_in_flight", Help: "Requests being processed per admission lane.", Type: obs.TypeGauge}
@@ -299,12 +277,6 @@ func (s Snapshot) Families() []obs.Family {
 		deadline.Samples = append(deadline.Samples, obs.Sample{
 			Labels: []obs.Label{{Name: "stage", Value: st.String()}},
 			Value:  float64(s.Deadline[st.String()]),
-		})
-	}
-	for a := DegradeAction(0); a < numDegradeActions; a++ {
-		degraded.Samples = append(degraded.Samples, obs.Sample{
-			Labels: []obs.Label{{Name: "action", Value: a.String()}},
-			Value:  float64(s.Degraded[a.String()]),
 		})
 	}
 	for _, ls := range s.Lanes {

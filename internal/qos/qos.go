@@ -24,9 +24,12 @@
 //     *guard.OverloadError carrying a retry-after hint, rather than
 //     queued unboundedly or blocked indefinitely.
 //   - Deadlines propagate as per-tier shares: a request with t
-//     remaining and k tiers left gives the next tier t/k, so a request
-//     near its deadline skips straight to a cheaper tier instead of
-//     timing out mid-oblivious-eval.
+//     remaining and k tiers left gives the next tier t/k — on the
+//     two-rung ladder the circuit gets half — so a request near its
+//     deadline skips straight to the RAM tier instead of timing out
+//     mid-circuit; each such skip is counted (Ledger.TierSkip, exported
+//     as circuitql_qos_degraded_total{action="tier_skip"}). The engine
+//     counts tier attempts, serves and fallbacks itself.
 //   - Load.Level grades queue occupancy; at LevelCritical (the fuller
 //     lane three-quarters full) an adaptive engine sheds
 //     below-normal-priority work before the lane overflows.

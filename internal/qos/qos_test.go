@@ -161,7 +161,7 @@ func TestLedgerSnapshotAndFamilies(t *testing.T) {
 	l.Shed(LaneHit, ShedPriority)
 	l.Deadline(StageQueued)
 	l.Deadline(StageOblivious)
-	l.Degrade(DegradeTierSkip)
+	l.TierSkip()
 
 	s := l.Snapshot()
 	if s.Admitted["hit"] != 2 || s.Admitted["miss"] != 1 {
@@ -173,7 +173,7 @@ func TestLedgerSnapshotAndFamilies(t *testing.T) {
 	if s.Shed["miss"]["queue_full"] != 1 || s.Shed["hit"]["priority"] != 1 {
 		t.Fatalf("shed = %v", s.Shed)
 	}
-	if s.Deadline["queued"] != 1 || s.Deadline["oblivious"] != 1 || s.Degraded["tier_skip"] != 1 {
+	if s.Deadline["queued"] != 1 || s.Deadline["oblivious"] != 1 || s.TierSkip != 1 {
 		t.Fatalf("counters: %+v", s)
 	}
 

@@ -52,14 +52,12 @@ var (
 type OverloadError = guard.OverloadError
 
 // Evaluation tier names, in degradation order. TierVM and TierRAM are
-// the engine's ladder (ServeResult.Tier); EvaluateResilient's own
-// ladder is oblivious → relational → RAM, and its first two tiers only
-// the facade has.
+// the engine's ladder (ServeResult.Tier); EvaluateResilient's ladder is
+// oblivious → RAM, its circuit rung the word-circuit interpreter.
 const (
-	TierVM         = engine.TierVM
-	TierOblivious  = "oblivious"
-	TierRelational = "relational"
-	TierRAM        = engine.TierRAM
+	TierVM        = engine.TierVM
+	TierOblivious = "oblivious"
+	TierRAM       = engine.TierRAM
 )
 
 // TierAttempt records one tier's outcome, in a TierReport or a
@@ -90,24 +88,23 @@ func (r *TierReport) String() string {
 	return s
 }
 
-// EvaluateResilient evaluates the query with tiered degradation:
-// the oblivious circuit first, the relational circuit if it fails, the
-// reference RAM evaluator last. All three compute the same Q(D), so a
-// fault in a faster tier degrades the execution strategy, never the
-// answer. Each tier runs under its own panic containment; the report
-// records every attempt. When the context itself is dead (canceled or
-// past its deadline) later tiers are skipped — they would fail the
-// same way — and the first error is returned.
+// EvaluateResilient evaluates the query with tiered degradation: the
+// oblivious circuit first, the reference RAM evaluator if it fails.
+// Both compute the same Q(D), so a fault in the circuit degrades the
+// execution strategy, never the answer. Each tier runs under its own
+// panic containment; the report records every attempt. When the
+// context itself is dead (canceled or past its deadline) the RAM tier
+// is skipped — it would fail the same way — and the first error is
+// returned.
 //
-// With a deadline on ctx, each non-final tier runs under its share of
-// the remaining wall clock (remaining ÷ tiers left), so a stuck faster
-// tier exhausts only its slice and the cheaper fallbacks still get
-// their turn; the last tier runs under the request context itself.
+// With a deadline on ctx, the oblivious tier runs under half of the
+// remaining wall clock, so a stuck circuit exhausts only its share and
+// the RAM fallback still gets its turn; the RAM tier runs under the
+// request context itself.
 //
-// Every attempt and serve is also recorded on the process-wide tier
-// ledger (and, when ctx carries an obs tracer, as a tier/<name> span),
-// so the /metrics tier counters agree with the returned TierReport no
-// matter whether a request went through an Engine or this facade path.
+// The TierReport is the call's only record: nothing is counted process
+// wide. When ctx carries an obs tracer each attempt is also a
+// tier/<name> span.
 func (c *CompiledQuery) EvaluateResilient(ctx context.Context, db Database) (*Relation, *TierReport, error) {
 	report := &TierReport{}
 	if err := func() (err error) {
@@ -124,10 +121,6 @@ func (c *CompiledQuery) EvaluateResilient(ctx context.Context, db Database) (*Re
 			defer guard.Recover(&err)
 			return c.inner.EvaluateObliviousCtx(ctx, db)
 		}},
-		{TierRelational, func(ctx context.Context) (out *Relation, err error) {
-			defer guard.Recover(&err)
-			return c.inner.EvaluateRelationalCtx(ctx, db, false)
-		}},
 		{TierRAM, func(ctx context.Context) (out *Relation, err error) {
 			defer guard.Recover(&err)
 			return query.EvaluateCtx(ctx, c.inner.Query, db)
@@ -138,7 +131,6 @@ func (c *CompiledQuery) EvaluateResilient(ctx context.Context, db Database) (*Re
 		// tier attempts but never skip one outright.
 		tctx, cancel, _, _ := qos.PlanTier(ctx, len(tiers)-i, 0)
 		tierCtx, sp := obs.StartSpan(tctx, obs.StageTier+t.name)
-		obs.Tiers.Attempt(t.name)
 		out, err := t.run(tierCtx)
 		cancel()
 		if err == nil && out != nil {
@@ -148,7 +140,6 @@ func (c *CompiledQuery) EvaluateResilient(ctx context.Context, db Database) (*Re
 		sp.End()
 		report.Attempts = append(report.Attempts, TierAttempt{Tier: t.name, Err: err})
 		if err == nil {
-			obs.Tiers.Serve(t.name, i > 0)
 			report.Served = t.name
 			return out, report, nil
 		}

@@ -9,7 +9,6 @@ import (
 
 	"circuitql/internal/faultinject"
 	"circuitql/internal/guard"
-	"circuitql/internal/obs"
 	"circuitql/internal/workload"
 )
 
@@ -134,77 +133,10 @@ func TestEvaluateResilientServesObliviousWhenHealthy(t *testing.T) {
 	}
 }
 
-func TestEvaluateResilientDegradesToRelational(t *testing.T) {
-	q, _, db, cq := triangleSetup(t)
-	in := faultinject.New()
-	in.FailAt(faultinject.SiteWordGate, 1, nil)
-	ctx := faultinject.WithInjector(context.Background(), in)
-	out, report, err := cq.EvaluateResilient(ctx, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Served != TierRelational {
-		t.Fatalf("served = %q, want %q (report: %s)", report.Served, TierRelational, report)
-	}
-	if !errors.Is(report.Attempts[0].Err, faultinject.ErrInjected) {
-		t.Fatalf("oblivious attempt error = %v, want injected", report.Attempts[0].Err)
-	}
-	want, err := EvaluateRAM(context.Background(), q, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Equal(want) {
-		t.Fatal("relational tier result differs from reference")
-	}
-}
-
-// A forced oblivious-tier fault must be visible on the process-wide
-// tier ledger exactly as the TierReport records it: one relational
-// serve, one relational fallback — not zero (the pre-fix facade bug:
-// only the engine path recorded tiers) and not two.
-func TestEvaluateResilientRecordsTierLedger(t *testing.T) {
-	_, _, db, cq := triangleSetup(t)
-	in := faultinject.New()
-	in.FailAt(faultinject.SiteWordGate, 1, nil)
-	ctx := faultinject.WithInjector(context.Background(), in)
-
-	before := obs.Tiers.Snapshot()
-	_, report, err := cq.EvaluateResilient(ctx, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Served != TierRelational {
-		t.Fatalf("served = %q, want %q", report.Served, TierRelational)
-	}
-	after := obs.Tiers.Snapshot()
-
-	// Snapshot order is degradation order: vm, oblivious, relational,
-	// ram (the facade's resilient path starts at the oblivious tier).
-	obl, rel, ram := 1, 2, 3
-	deltas := []struct {
-		name string
-		got  int64
-		want int64
-	}{
-		{"oblivious attempts", after[obl].Attempts - before[obl].Attempts, 1},
-		{"oblivious serves", after[obl].Serves - before[obl].Serves, 0},
-		{"relational attempts", after[rel].Attempts - before[rel].Attempts, 1},
-		{"relational serves", after[rel].Serves - before[rel].Serves, 1},
-		{"relational fallbacks", after[rel].Fallbacks - before[rel].Fallbacks, 1},
-		{"ram attempts", after[ram].Attempts - before[ram].Attempts, 0},
-	}
-	for _, d := range deltas {
-		if d.got != d.want {
-			t.Errorf("%s delta = %d, want %d", d.name, d.got, d.want)
-		}
-	}
-}
-
 func TestEvaluateResilientDegradesToRAM(t *testing.T) {
 	q, _, db, cq := triangleSetup(t)
 	in := faultinject.New()
 	in.FailAt(faultinject.SiteWordGate, 1, nil)
-	in.FailAt(faultinject.SiteRelGate, 1, nil)
 	ctx := faultinject.WithInjector(context.Background(), in)
 	out, report, err := cq.EvaluateResilient(ctx, db)
 	if err != nil {
@@ -213,10 +145,11 @@ func TestEvaluateResilientDegradesToRAM(t *testing.T) {
 	if report.Served != TierRAM {
 		t.Fatalf("served = %q, want %q (report: %s)", report.Served, TierRAM, report)
 	}
-	for i, tier := range []string{TierOblivious, TierRelational} {
-		if !errors.Is(report.Attempts[i].Err, faultinject.ErrInjected) {
-			t.Fatalf("%s attempt error = %v, want injected", tier, report.Attempts[i].Err)
-		}
+	if len(report.Attempts) != 2 || report.Attempts[0].Tier != TierOblivious || report.Attempts[1].Tier != TierRAM {
+		t.Fatalf("attempts = %+v, want [oblivious ram]", report.Attempts)
+	}
+	if !errors.Is(report.Attempts[0].Err, faultinject.ErrInjected) {
+		t.Fatalf("oblivious attempt error = %v, want injected", report.Attempts[0].Err)
 	}
 	want, err := EvaluateRAM(context.Background(), q, db)
 	if err != nil {
@@ -231,7 +164,6 @@ func TestEvaluateResilientAllTiersFail(t *testing.T) {
 	_, _, db, cq := triangleSetup(t)
 	in := faultinject.New()
 	in.FailAt(faultinject.SiteWordGate, 1, nil)
-	in.FailAt(faultinject.SiteRelGate, 1, nil)
 	in.FailAt(faultinject.SiteRAMJoin, 1, nil)
 	ctx := faultinject.WithInjector(context.Background(), in)
 	_, report, err := cq.EvaluateResilient(ctx, db)
@@ -241,7 +173,7 @@ func TestEvaluateResilientAllTiersFail(t *testing.T) {
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want injected cause", err)
 	}
-	if len(report.Attempts) != 3 || report.Served != "" {
+	if len(report.Attempts) != 2 || report.Served != "" {
 		t.Fatalf("report = %+v", report)
 	}
 }
@@ -255,8 +187,8 @@ func TestEvaluateResilientContainsPanics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("panic escaped containment: %v", err)
 	}
-	if report.Served != TierRelational {
-		t.Fatalf("served = %q, want %q", report.Served, TierRelational)
+	if report.Served != TierRAM {
+		t.Fatalf("served = %q, want %q", report.Served, TierRAM)
 	}
 	oblErr := report.Attempts[0].Err
 	if !errors.Is(oblErr, ErrInternal) {
@@ -444,8 +376,8 @@ func TestEveryEntryPointHonorsCancellation(t *testing.T) {
 // A panic inside a gate or a join never crosses the API boundary: every
 // evaluating entry point returns it as ErrInternal with the payload
 // preserved. Each evaluator's site is armed, so the entry point fails
-// whichever evaluator it runs (EvaluateResilient walks all three tiers
-// and reports the last).
+// whichever evaluator it runs (EvaluateResilient walks both of its
+// tiers and reports the last).
 func TestEveryEvaluatingEntryPointContainsPanics(t *testing.T) {
 	for _, ep := range blockingEntryPoints(t) {
 		if !ep.evaluates {

@@ -329,9 +329,15 @@ func CompileBoolean(ctx context.Context, q *Query, dcs DCSet) (bq *BooleanQuery,
 	return &BooleanQuery{inner: bc}, nil
 }
 
-// Decide evaluates the decision circuit on db.
+// Decide evaluates the decision circuit on db. The database is
+// validated upfront against the query and the compiled constraint set,
+// as in CompiledQuery.Evaluate: a nonconforming one is ErrInvalidInput,
+// never a wrong answer.
 func (b *BooleanQuery) Decide(ctx context.Context, db Database) (ok bool, err error) {
 	defer guard.Recover(&err)
+	if err := query.ValidateDB(b.inner.Query, b.inner.DC, db); err != nil {
+		return false, err
+	}
 	return b.inner.DecideCtx(ctx, db)
 }
 

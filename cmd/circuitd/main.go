@@ -234,7 +234,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) int {
 	if *admin != "" {
 		reg := obs.NewRegistry()
 		reg.Register(func() []obs.Family { return eng.Metrics().Families() })
-		reg.Register(func() []obs.Family { return eng.QoS().Families() })
 		reg.Register(obs.TracerFamilies(tracer))
 		ln, err := net.Listen("tcp", *admin)
 		if err != nil {
@@ -357,25 +356,20 @@ func parseShedPolicy(s string) (circuitql.ShedPolicy, error) {
 // workload (or serves the fixed columnar database when one was loaded),
 // and serves it through the engine.
 func serveLine(stdout io.Writer, eng *circuitql.Engine, line string, n int, seed int64, timeout time.Duration, gateBudget int64, fixedDB circuitql.Database) error {
-	src, dcSrc, hasDC := strings.Cut(line, ";")
-	q, err := circuitql.ParseQuery(strings.TrimSpace(src))
-	if err != nil {
-		return err
-	}
-	db := fixedDB
+	src, dcSrc, _ := strings.Cut(line, ";")
+	var (
+		q   *circuitql.Query
+		dcs circuitql.DCSet
+		db  = fixedDB
+		err error
+	)
 	if db == nil {
-		db = workload.ForQuery(q, seed, n)
+		q, dcs, db, err = workload.Instance(src, dcSrc, seed, n)
+	} else if q, err = circuitql.ParseQuery(src); err == nil {
+		dcs, err = workload.Constraints(q, db, dcSrc)
 	}
-	dcs, err := circuitql.DeriveConstraints(q, db)
 	if err != nil {
 		return err
-	}
-	if hasDC {
-		extra, err := circuitql.ParseConstraints(q, strings.TrimSpace(dcSrc))
-		if err != nil {
-			return err
-		}
-		dcs = append(dcs, extra...)
 	}
 
 	ctx := context.Background()

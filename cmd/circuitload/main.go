@@ -29,7 +29,6 @@ import (
 
 	"circuitql/internal/engine"
 	"circuitql/internal/loadgen"
-	"circuitql/internal/qos"
 )
 
 func main() {
@@ -95,13 +94,13 @@ func run() int {
 		*batchSz, cfg.Clients, cfg.Shapes, cfg.ZipfS, cfg.Duration)
 	fmt.Print(loadgen.Run(cfg, target))
 
-	snap := eng.QoS()
-	fmt.Printf("vm batches=%d batched-requests=%d sizes:", snap.Batches, snap.BatchedRequests)
-	for i, v := range snap.BatchSizes {
+	m := eng.Metrics()
+	fmt.Printf("vm batches=%d batched-requests=%d sizes:", m.Batches, m.BatchedRequests)
+	for i, v := range m.BatchSizes {
 		if v > 0 {
-			fmt.Printf(" %s=%d", qos.BatchBucketLabel(i), v)
+			fmt.Printf(" %s=%d", engine.BatchBucketLabel(i), v)
 		}
 	}
-	fmt.Printf("\n\n%s\n", eng.Metrics())
+	fmt.Printf("\n\n%s\n", m)
 	return 0
 }

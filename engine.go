@@ -17,7 +17,6 @@ import (
 	"context"
 
 	"circuitql/internal/engine"
-	"circuitql/internal/qos"
 	"circuitql/internal/query"
 	"circuitql/internal/store"
 )
@@ -30,7 +29,9 @@ type EngineConfig = engine.Config
 
 // EngineMetrics is a point-in-time snapshot of an Engine's counters:
 // cache hits/misses/evictions, compile dedup, per-tier serve counts,
-// in-flight requests, and compile/eval latency histograms.
+// admissions and sheds per lane, deadline failures by stage, live lane
+// gauges and load level, vm batch coalescing, in-flight requests, and
+// compile/eval latency histograms.
 type EngineMetrics = engine.Metrics
 
 // ServeResult is the outcome of one Engine request: the output relation
@@ -61,26 +62,20 @@ const (
 // Priority orders requests for load shedding: under ShedAdaptive and
 // critical load, below-normal-priority requests are shed first. Attach
 // with WithPriority.
-type Priority = qos.Priority
+type Priority = engine.Priority
 
 // Priorities for WithPriority.
 const (
-	PriorityLow    = qos.PriorityLow
-	PriorityNormal = qos.PriorityNormal
-	PriorityHigh   = qos.PriorityHigh
+	PriorityLow    = engine.PriorityLow
+	PriorityNormal = engine.PriorityNormal
+	PriorityHigh   = engine.PriorityHigh
 )
 
 // WithPriority tags ctx with a shedding priority for requests submitted
 // under it.
 func WithPriority(ctx context.Context, p Priority) context.Context {
-	return qos.WithPriority(ctx, p)
+	return engine.WithPriority(ctx, p)
 }
-
-// QoSSnapshot is a point-in-time view of an Engine's overload-protection
-// state: per-lane admissions and sheds, deadline failures by stage,
-// deadline-forced tier skips, live queue gauges, and the current load
-// level.
-type QoSSnapshot = qos.Snapshot
 
 // Fingerprint identifies a (query, DC set) pair up to variable renaming
 // and atom/constraint reordering.
@@ -181,8 +176,6 @@ func (e *Engine) Close() error { return e.inner.Close() }
 // with typed errors instead of waiting out arbitrarily long compiles.
 func (e *Engine) Shutdown(ctx context.Context) error { return e.inner.Shutdown(ctx) }
 
-// Metrics returns a snapshot of the engine's counters.
+// Metrics returns a snapshot of the engine's counters and admission
+// gauges; its Families method renders every metric family.
 func (e *Engine) Metrics() EngineMetrics { return e.inner.Metrics() }
-
-// QoS returns a snapshot of the engine's overload-protection state.
-func (e *Engine) QoS() QoSSnapshot { return e.inner.QoS() }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"circuitql/internal/bound"
-	"circuitql/internal/qos/soaktest"
 	"circuitql/internal/query"
 	"circuitql/internal/workload"
 )
@@ -15,11 +14,11 @@ import (
 // data plus the loose salt constraint, canonicalized as the engine does.
 func servedCycle4(tb testing.TB) (*query.Query, query.DCSet) {
 	tb.Helper()
-	req, err := soaktest.MakeRequest(query.Cycle4().String(), 1, 8, 33)
+	q, dcs, _, err := workload.Instance(query.Cycle4().String(), "R <= 33", 1, 8)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	canon, err := query.Canonicalize(req.Query, req.DCs)
+	canon, err := query.Canonicalize(q, dcs)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 // with, realized at the polymatroid-bound size instead of N^m.
 type BooleanCircuit struct {
 	Query     *query.Query
+	DC        query.DCSet // the constraints it was compiled for
 	Rel       *relcircuit.Circuit
 	RelOutput int
 	Obliv     *ObliviousCircuit
@@ -54,7 +55,7 @@ func CompileBooleanCtx(ctx context.Context, q *query.Query, dcs query.DCSet) (*B
 	if err != nil {
 		return nil, err
 	}
-	return &BooleanCircuit{Query: q, Rel: c, RelOutput: out, Obliv: obl}, nil
+	return &BooleanCircuit{Query: q, DC: dcs, Rel: c, RelOutput: out, Obliv: obl}, nil
 }
 
 // DecideCtx evaluates the oblivious decision circuit.

@@ -274,9 +274,11 @@ type Compiled struct {
 	// the per-request pack writes straight from the user's relations
 	// into one flat buffer instead of materialising renamed Relations
 	// (string-keyed dedup maps) that are iterated once and thrown away.
+	// packErr is why the layout could not be built.
 	packOnce  sync.Once
 	packPlan  []packSpec
 	packWidth int
+	packErr   error
 }
 
 // packSpec is the precomputed recipe for packing one oblivious input
@@ -414,14 +416,8 @@ func (cq *Compiled) EvaluateObliviousCtx(ctx context.Context, db query.Database)
 // side of batch serving off the per-request allocation path.
 func (cq *Compiled) PackOblivious(db query.Database) ([]int64, error) {
 	cq.packOnce.Do(cq.buildPackPlan)
-	if cq.packPlan == nil {
-		// An input spec did not resolve to an atom — take the general
-		// route through the renamed intermediate relations.
-		pdb, err := panda.PrepareDB(cq.Query, db)
-		if err != nil {
-			return nil, err
-		}
-		return cq.Obliv.pack(pdb)
+	if cq.packErr != nil {
+		return nil, cq.packErr
 	}
 	out := make([]int64, cq.packWidth)
 	off := 0
@@ -469,8 +465,9 @@ func (cq *Compiled) PackOblivious(db query.Database) ([]int64, error) {
 // buildPackPlan resolves every oblivious input spec back to the query
 // atom it was built from and records, per spec, the base-relation
 // column of each schema attribute plus the equality filter a repeated
-// variable implies. On any mismatch the plan stays nil and
-// PackOblivious falls back to the PrepareDB route.
+// variable implies. An input the lowering named after no atom, or whose
+// schema holds an attribute the atom lacks, is a broken plan: packErr
+// says which, and PackOblivious returns it (typed guard.ErrInternal).
 func (cq *Compiled) buildPackPlan() {
 	q := cq.Query
 	byName := make(map[string]int, len(q.Atoms))
@@ -482,6 +479,7 @@ func (cq *Compiled) buildPackPlan() {
 	for _, spec := range cq.Obliv.Inputs {
 		ai, ok := byName[spec.Name]
 		if !ok {
+			cq.packErr = fmt.Errorf("%w: core: oblivious input %q is no atom's input", guard.ErrInternal, spec.Name)
 			return
 		}
 		a := q.Atoms[ai]
@@ -501,6 +499,8 @@ func (cq *Compiled) buildPackPlan() {
 		for k, attr := range spec.Schema {
 			j, seen := firstPos[attr]
 			if !seen {
+				cq.packErr = fmt.Errorf("%w: core: oblivious input %q has attribute %q, which its atom lacks",
+					guard.ErrInternal, spec.Name, attr)
 				return
 			}
 			cols[k] = j

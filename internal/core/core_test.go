@@ -2,10 +2,14 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"circuitql/internal/guard"
 	"circuitql/internal/query"
 	"circuitql/internal/relation"
 )
@@ -218,5 +222,38 @@ func TestCapacityOverflowRejected(t *testing.T) {
 	}
 	if _, err := cq.EvaluateObliviousCtx(context.Background(), db); err == nil {
 		t.Fatal("expected capacity error")
+	}
+}
+
+// TestPackObliviousBrokenInputIsInternal: PackOblivious has one route. An
+// oblivious input that names no atom's input, or carries an attribute
+// its atom lacks, is a broken plan, and packing returns a typed
+// guard.ErrInternal naming the input instead of packing some other way.
+func TestPackObliviousBrokenInputIsInternal(t *testing.T) {
+	q := query.MustParse("Q(A,B,C) :- R(A,B), S(B,C), T(A,C)")
+	db := query.Database{
+		"R": relation.FromTuples([]string{"x", "y"}, relation.Tuple{1, 2}, relation.Tuple{1, 3}),
+		"S": relation.FromTuples([]string{"x", "y"}, relation.Tuple{2, 3}, relation.Tuple{3, 4}),
+		"T": relation.FromTuples([]string{"x", "y"}, relation.Tuple{1, 3}, relation.Tuple{1, 4}),
+	}
+	for _, c := range []struct {
+		name   string
+		tamper func(*InputSpec)
+	}{
+		{"unknown input", func(s *InputSpec) { s.Name = "bogus" }},
+		{"unknown attribute", func(s *InputSpec) { s.Schema = append([]string{"bogus"}, s.Schema[1:]...) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cq := endToEnd(t, q, db)
+			spec := &cq.Obliv.Inputs[0]
+			c.tamper(spec)
+			_, err := cq.PackOblivious(db)
+			if !errors.Is(err, guard.ErrInternal) {
+				t.Fatalf("tampered input spec: err = %v, want ErrInternal", err)
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("%q", spec.Name)) {
+				t.Fatalf("error %q does not name the input %q", err, spec.Name)
+			}
+		})
 	}
 }

@@ -1,4 +1,4 @@
-package qos
+package engine
 
 import (
 	"context"
@@ -11,20 +11,44 @@ import (
 )
 
 func TestPriorityContext(t *testing.T) {
-	if got := PriorityOf(nil); got != PriorityNormal {
+	if got := priorityOf(nil); got != PriorityNormal {
 		t.Fatalf("nil ctx priority = %d, want normal", got)
 	}
-	if got := PriorityOf(context.Background()); got != PriorityNormal {
+	if got := priorityOf(context.Background()); got != PriorityNormal {
 		t.Fatalf("unset priority = %d, want normal", got)
 	}
 	ctx := WithPriority(context.Background(), PriorityLow)
-	if got := PriorityOf(ctx); got != PriorityLow {
+	if got := priorityOf(ctx); got != PriorityLow {
 		t.Fatalf("priority = %d, want low", got)
 	}
 }
 
+// lanesEngine is an engine with no workers whose lanes hold hit and miss
+// queued jobs out of queues of hitDepth and missDepth, for the
+// admission arithmetic alone.
+func lanesEngine(policy ShedPolicy, hit, hitDepth, miss, missDepth int) *Engine {
+	e := &Engine{
+		cfg:      Config{Workers: 2, MissWorkers: 1, ShedPolicy: policy},
+		jobsHit:  make(chan *job, hitDepth),
+		jobsMiss: make(chan *job, missDepth),
+	}
+	for i := 0; i < hit; i++ {
+		e.jobsHit <- nil
+	}
+	for i := 0; i < miss; i++ {
+		e.jobsMiss <- nil
+	}
+	return e
+}
+
+// TestOverloadError: a shed request resolves with a typed
+// *guard.OverloadError carrying its lane, reason and retry hint, and is
+// counted once under that lane and reason.
 func TestOverloadError(t *testing.T) {
-	err := Overload(LaneMiss, ShedQueueFull, 120*time.Millisecond)
+	e := lanesEngine(ShedOnFull, 0, 1, 0, 1)
+	out := make(chan Result, 1)
+	e.reject(out, laneMiss, shedQueueFull, 120*time.Millisecond)
+	err := (<-out).Err
 	if !errors.Is(err, guard.ErrOverloaded) {
 		t.Fatalf("shed error %v does not match ErrOverloaded", err)
 	}
@@ -38,60 +62,71 @@ func TestOverloadError(t *testing.T) {
 	if !strings.Contains(err.Error(), "retry after") {
 		t.Fatalf("error text lacks retry hint: %q", err)
 	}
+	if n := e.shed[laneMiss][shedQueueFull].Load(); n != 1 {
+		t.Fatalf("miss/queue_full sheds = %d, want 1", n)
+	}
 }
 
 func TestRetryAfter(t *testing.T) {
-	if got := RetryAfter(10, 2, 0); got != 0 {
+	e := lanesEngine(ShedOnFull, 10, 16, 0, 4)
+	if got := e.retryAfter(laneHit); got != 0 {
 		t.Fatalf("no mean service time should give no estimate, got %v", got)
 	}
-	if got := RetryAfter(10, 2, 20*time.Millisecond); got != 100*time.Millisecond {
-		t.Fatalf("RetryAfter(10,2,20ms) = %v, want 100ms", got)
+	e.estServe[laneHit].observe(20 * time.Millisecond)
+	if got := e.retryAfter(laneHit); got != 100*time.Millisecond {
+		t.Fatalf("10 queued, 2 workers, 20ms each: retry after %v, want 100ms", got)
 	}
 	// Floor of one mean service time, even with an empty queue.
-	if got := RetryAfter(0, 4, 8*time.Millisecond); got != 8*time.Millisecond {
-		t.Fatalf("empty-queue RetryAfter = %v, want 8ms floor", got)
+	e.estServe[laneMiss].observe(8 * time.Millisecond)
+	if got := e.retryAfter(laneMiss); got != 8*time.Millisecond {
+		t.Fatalf("empty-queue retry after = %v, want 8ms floor", got)
 	}
 }
 
 func TestPolicyLevels(t *testing.T) {
 	cases := []struct {
-		name string
-		load Load
-		want Level
+		name                           string
+		hit, hitDepth, miss, missDepth int
+		want                           bool
 	}{
-		{"idle", Load{HitDepth: 8, MissDepth: 4}, LevelNormal},
-		{"half full hit lane", Load{HitQueue: 4, HitDepth: 8, MissDepth: 4}, LevelNormal},
-		{"just under critical", Load{HitQueue: 5, HitDepth: 8, MissQueue: 2, MissDepth: 4}, LevelNormal},
-		{"critical miss lane", Load{MissQueue: 3, MissDepth: 4, HitDepth: 8}, LevelCritical},
-		{"critical hit lane", Load{HitQueue: 6, HitDepth: 8, MissDepth: 4}, LevelCritical},
-		{"overfull", Load{HitQueue: 9, HitDepth: 8}, LevelCritical},
-		{"no queues", Load{HitQueue: 1, MissQueue: 1}, LevelNormal},
+		{"idle", 0, 8, 0, 4, false},
+		{"half full hit lane", 4, 8, 0, 4, false},
+		{"just under critical", 5, 8, 2, 4, false},
+		{"critical miss lane", 0, 8, 3, 4, true},
+		{"critical hit lane", 6, 8, 0, 4, true},
+		{"full", 8, 8, 4, 4, true},
 	}
 	for _, c := range cases {
-		if got := c.load.Level(); got != c.want {
-			t.Errorf("%s: level = %v, want %v", c.name, got, c.want)
+		if got := lanesEngine(ShedAdaptive, c.hit, c.hitDepth, c.miss, c.missDepth).critical(); got != c.want {
+			t.Errorf("%s: critical = %v, want %v", c.name, got, c.want)
+		}
+		// Only ShedAdaptive acts on load, and only it reports it.
+		if lanesEngine(ShedOnFull, c.hit, c.hitDepth, c.miss, c.missDepth).critical() {
+			t.Errorf("%s: ShedOnFull reported critical", c.name)
 		}
 	}
 	// The exported gauge value of critical is part of the /metrics
 	// contract.
-	if LevelCritical != 2 {
-		t.Errorf("LevelCritical = %d, want 2", LevelCritical)
+	for _, f := range (Metrics{Critical: true}).Families() {
+		if f.Name == "circuitql_qos_degradation_level" && f.Samples[0].Value != 2 {
+			t.Errorf("critical degradation level = %v, want 2", f.Samples[0].Value)
+		}
 	}
 }
 
 func TestEstimatorEWMA(t *testing.T) {
-	var e Estimator
-	if e.Estimate() != 0 {
+	var e estimator
+	if e.estimate() != 0 {
 		t.Fatal("zero estimator should estimate 0")
 	}
-	e.Observe(80 * time.Millisecond)
-	if got := e.Estimate(); got != 80*time.Millisecond {
+	e.observe(80 * time.Millisecond)
+	if got := e.estimate(); got != 80*time.Millisecond {
 		t.Fatalf("first observation should seed the average, got %v", got)
 	}
 	for i := 0; i < 64; i++ {
-		e.Observe(8 * time.Millisecond)
+		e.observe(8 * time.Millisecond)
 	}
-	got := e.Estimate()
+	got := e.estimate()
 	if got > 12*time.Millisecond || got < 7*time.Millisecond {
 		t.Fatalf("EWMA did not converge toward 8ms: %v", got)
 	}
@@ -149,51 +184,5 @@ func TestPlanTierSkipsDoomedTier(t *testing.T) {
 	}
 	if !errors.Is(reason, guard.ErrBudgetExceeded) {
 		t.Fatalf("skip reason %v must classify as ErrBudgetExceeded", reason)
-	}
-}
-
-func TestLedgerSnapshotAndFamilies(t *testing.T) {
-	var l Ledger
-	l.Admit(LaneHit)
-	l.Admit(LaneHit)
-	l.Admit(LaneMiss)
-	l.Shed(LaneMiss, ShedQueueFull)
-	l.Shed(LaneHit, ShedPriority)
-	l.Deadline(StageQueued)
-	l.Deadline(StageOblivious)
-	l.TierSkip()
-
-	s := l.Snapshot()
-	if s.Admitted["hit"] != 2 || s.Admitted["miss"] != 1 {
-		t.Fatalf("admitted = %v", s.Admitted)
-	}
-	if s.TotalAdmitted() != 3 || s.TotalShed() != 2 || s.TotalDeadline() != 2 {
-		t.Fatalf("totals: admitted=%d shed=%d deadline=%d", s.TotalAdmitted(), s.TotalShed(), s.TotalDeadline())
-	}
-	if s.Shed["miss"]["queue_full"] != 1 || s.Shed["hit"]["priority"] != 1 {
-		t.Fatalf("shed = %v", s.Shed)
-	}
-	if s.Deadline["queued"] != 1 || s.Deadline["oblivious"] != 1 || s.TierSkip != 1 {
-		t.Fatalf("counters: %+v", s)
-	}
-
-	s.Lanes = []LaneStats{{Lane: "hit", Queued: 1, Depth: 8, Workers: 4, InFlight: 2}}
-	s.Level = LevelCritical
-	fams := s.Families()
-	byName := map[string]bool{}
-	for _, f := range fams {
-		byName[f.Name] = true
-		if len(f.Samples) == 0 {
-			t.Errorf("family %s has no samples", f.Name)
-		}
-	}
-	for _, want := range []string{
-		"circuitql_qos_admitted_total", "circuitql_qos_shed_total",
-		"circuitql_qos_deadline_exceeded_total", "circuitql_qos_degraded_total",
-		"circuitql_qos_lane_queue", "circuitql_qos_degradation_level",
-	} {
-		if !byName[want] {
-			t.Errorf("missing family %s", want)
-		}
 	}
 }

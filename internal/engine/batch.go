@@ -2,13 +2,15 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"circuitql/internal/faultinject"
 	"circuitql/internal/guard"
 	"circuitql/internal/obs"
-	"circuitql/internal/qos"
 	"circuitql/internal/vm"
 )
 
@@ -34,10 +36,34 @@ type batcher struct {
 	maxSize int
 	window  time.Duration
 	lifeCtx context.Context
-	ledger  *qos.Ledger
 
 	mu   sync.Mutex
 	pend map[*vm.Program]*pendingBatch
+
+	// Dispatch counters (Metrics.Batches, BatchedRequests, BatchSizes).
+	dispatches, batched atomic.Int64
+	sizes               [NumBatchBuckets]atomic.Int64
+}
+
+// NumBatchBuckets sizes the batch-occupancy histogram: bucket 0 counts
+// dispatches of exactly 1 request (no coalescing happened), bucket i
+// (i ≥ 1) counts dispatches of (2^{i-1}, 2^i] requests, with the last
+// bucket absorbing the tail.
+const NumBatchBuckets = 8
+
+// BatchBucketLabel names histogram bucket i for exposition: "1", "2",
+// "le4", ..., "gt64".
+func BatchBucketLabel(i int) string {
+	switch {
+	case i == 0:
+		return "1"
+	case i == 1:
+		return "2"
+	case i < NumBatchBuckets-1:
+		return fmt.Sprintf("le%d", 1<<i)
+	default:
+		return fmt.Sprintf("gt%d", 1<<(NumBatchBuckets-2))
+	}
 }
 
 type member struct {
@@ -57,12 +83,11 @@ type pendingBatch struct {
 	timer   *time.Timer
 }
 
-func newBatcher(maxSize int, window time.Duration, lifeCtx context.Context, ledger *qos.Ledger) *batcher {
+func newBatcher(maxSize int, window time.Duration, lifeCtx context.Context) *batcher {
 	return &batcher{
 		maxSize: maxSize,
 		window:  window,
 		lifeCtx: lifeCtx,
-		ledger:  ledger,
 		pend:    make(map[*vm.Program]*pendingBatch),
 	}
 }
@@ -121,7 +146,10 @@ func (b *batcher) do(ctx context.Context, prog *vm.Program, inputs []vm.Word) ([
 // member receives the same typed error and falls through to its next
 // tier.
 func (b *batcher) run(pb *pendingBatch) {
-	b.ledger.Batch(len(pb.members))
+	n := len(pb.members)
+	b.dispatches.Add(1)
+	b.batched.Add(int64(n))
+	b.sizes[min(bits.Len(uint(n-1)), NumBatchBuckets-1)].Add(1) // 1→0, 2→1, 3..4→2, …
 	outs, err := b.eval(pb)
 	for i, m := range pb.members {
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"circuitql/internal/boolcircuit"
-	"circuitql/internal/qos"
 	"circuitql/internal/vm"
 )
 
@@ -31,8 +30,7 @@ func addProgram(t *testing.T, k int64) *vm.Program {
 // wait forever.
 func TestBatcherWindowPerProgram(t *testing.T) {
 	held, fresh := addProgram(t, 1), addProgram(t, 2)
-	var ledger qos.Ledger
-	b := newBatcher(4, 100*time.Millisecond, context.Background(), &ledger)
+	b := newBatcher(4, 100*time.Millisecond, context.Background())
 
 	type answer struct {
 		out []vm.Word
@@ -65,7 +63,7 @@ func TestBatcherWindowPerProgram(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("the first program's window never dispatched")
 	}
-	if n := ledger.Snapshot().Batches; n != 2 {
+	if n := b.dispatches.Load(); n != 2 {
 		t.Fatalf("batches=%d, want 2 (one per program)", n)
 	}
 }

@@ -7,7 +7,8 @@ import (
 )
 
 // Families renders the snapshot as metric families for an
-// obs.Registry. Register a live feed with
+// obs.Registry — every family the engine exports. Register a live feed
+// with
 //
 //	reg.Register(func() []obs.Family { return e.Metrics().Families() })
 func (m Metrics) Families() []obs.Family {
@@ -28,6 +29,44 @@ func (m Metrics) Families() []obs.Family {
 		served.Samples = append(served.Samples, obs.Sample{Labels: lbl, Value: float64(tc.Served)})
 		fallbacks.Samples = append(fallbacks.Samples, obs.Sample{Labels: lbl, Value: float64(tc.Fallbacks)})
 	}
+
+	admitted := obs.Family{Name: "circuitql_qos_admitted_total",
+		Help: "Requests admitted to an admission lane.", Type: obs.TypeCounter}
+	shed := obs.Family{Name: "circuitql_qos_shed_total",
+		Help: "Requests shed by admission control, by lane and reason.", Type: obs.TypeCounter}
+	queue := obs.Family{Name: "circuitql_qos_lane_queue", Help: "Requests queued per admission lane.", Type: obs.TypeGauge}
+	depth := obs.Family{Name: "circuitql_qos_lane_queue_capacity", Help: "Queue capacity per admission lane.", Type: obs.TypeGauge}
+	inflight := obs.Family{Name: "circuitql_qos_lane_in_flight", Help: "Requests being processed per admission lane.", Type: obs.TypeGauge}
+	for l, g := range m.Lanes {
+		lbl := []obs.Label{{Name: "lane", Value: g.Lane}}
+		admitted.Samples = append(admitted.Samples, obs.Sample{Labels: lbl, Value: float64(m.Admitted[l])})
+		for r, v := range m.Shed[l] {
+			shed.Samples = append(shed.Samples, obs.Sample{
+				Labels: []obs.Label{{Name: "lane", Value: g.Lane}, {Name: "reason", Value: shedReason(r).String()}},
+				Value:  float64(v),
+			})
+		}
+		queue.Samples = append(queue.Samples, obs.Sample{Labels: lbl, Value: float64(g.Queued)})
+		depth.Samples = append(depth.Samples, obs.Sample{Labels: lbl, Value: float64(g.Depth)})
+		inflight.Samples = append(inflight.Samples, obs.Sample{Labels: lbl, Value: float64(g.InFlight)})
+	}
+	deadline := obs.Family{Name: "circuitql_qos_deadline_exceeded_total",
+		Help: "Requests whose deadline expired, by pipeline stage.", Type: obs.TypeCounter}
+	for s, v := range m.Deadline {
+		deadline.Samples = append(deadline.Samples, obs.Sample{
+			Labels: []obs.Label{{Name: "stage", Value: deadlineStage(s).String()}}, Value: float64(v)})
+	}
+	batchSizes := obs.Family{Name: "circuitql_qos_vm_batch_size_total",
+		Help: "Coalesced vm batch dispatches by occupancy bucket.", Type: obs.TypeCounter}
+	for i, v := range m.BatchSizes {
+		batchSizes.Samples = append(batchSizes.Samples, obs.Sample{
+			Labels: []obs.Label{{Name: "size", Value: BatchBucketLabel(i)}}, Value: float64(v)})
+	}
+	level := int64(0)
+	if m.Critical {
+		level = 2
+	}
+
 	return []obs.Family{
 		counter("circuitql_engine_requests_total", "Requests processed by the engine.", m.Requests),
 		gauge("circuitql_engine_in_flight", "Requests currently being processed.", m.InFlight),
@@ -47,6 +86,13 @@ func (m Metrics) Families() []obs.Family {
 		counter("circuitql_plan_store_corrupt_total", "Plan artifacts quarantined as corrupt.", m.StoreCorrupt),
 		counter("circuitql_plan_store_read_bytes_total", "Bytes read from the persistent store.", m.StoreBytesRead),
 		counter("circuitql_plan_store_written_bytes_total", "Bytes written to the persistent store.", m.StoreBytesWritten),
+		admitted, shed, deadline, queue, depth, inflight,
+		{Name: "circuitql_qos_degraded_total", Help: "Degradation measures taken, by action.", Type: obs.TypeCounter,
+			Samples: []obs.Sample{{Labels: []obs.Label{{Name: "action", Value: "tier_skip"}}, Value: float64(m.TierSkips)}}},
+		gauge("circuitql_qos_degradation_level", "Current lane-load level (0 normal, 2 critical).", level),
+		counter("circuitql_qos_vm_batches_total", "Coalesced vm batch dispatches.", m.Batches),
+		counter("circuitql_qos_vm_batched_requests_total", "Requests served through coalesced vm batches.", m.BatchedRequests),
+		batchSizes,
 		m.CompileLatency.family("circuitql_engine_compile_duration_seconds",
 			"Latency of plan compilation (one observation per executed compile)."),
 		m.EvalLatency.family("circuitql_engine_eval_duration_seconds",

@@ -1,8 +1,7 @@
-package qos
+package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -10,21 +9,43 @@ import (
 	"circuitql/internal/guard"
 )
 
-// Estimator is a lock-free exponential moving average of recent
+// deadlineStage says where a request's deadline expired.
+type deadlineStage int
+
+// Deadline stages, in request order.
+const (
+	// stageQueued: the deadline expired before a worker picked the
+	// request up.
+	stageQueued deadlineStage = iota
+	// stageCompile: it expired while waiting on (or leading) a compile
+	// flight.
+	stageCompile
+	// stageOblivious / stageRAM: it expired during that tier's
+	// evaluation (the vm runs the plan's oblivious circuit).
+	stageOblivious
+	stageRAM
+	numDeadlineStages
+)
+
+// String names the stage for labels.
+func (s deadlineStage) String() string {
+	return [numDeadlineStages]string{"queued", "compile", "oblivious", "ram"}[s]
+}
+
+// estimator is a lock-free exponential moving average of recent
 // durations (α = 1/8), used to predict whether a tier can finish inside
-// its share of a deadline. The zero value estimates 0 ("unknown").
-type Estimator struct {
+// its share of a deadline and when a shed lane will have room. The zero
+// value estimates 0 ("unknown").
+type estimator struct {
 	ns atomic.Int64
 }
 
-// Observe folds one duration into the average.
-func (e *Estimator) Observe(d time.Duration) {
+// observe folds one duration into the average.
+func (e *estimator) observe(d time.Duration) {
 	for {
 		old := e.ns.Load()
-		var next int64
-		if old == 0 {
-			next = int64(d)
-		} else {
+		next := int64(d)
+		if old != 0 {
 			next = old + (int64(d)-old)/8
 		}
 		if next == 0 {
@@ -36,15 +57,16 @@ func (e *Estimator) Observe(d time.Duration) {
 	}
 }
 
-// Estimate returns the current average (0: no observations yet).
-func (e *Estimator) Estimate() time.Duration {
+// estimate returns the current average (0: no observations yet).
+func (e *estimator) estimate() time.Duration {
 	return time.Duration(e.ns.Load())
 }
 
 // PlanTier decides how the next tier attempt relates to the request's
 // deadline. tiersLeft counts the current tier and every cheaper one
 // still available (so the last tier has tiersLeft == 1); est is the
-// expected duration of this tier (0: unknown).
+// expected duration of this tier (0: unknown). The engine's ladder and
+// the facade's EvaluateResilient both take their shares from it.
 //
 // With no deadline on ctx the attempt runs unbounded: tctx == ctx and
 // skip is false. With a deadline, the remaining wall clock is split
@@ -73,7 +95,7 @@ func PlanTier(ctx context.Context, tiersLeft int, est time.Duration) (tctx conte
 	share := remaining / time.Duration(tiersLeft)
 	if est > 0 && est > share {
 		return ctx, nop, true, fmt.Errorf(
-			"%w: qos: tier skipped for deadline (~%v estimated > %v share of %v remaining)",
+			"%w: engine: tier skipped for deadline (~%v estimated > %v share of %v remaining)",
 			guard.ErrBudgetExceeded, est.Round(time.Microsecond), share.Round(time.Microsecond), remaining.Round(time.Microsecond))
 	}
 	if remaining <= 0 {
@@ -82,10 +104,4 @@ func PlanTier(ctx context.Context, tiersLeft int, est time.Duration) (tctx conte
 	}
 	tctx, cancel = context.WithDeadline(ctx, time.Now().Add(share))
 	return tctx, cancel, false, nil
-}
-
-// DeadlineExceeded reports whether err is a deadline failure: a budget
-// trip caused by the wall clock rather than a gate/row/pivot cap.
-func DeadlineExceeded(err error) bool {
-	return err != nil && errors.Is(err, context.DeadlineExceeded)
 }

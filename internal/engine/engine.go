@@ -51,7 +51,7 @@
 //     singleflight join → store load → compile → insert → persist, then
 //     the same hit path.
 //
-// Overload protection (internal/qos holds the policy pieces):
+// Overload protection (admission.go, deadline.go):
 //
 //   - admission is cost-classed into two lanes — requests that hold a
 //     cached plan vs. requests that need a compile — each with its own
@@ -60,12 +60,12 @@
 //   - under ShedOnFull / ShedAdaptive a full lane rejects immediately
 //     with a typed *guard.OverloadError carrying a retry-after hint
 //     (ShedBlock keeps the legacy blocking submit);
-//   - request deadlines propagate as per-tier shares (qos.PlanTier),
+//   - request deadlines propagate as per-tier shares (PlanTier),
 //     and compile leaders detach onto an engine-scoped context so an
 //     impatient caller's deadline never kills a compile that followers
 //     are waiting on;
 //   - under ShedAdaptive, below-normal-priority requests are shed
-//     first once a lane is critically full (qos.Load.Level); load never
+//     first once a lane is critically full (Engine.critical); load never
 //     changes what a compile builds, so a fingerprint has one plan;
 //   - sticky negative plan-cache entries expire after NegativeTTL so a
 //     misclassified shape heals instead of being pinned to the RAM tier
@@ -86,7 +86,6 @@ import (
 	"circuitql/internal/faultinject"
 	"circuitql/internal/guard"
 	"circuitql/internal/obs"
-	"circuitql/internal/qos"
 	"circuitql/internal/query"
 	"circuitql/internal/relation"
 	"circuitql/internal/store"
@@ -116,10 +115,10 @@ const (
 // same way.
 var tiers = [numTiers]struct {
 	name  string
-	stage qos.DeadlineStage
+	stage deadlineStage
 }{
-	tierVM:  {TierVM, qos.StageOblivious},
-	tierRAM: {TierRAM, qos.StageRAM},
+	tierVM:  {TierVM, stageOblivious},
+	tierRAM: {TierRAM, stageRAM},
 }
 
 // The two ladders (entry.ladder): a positive entry — compiled here or
@@ -141,8 +140,8 @@ const (
 	// ShedOnFull rejects immediately with a typed *guard.OverloadError
 	// (matching guard.ErrOverloaded) carrying a retry-after hint.
 	ShedOnFull
-	// ShedAdaptive is ShedOnFull plus priority shedding: while a lane
-	// is critically full (qos.Load.Level), below-normal-priority
+	// ShedAdaptive is ShedOnFull plus priority shedding: while a lane's
+	// queue is at least three-quarters full, below-normal-priority
 	// requests are shed at admission before the lane overflows.
 	ShedAdaptive
 )
@@ -348,7 +347,7 @@ type Result struct {
 }
 
 // Engine is the serving engine: one plan cache, singleflight map, pair
-// of QoS lanes, worker pool and batcher. Create with New, stop with
+// of admission lanes, worker pool and batcher. Create with New, stop with
 // Close.
 type Engine struct {
 	cfg Config
@@ -375,16 +374,20 @@ type Engine struct {
 	// Config.BatchMaxSize enables coalescing.
 	batches *batcher
 
-	// qos state
-	ledger       qos.Ledger
-	estServe     [qos.NumLanes]qos.Estimator // whole-request service time per lane
-	estTier      [numTiers]qos.Estimator     // per-tier eval estimates for deadline shares
-	laneInFlight [qos.NumLanes]atomic.Int64
+	// admission and deadline state (admission.go, deadline.go)
+	estServe     [numLanes]estimator // whole-request service time per lane
+	estTier      [numTiers]estimator // per-tier eval estimates for deadline shares
+	laneInFlight [numLanes]atomic.Int64
 
-	// counters (metrics.go holds the snapshot type)
+	// counters (metrics.go holds the snapshot type); a request is counted
+	// once at admission, as admitted or as shed
+	admitted                    [numLanes]atomic.Int64
+	shed                        [numLanes][numShedReasons]atomic.Int64
+	deadlines                   [numDeadlineStages]atomic.Int64
+	tierSkips                   atomic.Int64
 	hits, misses, evictions     atomic.Int64
 	compiles, compileErrs       atomic.Int64
-	requests, inFlight, failed  atomic.Int64
+	inFlight, failed            atomic.Int64
 	attempts, served, fallbacks [numTiers]atomic.Int64
 	compileLat, evalLat         latencyHist
 }
@@ -397,7 +400,7 @@ type job struct {
 	req      Request
 	prep     *prepared // the request's own memo, or what Submit derived
 	ent      *entry
-	lane     qos.Lane
+	lane     lane
 	enqueued time.Time     // set only when the engine traces; starts the admission span
 	canonDur time.Duration // what Submit spent canonicalizing; 0 when the memo served
 	out      chan Result
@@ -420,17 +423,17 @@ func New(cfg Config) *Engine {
 	}
 	e.lifeCtx, e.lifeCancel = context.WithCancel(context.Background())
 	if cfg.BatchMaxSize > 1 {
-		e.batches = newBatcher(cfg.BatchMaxSize, cfg.BatchWindow, e.lifeCtx, &e.ledger)
+		e.batches = newBatcher(cfg.BatchMaxSize, cfg.BatchWindow, e.lifeCtx)
 	}
 	if cfg.Store != nil {
 		e.warmLoad()
 	}
 	e.wg.Add(cfg.Workers + cfg.MissWorkers)
 	for i := 0; i < cfg.Workers; i++ {
-		go e.worker(e.jobsHit, qos.LaneHit)
+		go e.worker(e.jobsHit, laneHit)
 	}
 	for i := 0; i < cfg.MissWorkers; i++ {
-		go e.worker(e.jobsMiss, qos.LaneMiss)
+		go e.worker(e.jobsMiss, laneMiss)
 	}
 	return e
 }
@@ -459,14 +462,14 @@ func (e *Engine) warmLoad() {
 	}
 }
 
-func (e *Engine) worker(jobs chan *job, lane qos.Lane) {
+func (e *Engine) worker(jobs chan *job, l lane) {
 	defer e.wg.Done()
 	for j := range jobs {
-		e.laneInFlight[lane].Add(1)
+		e.laneInFlight[l].Add(1)
 		start := time.Now()
 		res := e.process(j)
-		e.estServe[lane].Observe(time.Since(start))
-		e.laneInFlight[lane].Add(-1)
+		e.estServe[l].observe(time.Since(start))
+		e.laneInFlight[l].Add(-1)
 		j.out <- res
 	}
 }
@@ -521,35 +524,6 @@ func (e *Engine) ServeBatch(ctx context.Context, reqs []Request) []Result {
 	return out
 }
 
-// level grades the lanes' current occupancy; only ShedAdaptive acts on
-// it.
-func (e *Engine) level() qos.Level {
-	if e.cfg.ShedPolicy != ShedAdaptive {
-		return qos.LevelNormal
-	}
-	return qos.Load{
-		HitQueue:  len(e.jobsHit),
-		HitDepth:  cap(e.jobsHit),
-		MissQueue: len(e.jobsMiss),
-		MissDepth: cap(e.jobsMiss),
-	}.Level()
-}
-
-// retryAfter estimates when lane will have capacity again.
-func (e *Engine) retryAfter(lane qos.Lane) time.Duration {
-	queued, workers := len(e.jobsHit), e.cfg.Workers
-	if lane == qos.LaneMiss {
-		queued, workers = len(e.jobsMiss), e.cfg.MissWorkers
-	}
-	return qos.RetryAfter(queued, workers, e.estServe[lane].Estimate())
-}
-
-// admit counts an accepted request.
-func (e *Engine) admit(lane qos.Lane) {
-	e.ledger.Admit(lane)
-	e.requests.Add(1)
-}
-
 // enqueue admits an already-canonicalized job: it looks the plan up —
 // the request's only cache lookup, under the same lock acquisition that
 // reads closed — picks the lane from what it found, and enqueues;
@@ -574,23 +548,22 @@ func (e *Engine) enqueue(j *job) {
 		if e.cfg.ShedPolicy != ShedBlock {
 			// A draining replica rejects new work as an overload ("retry
 			// elsewhere"), not as an input error.
-			e.ledger.Shed(qos.LaneMiss, qos.ShedDraining)
-			out <- Result{Err: qos.Overload(qos.LaneMiss, qos.ShedDraining, 0)}
+			e.reject(out, laneMiss, shedDraining, 0)
 			return
 		}
 		out <- Result{Err: fmt.Errorf("%w: engine is closed", guard.ErrInvalidInput)}
 		return
 	}
-	lane, jobs := qos.LaneMiss, e.jobsMiss
+	l, jobs := laneMiss, e.jobsMiss
 	if j.ent != nil || j.prep.err != nil {
-		lane, jobs = qos.LaneHit, e.jobsHit
+		l, jobs = laneHit, e.jobsHit
 	}
-	j.lane = lane
+	j.lane = l
 
 	if e.cfg.ShedPolicy == ShedBlock {
 		select {
 		case jobs <- j:
-			e.admit(lane)
+			e.admitted[l].Add(1)
 		case <-ctxDone(ctx):
 			out <- Result{Err: guard.Poll(ctx)}
 		}
@@ -598,17 +571,15 @@ func (e *Engine) enqueue(j *job) {
 	}
 
 	// Shedding policies never block the caller.
-	if e.level() >= qos.LevelCritical && qos.PriorityOf(ctx) < qos.PriorityNormal {
-		e.ledger.Shed(lane, qos.ShedPriority)
-		out <- Result{Err: qos.Overload(lane, qos.ShedPriority, e.retryAfter(lane))}
+	if e.critical() && priorityOf(ctx) < PriorityNormal {
+		e.reject(out, l, shedPriority, e.retryAfter(l))
 		return
 	}
 	select {
 	case jobs <- j:
-		e.admit(lane)
+		e.admitted[l].Add(1)
 	default:
-		e.ledger.Shed(lane, qos.ShedQueueFull)
-		out <- Result{Err: qos.Overload(lane, qos.ShedQueueFull, e.retryAfter(lane))}
+		e.reject(out, l, shedQueueFull, e.retryAfter(l))
 	}
 }
 
@@ -641,7 +612,7 @@ func (e *Engine) process(j *job) (res Result) {
 		adm.End()
 	}
 	e.inFlight.Add(1)
-	stage := qos.StageQueued
+	stage := stageQueued
 	defer e.finish(j, sp, &stage, &res)
 	defer guard.Recover(&res.Err)
 
@@ -657,7 +628,7 @@ func (e *Engine) process(j *job) (res Result) {
 	ent := j.ent
 	res.CacheHit = ent != nil
 	if ent == nil {
-		stage = qos.StageCompile
+		stage = stageCompile
 		start := time.Now()
 		ent, res.CacheHit, res.Err = e.acquire(ctx, canon)
 		if res.Err != nil {
@@ -675,15 +646,15 @@ func (e *Engine) process(j *job) (res Result) {
 }
 
 // finish is process's epilogue, run once res is final: in-flight and
-// failure counters, the deadline ledger (stage is how far the request
+// failure counters, the deadline counters (stage is how far the request
 // got before its wall clock ran out), and the serve span's tags.
-func (e *Engine) finish(j *job, sp *obs.Span, stage *qos.DeadlineStage, res *Result) {
+func (e *Engine) finish(j *job, sp *obs.Span, stage *deadlineStage, res *Result) {
 	e.inFlight.Add(-1)
 	if res.Err != nil {
 		e.failed.Add(1)
 	}
-	if qos.DeadlineExceeded(res.Err) {
-		e.ledger.Deadline(*stage)
+	if errors.Is(res.Err, context.DeadlineExceeded) {
+		e.deadlines[*stage].Add(1)
 	}
 	if sp == nil {
 		return // untraced: nothing to format
@@ -710,7 +681,7 @@ func (e *Engine) finish(j *job, sp *obs.Span, stage *qos.DeadlineStage, res *Res
 // and rename the output back to the request's variable names. It takes
 // no engine lock (vmProgram re-charges the cache once per entry, on the
 // first vm evaluation).
-func (e *Engine) answer(ctx context.Context, ent *entry, j *job, stage *qos.DeadlineStage, res *Result) {
+func (e *Engine) answer(ctx context.Context, ent *entry, j *job, stage *deadlineStage, res *Result) {
 	req := j.req
 	_, sp := obs.StartSpan(ctx, obs.StageValidate)
 	res.Err = query.ValidateDB(req.Query, req.DCs, req.DB)
@@ -754,7 +725,7 @@ func (ent *entry) ladder() ([]tierID, []TierAttempt) {
 // the ladder starts at the RAM tier, with the pinned reason recorded.
 //
 // Deadline propagation: with a deadline on ctx, each tier attempt is
-// budgeted its share of the remaining wall clock (qos.PlanTier), so a
+// budgeted its share of the remaining wall clock (PlanTier), so a
 // stuck vm attempt cannot eat the RAM fallback's time, and a tier whose
 // estimated duration already exceeds its share is skipped outright.
 //
@@ -762,15 +733,15 @@ func (ent *entry) ladder() ([]tierID, []TierAttempt) {
 // not an attempt, and a serve after any earlier entry in attempts — a
 // failure, a skip, or a RAM-pinned entry's compile error — is a
 // fallback.
-func (e *Engine) evaluate(ctx context.Context, ent *entry, req Request, stage *qos.DeadlineStage) (*relation.Relation, tierID, []TierAttempt, error) {
+func (e *Engine) evaluate(ctx context.Context, ent *entry, req Request, stage *deadlineStage) (*relation.Relation, tierID, []TierAttempt, error) {
 	ladder, attempts := ent.ladder()
 	for i, t := range ladder {
 		name, est := tiers[t].name, &e.estTier[t]
 		*stage = tiers[t].stage
-		tctx, cancel, skip, reason := qos.PlanTier(ctx, len(ladder)-i, est.Estimate())
+		tctx, cancel, skip, reason := PlanTier(ctx, len(ladder)-i, est.estimate())
 		if skip {
 			cancel()
-			e.ledger.TierSkip()
+			e.tierSkips.Add(1)
 			attempts = append(attempts, TierAttempt{Tier: name, Err: reason})
 			continue
 		}
@@ -786,7 +757,7 @@ func (e *Engine) evaluate(ctx context.Context, ent *entry, req Request, stage *q
 		cancel()
 		attempts = append(attempts, TierAttempt{Tier: name, Err: err})
 		if err == nil {
-			est.Observe(time.Since(start))
+			est.observe(time.Since(start))
 			e.served[t].Add(1)
 			if len(attempts) > 1 {
 				e.fallbacks[t].Add(1)
@@ -1133,8 +1104,8 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	return e.Close()
 }
 
-// Metrics returns a snapshot of the engine's counters and, with a Store,
-// of the store's own ledger.
+// Metrics returns a snapshot of the engine's counters, its admission
+// lanes' gauges and, with a Store, the store's own ledger.
 func (e *Engine) Metrics() Metrics {
 	e.mu.Lock()
 	plans, gates := e.cache.len(), e.cache.gates
@@ -1145,11 +1116,12 @@ func (e *Engine) Metrics() Metrics {
 		Evictions:      e.evictions.Load(),
 		Compiles:       e.compiles.Load(),
 		CompileErrors:  e.compileErrs.Load(),
-		Requests:       e.requests.Load(),
 		InFlight:       e.inFlight.Load(),
 		Failed:         e.failed.Load(),
 		CachedPlans:    plans,
 		CachedGates:    gates,
+		Critical:       e.critical(),
+		TierSkips:      e.tierSkips.Load(),
 		CompileLatency: e.compileLat.snapshot(),
 		EvalLatency:    e.evalLat.snapshot(),
 	}
@@ -1159,6 +1131,24 @@ func (e *Engine) Metrics() Metrics {
 			Attempts:  e.attempts[t].Load(),
 			Served:    e.served[t].Load(),
 			Fallbacks: e.fallbacks[t].Load(),
+		}
+	}
+	for l, jobs := range [numLanes]chan *job{e.jobsHit, e.jobsMiss} {
+		m.Admitted[l] = e.admitted[l].Load()
+		m.Requests += m.Admitted[l]
+		for r := range m.Shed[l] {
+			m.Shed[l][r] = e.shed[l][r].Load()
+		}
+		m.Lanes[l] = LaneGauges{Lane: lane(l).String(), Queued: len(jobs), Depth: cap(jobs),
+			InFlight: int(e.laneInFlight[l].Load())}
+	}
+	for s := range m.Deadline {
+		m.Deadline[s] = e.deadlines[s].Load()
+	}
+	if b := e.batches; b != nil {
+		m.Batches, m.BatchedRequests = b.dispatches.Load(), b.batched.Load()
+		for i := range m.BatchSizes {
+			m.BatchSizes[i] = b.sizes[i].Load()
 		}
 	}
 	if st := e.cfg.Store; st != nil {
@@ -1172,20 +1162,6 @@ func (e *Engine) Metrics() Metrics {
 		m.StoreBytesWritten = ss.BytesWritten
 	}
 	return m
-}
-
-// QoS returns the admission/degradation snapshot: ledger counters, live
-// lane gauges, and the current load level.
-func (e *Engine) QoS() qos.Snapshot {
-	s := e.ledger.Snapshot()
-	s.Lanes = []qos.LaneStats{
-		{Lane: qos.LaneHit.String(), Queued: len(e.jobsHit), Depth: cap(e.jobsHit),
-			Workers: e.cfg.Workers, InFlight: int(e.laneInFlight[qos.LaneHit].Load())},
-		{Lane: qos.LaneMiss.String(), Queued: len(e.jobsMiss), Depth: cap(e.jobsMiss),
-			Workers: e.cfg.MissWorkers, InFlight: int(e.laneInFlight[qos.LaneMiss].Load())},
-	}
-	s.Level = e.level()
-	return s
 }
 
 // ctxDone tolerates a nil context (the facade allows it).

@@ -96,13 +96,13 @@ func TestEngineSemanticSharedEntry(t *testing.T) {
 		t.Fatalf("racing variants: compiles=%d cached=%d, want 1 and 1", m.Compiles, m.CachedPlans)
 	}
 
-	batches := e.QoS().Batches
+	batches := e.Metrics().Batches
 	for i, res := range serveAll(t, e, reqs) {
 		if !res.CacheHit || res.Tier != TierVM {
 			t.Fatalf("%s warm: hit=%v tier=%q, want a vm cache hit", reqs[i].Query, res.CacheHit, res.Tier)
 		}
 	}
-	if got := e.QoS().Batches; got != batches+1 {
+	if got := e.Metrics().Batches; got != batches+1 {
 		t.Fatalf("warm variants dispatched %d batches, want 1 shared window", got-batches)
 	}
 

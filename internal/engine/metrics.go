@@ -102,6 +102,12 @@ type TierCounts struct {
 	Attempts, Served, Fallbacks int64
 }
 
+// LaneGauges is one admission lane's live occupancy.
+type LaneGauges struct {
+	Lane                    string
+	Queued, Depth, InFlight int
+}
+
 // Metrics is a point-in-time snapshot of the engine's counters.
 type Metrics struct {
 	// Plan-cache behaviour.
@@ -114,12 +120,35 @@ type Metrics struct {
 	CompileErrors int64 // compiles that failed
 
 	// Requests.
-	Requests int64 // total requests processed
+	Requests int64 // requests admitted to a lane (the sum of Admitted)
 	InFlight int64 // requests currently being processed
 	Failed   int64 // requests that returned an error
 
+	// Admission, per lane (hit, miss): every submission is counted once,
+	// as admitted or as shed (queue_full, priority, draining). Lanes are
+	// the live queue gauges. Critical: under ShedAdaptive, a lane's queue
+	// is at least three-quarters full, so below-normal priorities are
+	// shed (degradation level 2; 0 otherwise).
+	Admitted [numLanes]int64
+	Shed     [numLanes][numShedReasons]int64
+	Lanes    [numLanes]LaneGauges
+	Critical bool
+
+	// Deadline failures by the stage the request had reached (queued,
+	// compile, oblivious, ram), and tiers skipped because their estimate
+	// exceeded their share of the deadline.
+	Deadline  [numDeadlineStages]int64
+	TierSkips int64
+
 	// Per-tier ladder counts, in degradation order (vm, ram).
 	Tiers [numTiers]TierCounts
+
+	// vm batch coalescing (zero unless Config.BatchMaxSize > 1): mean
+	// occupancy is BatchedRequests / Batches; BatchSizes[i] counts the
+	// dispatches in bucket BatchBucketLabel(i).
+	Batches         int64
+	BatchedRequests int64
+	BatchSizes      [NumBatchBuckets]int64
 
 	// Cache occupancy.
 	CachedPlans int

@@ -226,9 +226,9 @@ func TestEngineTierCounters(t *testing.T) {
 			// As in TestEngineDeadlineSkipsDoomedTier: a vm estimate far
 			// past the ½ share of the deadline, a cheap RAM one.
 			for i := 0; i < 16; i++ {
-				e.estTier[tierVM].Observe(10 * time.Second)
+				e.estTier[tierVM].observe(10 * time.Second)
 			}
-			e.estTier[tierRAM].Observe(time.Microsecond)
+			e.estTier[tierRAM].observe(time.Microsecond)
 			ctx, cancel := context.WithTimeout(bg, 500*time.Millisecond)
 			defer cancel()
 			return e.Serve(ctx, tri)
@@ -242,8 +242,8 @@ func TestEngineTierCounters(t *testing.T) {
 		if got := e.Metrics().Tiers; got != s.want {
 			t.Fatalf("%s: tier counts %+v, want %+v", s.name, got, s.want)
 		}
-		if got := e.QoS().TierSkip; got != s.skips {
-			t.Fatalf("%s: TierSkip=%d, want %d", s.name, got, s.skips)
+		if got := e.Metrics().TierSkips; got != s.skips {
+			t.Fatalf("%s: TierSkips=%d, want %d", s.name, got, s.skips)
 		}
 	}
 

@@ -12,7 +12,6 @@ import (
 
 	"circuitql/internal/faultinject"
 	"circuitql/internal/guard"
-	"circuitql/internal/qos"
 	"circuitql/internal/query"
 	"circuitql/internal/store"
 	"circuitql/internal/workload"
@@ -63,7 +62,7 @@ func blockMissLane(t *testing.T, e *Engine, req Request) (<-chan Result, func())
 
 // TestEngineShedOnFullMissLane: with ShedOnFull, a full miss lane
 // rejects immediately with a typed *guard.OverloadError instead of
-// blocking, and the qos ledger reconciles with what clients observed.
+// blocking, and the admission counters reconcile with what clients observed.
 func TestEngineShedOnFullMissLane(t *testing.T) {
 	e := New(Config{Workers: 1, MissWorkers: 1, MissQueueDepth: 1, ShedPolicy: ShedOnFull})
 	defer e.Close()
@@ -95,9 +94,9 @@ func TestEngineShedOnFullMissLane(t *testing.T) {
 		t.Fatalf("queued request failed: %v", res.Err)
 	}
 
-	s := e.QoS()
-	if s.Admitted["miss"] != 2 || s.Shed["miss"]["queue_full"] != 1 {
-		t.Fatalf("ledger: admitted=%v shed=%v, want 2 miss admits + 1 queue_full shed", s.Admitted, s.Shed)
+	s := e.Metrics()
+	if s.Admitted[laneMiss] != 2 || s.Shed[laneMiss][shedQueueFull] != 1 {
+		t.Fatalf("admission: admitted=%v shed=%v, want 2 miss admits + 1 queue_full shed", s.Admitted, s.Shed)
 	}
 }
 
@@ -135,8 +134,8 @@ func TestEngineHitLaneIsolation(t *testing.T) {
 	<-queuedOut
 	// The initial warm serve was a miss-lane admission; only the 5
 	// repeats rode the hit lane.
-	if s := e.QoS(); s.Admitted["hit"] != 5 {
-		t.Fatalf("hit admissions = %d, want 5", s.Admitted["hit"])
+	if s := e.Metrics(); s.Admitted[laneHit] != 5 {
+		t.Fatalf("hit admissions = %d, want 5", s.Admitted[laneHit])
 	}
 }
 
@@ -158,7 +157,7 @@ func TestEngineAdaptiveShedsLowPriority(t *testing.T) {
 	}
 	// Miss queue now 3/4 full: critical, with room for one more.
 
-	low := qos.WithPriority(context.Background(), qos.PriorityLow)
+	low := WithPriority(context.Background(), PriorityLow)
 	res := <-e.Submit(low, mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 13, 8))
 	var oe *guard.OverloadError
 	if !errors.As(res.Err, &oe) || oe.Reason != "priority" {
@@ -174,7 +173,7 @@ func TestEngineAdaptiveShedsLowPriority(t *testing.T) {
 	if res := <-normalOut; res.Err != nil {
 		t.Fatalf("normal-priority request failed: %v", res.Err)
 	}
-	if s := e.QoS(); s.Shed["miss"]["priority"] != 1 {
+	if s := e.Metrics(); s.Shed[laneMiss][shedPriority] != 1 {
 		t.Fatalf("priority sheds = %v, want 1", s.Shed)
 	}
 }
@@ -411,7 +410,7 @@ func TestEngineShutdownBoundsDrain(t *testing.T) {
 
 // TestEngineDrainTyped: under a shedding policy, Submit on a closed
 // engine resolves at once with the typed draining overload, and the
-// ledger counts it as one draining shed on the miss lane.
+// engine counts it as one draining shed on the miss lane.
 func TestEngineDrainTyped(t *testing.T) {
 	e := New(Config{Workers: 2, ShedPolicy: ShedOnFull})
 	if err := e.Close(); err != nil {
@@ -422,7 +421,7 @@ func TestEngineDrainTyped(t *testing.T) {
 	if !errors.As(res.Err, &oe) || oe.Reason != "draining" {
 		t.Fatalf("closed engine returned %v, want a draining OverloadError", res.Err)
 	}
-	if s := e.QoS(); s.Shed["miss"]["draining"] != 1 || s.TotalShed() != 1 {
+	if s := e.Metrics(); s.Shed[laneMiss][shedDraining] != 1 || shedTotal(s) != 1 {
 		t.Fatalf("shed = %v, want exactly one miss/draining", s.Shed)
 	}
 }
@@ -443,16 +442,27 @@ func TestEngineLedgerReconciles(t *testing.T) {
 			total++
 		}
 	}
-	if m := e.Metrics(); m.Requests != total || m.Tiers[tierVM].Served != total {
+	m := e.Metrics()
+	if m.Requests != total || m.Tiers[tierVM].Served != total {
 		t.Fatalf("requests=%d served by vm=%d, want %d each", m.Requests, m.Tiers[tierVM].Served, total)
 	}
-	q := e.QoS()
-	if q.TotalAdmitted() != total || q.TotalShed() != 0 {
-		t.Fatalf("admitted=%d shed=%d, want %d and 0", q.TotalAdmitted(), q.TotalShed(), total)
+	if shedTotal(m) != 0 {
+		t.Fatalf("shed=%d, want 0", shedTotal(m))
 	}
-	if q.Batches != total || q.BatchedRequests != total {
-		t.Fatalf("batches=%d batched requests=%d, want %d each", q.Batches, q.BatchedRequests, total)
+	if m.Batches != total || m.BatchedRequests != total {
+		t.Fatalf("batches=%d batched requests=%d, want %d each", m.Batches, m.BatchedRequests, total)
 	}
+}
+
+// shedTotal sums m's sheds over lanes and reasons.
+func shedTotal(m Metrics) int64 {
+	var n int64
+	for _, byReason := range m.Shed {
+		for _, v := range byReason {
+			n += v
+		}
+	}
+	return n
 }
 
 func mustCanon(t *testing.T, req Request) *query.Canonical {
@@ -496,7 +506,7 @@ func deadlineErr() error {
 // each pipeline stage and asserts, for every case: the returned error
 // classifies as both guard.ErrBudgetExceeded and
 // context.DeadlineExceeded, the attempts report is consistent with
-// where the clock ran out, and the qos ledger counts the failure at the
+// where the clock ran out, and the engine counts the failure at the
 // right stage.
 func TestEngineDeadlineMatrix(t *testing.T) {
 	type outcome struct {
@@ -514,8 +524,8 @@ func TestEngineDeadlineMatrix(t *testing.T) {
 			ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 			defer cancel()
 			res := <-e.Submit(ctx, req)
-			if s := e.QoS(); s.Deadline["queued"] != 1 {
-				t.Fatalf("deadline[queued]=%d, want 1 (%v)", s.Deadline["queued"], s.Deadline)
+			if s := e.Metrics(); s.Deadline[stageQueued] != 1 {
+				t.Fatalf("deadline[queued]=%d, want 1 (%v)", s.Deadline[stageQueued], s.Deadline)
 			}
 			if len(res.Attempts) != 0 {
 				t.Fatalf("queued-stage failure recorded tier attempts: %v", res.Attempts)
@@ -540,8 +550,8 @@ func TestEngineDeadlineMatrix(t *testing.T) {
 			e.flights.leave(canon.FP)
 			e.mu.Unlock()
 			close(fl.done)
-			if s := e.QoS(); s.Deadline["compile"] != 1 {
-				t.Fatalf("deadline[compile]=%d, want 1 (%v)", s.Deadline["compile"], s.Deadline)
+			if s := e.Metrics(); s.Deadline[stageCompile] != 1 {
+				t.Fatalf("deadline[compile]=%d, want 1 (%v)", s.Deadline[stageCompile], s.Deadline)
 			}
 			if len(res.Attempts) != 0 {
 				t.Fatalf("compile-stage failure recorded tier attempts: %v", res.Attempts)
@@ -549,7 +559,7 @@ func TestEngineDeadlineMatrix(t *testing.T) {
 			return outcome{res, "compile"}
 		}},
 		{"oblivious", func(t *testing.T) outcome {
-			// "oblivious" is the ledger's deadline stage for the plan's
+			// "oblivious" is the deadline stage for the plan's
 			// oblivious circuit, which the vm tier runs. The vm reports
 			// every instruction to the word-gate site, so the ordinal
 			// below is the nth instruction of the program.
@@ -564,8 +574,8 @@ func TestEngineDeadlineMatrix(t *testing.T) {
 			in.FailAt(faultinject.SiteWordGate, nth, deadlineErr())
 			ctx := faultinject.WithInjector(&flipCtx{in: in, site: faultinject.SiteWordGate, after: nth}, in)
 			res := <-e.Submit(ctx, req)
-			if s := e.QoS(); s.Deadline["oblivious"] != 1 {
-				t.Fatalf("deadline[oblivious]=%d, want 1 (%v)", s.Deadline["oblivious"], s.Deadline)
+			if s := e.Metrics(); s.Deadline[stageOblivious] != 1 {
+				t.Fatalf("deadline[oblivious]=%d, want 1 (%v)", s.Deadline[stageOblivious], s.Deadline)
 			}
 			if len(res.Attempts) != 1 || res.Attempts[0].Tier != TierVM || res.Attempts[0].Err == nil {
 				t.Fatalf("attempts = %v, want one failed vm attempt", res.Attempts)
@@ -585,8 +595,8 @@ func TestEngineDeadlineMatrix(t *testing.T) {
 			in.FailAt(faultinject.SiteRAMJoin, nth, deadlineErr())
 			ctx := faultinject.WithInjector(&flipCtx{in: in, site: faultinject.SiteRAMJoin, after: nth}, in)
 			res := <-e.Submit(ctx, req)
-			if s := e.QoS(); s.Deadline["ram"] != 1 {
-				t.Fatalf("deadline[ram]=%d, want 1 (%v)", s.Deadline["ram"], s.Deadline)
+			if s := e.Metrics(); s.Deadline[stageRAM] != 1 {
+				t.Fatalf("deadline[ram]=%d, want 1 (%v)", s.Deadline[stageRAM], s.Deadline)
 			}
 			if len(res.Attempts) != 2 ||
 				res.Attempts[0].Tier != TierVM || res.Attempts[1].Tier != TierRAM {
@@ -632,9 +642,9 @@ func TestEngineDeadlineSkipsDoomedTier(t *testing.T) {
 	// tier cheap, then hand in a deadline that only fits the RAM tier.
 	// (Repeated observations swamp whatever the warm serve recorded.)
 	for i := 0; i < 16; i++ {
-		e.estTier[tierVM].Observe(10 * time.Second)
+		e.estTier[tierVM].observe(10 * time.Second)
 	}
-	e.estTier[tierRAM].Observe(time.Microsecond)
+	e.estTier[tierRAM].observe(time.Microsecond)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
@@ -655,8 +665,8 @@ func TestEngineDeadlineSkipsDoomedTier(t *testing.T) {
 	if skips != 1 {
 		t.Fatalf("skipped %d tiers, want 1 (vm)", skips)
 	}
-	if s := e.QoS(); s.TierSkip != 1 {
-		t.Fatalf("TierSkip=%d, want 1", s.TierSkip)
+	if s := e.Metrics(); s.TierSkips != 1 {
+		t.Fatalf("TierSkips=%d, want 1", s.TierSkips)
 	}
 }
 
@@ -720,8 +730,8 @@ func TestEngineQueuedHitKeepsEvictedPlan(t *testing.T) {
 	if m := e.Metrics(); m.Compiles != compiles {
 		t.Fatalf("compiles went %d → %d; the held plan must not be recompiled", compiles, m.Compiles)
 	}
-	if q := e.QoS(); q.TotalShed() != 0 {
-		t.Fatalf("shed = %v, want none", q.Shed)
+	if m := e.Metrics(); shedTotal(m) != 0 {
+		t.Fatalf("shed = %v, want none", m.Shed)
 	}
 }
 

@@ -8,8 +8,8 @@
 // The harness asserts the engine's overload contract from the outside:
 // every rejected request carries a typed guard error, queue occupancy
 // never exceeds the configured bounds, the engine drains cleanly on
-// Close, and the qos ledger's admitted/shed counters reconcile exactly
-// with what the clients observed.
+// Close, and the engine's admitted/shed counters reconcile exactly with
+// what the clients observed.
 package soaktest
 
 import (
@@ -24,45 +24,14 @@ import (
 	"circuitql/internal/engine"
 	"circuitql/internal/faultinject"
 	"circuitql/internal/guard"
-	"circuitql/internal/qos"
-	"circuitql/internal/query"
-	"circuitql/internal/workload"
+	"circuitql/internal/loadgen"
 )
 
-// MakeRequest builds one servable request: parse src, generate a
-// workload of n tuples per relation, and derive its constraints. A
-// salt > 0 (which must be ≥ n so the database still conforms) appends
-// a loose cardinality constraint "R <= salt" that changes the plan
-// fingerprint without changing the plan's cost — callers mint unlimited
-// distinct compile-miss work from one template at a bounded compile
-// price.
-//
-// Requests built with an even seed are prepared (engine.Prepare), those
-// with an odd seed plain, so a run over consecutive seeds — Shapes, the
-// load harness — drives both admission forms through the same faults,
-// evictions and shutdown, reproducibly.
-func MakeRequest(src string, seed int64, n, salt int) (engine.Request, error) {
-	q, err := query.Parse(src)
-	if err != nil {
-		return engine.Request{}, err
-	}
-	db := workload.ForQuery(q, seed, n)
-	dcs, err := query.DeriveDC(q, db)
-	if err != nil {
-		return engine.Request{}, err
-	}
-	if salt > 0 {
-		extra, err := query.ParseDC(q, fmt.Sprintf("R <= %d", salt))
-		if err != nil {
-			return engine.Request{}, err
-		}
-		dcs = append(dcs, extra...)
-	}
-	req := engine.Request{Query: q, DCs: dcs, DB: db}
-	if seed%2 == 0 {
-		req = engine.Prepare(req)
-	}
-	return req, nil
+// makeRequest builds the request of the load harness's shape src over
+// n tuples per relation from seed, salted with "R <= salt" when salt > 0
+// (loadgen.Shape.Request): even seeds prepared, odd ones plain.
+func makeRequest(src string, seed int64, n, salt int) (engine.Request, error) {
+	return loadgen.Shape{Query: src, Tuples: n, Seed: seed, Salt: salt}.Request()
 }
 
 // templates mixes compilable full queries with a non-full shape that
@@ -82,7 +51,7 @@ func Shapes(m int, seed int64) ([]engine.Request, error) {
 	shapes := make([]engine.Request, 0, m)
 	for i := 0; i < m; i++ {
 		n := 6 + 2*(i/len(templates))
-		req, err := MakeRequest(templates[i%len(templates)], seed+int64(i), n, 0)
+		req, err := makeRequest(templates[i%len(templates)], seed+int64(i), n, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -165,12 +134,12 @@ func (c *counters) record(err error) {
 
 // Run executes one soak: spin up the engine, drive it with faulty
 // chaotic load for cfg.Duration, race a final submission wave against
-// Close, and return the client-side report plus the engine's final qos
-// snapshot for reconciliation.
-func Run(cfg Config) (Report, qos.Snapshot, error) {
+// Close, and return the client-side report plus the engine's final
+// metrics for reconciliation.
+func Run(cfg Config) (Report, engine.Metrics, error) {
 	shapes, err := Shapes(cfg.Shapes, cfg.Seed)
 	if err != nil {
-		return Report{}, qos.Snapshot{}, err
+		return Report{}, engine.Metrics{}, err
 	}
 	eng := engine.New(cfg.Engine)
 
@@ -199,7 +168,7 @@ func Run(cfg Config) (Report, qos.Snapshot, error) {
 			case <-samplerStop:
 				return
 			case <-tick.C:
-				for _, l := range eng.QoS().Lanes {
+				for _, l := range eng.Metrics().Lanes {
 					if l.Queued > maxQueued[l.Lane] {
 						maxQueued[l.Lane] = l.Queued
 					}
@@ -227,7 +196,7 @@ func Run(cfg Config) (Report, qos.Snapshot, error) {
 					ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
 				}
 				if k%5 == 0 {
-					ctx = qos.WithPriority(ctx, qos.PriorityLow)
+					ctx = engine.WithPriority(ctx, engine.PriorityLow)
 				}
 				res := <-eng.Submit(ctx, req)
 				cancel()
@@ -268,17 +237,23 @@ func Run(cfg Config) (Report, qos.Snapshot, error) {
 		MaxQueued:   maxQueued,
 		OverBounded: overBounded,
 	}
-	return rep, eng.QoS(), closeErr
+	return rep, eng.Metrics(), closeErr
 }
 
-// Reconcile checks the qos ledger against the client-observed totals:
+// Reconcile checks the engine's counters against the client-observed totals:
 // every submission was counted once, as admitted to a lane or as shed
 // (queue_full, priority, or draining). A non-nil error means the books
 // don't balance.
-func Reconcile(rep Report, snap qos.Snapshot) error {
-	if got := snap.TotalAdmitted() + snap.TotalShed(); got != rep.Submitted {
+func Reconcile(rep Report, m engine.Metrics) error {
+	var shed int64
+	for _, byReason := range m.Shed {
+		for _, v := range byReason {
+			shed += v
+		}
+	}
+	if got := m.Requests + shed; got != rep.Submitted {
 		return fmt.Errorf("ledger reconcile: admitted %d + shed %d = %d, clients submitted %d",
-			snap.TotalAdmitted(), snap.TotalShed(), got, rep.Submitted)
+			m.Requests, shed, got, rep.Submitted)
 	}
 	sum := rep.Served + rep.Overloaded + rep.Deadline + rep.Budget +
 		rep.Canceled + rep.Invalid + rep.Internal + rep.Injected + int64(len(rep.Untyped))

@@ -48,7 +48,7 @@ func TestSoakChaos(t *testing.T) {
 		t.Fatalf("engine close: %v", err)
 	}
 	t.Logf("soak: %s", rep.String())
-	t.Logf("soak: max queued per lane: %v, level=%v", rep.MaxQueued, snap.Level)
+	t.Logf("soak: max queued per lane: %v, critical=%v", rep.MaxQueued, snap.Critical)
 
 	if rep.Submitted == 0 || rep.Served == 0 {
 		t.Fatalf("soak produced no traffic: %s", rep.String())
@@ -96,7 +96,7 @@ func TestSoakShedsAreTyped(t *testing.T) {
 	const burst = 200
 	chans := make([]<-chan engine.Result, 0, burst)
 	for i := 0; i < burst; i++ {
-		req, err := MakeRequest("Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", int64(i), 8, 1000+i)
+		req, err := makeRequest("Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", int64(i), 8, 1000+i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestSoakHitLaneLatencyUnderSaturation(t *testing.T) {
 	})
 	defer eng.Close()
 
-	warm, err := MakeRequest("Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 7, 10, 0)
+	warm, err := makeRequest("Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 7, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestSoakHitLaneLatencyUnderSaturation(t *testing.T) {
 				return
 			default:
 			}
-			req, err := MakeRequest("Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", int64(1000+i), 8, 5000+i)
+			req, err := makeRequest("Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", int64(1000+i), 8, 5000+i)
 			if err != nil {
 				untypedFlood.Add(1)
 				return
@@ -205,7 +205,7 @@ func TestSoakHitLaneLatencyUnderSaturation(t *testing.T) {
 		}
 	}()
 	// Let the flood fill the miss lane before measuring.
-	for waitUntil := time.Now().Add(5 * time.Second); eng.QoS().Lanes[1].Queued < 2 && time.Now().Before(waitUntil); {
+	for waitUntil := time.Now().Add(5 * time.Second); eng.Metrics().Lanes[1].Queued < 2 && time.Now().Before(waitUntil); {
 		time.Sleep(time.Millisecond)
 	}
 
@@ -239,7 +239,7 @@ func TestSoakHitLaneLatencyUnderSaturation(t *testing.T) {
 // draining OverloadError, and Close still returns cleanly.
 func TestSoakDrainingRejectionsAreTyped(t *testing.T) {
 	eng := engine.New(engine.Config{Workers: 2, MissWorkers: 1, ShedPolicy: engine.ShedOnFull})
-	req, err := MakeRequest("Q(A,B) :- R(A,B), S(A,B)", 3, 8, 0)
+	req, err := makeRequest("Q(A,B) :- R(A,B), S(A,B)", 3, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

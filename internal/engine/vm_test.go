@@ -145,7 +145,7 @@ func TestEngineLadderIgnoresPlanOrigin(t *testing.T) {
 	probe := func(e *Engine) walk {
 		faulted := e.Serve(wordGateFault(), req)
 		for i := 0; i < 16; i++ { // swamp what the serves above recorded
-			e.estTier[tierVM].Observe(2500 * time.Millisecond)
+			e.estTier[tierVM].observe(2500 * time.Millisecond)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 6*time.Second)
 		defer cancel()
@@ -204,7 +204,7 @@ func TestEngineBatchPanicContained(t *testing.T) {
 			if res := e.Serve(context.Background(), req); res.Err != nil {
 				t.Fatal(res.Err)
 			}
-			warmBatches := e.QoS().Batches
+			warmBatches := e.Metrics().Batches
 
 			in := faultinject.New()
 			in.PanicAt(faultinject.SiteWordGate, 10, "boom")
@@ -225,7 +225,7 @@ func TestEngineBatchPanicContained(t *testing.T) {
 			for _, res := range results {
 				checkFellThrough(t, res, req, guard.ErrInternal, TierRAM)
 			}
-			if got := e.QoS().Batches - warmBatches; got != 1 {
+			if got := e.Metrics().Batches - warmBatches; got != 1 {
 				t.Fatalf("members were dispatched in %d batches, want 1", got)
 			}
 		})
@@ -242,8 +242,8 @@ func countSpans(s *obs.Span, counts map[string]int) {
 
 // TestEngineBatchCoalescing: concurrent same-fingerprint requests
 // coalesce into one vm batch — exactly one vm-eval span for the whole
-// batch (not one per request), a batch-occupancy record on the QoS
-// ledger, and every member still gets its own correct answer.
+// batch (not one per request), a batch-occupancy record in the engine's
+// metrics, and every member still gets its own correct answer.
 func TestEngineBatchCoalescing(t *testing.T) {
 	tracer := obs.NewTracer(64)
 	const B = 4
@@ -265,7 +265,7 @@ func TestEngineBatchCoalescing(t *testing.T) {
 	if res := e.Serve(context.Background(), req); res.Err != nil {
 		t.Fatal(res.Err) // warm the plan (dispatches a batch of 1)
 	}
-	warmBatches := e.QoS().Batches
+	warmBatches := e.Metrics().Batches
 
 	var wg sync.WaitGroup
 	results := make([]Result, B)
@@ -289,7 +289,7 @@ func TestEngineBatchCoalescing(t *testing.T) {
 		}
 	}
 
-	s := e.QoS()
+	s := e.Metrics()
 	if s.Batches != warmBatches+1 {
 		t.Fatalf("Batches=%d, want %d (the 4 members must share one dispatch)", s.Batches, warmBatches+1)
 	}

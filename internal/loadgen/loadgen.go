@@ -25,7 +25,7 @@ import (
 
 	"circuitql/internal/engine"
 	"circuitql/internal/guard"
-	"circuitql/internal/qos/soaktest"
+	"circuitql/internal/workload"
 )
 
 // Shape is one query shape a load run replays. The same fields drive
@@ -51,6 +51,23 @@ func (s Shape) DCs() string {
 		return ""
 	}
 	return fmt.Sprintf("R <= %d", s.Salt)
+}
+
+// Request builds the shape's engine request from workload.Instance —
+// the builder the wire server resolves a shape with. Shapes with an even
+// seed are prepared (engine.Prepare) and odd ones plain, so a run over
+// consecutive seeds drives both admission forms through the same
+// faults, evictions and shutdown, reproducibly.
+func (s Shape) Request() (engine.Request, error) {
+	q, dcs, db, err := workload.Instance(s.Query, s.DCs(), s.Seed, s.Tuples)
+	if err != nil {
+		return engine.Request{}, err
+	}
+	req := engine.Request{Query: q, DCs: dcs, DB: db}
+	if s.Seed%2 == 0 {
+		req = engine.Prepare(req)
+	}
+	return req, nil
 }
 
 // templates are the replayed query shapes: mostly full conjunctive
@@ -147,7 +164,7 @@ type Evaluator interface {
 func NewEngineTarget(ev Evaluator, shapes []Shape) (*EngineTarget, error) {
 	t := &EngineTarget{ev: ev, shapes: make(map[Shape]engine.Request, len(shapes))}
 	for _, s := range shapes {
-		req, err := soaktest.MakeRequest(s.Query, s.Seed, s.Tuples, s.Salt)
+		req, err := s.Request()
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: shape %q: %w", s.Query, err)
 		}
@@ -164,7 +181,7 @@ func (t *EngineTarget) Do(ctx context.Context, s Shape) Outcome {
 	if !ok {
 		// A shape not prebuilt (caller drove an ad-hoc one): build and
 		// memoize it.
-		built, err := soaktest.MakeRequest(s.Query, s.Seed, s.Tuples, s.Salt)
+		built, err := s.Request()
 		if err != nil {
 			return Outcome{Class: ClassInvalid}
 		}

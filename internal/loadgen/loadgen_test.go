@@ -89,7 +89,7 @@ func TestLoadSmoke(t *testing.T) {
 		t.Fatalf("outcome buckets sum to %d, submitted %d", total, rep.Submitted)
 	}
 
-	snap := eng.QoS()
+	snap := eng.Metrics()
 	if snap.Batches == 0 {
 		t.Fatal("no vm batch dispatched")
 	}
@@ -102,9 +102,8 @@ func TestLoadSmoke(t *testing.T) {
 	}
 	t.Logf("batches=%d coalesced=%d sizes=%v", snap.Batches, coalesced, snap.BatchSizes)
 
-	m := eng.Metrics()
-	if m.Requests != rep.Submitted {
-		t.Fatalf("engine saw %d requests, clients submitted %d", m.Requests, rep.Submitted)
+	if snap.Requests != rep.Submitted {
+		t.Fatalf("engine saw %d requests, clients submitted %d", snap.Requests, rep.Submitted)
 	}
 
 	if err := eng.Close(); err != nil {

@@ -12,7 +12,6 @@ import (
 	"circuitql/internal/ghd"
 	"circuitql/internal/guard"
 	"circuitql/internal/lp"
-	"circuitql/internal/qos/soaktest"
 	"circuitql/internal/query"
 	"circuitql/internal/workload"
 )
@@ -138,11 +137,11 @@ func TestSolveMatchesReference(t *testing.T) {
 // canonicalized as the engine does.
 func servedLP(t testing.TB, src string, seed int64, tuples int) *lp.Problem {
 	t.Helper()
-	req, err := soaktest.MakeRequest(src, seed, tuples, int(32+seed))
+	q, dcs, _, err := workload.Instance(src, fmt.Sprintf("R <= %d", 32+seed), seed, tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
-	canon, err := query.Canonicalize(req.Query, req.DCs)
+	canon, err := query.Canonicalize(q, dcs)
 	if err != nil {
 		t.Fatal(err)
 	}

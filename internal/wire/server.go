@@ -6,14 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
 	"circuitql/internal/engine"
 	"circuitql/internal/guard"
-	"circuitql/internal/qos"
-	"circuitql/internal/query"
 	"circuitql/internal/workload"
 )
 
@@ -292,11 +289,11 @@ func (s *Server) dispatch(req Request) Response {
 
 	ctx := s.reqCtx
 	if req.Priority != 0 {
-		p := qos.PriorityHigh
+		p := engine.PriorityHigh
 		if req.Priority < 0 {
-			p = qos.PriorityLow
+			p = engine.PriorityLow
 		}
-		ctx = qos.WithPriority(ctx, p)
+		ctx = engine.WithPriority(ctx, p)
 	}
 	deadline := req.Deadline
 	if s.cfg.MaxDeadline > 0 && (deadline == 0 || deadline > s.cfg.MaxDeadline) {
@@ -377,10 +374,6 @@ func (s *Server) shapeFor(req Request) (engine.Request, error) {
 }
 
 func (s *Server) buildShape(req Request) (engine.Request, error) {
-	q, err := query.Parse(strings.TrimSpace(req.Query))
-	if err != nil {
-		return engine.Request{}, fmt.Errorf("%w: %v", guard.ErrInvalidInput, err)
-	}
 	tuples := int(req.Tuples)
 	if tuples == 0 {
 		tuples = s.cfg.Tuples
@@ -389,17 +382,9 @@ func (s *Server) buildShape(req Request) (engine.Request, error) {
 	if seed == 0 {
 		seed = s.cfg.Seed
 	}
-	db := workload.ForQuery(q, seed, tuples)
-	dcs, err := query.DeriveDC(q, db)
+	q, dcs, db, err := workload.Instance(req.Query, req.DCs, seed, tuples)
 	if err != nil {
 		return engine.Request{}, fmt.Errorf("%w: %v", guard.ErrInvalidInput, err)
-	}
-	if dcSrc := strings.TrimSpace(req.DCs); dcSrc != "" {
-		extra, err := query.ParseDC(q, dcSrc)
-		if err != nil {
-			return engine.Request{}, fmt.Errorf("%w: %v", guard.ErrInvalidInput, err)
-		}
-		dcs = append(dcs, extra...)
 	}
 	return engine.Prepare(engine.Request{Query: q, DCs: dcs, DB: db}), nil
 }

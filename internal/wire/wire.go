@@ -91,7 +91,7 @@ type Request struct {
 	// server. Unique per connection among in-flight requests.
 	ID uint64
 	// Priority orders shedding under adaptive load: <0 low, 0 normal,
-	// >0 high (qos.Priority).
+	// >0 high (engine.Priority).
 	Priority int8
 	// Deadline bounds the request's wall clock server-side; 0 means
 	// none (the server may still impose its own cap).

@@ -118,6 +118,39 @@ func TriangleDB(kind TriangleKind, seed int64, n int) query.Database {
 	}
 }
 
+// Instance is one seeded request: it parses src, generates a ForQuery
+// database of n tuples per relation from seed, and returns the query,
+// the constraints that database satisfies (Constraints) and the
+// database. A cardinality bound in extraDCs, such as "R <= 40", changes
+// the pair's fingerprint without changing what the plan costs.
+func Instance(src, extraDCs string, seed int64, n int) (*query.Query, query.DCSet, query.Database, error) {
+	q, err := query.Parse(src)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	db := ForQuery(q, seed, n)
+	dcs, err := Constraints(q, db, extraDCs)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return q, dcs, db, nil
+}
+
+// Constraints derives the degree constraints db satisfies for q
+// (query.DeriveDC) and appends the ones extraDCs spells in
+// query.ParseDC syntax ("" for none).
+func Constraints(q *query.Query, db query.Database, extraDCs string) (query.DCSet, error) {
+	dcs, err := query.DeriveDC(q, db)
+	if err != nil {
+		return nil, err
+	}
+	extra, err := query.ParseDC(q, extraDCs)
+	if err != nil {
+		return nil, err
+	}
+	return append(dcs, extra...), nil
+}
+
 // ForQuery builds a uniform database for any catalog query: one relation
 // per distinct atom name, each with n tuples of the atom's arity.
 func ForQuery(q *query.Query, seed int64, n int) query.Database {

@@ -17,11 +17,11 @@ import (
 func TestOneFormPerEntryPoint(t *testing.T) {
 	twins := map[string]bool{"internal/opt:Bool": true}
 	roots := map[string]bool{
-		"internal/engine/engine.go":        true,
-		"internal/wire/server.go":          true,
-		"internal/loadgen/loadgen.go":      true,
-		"internal/qos/soaktest/harness.go": true,
-		"internal/opt/bool.go":             true,
+		"internal/engine/engine.go":           true,
+		"internal/wire/server.go":             true,
+		"internal/loadgen/loadgen.go":         true,
+		"internal/engine/soaktest/harness.go": true,
+		"internal/opt/bool.go":                true,
 	}
 	fset := token.NewFileSet()
 	declared := map[string]bool{} // "dir:Func" or "dir:Recv.Method"

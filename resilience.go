@@ -10,7 +10,6 @@ import (
 	"circuitql/internal/engine"
 	"circuitql/internal/guard"
 	"circuitql/internal/obs"
-	"circuitql/internal/qos"
 	"circuitql/internal/query"
 )
 
@@ -129,7 +128,7 @@ func (c *CompiledQuery) EvaluateResilient(ctx context.Context, db Database) (*Re
 	for i, t := range tiers {
 		// Estimate 0: the facade has no latency history, so shares bound
 		// tier attempts but never skip one outright.
-		tctx, cancel, _, _ := qos.PlanTier(ctx, len(tiers)-i, 0)
+		tctx, cancel, _, _ := engine.PlanTier(ctx, len(tiers)-i, 0)
 		tierCtx, sp := obs.StartSpan(tctx, obs.StageTier+t.name)
 		out, err := t.run(tierCtx)
 		cancel()

@@ -267,6 +267,11 @@ type entryPoint struct {
 	// ones faultinject can reach through the context.
 	evaluates bool
 	call      func(ctx context.Context) error
+	// violated runs an evaluating entry point on a database that breaks
+	// a degree constraint its fixture was compiled for, within the
+	// compiled cardinalities, and reports whether the answer equals
+	// RAM's on that database.
+	violated func(ctx context.Context) (agrees bool, err error)
 }
 
 // blockingEntryPoints is every facade entry point that takes a context:
@@ -288,6 +293,10 @@ func blockingEntryPoints(t *testing.T) []entryPoint {
 		t.Fatal(err)
 	}
 	pdb, err := cq.PrepareInputs(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := cq.CompileVM(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,39 +325,109 @@ func blockingEntryPoints(t *testing.T) []entryPoint {
 		t.Fatal(err)
 	}
 
+	// The violated-DC fixtures: S has degree 2 on B where the plans were
+	// compiled for 1, and the Boolean triangle's R has degree 3 on A
+	// where they were compiled for 1.
+	vq, vdb := mustParse(t, "Q(A,B,C) :- R(A,B), S(B,C)"), Database{"R": NewRelation("A", "B"), "S": NewRelation("B", "C")}
+	for a := int64(0); a < 4; a++ {
+		vdb["R"].Insert(a, 1)
+	}
+	vdb["S"].Insert(1, 1)
+	vdb["S"].Insert(1, 2)
+	vcq, err := Compile(bg, vq, mustConstraints(t, vq, "R <= 4; S <= 4; S|B <= 1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vvm, err := vcq.CompileVM(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vpathQ := mustParse(t, "Q(A,C) :- R(A,B), S(B,C)")
+	vosq, err := OutputSensitive(bg, vpathQ, mustConstraints(t, vpathQ, "R <= 4; S <= 4; S|B <= 1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vboolQ := mustParse(t, "Q() :- R(A,B), S(B,C), T(A,C)")
+	vboolDB := Database{"R": NewRelation("A", "B"), "S": NewRelation("B", "C"), "T": NewRelation("A", "C")}
+	for b := int64(1); b <= 3; b++ {
+		vboolDB["R"].Insert(1, b)
+	}
+	vboolDB["S"].Insert(1, 1)
+	vboolDB["T"].Insert(1, 1)
+	vbq, err := CompileBoolean(bg, vboolQ, mustConstraints(t, vboolQ, "R <= 3; S <= 3; T <= 3; R|A <= 1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ram := func(q *Query, db Database) *Relation {
+		out, err := EvaluateRAM(bg, q, db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	vRAM, vpathRAM, vboolRAM := ram(vq, vdb), ram(vpathQ, vdb), ram(vboolQ, vboolDB)
+	same := func(out *Relation, err error) (bool, error) { return err == nil && out.Equal(vRAM), err }
+
 	return []entryPoint{
-		{"Compile", false, func(ctx context.Context) error { _, err := Compile(ctx, hardQ, hardDCs); return err }},
+		{"Compile", false, func(ctx context.Context) error { _, err := Compile(ctx, hardQ, hardDCs); return err }, nil},
 		{"CompileOpts", false, func(ctx context.Context) error {
 			_, err := CompileOpts(ctx, hardQ, hardDCs, CompileOptions{NoOpt: true})
 			return err
-		}},
+		}, nil},
 		{"CompileBoolean", false, func(ctx context.Context) error {
 			boolHard := *hardQ
 			boolHard.Free = 0
 			_, err := CompileBoolean(ctx, &boolHard, hardDCs)
 			return err
-		}},
-		{"OutputSensitive", false, func(ctx context.Context) error { _, err := OutputSensitive(ctx, hardQ, hardDCs); return err }},
-		{"ComputeWidths", false, func(ctx context.Context) error { _, err := ComputeWidths(ctx, hardQ, hardDCs); return err }},
-		{"PolymatroidBound", false, func(ctx context.Context) error { _, err := PolymatroidBound(ctx, hardQ, hardDCs); return err }},
-		{"OutputSensitiveQuery.EvalCircuit", false, func(ctx context.Context) error { _, err := osq.EvalCircuit(ctx, 64); return err }},
-		{"CompiledQuery.BitLevel", false, func(ctx context.Context) error { _, _, err := cq.BitLevel(ctx, 64); return err }},
-		{"CompiledQuery.CompileVM", false, func(ctx context.Context) error { _, err := cq.CompileVM(ctx); return err }},
+		}, nil},
+		{"OutputSensitive", false, func(ctx context.Context) error { _, err := OutputSensitive(ctx, hardQ, hardDCs); return err }, nil},
+		{"ComputeWidths", false, func(ctx context.Context) error { _, err := ComputeWidths(ctx, hardQ, hardDCs); return err }, nil},
+		{"PolymatroidBound", false, func(ctx context.Context) error { _, err := PolymatroidBound(ctx, hardQ, hardDCs); return err }, nil},
+		{"OutputSensitiveQuery.EvalCircuit", false, func(ctx context.Context) error { _, err := osq.EvalCircuit(ctx, 64); return err }, nil},
+		{"CompiledQuery.BitLevel", false, func(ctx context.Context) error { _, _, err := cq.BitLevel(ctx, 64); return err }, nil},
+		{"CompiledQuery.CompileVM", false, func(ctx context.Context) error { _, err := cq.CompileVM(ctx); return err }, nil},
 
-		{"EvaluateRAM", true, func(ctx context.Context) error { _, err := EvaluateRAM(ctx, q, db); return err }},
-		{"CompiledQuery.Evaluate", true, func(ctx context.Context) error { _, err := cq.Evaluate(ctx, db); return err }},
+		{"EvaluateRAM", true, func(ctx context.Context) error { _, err := EvaluateRAM(ctx, q, db); return err },
+			func(ctx context.Context) (bool, error) { return same(EvaluateRAM(ctx, vq, vdb)) }},
+		{"CompiledQuery.Evaluate", true, func(ctx context.Context) error { _, err := cq.Evaluate(ctx, db); return err },
+			func(ctx context.Context) (bool, error) { return same(vcq.Evaluate(ctx, vdb)) }},
 		{"CompiledQuery.EvaluateRelational", true, func(ctx context.Context) error {
 			_, err := cq.EvaluateRelational(ctx, db, false)
 			return err
-		}},
+		}, func(ctx context.Context) (bool, error) { return same(vcq.EvaluateRelational(ctx, vdb, false)) }},
 		{"CompiledQuery.EvaluateResilient", true, func(ctx context.Context) error {
 			_, _, err := cq.EvaluateResilient(ctx, db)
 			return err
+		}, func(ctx context.Context) (bool, error) {
+			out, _, err := vcq.EvaluateResilient(ctx, vdb)
+			return same(out, err)
 		}},
-		{"Artifact.Evaluate", true, func(ctx context.Context) error { _, err := art.Evaluate(ctx, pdb); return err }},
-		{"BooleanQuery.Decide", true, func(ctx context.Context) error { _, err := bq.Decide(ctx, boolDB); return err }},
-		{"OutputSensitiveQuery.Count", true, func(ctx context.Context) error { _, err := osq.Count(ctx, pathDB); return err }},
-		{"OutputSensitiveQuery.Evaluate", true, func(ctx context.Context) error { _, err := osq.Evaluate(ctx, pathDB); return err }},
+		{"VMProgram.EvalBatch", true, func(ctx context.Context) error { _, err := prog.EvalBatch(ctx, []Database{db, db}); return err },
+			func(ctx context.Context) (bool, error) {
+				outs, err := vvm.EvalBatch(ctx, []Database{vdb})
+				if err != nil {
+					return false, err
+				}
+				return same(outs[0], nil)
+			}},
+		// An artifact evaluates prepared inputs and carries no constraint
+		// set to validate them against; it has no violated-DC case.
+		{"Artifact.Evaluate", true, func(ctx context.Context) error { _, err := art.Evaluate(ctx, pdb); return err }, nil},
+		{"BooleanQuery.Decide", true, func(ctx context.Context) error { _, err := bq.Decide(ctx, boolDB); return err },
+			func(ctx context.Context) (bool, error) {
+				ok, err := vbq.Decide(ctx, vboolDB)
+				return err == nil && ok == (vboolRAM.Len() > 0), err
+			}},
+		{"OutputSensitiveQuery.Count", true, func(ctx context.Context) error { _, err := osq.Count(ctx, pathDB); return err },
+			func(ctx context.Context) (bool, error) {
+				n, err := vosq.Count(ctx, vdb)
+				return err == nil && n == vpathRAM.Len(), err
+			}},
+		{"OutputSensitiveQuery.Evaluate", true, func(ctx context.Context) error { _, err := osq.Evaluate(ctx, pathDB); return err },
+			func(ctx context.Context) (bool, error) {
+				out, err := vosq.Evaluate(ctx, vdb)
+				return err == nil && out.Equal(vpathRAM), err
+			}},
 	}
 }
 
@@ -398,4 +477,44 @@ func TestEveryEvaluatingEntryPointContainsPanics(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A database that breaks the constraints a plan was compiled for gets a
+// typed ErrInvalidInput or RAM's answer from every evaluating entry
+// point, never a truncated one: packing within the compiled
+// cardinalities cannot tell a degree overrun, so the check is
+// ValidateDB's.
+func TestEveryEvaluatingEntryPointRejectsViolatedDCs(t *testing.T) {
+	for _, ep := range blockingEntryPoints(t) {
+		if ep.violated == nil {
+			continue
+		}
+		t.Run(ep.name, func(t *testing.T) {
+			agrees, err := ep.violated(context.Background())
+			switch {
+			case err != nil && !errors.Is(err, ErrInvalidInput):
+				t.Fatalf("err = %v, want ErrInvalidInput or RAM's answer", err)
+			case err == nil && !agrees:
+				t.Fatal("answered differently from RAM with a nil error")
+			}
+		})
+	}
+}
+
+func mustParse(t *testing.T, src string) *Query {
+	t.Helper()
+	q, err := ParseQuery(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+func mustConstraints(t *testing.T, q *Query, src string) DCSet {
+	t.Helper()
+	dcs, err := ParseConstraints(q, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dcs
 }

@@ -11,9 +11,11 @@ package circuitql
 
 import (
 	"context"
+	"fmt"
 
 	"circuitql/internal/core"
 	"circuitql/internal/guard"
+	"circuitql/internal/query"
 	"circuitql/internal/relation"
 	"circuitql/internal/vm"
 )
@@ -66,14 +68,18 @@ func (p *VMProgram) Levels() int { return p.prog.Levels() }
 func (p *VMProgram) Runs() int { return p.prog.Runs() }
 
 // EvalBatch evaluates Q(D) for every database in lock-step and returns
-// one output relation per database, positionally. Every database must
-// conform to the bounds the query was compiled against (packing fails
-// otherwise). Cancellation, deadlines, and any Budget on ctx apply to
-// the whole batch.
+// one output relation per database, positionally. Every database is
+// validated upfront against the query and the compiled constraint set,
+// as in CompiledQuery.Evaluate: a nonconforming one fails the batch
+// with ErrInvalidInput naming its position. Cancellation, deadlines, and
+// any Budget on ctx apply to the whole batch.
 func (p *VMProgram) EvalBatch(ctx context.Context, dbs []Database) (_ []*Relation, err error) {
 	defer guard.Recover(&err)
 	inputs := make([][]vm.Word, len(dbs))
 	for i, db := range dbs {
+		if err := query.ValidateDB(p.inner.Query, p.inner.DC, db); err != nil {
+			return nil, fmt.Errorf("circuitql: batch database %d: %w", i, err)
+		}
 		in, err := p.inner.PackOblivious(db)
 		if err != nil {
 			return nil, err

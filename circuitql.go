@@ -47,10 +47,12 @@
 package circuitql
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"math/big"
+	"sync/atomic"
 
 	"circuitql/internal/bitblast"
 	"circuitql/internal/bound"
@@ -58,10 +60,10 @@ import (
 	"circuitql/internal/ghd"
 	"circuitql/internal/guard"
 	"circuitql/internal/opt"
-	"circuitql/internal/panda"
 	"circuitql/internal/query"
 	"circuitql/internal/relation"
 	"circuitql/internal/relcircuit"
+	"circuitql/internal/store"
 	"circuitql/internal/yannakakis"
 )
 
@@ -113,9 +115,10 @@ func EvaluateRAM(ctx context.Context, q *Query, db Database) (out *Relation, err
 }
 
 // CompiledQuery is a fully compiled worst-case-optimal circuit for a
-// full conjunctive query (Theorems 3-4).
+// full conjunctive query (Theorems 3-4). It is safe for concurrent use.
 type CompiledQuery struct {
 	inner *core.Compiled
+	prog  atomic.Pointer[VMProgram] // the program Evaluate runs, once compiled
 }
 
 // Compile builds the PANDA-C relational circuit and its oblivious
@@ -157,13 +160,15 @@ func (c *CompiledQuery) OptimizerReport() *OptReport { return c.inner.Opt }
 // was compiled for. The database is validated upfront against the query
 // and the compiled constraint set (missing relations, arity mismatches,
 // cardinality or degree overruns surface as ErrInvalidInput before any
-// circuit work starts).
+// circuit work starts). The circuit runs on the vm, as the serving
+// engine runs it: the first evaluation compiles the program (see
+// CompileVM), every later one reuses it.
 func (c *CompiledQuery) Evaluate(ctx context.Context, db Database) (out *Relation, err error) {
 	defer guard.Recover(&err)
 	if err := query.ValidateDB(c.inner.Query, c.inner.DC, db); err != nil {
 		return nil, err
 	}
-	return c.inner.EvaluateObliviousCtx(ctx, db)
+	return c.evaluate(ctx, db)
 }
 
 // EvaluateRelational runs the relational-circuit layer (faster; same
@@ -255,51 +260,62 @@ func (c *CompiledQuery) BitLevel(ctx context.Context, width int) (gates, depth i
 	return res.C.Size(), res.C.Depth(), nil
 }
 
-// WriteArtifact serializes the oblivious circuit with its packing
-// metadata — the object an outsourced-processing server or MPC party
-// receives. Load it back with LoadArtifact.
-func (c *CompiledQuery) WriteArtifact(w io.Writer) (int64, error) {
-	return c.inner.Obliv.WriteTo(w)
-}
-
-// Artifact is a loaded oblivious circuit: evaluable, but without the
-// compile-time metadata of a CompiledQuery.
-type Artifact struct {
-	oc *core.ObliviousCircuit
-}
-
-// LoadArtifact deserializes a circuit written by WriteArtifact.
-func LoadArtifact(r io.Reader) (*Artifact, error) {
-	oc, err := core.ReadObliviousCircuit(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Artifact{oc: oc}, nil
-}
-
-// Evaluate runs the loaded circuit; db must be keyed and shaped as the
-// artifact's input specs demand (for PANDA artifacts: panda.PrepareDB
-// naming, which EvaluatePrepared of the original CompiledQuery used).
-func (a *Artifact) Evaluate(ctx context.Context, db map[string]*Relation) (out map[int]*Relation, err error) {
+// WriteArtifact writes the plan file an outsourced-processing server or
+// MPC party receives: the serving engine's checksummed CQPS format, the
+// oblivious circuit with the query and constraints it was compiled on.
+// Load it back with LoadArtifact.
+func (c *CompiledQuery) WriteArtifact(w io.Writer) (_ int64, err error) {
 	defer guard.Recover(&err)
-	return a.oc.EvaluateCtx(ctx, db)
+	canon, err := query.Canonicalize(c.inner.Query, c.inner.DC)
+	if err != nil {
+		return 0, err
+	}
+	data, err := store.EncodePlan(store.FromCompiled(canon, c.inner))
+	if err != nil {
+		return 0, err
+	}
+	return bytes.NewReader(data).WriteTo(w)
+}
+
+// Artifact is a loaded plan file, evaluated as the CompiledQuery that
+// wrote it is; its relational layer is not in the file.
+type Artifact struct{ cq *CompiledQuery }
+
+// LoadArtifact reads a plan file written by WriteArtifact or the
+// engine's store. A file that fails its checksum or whose fingerprint
+// is not its query pair's is ErrInvalidInput.
+func LoadArtifact(r io.Reader) (_ *Artifact, err error) {
+	defer guard.Recover(&err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("circuitql: reading artifact: %w", err)
+	}
+	a, err := store.DecodePlan(data)
+	if err != nil {
+		return nil, fmt.Errorf("%w: circuitql: %w", ErrInvalidInput, err)
+	}
+	inner, _, err := a.Compiled()
+	if err != nil {
+		return nil, fmt.Errorf("%w: circuitql: %w", ErrInvalidInput, err)
+	}
+	return &Artifact{&CompiledQuery{inner: inner}}, nil
+}
+
+// Evaluate runs the loaded circuit on db, as CompiledQuery.Evaluate
+// does: db is validated against the query and constraints in the file.
+func (a *Artifact) Evaluate(ctx context.Context, db Database) (*Relation, error) {
+	return a.cq.Evaluate(ctx, db)
 }
 
 // Gates returns the loaded circuit's word-gate count.
-func (a *Artifact) Gates() int { return a.oc.C.Size() }
+func (a *Artifact) Gates() int { return a.cq.inner.Obliv.C.Size() }
 
 // Depth returns the loaded circuit's depth.
-func (a *Artifact) Depth() int { return a.oc.C.Depth() }
+func (a *Artifact) Depth() int { return a.cq.inner.Obliv.C.Depth() }
 
 // WriteDot renders the relational circuit in Graphviz DOT format.
 func (c *CompiledQuery) WriteDot(w io.Writer, name string) error {
 	return c.inner.Rel.WriteDot(w, name)
-}
-
-// PrepareInputs renames the atom relations of db to the input layout the
-// circuits (and artifacts) expect.
-func (c *CompiledQuery) PrepareInputs(db Database) (map[string]*Relation, error) {
-	return panda.PrepareDB(c.inner.Query, db)
 }
 
 func fmtGate(rc *relcircuit.Circuit, id int) string {
@@ -313,9 +329,7 @@ func fmtGate(rc *relcircuit.Circuit, id int) string {
 func ParseConstraints(q *Query, src string) (DCSet, error) { return query.ParseDC(q, src) }
 
 // BooleanQuery is a compiled decision circuit for a Boolean CQ.
-type BooleanQuery struct {
-	inner *core.BooleanCircuit
-}
+type BooleanQuery struct{ cq *CompiledQuery }
 
 // CompileBoolean compiles a Boolean conjunctive query (no free
 // variables) into an oblivious decision circuit (see Compile for what
@@ -326,24 +340,24 @@ func CompileBoolean(ctx context.Context, q *Query, dcs DCSet) (bq *BooleanQuery,
 	if err != nil {
 		return nil, err
 	}
-	return &BooleanQuery{inner: bc}, nil
+	return &BooleanQuery{&CompiledQuery{inner: bc}}, nil
 }
 
-// Decide evaluates the decision circuit on db. The database is
-// validated upfront against the query and the compiled constraint set,
-// as in CompiledQuery.Evaluate: a nonconforming one is ErrInvalidInput,
+// Decide evaluates the decision circuit on db as CompiledQuery.Evaluate
+// does: on the vm, after validating db against the query and the
+// compiled constraint set, so a nonconforming one is ErrInvalidInput,
 // never a wrong answer.
-func (b *BooleanQuery) Decide(ctx context.Context, db Database) (ok bool, err error) {
-	defer guard.Recover(&err)
-	if err := query.ValidateDB(b.inner.Query, b.inner.DC, db); err != nil {
+func (b *BooleanQuery) Decide(ctx context.Context, db Database) (bool, error) {
+	out, err := b.cq.Evaluate(ctx, db)
+	if err != nil {
 		return false, err
 	}
-	return b.inner.DecideCtx(ctx, db)
+	return core.Decided(out), nil
 }
 
 // Stats returns the decision circuit's word-gate count and depth.
 func (b *BooleanQuery) Stats() (gates, depth int) {
-	return b.inner.Obliv.C.Size(), b.inner.Obliv.C.Depth()
+	return b.cq.inner.Obliv.C.Size(), b.cq.inner.Obliv.C.Depth()
 }
 
 // PolymatroidBound returns LOGDAPB(Q) in bits (log₂ of the worst-case

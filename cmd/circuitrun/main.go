@@ -158,7 +158,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("oblivious circuit:  %d tuples in %v\n", out.Len(), time.Since(start))
+		fmt.Printf("oblivious circuit:  %d tuples in %v (vm, its compile included)\n", out.Len(), time.Since(start))
 		if !out.Equal(want) {
 			log.Fatal("oblivious circuit result DIFFERS from reference")
 		}
@@ -178,19 +178,11 @@ func main() {
 		fmt.Printf("\nvm program: %d gates -> %d instructions (%d swap, %d lex), %d runs, %d levels, %d slots/lane\n",
 			prog.Gates(), prog.Instructions(), swaps, lexes, prog.Runs(), prog.Levels(), prog.Slots())
 
-		// Single-request baseline through the interpreted oblivious
-		// circuit — the path a non-batched serve pays per request.
-		start = time.Now()
-		if _, err := cq.Evaluate(ctx, db); err != nil {
-			log.Fatal(err)
-		}
-		single := time.Since(start)
-
-		// The same database through the vm alone (a batch of one, lane
-		// stride 1), then replicated *batch ways and evaluated in one
-		// lock-step pass: total wall clock divides across the batch.
-		// Best of fifty each (the first calls run on cold caches), pack and
-		// decode included.
+		// The database through the vm alone (a batch of one, lane stride
+		// 1, what Evaluate runs), then replicated *batch ways and
+		// evaluated in one lock-step pass: total wall clock divides
+		// across the batch. Best of fifty each (the first calls run on
+		// cold caches), pack and decode included.
 		evalBatch := func(n int) time.Duration {
 			dbs := make([]circuitql.Database, n)
 			for i := range dbs {
@@ -220,10 +212,9 @@ func main() {
 		one := evalBatch(1)
 		batched := evalBatch(*batch)
 		amortized := batched / time.Duration(*batch)
-		fmt.Printf("single-request interpreted eval: %v\n", single)
-		fmt.Printf("batch of 1 vectorized:           %v, %.2f ns/instruction\n", one, perInstr(one))
-		fmt.Printf("batch of %d vectorized:          %v total, %v amortized per request (%.1fx), %.2f ns/instruction\n",
-			*batch, batched, amortized, float64(single)/float64(amortized), perInstr(amortized))
+		fmt.Printf("batch of 1 vectorized:  %v, %.2f ns/instruction\n", one, perInstr(one))
+		fmt.Printf("batch of %d vectorized: %v total, %v amortized per request (%.1fx), %.2f ns/instruction\n",
+			*batch, batched, amortized, float64(one)/float64(amortized), perInstr(amortized))
 	}
 
 	if tracer != nil {

@@ -3,7 +3,9 @@ package circuitql
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"circuitql/internal/workload"
@@ -47,22 +49,11 @@ func TestSecureCost(t *testing.T) {
 
 func TestArtifactRoundTripViaFacade(t *testing.T) {
 	cq, _, db := compiledTriangle(t)
-	var buf bytes.Buffer
-	if _, err := cq.WriteArtifact(&buf); err != nil {
-		t.Fatal(err)
-	}
-	art, err := LoadArtifact(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	art := roundTrip(t, cq)
 	if art.Gates() != cq.Stats().Gates || art.Depth() != cq.Stats().Depth {
 		t.Fatal("artifact shape mismatch")
 	}
-	pdb, err := cq.PrepareInputs(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs, err := art.Evaluate(context.Background(), pdb)
+	got, err := art.Evaluate(context.Background(), db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +61,52 @@ func TestArtifactRoundTripViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, rel := range outs {
-		if rel.Equal(want) {
-			found = true
-		}
-	}
-	if !found {
+	if !got.Equal(want) {
 		t.Fatal("loaded artifact does not reproduce the query result")
+	}
+}
+
+// A plan file that fails its checksum is ErrInvalidInput, not a plan.
+func TestLoadArtifactRejectsTamperedFile(t *testing.T) {
+	cq, _, _ := compiledTriangle(t)
+	var buf bytes.Buffer
+	if _, err := cq.WriteArtifact(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	data[len(data)/2] ^= 1
+	if _, err := LoadArtifact(bytes.NewReader(data)); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("err = %v, want ErrInvalidInput", err)
+	}
+}
+
+// Concurrent first evaluations of one CompiledQuery race to compile its
+// vm program; every one of them must still answer RAM's Q(D). Run under
+// -race.
+func TestConcurrentEvaluateOnFreshPlan(t *testing.T) {
+	cq, q, db := compiledTriangle(t)
+	want, err := EvaluateRAM(context.Background(), q, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got, err := cq.Evaluate(context.Background(), db)
+			if err == nil && !got.Equal(want) {
+				err = errors.New("answer differs from RAM")
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("evaluation %d: %v", i, err)
+		}
 	}
 }
 

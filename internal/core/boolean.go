@@ -11,27 +11,22 @@ import (
 	"circuitql/internal/relcircuit"
 )
 
-// BooleanCircuit decides a Boolean conjunctive query: its single-tuple
-// output relation carries 1 iff Q(D) is true. This is the "decision
-// version of relational algebra is in NC" statement the paper opens
-// with, realized at the polymatroid-bound size instead of N^m.
-type BooleanCircuit struct {
-	Query     *query.Query
-	DC        query.DCSet // the constraints it was compiled for
-	Rel       *relcircuit.Circuit
-	RelOutput int
-	Obliv     *ObliviousCircuit
-}
-
-// ResultAttr is the 0/1 answer column of a Boolean circuit's output.
+// ResultAttr is the 0/1 answer column of a Boolean plan's output.
 const ResultAttr = "result"
 
 // CompileBooleanCtx compiles a Boolean CQ (no free variables) into a
 // decision circuit: the full-join PANDA-C circuit followed by a global
-// count and a threshold (count ≥ 1). The output relation always
-// contains exactly one tuple over {result}. See CompileQueryCtx for what
-// ctx governs.
-func CompileBooleanCtx(ctx context.Context, q *query.Query, dcs query.DCSet) (*BooleanCircuit, error) {
+// count and a threshold (count ≥ 1). This is the "decision version of
+// relational algebra is in NC" statement the paper opens with, realized
+// at the polymatroid-bound size instead of N^m.
+//
+// The plan is an ordinary Compiled: Query is the Boolean query, and
+// RelOutput the decision gate, whose output relation holds the single
+// tuple (1) over {ResultAttr} when Q(D) is true and nothing when it is
+// false. It packs, evaluates and decodes like any other plan, because
+// the Boolean query and its full join name their inputs alike. See
+// CompileQueryCtx for what ctx governs.
+func CompileBooleanCtx(ctx context.Context, q *query.Query, dcs query.DCSet) (*Compiled, error) {
 	if !q.IsBoolean() {
 		return nil, fmt.Errorf("core: %s is not a Boolean query", q)
 	}
@@ -55,45 +50,12 @@ func CompileBooleanCtx(ctx context.Context, q *query.Query, dcs query.DCSet) (*B
 	if err != nil {
 		return nil, err
 	}
-	return &BooleanCircuit{Query: q, DC: dcs, Rel: c, RelOutput: out, Obliv: obl}, nil
+	return &Compiled{Query: q, DC: dcs, Rel: c, RelOutput: out, Obliv: obl, Bound: res.Bound}, nil
 }
 
-// DecideCtx evaluates the oblivious decision circuit.
-func (bc *BooleanCircuit) DecideCtx(ctx context.Context, db query.Database) (bool, error) {
-	pdb, err := panda.PrepareDB(bc.Query, db)
-	if err != nil {
-		return false, err
-	}
-	outs, err := bc.Obliv.EvaluateCtx(ctx, pdb)
-	if err != nil {
-		return false, err
-	}
-	r := outs[bc.RelOutput]
-	ok := false
-	r.Each(func(t relation.Tuple) {
-		if t[r.AttrPos(ResultAttr)] != 0 {
-			ok = true
-		}
-	})
-	return ok, nil
-}
-
-// DecideRelational evaluates the relational layer (for checking).
-func (bc *BooleanCircuit) DecideRelational(ctx context.Context, db query.Database, check bool) (bool, error) {
-	pdb, err := panda.PrepareDB(bc.Query, db)
-	if err != nil {
-		return false, err
-	}
-	outs, err := bc.Rel.EvaluateCtx(ctx, pdb, check)
-	if err != nil {
-		return false, err
-	}
-	r := outs[bc.RelOutput]
-	ok := false
-	r.Each(func(t relation.Tuple) {
-		if t[r.AttrPos(ResultAttr)] != 0 {
-			ok = true
-		}
-	})
-	return ok, nil
+// Decided reads a Boolean plan's answer off its output relation.
+func Decided(out *relation.Relation) bool {
+	pos, ok := out.AttrPos(ResultAttr), false
+	out.Each(func(t relation.Tuple) { ok = ok || t[pos] != 0 })
+	return ok
 }

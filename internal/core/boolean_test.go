@@ -9,6 +9,25 @@ import (
 	"circuitql/internal/relation"
 )
 
+// decide runs a Boolean plan through the word-circuit interpreter and,
+// with bound checks on, through its relational layer; the two must
+// agree.
+func decide(t *testing.T, bc *Compiled, db query.Database) bool {
+	t.Helper()
+	out, err := bc.EvaluateObliviousCtx(context.Background(), db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, err := bc.EvaluateRelationalCtx(context.Background(), db, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, rgot := Decided(out), Decided(rel); got != rgot {
+		t.Fatalf("oblivious circuit decides %v, relational circuit %v", got, rgot)
+	}
+	return Decided(out)
+}
+
 func TestBooleanTriangleDecision(t *testing.T) {
 	q := query.BooleanTriangle()
 	dcs := query.Cardinalities(q, 6)
@@ -31,19 +50,8 @@ func TestBooleanTriangleDecision(t *testing.T) {
 		db   query.Database
 		want bool
 	}{{trueDB, true}, {falseDB, false}} {
-		got, err := bc.DecideCtx(context.Background(), tc.db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != tc.want {
-			t.Fatalf("Decide = %v, want %v", got, tc.want)
-		}
-		rgot, err := bc.DecideRelational(context.Background(), tc.db, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rgot != tc.want {
-			t.Fatalf("DecideRelational = %v, want %v", rgot, tc.want)
+		if got := decide(t, bc, tc.db); got != tc.want {
+			t.Fatalf("decision = %v, want %v", got, tc.want)
 		}
 	}
 }
@@ -66,12 +74,8 @@ func TestBooleanDecisionRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := bc.DecideCtx(context.Background(), db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != (ref.Len() > 0) {
-			t.Fatalf("iter %d: Decide = %v, reference %v", iter, got, ref.Len() > 0)
+		if got := decide(t, bc, db); got != (ref.Len() > 0) {
+			t.Fatalf("iter %d: decision = %v, reference %v", iter, got, ref.Len() > 0)
 		}
 	}
 }

@@ -8,11 +8,11 @@ import (
 	"circuitql/internal/boolcircuit"
 )
 
-// Oblivious-circuit artifact serialization: the outsourced-processing
-// scenario ships the compiled circuit (plus its packing metadata) to the
-// evaluating party. Format: a JSON header (input/output specs) preceded
-// by its varint-free fixed-width length line, then the boolcircuit wire
-// format.
+// Oblivious-circuit serialization, the circuit part of a stored plan
+// (internal/store wraps it in the checksummed CQPS envelope with the
+// query and constraint text). Format: a JSON header (input/output specs)
+// preceded by its varint-free fixed-width length line, then the
+// boolcircuit wire format.
 
 type artifactHeader struct {
 	Version int          `json:"version"`
@@ -71,22 +71,54 @@ func ReadObliviousCircuit(r io.Reader) (*ObliviousCircuit, error) {
 		return nil, err
 	}
 	oc := &ObliviousCircuit{C: c, Inputs: h.Inputs, Outputs: h.Outputs}
-	// Cross-check metadata against the circuit shape.
+	// Cross-check metadata against the circuit shape. Each spec must fit
+	// in what is left of the circuit's wires before it is summed, so a
+	// hostile capacity can neither overflow the sums nor point a decode
+	// past the outputs.
 	wires := 0
 	for _, in := range oc.Inputs {
-		wires += in.Capacity * (1 + len(in.Schema))
+		w, ok := specWidth(in.Capacity, in.Schema, c.NumInputs()-wires)
+		if !ok {
+			return nil, fmt.Errorf("core: artifact input %q (capacity %d, schema %q) does not fit the circuit", in.Name, in.Capacity, in.Schema)
+		}
+		wires += w
 	}
 	if wires != c.NumInputs() {
 		return nil, fmt.Errorf("core: artifact metadata expects %d input wires, circuit has %d",
 			wires, c.NumInputs())
 	}
+	// Each output spec must start where lower lays it out: right after
+	// the one before it.
 	outWires := 0
 	for _, o := range oc.Outputs {
-		outWires += o.Capacity * (1 + len(o.Schema))
+		w, ok := specWidth(o.Capacity, o.Schema, len(c.Outputs())-outWires)
+		if !ok || o.Offset != outWires {
+			return nil, fmt.Errorf("core: artifact output of gate %d (offset %d, capacity %d, schema %q) does not fit the circuit from wire %d",
+				o.Gate, o.Offset, o.Capacity, o.Schema, outWires)
+		}
+		outWires += w
 	}
 	if outWires != len(c.Outputs()) {
 		return nil, fmt.Errorf("core: artifact metadata expects %d output wires, circuit has %d",
 			outWires, len(c.Outputs()))
 	}
 	return oc, nil
+}
+
+// specWidth returns the wires a relation of the given capacity and
+// schema lays out, capacity·(1+len(schema)), and whether the spec is
+// sound: at most left wires, over distinct non-empty attribute names
+// (what relation.New demands of a decoded output).
+func specWidth(capacity int, schema []string, left int) (int, bool) {
+	if capacity < 0 || (capacity > 0 && 1+len(schema) > left/capacity) {
+		return 0, false
+	}
+	seen := make(map[string]bool, len(schema))
+	for _, a := range schema {
+		if a == "" || seen[a] {
+			return 0, false
+		}
+		seen[a] = true
+	}
+	return capacity * (1 + len(schema)), true
 }

@@ -107,9 +107,6 @@ func NewProblem(nvars int, sense Sense) *Problem {
 // NumVars returns the number of variables.
 func (p *Problem) NumVars() int { return p.nvars }
 
-// NumRows returns the number of constraints added so far.
-func (p *Problem) NumRows() int { return len(p.rows) }
-
 // SetObjective sets the objective coefficient of variable i.
 func (p *Problem) SetObjective(i int, v *big.Rat) {
 	p.obj[i] = new(big.Rat).Set(v)

@@ -308,7 +308,7 @@ func TestBoolMatchesMultiPassReference(t *testing.T) {
 				t.Fatalf("canonicalize: %v", err)
 			}
 			lowered.C = twoStep
-			want := planSHA(t, canon, &core.Compiled{Rel: fused.Rel, RelOutput: fused.RelOutput, Obliv: lowered})
+			want := planSHA(t, canon, &core.Compiled{Query: fused.Query, DC: fused.DC, Rel: fused.Rel, RelOutput: fused.RelOutput, Obliv: lowered})
 			if got := planSHA(t, canon, fused); got != want {
 				t.Fatalf(".plan SHA-256 %x, lower then BoolCtx gives %x", got, want)
 			}

@@ -76,14 +76,6 @@ func (r Report) WordReduction() float64 {
 	return 1 - float64(r.WordGatesAfter)/float64(r.WordGatesBefore)
 }
 
-// RelReduction returns the fractional relational-gate reduction.
-func (r Report) RelReduction() float64 {
-	if r.RelGatesBefore == 0 {
-		return 0
-	}
-	return 1 - float64(r.RelGatesAfter)/float64(r.RelGatesBefore)
-}
-
 // maxPasses bounds the rewrite→CSE→prune fixpoint loop of Rel and of the
 // test-only multi-pass reference (BoolCtx itself is one pass). Each pass
 // only shrinks the circuit, so the loop terminates on its own; the cap is

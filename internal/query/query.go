@@ -8,7 +8,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -143,9 +142,6 @@ type DegreeConstraint struct {
 	N    float64 // the bound N_{Y|X} ≥ 1, in tuples
 }
 
-// LogN returns n_{Y|X} = log₂ N_{Y|X}.
-func (dc DegreeConstraint) LogN() float64 { return math.Log2(dc.N) }
-
 // IsCardinality reports whether the constraint is a cardinality constraint
 // (X = ∅).
 func (dc DegreeConstraint) IsCardinality() bool { return dc.X.Empty() }
@@ -199,15 +195,6 @@ func Cardinalities(q *Query, n float64) DCSet {
 // Database maps relation names to relations. One relation may guard
 // several atoms (self-joins reuse the name).
 type Database map[string]*relation.Relation
-
-// TotalSize returns N = Σ_F |R_F| over the distinct relations.
-func (db Database) TotalSize() int {
-	n := 0
-	for _, r := range db {
-		n += r.Len()
-	}
-	return n
-}
 
 // AtomRelation returns the relation for atom a with its columns renamed to
 // the atom's variable names (repeated variables are checked for equality

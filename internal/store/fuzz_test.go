@@ -4,19 +4,27 @@ import (
 	"bytes"
 	"testing"
 
+	"circuitql/internal/core"
 	"circuitql/internal/relation"
 )
 
-// FuzzPlanDecode: DecodePlan must never panic on adversarial bytes, and
+// FuzzPlanDecode: DecodePlan must never panic on adversarial bytes,
 // anything it accepts must re-encode deterministically to an artifact
-// that decodes back to the same thing (one-round fixed point).
+// that decodes back to the same thing (one-round fixed point), and its
+// output specs must decode an all-zero output vector of the circuit's
+// width without panicking.
 func FuzzPlanDecode(f *testing.F) {
 	canon, compiled, _ := compileCatalog(f, "triangle")
-	valid, err := EncodePlan(FromCompiled(canon, compiled))
+	art := FromCompiled(canon, compiled)
+	valid, err := EncodePlan(art)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(valid)
+	f.Add(editedOutputs(f, art, func(o *core.OutputSpec) { o.Offset += 1 << 20 }))
+	f.Add(editedOutputs(f, art, func(o *core.OutputSpec) { // a repeated attribute, width unchanged
+		o.Schema = append([]string{o.Schema[0]}, o.Schema[:len(o.Schema)-1]...)
+	}))
 	f.Add([]byte{})
 	f.Add([]byte(planMagic))
 	f.Add(append([]byte(planMagic), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
@@ -46,6 +54,10 @@ func FuzzPlanDecode(f *testing.F) {
 		out2, err := EncodePlan(b)
 		if err != nil || !bytes.Equal(out, out2) {
 			t.Fatalf("re-encoding is not a fixed point (err %v)", err)
+		}
+		plan := &core.Compiled{RelOutput: a.RelOutput, Obliv: a.Obliv}
+		if _, err := plan.DecodeOblivious(make([]int64, len(a.Obliv.C.Outputs()))); err != nil {
+			t.Fatalf("accepted artifact does not decode an all-zero output: %v", err)
 		}
 	})
 }

@@ -40,22 +40,23 @@ const planMagic = "CQPS"
 // clears the largest catalog plan (star3 at bound 6 is ~70 MB).
 const maxPlanBytes = 1 << 30
 
-// PlanArtifact is one persisted plan: the canonical pair it was
-// compiled from (as re-parseable text, so integrity can be verified by
-// re-canonicalizing) and the compiled oblivious circuit with its
-// packing metadata. The relational-circuit layer is not persisted —
-// its gates carry closures (predicates, map expressions) with no wire
-// format — and the engine never evaluates it: a warm-loaded plan is
-// served exactly as a freshly compiled one, by the vm tier and then the
-// RAM tier.
+// PlanArtifact is one persisted plan: the query pair it was compiled
+// on (as re-parseable text, so integrity can be verified by
+// canonicalizing) and the compiled oblivious circuit with its packing
+// metadata. The relational-circuit layer is not persisted — its gates
+// carry closures (predicates, map expressions) with no wire format — and
+// nothing evaluates it: a loaded plan is served exactly as a freshly
+// compiled one, by the vm tier and then the RAM tier.
 type PlanArtifact struct {
 	// FP is the canonical fingerprint the plan is stored under.
 	FP query.Fingerprint
-	// QueryText is the canonical query in datalog syntax
-	// (query.Canonical.Query.String()); parsing and re-canonicalizing
-	// it must reproduce FP.
+	// QueryText is the query the circuit was compiled on, in datalog
+	// syntax (core.Compiled.Query.String()): the canonical query for an
+	// engine plan, the caller's own for a facade artifact. Parsing and
+	// canonicalizing it must reproduce FP.
 	QueryText string
-	// DCText is the canonical constraint set in ParseDC syntax.
+	// DCText is the constraint set the circuit was compiled for, in
+	// ParseDC syntax.
 	DCText string
 	// RelOutput is the relational gate id whose output spec carries the
 	// query answer (core.Compiled.RelOutput).
@@ -89,7 +90,7 @@ type planHeader struct {
 //	magic "CQPS"
 //	uvarint body length, body:
 //	  uvarint header length, header JSON (version, fingerprint,
-//	    canonical query/DC text, rel output, gate charge, wide level)
+//	    compiled-on query/DC text, rel output, gate charge, wide level)
 //	  oblivious-circuit artifact (core.ObliviousCircuit wire format)
 //	SHA-256 of everything preceding it (32 bytes)
 //
@@ -212,39 +213,22 @@ func DecodePlan(data []byte) (*PlanArtifact, error) {
 	return a, nil
 }
 
-// Reparse parses the artifact's canonical query and constraint text and
-// re-canonicalizes them, verifying that the fingerprint the artifact is
+// Reparse parses the artifact's query and constraint text and
+// canonicalizes them, verifying that the fingerprint the artifact is
 // stored under is the fingerprint of the pair it claims to hold. This
 // is the store's semantic integrity check (the checksum only covers
 // bytes): a decoder bug, a hand-edited artifact, or a fingerprint
 // algorithm change all surface here instead of serving wrong plans.
 func (a *PlanArtifact) Reparse() (*query.Canonical, error) {
-	q, err := query.Parse(a.QueryText)
-	if err != nil {
-		return nil, fmt.Errorf("store: artifact query %q: %w", a.QueryText, err)
-	}
-	var dcs query.DCSet
-	if a.DCText != "" {
-		dcs, err = query.ParseDC(q, a.DCText)
-		if err != nil {
-			return nil, fmt.Errorf("store: artifact constraints %q: %w", a.DCText, err)
-		}
-	}
-	canon, err := query.Canonicalize(q, dcs)
-	if err != nil {
-		return nil, fmt.Errorf("store: artifact canonicalization: %w", err)
-	}
-	if canon.FP != a.FP {
-		return nil, fmt.Errorf("store: artifact fingerprint %s does not match its query pair (canonicalizes to %s)",
-			a.FP.Short(), canon.FP.Short())
-	}
-	return canon, nil
+	_, canon, err := a.Compiled()
+	return canon, err
 }
 
-// FromCompiled builds the persistable artifact for a compiled canonical
-// plan. canon must be the canonical pair compiled (the engine compiles
-// canon.Query against canon.DCs), so its text round-trips to the same
-// fingerprint.
+// FromCompiled builds the persistable artifact for a compiled plan.
+// canon must be the canonical form of the pair compiled
+// (query.Canonicalize(compiled.Query, compiled.DC)); the header text is
+// the compiled-on pair itself, which for an engine plan, compiled on
+// canon.Query against canon.DCs, is the canonical text.
 func FromCompiled(canon *query.Canonical, compiled *core.Compiled) *PlanArtifact {
 	gates := int64(compiled.Rel.Size() + compiled.Obliv.C.Size())
 	if gates < 1 {
@@ -258,8 +242,8 @@ func FromCompiled(canon *query.Canonical, compiled *core.Compiled) *PlanArtifact
 	}
 	return &PlanArtifact{
 		FP:        canon.FP,
-		QueryText: canon.Query.String(),
-		DCText:    query.FormatDC(canon.Query, canon.DCs),
+		QueryText: compiled.Query.String(),
+		DCText:    query.FormatDC(compiled.Query, compiled.DC),
 		RelOutput: compiled.RelOutput,
 		Gates:     gates,
 		WideLevel: wide,
@@ -268,20 +252,31 @@ func FromCompiled(canon *query.Canonical, compiled *core.Compiled) *PlanArtifact
 }
 
 // Compiled reassembles an evaluable core.Compiled from the artifact:
-// the canonical query and constraints are re-parsed and verified
-// against the fingerprint, and the oblivious circuit is wired back up.
-// The relational layer (Rel) is nil — see PlanArtifact.
+// the header's query and constraints are parsed, verified against the
+// fingerprint (see Reparse), and wired back up to the oblivious circuit
+// compiled on them. The relational layer (Rel) is nil — see
+// PlanArtifact.
 func (a *PlanArtifact) Compiled() (*core.Compiled, *query.Canonical, error) {
-	canon, err := a.Reparse()
+	q, err := query.Parse(a.QueryText)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("store: artifact query %q: %w", a.QueryText, err)
 	}
-	return &core.Compiled{
-		Query:     canon.Query,
-		DC:        canon.DCs,
-		RelOutput: a.RelOutput,
-		Obliv:     a.Obliv,
-	}, canon, nil
+	var dcs query.DCSet
+	if a.DCText != "" {
+		dcs, err = query.ParseDC(q, a.DCText)
+		if err != nil {
+			return nil, nil, fmt.Errorf("store: artifact constraints %q: %w", a.DCText, err)
+		}
+	}
+	canon, err := query.Canonicalize(q, dcs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("store: artifact canonicalization: %w", err)
+	}
+	if canon.FP != a.FP {
+		return nil, nil, fmt.Errorf("store: artifact fingerprint %s does not match its query pair (canonicalizes to %s)",
+			a.FP.Short(), canon.FP.Short())
+	}
+	return &core.Compiled{Query: q, DC: dcs, RelOutput: a.RelOutput, Obliv: a.Obliv}, canon, nil
 }
 
 // parseFingerprint decodes the hex fingerprint of a plan header.

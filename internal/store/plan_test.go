@@ -166,3 +166,33 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		t.Fatal("empty input decoded")
 	}
 }
+
+// TestDecodeRejectsOutputOffsetsPastTheCircuit: a plan whose output
+// specs point past the circuit's outputs — re-encoded, so the checksum
+// is good, as it is on a hand-edited file — must fail DecodePlan rather
+// than slice out of range when it is evaluated.
+func TestDecodeRejectsOutputOffsetsPastTheCircuit(t *testing.T) {
+	canon, compiled, _ := compileCatalog(t, "triangle")
+	data := editedOutputs(t, FromCompiled(canon, compiled), func(o *core.OutputSpec) { o.Offset += 1 << 20 })
+	if _, err := DecodePlan(data); err == nil {
+		t.Fatal("DecodePlan accepted output specs that start past the circuit's outputs")
+	}
+}
+
+// editedOutputs encodes a with every output spec passed through edit,
+// leaving a itself untouched.
+func editedOutputs(t testing.TB, a *PlanArtifact, edit func(*core.OutputSpec)) []byte {
+	t.Helper()
+	obliv := *a.Obliv
+	obliv.Outputs = append([]core.OutputSpec(nil), obliv.Outputs...)
+	for i := range obliv.Outputs {
+		edit(&obliv.Outputs[i])
+	}
+	edited := *a
+	edited.Obliv = &obliv
+	data, err := EncodePlan(&edited)
+	if err != nil {
+		t.Fatalf("EncodePlan: %v", err)
+	}
+	return data
+}

@@ -227,15 +227,6 @@ func (p *Plan) EvaluateRAMCtx(ctx context.Context, db query.Database) (*relation
 	return root.rel, nil
 }
 
-// CountRAM returns |Q(D)| by the reference algorithm.
-func (p *Plan) CountRAM(ctx context.Context, db query.Database) (int, error) {
-	out, err := p.EvaluateRAMCtx(ctx, db)
-	if err != nil {
-		return 0, err
-	}
-	return out.Len(), nil
-}
-
 // --- circuit construction -------------------------------------------------
 
 // buildBags compiles the PANDA-C bag subcircuits over shared inputs

@@ -90,7 +90,7 @@ func TestCompileSpanChildrenCoverWallTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	roots = tracer.Last(0)
-	if roots[0].Name != obs.StageBoolEval {
-		t.Fatalf("latest root = %q, want %q", roots[0].Name, obs.StageBoolEval)
+	if roots[0].Name != obs.StageVMEval {
+		t.Fatalf("latest root = %q, want %q", roots[0].Name, obs.StageVMEval)
 	}
 }

@@ -310,6 +310,10 @@ func oracleCompiled(t *testing.T, row oracleRow, dbs []Database, wants []*Relati
 		if err != nil {
 			t.Fatalf("vm compile (opt): %v", err)
 		}
+		// The artifact cell: the optimized plan, compiled on the row's
+		// own query rather than its canonical one, written as a plan file
+		// and loaded back.
+		art := roundTrip(t, opt)
 
 		for _, s := range p.seeds {
 			db, want := dbs[s], wants[s]
@@ -317,14 +321,19 @@ func oracleCompiled(t *testing.T, row oracleRow, dbs []Database, wants []*Relati
 			checkCell(t, s, "relational", want, got, err)
 			got, err = opt.EvaluateRelational(ctx, db, true)
 			checkCell(t, s, "opt-relational", want, got, err)
-			got, err = raw.Evaluate(ctx, db)
+			// The interpreter cells call core's word-circuit interpreter:
+			// Evaluate runs the vm, and the matrix keeps one evaluator
+			// that does not.
+			got, err = raw.inner.EvaluateObliviousCtx(ctx, db)
 			checkCell(t, s, "interpreter", want, got, err)
-			got, err = opt.Evaluate(ctx, db)
+			got, err = opt.inner.EvaluateObliviousCtx(ctx, db)
 			checkCell(t, s, "opt-interpreter", want, got, err)
 			got, err = evalOne(ctx, rawVM, db)
 			checkCell(t, s, "vm", want, got, err)
 			got, err = evalOne(ctx, optVM, db)
 			checkCell(t, s, "opt-vm", want, got, err)
+			got, err = art.Evaluate(ctx, db)
+			checkCell(t, s, "artifact", want, got, err)
 
 			// The engine's first serve of a plan misses; a repeat hits.
 			first := eng.Serve(ctx, q, p.dcs, db)
@@ -394,7 +403,7 @@ func storeCell(t *testing.T, dir string, served map[Fingerprint][]int, dbs []Dat
 			if err != nil {
 				t.Fatalf("seed %d: RAM on the canonical query: %v", s+1, err)
 			}
-			got, err := reloaded.Evaluate(ctx, dbs[s])
+			got, err := warm.EvaluateObliviousCtx(ctx, dbs[s])
 			checkCell(t, s, "store-interpreter", want, got, err)
 			got, err = evalOne(ctx, prog, dbs[s])
 			checkCell(t, s, "store-vm", want, got, err)
@@ -439,7 +448,7 @@ func TestDifferentialStoreRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: RAM on the canonical query: %v", s+1, err)
 				}
-				got, err := (&CompiledQuery{inner: fresh}).Evaluate(ctx, db)
+				got, err := fresh.EvaluateObliviousCtx(ctx, db)
 				checkCell(t, s, "fresh-interpreter", want, got, err)
 			}
 			storeCell(t, dir, map[Fingerprint][]int{canon.FP: seeds}, dbs)

@@ -50,13 +50,11 @@ var (
 // errors.As; it matches ErrOverloaded under errors.Is.
 type OverloadError = guard.OverloadError
 
-// Evaluation tier names, in degradation order. TierVM and TierRAM are
-// the engine's ladder (ServeResult.Tier); EvaluateResilient's ladder is
-// oblivious → RAM, its circuit rung the word-circuit interpreter.
+// Evaluation tier names, in degradation order: the engine's ladder
+// (ServeResult.Tier) and EvaluateResilient's are both vm → RAM.
 const (
-	TierVM        = engine.TierVM
-	TierOblivious = "oblivious"
-	TierRAM       = engine.TierRAM
+	TierVM  = engine.TierVM
+	TierRAM = engine.TierRAM
 )
 
 // TierAttempt records one tier's outcome, in a TierReport or a
@@ -88,18 +86,18 @@ func (r *TierReport) String() string {
 }
 
 // EvaluateResilient evaluates the query with tiered degradation: the
-// oblivious circuit first, the reference RAM evaluator if it fails.
-// Both compute the same Q(D), so a fault in the circuit degrades the
-// execution strategy, never the answer. Each tier runs under its own
-// panic containment; the report records every attempt. When the
-// context itself is dead (canceled or past its deadline) the RAM tier
-// is skipped — it would fail the same way — and the first error is
-// returned.
+// oblivious circuit on the vm first (as Evaluate runs it), the
+// reference RAM evaluator if it fails. Both compute the same Q(D), so a
+// fault in the circuit degrades the execution strategy, never the
+// answer. Each tier runs under its own panic containment; the report
+// records every attempt. When the context itself is dead (canceled or
+// past its deadline) the RAM tier is skipped — it would fail the same
+// way — and the first error is returned.
 //
-// With a deadline on ctx, the oblivious tier runs under half of the
-// remaining wall clock, so a stuck circuit exhausts only its share and
-// the RAM fallback still gets its turn; the RAM tier runs under the
-// request context itself.
+// With a deadline on ctx, the vm tier runs under half of the remaining
+// wall clock, its first-use compile included, so a stuck circuit
+// exhausts only its share and the RAM fallback still gets its turn; the
+// RAM tier runs under the request context itself.
 //
 // The TierReport is the call's only record: nothing is counted process
 // wide. When ctx carries an obs tracer each attempt is also a
@@ -116,9 +114,9 @@ func (c *CompiledQuery) EvaluateResilient(ctx context.Context, db Database) (*Re
 		name string
 		run  func(ctx context.Context) (*Relation, error)
 	}{
-		{TierOblivious, func(ctx context.Context) (out *Relation, err error) {
+		{TierVM, func(ctx context.Context) (out *Relation, err error) {
 			defer guard.Recover(&err)
-			return c.inner.EvaluateObliviousCtx(ctx, db)
+			return c.evaluate(ctx, db)
 		}},
 		{TierRAM, func(ctx context.Context) (out *Relation, err error) {
 			defer guard.Recover(&err)

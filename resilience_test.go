@@ -118,8 +118,8 @@ func TestEvaluateResilientServesObliviousWhenHealthy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.Served != TierOblivious {
-		t.Fatalf("served = %q, want %q (report: %s)", report.Served, TierOblivious, report)
+	if report.Served != TierVM {
+		t.Fatalf("served = %q, want %q (report: %s)", report.Served, TierVM, report)
 	}
 	if len(report.Attempts) != 1 || report.Attempts[0].Err != nil {
 		t.Fatalf("attempts = %+v", report.Attempts)
@@ -145,11 +145,11 @@ func TestEvaluateResilientDegradesToRAM(t *testing.T) {
 	if report.Served != TierRAM {
 		t.Fatalf("served = %q, want %q (report: %s)", report.Served, TierRAM, report)
 	}
-	if len(report.Attempts) != 2 || report.Attempts[0].Tier != TierOblivious || report.Attempts[1].Tier != TierRAM {
-		t.Fatalf("attempts = %+v, want [oblivious ram]", report.Attempts)
+	if len(report.Attempts) != 2 || report.Attempts[0].Tier != TierVM || report.Attempts[1].Tier != TierRAM {
+		t.Fatalf("attempts = %+v, want [vm ram]", report.Attempts)
 	}
 	if !errors.Is(report.Attempts[0].Err, faultinject.ErrInjected) {
-		t.Fatalf("oblivious attempt error = %v, want injected", report.Attempts[0].Err)
+		t.Fatalf("vm attempt error = %v, want injected", report.Attempts[0].Err)
 	}
 	want, err := EvaluateRAM(context.Background(), q, db)
 	if err != nil {
@@ -284,18 +284,7 @@ func blockingEntryPoints(t *testing.T) []entryPoint {
 	q, _, db, cq := triangleSetup(t)
 	hardQ, hardDCs := pathologicalQuery(t)
 
-	var buf bytes.Buffer
-	if _, err := cq.WriteArtifact(&buf); err != nil {
-		t.Fatal(err)
-	}
-	art, err := LoadArtifact(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pdb, err := cq.PrepareInputs(db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	art := roundTrip(t, cq)
 	prog, err := cq.CompileVM(bg)
 	if err != nil {
 		t.Fatal(err)
@@ -342,6 +331,7 @@ func blockingEntryPoints(t *testing.T) []entryPoint {
 	if err != nil {
 		t.Fatal(err)
 	}
+	vart := roundTrip(t, vcq)
 	vpathQ := mustParse(t, "Q(A,C) :- R(A,B), S(B,C)")
 	vosq, err := OutputSensitive(bg, vpathQ, mustConstraints(t, vpathQ, "R <= 4; S <= 4; S|B <= 1"))
 	if err != nil {
@@ -410,9 +400,8 @@ func blockingEntryPoints(t *testing.T) []entryPoint {
 				}
 				return same(outs[0], nil)
 			}},
-		// An artifact evaluates prepared inputs and carries no constraint
-		// set to validate them against; it has no violated-DC case.
-		{"Artifact.Evaluate", true, func(ctx context.Context) error { _, err := art.Evaluate(ctx, pdb); return err }, nil},
+		{"Artifact.Evaluate", true, func(ctx context.Context) error { _, err := art.Evaluate(ctx, db); return err },
+			func(ctx context.Context) (bool, error) { return same(vart.Evaluate(ctx, vdb)) }},
 		{"BooleanQuery.Decide", true, func(ctx context.Context) error { _, err := bq.Decide(ctx, boolDB); return err },
 			func(ctx context.Context) (bool, error) {
 				ok, err := vbq.Decide(ctx, vboolDB)
@@ -499,6 +488,20 @@ func TestEveryEvaluatingEntryPointRejectsViolatedDCs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// roundTrip writes cq's plan file and loads it back.
+func roundTrip(t *testing.T, cq *CompiledQuery) *Artifact {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := cq.WriteArtifact(&buf); err != nil {
+		t.Fatal(err)
+	}
+	art, err := LoadArtifact(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return art
 }
 
 func mustParse(t *testing.T, src string) *Query {

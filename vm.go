@@ -1,5 +1,7 @@
-// Batched-serving facade: compile a query's oblivious circuit once into
-// a vectorized program and evaluate many databases in lock-step.
+// The facade's one circuit evaluator: compile a query's oblivious
+// circuit once into a vectorized program and evaluate databases through
+// it — many in lock-step (EvalBatch), or one, as every Evaluate,
+// EvaluateResilient, Decide and Artifact.Evaluate does.
 //
 // The paper's circuits are data independent, so the per-gate decode
 // work (operand lookup, opcode dispatch) is identical for every
@@ -75,11 +77,19 @@ func (p *VMProgram) Runs() int { return p.prog.Runs() }
 // any Budget on ctx apply to the whole batch.
 func (p *VMProgram) EvalBatch(ctx context.Context, dbs []Database) (_ []*Relation, err error) {
 	defer guard.Recover(&err)
-	inputs := make([][]vm.Word, len(dbs))
 	for i, db := range dbs {
 		if err := query.ValidateDB(p.inner.Query, p.inner.DC, db); err != nil {
 			return nil, fmt.Errorf("circuitql: batch database %d: %w", i, err)
 		}
+	}
+	return p.run(ctx, dbs)
+}
+
+// run packs validated databases, evaluates them in one batch and
+// decodes each lane's answer.
+func (p *VMProgram) run(ctx context.Context, dbs []Database) ([]*Relation, error) {
+	inputs := make([][]vm.Word, len(dbs))
+	for i, db := range dbs {
 		in, err := p.inner.PackOblivious(db)
 		if err != nil {
 			return nil, err
@@ -99,4 +109,25 @@ func (p *VMProgram) EvalBatch(ctx context.Context, dbs []Database) (_ []*Relatio
 		outs[i] = out
 	}
 	return outs, nil
+}
+
+// evaluate runs db, already validated, on the program CompileVM would
+// build, as a batch of one. The first call compiles it; a failed compile
+// — on its caller's deadline, say — is not kept, and the next call
+// compiles again.
+func (c *CompiledQuery) evaluate(ctx context.Context, db Database) (*Relation, error) {
+	p := c.prog.Load()
+	if p == nil {
+		fresh, err := c.CompileVM(ctx)
+		if err != nil {
+			return nil, err
+		}
+		c.prog.CompareAndSwap(nil, fresh) // a concurrent first call may have won
+		p = c.prog.Load()
+	}
+	outs, err := p.run(ctx, []Database{db})
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
 }

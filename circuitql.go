@@ -52,7 +52,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sync/atomic"
 
 	"circuitql/internal/bitblast"
 	"circuitql/internal/bound"
@@ -118,17 +117,30 @@ func EvaluateRAM(ctx context.Context, q *Query, db Database) (out *Relation, err
 // full conjunctive query (Theorems 3-4). It is safe for concurrent use.
 type CompiledQuery struct {
 	inner *core.Compiled
-	prog  atomic.Pointer[VMProgram] // the program Evaluate runs, once compiled
+	prog  *VMProgram // the program every evaluation runs
+}
+
+// newCompiledQuery pairs a compiled plan with its vm program (see
+// CompileVM), compiled under ctx.
+func newCompiledQuery(ctx context.Context, inner *core.Compiled) (*CompiledQuery, error) {
+	c := &CompiledQuery{inner: inner}
+	prog, err := c.CompileVM(ctx)
+	if err != nil {
+		return nil, err
+	}
+	c.prog = prog
+	return c, nil
 }
 
 // Compile builds the PANDA-C relational circuit and its oblivious
 // lowering for a full CQ under the given constraints, then runs the
 // internal/opt optimizer passes (CSE, constant/empty propagation,
-// dead-gate elimination, level recompaction) over both layers. The exact
-// LPs, the proof-sequence search, and both circuit-construction layers
-// poll ctx and respect any Budget it carries: a pathological query under
-// a tight deadline or gate cap returns ErrBudgetExceeded instead of
-// hanging.
+// dead-gate elimination, level recompaction) over both layers, and
+// lowers the oblivious circuit to the vm program Evaluate runs. The exact
+// LPs, the proof-sequence search, both circuit-construction layers and
+// the vm lowering poll ctx and respect any Budget it carries: a
+// pathological query under a tight deadline or gate cap returns
+// ErrBudgetExceeded instead of hanging.
 func Compile(ctx context.Context, q *Query, dcs DCSet) (*CompiledQuery, error) {
 	return CompileOpts(ctx, q, dcs, CompileOptions{})
 }
@@ -148,7 +160,7 @@ func CompileOpts(ctx context.Context, q *Query, dcs DCSet, opts CompileOptions) 
 	if err != nil {
 		return nil, err
 	}
-	return &CompiledQuery{inner: inner}, nil
+	return newCompiledQuery(ctx, inner)
 }
 
 // OptimizerReport returns the optimizer's before/after sizes, or nil
@@ -160,15 +172,14 @@ func (c *CompiledQuery) OptimizerReport() *OptReport { return c.inner.Opt }
 // was compiled for. The database is validated upfront against the query
 // and the compiled constraint set (missing relations, arity mismatches,
 // cardinality or degree overruns surface as ErrInvalidInput before any
-// circuit work starts). The circuit runs on the vm, as the serving
-// engine runs it: the first evaluation compiles the program (see
-// CompileVM), every later one reuses it.
+// circuit work starts). The circuit runs on the vm program compiled with
+// the plan, as the serving engine runs it.
 func (c *CompiledQuery) Evaluate(ctx context.Context, db Database) (out *Relation, err error) {
 	defer guard.Recover(&err)
 	if err := query.ValidateDB(c.inner.Query, c.inner.DC, db); err != nil {
 		return nil, err
 	}
-	return c.evaluate(ctx, db)
+	return c.prog.evaluate(ctx, db)
 }
 
 // EvaluateRelational runs the relational-circuit layer (faster; same
@@ -282,15 +293,14 @@ func (c *CompiledQuery) WriteArtifact(w io.Writer) (_ int64, err error) {
 type Artifact struct{ cq *CompiledQuery }
 
 // LoadArtifact reads a plan file written by WriteArtifact or the
-// engine's store. A file that fails its checksum or whose fingerprint
-// is not its query pair's is ErrInvalidInput.
-func LoadArtifact(r io.Reader) (_ *Artifact, err error) {
+// engine's store and compiles its vm program under ctx (see CompileVM).
+// A file that cannot be read, fails its checksum, or whose fingerprint
+// is not its query pair's is ErrInvalidInput. The read stops where the
+// file's envelope says it ends, so an oversized or endless stream fails
+// instead of filling memory.
+func LoadArtifact(ctx context.Context, r io.Reader) (_ *Artifact, err error) {
 	defer guard.Recover(&err)
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("circuitql: reading artifact: %w", err)
-	}
-	a, err := store.DecodePlan(data)
+	a, err := store.ReadPlan(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: circuitql: %w", ErrInvalidInput, err)
 	}
@@ -298,7 +308,11 @@ func LoadArtifact(r io.Reader) (_ *Artifact, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: circuitql: %w", ErrInvalidInput, err)
 	}
-	return &Artifact{&CompiledQuery{inner: inner}}, nil
+	cq, err := newCompiledQuery(ctx, inner)
+	if err != nil {
+		return nil, err
+	}
+	return &Artifact{cq}, nil
 }
 
 // Evaluate runs the loaded circuit on db, as CompiledQuery.Evaluate
@@ -340,7 +354,11 @@ func CompileBoolean(ctx context.Context, q *Query, dcs DCSet) (bq *BooleanQuery,
 	if err != nil {
 		return nil, err
 	}
-	return &BooleanQuery{&CompiledQuery{inner: bc}}, nil
+	cq, err := newCompiledQuery(ctx, bc)
+	if err != nil {
+		return nil, err
+	}
+	return &BooleanQuery{cq}, nil
 }
 
 // Decide evaluates the decision circuit on db as CompiledQuery.Evaluate

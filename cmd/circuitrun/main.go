@@ -158,7 +158,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("oblivious circuit:  %d tuples in %v (vm, its compile included)\n", out.Len(), time.Since(start))
+		fmt.Printf("oblivious circuit:  %d tuples in %v (vm)\n", out.Len(), time.Since(start))
 		if !out.Equal(want) {
 			log.Fatal("oblivious circuit result DIFFERS from reference")
 		}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"circuitql/internal/workload"
 )
@@ -75,14 +77,28 @@ func TestLoadArtifactRejectsTamperedFile(t *testing.T) {
 	}
 	data := buf.Bytes()
 	data[len(data)/2] ^= 1
-	if _, err := LoadArtifact(bytes.NewReader(data)); !errors.Is(err, ErrInvalidInput) {
+	if _, err := LoadArtifact(context.Background(), bytes.NewReader(data)); !errors.Is(err, ErrInvalidInput) {
 		t.Fatalf("err = %v, want ErrInvalidInput", err)
 	}
 }
 
-// Concurrent first evaluations of one CompiledQuery race to compile its
-// vm program; every one of them must still answer RAM's Q(D). Run under
-// -race.
+// LoadArtifact compiles the plan's vm program under its ctx, so a
+// canceled one fails the load with ErrCanceled.
+func TestLoadArtifactHonorsCancellation(t *testing.T) {
+	cq, _, _ := compiledTriangle(t)
+	var buf bytes.Buffer
+	if _, err := cq.WriteArtifact(&buf); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := LoadArtifact(ctx, &buf); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+}
+
+// Concurrent first evaluations of one fresh CompiledQuery share its vm
+// program; every one of them must answer RAM's Q(D). Run under -race.
 func TestConcurrentEvaluateOnFreshPlan(t *testing.T) {
 	cq, q, db := compiledTriangle(t)
 	want, err := EvaluateRAM(context.Background(), q, db)
@@ -108,6 +124,45 @@ func TestConcurrentEvaluateOnFreshPlan(t *testing.T) {
 			t.Errorf("evaluation %d: %v", i, err)
 		}
 	}
+}
+
+// TestFirstEvaluateMeetsADeadlineShorterThanTheVMCompile: the vm
+// program is compiled with the plan, so the first Evaluate of a fresh
+// CompiledQuery does evaluation work only, and a deadline that a vm
+// compile would miss but an evaluation meets is served.
+func TestFirstEvaluateMeetsADeadlineShorterThanTheVMCompile(t *testing.T) {
+	probe, _, db := compiledTriangle(t)
+	ctx := context.Background()
+	fastest := func(runs int, f func() error) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < runs; i++ {
+			start := time.Now()
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(start); d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	compile := fastest(3, func() error { _, err := probe.CompileVM(ctx); return err })
+	eval := fastest(5, func() error { _, err := probe.Evaluate(ctx, db); return err })
+	if compile < 8*eval {
+		t.Skipf("a vm compile (%v) is not well above an evaluation (%v) here", compile, eval)
+	}
+	deadline := compile / 2
+	var err error
+	for attempt := 0; attempt < 3; attempt++ {
+		cq, _, _ := compiledTriangle(t)
+		dctx, cancel := context.WithTimeout(ctx, deadline)
+		_, err = cq.Evaluate(dctx, db)
+		cancel()
+		if err == nil {
+			return
+		}
+	}
+	t.Fatalf("first Evaluate under a %v deadline (vm compile %v, evaluation %v): %v", deadline, compile, eval, err)
 }
 
 func TestWriteDotFacade(t *testing.T) {

@@ -8,7 +8,8 @@ import (
 	"circuitql/internal/relation"
 )
 
-// FuzzPlanDecode: DecodePlan must never panic on adversarial bytes,
+// FuzzPlanDecode: DecodePlan must never panic on adversarial bytes and
+// must accept exactly what ReadPlan accepts from a stream of them;
 // anything it accepts must re-encode deterministically to an artifact
 // that decodes back to the same thing (one-round fixed point), and its
 // output specs must decode an all-zero output vector of the circuit's
@@ -21,10 +22,12 @@ func FuzzPlanDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
-	f.Add(editedOutputs(f, art, func(o *core.OutputSpec) { o.Offset += 1 << 20 }))
-	f.Add(editedOutputs(f, art, func(o *core.OutputSpec) { // a repeated attribute, width unchanged
+	f.Add(editedPlan(f, art, shiftOutputs))
+	f.Add(editedPlan(f, art, func(oc *core.ObliviousCircuit) { // a repeated attribute, width unchanged
+		o := &oc.Outputs[0]
 		o.Schema = append([]string{o.Schema[0]}, o.Schema[:len(o.Schema)-1]...)
 	}))
+	f.Add(editedPlan(f, art, repeatInputAttribute))
 	f.Add([]byte{})
 	f.Add([]byte(planMagic))
 	f.Add(append([]byte(planMagic), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
@@ -36,6 +39,9 @@ func FuzzPlanDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := DecodePlan(data)
+		if _, rerr := ReadPlan(bytes.NewReader(data)); (rerr == nil) != (err == nil) {
+			t.Fatalf("ReadPlan and DecodePlan disagree: %v vs %v", rerr, err)
+		}
 		if err != nil {
 			return
 		}

@@ -64,7 +64,7 @@ func TestGoldenPlanFormat(t *testing.T) {
 		t.Fatalf("encoder output for the golden plan changed (%d vs %d bytes) without a PlanFormatVersion bump",
 			len(back), len(data))
 	}
-	if _, err := a.Reparse(); err != nil {
+	if _, _, err := a.Compiled(); err != nil {
 		t.Fatalf("golden plan fails the semantic fingerprint check: %v", err)
 	}
 	if PlanFormatVersion != 1 {

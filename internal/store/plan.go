@@ -14,12 +14,15 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	"circuitql/internal/core"
 	"circuitql/internal/guard"
@@ -213,15 +216,29 @@ func DecodePlan(data []byte) (*PlanArtifact, error) {
 	return a, nil
 }
 
-// Reparse parses the artifact's query and constraint text and
-// canonicalizes them, verifying that the fingerprint the artifact is
-// stored under is the fingerprint of the pair it claims to hold. This
-// is the store's semantic integrity check (the checksum only covers
-// bytes): a decoder bug, a hand-edited artifact, or a fingerprint
-// algorithm change all surface here instead of serving wrong plans.
-func (a *PlanArtifact) Reparse() (*query.Canonical, error) {
-	_, canon, err := a.Compiled()
-	return canon, err
+// ReadPlan reads one plan artifact from r and decodes it as DecodePlan
+// does. It reads no further than the length its envelope declares, so a
+// stream that runs past its envelope, or declares more than
+// maxPlanBytes, fails without being read into memory.
+func ReadPlan(r io.Reader) (*PlanArtifact, error) {
+	br := bufio.NewReader(r)
+	prefix, err := br.Peek(len(planMagic) + binary.MaxVarintLen64)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, fmt.Errorf("store: reading plan: %w", err)
+	}
+	bodyLen, n := binary.Uvarint(prefix[min(len(prefix), len(planMagic)):])
+	if !bytes.HasPrefix(prefix, []byte(planMagic)) || n <= 0 || bodyLen > maxPlanBytes {
+		return nil, fmt.Errorf("store: stream does not open with a plan envelope")
+	}
+	size := int64(len(planMagic)+n) + int64(bodyLen) + sha256.Size
+	data, err := io.ReadAll(io.LimitReader(br, size+1))
+	if err != nil {
+		return nil, fmt.Errorf("store: reading plan: %w", err)
+	}
+	if int64(len(data)) > size {
+		return nil, fmt.Errorf("store: plan stream runs past its %d-byte envelope", size)
+	}
+	return DecodePlan(data)
 }
 
 // FromCompiled builds the persistable artifact for a compiled plan.
@@ -252,10 +269,13 @@ func FromCompiled(canon *query.Canonical, compiled *core.Compiled) *PlanArtifact
 }
 
 // Compiled reassembles an evaluable core.Compiled from the artifact:
-// the header's query and constraints are parsed, verified against the
-// fingerprint (see Reparse), and wired back up to the oblivious circuit
-// compiled on them. The relational layer (Rel) is nil — see
-// PlanArtifact.
+// the header's query and constraints are parsed, canonicalized and
+// verified against the fingerprint the artifact is stored under, then
+// wired back up to the oblivious circuit compiled on them. The
+// relational layer (Rel) is nil — see PlanArtifact. The fingerprint
+// check is the store's semantic integrity check (the checksum only
+// covers bytes): a decoder bug, a hand-edited artifact, or a fingerprint
+// algorithm change all surface here instead of serving wrong plans.
 func (a *PlanArtifact) Compiled() (*core.Compiled, *query.Canonical, error) {
 	q, err := query.Parse(a.QueryText)
 	if err != nil {

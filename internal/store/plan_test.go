@@ -3,6 +3,9 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"io"
+	"math"
 	"testing"
 
 	"circuitql/internal/core"
@@ -74,9 +77,9 @@ func TestPlanRoundTrip(t *testing.T) {
 
 		// The canonical pair the engine compiles must round-trip through
 		// text to the same fingerprint the artifact is stored under.
-		recanon, err := back.Reparse()
+		_, recanon, err := back.Compiled()
 		if err != nil {
-			t.Fatalf("%s: Reparse: %v", name, err)
+			t.Fatalf("%s: Compiled: %v", name, err)
 		}
 		if recanon.FP != canon.FP {
 			t.Fatalf("%s: reparsed fingerprint %s, want %s", name, recanon.FP.Short(), canon.FP.Short())
@@ -110,7 +113,7 @@ func TestPlanRoundTrip(t *testing.T) {
 // TestCanonicalTextFixedPoint: for every catalog query, parsing the
 // canonical text (query and constraints) and re-canonicalizing
 // reproduces the same fingerprint. The store's integrity check
-// (Reparse) and its key scheme both stand on this invariant.
+// (PlanArtifact.Compiled) and its key scheme both stand on this invariant.
 func TestCanonicalTextFixedPoint(t *testing.T) {
 	for _, ent := range query.Catalog() {
 		db := workload.ForQuery(ent.Query, 1, 5)
@@ -127,7 +130,7 @@ func TestCanonicalTextFixedPoint(t *testing.T) {
 			QueryText: canon.Query.String(),
 			DCText:    query.FormatDC(canon.Query, canon.DCs),
 		}
-		recanon, err := a.Reparse()
+		_, recanon, err := a.Compiled()
 		if err != nil {
 			t.Fatalf("%s: canonical text does not reparse: %v", ent.Name, err)
 		}
@@ -173,21 +176,90 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // than slice out of range when it is evaluated.
 func TestDecodeRejectsOutputOffsetsPastTheCircuit(t *testing.T) {
 	canon, compiled, _ := compileCatalog(t, "triangle")
-	data := editedOutputs(t, FromCompiled(canon, compiled), func(o *core.OutputSpec) { o.Offset += 1 << 20 })
+	data := editedPlan(t, FromCompiled(canon, compiled), shiftOutputs)
 	if _, err := DecodePlan(data); err == nil {
 		t.Fatal("DecodePlan accepted output specs that start past the circuit's outputs")
 	}
 }
 
-// editedOutputs encodes a with every output spec passed through edit,
-// leaving a itself untouched.
-func editedOutputs(t testing.TB, a *PlanArtifact, edit func(*core.OutputSpec)) []byte {
+// TestDecodeRejectsUnsoundInputSpecs: input specs that keep the total
+// input width the circuit has but cannot be packed must fail DecodePlan.
+// A repeated attribute keeps every spec's width; capacities that wrap
+// the width sum back to the circuit's input count keep the total.
+func TestDecodeRejectsUnsoundInputSpecs(t *testing.T) {
+	canon, compiled, _ := compileCatalog(t, "triangle")
+	art := FromCompiled(canon, compiled)
+	if n := len(art.Obliv.Inputs); n != 3 {
+		t.Fatalf("triangle plan has %d input specs, the wrap below needs 3", n)
+	}
+	for name, edit := range map[string]func(*core.ObliviousCircuit){
+		"repeated attribute": repeatInputAttribute,
+		"wrapping capacities": func(oc *core.ObliviousCircuit) {
+			// Widths are capacity·3 here. The deltas sum to the int
+			// range, so the widths they add wrap to 0.
+			quarter := math.MaxInt/2 + 1 // a quarter of the int range
+			for i, d := range []int{quarter, quarter, math.MinInt} {
+				oc.Inputs[i].Capacity += d
+			}
+			wires := 0
+			for _, in := range oc.Inputs {
+				wires += in.Capacity * (1 + len(in.Schema))
+			}
+			if wires != oc.C.NumInputs() {
+				t.Fatalf("edited widths sum to %d, circuit has %d inputs", wires, oc.C.NumInputs())
+			}
+		},
+	} {
+		if _, err := DecodePlan(editedPlan(t, art, edit)); err == nil {
+			t.Errorf("%s: DecodePlan accepted the input specs", name)
+		}
+	}
+}
+
+// TestReadPlanStopsAtTheEnvelope: ReadPlan decodes what DecodePlan
+// does, and refuses a stream that runs on past the envelope it declares
+// (here, forever) or declares more than maxPlanBytes.
+func TestReadPlanStopsAtTheEnvelope(t *testing.T) {
+	canon, compiled, _ := compileCatalog(t, "triangle")
+	data, err := EncodePlan(FromCompiled(canon, compiled))
+	if err != nil {
+		t.Fatalf("EncodePlan: %v", err)
+	}
+	a, err := ReadPlan(bytes.NewReader(data))
+	if err != nil || a.FP != canon.FP {
+		t.Fatalf("ReadPlan of a valid plan: %v", err)
+	}
+	huge := binary.AppendUvarint([]byte(planMagic), maxPlanBytes+1)
+	for name, r := range map[string]io.Reader{
+		"trailing byte":    io.MultiReader(bytes.NewReader(data), bytes.NewReader([]byte{0})),
+		"endless stream":   io.MultiReader(bytes.NewReader(data), endless{}),
+		"endless garbage":  endless{},
+		"oversized header": io.MultiReader(bytes.NewReader(huge), endless{}),
+		"truncated":        bytes.NewReader(data[:len(data)-1]),
+		"empty":            bytes.NewReader(nil),
+	} {
+		if _, err := ReadPlan(r); err == nil {
+			t.Errorf("%s: ReadPlan accepted it", name)
+		}
+	}
+}
+
+// endless is a reader of zero bytes that never ends.
+type endless struct{}
+
+func (endless) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// editedPlan encodes a with its oblivious circuit's specs passed through
+// edit, leaving a itself untouched.
+func editedPlan(t testing.TB, a *PlanArtifact, edit func(*core.ObliviousCircuit)) []byte {
 	t.Helper()
 	obliv := *a.Obliv
+	obliv.Inputs = append([]core.InputSpec(nil), obliv.Inputs...)
 	obliv.Outputs = append([]core.OutputSpec(nil), obliv.Outputs...)
-	for i := range obliv.Outputs {
-		edit(&obliv.Outputs[i])
-	}
+	edit(&obliv)
 	edited := *a
 	edited.Obliv = &obliv
 	data, err := EncodePlan(&edited)
@@ -195,4 +267,18 @@ func editedOutputs(t testing.TB, a *PlanArtifact, edit func(*core.OutputSpec)) [
 		t.Fatalf("EncodePlan: %v", err)
 	}
 	return data
+}
+
+// shiftOutputs moves every output spec 2²⁰ wires past where it is.
+func shiftOutputs(oc *core.ObliviousCircuit) {
+	for i := range oc.Outputs {
+		oc.Outputs[i].Offset += 1 << 20
+	}
+}
+
+// repeatInputAttribute gives the first input spec its first attribute
+// twice, keeping its width.
+func repeatInputAttribute(oc *core.ObliviousCircuit) {
+	in := &oc.Inputs[0]
+	in.Schema = append([]string{in.Schema[0]}, in.Schema[:len(in.Schema)-1]...)
 }

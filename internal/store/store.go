@@ -245,7 +245,7 @@ func (s *Store) Verify() []VerifyResult {
 			res.Err = err
 		} else if a.FP != fp {
 			res.Err = fmt.Errorf("store: artifact under %s claims fingerprint %s", fp.Short(), a.FP.Short())
-		} else if _, err := a.Reparse(); err != nil {
+		} else if _, _, err := a.Compiled(); err != nil {
 			res.Err = err
 		}
 		out = append(out, res)

@@ -95,9 +95,9 @@ func (r *TierReport) String() string {
 // way — and the first error is returned.
 //
 // With a deadline on ctx, the vm tier runs under half of the remaining
-// wall clock, its first-use compile included, so a stuck circuit
-// exhausts only its share and the RAM fallback still gets its turn; the
-// RAM tier runs under the request context itself.
+// wall clock, so a stuck circuit exhausts only its share and the RAM
+// fallback still gets its turn; the RAM tier runs under the request
+// context itself.
 //
 // The TierReport is the call's only record: nothing is counted process
 // wide. When ctx carries an obs tracer each attempt is also a
@@ -116,7 +116,7 @@ func (c *CompiledQuery) EvaluateResilient(ctx context.Context, db Database) (*Re
 	}{
 		{TierVM, func(ctx context.Context) (out *Relation, err error) {
 			defer guard.Recover(&err)
-			return c.evaluate(ctx, db)
+			return c.prog.evaluate(ctx, db)
 		}},
 		{TierRAM, func(ctx context.Context) (out *Relation, err error) {
 			defer guard.Recover(&err)

@@ -497,7 +497,7 @@ func roundTrip(t *testing.T, cq *CompiledQuery) *Artifact {
 	if _, err := cq.WriteArtifact(&buf); err != nil {
 		t.Fatal(err)
 	}
-	art, err := LoadArtifact(&buf)
+	art, err := LoadArtifact(context.Background(), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,20 +111,8 @@ func (p *VMProgram) run(ctx context.Context, dbs []Database) ([]*Relation, error
 	return outs, nil
 }
 
-// evaluate runs db, already validated, on the program CompileVM would
-// build, as a batch of one. The first call compiles it; a failed compile
-// — on its caller's deadline, say — is not kept, and the next call
-// compiles again.
-func (c *CompiledQuery) evaluate(ctx context.Context, db Database) (*Relation, error) {
-	p := c.prog.Load()
-	if p == nil {
-		fresh, err := c.CompileVM(ctx)
-		if err != nil {
-			return nil, err
-		}
-		c.prog.CompareAndSwap(nil, fresh) // a concurrent first call may have won
-		p = c.prog.Load()
-	}
+// evaluate runs db, already validated, as a batch of one.
+func (p *VMProgram) evaluate(ctx context.Context, db Database) (*Relation, error) {
 	outs, err := p.run(ctx, []Database{db})
 	if err != nil {
 		return nil, err

@@ -1,18 +1,16 @@
 // Command circuitc is the circuit compiler CLI: it parses a conjunctive
-// query, takes uniform cardinality constraints, and prints the compiled
-// circuits' statistics — the polymatroid bound, the PANDA-C relational
-// circuit (optionally its full gate list), and the oblivious word-level
+// query, takes uniform cardinality constraints, compiles the plan the
+// serving engine would compile for that pair, and prints its
+// statistics — the polymatroid bound, the PANDA-C relational circuit
+// (optionally its full gate list), and the oblivious word-level
 // circuit.
 //
 // Usage:
 //
 //	circuitc -query 'Q(A,B,C) :- R(A,B), S(B,C), T(A,C)' -n 64 [-gates] [-no-oblivious] [-no-opt]
 //
-// With -store DIR the fully compiled plan (post-optimization, with its
-// packing metadata) is persisted into a plan-store directory under its
-// canonical fingerprint, ready for circuitd -store to warm-load:
-//
-//	circuitc -query '...' -store /var/lib/circuitql/plans
+// With -save FILE the compiled plan is written as a plan file, the
+// format WriteArtifact writes and LoadArtifact reads.
 //
 // With -export DIR a generated workload database for the query is
 // written as columnar relation files (-export-n tuples per relation,
@@ -44,18 +42,20 @@ func main() {
 		src       = flag.String("query", "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", "conjunctive query (datalog style)")
 		n         = flag.Float64("n", 64, "uniform cardinality bound per relation")
 		gates     = flag.Bool("gates", false, "print the relational gate list")
-		noObliv   = flag.Bool("no-oblivious", false, "skip the oblivious lowering (fast)")
+		noObliv   = flag.Bool("no-oblivious", false, "compile the relational circuit only (fast)")
 		widthsToo = flag.Bool("widths", false, "also print fhtw / da-fhtw / da-subw")
 		dcSrc     = flag.String("dc", "", "extra degree constraints, e.g. 'S|B <= 4; R|A <= 1'")
 		noOpt     = flag.Bool("no-opt", false, "skip the optimizer passes (print the constructions' raw sizes)")
 		dotPath   = flag.String("dot", "", "write the relational circuit as Graphviz DOT to this file")
-		savePath  = flag.String("save", "", "write the oblivious circuit artifact to this file")
-		storeDir  = flag.String("store", "", "persist the compiled plan into this plan-store directory (circuitd -store warm-loads it)")
+		savePath  = flag.String("save", "", "write the compiled plan file (LoadArtifact reads it) to this file")
 		exportDir = flag.String("export", "", "write a generated workload database for the query as columnar files under this directory (circuitd -db serves it)")
 		exportN   = flag.Int("export-n", 16, "tuples per relation for -export")
 		exportSd  = flag.Int64("export-seed", 1, "generator seed for -export")
 	)
 	flag.Parse()
+	if *savePath != "" && *noObliv {
+		log.Fatal("-save writes the oblivious circuit's plan file; drop -no-oblivious")
+	}
 	ctx := context.Background()
 
 	q, err := circuitql.ParseQuery(*src)
@@ -70,43 +70,44 @@ func main() {
 		}
 		dcs = append(dcs, extra...)
 	}
-
-	b, err := circuitql.PolymatroidBound(ctx, q, dcs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	bf, _ := b.Float64()
-	fmt.Printf("query:            %s\n", q)
-	fmt.Printf("constraints:      |R_F| ≤ %g for every atom\n", *n)
-	fmt.Printf("LOGDAPB:          %s bits (DAPB ≈ %.4g tuples)\n", b.RatString(), exp2(bf))
 	// Two requests printing the same fingerprint are one query to the
 	// engine: one cache entry, one compile, one stored plan.
 	canon, err := query.Canonicalize(q, dcs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("fingerprint:      %s\n", canon.FP.Short())
 
-	res, err := panda.CompileFCQCtx(ctx, q, dcs)
+	var c *core.Compiled
+	if *noObliv {
+		c, err = compileRelational(ctx, q, dcs, *noOpt)
+	} else {
+		c, err = core.CompileQueryOptsCtx(ctx, q, dcs, core.CompileOptions{NoOpt: *noOpt})
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("proof sequence:   %s\n", res.Seq.Label(q.VarNames))
-	fmt.Printf("relational:       %d gates, depth %d, cost %.6g, %d truncation restarts\n",
-		res.Circuit.Size(), res.Circuit.Depth(), res.Circuit.Cost(), res.Restarts)
 
-	if !*noOpt {
-		before := res.Circuit.Size()
-		optimized, mapping := opt.Rel(res.Circuit)
-		res.Circuit = optimized
-		res.Output = mapping[res.Output]
-		fmt.Printf("optimized:        %d gates (was %d), depth %d, cost %.6g\n",
-			optimized.Size(), before, optimized.Depth(), optimized.Cost())
+	fmt.Printf("query:            %s\n", q)
+	fmt.Printf("constraints:      |R_F| ≤ %g for every atom\n", *n)
+	fmt.Printf("LOGDAPB:          %s bits (DAPB ≈ %.4g tuples)\n", c.Bound.LogValue.RatString(), c.Bound.Value())
+	fmt.Printf("fingerprint:      %s\n", canon.FP.Short())
+	fmt.Printf("proof sequence:   %s\n", c.Seq.Label(q.VarNames))
+	fmt.Printf("relational:       %d gates, depth %d, cost %.6g, %d truncation restarts\n",
+		c.Rel.Size(), c.Rel.Depth(), c.Rel.Cost(), c.Restarts)
+	if rep := c.Opt; rep != nil {
+		fmt.Printf("optimizer:        rel %d -> %d gates", rep.RelGatesBefore, rep.RelGatesAfter)
+		if c.Obliv != nil {
+			// The word circuit is folded as it is built, so "built" is
+			// already below the raw lowering; -no-opt prints the raw count.
+			fmt.Printf(", word %d built -> %d after the sweep (%.1f%% swept)",
+				rep.WordGatesBefore, rep.WordGatesAfter, 100*rep.WordReduction())
+		}
+		fmt.Println()
 	}
 
 	if *gates {
 		fmt.Println("\nrelational gate list:")
-		fmt.Println(res.Circuit.String())
+		fmt.Println(c.Rel.String())
 	}
 
 	if *dotPath != "" {
@@ -114,7 +115,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := res.Circuit.WriteDot(f, "circuit"); err != nil {
+		if err := c.Rel.WriteDot(f, "circuit"); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
@@ -123,41 +124,27 @@ func main() {
 		fmt.Printf("wrote DOT:        %s\n", *dotPath)
 	}
 
-	if !*noObliv {
-		obl, err := core.CompileObliviousCtx(ctx, res.Circuit)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !*noOpt {
-			before := obl.C.Size()
-			if obl.C, err = opt.BoolCtx(ctx, obl.C); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("word-level opt:   %d gates -> %d (%.1f%% smaller)\n",
-				before, obl.C.Size(), 100*(1-float64(obl.C.Size())/float64(before)))
-		}
-		st := obl.C.StatsOf()
+	if c.Obliv != nil {
+		w := c.Obliv.C
+		st := w.StatsOf()
 		fmt.Printf("oblivious:        %d word gates, depth %d, %d input wires\n",
 			st.Gates, st.Depth, st.Inputs)
-		bc := obl.C.BitCostAt(64)
+		bc := w.BitCostAt(64)
 		fmt.Printf("secure cost:      %d bit gates, %d non-linear, %.1f MiB garbled (κ=128)\n",
 			bc.Total, bc.NonLinear, float64(bc.GarbledBytes(128))/(1<<20))
 		fmt.Printf("Brent steps:      P=1: %d   P=64: %d   P=∞: %d\n",
-			core.BrentSchedule(obl.C, 1), core.BrentSchedule(obl.C, 64), obl.C.Depth())
-		if *savePath != "" {
-			f, err := os.Create(*savePath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			nBytes, err := obl.WriteTo(f)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("wrote artifact:   %s (%d bytes)\n", *savePath, nBytes)
+			core.BrentSchedule(w, 1), core.BrentSchedule(w, 64), w.Depth())
+	}
+
+	if *savePath != "" {
+		data, err := store.EncodePlan(store.FromCompiled(canon, c))
+		if err != nil {
+			log.Fatal(err)
 		}
+		if err := os.WriteFile(*savePath, data, 0o644); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("wrote plan:       %s (%d bytes)\n", *savePath, len(data))
 	}
 
 	if *widthsToo {
@@ -167,26 +154,6 @@ func main() {
 		}
 		fmt.Printf("widths:           fhtw=%s  da-fhtw=%s bits  da-subw=%s bits\n",
 			w.Fhtw.RatString(), w.DAFhtw.RatString(), w.DASubw.RatString())
-	}
-
-	if *storeDir != "" {
-		// The engine compiles the canonicalized pair, so persist exactly
-		// that: the artifact's fingerprint then matches what circuitd
-		// computes for any structurally identical request.
-		compiled, err := core.CompileQueryOptsCtx(ctx, canon.Query, canon.DCs,
-			core.CompileOptions{NoOpt: *noOpt})
-		if err != nil {
-			log.Fatal(err)
-		}
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := st.PutPlan(store.FromCompiled(canon, compiled)); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("stored plan:      %s under %s (%d plans in store)\n",
-			canon.FP.Short(), *storeDir, st.Len())
 	}
 
 	if *exportDir != "" {
@@ -199,11 +166,21 @@ func main() {
 	}
 }
 
-func exp2(bits float64) float64 {
-	v := 1.0
-	for bits >= 1 {
-		v *= 2
-		bits--
+// compileRelational is the relational half of a compile — PANDA-C,
+// then opt.Rel unless noOpt — for -no-oblivious, which skips the
+// lowering, by far the costliest stage.
+func compileRelational(ctx context.Context, q *query.Query, dcs query.DCSet, noOpt bool) (*core.Compiled, error) {
+	res, err := panda.CompileFCQCtx(ctx, q, dcs)
+	if err != nil {
+		return nil, err
 	}
-	return v * (1 + bits)
+	c := &core.Compiled{Query: q, DC: dcs, Rel: res.Circuit, RelOutput: res.Output,
+		Bound: res.Bound, Seq: res.Seq, Restarts: res.Restarts}
+	if !noOpt {
+		before := c.Rel.Size()
+		rel, mapping := opt.Rel(c.Rel)
+		c.Rel, c.RelOutput = rel, mapping[c.RelOutput]
+		c.Opt = &opt.Report{RelGatesBefore: before, RelGatesAfter: rel.Size()}
+	}
+	return c, nil
 }

@@ -106,7 +106,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) int {
 		gateBudget = fs.Int64("gate-budget", 0, "per-request gate evaluation budget (0: none)")
 		admin      = fs.String("admin", "", "admin HTTP listen address (e.g. :6060) serving /metrics, /healthz, /trace/last, /debug/pprof/")
 		traceRing  = fs.Int("trace-ring", 64, "recent request span trees kept for /trace/last")
-		noOpt      = fs.Bool("no-opt", false, "compile plans without the circuit optimizer")
 		inflight   = fs.Int("max-inflight", 0, "concurrently evaluating requests on the cached-hit lane (0: GOMAXPROCS; compile misses get half)")
 		queueDepth = fs.Int("queue-depth", 0, "queued requests per admission lane beyond its workers (0: 2x the lane's workers)")
 		shed       = fs.String("shed-policy", "block", "full-queue behavior: block (wait), shed (reject with a typed overload error), adaptive (shed, and shed low-priority requests first when a lane is 3/4 full)")
@@ -175,7 +174,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) int {
 		ShedPolicy:     policy,
 		MaxCacheGates:  *cacheGates,
 		Tracer:         tracer,
-		NoOpt:          *noOpt,
 		BatchMaxSize:   *batchSize,
 		BatchWindow:    *batchWin,
 		Store:          planStore,

@@ -24,6 +24,7 @@ import (
 	"circuitql/internal/opcircuits"
 	"circuitql/internal/opt"
 	"circuitql/internal/panda"
+	"circuitql/internal/proofseq"
 	"circuitql/internal/query"
 	"circuitql/internal/relation"
 	"circuitql/internal/relcircuit"
@@ -269,6 +270,11 @@ type Compiled struct {
 	// Opt reports the optimizer's before/after sizes; nil when the
 	// passes were disabled (CompileOptions.NoOpt).
 	Opt *opt.Report
+	// Seq is the proof sequence PANDA-C followed and Restarts the
+	// truncation-path re-derivations it took; a plan rebuilt from a file
+	// leaves both zero.
+	Seq      proofseq.Sequence
+	Restarts int
 
 	// packOnce/packPlan cache the input layout PackOblivious needs, so
 	// the per-request pack writes straight from the user's relations
@@ -389,6 +395,8 @@ func CompileQueryOptsCtx(ctx context.Context, q *query.Query, dcs query.DCSet, o
 		Obliv:     obl,
 		Bound:     res.Bound,
 		Opt:       report,
+		Seq:       res.Seq,
+		Restarts:  res.Restarts,
 	}, nil
 }
 

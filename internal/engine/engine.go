@@ -189,11 +189,6 @@ type Config struct {
 	// per-stage aggregates. nil disables tracing; the hot paths then
 	// pay a single branch per stage.
 	Tracer *obs.Tracer
-	// NoOpt disables the internal/opt optimizer passes, caching the
-	// paper's constructions verbatim. The cache then charges raw gate
-	// counts; with the default (optimizer on) it charges post-opt
-	// counts, so the same budget holds more plans.
-	NoOpt bool
 	// BatchMaxSize caps how many same-fingerprint requests one vm
 	// dispatch evaluates in lock-step. ≤ 1 disables coalescing (each
 	// request runs its own batch of one); 0 selects 1 — coalescing is
@@ -748,7 +743,7 @@ func (e *Engine) evaluate(ctx context.Context, ent *entry, req Request, stage *d
 		start := time.Now()
 		tierCtx, sp := obs.StartSpan(tctx, obs.StageTier+name)
 		e.attempts[t].Add(1)
-		out, err := e.runTier(tierCtx, t, ent, req)
+		out, built, err := e.runTier(tierCtx, t, ent, req)
 		if err == nil && out != nil {
 			sp.AddInt(obs.CounterRows, int64(out.Len()))
 		}
@@ -757,7 +752,9 @@ func (e *Engine) evaluate(ctx context.Context, ent *entry, req Request, stage *d
 		cancel()
 		attempts = append(attempts, TierAttempt{Tier: name, Err: err})
 		if err == nil {
-			est.observe(time.Since(start))
+			// The estimate is of evaluation: counting a vm compile would
+			// skip the tier for good, as a skipped tier observes nothing.
+			est.observe(time.Since(start) - built)
 			e.served[t].Add(1)
 			if len(attempts) > 1 {
 				e.fallbacks[t].Add(1)
@@ -774,13 +771,15 @@ func (e *Engine) evaluate(ctx context.Context, ent *entry, req Request, stage *d
 	return nil, 0, attempts, fmt.Errorf("engine: all evaluation tiers failed: %w", last)
 }
 
-// runTier evaluates one tier, containing its panics.
-func (e *Engine) runTier(ctx context.Context, t tierID, ent *entry, req Request) (out *relation.Relation, err error) {
+// runTier evaluates one tier, containing its panics. built is the time
+// the attempt spent compiling the entry's vm program (see vmProgram).
+func (e *Engine) runTier(ctx context.Context, t tierID, ent *entry, req Request) (out *relation.Relation, built time.Duration, err error) {
 	defer guard.Recover(&err)
 	if t == tierVM {
 		return e.evalVM(ctx, ent, req)
 	}
-	return query.EvaluateCtx(ctx, req.Query, req.DB)
+	out, err = query.EvaluateCtx(ctx, req.Query, req.DB)
+	return out, 0, err
 }
 
 // evalVM is the vm tier, one span per step: the entry's vm.Program
@@ -788,10 +787,10 @@ func (e *Engine) runTier(ctx context.Context, t tierID, ent *entry, req Request)
 // into input words, evaluate — coalesced with concurrent
 // same-fingerprint requests into one lock-step batch when batching is
 // configured — and decode the output words back into a relation.
-func (e *Engine) evalVM(ctx context.Context, ent *entry, req Request) (*relation.Relation, error) {
-	prog, err := ent.vmProgram(ctx, e)
+func (e *Engine) evalVM(ctx context.Context, ent *entry, req Request) (*relation.Relation, time.Duration, error) {
+	prog, built, err := ent.vmProgram(ctx, e)
 	if err != nil {
-		return nil, err
+		return nil, built, err
 	}
 
 	_, sp := obs.StartSpan(ctx, obs.StagePack)
@@ -799,7 +798,7 @@ func (e *Engine) evalVM(ctx context.Context, ent *entry, req Request) (*relation
 	sp.SetError(err)
 	sp.End()
 	if err != nil {
-		return nil, err
+		return nil, built, err
 	}
 
 	var raw []vm.Word
@@ -812,14 +811,14 @@ func (e *Engine) evalVM(ctx context.Context, ent *entry, req Request) (*relation
 		}
 	}
 	if err != nil {
-		return nil, err
+		return nil, built, err
 	}
 
 	_, sp = obs.StartSpan(ctx, obs.StageDecode)
 	out, err := ent.compiled.DecodeOblivious(raw)
 	sp.SetError(err)
 	sp.End()
-	return out, err
+	return out, built, err
 }
 
 // renameOutput maps a canonical plan's output columns back to the
@@ -1023,8 +1022,7 @@ func (e *Engine) compile(ctx context.Context, canon *query.Canonical) (*entry, e
 	var compiled *core.Compiled
 	err := func() (err error) {
 		defer guard.Recover(&err)
-		compiled, err = core.CompileQueryOptsCtx(ctx, canon.Query, canon.DCs,
-			core.CompileOptions{NoOpt: e.cfg.NoOpt})
+		compiled, err = core.CompileQueryCtx(ctx, canon.Query, canon.DCs)
 		return err
 	}()
 	e.compiles.Add(1)

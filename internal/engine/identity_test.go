@@ -148,9 +148,9 @@ func TestEngineSemanticInequivalentNoAlias(t *testing.T) {
 	}
 }
 
-// The canonical pair of the repeated-atom variant as the last release
-// before atom folding filed it (circuitc -n 4 -store), beside the
-// fingerprint the unrepeated pair had then and must keep.
+// The canonical pair of the repeated-atom variant under uniform
+// cardinality 4, as the last release before atom folding fingerprinted
+// it, beside the fingerprint the unrepeated pair had then and must keep.
 const (
 	parentBaseFP    = "d45ded06be672e37a085fa99aaae33a5c5736437caa33592b37cb31d27a4d398"
 	parentDupFP     = "ef1d5c3e312f38a860add243875bc14a89d89817b0229f1bb116a7c502ec24fe"

@@ -55,22 +55,25 @@ type entry struct {
 }
 
 // vmProgram returns the entry's vectorized program, compiling it on
-// first use under a vm-compile span. A structural compile failure is
-// sticky for the entry's lifetime — the vm tier then fails fast and the
-// ladder falls through to the next tier — but a
-// failure tied to the requesting context (cancellation, budget) is not,
-// so one impatient caller can't pin the fast path off.
+// first use under a vm-compile span, and how long this call spent
+// compiling it (0 when the program already existed), which the vm
+// tier's evaluation estimate leaves out. A structural compile failure
+// is sticky for the entry's lifetime — the vm tier then fails fast and
+// the ladder falls through to the next tier — but a failure tied to the
+// requesting context (cancellation, budget) is not, so one impatient
+// caller can't pin the fast path off.
 //
 // A fresh program's memory footprint (its value slots and instruction
 // buffer, which dominate a resident program) is charged against the
 // owner's plan-cache budget exactly once, so lazily-compiled vm
 // programs are not invisible to Config.MaxCacheGates.
-func (e *entry) vmProgram(ctx context.Context, owner *Engine) (*vm.Program, error) {
+func (e *entry) vmProgram(ctx context.Context, owner *Engine) (*vm.Program, time.Duration, error) {
 	e.vmMu.Lock()
 	defer e.vmMu.Unlock()
 	if e.vmProg != nil || e.vmErr != nil {
-		return e.vmProg, e.vmErr
+		return e.vmProg, 0, e.vmErr
 	}
+	start := time.Now()
 	ctx, sp := obs.StartSpan(ctx, obs.StageVMComp)
 	prog, err := vm.Compile(ctx, e.compiled.Obliv.C)
 	if err == nil {
@@ -84,7 +87,7 @@ func (e *entry) vmProgram(ctx context.Context, owner *Engine) (*vm.Program, erro
 	sp.SetError(err)
 	sp.End()
 	if err != nil && transientErr(err) {
-		return nil, err
+		return nil, time.Since(start), err
 	}
 	e.vmProg, e.vmErr = prog, err
 	if err == nil && owner != nil {
@@ -92,7 +95,7 @@ func (e *entry) vmProgram(ctx context.Context, owner *Engine) (*vm.Program, erro
 		// vmMu here, never the other way around.
 		owner.chargeVM(e, vmCost(prog))
 	}
-	return e.vmProg, e.vmErr
+	return e.vmProg, time.Since(start), e.vmErr
 }
 
 // vmCost is the plan-cache charge for a resident vm program: its value

@@ -131,7 +131,9 @@ func TestStoreRestartZeroCompiles(t *testing.T) {
 	}
 
 	// The fastest of three ~6.5 ms restarts against ~29 ms of cold compiles:
-	// what decoding a plan costs against lowering and vm-compiling it. Over
+	// what decoding a plan costs against compiling it. Neither timed side
+	// includes a vm compile: CompileLatency times the plan compile alone,
+	// and New loads plans without building their vm programs. Over
 	// 200 isolated runs the ratio has median 4.4×, first percentile 3.1×
 	// and minimum 2.8×, so 2.5× sits 1.8 under the median and a warm load
 	// twice as slow fails (EXPERIMENTS.md, "The exact LP at machine-word

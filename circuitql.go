@@ -121,9 +121,14 @@ type CompiledQuery struct {
 }
 
 // newCompiledQuery pairs a compiled plan with its vm program (see
-// CompileVM), compiled under ctx.
+// CompileVM): the one the plan was compiled with, or for a plan read
+// from a file one compiled under ctx.
 func newCompiledQuery(ctx context.Context, inner *core.Compiled) (*CompiledQuery, error) {
 	c := &CompiledQuery{inner: inner}
+	if inner.Prog != nil {
+		c.prog = &VMProgram{prog: inner.Prog, inner: inner}
+		return c, nil
+	}
 	prog, err := c.CompileVM(ctx)
 	if err != nil {
 		return nil, err

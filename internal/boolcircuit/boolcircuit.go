@@ -34,6 +34,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"circuitql/internal/faultinject"
 	"circuitql/internal/guard"
@@ -137,6 +138,41 @@ func New() *Circuit {
 // when none applies. Input, Const and MarkOutput behave as with New.
 func NewRewriting() *Circuit {
 	return &Circuit{rewrite: true}
+}
+
+// pooled holds the buffers of released builders (Release) for
+// NewPooledRewriting: one builder's gate list, depth array and index
+// links, emptied.
+var pooled sync.Pool // *builderBuffers
+
+type builderBuffers struct {
+	gates []Gate
+	depth []int32
+	links []link
+}
+
+// NewPooledRewriting is NewRewriting on the gate list, depth array and
+// index links of a builder released earlier, when the pool holds one:
+// a compile that builds a circuit only to sweep it (core) then neither
+// zeroes nor regrows a builder the size of its circuit, nor leaves one
+// to the collector. The buffers' capacity is all that carries over; the
+// circuit built is the one NewRewriting would build.
+func NewPooledRewriting() *Circuit {
+	c := NewRewriting()
+	if b, ok := pooled.Get().(*builderBuffers); ok {
+		c.gates, c.depth, c.links = b.gates[:0], b.depth[:0], b.links[:0]
+	}
+	return c
+}
+
+// Release hands the circuit's gate list, depth array and index links to
+// the pool NewPooledRewriting draws from and leaves c empty. Nothing may
+// read c, or any slice it returned, afterwards: the next pooled builder
+// overwrites them.
+func (c *Circuit) Release() {
+	b := &builderBuffers{gates: c.gates[:0], depth: c.depth[:0], links: c.links[:0]}
+	*c = Circuit{}
+	pooled.Put(b)
 }
 
 // Grow reserves room for n more gates — gate storage, depths and the

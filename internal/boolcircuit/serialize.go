@@ -1,10 +1,11 @@
 package boolcircuit
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
+	"slices"
 )
 
 // Circuit serialization: the outsourced-query and MPC scenarios ship a
@@ -24,70 +25,48 @@ const magic = "CQC1"
 
 // WriteTo serializes the circuit. It implements io.WriterTo.
 func (c *Circuit) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var written int64
-	n, err := bw.WriteString(magic)
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		k := binary.PutUvarint(buf[:], v)
-		n, err := bw.Write(buf[:k])
-		written += int64(n)
-		return err
-	}
-	putVarint := func(v int64) error {
-		k := binary.PutVarint(buf[:], v)
-		n, err := bw.Write(buf[:k])
-		written += int64(n)
-		return err
-	}
+	n, err := w.Write(c.Append(nil))
+	return int64(n), err
+}
 
-	if err := putUvarint(uint64(len(c.gates))); err != nil {
-		return written, err
-	}
+// Append appends the circuit's wire format to b and returns the
+// extended slice. It grows b once, by room for every gate at its op byte
+// and three operands of the width the largest wire id takes — only a
+// constant's value can need more, and then append grows it — so an
+// encoder that writes the circuit inside a larger envelope (a plan
+// file) builds it in one buffer.
+func (c *Circuit) Append(b []byte) []byte {
+	w := uvarintLen(uint64(len(c.gates)))
+	b = slices.Grow(b, len(magic)+2*binary.MaxVarintLen64+len(c.gates)*(1+3*w)+len(c.outputs)*w)
+	b = append(b, magic...)
+	b = binary.AppendUvarint(b, uint64(len(c.gates)))
 	for _, g := range c.gates {
-		if err := bw.WriteByte(byte(g.Op)); err != nil {
-			return written, err
-		}
-		written++
+		b = append(b, byte(g.Op))
 		switch g.Op {
 		case OpInput:
 			// no operands
 		case OpConst:
-			if err := putVarint(g.K); err != nil {
-				return written, err
-			}
+			b = binary.AppendVarint(b, g.K)
 		case OpNot:
-			if err := putUvarint(uint64(g.A + 1)); err != nil {
-				return written, err
-			}
+			b = binary.AppendUvarint(b, uint64(g.A+1))
 		case OpMux:
-			for _, op := range [3]int32{g.C, g.A, g.B} {
-				if err := putUvarint(uint64(op + 1)); err != nil {
-					return written, err
-				}
-			}
+			b = binary.AppendUvarint(b, uint64(g.C+1))
+			b = binary.AppendUvarint(b, uint64(g.A+1))
+			b = binary.AppendUvarint(b, uint64(g.B+1))
 		default:
-			for _, op := range [2]int32{g.A, g.B} {
-				if err := putUvarint(uint64(op + 1)); err != nil {
-					return written, err
-				}
-			}
+			b = binary.AppendUvarint(b, uint64(g.A+1))
+			b = binary.AppendUvarint(b, uint64(g.B+1))
 		}
 	}
-	if err := putUvarint(uint64(len(c.outputs))); err != nil {
-		return written, err
-	}
+	b = binary.AppendUvarint(b, uint64(len(c.outputs)))
 	for _, o := range c.outputs {
-		if err := putUvarint(uint64(o)); err != nil {
-			return written, err
-		}
+		b = binary.AppendUvarint(b, uint64(o))
 	}
-	return written, bw.Flush()
+	return b
 }
+
+// uvarintLen is how many bytes binary.AppendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // decoder reads varints off an in-memory artifact. Decoding from a
 // slice instead of through bufio.Reader/io.ByteReader interface calls is
@@ -108,6 +87,23 @@ func (d *decoder) byte() (byte, error) {
 }
 
 func (d *decoder) uvarint() (uint64, error) {
+	// Wire ids below 2^21 — every operand of a circuit of up to two
+	// million gates — take one to three bytes, read here without the
+	// general loop: decoding operands is most of what loading a plan
+	// costs.
+	if b := d.buf[d.off:]; len(b) >= 3 {
+		switch {
+		case b[0] < 0x80:
+			d.off++
+			return uint64(b[0]), nil
+		case b[1] < 0x80:
+			d.off += 2
+			return uint64(b[0]&0x7f) | uint64(b[1])<<7, nil
+		case b[2] < 0x80:
+			d.off += 3
+			return uint64(b[0]&0x7f) | uint64(b[1]&0x7f)<<7 | uint64(b[2])<<14, nil
+		}
+	}
 	v, n := binary.Uvarint(d.buf[d.off:])
 	d.off += max(n, 0)
 	return v, varintErr(n)

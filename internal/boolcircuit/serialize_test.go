@@ -3,6 +3,7 @@ package boolcircuit
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -147,5 +148,26 @@ func BenchmarkEvaluateSequential(b *testing.B) {
 		if _, err := c.EvaluateCtx(context.Background(), inputs); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestAppendSizesItsBuffer: uvarintLen, which sizes Append's one growth,
+// is the length binary.AppendUvarint writes at every width boundary, and
+// Append keeps what its buffer already held.
+func TestAppendSizesItsBuffer(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 1<<14 - 1, 1 << 14, 1<<21 - 1, 1 << 21, 1<<63 - 1, 1<<64 - 1} {
+		if got, want := uvarintLen(v), len(binary.AppendUvarint(nil, v)); got != want {
+			t.Errorf("uvarintLen(%d) = %d, want %d", v, got, want)
+		}
+	}
+	c := randomCircuit(7, 40, 20000)
+	prefix := []byte("envelope")
+	b := c.Append(append([]byte(nil), prefix...))
+	var w bytes.Buffer
+	if _, err := c.WriteTo(&w); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b[:len(prefix)], prefix) || !bytes.Equal(b[len(prefix):], w.Bytes()) {
+		t.Fatal("Append after a prefix does not hold the prefix and then what WriteTo writes")
 	}
 }

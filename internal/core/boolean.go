@@ -9,6 +9,7 @@ import (
 	"circuitql/internal/query"
 	"circuitql/internal/relation"
 	"circuitql/internal/relcircuit"
+	"circuitql/internal/vm"
 )
 
 // ResultAttr is the 0/1 answer column of a Boolean plan's output.
@@ -24,7 +25,8 @@ const ResultAttr = "result"
 // RelOutput the decision gate, whose output relation holds the single
 // tuple (1) over {ResultAttr} when Q(D) is true and nothing when it is
 // false. It packs, evaluates and decodes like any other plan, because
-// the Boolean query and its full join name their inputs alike. See
+// the Boolean query and its full join name their inputs alike, and comes
+// with its vm program (Prog) as a CompileQueryCtx plan does. See
 // CompileQueryCtx for what ctx governs.
 func CompileBooleanCtx(ctx context.Context, q *query.Query, dcs query.DCSet) (*Compiled, error) {
 	if !q.IsBoolean() {
@@ -50,7 +52,11 @@ func CompileBooleanCtx(ctx context.Context, q *query.Query, dcs query.DCSet) (*C
 	if err != nil {
 		return nil, err
 	}
-	return &Compiled{Query: q, DC: dcs, Rel: c, RelOutput: out, Obliv: obl, Bound: res.Bound}, nil
+	prog, err := vm.Compile(ctx, obl.C)
+	if err != nil {
+		return nil, err
+	}
+	return &Compiled{Query: q, DC: dcs, Rel: c, RelOutput: out, Obliv: obl, Prog: prog, Bound: res.Bound}, nil
 }
 
 // Decided reads a Boolean plan's answer off its output relation.

@@ -28,6 +28,7 @@ import (
 	"circuitql/internal/query"
 	"circuitql/internal/relation"
 	"circuitql/internal/relcircuit"
+	"circuitql/internal/vm"
 )
 
 // InputSpec describes one input relation of an oblivious circuit: its
@@ -69,13 +70,22 @@ type ObliviousCircuit struct {
 // counting the word gates built. The circuit is the paper's, gate for
 // gate (boolcircuit.New).
 func CompileObliviousCtx(ctx context.Context, rc *relcircuit.Circuit) (*ObliviousCircuit, error) {
-	return lower(ctx, rc, boolcircuit.New())
+	oc, err := lower(ctx, rc, boolcircuit.New())
+	if err != nil {
+		return nil, err
+	}
+	// The circuit is finished: the evaluators and the plan cache only
+	// read it, so nothing should keep the hash-consing index alive for
+	// the plan's lifetime.
+	oc.C.ReleaseHashTable()
+	return oc, nil
 }
 
 // lower is the lowering itself, into the empty builder c: the paper's
 // verbatim one for the exported entry points, the rewriting one for a
 // served compile, which then holds the folded circuit and never the raw
-// one.
+// one. The builder keeps its hash-consing index; the caller drops it
+// (ReleaseHashTable) or the whole builder (Release).
 func lower(ctx context.Context, rc *relcircuit.Circuit, c *boolcircuit.Circuit) (_ *ObliviousCircuit, err error) {
 	ctx, sp := obs.StartSpan(ctx, obs.StageBoolCirc)
 	budget := guard.FromContext(ctx)
@@ -157,10 +167,6 @@ func lower(ctx context.Context, rc *relcircuit.Circuit, c *boolcircuit.Circuit) 
 		})
 		offset += r.Capacity() * (1 + len(r.Schema))
 	}
-	// The circuit is finished: the sweep copies it without hashing, the
-	// evaluators and the plan cache only read it, so nothing should keep
-	// the hash-consing index alive for the plan's lifetime.
-	c.ReleaseHashTable()
 	return oc, nil
 }
 
@@ -266,7 +272,10 @@ type Compiled struct {
 	Rel       *relcircuit.Circuit
 	RelOutput int
 	Obliv     *ObliviousCircuit
-	Bound     *bound.Result
+	// Prog is the vm program of Obliv.C, compiled with the plan; nil for
+	// a plan rebuilt from a file, whose reader compiles it.
+	Prog  *vm.Program
+	Bound *bound.Result
 	// Opt reports the optimizer's before/after sizes; nil when the
 	// passes were disabled (CompileOptions.NoOpt).
 	Opt *opt.Report
@@ -313,10 +322,16 @@ type CompileOptions struct {
 // the rewriting builder — the word-level optimizer, folding each gate as
 // it is built — and a sweep of the gates that left unused.
 //
-// Both the PANDA-C compilation and the oblivious lowering poll ctx and
-// respect any guard.Budget it carries. The pipeline runs under an obs
-// compile span whose children are the lp-solve, proofseq, relcircuit,
-// boolcircuit, and optimize stages.
+// The plan comes with its vm program (Compiled.Prog), compiled from the
+// folded circuit while the sweep runs, so the two read the lowering's
+// output at once and the program costs the compile little wall time
+// where a core is free.
+//
+// The PANDA-C compilation, the oblivious lowering, the sweep and the vm
+// compile poll ctx and respect any guard.Budget it carries. The
+// pipeline runs under an obs compile span whose children are the
+// lp-solve, proofseq, relcircuit, boolcircuit, optimize and vm-compile
+// stages, the last two overlapping.
 func CompileQueryCtx(ctx context.Context, q *query.Query, dcs query.DCSet) (*Compiled, error) {
 	return CompileQueryOptsCtx(ctx, q, dcs, CompileOptions{})
 }
@@ -350,39 +365,17 @@ func CompileQueryOptsCtx(ctx context.Context, q *query.Query, dcs query.DCSet, o
 		report.Elapsed = time.Since(optStart)
 	}
 
-	builder := boolcircuit.NewRewriting()
+	var obl *ObliviousCircuit
+	var prog *vm.Program
 	if opts.NoOpt {
-		builder = boolcircuit.New()
-	}
-	obl, err := lower(ctx, rel, builder)
-	if err != nil {
-		return nil, err
-	}
-
-	if !opts.NoOpt {
-		// The lowering folded as it built; what is left of the word-level
-		// optimizer is sweeping out the gates the rewrites left unused.
-		_, osp := obs.StartSpan(ctx, obs.StageOptimize)
-		optStart := time.Now()
-		report.WordGatesBefore, report.WordDepthBefore = obl.C.Size(), obl.C.Depth()
-		swept, err := obl.C.Prune(ctx)
-		if err != nil {
-			osp.SetError(err)
-			osp.End()
+		if obl, err = CompileObliviousCtx(ctx, rel); err != nil {
 			return nil, err
 		}
-		if swept.NumInputs() != obl.C.NumInputs() || len(swept.Outputs()) != len(obl.C.Outputs()) {
-			osp.End()
-			return nil, fmt.Errorf("%w: core: optimizer changed the circuit interface (%d/%d inputs, %d/%d outputs)",
-				guard.ErrInternal, swept.NumInputs(), obl.C.NumInputs(), len(swept.Outputs()), len(obl.C.Outputs()))
+		if prog, err = vm.Compile(ctx, obl.C); err != nil {
+			return nil, err
 		}
-		obl.C = swept
-		report.WordGatesAfter, report.WordDepthAfter = obl.C.Size(), obl.C.Depth()
-		report.Elapsed += time.Since(optStart)
-		osp.AddInt(obs.CounterOptGatesBefore, int64(report.WordGatesBefore))
-		osp.AddInt(obs.CounterOptGatesAfter, int64(report.WordGatesAfter))
-		osp.AddInt(obs.CounterOptNanos, report.Elapsed.Nanoseconds())
-		osp.End()
+	} else if obl, prog, err = foldAndSweep(ctx, rel, report); err != nil {
+		return nil, err
 	}
 
 	sp.AddInt(obs.CounterRelGates, int64(rel.Size()))
@@ -393,11 +386,71 @@ func CompileQueryOptsCtx(ctx context.Context, q *query.Query, dcs query.DCSet, o
 		Rel:       rel,
 		RelOutput: relOutput,
 		Obliv:     obl,
+		Prog:      prog,
 		Bound:     res.Bound,
 		Opt:       report,
 		Seq:       res.Seq,
 		Restarts:  res.Restarts,
 	}, nil
+}
+
+// foldAndSweep lowers rel through a pooled rewriting builder — the
+// word-level optimizer, folding each gate as it is built — then sweeps
+// out the gates the rewrites left unused and, beside the sweep, compiles
+// the vm program from the folded circuit: vm.Compile reads only the
+// output cone, so the program is the swept circuit's. The builder's
+// buffers go back to the pool once both have read them.
+func foldAndSweep(ctx context.Context, rel *relcircuit.Circuit, report *opt.Report) (*ObliviousCircuit, *vm.Program, error) {
+	folded := boolcircuit.NewPooledRewriting()
+	defer folded.Release()
+	obl, err := lower(ctx, rel, folded)
+	if err != nil {
+		return nil, nil, err
+	}
+	var prog *vm.Program
+	var vmErr error
+	compiled := make(chan struct{})
+	go func() {
+		defer close(compiled)
+		defer guard.Recover(&vmErr)
+		prog, vmErr = vm.Compile(ctx, folded)
+	}()
+	swept, err := sweep(ctx, folded, report)
+	<-compiled
+	if err != nil {
+		return nil, nil, err
+	}
+	if vmErr != nil {
+		return nil, nil, vmErr
+	}
+	obl.C = swept
+	return obl, prog, nil
+}
+
+// sweep is what is left of the word-level optimizer after a folding
+// lowering: Prune, under the optimize span, recorded in report.
+func sweep(ctx context.Context, folded *boolcircuit.Circuit, report *opt.Report) (_ *boolcircuit.Circuit, err error) {
+	_, sp := obs.StartSpan(ctx, obs.StageOptimize)
+	defer func() {
+		sp.SetError(err)
+		sp.End()
+	}()
+	start := time.Now()
+	report.WordGatesBefore, report.WordDepthBefore = folded.Size(), folded.Depth()
+	swept, err := folded.Prune(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if swept.NumInputs() != folded.NumInputs() || len(swept.Outputs()) != len(folded.Outputs()) {
+		return nil, fmt.Errorf("%w: core: optimizer changed the circuit interface (%d/%d inputs, %d/%d outputs)",
+			guard.ErrInternal, swept.NumInputs(), folded.NumInputs(), len(swept.Outputs()), len(folded.Outputs()))
+	}
+	report.WordGatesAfter, report.WordDepthAfter = swept.Size(), swept.Depth()
+	report.Elapsed += time.Since(start)
+	sp.AddInt(obs.CounterOptGatesBefore, int64(report.WordGatesBefore))
+	sp.AddInt(obs.CounterOptGatesAfter, int64(report.WordGatesAfter))
+	sp.AddInt(obs.CounterOptNanos, report.Elapsed.Nanoseconds())
+	return swept, nil
 }
 
 // EvaluateObliviousCtx runs the oblivious circuit on a database and

@@ -22,24 +22,24 @@ type artifactHeader struct {
 
 // WriteTo serializes the oblivious circuit with its metadata.
 func (oc *ObliviousCircuit) WriteTo(w io.Writer) (int64, error) {
-	head, err := json.Marshal(artifactHeader{Version: 1, Inputs: oc.Inputs, Outputs: oc.Outputs})
+	b, err := oc.Append(nil)
 	if err != nil {
 		return 0, err
 	}
-	var written int64
-	n, err := fmt.Fprintf(w, "CQOC %10d\n", len(head))
-	written += int64(n)
+	n, err := w.Write(b)
+	return int64(n), err
+}
+
+// Append appends what WriteTo writes to b and returns the extended
+// slice (see boolcircuit.Circuit.Append).
+func (oc *ObliviousCircuit) Append(b []byte) ([]byte, error) {
+	head, err := json.Marshal(artifactHeader{Version: 1, Inputs: oc.Inputs, Outputs: oc.Outputs})
 	if err != nil {
-		return written, err
+		return nil, err
 	}
-	m, err := w.Write(head)
-	written += int64(m)
-	if err != nil {
-		return written, err
-	}
-	cn, err := oc.C.WriteTo(w)
-	written += cn
-	return written, err
+	b = fmt.Appendf(b, "CQOC %10d\n", len(head))
+	b = append(b, head...)
+	return oc.C.Append(b), nil
 }
 
 // ReadObliviousCircuit deserializes an artifact written by WriteTo.

@@ -674,8 +674,8 @@ func (e *Engine) finish(j *job, sp *obs.Span, stage *deadlineStage, res *Result)
 // answer is the hit path: with the plan in hand, validate the database
 // against the request's DCs, evaluate through the entry's tier ladder,
 // and rename the output back to the request's variable names. It takes
-// no engine lock (vmProgram re-charges the cache once per entry, on the
-// first vm evaluation).
+// no engine lock (vmProgram re-charges the cache once for a store-loaded
+// entry, on its first vm evaluation).
 func (e *Engine) answer(ctx context.Context, ent *entry, j *job, stage *deadlineStage, res *Result) {
 	req := j.req
 	_, sp := obs.StartSpan(ctx, obs.StageValidate)
@@ -783,7 +783,8 @@ func (e *Engine) runTier(ctx context.Context, t tierID, ent *entry, req Request)
 }
 
 // evalVM is the vm tier, one span per step: the entry's vm.Program
-// (compiled once per entry, under a vm-compile span), pack the database
+// (compiled with the plan, or for a store-loaded plan here on first use,
+// under a vm-compile span), pack the database
 // into input words, evaluate — coalesced with concurrent
 // same-fingerprint requests into one lock-step batch when batching is
 // configured — and decode the output words back into a relation.
@@ -1043,11 +1044,11 @@ func (e *Engine) compile(ctx context.Context, canon *query.Canonical) (*entry, e
 			return ent, nil
 		}
 	}
-	ent.compiled = compiled
-	ent.gates = int64(compiled.Rel.Size() + compiled.Obliv.C.Size())
-	if ent.gates < 1 {
-		ent.gates = 1
-	}
+	// The plan comes with its vm program, built beside the sweep, so the
+	// entry is charged for both at insert and its first vm attempt only
+	// evaluates.
+	ent.compiled, ent.vmProg = compiled, compiled.Prog
+	ent.gates = max(1, int64(compiled.Rel.Size()+compiled.Obliv.C.Size())+vmCost(compiled.Prog))
 	return ent, nil
 }
 

@@ -8,16 +8,15 @@ import (
 	"time"
 
 	"circuitql/internal/core"
-	"circuitql/internal/obs"
 	"circuitql/internal/query"
 	"circuitql/internal/vm"
 )
 
 // entry is one cached plan: the canonical form it was compiled from and
 // either the compiled circuits or a sticky compile failure. Entries are
-// immutable after insertion — except the lazily-compiled vm program,
-// which is guarded by its own sync.Once — so evaluation never holds the
-// cache lock.
+// immutable after insertion — except a store-loaded plan's vm program,
+// compiled on first use under its own mutex — so evaluation never holds
+// the cache lock.
 type entry struct {
 	fp       query.Fingerprint
 	canon    *query.Canonical
@@ -45,28 +44,30 @@ type entry struct {
 	// only saves the re-encode.
 	stored atomic.Bool
 
-	// vmMu/vmProg/vmErr hold the entry's lazily-compiled vectorized
-	// program: the first vm-tier request pays the compile (a linear gate
-	// walk, far cheaper than the plan compile), every later request —
-	// and every batch — reuses it.
+	// vmMu/vmProg/vmErr hold the entry's vectorized program: a compiled
+	// plan's, set at insert, or a store-loaded plan's, compiled by its
+	// first vm-tier request (a linear gate walk, far cheaper than the
+	// plan compile); every later request — and every batch — reuses it.
 	vmMu   sync.Mutex
 	vmProg *vm.Program
 	vmErr  error
 }
 
-// vmProgram returns the entry's vectorized program, compiling it on
-// first use under a vm-compile span, and how long this call spent
-// compiling it (0 when the program already existed), which the vm
-// tier's evaluation estimate leaves out. A structural compile failure
-// is sticky for the entry's lifetime — the vm tier then fails fast and
-// the ladder falls through to the next tier — but a failure tied to the
-// requesting context (cancellation, budget) is not, so one impatient
-// caller can't pin the fast path off.
+// vmProgram returns the entry's vectorized program and how long this
+// call spent compiling it (0 when the program already existed), which
+// the vm tier's evaluation estimate leaves out. A compiled plan comes
+// with its program (core.Compiled.Prog, charged at insert); only a plan
+// loaded from the store compiles it here, on first use — under a
+// vm-compile span inside the request's vm tier. A structural compile
+// failure is sticky for the entry's lifetime — the vm tier then fails
+// fast and the ladder falls through to the next tier — but a failure
+// tied to the requesting context (cancellation, budget) is not, so one
+// impatient caller can't pin the fast path off.
 //
-// A fresh program's memory footprint (its value slots and instruction
-// buffer, which dominate a resident program) is charged against the
-// owner's plan-cache budget exactly once, so lazily-compiled vm
-// programs are not invisible to Config.MaxCacheGates.
+// A program compiled here has its memory footprint (its value slots and
+// instruction buffer, which dominate a resident program) charged against
+// the owner's plan-cache budget exactly once, as a compiled plan's is at
+// insert, so vm programs are not invisible to Config.MaxCacheGates.
 func (e *entry) vmProgram(ctx context.Context, owner *Engine) (*vm.Program, time.Duration, error) {
 	e.vmMu.Lock()
 	defer e.vmMu.Unlock()
@@ -74,18 +75,7 @@ func (e *entry) vmProgram(ctx context.Context, owner *Engine) (*vm.Program, time
 		return e.vmProg, 0, e.vmErr
 	}
 	start := time.Now()
-	ctx, sp := obs.StartSpan(ctx, obs.StageVMComp)
 	prog, err := vm.Compile(ctx, e.compiled.Obliv.C)
-	if err == nil {
-		swaps, lexes := prog.Fused()
-		sp.AddInt(obs.CounterGates, int64(prog.Gates()))
-		sp.AddInt(obs.CounterInstructions, int64(prog.Instructions()))
-		sp.AddInt(obs.CounterLevels, int64(prog.Levels()))
-		sp.AddInt(obs.CounterFusedSwap, int64(swaps))
-		sp.AddInt(obs.CounterFusedLex, int64(lexes))
-	}
-	sp.SetError(err)
-	sp.End()
 	if err != nil && transientErr(err) {
 		return nil, time.Since(start), err
 	}

@@ -9,6 +9,7 @@ import (
 
 	"circuitql/internal/obs"
 	"circuitql/internal/query"
+	"circuitql/internal/store"
 	"circuitql/internal/workload"
 )
 
@@ -181,6 +182,61 @@ func TestEngineHitSpanTree(t *testing.T) {
 		}
 		if sum > root.Duration() {
 			t.Fatalf("children sum to %v, more than serve's %v", sum, root.Duration())
+		}
+	}
+}
+
+// vmCompilePaths returns the path of every vm-compile span under s,
+// span names joined by "/" from s down.
+func vmCompilePaths(s *obs.Span, prefix string) []string {
+	path := prefix + s.Name
+	var out []string
+	if s.Name == obs.StageVMComp {
+		out = append(out, path)
+	}
+	for _, c := range s.Children() {
+		out = append(out, vmCompilePaths(c, path+"/")...)
+	}
+	return out
+}
+
+// TestEngineFreshPlanComesWithItsProgram: a compiled plan is inserted
+// with its vm program, built inside the compile span beside the sweep,
+// so the request that compiled it — the entry's first vm attempt —
+// compiles nothing under tier/vm. A plan warm-loaded from the store has
+// no program, and its first vm attempt builds it there, once.
+func TestEngineFreshPlanComesWithItsProgram(t *testing.T) {
+	ctx := context.Background()
+	req := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 5, 8)
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name string
+		want string // the one vm-compile span's path
+	}{
+		{"compiled", "serve/compile/vm-compile"},
+		{"warm-loaded", "serve/tier/vm/vm-compile"},
+	} {
+		st, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tracer := obs.NewTracer(16)
+		e := New(Config{Tracer: tracer, Store: st})
+		for i := 0; i < 2; i++ {
+			if res := e.Serve(ctx, req); res.Err != nil || res.Tier != TierVM {
+				t.Fatalf("%s serve %d: err=%v tier=%q", c.name, i, res.Err, res.Tier)
+			}
+		}
+		e.Close()
+		var paths []string
+		for _, root := range tracer.Last(0) {
+			paths = append(paths, vmCompilePaths(root, "")...)
+		}
+		if len(paths) != 1 || paths[0] != c.want {
+			t.Fatalf("%s plan: vm-compile spans at %q, want one at %q", c.name, paths, c.want)
+		}
+		if m := e.Metrics(); (m.Compiles == 1) != (c.name == "compiled") {
+			t.Fatalf("%s plan: %d compiles", c.name, m.Compiles)
 		}
 	}
 }

@@ -54,29 +54,43 @@ func storeReq(t testing.TB, name string) Request {
 // and at least 2.5× faster than the cold compiles it replaces.
 func TestStoreRestartZeroCompiles(t *testing.T) {
 	names := []string{"triangle", "path3", "cycle4"}
-	dir := t.TempDir()
 	ctx := context.Background()
 
-	st1, err := store.Open(dir)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	eng1 := New(Config{Store: st1})
-	cold := make(map[string]Result, len(names))
-	for _, name := range names {
-		res := eng1.Serve(ctx, storeReq(t, name))
-		if res.Err != nil {
-			t.Fatalf("cold %s: %v", name, res.Err)
+	// The cold side, timed as the fastest of three runs — a fresh store
+	// directory and engine each, as the warm side below is the fastest of
+	// three restarts — so one slow sample on either side cannot decide the
+	// ratio. The first run's directory is the one restarted.
+	var dir string
+	var cold map[string]Result
+	var coldCompile time.Duration
+	for run := 0; run < 3; run++ {
+		runDir := t.TempDir()
+		st, err := store.Open(runDir)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
 		}
-		cold[name] = res
-	}
-	eng1.Close()
-	m1 := eng1.Metrics()
-	if m1.Compiles != int64(len(names)) {
-		t.Fatalf("cold engine ran %d compiles, want %d", m1.Compiles, len(names))
-	}
-	if m1.StoreWrites != int64(len(names)) || st1.Len() != len(names) {
-		t.Fatalf("store after cold run: writes=%d plans=%d, want %d each", m1.StoreWrites, st1.Len(), len(names))
+		eng := New(Config{Store: st})
+		results := make(map[string]Result, len(names))
+		for _, name := range names {
+			res := eng.Serve(ctx, storeReq(t, name))
+			if res.Err != nil {
+				t.Fatalf("cold %s: %v", name, res.Err)
+			}
+			results[name] = res
+		}
+		eng.Close()
+		m := eng.Metrics()
+		if m.Compiles != int64(len(names)) {
+			t.Fatalf("cold engine ran %d compiles, want %d", m.Compiles, len(names))
+		}
+		if m.StoreWrites != int64(len(names)) || st.Len() != len(names) {
+			t.Fatalf("store after cold run: writes=%d plans=%d, want %d each", m.StoreWrites, st.Len(), len(names))
+		}
+		d := time.Duration(m.CompileLatency.SumMicros) * time.Microsecond
+		if run == 0 {
+			dir, cold, coldCompile = runDir, results, d
+		}
+		coldCompile = min(coldCompile, d)
 	}
 
 	// Restart: a fresh store handle and a warm-started engine.
@@ -130,18 +144,18 @@ func TestStoreRestartZeroCompiles(t *testing.T) {
 		t.Fatalf("warm load read %d plans from disk, want ≥%d", m2.StoreHits, len(names))
 	}
 
-	// The fastest of three ~6.5 ms restarts against ~29 ms of cold compiles:
-	// what decoding a plan costs against compiling it. Neither timed side
-	// includes a vm compile: CompileLatency times the plan compile alone,
-	// and New loads plans without building their vm programs. Over
-	// 200 isolated runs the ratio has median 4.4×, first percentile 3.1×
-	// and minimum 2.8×, so 2.5× sits 1.8 under the median and a warm load
-	// twice as slow fails (EXPERIMENTS.md, "The exact LP at machine-word
-	// speed"). The race detector slows the two sides unevenly (60 runs:
-	// median 3.7×, minimum 2.7×), so a race build asserts only the
-	// deterministic part above.
+	// The fastest of three restarts against the fastest of three cold
+	// runs: what decoding a plan costs against compiling it. The cold side
+	// includes each plan's vm program, which a compile builds beside the
+	// sweep; New loads plans without building theirs. On a shared 2-vCPU
+	// host, 220 isolated runs read a median of 3.5×, a first percentile
+	// of 2.4× and a minimum of 2.1× (5 below 2.5×), and four runs under
+	// go test ./... read 3.6-4.6×; with one cold run and the slower plan
+	// decoder, 200 isolated runs read a median of 2.7× and 51 below 2.5×
+	// (EXPERIMENTS.md, "The vm program built beside the sweep"). The race
+	// detector slows the two sides unevenly, so a race build asserts only
+	// the deterministic part above.
 	const factor = 2.5
-	coldCompile := time.Duration(m1.CompileLatency.SumMicros) * time.Microsecond
 	t.Logf("warm start %v, cold compiles %v: %.1f×", warmDur, coldCompile, float64(coldCompile)/float64(warmDur))
 	if !raceEnabled && float64(warmDur)*factor > float64(coldCompile) {
 		t.Errorf("warm start loaded all shapes in %v, cold compiles took %v — want ≥%.1f× speedup",

@@ -107,9 +107,22 @@ func (b *Budget) Pivots() int64 {
 // Poll maps the context's state to the taxonomy: nil while the context
 // is live, ErrBudgetExceeded after its deadline (wall clock is a
 // budget), ErrCanceled after cancellation.
+//
+// A live context is told apart by a non-blocking receive on Done, which
+// a cancelable context answers with an atomic load; its Err takes the
+// context's mutex, and evaluations poll one request context from several
+// workers hundreds of times each. Err is asked only once Done has
+// closed, or of a context with no Done channel at all.
 func Poll(ctx context.Context) error {
 	if ctx == nil {
 		return nil
+	}
+	if done := ctx.Done(); done != nil {
+		select {
+		case <-done:
+		default:
+			return nil
+		}
 	}
 	switch err := ctx.Err(); {
 	case err == nil:

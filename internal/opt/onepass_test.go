@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -484,26 +485,29 @@ func TestFusedCompileHonoursGateBudget(t *testing.T) {
 }
 
 // cancelAtPoll is a context that reports itself canceled from its at-th
-// Err call on (never, when at is 0) and counts the calls. The compile
-// pipeline polls ctx.Err through guard.Poll on one goroutine, so the
-// count is a deterministic position in the compile.
+// Err call on (never, when at is 0) and counts the calls. Its Done is
+// Background's, nil, so guard.Poll asks Err at every poll. The compile
+// polls the same number of times on every run, so the last poll is a
+// fixed position, though the sweep and the vm compile poll it from two
+// goroutines.
 type cancelAtPoll struct {
 	context.Context
-	calls, at int
+	calls atomic.Int64
+	at    int64
 }
 
 func (c *cancelAtPoll) Err() error {
-	c.calls++
-	if c.at > 0 && c.calls >= c.at {
+	if n := c.calls.Add(1); c.at > 0 && n >= c.at {
 		return context.Canceled
 	}
 	return nil
 }
 
 // TestFusedCompileCancelMidSweep is TestBoolCancelMidOptimize for the
-// builder-time driver: the sweep is the last stage of a served compile
-// that polls its context, so a context canceled at the compile's last
-// poll must surface as the typed error out of the optimize span.
+// builder-time driver: the sweep and, beside it, the vm compile are the
+// last stages of a served compile that poll its context, so a context
+// canceled at the compile's last poll must surface as the typed error
+// out of the optimize or the vm-compile span.
 func TestFusedCompileCancelMidSweep(t *testing.T) {
 	q := query.Triangle()
 	dcs := query.Cardinalities(q, 8)
@@ -511,9 +515,11 @@ func TestFusedCompileCancelMidSweep(t *testing.T) {
 	if _, err := core.CompileQueryCtx(count, q, dcs); err != nil {
 		t.Fatal(err)
 	}
-	stage, err := failedStage(&cancelAtPoll{Context: context.Background(), at: count.calls}, q, dcs)
-	if !errors.Is(err, guard.ErrCanceled) || stage != obs.StageOptimize {
-		t.Fatalf("canceled at poll %d of %d: got %v in stage %q, want guard.ErrCanceled in %q",
-			count.calls, count.calls, err, stage, obs.StageOptimize)
+	last := count.calls.Load()
+	ctx := &cancelAtPoll{Context: context.Background(), at: last}
+	stage, err := failedStage(ctx, q, dcs)
+	if !errors.Is(err, guard.ErrCanceled) || stage != obs.StageOptimize && stage != obs.StageVMComp {
+		t.Fatalf("canceled at poll %d of %d: got %v in stage %q, want guard.ErrCanceled in %q or %q",
+			last, last, err, stage, obs.StageOptimize, obs.StageVMComp)
 	}
 }

@@ -115,24 +115,24 @@ func EncodePlan(a *PlanArtifact) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var body bytes.Buffer
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(head)))
-	body.Write(lenBuf[:n])
-	body.Write(head)
-	if _, err := a.Obliv.WriteTo(&body); err != nil {
+	// The body is appended after room for the longest envelope prefix;
+	// once its length is known the prefix is written right up against
+	// it, and the checksum is taken over the prefix and body in place.
+	const room = len(planMagic) + binary.MaxVarintLen64
+	buf := make([]byte, room, room+binary.MaxVarintLen64+len(head))
+	buf = binary.AppendUvarint(buf, uint64(len(head)))
+	buf = append(buf, head...)
+	if buf, err = a.Obliv.Append(buf); err != nil {
 		return nil, err
 	}
-
-	var out bytes.Buffer
-	out.Grow(len(planMagic) + binary.MaxVarintLen64 + body.Len() + sha256.Size)
-	out.WriteString(planMagic)
-	n = binary.PutUvarint(lenBuf[:], uint64(body.Len()))
-	out.Write(lenBuf[:n])
-	out.Write(body.Bytes())
-	sum := sha256.Sum256(out.Bytes())
-	out.Write(sum[:])
-	return out.Bytes(), nil
+	var lenBuf [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(lenBuf[:], uint64(len(buf)-room))
+	start := room - len(planMagic) - n
+	copy(buf[start:], planMagic)
+	copy(buf[start+len(planMagic):], lenBuf[:n])
+	out := buf[start:]
+	sum := sha256.Sum256(out)
+	return append(out, sum[:]...), nil
 }
 
 // DecodePlan deserializes a plan artifact, verifying the envelope

@@ -7,10 +7,7 @@ import (
 	"slices"
 	"testing"
 
-	"circuitql/internal/core"
 	"circuitql/internal/guard"
-	"circuitql/internal/query"
-	"circuitql/internal/workload"
 )
 
 // Two poisons that differ in every bit: a word of the observation slabs
@@ -21,50 +18,6 @@ const (
 	poisonA Word = 0x5a5a5a5a5a5a5a5a
 	poisonB Word = ^poisonA
 )
-
-// sharedProgram compiles q against degree constraints two different
-// seeded databases both satisfy (the element-wise maximum of what each
-// measures), so one program serves both, and packs the two.
-func sharedProgram(t *testing.T, name string, q *query.Query, tuples int) (*Program, [2][]Word) {
-	t.Helper()
-	ctx := context.Background()
-	dbs := [2]query.Database{workload.ForQuery(q, 1, tuples), workload.ForQuery(q, 2, tuples)}
-	dcs, err := query.DeriveDC(q, dbs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := query.DeriveDC(q, dbs[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(other) != len(dcs) {
-		t.Fatalf("%s: the two databases derive %d and %d constraints", name, len(dcs), len(other))
-	}
-	for i, dc := range other {
-		if dc.X != dcs[i].X || dc.Y != dcs[i].Y {
-			t.Fatalf("%s: derived constraint %d differs in shape between the databases", name, i)
-		}
-		dcs[i].N = max(dcs[i].N, dc.N)
-	}
-	compiled, err := core.CompileQueryCtx(ctx, q, dcs)
-	if err != nil {
-		t.Fatalf("compile %s: %v", name, err)
-	}
-	prog, err := Compile(ctx, compiled.Obliv.C)
-	if err != nil {
-		t.Fatalf("vm.Compile %s: %v", name, err)
-	}
-	var packed [2][]Word
-	for i, db := range dbs {
-		if packed[i], err = compiled.PackOblivious(db); err != nil {
-			t.Fatalf("pack %s: %v", name, err)
-		}
-	}
-	if slices.Equal(packed[0], packed[1]) {
-		t.Fatalf("%s: the two databases pack to the same input words; the comparison would be vacuous", name)
-	}
-	return prog, packed
-}
 
 // traceRuns evaluates a batch run by run through the program's own
 // executor (execRun, so the kernels EvalBatch would pick at this stride)
@@ -204,54 +157,5 @@ func checkpoints(t *testing.T, p *Program, inputs [][]Word) []int {
 		}
 		at = append(at, done)
 		limit = done
-	}
-}
-
-// TestVMEvalIsOblivious holds the evaluator to the paper's contract as an
-// observation instead of an argument: on two different databases of one
-// shape the sequence of runs, the opcode of each, every slab address a run
-// reads and every slab address its kernel writes are the same, and so are
-// the positions of the context/budget checkpoints — at a stride of one
-// (the scalar kernel) and at a stride of 8 (the vector kernels where the
-// CPU has them, the scalar kernel lane by lane elsewhere).
-func TestVMEvalIsOblivious(t *testing.T) {
-	for _, shape := range []struct {
-		query  string
-		q      *query.Query
-		tuples int
-	}{{"triangle", query.Triangle(), 8}, {"cycle4", query.Cycle4(), 6}} {
-		prog, packed := sharedProgram(t, shape.query, shape.q, shape.tuples)
-		for _, B := range []int{1, 8} {
-			var traces [2][]int32
-			var polls [2][]int
-			var outs [2][][]Word
-			for d := range packed {
-				// Lane 0 carries the database under test; the other lanes
-				// of a batch carry it too, rotated, so every lane differs
-				// between the two evaluations.
-				inputs := make([][]Word, B)
-				for r := range inputs {
-					inputs[r] = packed[(d+r)%2]
-				}
-				traces[d], outs[d] = traceRuns(t, prog, inputs)
-				polls[d] = checkpoints(t, prog, inputs)
-				want, err := prog.EvalBatch(context.Background(), inputs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(want) != B || !slices.EqualFunc(want, outs[d], slices.Equal[[]Word]) {
-					t.Fatalf("%s B=%d database %d: the traced walk and EvalBatch disagree on the outputs", shape.query, B, d)
-				}
-			}
-			if slices.Equal(outs[0][0], outs[1][0]) {
-				t.Fatalf("%s B=%d: both databases produce the same output words; the comparison would be vacuous", shape.query, B)
-			}
-			if !slices.Equal(traces[0], traces[1]) {
-				t.Fatalf("%s B=%d: the (run, opcode, addresses read, addresses written) traces of the two databases differ", shape.query, B)
-			}
-			if len(polls[0]) < 2 || !slices.Equal(polls[0], polls[1]) {
-				t.Fatalf("%s B=%d: checkpoints at %v on one database, %v on the other", shape.query, B, polls[0], polls[1])
-			}
-		}
 	}
 }

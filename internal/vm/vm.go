@@ -120,7 +120,7 @@ type Program struct {
 	runEnd   []int32 // ops[runEnd[k-1]:runEnd[k]] is one opcode, inside one level, at most pollStep long
 	runGates []int32 // circuit gates computed once run k has finished (gateWeight, cumulative)
 
-	numGates     int // circuit size (|V|), for reporting
+	numGates     int // inputs plus live gates: the size of the circuit's output cone, for reporting and budgets
 	numSlots     int // slab width: max simultaneously live wires
 	swaps, lexes int // fused instructions of each kind
 
@@ -132,8 +132,14 @@ type Program struct {
 }
 
 // Compile lowers a finished boolcircuit into a Program. The gate walk
-// polls ctx and charges the circuit's size against any guard.Budget the
-// context carries.
+// polls ctx and charges the gates the program stands for — the inputs
+// and the output cone, which is the size of the swept circuit
+// (boolcircuit.Prune) — against any guard.Budget the context carries.
+// Dead gates cost a Program nothing, so a circuit with gates nothing
+// reads compiles to the same Program as its sweep: a plan compile builds
+// it from the folded circuit while the sweep runs (core). The compile
+// runs under an obs vm-compile span counting the program's gates,
+// instructions, levels and fused instructions.
 //
 // Four passes over flat per-gate arrays: (1) count each wire's live
 // readers backwards from the outputs — the interpreter pays for every
@@ -145,31 +151,52 @@ type Program struct {
 // operands always resolve to earlier levels; (4) lay each level out in
 // opcode runs and assign value slots by liveness, freeing a wire's slot
 // at the level boundary after its last reader.
-func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
+func Compile(ctx context.Context, c *boolcircuit.Circuit) (_ *Program, err error) {
+	ctx, sp := obs.StartSpan(ctx, obs.StageVMComp)
+	defer func() {
+		sp.SetError(err)
+		sp.End()
+	}()
+	p, err := compile(ctx, c)
+	if err == nil {
+		sp.AddInt(obs.CounterGates, int64(p.numGates))
+		sp.AddInt(obs.CounterInstructions, int64(len(p.ops)))
+		sp.AddInt(obs.CounterLevels, int64(len(p.levelEnd)))
+		sp.AddInt(obs.CounterFusedSwap, int64(p.swaps))
+		sp.AddInt(obs.CounterFusedLex, int64(p.lexes))
+	}
+	return p, err
+}
+
+// compile is Compile without its span.
+func compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 	if c == nil {
 		return nil, fmt.Errorf("%w: vm: nil circuit", guard.ErrInvalidInput)
 	}
 	n := c.Size()
-	if err := guard.FromContext(ctx).CheckGates(ctx, n); err != nil {
-		return nil, err
-	}
-	p := &Program{numGates: n}
+	p := &Program{}
 	outs := c.Outputs()
+	wk := getWork(n)
+	defer work.Put(wk)
 
 	// Pass 1: uses[w] counts the live gates reading wire w, an output mark
 	// counting as one more reader, and stops at two: zero is a dead gate,
 	// one a gate a peephole may fuse into its only reader, and a byte per
 	// gate keeps the array the size of a reachability bitmap's. Operand ids
 	// are smaller than the reader's, so one backward sweep settles it.
-	uses := make([]uint8, n)
+	uses := wk.uses
 	use := func(w int32) {
 		if w >= 0 && uses[w] < 2 {
 			uses[w]++
 		}
 	}
+	// The same sweep counts the live gates (inputs apart: every input
+	// keeps its place), the live constants and the live ORs, which size
+	// the tables below.
 	for _, id := range outs {
 		use(int32(id))
 	}
+	var live, liveConsts, liveOrs int
 	for i := n - 1; i >= 0; i-- {
 		if i&0xfff == 0 {
 			if err := guard.Poll(ctx); err != nil {
@@ -178,10 +205,23 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 		}
 		if uses[i] != 0 {
 			g := c.GateAt(i)
+			switch g.Op {
+			case boolcircuit.OpInput:
+				continue
+			case boolcircuit.OpConst:
+				liveConsts++
+			case boolcircuit.OpOr:
+				liveOrs++
+			}
+			live++
 			use(g.A)
 			use(g.B)
 			use(g.C)
 		}
+	}
+	p.numGates = c.NumInputs() + live
+	if err := guard.FromContext(ctx).CheckGates(ctx, p.numGates); err != nil {
+		return nil, err
 	}
 
 	// Pass 2: kind[i] is the opcode gate i executes as, and level[i] its
@@ -210,12 +250,9 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 	// then, for an opLex root, it indexes lexReads, the three wires the
 	// step reads, so that pass 4 need not match the shape again.
 	depth := c.Depth()
-	kind := make([]uint8, n)
-	level := make([]int32, n)
-	lastLevel := make([]int32, n)
-	slotOf := make([]int32, n)
-	var lexReads [][3]int32
-	var consts []int32 // the live constant gates
+	kind, level, lastLevel, slotOf := wk.kind, wk.level, wk.lastLevel, wk.slotOf
+	lexReads := make([][3]int32, 0, liveOrs)
+	consts := make([]int32, 0, liveConsts) // the live constant gates
 	lastMux := make([]int32, depth+1)
 	bucketEnd := make([]int32, depth+1) // entries of level d, then (prefix sum) where they end in byLevel
 	for i := 0; i < n; i++ {
@@ -299,7 +336,8 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 	// id within a level, since ids are visited in order). Gate ids are
 	// NOT monotone in level — a later-built gate can sit at a shallower
 	// level — so slot recycling must run in level order, not id order.
-	byLevel := make([]int32, entries)
+	wk.byLevel = resized(wk.byLevel, entries)
+	byLevel := wk.byLevel
 	fill := make([]int32, depth+1) // next free index of level d in byLevel
 	copy(fill[1:], bucketEnd)
 	for i, k := range kind {
@@ -310,6 +348,22 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 		}
 	}
 
+	// The run table's length: each level's opcode runs, split every
+	// pollStep instructions, counted before they are laid out so the
+	// table is allocated once.
+	runs := 0
+	for d := 1; d <= depth; d++ {
+		var cnt [numOps]int32
+		for _, i32 := range byLevel[bucketEnd[d-1]:bucketEnd[d]] {
+			if k := kind[i32]; k != opSwapHi {
+				cnt[k]++
+			}
+		}
+		for _, k := range cnt {
+			runs += int((k + pollStep - 1) / pollStep)
+		}
+	}
+
 	p.ops = make([]uint8, total)
 	p.dst = make([]int32, total)
 	p.dst2 = make([]int32, total)
@@ -317,27 +371,40 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 	p.b = make([]int32, total)
 	p.c = make([]int32, total)
 	p.levelEnd = make([]int32, 0, depth)
+	p.runEnd = make([]int32, 0, runs)
+	p.runGates = make([]int32, 0, runs)
+	p.inputSlots = make([]int32, 0, c.NumInputs())
+	p.consts = make([]constInit, 0, len(consts))
+	p.outSlots = make([]int32, 0, len(outs))
 
 	// Pass 4: place instructions level by level and assign slots.
-	// expire[L] lists slots whose wire was last read at level L-1 or
-	// earlier; they rejoin the free list when level L begins, which the
-	// level-by-level executor makes safe: a slot freed by level L-1's
-	// readers is rewritten no earlier than level L.
-	expire := make([][]int32, depth+2)
-	var free []int32
+	// Expiry and the free list are chains of wires, linked through link
+	// (pass 4 no longer needs level, so its array is reused): a wire last
+	// read at level L-1 joins the chain expire[L] when its slot is
+	// allocated, and the whole chain, newest first, goes on top of the
+	// free list when level L begins, which the level-by-level executor
+	// makes safe: a slot freed by level L-1's readers is rewritten no
+	// earlier than level L. A freed wire's slot is slotOf[wire]; heads,
+	// tails and links hold wire+1, 0 ending a chain.
+	link := level
+	expire, expireTail := make([]int32, depth+2), make([]int32, depth+2)
+	var free int32
 	var next int32
 	alloc := func(w int32) int32 {
 		var s int32
-		if len(free) > 0 {
-			s = free[len(free)-1]
-			free = free[:len(free)-1]
+		if free != 0 {
+			s = slotOf[free-1]
+			free = link[free-1]
 		} else {
 			s = next
 			next++
 		}
 		slotOf[w] = s
 		if lu := lastLevel[w]; lu <= int32(depth) {
-			expire[lu+1] = append(expire[lu+1], s)
+			if expire[lu+1] == 0 {
+				expireTail[lu+1] = w + 1
+			}
+			link[w], expire[lu+1] = expire[lu+1], w+1
 		}
 		return s
 	}
@@ -371,7 +438,9 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 	var at, gates int32
 	placed := 0
 	for d := 1; d <= depth; d++ {
-		free = append(free, expire[d]...)
+		if head := expire[d]; head != 0 {
+			link[expireTail[d]-1], free = free, head
+		}
 		entries := byLevel[bucketEnd[d-1]:bucketEnd[d]]
 		var cur [numOps]int32
 		for _, i32 := range entries {
@@ -435,6 +504,45 @@ func Compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 	}
 	p.numSlots = int(next)
 	return p, nil
+}
+
+// compileWork is Compile's per-gate working arrays. They are pooled: a
+// plan compile's are the size of the folded circuit, as large together
+// as the program it keeps, and would otherwise be thrown away with every
+// compile.
+type compileWork struct {
+	uses, kind                        []uint8
+	level, lastLevel, slotOf, byLevel []int32
+}
+
+var work sync.Pool // *compileWork
+
+// getWork returns pooled working arrays for a circuit of n gates, the
+// per-gate ones zeroed.
+func getWork(n int) *compileWork {
+	w, _ := work.Get().(*compileWork)
+	if w == nil {
+		w = &compileWork{}
+	}
+	w.uses, w.kind = zeroed(w.uses, n), zeroed(w.kind, n)
+	w.level, w.lastLevel, w.slotOf = zeroed(w.level, n), zeroed(w.lastLevel, n), zeroed(w.slotOf, n)
+	return w
+}
+
+// resized returns s with n elements, reusing its array when it holds
+// that many; the contents are unspecified.
+func resized[T uint8 | int32](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// zeroed is resized with every element zero.
+func zeroed[T uint8 | int32](s []T, n int) []T {
+	s = resized(s, n)
+	clear(s)
+	return s
 }
 
 // lexMatch is one lexicographic-compare step found in the gate list:
@@ -510,8 +618,10 @@ func vmOp(op boolcircuit.Op) (uint8, bool) {
 	return 0, false
 }
 
-// Gates returns the total wire count of the source circuit (|V|,
-// including inputs, constants, and gates the compiler dropped as dead).
+// Gates returns the wires the program stands for: the source circuit's
+// inputs and the gates its outputs depend on, constants included — the
+// size (|V|) of the circuit with its dead gates swept, which Compile
+// charges against a budget and an evaluation's span reports.
 func (p *Program) Gates() int { return p.numGates }
 
 // Slots returns the slab width per lane: the maximum number of

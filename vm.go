@@ -43,7 +43,9 @@ func (c *CompiledQuery) CompileVM(ctx context.Context) (_ *VMProgram, err error)
 	return &VMProgram{prog: prog, inner: c.inner}, nil
 }
 
-// Gates returns the program's wire count (the circuit's size).
+// Gates returns the program's wire count: the circuit's inputs and the
+// gates its outputs depend on, which for a compiled plan is the
+// circuit's size.
 func (p *VMProgram) Gates() int { return p.prog.Gates() }
 
 // Instructions returns the instructions executed per request: gates

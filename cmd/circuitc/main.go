@@ -134,6 +134,11 @@ func main() {
 			bc.Total, bc.NonLinear, float64(bc.GarbledBytes(128))/(1<<20))
 		fmt.Printf("Brent steps:      P=1: %d   P=64: %d   P=∞: %d\n",
 			core.BrentSchedule(w, 1), core.BrentSchedule(w, 64), w.Depth())
+		// The program the compile built with the plan, as the engine runs it.
+		p := c.Prog
+		swaps, lexes := p.Fused()
+		fmt.Printf("vm:               %d instructions (%d swap, %d lex), %d slots, %d levels, %d runs\n",
+			p.Instructions(), swaps, lexes, p.Slots(), p.Levels(), p.Runs())
 	}
 
 	if *savePath != "" {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"circuitql"
+	"circuitql/internal/core"
 )
 
 // runMainEnv, set in a re-executed test binary's environment, makes
@@ -122,5 +124,36 @@ func TestFingerprintIsQueryFingerprint(t *testing.T) {
 		if want := "fingerprint:      " + fp.Short() + "\n"; !strings.Contains(out, want) {
 			t.Errorf("%s ; %s: output lacks %q:\n%s", c.src, c.dc, want, out)
 		}
+	}
+}
+
+// The vm: line is the program the compile built with the plan; a
+// relational-only compile builds none and prints none.
+func TestPrintsVMProgram(t *testing.T) {
+	q, err := circuitql.ParseQuery(triangle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := core.CompileQueryOptsCtx(context.Background(), q, circuitql.UniformCardinalities(q, 8), core.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := c.Prog
+	swaps, lexes := p.Fused()
+	want := fmt.Sprintf("vm:               %d instructions (%d swap, %d lex), %d slots, %d levels, %d runs\n",
+		p.Instructions(), swaps, lexes, p.Slots(), p.Levels(), p.Runs())
+	out, err := circuitc(t, "-n", "8", "-query", triangle)
+	if err != nil {
+		t.Fatalf("circuitc: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, want) {
+		t.Errorf("output lacks %q:\n%s", want, out)
+	}
+	out, err = circuitc(t, "-no-oblivious", "-n", "8", "-query", triangle)
+	if err != nil {
+		t.Fatalf("circuitc -no-oblivious: %v\n%s", err, out)
+	}
+	if strings.Contains(out, "vm:") {
+		t.Errorf("-no-oblivious printed a vm program:\n%s", out)
 	}
 }

@@ -134,11 +134,8 @@ func TestEstimatorEWMA(t *testing.T) {
 
 func TestPlanTierNoDeadline(t *testing.T) {
 	ctx := context.Background()
-	tctx, cancel, skip, reason := PlanTier(ctx, 3, time.Hour)
+	tctx, cancel := PlanTier(ctx, 3)
 	defer cancel()
-	if skip || reason != nil {
-		t.Fatalf("no deadline must never skip, got skip=%v reason=%v", skip, reason)
-	}
 	if tctx != ctx {
 		t.Fatal("no deadline should leave ctx unwrapped")
 	}
@@ -149,11 +146,8 @@ func TestPlanTierShares(t *testing.T) {
 	defer cancel()
 
 	// Three tiers left: the first attempt gets roughly a third.
-	tctx, tcancel, skip, _ := PlanTier(ctx, 3, 0)
+	tctx, tcancel := PlanTier(ctx, 3)
 	defer tcancel()
-	if skip {
-		t.Fatal("unknown estimate must not skip")
-	}
 	d, ok := tctx.Deadline()
 	if !ok {
 		t.Fatal("tier context lost the deadline")
@@ -164,25 +158,9 @@ func TestPlanTierShares(t *testing.T) {
 	}
 
 	// Last tier: full remaining deadline, no wrapping.
-	lctx, lcancel, skip, _ := PlanTier(ctx, 1, time.Hour)
+	lctx, lcancel := PlanTier(ctx, 1)
 	defer lcancel()
-	if skip {
-		t.Fatal("last tier must never skip")
-	}
 	if lctx != ctx {
 		t.Fatal("last tier should run under the request context itself")
-	}
-}
-
-func TestPlanTierSkipsDoomedTier(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	_, tcancel, skip, reason := PlanTier(ctx, 2, time.Hour)
-	defer tcancel()
-	if !skip {
-		t.Fatal("a 1h-estimated tier with 100ms remaining must be skipped")
-	}
-	if !errors.Is(reason, guard.ErrBudgetExceeded) {
-		t.Fatalf("skip reason %v must classify as ErrBudgetExceeded", reason)
 	}
 }

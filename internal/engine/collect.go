@@ -87,8 +87,6 @@ func (m Metrics) Families() []obs.Family {
 		counter("circuitql_plan_store_read_bytes_total", "Bytes read from the persistent store.", m.StoreBytesRead),
 		counter("circuitql_plan_store_written_bytes_total", "Bytes written to the persistent store.", m.StoreBytesWritten),
 		admitted, shed, deadline, queue, depth, inflight,
-		{Name: "circuitql_qos_degraded_total", Help: "Degradation measures taken, by action.", Type: obs.TypeCounter,
-			Samples: []obs.Sample{{Labels: []obs.Label{{Name: "action", Value: "tier_skip"}}, Value: float64(m.TierSkips)}}},
 		gauge("circuitql_qos_degradation_level", "Current lane-load level (0 normal, 2 critical).", level),
 		counter("circuitql_qos_vm_batches_total", "Coalesced vm batch dispatches.", m.Batches),
 		counter("circuitql_qos_vm_batched_requests_total", "Requests served through coalesced vm batches.", m.BatchedRequests),

@@ -2,11 +2,8 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 	"time"
-
-	"circuitql/internal/guard"
 )
 
 // deadlineStage says where a request's deadline expired.
@@ -33,9 +30,9 @@ func (s deadlineStage) String() string {
 }
 
 // estimator is a lock-free exponential moving average of recent
-// durations (α = 1/8), used to predict whether a tier can finish inside
-// its share of a deadline and when a shed lane will have room. The zero
-// value estimates 0 ("unknown").
+// durations (α = 1/8): a lane's service time, from which retryAfter
+// predicts when a shed lane will have room. The zero value estimates 0
+// ("unknown").
 type estimator struct {
 	ns atomic.Int64
 }
@@ -62,46 +59,32 @@ func (e *estimator) estimate() time.Duration {
 	return time.Duration(e.ns.Load())
 }
 
-// PlanTier decides how the next tier attempt relates to the request's
+// PlanTier bounds the next tier attempt by its share of the request's
 // deadline. tiersLeft counts the current tier and every cheaper one
-// still available (so the last tier has tiersLeft == 1); est is the
-// expected duration of this tier (0: unknown). The engine's ladder and
-// the facade's EvaluateResilient both take their shares from it.
+// still available (so the last tier has tiersLeft == 1). The engine's
+// ladder and the facade's EvaluateResilient both take their shares from
+// it.
 //
-// With no deadline on ctx the attempt runs unbounded: tctx == ctx and
-// skip is false. With a deadline, the remaining wall clock is split
-// evenly across the tiers still available — the current tier gets
-// remaining/tiersLeft, reserving time for the cheaper fallbacks — and:
-//
-//   - if the tier's estimated duration exceeds its share (and a cheaper
-//     tier exists), skip is true with a typed reason wrapping
-//     guard.ErrBudgetExceeded: the request jumps straight to the
-//     cheaper tier instead of burning its deadline on a doomed attempt;
-//   - otherwise tctx bounds the attempt to its share, so a stuck tier
-//     cannot eat the fallbacks' time. The last tier runs under the full
-//     remaining deadline (tctx == ctx).
+// With no deadline on ctx, or on the last tier, the attempt runs under
+// ctx itself (tctx == ctx). Otherwise the remaining wall clock is split
+// evenly across the tiers still available: tctx expires after
+// remaining/tiersLeft, reserving the rest for the cheaper fallbacks, so
+// a stuck tier cannot eat their time. Nothing decides in advance that a
+// tier will not fit: an attempt that cannot finish in its share spends
+// that share and no more.
 //
 // cancel is never nil; callers always defer it.
-func PlanTier(ctx context.Context, tiersLeft int, est time.Duration) (tctx context.Context, cancel context.CancelFunc, skip bool, reason error) {
-	nop := func() {}
+func PlanTier(ctx context.Context, tiersLeft int) (tctx context.Context, cancel context.CancelFunc) {
 	if ctx == nil {
-		return ctx, nop, false, nil
+		return ctx, func() {}
 	}
 	deadline, ok := ctx.Deadline()
 	if !ok || tiersLeft <= 1 {
-		return ctx, nop, false, nil
+		return ctx, func() {}
 	}
-	remaining := time.Until(deadline)
-	share := remaining / time.Duration(tiersLeft)
-	if est > 0 && est > share {
-		return ctx, nop, true, fmt.Errorf(
-			"%w: engine: tier skipped for deadline (~%v estimated > %v share of %v remaining)",
-			guard.ErrBudgetExceeded, est.Round(time.Microsecond), share.Round(time.Microsecond), remaining.Round(time.Microsecond))
+	share := time.Until(deadline) / time.Duration(tiersLeft)
+	if share <= 0 {
+		return ctx, func() {} // past the deadline: the attempt's first poll fails
 	}
-	if remaining <= 0 {
-		// Already past the deadline: the attempt's first poll fails.
-		return ctx, nop, false, nil
-	}
-	tctx, cancel = context.WithDeadline(ctx, time.Now().Add(share))
-	return tctx, cancel, false, nil
+	return context.WithTimeout(ctx, share)
 }

@@ -1,0 +1,177 @@
+package engine
+
+import (
+	"context"
+	"math"
+	"slices"
+	"testing"
+	"time"
+
+	"circuitql/internal/obs"
+	"circuitql/internal/store"
+	"circuitql/internal/vm"
+)
+
+// median returns the middle of ds, which it sorts.
+func median(ds []time.Duration) time.Duration {
+	slices.Sort(ds)
+	return ds[len(ds)/2]
+}
+
+// TestEngineDeadlineJudgesPlanAlone: a deadlined request for a small plan
+// gets the vm tier when its share fits many of that plan's evaluations,
+// however long another plan's evaluations take. A triangle plan over 16
+// tuples, 10-20 times the small plan's evaluation, is served undeadlined
+// first. The deadline comes from the small plan's evaluations measured
+// on a second engine, as in TestEngineVMEstimateIsEvaluation, so a slow
+// build (-race) scales it with the code it times.
+func TestEngineDeadlineJudgesPlanAlone(t *testing.T) {
+	ctx := context.Background()
+	large := Prepare(mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 7, 16))
+	small := Prepare(mkReq(t, "Q(A,B) :- R(A,B), S(B)", 7, 4))
+
+	e, probe := New(Config{}), New(Config{})
+	defer e.Close()
+	defer probe.Close()
+	for i := 0; i < 30; i++ {
+		if res := e.Serve(ctx, large); res.Err != nil || res.Tier != TierVM {
+			t.Fatalf("large serve %d: tier %q err %v, want a vm serve", i, res.Tier, res.Err)
+		}
+	}
+	// The small plan is compiled on e without being evaluated there:
+	// e has evaluated the large plan only.
+	if _, _, err := e.acquire(ctx, mustCanon(t, small)); err != nil {
+		t.Fatal(err)
+	}
+	var evals []time.Duration
+	for i := 0; i < 10; i++ {
+		res := probe.Serve(ctx, small)
+		if res.Err != nil || res.Tier != TierVM {
+			t.Fatalf("small probe %d: tier %q err %v, want a vm serve", i, res.Tier, res.Err)
+		}
+		if i > 0 {
+			evals = append(evals, res.EvalTime)
+		}
+	}
+	eval := median(evals)
+
+	// A two-tier ladder gives the vm half of the deadline: 12 of the
+	// small plan's evaluations, and less than one of the large plan's.
+	// A stall on a loaded box can still cost one request its vm serve,
+	// so the test asks for most of them, not all.
+	deadline := 24 * eval
+	vmServes := 0
+	for i := 0; i < 20; i++ {
+		dctx, cancel := context.WithTimeout(ctx, deadline)
+		if res := e.Serve(dctx, small); res.Tier == TierVM {
+			vmServes++
+		}
+		cancel()
+	}
+	t.Logf("small plan: %d/20 vm serves under a %v deadline (one evaluation %v)", vmServes, deadline, eval)
+	if vmServes < 15 {
+		t.Fatalf("20 small-plan requests under a %v deadline: %d served from the vm tier (one evaluation %v)",
+			deadline, vmServes, eval)
+	}
+}
+
+// TestEngineWarmPlanBuildsOffTheClock: a store-loaded plan's vm program
+// is built once, off the request's clock. Under a deadline whose vm
+// share is shorter than the build but longer than an evaluation, the
+// first attempts stop waiting for the build and fall through to RAM;
+// the build runs on, and once it has had its time the plan serves from
+// the vm tier. One build in all.
+func TestEngineWarmPlanBuildsOffTheClock(t *testing.T) {
+	ctx := context.Background()
+	req := Prepare(storeReq(t, "cycle4"))
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := New(Config{Store: st})
+	var evals []time.Duration
+	for i := 0; i < 10; i++ {
+		res := cold.Serve(ctx, req)
+		if res.Err != nil || res.Tier != TierVM {
+			t.Fatalf("cold serve %d: tier %q err %v, want a vm serve", i, res.Tier, res.Err)
+		}
+		if i > 0 {
+			evals = append(evals, res.EvalTime)
+		}
+	}
+	cold.Close()
+	eval := median(evals)
+
+	// The build, timed as the fastest of three on the stored plan.
+	a, err := st.GetPlan(reqFP(t, req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, _, err := a.Compiled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := time.Duration(math.MaxInt64)
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		if _, err := vm.Compile(ctx, compiled.Obliv.C); err != nil {
+			t.Fatal(err)
+		}
+		build = min(build, time.Since(start))
+	}
+	if build < 4*eval {
+		t.Fatalf("build %v is under four evaluations (%v): no share fits between them", build, eval)
+	}
+	// The vm share is the geometric mean of the two: as many evaluations
+	// as it is a fraction of the build.
+	share := time.Duration(math.Sqrt(float64(build) * float64(eval)))
+	deadline := 2 * share
+
+	st2, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := obs.NewTracer(16)
+	e := New(Config{Store: st2, Tracer: tracer})
+	defer e.Close()
+	serve := func() Result {
+		dctx, cancel := context.WithTimeout(ctx, deadline)
+		defer cancel()
+		return e.Serve(dctx, req)
+	}
+	ent := func() *entry {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.cache.entries[reqFP(t, req)]
+	}()
+	built := func() bool {
+		ent.vmMu.Lock()
+		defer ent.vmMu.Unlock()
+		return ent.vmProg != nil
+	}
+	// Requests back to back for three builds' time at least, and until
+	// the program exists (a loaded box may stretch the build).
+	start := time.Now()
+	for n := 0; time.Since(start) < 3*build || !built(); n++ {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("after %d requests under a %v deadline (build %v, evaluation %v), the program is not built",
+				n, deadline, build, eval)
+		}
+		serve()
+	}
+	vmServes := 0
+	for i := 0; i < 20; i++ {
+		if serve().Tier == TierVM {
+			vmServes++
+		}
+	}
+	t.Logf("warm cycle4: %d/20 vm serves under a %v deadline (build %v, evaluation %v)", vmServes, deadline, build, eval)
+	if vmServes < 15 {
+		t.Fatalf("20 requests under a %v deadline after the build: %d served from the vm tier (build %v, evaluation %v)",
+			deadline, vmServes, build, eval)
+	}
+	if n := tracer.Aggregates()[obs.StageVMComp].Count; n != 1 {
+		t.Fatalf("%d vm-compile spans, want one build", n)
+	}
+}

@@ -60,10 +60,10 @@
 //   - under ShedOnFull / ShedAdaptive a full lane rejects immediately
 //     with a typed *guard.OverloadError carrying a retry-after hint
 //     (ShedBlock keeps the legacy blocking submit);
-//   - request deadlines propagate as per-tier shares (PlanTier),
-//     and compile leaders detach onto an engine-scoped context so an
-//     impatient caller's deadline never kills a compile that followers
-//     are waiting on;
+//   - request deadlines propagate as per-tier shares (PlanTier), and
+//     nothing skips a tier in advance; compile flights and store-loaded
+//     plans' vm builds detach onto an engine-scoped context, so an
+//     impatient caller's deadline never kills work others wait on;
 //   - under ShedAdaptive, below-normal-priority requests are shed
 //     first once a lane is critically full (Engine.critical); load never
 //     changes what a compile builds, so a fingerprint has one plan;
@@ -111,8 +111,7 @@ const (
 
 // tiers is the one table of what the engine knows per tier: its public
 // name and the deadline-accounting stage a request is in while the tier
-// runs. The per-tier estimators and counters on Engine are indexed the
-// same way.
+// runs. The per-tier counters on Engine are indexed the same way.
 var tiers = [numTiers]struct {
 	name  string
 	stage deadlineStage
@@ -357,9 +356,9 @@ type Engine struct {
 	submitM  sync.RWMutex // held (R) while sending on a lane; (W) by Close
 	wg       sync.WaitGroup
 
-	// lifeCtx scopes detached compile leaders to the engine's lifetime:
-	// a caller abandoning its flight does not kill the compile the other
-	// followers wait on; Close (after draining) and Shutdown cancel it.
+	// lifeCtx scopes detached work (compile flights, vm builds) to the
+	// engine's lifetime, so a caller abandoning it does not kill what
+	// others wait on; Close (after draining) and Shutdown cancel it.
 	lifeCtx    context.Context
 	lifeCancel context.CancelFunc
 	compileWG  sync.WaitGroup
@@ -371,7 +370,6 @@ type Engine struct {
 
 	// admission and deadline state (admission.go, deadline.go)
 	estServe     [numLanes]estimator // whole-request service time per lane
-	estTier      [numTiers]estimator // per-tier eval estimates for deadline shares
 	laneInFlight [numLanes]atomic.Int64
 
 	// counters (metrics.go holds the snapshot type); a request is counted
@@ -379,7 +377,6 @@ type Engine struct {
 	admitted                    [numLanes]atomic.Int64
 	shed                        [numLanes][numShedReasons]atomic.Int64
 	deadlines                   [numDeadlineStages]atomic.Int64
-	tierSkips                   atomic.Int64
 	hits, misses, evictions     atomic.Int64
 	compiles, compileErrs       atomic.Int64
 	inFlight, failed            atomic.Int64
@@ -674,8 +671,8 @@ func (e *Engine) finish(j *job, sp *obs.Span, stage *deadlineStage, res *Result)
 // answer is the hit path: with the plan in hand, validate the database
 // against the request's DCs, evaluate through the entry's tier ladder,
 // and rename the output back to the request's variable names. It takes
-// no engine lock (vmProgram re-charges the cache once for a store-loaded
-// entry, on its first vm evaluation).
+// no engine lock (a store-loaded entry's vm build re-charges the cache
+// once, when it finishes).
 func (e *Engine) answer(ctx context.Context, ent *entry, j *job, stage *deadlineStage, res *Result) {
 	req := j.req
 	_, sp := obs.StartSpan(ctx, obs.StageValidate)
@@ -721,29 +718,21 @@ func (ent *entry) ladder() ([]tierID, []TierAttempt) {
 //
 // Deadline propagation: with a deadline on ctx, each tier attempt is
 // budgeted its share of the remaining wall clock (PlanTier), so a
-// stuck vm attempt cannot eat the RAM fallback's time, and a tier whose
-// estimated duration already exceeds its share is skipped outright.
+// stuck vm attempt cannot eat the RAM fallback's time. Every tier on
+// the ladder is attempted; none is skipped on a guess.
 //
-// The tier counters (Metrics.Tiers) are kept here: a skipped tier is
-// not an attempt, and a serve after any earlier entry in attempts — a
-// failure, a skip, or a RAM-pinned entry's compile error — is a
-// fallback.
+// The tier counters (Metrics.Tiers) are kept here: a serve after any
+// earlier entry in attempts — a failure or a RAM-pinned entry's compile
+// error — is a fallback.
 func (e *Engine) evaluate(ctx context.Context, ent *entry, req Request, stage *deadlineStage) (*relation.Relation, tierID, []TierAttempt, error) {
 	ladder, attempts := ent.ladder()
 	for i, t := range ladder {
-		name, est := tiers[t].name, &e.estTier[t]
+		name := tiers[t].name
 		*stage = tiers[t].stage
-		tctx, cancel, skip, reason := PlanTier(ctx, len(ladder)-i, est.estimate())
-		if skip {
-			cancel()
-			e.tierSkips.Add(1)
-			attempts = append(attempts, TierAttempt{Tier: name, Err: reason})
-			continue
-		}
-		start := time.Now()
+		tctx, cancel := PlanTier(ctx, len(ladder)-i)
 		tierCtx, sp := obs.StartSpan(tctx, obs.StageTier+name)
 		e.attempts[t].Add(1)
-		out, built, err := e.runTier(tierCtx, t, ent, req)
+		out, err := e.runTier(tierCtx, t, ent, req)
 		if err == nil && out != nil {
 			sp.AddInt(obs.CounterRows, int64(out.Len()))
 		}
@@ -752,9 +741,6 @@ func (e *Engine) evaluate(ctx context.Context, ent *entry, req Request, stage *d
 		cancel()
 		attempts = append(attempts, TierAttempt{Tier: name, Err: err})
 		if err == nil {
-			// The estimate is of evaluation: counting a vm compile would
-			// skip the tier for good, as a skipped tier observes nothing.
-			est.observe(time.Since(start) - built)
 			e.served[t].Add(1)
 			if len(attempts) > 1 {
 				e.fallbacks[t].Add(1)
@@ -771,27 +757,25 @@ func (e *Engine) evaluate(ctx context.Context, ent *entry, req Request, stage *d
 	return nil, 0, attempts, fmt.Errorf("engine: all evaluation tiers failed: %w", last)
 }
 
-// runTier evaluates one tier, containing its panics. built is the time
-// the attempt spent compiling the entry's vm program (see vmProgram).
-func (e *Engine) runTier(ctx context.Context, t tierID, ent *entry, req Request) (out *relation.Relation, built time.Duration, err error) {
+// runTier evaluates one tier, containing its panics.
+func (e *Engine) runTier(ctx context.Context, t tierID, ent *entry, req Request) (out *relation.Relation, err error) {
 	defer guard.Recover(&err)
 	if t == tierVM {
 		return e.evalVM(ctx, ent, req)
 	}
-	out, err = query.EvaluateCtx(ctx, req.Query, req.DB)
-	return out, 0, err
+	return query.EvaluateCtx(ctx, req.Query, req.DB)
 }
 
 // evalVM is the vm tier, one span per step: the entry's vm.Program
-// (compiled with the plan, or for a store-loaded plan here on first use,
-// under a vm-compile span), pack the database
-// into input words, evaluate — coalesced with concurrent
-// same-fingerprint requests into one lock-step batch when batching is
-// configured — and decode the output words back into a relation.
-func (e *Engine) evalVM(ctx context.Context, ent *entry, req Request) (*relation.Relation, time.Duration, error) {
-	prog, built, err := ent.vmProgram(ctx, e)
+// (compiled with the plan, or for a store-loaded plan built once, off
+// the request's clock, by vmProgram), pack the database into input
+// words, evaluate — coalesced with concurrent same-fingerprint requests
+// into one lock-step batch when batching is configured — and decode the
+// output words back into a relation.
+func (e *Engine) evalVM(ctx context.Context, ent *entry, req Request) (*relation.Relation, error) {
+	prog, err := e.vmProgram(ctx, ent)
 	if err != nil {
-		return nil, built, err
+		return nil, err
 	}
 
 	_, sp := obs.StartSpan(ctx, obs.StagePack)
@@ -799,7 +783,7 @@ func (e *Engine) evalVM(ctx context.Context, ent *entry, req Request) (*relation
 	sp.SetError(err)
 	sp.End()
 	if err != nil {
-		return nil, built, err
+		return nil, err
 	}
 
 	var raw []vm.Word
@@ -812,14 +796,67 @@ func (e *Engine) evalVM(ctx context.Context, ent *entry, req Request) (*relation
 		}
 	}
 	if err != nil {
-		return nil, built, err
+		return nil, err
 	}
 
 	_, sp = obs.StartSpan(ctx, obs.StageDecode)
 	out, err := ent.compiled.DecodeOblivious(raw)
 	sp.SetError(err)
 	sp.End()
-	return out, built, err
+	return out, err
+}
+
+// vmProgram returns the entry's vm program: a compiled plan's, or a
+// store-loaded plan's, which its first vm attempt starts building
+// detached (buildVM), like a compile flight. An attempt waits for the
+// build only while its own context lives; one that gives up leaves the
+// build running, and a later request finds the program built.
+func (e *Engine) vmProgram(ctx context.Context, ent *entry) (*vm.Program, error) {
+	ent.vmMu.Lock()
+	if ent.vmProg != nil || ent.vmErr != nil {
+		defer ent.vmMu.Unlock()
+		return ent.vmProg, ent.vmErr
+	}
+	b := ent.vmBuild
+	if b == nil {
+		b = &vmBuild{done: make(chan struct{})}
+		ent.vmBuild = b
+		e.compileWG.Add(1)
+		go e.buildVM(e.detach(ctx), ent, b)
+	}
+	ent.vmMu.Unlock()
+	select {
+	case <-b.done:
+		return b.prog, b.err
+	case <-ctxDone(ctx):
+		return nil, guard.Poll(ctx)
+	}
+}
+
+// buildVM compiles a store-loaded entry's vm program on a detached ctx.
+// A failure tied to the starting request's budget or to shutdown is not
+// kept, so the next vm attempt builds again; any other outcome is the
+// entry's for its lifetime, and a built program is charged to the plan
+// cache once (chargeVM), as a compiled plan is at insert.
+func (e *Engine) buildVM(ctx context.Context, ent *entry, b *vmBuild) {
+	defer e.compileWG.Done()
+	defer close(b.done)
+	b.prog, b.err = func() (prog *vm.Program, err error) {
+		defer guard.Recover(&err)
+		return vm.Compile(ctx, ent.compiled.Obliv.C)
+	}()
+	ent.vmMu.Lock()
+	defer ent.vmMu.Unlock()
+	ent.vmBuild = nil
+	if transientErr(b.err) {
+		return
+	}
+	ent.vmProg, ent.vmErr = b.prog, b.err
+	if b.err == nil {
+		// Safe lock order: the cache mutex is only ever taken after
+		// vmMu here, never the other way around.
+		e.chargeVM(ent, vmCost(b.prog))
+	}
 }
 
 // renameOutput maps a canonical plan's output columns back to the
@@ -892,18 +929,7 @@ func (e *Engine) acquire(ctx context.Context, canon *query.Canonical) (ent *entr
 // every known shape compile-free.
 func (e *Engine) runFlight(fl *flight, canon *query.Canonical, reqCtx context.Context) {
 	defer e.compileWG.Done()
-	cctx := e.lifeCtx
-	if b := guard.FromContext(reqCtx); b != nil {
-		cctx = guard.WithBudget(cctx, b)
-	}
-	if in := faultinject.FromContext(reqCtx); in != nil {
-		cctx = faultinject.WithInjector(cctx, in)
-	}
-	// Compile spans nest under the leading request's serve span rather
-	// than surfacing as extra roots in the tracer ring.
-	if sp := obs.SpanFromContext(reqCtx); sp != nil {
-		cctx = obs.WithSpan(cctx, sp)
-	}
+	cctx := e.detach(reqCtx)
 	ent := e.loadStored(cctx, canon)
 	var err error
 	if ent == nil {
@@ -928,6 +954,24 @@ func (e *Engine) runFlight(fl *flight, canon *query.Canonical, reqCtx context.Co
 	for _, v := range victims {
 		e.persist(v)
 	}
+}
+
+// detach returns a context on the engine's lifetime with reqCtx's
+// budget, fault injector and span (so its trace), but not its
+// cancellation, for work that outlives the request that started it: a
+// compile flight, a store-loaded plan's vm build.
+func (e *Engine) detach(reqCtx context.Context) context.Context {
+	ctx := e.lifeCtx
+	if b := guard.FromContext(reqCtx); b != nil {
+		ctx = guard.WithBudget(ctx, b)
+	}
+	if in := faultinject.FromContext(reqCtx); in != nil {
+		ctx = faultinject.WithInjector(ctx, in)
+	}
+	if sp := obs.SpanFromContext(reqCtx); sp != nil {
+		ctx = obs.WithSpan(ctx, sp)
+	}
+	return ctx
 }
 
 // loadStored tries to serve a compile miss from the persistent store.
@@ -1069,8 +1113,8 @@ func (e *Engine) chargeVM(ent *entry, extra int64) {
 // --- Lifecycle and snapshots --------------------------------------------
 
 // Close stops accepting requests, drains queued ones, waits for the
-// workers, then cancels and waits for any detached compiles nobody is
-// left to consume. Safe to call more than once, including concurrently
+// workers, then cancels and waits for any detached compiles and vm
+// builds nobody is left to consume. Safe to call more than once, including concurrently
 // with itself and with Serve/Submit.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
@@ -1120,7 +1164,6 @@ func (e *Engine) Metrics() Metrics {
 		CachedPlans:    plans,
 		CachedGates:    gates,
 		Critical:       e.critical(),
-		TierSkips:      e.tierSkips.Load(),
 		CompileLatency: e.compileLat.snapshot(),
 		EvalLatency:    e.evalLat.snapshot(),
 	}

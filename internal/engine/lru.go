@@ -2,7 +2,6 @@ package engine
 
 import (
 	"container/list"
-	"context"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,8 +14,8 @@ import (
 // entry is one cached plan: the canonical form it was compiled from and
 // either the compiled circuits or a sticky compile failure. Entries are
 // immutable after insertion — except a store-loaded plan's vm program,
-// compiled on first use under its own mutex — so evaluation never holds
-// the cache lock.
+// built once under its own mutex — so evaluation never holds the cache
+// lock.
 type entry struct {
 	fp       query.Fingerprint
 	canon    *query.Canonical
@@ -44,48 +43,22 @@ type entry struct {
 	// only saves the re-encode.
 	stored atomic.Bool
 
-	// vmMu/vmProg/vmErr hold the entry's vectorized program: a compiled
-	// plan's, set at insert, or a store-loaded plan's, compiled by its
-	// first vm-tier request (a linear gate walk, far cheaper than the
-	// plan compile); every later request — and every batch — reuses it.
-	vmMu   sync.Mutex
-	vmProg *vm.Program
-	vmErr  error
+	// vmMu guards the entry's vectorized program: a compiled plan's, set
+	// at insert, or a store-loaded plan's, from the one build (vmBuild,
+	// nil when none runs) its first vm attempt starts; vmErr is a build's
+	// sticky failure. Every later request and batch reuses the program.
+	vmMu    sync.Mutex
+	vmProg  *vm.Program
+	vmErr   error
+	vmBuild *vmBuild
 }
 
-// vmProgram returns the entry's vectorized program and how long this
-// call spent compiling it (0 when the program already existed), which
-// the vm tier's evaluation estimate leaves out. A compiled plan comes
-// with its program (core.Compiled.Prog, charged at insert); only a plan
-// loaded from the store compiles it here, on first use — under a
-// vm-compile span inside the request's vm tier. A structural compile
-// failure is sticky for the entry's lifetime — the vm tier then fails
-// fast and the ladder falls through to the next tier — but a failure
-// tied to the requesting context (cancellation, budget) is not, so one
-// impatient caller can't pin the fast path off.
-//
-// A program compiled here has its memory footprint (its value slots and
-// instruction buffer, which dominate a resident program) charged against
-// the owner's plan-cache budget exactly once, as a compiled plan's is at
-// insert, so vm programs are not invisible to Config.MaxCacheGates.
-func (e *entry) vmProgram(ctx context.Context, owner *Engine) (*vm.Program, time.Duration, error) {
-	e.vmMu.Lock()
-	defer e.vmMu.Unlock()
-	if e.vmProg != nil || e.vmErr != nil {
-		return e.vmProg, 0, e.vmErr
-	}
-	start := time.Now()
-	prog, err := vm.Compile(ctx, e.compiled.Obliv.C)
-	if err != nil && transientErr(err) {
-		return nil, time.Since(start), err
-	}
-	e.vmProg, e.vmErr = prog, err
-	if err == nil && owner != nil {
-		// Safe lock order: the cache mutex is only ever taken after
-		// vmMu here, never the other way around.
-		owner.chargeVM(e, vmCost(prog))
-	}
-	return e.vmProg, time.Since(start), e.vmErr
+// vmBuild is one running build of a store-loaded entry's vm program
+// (Engine.buildVM): done closes once prog and err are final.
+type vmBuild struct {
+	done chan struct{}
+	prog *vm.Program
+	err  error
 }
 
 // vmCost is the plan-cache charge for a resident vm program: its value

@@ -94,9 +94,9 @@ func (h LatencyHistogram) String() string {
 		h.Count, h.Mean(), h.Quantile(0.50), h.Quantile(0.99))
 }
 
-// TierCounts is one tier's ladder activity: attempts (a skipped tier is
-// not one), serves, and fallbacks — serves that came after an earlier
-// entry in the request's Attempts.
+// TierCounts is one tier's ladder activity: attempts, serves, and
+// fallbacks — serves that came after an earlier entry in the request's
+// Attempts (a failed attempt, or a RAM-pinned entry's compile error).
 type TierCounts struct {
 	Tier                        string
 	Attempts, Served, Fallbacks int64
@@ -135,10 +135,8 @@ type Metrics struct {
 	Critical bool
 
 	// Deadline failures by the stage the request had reached (queued,
-	// compile, oblivious, ram), and tiers skipped because their estimate
-	// exceeded their share of the deadline.
-	Deadline  [numDeadlineStages]int64
-	TierSkips int64
+	// compile, oblivious, ram).
+	Deadline [numDeadlineStages]int64
 
 	// Per-tier ladder counts, in degradation order (vm, ram).
 	Tiers [numTiers]TierCounts

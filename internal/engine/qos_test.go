@@ -627,49 +627,6 @@ func TestEngineDeadlineMatrix(t *testing.T) {
 	}
 }
 
-// TestEngineDeadlineSkipsDoomedTier: with a deadline too tight for the
-// estimated circuit cost, the tier ladder skips straight to the RAM
-// tier (recording a typed skip reason) instead of burning the remaining
-// clock on a doomed attempt.
-func TestEngineDeadlineSkipsDoomedTier(t *testing.T) {
-	e := New(Config{Workers: 1, MissWorkers: 1})
-	defer e.Close()
-	req := mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 61, 10)
-	if res := e.Serve(context.Background(), req); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	// Teach the estimators that the vm tier is expensive and the RAM
-	// tier cheap, then hand in a deadline that only fits the RAM tier.
-	// (Repeated observations swamp whatever the warm serve recorded.)
-	for i := 0; i < 16; i++ {
-		e.estTier[tierVM].observe(10 * time.Second)
-	}
-	e.estTier[tierRAM].observe(time.Microsecond)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
-	defer cancel()
-	res := e.Serve(ctx, req)
-	if res.Err != nil {
-		t.Fatalf("deadline-aware ladder failed outright: %v", res.Err)
-	}
-	if res.Tier != TierRAM {
-		t.Fatalf("served by %q, want the RAM tier after skipping the doomed vm tier", res.Tier)
-	}
-	skips := 0
-	for _, a := range res.Attempts[:len(res.Attempts)-1] {
-		if a.Err == nil || !errors.Is(a.Err, guard.ErrBudgetExceeded) {
-			t.Fatalf("skipped tier %s recorded %v, want a typed budget reason", a.Tier, a.Err)
-		}
-		skips++
-	}
-	if skips != 1 {
-		t.Fatalf("skipped %d tiers, want 1 (vm)", skips)
-	}
-	if s := e.Metrics(); s.TierSkips != 1 {
-		t.Fatalf("TierSkips=%d, want 1", s.TierSkips)
-	}
-}
-
 // parkHitWorker warms a small plan and submits it again under a context
 // whose first Err() poll blocks, pinning the engine's single hit worker
 // inside process() until release is called; hit-lane jobs submitted

@@ -94,7 +94,7 @@ func TestEngineVMFaultFallsThrough(t *testing.T) {
 	})
 	t.Run("store-loaded plan", func(t *testing.T) {
 		req := storeReq(t, "triangle")
-		e := warmLoaded(t, req)
+		e := warmLoaded(t, req, Config{})
 		defer e.Close()
 		res := e.Serve(wordGateFault(), req)
 		if !res.CacheHit {
@@ -105,9 +105,9 @@ func TestEngineVMFaultFallsThrough(t *testing.T) {
 }
 
 // warmLoaded compiles req's plan into a fresh store with one engine and
-// returns a second engine warm-started from that store, so it holds the
-// plan without having compiled it.
-func warmLoaded(t *testing.T, req Request) *Engine {
+// returns a second engine, configured by cfg, warm-started from that
+// store, so it holds the plan without having compiled it.
+func warmLoaded(t *testing.T, req Request, cfg Config) *Engine {
 	t.Helper()
 	dir := t.TempDir()
 	st1, err := store.Open(dir)
@@ -123,16 +123,15 @@ func warmLoaded(t *testing.T, req Request) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(Config{Store: st2})
+	cfg.Store = st2
+	return New(cfg)
 }
 
 // TestEngineLadderIgnoresPlanOrigin: a plan is served the same way
 // whether this process compiled it or loaded it from the store. Under a
 // word-gate fault both engines walk the same tier sequence (vm, ram),
-// and under a deadline both give the vm attempt the same share: a vm
-// estimate of 2.5s fits half of a 6s deadline, so the vm tier runs and
-// serves — on a three-tier ladder its third would not fit and the tier
-// would be skipped.
+// and under a deadline both give the vm attempt the same share, half of
+// a 6s deadline, in which the vm tier serves.
 func TestEngineLadderIgnoresPlanOrigin(t *testing.T) {
 	req := storeReq(t, "triangle")
 	fresh := New(Config{})
@@ -140,15 +139,12 @@ func TestEngineLadderIgnoresPlanOrigin(t *testing.T) {
 	if res := fresh.Serve(context.Background(), req); res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	warm := warmLoaded(t, req)
+	warm := warmLoaded(t, req, Config{})
 	defer warm.Close()
 
 	type walk struct{ faulted, deadlined []string }
 	probe := func(e *Engine) walk {
 		faulted := e.Serve(wordGateFault(), req)
-		for i := 0; i < 16; i++ { // swamp what the serves above recorded
-			e.estTier[tierVM].observe(2500 * time.Millisecond)
-		}
 		ctx, cancel := context.WithTimeout(context.Background(), 6*time.Second)
 		defer cancel()
 		deadlined := e.Serve(ctx, req)
@@ -168,6 +164,55 @@ func TestEngineLadderIgnoresPlanOrigin(t *testing.T) {
 	}
 	if m := warm.Metrics(); m.Compiles != 0 {
 		t.Fatalf("warm-started engine compiled %d plans, want 0", m.Compiles)
+	}
+}
+
+// TestEngineWarmPlanSharedBuild: concurrent first requests for a
+// store-loaded plan share its one vm build and all serve from the vm
+// tier, with the program charged to the cache once; and Close returns
+// only after a build no request waits for any more has ended.
+func TestEngineWarmPlanSharedBuild(t *testing.T) {
+	ctx := context.Background()
+	req := storeReq(t, "cycle4")
+	want, err := query.EvaluateCtx(ctx, req.Query, req.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := obs.NewTracer(16)
+	e := warmLoaded(t, req, Config{Workers: 8, Tracer: tracer})
+	defer e.Close()
+	base := e.Metrics().CachedGates
+	reqs := make([]Request, 16)
+	for i := range reqs {
+		reqs[i] = req
+	}
+	for i, res := range e.ServeBatch(ctx, reqs) {
+		if res.Err != nil || res.Tier != TierVM || !res.Output.Equal(want) {
+			t.Fatalf("request %d: tier %q err %v, want the RAM answer from the vm tier", i, res.Tier, res.Err)
+		}
+	}
+	if n := tracer.Aggregates()[obs.StageVMComp].Count; n != 1 {
+		t.Fatalf("%d vm-compile spans for 16 concurrent first requests, want 1", n)
+	}
+	e.mu.Lock()
+	ent := e.cache.entries[reqFP(t, req)]
+	e.mu.Unlock()
+	if got := e.Metrics().CachedGates; got != base+vmCost(ent.vmProg) {
+		t.Fatalf("CachedGates=%d, want %d + the program's %d once", got, base, vmCost(ent.vmProg))
+	}
+
+	// A request that gives up on the build leaves it running; Close
+	// cancels it and waits for it to end.
+	e2 := warmLoaded(t, req, Config{})
+	dctx, cancel := context.WithTimeout(ctx, 200*time.Microsecond)
+	e2.Serve(dctx, req)
+	cancel()
+	e2.Close()
+	ent2 := e2.cache.entries[reqFP(t, req)]
+	ent2.vmMu.Lock()
+	defer ent2.vmMu.Unlock()
+	if ent2.vmBuild != nil {
+		t.Fatal("Close returned while the vm build was still running")
 	}
 }
 
@@ -405,13 +450,12 @@ func TestEngineBatchAcrossFingerprints(t *testing.T) {
 	}
 }
 
-// TestEngineVMEstimateIsEvaluation: the vm tier's deadline estimate
-// observes evaluation only. A plan's first vm attempt also compiles its
-// program, at tens of evaluations' cost; counted in, those compiles
-// make a deadline whose vm share fits many evaluations skip the tier,
-// and since a skipped tier observes nothing, keep skipping it. The
-// deadline comes from evaluations measured on a second engine, so a
-// slow build (-race) scales it with the code it times.
+// TestEngineVMEstimateIsEvaluation: a deadline whose vm share fits many
+// evaluations gets vm serves, whatever the plans' first serves cost
+// (each compiles its plan and program, at tens of evaluations' cost):
+// the vm attempt is bounded by its share and nothing else. The deadline
+// comes from evaluations measured on a second engine, so a slow build
+// (-race) scales it with the code it times.
 func TestEngineVMEstimateIsEvaluation(t *testing.T) {
 	ctx := context.Background()
 	// Eight fingerprints of one cycle4 plan, by a non-binding salt DC.
@@ -426,10 +470,9 @@ func TestEngineVMEstimateIsEvaluation(t *testing.T) {
 	}
 	req := plans[0]
 
-	// Each plan's first serve on e compiles its vm program: eight
-	// compiles and eight first evaluations, so one stalled evaluation
-	// does not make the estimate. Between them a second engine times
-	// evaluations on a built program, in the same phase of the box.
+	// Each plan's first serve on e compiles it with its vm program: eight
+	// compiles and eight first evaluations. Between them a second engine
+	// times evaluations on a built program, in the same phase of the box.
 	e, probe := New(Config{}), New(Config{})
 	defer e.Close()
 	defer probe.Close()
@@ -451,9 +494,9 @@ func TestEngineVMEstimateIsEvaluation(t *testing.T) {
 
 	// A two-tier ladder gives the vm half of the deadline: 12 evaluations,
 	// under half of what a program compile costs (25-70 evaluations) and
-	// well above a first evaluation (~2). With the compiles counted, all
-	// 20 requests skip the vm tier. A stall on a loaded box can still cost
-	// one its vm serve, so the test asks for most of them, not all.
+	// well above a first evaluation (~2). A stall on a loaded box can
+	// still cost one its vm serve, so the test asks for most of them, not
+	// all.
 	deadline := 24 * eval
 	for i := 0; i < 20; i++ {
 		dctx, cancel := context.WithTimeout(ctx, deadline)
@@ -462,7 +505,7 @@ func TestEngineVMEstimateIsEvaluation(t *testing.T) {
 	}
 	m := e.Metrics()
 	if vm := m.Tiers[tierVM].Served - 8; vm < 15 {
-		t.Fatalf("20 requests under a %v deadline: %d served from the vm tier, %d skipped it (estimate %v, one evaluation %v)",
-			deadline, vm, m.TierSkips, e.estTier[tierVM].estimate(), eval)
+		t.Fatalf("20 requests under a %v deadline: %d served from the vm tier (one evaluation %v)",
+			deadline, vm, eval)
 	}
 }

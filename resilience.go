@@ -95,9 +95,9 @@ func (r *TierReport) String() string {
 // way — and the first error is returned.
 //
 // With a deadline on ctx, the vm tier runs under half of the remaining
-// wall clock, so a stuck circuit exhausts only its share and the RAM
-// fallback still gets its turn; the RAM tier runs under the request
-// context itself.
+// wall clock (engine.PlanTier, the engine ladder's rule), so a stuck
+// circuit exhausts only its share and the RAM fallback still gets its
+// turn; the RAM tier runs under the request context itself.
 //
 // The TierReport is the call's only record: nothing is counted process
 // wide. When ctx carries an obs tracer each attempt is also a
@@ -124,9 +124,7 @@ func (c *CompiledQuery) EvaluateResilient(ctx context.Context, db Database) (*Re
 		}},
 	}
 	for i, t := range tiers {
-		// Estimate 0: the facade has no latency history, so shares bound
-		// tier attempts but never skip one outright.
-		tctx, cancel, _, _ := engine.PlanTier(ctx, len(tiers)-i, 0)
+		tctx, cancel := engine.PlanTier(ctx, len(tiers)-i)
 		tierCtx, sp := obs.StartSpan(tctx, obs.StageTier+t.name)
 		out, err := t.run(tierCtx)
 		cancel()

@@ -1,405 +1,26 @@
-// Benchmarks regenerating every experiment of DESIGN.md (E1-E12): one
-// benchmark per paper figure/theorem, each reporting the measured
-// quantities (circuit cost/size/depth, fitted growth exponents,
-// crossovers) as benchmark metrics. cmd/benchtab runs wider sweeps of
-// the same experiments and prints the tables recorded in EXPERIMENTS.md.
+// Ablation, stage and serving benchmarks: sorting networks and the
+// segmented scan against their naive alternatives, the compile's stages,
+// the vm against the interpreter and the served tiers. The paper's own
+// claims (E1-E12) are asserted by TestPaperClaims (paper_claims_test.go).
 package circuitql
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"testing"
 	"time"
 
 	"circuitql/internal/baseline"
 	"circuitql/internal/boolcircuit"
 	"circuitql/internal/core"
-	"circuitql/internal/ghd"
 	"circuitql/internal/obs"
-	"circuitql/internal/opcircuits"
 	"circuitql/internal/panda"
-	"circuitql/internal/proofseq"
 	"circuitql/internal/query"
 	"circuitql/internal/scan"
-	"circuitql/internal/semiring"
 	"circuitql/internal/sortnet"
-	"circuitql/internal/stats"
 	"circuitql/internal/vm"
 	"circuitql/internal/workload"
-	"circuitql/internal/yannakakis"
-
-	boundpkg "circuitql/internal/bound"
 )
-
-// BenchmarkE1Figure1Triangle rebuilds the hand-designed heavy/light
-// relational circuit of Figure 1 across N and reports its cost exponent
-// (theory: 1.5).
-func BenchmarkE1Figure1Triangle(b *testing.B) {
-	var xs, ys []float64
-	for _, n := range []float64{256, 1024, 4096, 16384} {
-		n := n
-		b.Run(fmt.Sprintf("N=%g", n), func(b *testing.B) {
-			var cost float64
-			for i := 0; i < b.N; i++ {
-				c, _ := baseline.HeavyLightTriangle(n)
-				cost = c.Cost()
-			}
-			b.ReportMetric(cost, "cost")
-		})
-		c, _ := baseline.HeavyLightTriangle(n)
-		xs = append(xs, n)
-		ys = append(ys, c.Cost())
-	}
-	k, _ := stats.FitPowerLaw(xs, ys)
-	b.ReportMetric(k, "cost-exponent")
-}
-
-// BenchmarkE2PandaCTriangle compiles the PANDA-C triangle circuit of
-// Figure 2 / Example 2 and reports relational gate count (Õ(1)), cost
-// exponent (theory 1.5), and truncation restarts.
-func BenchmarkE2PandaCTriangle(b *testing.B) {
-	q := query.Triangle()
-	var xs, ys []float64
-	var gates, restarts int
-	for _, n := range []float64{64, 256, 1024, 4096} {
-		n := n
-		b.Run(fmt.Sprintf("N=%g", n), func(b *testing.B) {
-			var res *panda.CompileResult
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = panda.CompileFCQCtx(context.Background(), q, query.Cardinalities(q, n))
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Circuit.Size()), "rel-gates")
-			b.ReportMetric(res.Circuit.Cost(), "cost")
-		})
-		res, err := panda.CompileFCQCtx(context.Background(), q, query.Cardinalities(q, n))
-		if err != nil {
-			b.Fatal(err)
-		}
-		xs = append(xs, n)
-		ys = append(ys, res.Circuit.Cost())
-		gates, restarts = res.Circuit.Size(), res.Restarts
-	}
-	k, _ := stats.FitPowerLaw(xs, ys)
-	b.ReportMetric(k, "cost-exponent")
-	b.ReportMetric(float64(gates), "rel-gates-largestN")
-	b.ReportMetric(float64(restarts), "restarts")
-}
-
-// BenchmarkE3Theorem3Suite compiles PANDA-C for the whole suite and
-// reports cost/DAPB (theory: Õ(1), i.e. polylog).
-func BenchmarkE3Theorem3Suite(b *testing.B) {
-	suite := []query.CatalogEntry{
-		{Name: "triangle", Query: query.Triangle()},
-		{Name: "path3", Query: query.Path3()},
-		{Name: "star3", Query: query.Star3()},
-		{Name: "cycle4", Query: query.Cycle4()},
-		{Name: "loomis_whitney4", Query: query.LoomisWhitney4()},
-	}
-	const n = 1024
-	for _, e := range suite {
-		e := e
-		b.Run(e.Name, func(b *testing.B) {
-			var res *panda.CompileResult
-			var err error
-			for i := 0; i < b.N; i++ {
-				res, err = panda.CompileFCQCtx(context.Background(), e.Query, query.Cardinalities(e.Query, n))
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			dapb := res.Bound.Value()
-			b.ReportMetric(res.Circuit.Cost()/(float64(len(e.Query.Atoms))*n+dapb), "cost/(N+DAPB)")
-			b.ReportMetric(float64(res.Circuit.Size()), "rel-gates")
-		})
-	}
-}
-
-// BenchmarkE4Theorem4Oblivious lowers the triangle circuit to word
-// gates across N and reports the size exponent against N + DAPB and the
-// depth growth (theory: size Õ(N+DAPB) = Õ(N^1.5), depth polylog).
-func BenchmarkE4Theorem4Oblivious(b *testing.B) {
-	q := query.Triangle()
-	var xs, ys, depths []float64
-	for _, n := range []float64{8, 16, 32, 64} {
-		n := n
-		b.Run(fmt.Sprintf("N=%g", n), func(b *testing.B) {
-			var obl *core.ObliviousCircuit
-			for i := 0; i < b.N; i++ {
-				res, err := panda.CompileFCQCtx(context.Background(), q, query.Cardinalities(q, n))
-				if err != nil {
-					b.Fatal(err)
-				}
-				obl, err = core.CompileObliviousCtx(context.Background(), res.Circuit)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(obl.C.Size()), "word-gates")
-			b.ReportMetric(float64(obl.C.Depth()), "depth")
-		})
-		res, err := panda.CompileFCQCtx(context.Background(), q, query.Cardinalities(q, n))
-		if err != nil {
-			b.Fatal(err)
-		}
-		obl, err := core.CompileObliviousCtx(context.Background(), res.Circuit)
-		if err != nil {
-			b.Fatal(err)
-		}
-		xs = append(xs, 3*n+math.Pow(n, 1.5))
-		ys = append(ys, float64(obl.C.Size()))
-		depths = append(depths, float64(obl.C.Depth()))
-	}
-	k, _ := stats.FitPowerLaw(xs, ys)
-	b.ReportMetric(k, "size-exponent-vs-(N+DAPB)")
-	// Depth should be polylog: compare growth against log²N growth.
-	dk, _ := stats.FitPowerLaw(xs, depths)
-	b.ReportMetric(dk, "depth-exponent")
-}
-
-// BenchmarkE5PKJoin builds the primary-key join circuit (Figure 3 /
-// Algorithm 6) across sizes and reports the size exponent (theory: Õ(1)
-// depth, Õ(M+N') size, i.e. exponent ≈ 1 plus log factors).
-func BenchmarkE5PKJoin(b *testing.B) {
-	var xs, ys []float64
-	for _, m := range []int{64, 256, 1024} {
-		m := m
-		b.Run(fmt.Sprintf("M=%d", m), func(b *testing.B) {
-			var c *boolcircuit.Circuit
-			for i := 0; i < b.N; i++ {
-				c = boolcircuit.New()
-				r := opcircuits.NewInput(c, []string{"A", "B"}, m)
-				s := opcircuits.NewInput(c, []string{"B", "C"}, m)
-				opcircuits.PKJoin(c, r, s)
-			}
-			b.ReportMetric(float64(c.Size()), "word-gates")
-			b.ReportMetric(float64(c.Depth()), "depth")
-		})
-		c := boolcircuit.New()
-		r := opcircuits.NewInput(c, []string{"A", "B"}, m)
-		s := opcircuits.NewInput(c, []string{"B", "C"}, m)
-		opcircuits.PKJoin(c, r, s)
-		xs = append(xs, float64(2*m))
-		ys = append(ys, float64(c.Size()))
-	}
-	k, _ := stats.FitPowerLaw(xs, ys)
-	b.ReportMetric(k, "size-exponent")
-}
-
-// BenchmarkE6DegreeBoundedJoin builds the degree-bounded join circuit
-// (Figure 4 / Algorithm 7) and reports size against the Õ(MN + N')
-// budget — and against the naive M·N' a pairwise circuit would need.
-func BenchmarkE6DegreeBoundedJoin(b *testing.B) {
-	const m, nprime = 64, 512
-	for _, deg := range []int{2, 8, 32} {
-		deg := deg
-		b.Run(fmt.Sprintf("deg=%d", deg), func(b *testing.B) {
-			var c *boolcircuit.Circuit
-			for i := 0; i < b.N; i++ {
-				c = boolcircuit.New()
-				r := opcircuits.NewInput(c, []string{"A", "B"}, m)
-				s := opcircuits.NewInput(c, []string{"B", "C"}, nprime)
-				opcircuits.DegJoin(c, r, s, deg)
-			}
-			b.ReportMetric(float64(c.Size()), "word-gates")
-			b.ReportMetric(float64(c.Size())/float64(m*deg+nprime), "gates/(MN+N')")
-			b.ReportMetric(float64(c.Size())/float64(m*nprime), "gates/naiveMN'")
-		})
-	}
-}
-
-// BenchmarkE7OutputSensitive builds Theorem 5's two circuit families and
-// reports the OUT-scaling of the evaluation circuit at fixed N.
-func BenchmarkE7OutputSensitive(b *testing.B) {
-	q := query.Path3()
-	const n = 256
-	dcs := query.Cardinalities(q, n)
-	plan, err := yannakakis.NewPlanCtx(context.Background(), q, dcs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("count-circuit", func(b *testing.B) {
-		var cc *yannakakis.CountCircuit
-		for i := 0; i < b.N; i++ {
-			cc, err = plan.CompileCountCtx(context.Background())
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(cc.Circuit.Cost(), "cost")
-	})
-	var xs, ys []float64
-	for _, out := range []float64{64, 256, 1024, 4096} {
-		out := out
-		b.Run(fmt.Sprintf("eval-OUT=%g", out), func(b *testing.B) {
-			var ec *yannakakis.EvalCircuit
-			for i := 0; i < b.N; i++ {
-				ec, err = plan.CompileEvalCtx(context.Background(), out)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(ec.Circuit.Cost(), "cost")
-		})
-		ec, err := plan.CompileEvalCtx(context.Background(), out)
-		if err != nil {
-			b.Fatal(err)
-		}
-		xs = append(xs, out)
-		ys = append(ys, ec.Circuit.Cost())
-	}
-	k, _ := stats.FitPowerLaw(xs, ys)
-	b.ReportMetric(k, "cost-exponent-vs-OUT")
-}
-
-// BenchmarkE8BrentSpeedup schedules the oblivious triangle circuit on P
-// PRAM processors (Brent's theorem: steps ≤ W/P + D).
-func BenchmarkE8BrentSpeedup(b *testing.B) {
-	q := query.Triangle()
-	res, err := panda.CompileFCQCtx(context.Background(), q, query.Cardinalities(q, 16))
-	if err != nil {
-		b.Fatal(err)
-	}
-	obl, err := core.CompileObliviousCtx(context.Background(), res.Circuit)
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := core.BrentSchedule(obl.C, 1)
-	for _, p := range []int{1, 16, 256, 4096, 1 << 20} {
-		p := p
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			var steps int
-			for i := 0; i < b.N; i++ {
-				steps = core.BrentSchedule(obl.C, p)
-			}
-			b.ReportMetric(float64(steps), "steps")
-			b.ReportMetric(float64(w)/float64(steps), "speedup")
-		})
-	}
-	b.ReportMetric(float64(obl.C.Depth()), "depth=min-steps")
-}
-
-// BenchmarkE9NaiveCrossover compares the naive Õ(N^m) circuit against
-// PANDA-C across N and reports the cost ratio (who wins, by how much).
-func BenchmarkE9NaiveCrossover(b *testing.B) {
-	q := query.Triangle()
-	for _, n := range []float64{4, 16, 64, 256, 1024} {
-		n := n
-		b.Run(fmt.Sprintf("N=%g", n), func(b *testing.B) {
-			var ratio float64
-			for i := 0; i < b.N; i++ {
-				dcs := query.Cardinalities(q, n)
-				naive, _, err := baseline.NaiveCircuit(q, dcs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := panda.CompileFCQCtx(context.Background(), q, dcs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ratio = naive.Cost() / res.Circuit.Cost()
-			}
-			b.ReportMetric(ratio, "naive/panda-cost")
-		})
-	}
-}
-
-// BenchmarkE10Aggregates compiles and runs join-aggregate circuits over
-// semirings (Section 7) and reports their cost relative to the plain
-// query.
-func BenchmarkE10Aggregates(b *testing.B) {
-	q := query.Path2Projected()
-	db := map[string]*Relation{
-		"R": semiring.Annotate(workload.UniformBinary(1, 64, 16), func(Tuple) int64 { return 1 }),
-		"S": semiring.Annotate(workload.UniformBinary(2, 64, 16), func(Tuple) int64 { return 1 }),
-	}
-	plain := Database{"R": db["R"].Project("x", "y"), "S": db["S"].Project("x", "y")}
-	dcs, err := query.DeriveDC(q, plain)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, sr := range []semiring.Semiring{semiring.SumProduct(), semiring.MinPlus()} {
-		sr := sr
-		b.Run(sr.Name, func(b *testing.B) {
-			var ac *semiring.Circuit
-			for i := 0; i < b.N; i++ {
-				ac, err = semiring.Compile(context.Background(), sr, q, dcs, 4096)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(ac.Circuit.Cost(), "cost")
-			got, err := ac.Evaluate(context.Background(), db, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(got.Len()), "out-tuples")
-		})
-	}
-}
-
-// BenchmarkE11BoundsAndProofs measures the exact polymatroid-bound LP
-// and the proof-sequence builder across the suite (Theorems 1-2).
-func BenchmarkE11BoundsAndProofs(b *testing.B) {
-	for _, e := range query.Catalog() {
-		e := e
-		b.Run(e.Name, func(b *testing.B) {
-			var seqLen int
-			for i := 0; i < b.N; i++ {
-				res, err := boundpkg.LogDAPBCtx(context.Background(), e.Query, query.Cardinalities(e.Query, 256))
-				if err != nil {
-					b.Fatal(err)
-				}
-				seq, _, err := proofseq.BuildCtx(context.Background(), e.Query, res)
-				if err != nil {
-					b.Fatal(err)
-				}
-				seqLen = len(seq)
-			}
-			b.ReportMetric(float64(seqLen), "proof-steps")
-		})
-	}
-}
-
-// BenchmarkE12Widths computes fhtw / da-fhtw / da-subw (Sections 6-7),
-// including the fhtw-vs-subw separation on the 4-cycle.
-func BenchmarkE12Widths(b *testing.B) {
-	for _, e := range []query.CatalogEntry{
-		{Name: "triangle", Query: query.Triangle()},
-		{Name: "cycle4", Query: query.Cycle4()},
-		{Name: "path2_projected", Query: query.Path2Projected()},
-	} {
-		e := e
-		b.Run(e.Name, func(b *testing.B) {
-			dcs := query.Cardinalities(e.Query, 256)
-			var f, df, ds float64
-			for i := 0; i < b.N; i++ {
-				fr, _, err := ghd.FhtwCtx(context.Background(), e.Query)
-				if err != nil {
-					b.Fatal(err)
-				}
-				dfr, _, err := ghd.DAFhtwCtx(context.Background(), e.Query, dcs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				dsr, err := ghd.DASubwCtx(context.Background(), e.Query, dcs, 12)
-				if err != nil {
-					b.Fatal(err)
-				}
-				f, _ = fr.Float64()
-				df, _ = dfr.Float64()
-				ds, _ = dsr.Float64()
-			}
-			b.ReportMetric(f, "fhtw")
-			b.ReportMetric(df/8, "da-fhtw/logN")
-			b.ReportMetric(ds/8, "da-subw/logN")
-		})
-	}
-}
 
 // BenchmarkAblationSegmentedScan compares the ⊕̄-segmented scan circuit
 // against the naive per-pair quadratic alternative the paper warns about
@@ -577,27 +198,6 @@ func BenchmarkVMvsInterp(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64), "ns/req")
 	})
-}
-
-// BenchmarkObliviousEvaluation measures actual circuit evaluation
-// throughput (the simulated "hardware" run).
-func BenchmarkObliviousEvaluation(b *testing.B) {
-	q := query.Triangle()
-	db := workload.TriangleDB(workload.TriangleUniform, 3, 16)
-	dcs, err := query.DeriveDC(q, db)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cq, err := Compile(context.Background(), q, dcs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cq.Evaluate(context.Background(), db); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkOptimizedVsRaw measures what the internal/opt passes buy at

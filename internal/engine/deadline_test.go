@@ -2,12 +2,14 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
 	"time"
 
 	"circuitql/internal/obs"
+	"circuitql/internal/query"
 	"circuitql/internal/store"
 	"circuitql/internal/vm"
 )
@@ -18,60 +20,87 @@ func median(ds []time.Duration) time.Duration {
 	return ds[len(ds)/2]
 }
 
-// TestEngineDeadlineJudgesPlanAlone: a deadlined request for a small plan
-// gets the vm tier when its share fits many of that plan's evaluations,
-// however long another plan's evaluations take. A triangle plan over 16
-// tuples, 10-20 times the small plan's evaluation, is served undeadlined
-// first. The deadline comes from the small plan's evaluations measured
-// on a second engine, as in TestEngineVMEstimateIsEvaluation, so a slow
+// TestEngineDeadlineJudgesPlanAlone: a deadlined request for a plan gets
+// the vm tier when its share fits many of that plan's evaluations,
+// whatever the engine served before it. Two cases: 30 serves of a
+// triangle plan over 16 tuples, 10-20 times the small plan's evaluation;
+// and the first serves of eight cycle4 plans, each compiling its plan
+// and program at tens of evaluations' cost. The deadline comes from the
+// requested plan's evaluations measured on a second engine, so a slow
 // build (-race) scales it with the code it times.
 func TestEngineDeadlineJudgesPlanAlone(t *testing.T) {
 	ctx := context.Background()
 	large := Prepare(mkReq(t, "Q(A,B,C) :- R(A,B), S(B,C), T(A,C)", 7, 16))
-	small := Prepare(mkReq(t, "Q(A,B) :- R(A,B), S(B)", 7, 4))
+	thirty := make([]Request, 30)
+	for i := range thirty {
+		thirty[i] = large
+	}
+	// Eight fingerprints of one cycle4 plan, by a non-binding salt DC.
+	cycle4 := make([]Request, 8)
+	for i := range cycle4 {
+		cycle4[i] = storeReq(t, "cycle4")
+		salt, err := query.ParseDC(cycle4[i].Query, fmt.Sprintf("R <= %d", 64+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycle4[i].DCs = append(cycle4[i].DCs, salt...)
+	}
 
-	e, probe := New(Config{}), New(Config{})
-	defer e.Close()
+	probe := New(Config{})
 	defer probe.Close()
-	for i := 0; i < 30; i++ {
-		if res := e.Serve(ctx, large); res.Err != nil || res.Tier != TierVM {
-			t.Fatalf("large serve %d: tier %q err %v, want a vm serve", i, res.Tier, res.Err)
-		}
-	}
-	// The small plan is compiled on e without being evaluated there:
-	// e has evaluated the large plan only.
-	if _, _, err := e.acquire(ctx, mustCanon(t, small)); err != nil {
-		t.Fatal(err)
-	}
-	var evals []time.Duration
-	for i := 0; i < 10; i++ {
-		res := probe.Serve(ctx, small)
-		if res.Err != nil || res.Tier != TierVM {
-			t.Fatalf("small probe %d: tier %q err %v, want a vm serve", i, res.Tier, res.Err)
-		}
-		if i > 0 {
-			evals = append(evals, res.EvalTime)
-		}
-	}
-	eval := median(evals)
+	for _, tc := range []struct {
+		name   string
+		before []Request // served undeadlined first
+		req    Request   // then requested 20 times under a deadline
+	}{
+		{"after-large-plan-serves", thirty, Prepare(mkReq(t, "Q(A,B) :- R(A,B), S(B)", 7, 4))},
+		{"after-eight-plan-compiles", cycle4, cycle4[0]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(Config{})
+			defer e.Close()
+			for i, r := range tc.before {
+				if res := e.Serve(ctx, r); res.Err != nil || res.Tier != TierVM {
+					t.Fatalf("serve %d: tier %q err %v, want a vm serve", i, res.Tier, res.Err)
+				}
+			}
+			// The requested plan is compiled on e, if it is not yet, without
+			// being evaluated there.
+			if _, _, err := e.acquire(ctx, mustCanon(t, tc.req)); err != nil {
+				t.Fatal(err)
+			}
+			var evals []time.Duration
+			for i := 0; i < 10; i++ {
+				res := probe.Serve(ctx, tc.req)
+				if res.Err != nil || res.Tier != TierVM {
+					t.Fatalf("probe %d: tier %q err %v, want a vm serve", i, res.Tier, res.Err)
+				}
+				if i > 0 {
+					evals = append(evals, res.EvalTime)
+				}
+			}
+			eval := median(evals)
 
-	// A two-tier ladder gives the vm half of the deadline: 12 of the
-	// small plan's evaluations, and less than one of the large plan's.
-	// A stall on a loaded box can still cost one request its vm serve,
-	// so the test asks for most of them, not all.
-	deadline := 24 * eval
-	vmServes := 0
-	for i := 0; i < 20; i++ {
-		dctx, cancel := context.WithTimeout(ctx, deadline)
-		if res := e.Serve(dctx, small); res.Tier == TierVM {
-			vmServes++
-		}
-		cancel()
-	}
-	t.Logf("small plan: %d/20 vm serves under a %v deadline (one evaluation %v)", vmServes, deadline, eval)
-	if vmServes < 15 {
-		t.Fatalf("20 small-plan requests under a %v deadline: %d served from the vm tier (one evaluation %v)",
-			deadline, vmServes, eval)
+			// A two-tier ladder gives the vm half of the deadline: 12 of the
+			// plan's evaluations, less than one of the large plan's and under
+			// half of a cycle4 compile (25-70 evaluations). A stall on a
+			// loaded box can still cost one request its vm serve, so the test
+			// asks for most of them, not all.
+			deadline := 24 * eval
+			vmServes := 0
+			for i := 0; i < 20; i++ {
+				dctx, cancel := context.WithTimeout(ctx, deadline)
+				if res := e.Serve(dctx, tc.req); res.Tier == TierVM {
+					vmServes++
+				}
+				cancel()
+			}
+			t.Logf("%d/20 vm serves under a %v deadline (one evaluation %v)", vmServes, deadline, eval)
+			if vmServes < 15 {
+				t.Fatalf("20 requests under a %v deadline: %d served from the vm tier (one evaluation %v)",
+					deadline, vmServes, eval)
+			}
+		})
 	}
 }
 

@@ -3,9 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -447,65 +445,5 @@ func TestEngineBatchAcrossFingerprints(t *testing.T) {
 		if !res.Output.Equal(want) {
 			t.Fatal("wrong answer through the batched vm path")
 		}
-	}
-}
-
-// TestEngineVMEstimateIsEvaluation: a deadline whose vm share fits many
-// evaluations gets vm serves, whatever the plans' first serves cost
-// (each compiles its plan and program, at tens of evaluations' cost):
-// the vm attempt is bounded by its share and nothing else. The deadline
-// comes from evaluations measured on a second engine, so a slow build
-// (-race) scales it with the code it times.
-func TestEngineVMEstimateIsEvaluation(t *testing.T) {
-	ctx := context.Background()
-	// Eight fingerprints of one cycle4 plan, by a non-binding salt DC.
-	plans := make([]Request, 8)
-	for i := range plans {
-		plans[i] = storeReq(t, "cycle4")
-		salt, err := query.ParseDC(plans[i].Query, fmt.Sprintf("R <= %d", 64+i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans[i].DCs = append(plans[i].DCs, salt...)
-	}
-	req := plans[0]
-
-	// Each plan's first serve on e compiles it with its vm program: eight
-	// compiles and eight first evaluations. Between them a second engine
-	// times evaluations on a built program, in the same phase of the box.
-	e, probe := New(Config{}), New(Config{})
-	defer e.Close()
-	defer probe.Close()
-	if res := probe.Serve(ctx, req); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	var evals []time.Duration
-	for i, p := range plans {
-		first, warm := e.Serve(ctx, p), probe.Serve(ctx, req)
-		for _, res := range []Result{first, warm} {
-			if res.Err != nil || res.Tier != TierVM {
-				t.Fatalf("plan %d: tier %q err %v, want a vm serve", i, res.Tier, res.Err)
-			}
-		}
-		evals = append(evals, warm.EvalTime)
-	}
-	slices.Sort(evals)
-	eval := evals[len(evals)/2]
-
-	// A two-tier ladder gives the vm half of the deadline: 12 evaluations,
-	// under half of what a program compile costs (25-70 evaluations) and
-	// well above a first evaluation (~2). A stall on a loaded box can
-	// still cost one its vm serve, so the test asks for most of them, not
-	// all.
-	deadline := 24 * eval
-	for i := 0; i < 20; i++ {
-		dctx, cancel := context.WithTimeout(ctx, deadline)
-		e.Serve(dctx, req)
-		cancel()
-	}
-	m := e.Metrics()
-	if vm := m.Tiers[tierVM].Served - 8; vm < 15 {
-		t.Fatalf("20 requests under a %v deadline: %d served from the vm tier (one evaluation %v)",
-			deadline, vm, eval)
 	}
 }

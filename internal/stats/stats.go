@@ -1,5 +1,5 @@
 // Package stats holds the small numeric and formatting helpers the
-// experiment harness uses: log-log power-law fitting (to recover growth
+// paper-claims test and the examples use: log-log power-law fitting (to recover growth
 // exponents from measured circuit sizes) and aligned table rendering for
 // the regenerated paper tables.
 package stats
@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode/utf8"
 )
 
 // FitPowerLaw fits y ≈ c·x^k by least squares on (log x, log y) and
@@ -65,7 +66,8 @@ func formatFloat(x float64) string {
 	return fmt.Sprintf("%.3g", x)
 }
 
-// String renders the table.
+// String renders the table, aligned by rune count (ρ*, → and ≤ take one
+// column each); the last cell of a line is not padded.
 func (t *Table) String() string {
 	widths := make([]int, 0)
 	for _, row := range t.rows {
@@ -73,9 +75,7 @@ func (t *Table) String() string {
 			if i >= len(widths) {
 				widths = append(widths, 0)
 			}
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+			widths[i] = max(widths[i], utf8.RuneCountInString(cell))
 		}
 	}
 	var b strings.Builder
@@ -85,7 +85,9 @@ func (t *Table) String() string {
 				b.WriteString("  ")
 			}
 			b.WriteString(cell)
-			b.WriteString(strings.Repeat(" ", widths[i]-len(cell)))
+			if i < len(row)-1 {
+				b.WriteString(strings.Repeat(" ", widths[i]-utf8.RuneCountInString(cell)))
+			}
 		}
 		b.WriteString("\n")
 		if ri == 0 {

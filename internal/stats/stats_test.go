@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -45,16 +44,18 @@ func TestFitPowerLawPanics(t *testing.T) {
 	}
 }
 
+// TestTableRendering: columns align by rune count, so a multi-byte
+// header (ρ*) or cell (→, ≤) takes one column per rune; floats print
+// compactly; the last cell of a line is not padded.
 func TestTableRendering(t *testing.T) {
-	tb := NewTable("N", "cost", "ratio")
-	tb.Row(16, 4096.0, 1.234567)
-	tb.Row(256, 65536.0, 0.5)
-	s := tb.String()
-	if !strings.Contains(s, "N") || !strings.Contains(s, "4096") || !strings.Contains(s, "1.23") {
-		t.Fatalf("table = %q", s)
-	}
-	lines := strings.Split(strings.TrimSpace(s), "\n")
-	if len(lines) != 4 { // header, rule, 2 rows
-		t.Fatalf("lines = %d", len(lines))
+	tb := NewTable("constraints", "ρ*", "cost", "ratio")
+	tb.Row("+ FD A→B", 16, 4096.0, 1.234567)
+	tb.Row("+ deg(BC|B) ≤ 8", 256, 65536.0, 0.5)
+	want := "constraints      ρ*   cost   ratio\n" +
+		"---------------  ---  -----  -----\n" +
+		"+ FD A→B         16   4096   1.23\n" +
+		"+ deg(BC|B) ≤ 8  256  65536  0.5\n"
+	if got := tb.String(); got != want {
+		t.Fatalf("table =\n%s\nwant\n%s", got, want)
 	}
 }

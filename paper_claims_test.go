@@ -1,0 +1,478 @@
+//go:build !race
+
+// The race detector is off for this file: E4 lowers the triangle at
+// N = 64 into 26.8 M raw word gates, which peaks at about 2.7 GB of
+// resident memory in a plain build, and a race build multiplies a
+// program's memory several times, past what a CI runner has. The twelve
+// rows take about 12 s together on two cores (E4 about 6 s). The test
+// runs in the plain `go test ./...`, in the coverage job and in CI's own
+// "Paper claims" step.
+
+package circuitql
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/big"
+	"testing"
+
+	"circuitql/internal/baseline"
+	"circuitql/internal/bitblast"
+	"circuitql/internal/boolcircuit"
+	"circuitql/internal/bound"
+	"circuitql/internal/core"
+	"circuitql/internal/ghd"
+	"circuitql/internal/opcircuits"
+	"circuitql/internal/panda"
+	"circuitql/internal/proofseq"
+	"circuitql/internal/query"
+	"circuitql/internal/relation"
+	"circuitql/internal/semiring"
+	"circuitql/internal/stats"
+	"circuitql/internal/workload"
+	"circuitql/internal/yannakakis"
+)
+
+// exponentTol is DESIGN.md's "reproduced": a log-log fitted growth
+// exponent within ±0.15 of theory over the swept range.
+const exponentTol = 0.15
+
+// TestPaperClaims checks the paper's quantitative claims, one row per
+// experiment of DESIGN.md's index (E1-E12). Each row builds its circuits
+// over a fixed sweep and asserts the criterion DESIGN.md sets for it:
+// fitted exponents within exponentTol of theory, exact bounds, the E9
+// crossover. A claim a package test already asserts (a worked example,
+// Brent's bound, the semiring answers, cycle4's widths) is named in the
+// row's title, not asserted again. Under -v every row prints the table
+// EXPERIMENTS.md quotes.
+func TestPaperClaims(t *testing.T) {
+	for _, row := range []struct {
+		id, title string
+		run       func(*testing.T, context.Context)
+	}{
+		{"E1", "Figure 1: heavy/light triangle circuit", claimE1},
+		{"E2", "Figure 2: PANDA-C triangle circuit (sequence (3): proofseq.TestPaperTriangleSequence)", claimE2},
+		{"E3", "Theorem 3: PANDA-C across the suite", claimE3},
+		{"E4", "Theorem 4: oblivious circuits", claimE4},
+		{"E5", "Figure 3: primary-key join circuit (worked example: opcircuits.TestPKJoinPaperExample)", claimE5},
+		{"E6", "Figure 4: degree-bounded join circuit (worked example: opcircuits.TestDegJoinPaperExample)", claimE6},
+		{"E7", "Theorem 5: output-sensitive circuits", claimE7},
+		{"E8", "Brent speedup, PRAM simulation (bound: core.TestBrentSchedule)", claimE8},
+		{"E9", "Naive circuit vs PANDA-C crossover", claimE9},
+		{"E10", "Section 7: join-aggregate semirings (answers: semiring.TestCircuitMatchesRAM)", claimE10},
+		{"E11", "Theorems 1-2: bounds and proof sequences", claimE11},
+		{"E12", "Sections 6-7: width measures (cycle4: ghd.TestDASubwCycle4)", claimE12},
+	} {
+		t.Run(row.id, func(t *testing.T) {
+			printf("== %s — %s ==\n", row.id, row.title)
+			row.run(t, context.Background())
+			printf("\n")
+		})
+	}
+}
+
+// printf prints a table line under -v only.
+func printf(format string, a ...any) {
+	if testing.Verbose() {
+		fmt.Printf(format, a...)
+	}
+}
+
+// fitExponent fits ys ≈ c·xs^k, prints k and fails the row unless k is
+// within exponentTol of want.
+func fitExponent(t *testing.T, what string, xs, ys []float64, want float64) {
+	t.Helper()
+	k, _ := stats.FitPowerLaw(xs, ys)
+	printf("fitted %s: %.3f (paper: %g)\n", what, k, want)
+	if math.Abs(k-want) > exponentTol {
+		t.Errorf("fitted %s %.3f, want %g ± %g", what, k, want, exponentTol)
+	}
+}
+
+// catalog returns the named catalog entries in the order named.
+func catalog(names ...string) []query.CatalogEntry {
+	var out []query.CatalogEntry
+	for _, name := range names {
+		for _, e := range query.Catalog() {
+			if e.Name == name {
+				out = append(out, e)
+			}
+		}
+	}
+	return out
+}
+
+// must unwraps a build step that only fails on a bug; the panic fails
+// the test with its stack.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// claimE1: Figure 1's circuit is 16 relational gates at every N, each
+// costing O(N^{3/2}), so its cost grows as N^{3/2}.
+func claimE1(t *testing.T, _ context.Context) {
+	tb := stats.NewTable("N", "rel gates", "depth", "cost", "cost/N^1.5")
+	var xs, ys []float64
+	for _, n := range []float64{256, 1024, 4096, 16384, 65536} {
+		c, _ := baseline.HeavyLightTriangle(n)
+		tb.Row(n, c.Size(), c.Depth(), c.Cost(), c.Cost()/math.Pow(n, 1.5))
+		if c.Size() != 16 {
+			t.Errorf("N=%g: %d relational gates, want Figure 1's 16", n, c.Size())
+		}
+		xs = append(xs, n)
+		ys = append(ys, c.Cost())
+	}
+	printf("%s", tb)
+	fitExponent(t, "cost exponent", xs, ys, 1.5)
+}
+
+// claimE2: PANDA-C's triangle circuit costs Õ(N^{3/2}), and its gate
+// count is Õ(1): Example 2's one decomposition splits a relation into
+// 2·log N degree buckets of a fixed gate pattern each, so every
+// quadrupling of N (two more buckets) adds the same number of gates.
+func claimE2(t *testing.T, ctx context.Context) {
+	q := query.Triangle()
+	tb := stats.NewTable("N", "rel gates", "depth", "cost", "restarts", "cost/N^1.5")
+	var xs, ys []float64
+	var gates []int
+	var seq string
+	for _, n := range []float64{64, 256, 1024, 4096, 16384} {
+		res := must(panda.CompileFCQCtx(ctx, q, query.Cardinalities(q, n)))
+		if n == 1024 {
+			seq = res.Seq.Label(q.VarNames)
+		}
+		tb.Row(n, res.Circuit.Size(), res.Circuit.Depth(), res.Circuit.Cost(),
+			res.Restarts, res.Circuit.Cost()/math.Pow(n, 1.5))
+		xs = append(xs, n)
+		ys = append(ys, res.Circuit.Cost())
+		gates = append(gates, res.Circuit.Size())
+	}
+	printf("%s", tb)
+	fitExponent(t, "cost exponent", xs, ys, 1.5)
+	step := gates[1] - gates[0]
+	printf("relational gates per quadrupling of N: +%d\n", step)
+	for i := 1; i < len(gates); i++ {
+		if d := gates[i] - gates[i-1]; d != step || step <= 0 {
+			t.Errorf("relational gates %v: step %d at N=%g, want one positive step per quadrupling",
+				gates, d, xs[i])
+		}
+	}
+	printf("proof sequence at N=1024: %s\n", seq)
+}
+
+// claimE3: PANDA-C's cost tracks the degree-aware bound. On the triangle
+// at N = 1024 (log N = 10 bits), the FD A→B makes the bound
+// |R_AB|·deg(B|A) = N, exactly 2^10 = 1024 instead of N^{3/2}: the bound
+// drops by √N = 32, and the cost by more, since the FD's proof needs no
+// decomposition and so sheds Example 2's log N branches as well.
+// deg(BC|B) ≤ 8 bounds the output by |R_AB|·8 = 2^13 = 8192 exactly.
+func claimE3(t *testing.T, ctx context.Context) {
+	const n = 1024
+	tb := stats.NewTable("query", "ρ*", "DAPB", "rel gates", "cost", "cost/(N+DAPB)")
+	for _, e := range catalog("triangle", "path3", "star3", "cycle4", "loomis_whitney4") {
+		res := must(panda.CompileFCQCtx(ctx, e.Query, query.Cardinalities(e.Query, n)))
+		rho := must(bound.FractionalEdgeCoverNumber(ctx, e.Query))
+		rhoF, _ := rho.Float64()
+		dapb := res.Bound.Value()
+		tb.Row(e.Name, rhoF, dapb, res.Circuit.Size(), res.Circuit.Cost(),
+			res.Circuit.Cost()/(float64(len(e.Query.Atoms))*n+dapb))
+	}
+	printf("%s", tb)
+	printf("(N = %d per relation; cost/(N+DAPB) is Theorem 3's polylog factor)\n", n)
+
+	q := query.Triangle()
+	dt := stats.NewTable("constraints", "DAPB", "cost")
+	compile := func(label string, extra ...query.DegreeConstraint) *panda.CompileResult {
+		res := must(panda.CompileFCQCtx(ctx, q, append(query.Cardinalities(q, n), extra...)))
+		dt.Row(label, res.Bound.Value(), res.Circuit.Cost())
+		return res
+	}
+	cards := compile("cardinalities only")
+	fd := compile("+ FD A→B", query.DegreeConstraint{X: query.SetOf(0), Y: query.SetOf(0, 1), N: 1})
+	deg := compile("+ deg(BC|B) ≤ 8", query.DegreeConstraint{X: query.SetOf(1), Y: query.SetOf(1, 2), N: 8})
+	printf("\nwith degree constraints (triangle, N=%d):\n%s", n, dt)
+	ratio := cards.Circuit.Cost() / fd.Circuit.Cost()
+	printf("FD collapse: cost ×%.1f\n", ratio)
+	if fd.Bound.LogValue.Cmp(big.NewRat(10, 1)) != 0 || deg.Bound.LogValue.Cmp(big.NewRat(13, 1)) != 0 {
+		t.Errorf("log₂ DAPB %v under FD A→B and %v under deg(BC|B) ≤ 8, want exactly 10 and 13",
+			fd.Bound.LogValue, deg.Bound.LogValue)
+	}
+	if ratio <= math.Sqrt(n) {
+		t.Errorf("FD A→B cuts the cost ×%.1f, want more than √N = %g", ratio, math.Sqrt(n))
+	}
+}
+
+// claimE4: Theorem 4's circuit, the raw lowering of PANDA-C's triangle
+// circuit (core.CompileObliviousCtx, not the served optimizer's output).
+//
+// Normalization, from the construction: the lowering turns a relational
+// gate of cost K into sorting networks over its K slots (odd-even
+// mergesort, K·log²K compare-exchanges), and a degree-bounded join of
+// degree bound d (≤ N here) runs ⌈log₂ d⌉ halving levels, one more sort
+// each. PANDA-C's relational cost is Θ(N + DAPB) (E2: cost/N^{3/2} is
+// flat), so the word circuit has Θ((N + DAPB)·log N·log²N) gates: size
+// against x = (3N + N^{3/2})·log₂³N fits exponent 1 ± exponentTol.
+//
+// Depth is polylog (depthBound), where a sequential circuit would have
+// depth ≈ size.
+//
+// Bit-blasting (§4.1's strict model) expands each word gate into at most
+// 7w bit gates at width w: the costliest gate this lowering emits is a
+// signed compare, a w-bit ripple subtraction (5w) plus negation (w) and
+// the sign fix-up.
+func claimE4(t *testing.T, ctx context.Context) {
+	q := query.Triangle()
+	tb := stats.NewTable("N", "word gates", "depth", "gates/(N+DAPB)", "gates/((N+DAPB)·log³N)", "depth/log²(gates)")
+	var xs, ys []float64
+	for _, n := range []float64{8, 16, 32, 64} {
+		res := must(panda.CompileFCQCtx(ctx, q, query.Cardinalities(q, n)))
+		obl := must(core.CompileObliviousCtx(ctx, res.Circuit))
+		size, depth := float64(obl.C.Size()), float64(obl.C.Depth())
+		budget := 3*n + math.Pow(n, 1.5)
+		lgN, lgSize := math.Log2(n), math.Log2(size)
+		x := budget * lgN * lgN * lgN
+		tb.Row(n, obl.C.Size(), obl.C.Depth(), size/budget, size/x, depth/(lgSize*lgSize))
+		xs = append(xs, x)
+		ys = append(ys, size)
+		if limit := depthBound(res.Circuit.Depth(), n, size); depth > limit {
+			t.Errorf("N=%g: depth %g above the construction's polylog bound %.0f", n, depth, limit)
+		}
+	}
+	printf("%s", tb)
+	fitExponent(t, "size exponent vs (N+DAPB)·log³N", xs, ys, 1)
+
+	const width = 64
+	printf("\nstrict bit-level circuits (width %d):\n", width)
+	bt := stats.NewTable("N", "word gates", "bit gates", "bit depth", "bit/word")
+	for _, n := range []float64{3, 4} {
+		res := must(panda.CompileFCQCtx(ctx, q, query.Cardinalities(q, n)))
+		obl := must(core.CompileObliviousCtx(ctx, res.Circuit))
+		blasted := must(bitblast.BlastCtx(ctx, obl.C, width))
+		ratio := float64(blasted.C.Size()) / float64(obl.C.Size())
+		bt.Row(n, obl.C.Size(), blasted.C.Size(), blasted.C.Depth(), ratio)
+		if ratio > 7*width {
+			t.Errorf("N=%g: %.0f bit gates per word gate, want at most 7w = %d", n, ratio, 7*width)
+		}
+	}
+	printf("%s", bt)
+}
+
+// depthBound is the depth the lowering can reach along relDepth
+// relational gates whose degree bounds are at most d, in a circuit of
+// the given size: each gate adds at most 10 + ⌈log₂ d⌉ sorts one after
+// another (a semijoin's three, the join's sort, truncations and final
+// combination, its halving levels), each of at most lg·(lg+1)/2
+// comparator layers over at most size slots (lg = log₂ size), and a
+// layer is at most 2k + 4 ≤ 12 gates deep for k ≤ 4 key columns
+// (KeyLess's compare chain, then the mux).
+func depthBound(relDepth int, d, size float64) float64 {
+	lg := math.Log2(size)
+	return float64(relDepth) * (10 + math.Ceil(math.Log2(d))) * 6 * lg * (lg + 1)
+}
+
+// claimE5: Algorithm 6 joins M and N' slots with a constant number of
+// sorts over M + N' slots (odd-even mergesort, K·log²K) and a scan
+// (K·log K), so with log²(M+N') divided out its size grows linearly.
+func claimE5(t *testing.T, _ context.Context) {
+	tb := stats.NewTable("M=N'", "word gates", "depth", "gates/(M+N')", "gates/((M+N')·log²(M+N'))")
+	var xs, ys []float64
+	for _, m := range []int{64, 256, 1024, 4096} {
+		c := boolcircuit.New()
+		r := opcircuits.NewInput(c, []string{"A", "B"}, m)
+		s := opcircuits.NewInput(c, []string{"B", "C"}, m)
+		opcircuits.PKJoin(c, r, s)
+		k := float64(2 * m)
+		x := k * math.Log2(k) * math.Log2(k)
+		tb.Row(m, c.Size(), c.Depth(), float64(c.Size())/k, float64(c.Size())/x)
+		xs = append(xs, x)
+		ys = append(ys, float64(c.Size()))
+	}
+	printf("%s", tb)
+	fitExponent(t, "size exponent vs (M+N')·log²(M+N')", xs, ys, 1)
+}
+
+// claimE6: Algorithm 7 at M = 64, N' = 512 across degree bounds N.
+//
+// Normalization, from the construction: the join sorts O(M·N + N') words
+// in each of its rounds (the semijoin and truncation prelude, then
+// ⌈log₂(N−1)⌉ halving levels whose slot count halves as their width
+// doubles, then the final combination), each round an odd-even mergesort
+// with log² of its slot count. So its size is Θ((M·N + N')·log₂(2N)·
+// log₂²(M·N + N')), not the O(M·N') of a pairwise circuit: size against
+// that x fits exponent 1 ± exponentTol.
+//
+// Measured, it does not (0.72: gates/x falls from 8.1 to 3.7 across the
+// sweep), so that fit is printed, not asserted; EXPERIMENTS.md "Known
+// deviations" records the miss. What the row asserts is the polylog
+// depth of one join (depthBound).
+func claimE6(t *testing.T, _ context.Context) {
+	const m, nprime = 64, 512
+	tb := stats.NewTable("deg bound N", "word gates", "depth", "gates/(MN+N')", "gates/x", "gates/(M·N') naive")
+	var xs, ys []float64
+	for _, deg := range []int{2, 4, 8, 16, 32} {
+		c := boolcircuit.New()
+		r := opcircuits.NewInput(c, []string{"A", "B"}, m)
+		s := opcircuits.NewInput(c, []string{"B", "C"}, nprime)
+		opcircuits.DegJoin(c, r, s, deg)
+		budget := float64(m*deg + nprime)
+		x := budget * math.Log2(float64(2*deg)) * math.Log2(budget) * math.Log2(budget)
+		size := float64(c.Size())
+		tb.Row(deg, c.Size(), c.Depth(), size/budget, size/x, size/float64(m*nprime))
+		xs = append(xs, x)
+		ys = append(ys, size)
+		if limit := depthBound(1, float64(deg), size); float64(c.Depth()) > limit {
+			t.Errorf("N=%d: depth %d above the construction's polylog bound %.0f", deg, c.Depth(), limit)
+		}
+	}
+	printf("(M=%d, N'=%d; x = (MN+N')·log(2N)·log²(MN+N'))\n%s", m, nprime, tb)
+	k, _ := stats.FitPowerLaw(xs, ys)
+	printf("fitted size exponent vs x: %.3f (paper: 1; not asserted, see EXPERIMENTS.md \"Known deviations\")\n", k)
+}
+
+// claimE7: Theorem 5 on path3 at N = 256 per relation (da-fhtw 8 bits).
+// The count circuit does not depend on OUT; the evaluation circuit's
+// cost is Õ(N + 2^w + OUT), so once OUT ≥ N + 2^w it grows linearly in
+// OUT.
+func claimE7(t *testing.T, ctx context.Context) {
+	q := query.Path3()
+	const n = 256
+	plan := must(yannakakis.NewPlanCtx(ctx, q, query.Cardinalities(q, n)))
+	cc := must(plan.CompileCountCtx(ctx))
+	w, _ := plan.Width.Float64()
+	printf("(path3, N=%d) plan: da-fhtw = %.2f bits; OUT-circuit: %d gates, cost %.6g\n",
+		n, w, cc.Circuit.Size(), cc.Circuit.Cost())
+	tb := stats.NewTable("OUT", "rel gates", "cost", "cost/(N+2^w+OUT)")
+	var xs, ys []float64
+	for _, out := range []float64{64, 256, 1024, 4096, 16384} {
+		ec := must(plan.CompileEvalCtx(ctx, out))
+		tb.Row(out, ec.Circuit.Size(), ec.Circuit.Cost(), ec.Circuit.Cost()/(3*n+math.Exp2(w)+out))
+		if out >= n+math.Exp2(w) {
+			xs = append(xs, out)
+			ys = append(ys, ec.Circuit.Cost())
+		}
+	}
+	printf("%s", tb)
+	fitExponent(t, "cost exponent vs OUT ≥ N+2^w", xs, ys, 1)
+}
+
+// claimE8 prints Brent's schedule of the raw triangle circuit at N = 16;
+// core.TestBrentSchedule asserts steps ≤ W/P + D and the two endpoints.
+func claimE8(t *testing.T, ctx context.Context) {
+	q := query.Triangle()
+	res := must(panda.CompileFCQCtx(ctx, q, query.Cardinalities(q, 16)))
+	obl := must(core.CompileObliviousCtx(ctx, res.Circuit))
+	w, d := core.BrentSchedule(obl.C, 1), obl.C.Depth()
+	printf("(triangle, N=16: W = %d, D = %d; Brent bound W/P + D)\n", w, d)
+	tb := stats.NewTable("P", "steps", "speedup", "W/P+D bound")
+	for _, p := range []int{1, 4, 16, 64, 256, 1024, 4096, 1 << 20} {
+		steps := core.BrentSchedule(obl.C, p)
+		tb.Row(p, steps, float64(w)/float64(steps), w/p+d)
+	}
+	printf("%s", tb)
+}
+
+// claimE9: the naive circuit joins all N³ triples at constant cost each,
+// PANDA-C pays Õ(N^{3/2}) with a polylog constant, so the naive circuit
+// is cheaper only at toy sizes and the gap widens as N grows.
+func claimE9(t *testing.T, ctx context.Context) {
+	q := query.Triangle()
+	tb := stats.NewTable("N", "naive cost (N^3)", "PANDA-C cost", "naive/PANDA-C")
+	var ratios []float64
+	for _, n := range []float64{4, 16, 64, 256, 1024, 4096} {
+		dcs := query.Cardinalities(q, n)
+		naive, _, err := baseline.NaiveCircuit(q, dcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := must(panda.CompileFCQCtx(ctx, q, dcs))
+		ratio := naive.Cost() / res.Circuit.Cost()
+		tb.Row(n, naive.Cost(), res.Circuit.Cost(), ratio)
+		ratios = append(ratios, ratio)
+	}
+	printf("%s", tb)
+	for i, r := range ratios {
+		if (r < 1) != (i == 0) || i > 0 && r <= ratios[i-1] {
+			t.Errorf("naive/PANDA-C %.3g: want the naive circuit cheaper at the smallest N only, by a factor rising with N", ratios)
+			break
+		}
+	}
+}
+
+// claimE10 prints the semiring circuits of Q(A,C) :- R(A,B), S(B,C),
+// sized for the RAM answer; semiring.TestCircuitMatchesRAM asserts theirs.
+func claimE10(t *testing.T, ctx context.Context) {
+	q := query.Path2Projected()
+	r := semiring.Annotate(workload.UniformBinary(1, 64, 16), func(relation.Tuple) int64 { return 1 })
+	s := semiring.Annotate(workload.UniformBinary(2, 64, 16), func(relation.Tuple) int64 { return 1 })
+	db := map[string]*relation.Relation{"R": r, "S": s}
+	plain := query.Database{"R": r.Project("x", "y"), "S": s.Project("x", "y")}
+	dcs := must(query.DeriveDC(q, plain))
+	printf("(Q(A,C) :- R(A,B), S(B,C), annotated, N=64)\n")
+	tb := stats.NewTable("semiring", "rel gates", "cost", "output tuples")
+	for _, sr := range []semiring.Semiring{
+		semiring.SumProduct(), semiring.MinPlus(), semiring.MaxPlus(), semiring.BoolOrAnd(),
+	} {
+		want := must(semiring.EvaluateRAM(sr, q, db))
+		ac := must(semiring.Compile(ctx, sr, q, dcs, float64(want.Len())))
+		tb.Row(sr.Name, ac.Circuit.Size(), ac.Circuit.Cost(), want.Len())
+	}
+	printf("%s", tb)
+}
+
+// claimE11: under uniform cardinalities LOGDAPB degenerates to the AGM
+// bound ρ*·log N, an exact rational for each catalog query (N = 256,
+// log N = 8 bits); its dual witness checks (Theorem 1) and the built
+// proof sequence verifies (Theorem 2).
+func claimE11(t *testing.T, ctx context.Context) {
+	rho := map[string]string{"triangle": "3/2", "boolean_triangle": "3/2", "path2": "2",
+		"path2_projected": "2", "path3": "2", "path3_endpoints": "2", "star3": "3",
+		"cycle4": "2", "loomis_whitney4": "4/3", "bowtie": "5/2"}
+	const logN = 8
+	tb := stats.NewTable("query", "LOGDAPB/logN", "proof steps", "decomps", "witness checks")
+	for _, e := range query.Catalog() {
+		res := must(bound.LogDAPBCtx(ctx, e.Query, query.Cardinalities(e.Query, 1<<logN)))
+		seq, delta, err := proofseq.BuildCtx(ctx, e.Query, res)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		decomps := 0
+		for _, s := range seq {
+			if s.Kind == proofseq.Decomp {
+				decomps++
+			}
+		}
+		perLogN := new(big.Rat).Quo(res.LogValue, big.NewRat(logN, 1))
+		ok := "ok"
+		witnessErr, seqErr := res.CheckWitness(e.Query), proofseq.Verify(delta, proofseq.Lambda(res.Target), seq)
+		if witnessErr != nil || seqErr != nil {
+			ok = "FAIL"
+			t.Errorf("%s: dual witness: %v; proof sequence: %v", e.Name, witnessErr, seqErr)
+		}
+		if got, want := perLogN.RatString(), rho[e.Name]; got != want {
+			t.Errorf("%s: LOGDAPB/log N = %s, want %q", e.Name, got, want)
+		}
+		lv, _ := perLogN.Float64()
+		tb.Row(e.Name, lv, len(seq), decomps, ok)
+	}
+	printf("%s", tb)
+}
+
+// claimE12 prints fhtw, da-fhtw and da-subw; ghd.TestDASubwCycle4
+// asserts cycle4's da-subw = 3/2·log N ≤ da-fhtw.
+func claimE12(t *testing.T, ctx context.Context) {
+	width := func(w *big.Rat, _ *ghd.Decomp, err error) float64 {
+		f, _ := must(w, err).Float64()
+		return f
+	}
+	tb := stats.NewTable("query", "fhtw", "da-fhtw/logN", "da-subw/logN")
+	for _, e := range catalog("triangle", "path3", "star3", "cycle4", "path2_projected", "path3_endpoints") {
+		dcs := query.Cardinalities(e.Query, 256)
+		subw, _ := must(ghd.DASubwCtx(ctx, e.Query, dcs, 16)).Float64()
+		tb.Row(e.Name, width(ghd.FhtwCtx(ctx, e.Query)), width(ghd.DAFhtwCtx(ctx, e.Query, dcs))/8, subw/8)
+	}
+	printf("%s", tb)
+}

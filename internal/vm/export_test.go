@@ -12,6 +12,7 @@ var (
 	AdversarialWord = adversarialWord
 	TraceRuns       = traceRuns
 	Checkpoints     = checkpoints
+	CheckProgram    = (*Program).check
 )
 
 // OpCensus lists how many instructions of each opcode p executes.

@@ -114,7 +114,7 @@ func TestFuzzSeedsReachThePeepholes(t *testing.T) {
 
 // FuzzVMCompile pins the vectorized evaluator to the reference
 // gate-walk interpreter: any circuit the builder can produce must
-// compile, and EvalBatch must agree with boolcircuit.EvaluateCtx on every
+// compile to a program that passes check, and EvalBatch must agree with boolcircuit.EvaluateCtx on every
 // lane of a derived input batch — evaluated whole at a stride of 16
 // (nine lanes), its first five lanes at a stride of 8, and its first
 // lane alone at a stride of one.
@@ -127,6 +127,9 @@ func FuzzVMCompile(f *testing.F) {
 		prog, err := Compile(context.Background(), c)
 		if err != nil {
 			t.Fatalf("compile: %v", err)
+		}
+		if err := prog.check(); err != nil {
+			t.Fatalf("compiled program: %v", err)
 		}
 		inputs := make([][]Word, 9)
 		want := make([][]Word, len(inputs))

@@ -106,6 +106,80 @@ llane:                                  \
 	VZEROUPPER                      \
 	RET
 
+// Stride-1 kernels (AVX-512F+VL): one call covers a run's whole blocks
+// of 8 instructions at a batch of one, where slot s's word is vals[s].
+// Each block loads 8 slot indices per operand array (VMOVDQU32, int32
+// each), gathers the 8 operand words from the slab (VPGATHERDQ, dword
+// indices scaled by 8), computes 8 results in one zmm register and
+// scatters them to the 8 destination slots (VPSCATTERDQ). A gather or
+// scatter clears its mask as it completes, so each one gets a fresh
+// all-ones mask (KXNORW); every gather's destination is zeroed first so
+// that it does not wait on the register's previous value. Every address
+// comes from the index arrays: a wire value only ever selects through a
+// mask register, so the access sequence stays a function of the program.
+// The blocks may run in any order and a scatter never needs conflict
+// handling because no slot is written twice in a run and none is read
+// where the run writes it.
+
+// GATHER1 loads the 8 slot indices at IDX into YI and gathers their
+// words into ZD under mask K.
+#define GATHER1(IDX, YI, K, ZD)         \
+	VMOVDQU32   (IDX), YI               \
+	KXNORW      K0, K0, K               \
+	VPXORQ      ZD, ZD, ZD              \
+	VPGATHERDQ  (R10)(YI*8), K, ZD
+
+// SCATTER1 stores ZS to the 8 slots whose indices are at IDX.
+#define SCATTER1(IDX, ZS)               \
+	VMOVDQU32   (IDX), Y7               \
+	KXNORW      K0, K0, K7              \
+	VPSCATTERDQ ZS, K7, (R10)(Y7*8)
+
+// BIN1: two-source stride-1 kernel, dst = a OP b.
+#define BIN1(OP, lblock)                \
+	MOVQ vals+0(FP), R10            \
+	MOVQ dst+8(FP), DI              \
+	MOVQ a+16(FP), SI               \
+	MOVQ b+24(FP), DX               \
+	MOVQ blocks+32(FP), CX          \
+lblock:                                 \
+	GATHER1(SI, Y1, K1, Z4)         \
+	GATHER1(DX, Y2, K2, Z5)         \
+	OP      Z5, Z4, Z4              \
+	SCATTER1(DI, Z4)                \
+	ADDQ $32, SI                    \
+	ADDQ $32, DX                    \
+	ADDQ $32, DI                    \
+	DECQ CX                         \
+	JNZ  lblock                     \
+	VZEROUPPER                      \
+	RET
+
+// CMP1: comparison stride-1 kernel; CMP over SRCA and SRCB sets K3 per
+// lane, and a zero-masked move of ones turns it into 0/1 words. Z4 holds
+// a, Z5 b.
+#define CMP1(CMP, SRCA, SRCB, lblock)   \
+	MOVQ vals+0(FP), R10            \
+	MOVQ dst+8(FP), DI              \
+	MOVQ a+16(FP), SI               \
+	MOVQ b+24(FP), DX               \
+	MOVQ blocks+32(FP), CX          \
+	MOVQ $1, AX                     \
+	VPBROADCASTQ AX, Z15            \
+lblock:                                 \
+	GATHER1(SI, Y1, K1, Z4)         \
+	GATHER1(DX, Y2, K2, Z5)         \
+	CMP     SRCA, SRCB, K3      \
+	VMOVDQA64.Z Z15, K3, Z6         \
+	SCATTER1(DI, Z6)                \
+	ADDQ $32, SI                    \
+	ADDQ $32, DX                    \
+	ADDQ $32, DI                    \
+	DECQ CX                         \
+	JNZ  lblock                     \
+	VZEROUPPER                      \
+	RET
+
 // func cpuHasAVX2() bool
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	MOVL $1, AX
@@ -128,6 +202,35 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	CPUID
 	ANDL $0x20, BX
 	JZ   no
+	MOVB $1, ret+0(FP)
+	RET
+
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func cpuHasAVX512() bool
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	MOVL $1, AX
+	MOVL $0, CX
+	CPUID
+	// ECX bit 27: OSXSAVE.
+	ANDL $0x08000000, CX
+	JZ   no
+	// XCR0 bits 1, 2, 5, 6, 7: OS saves xmm, ymm, the opmask registers
+	// and both halves of the zmm state.
+	MOVL   $0, CX
+	XGETBV
+	ANDL   $0xe6, AX
+	CMPL   AX, $0xe6
+	JNE    no
+	// CPUID leaf 7 EBX bit 16: AVX512F; bit 31: AVX512VL.
+	MOVL $7, AX
+	MOVL $0, CX
+	CPUID
+	ANDL $0x80010000, BX
+	CMPL BX, $0x80010000
+	JNE  no
 	MOVB $1, ret+0(FP)
 	RET
 
@@ -394,5 +497,120 @@ swapnlane:
 	ADDQ $4, BX
 	DECQ CX
 	JNZ  swapninstr
+	VZEROUPPER
+	RET
+
+// func vec1AndN(vals *Word, dst, a, b *int32, blocks int)
+TEXT ·vec1AndN(SB), NOSPLIT, $0-40
+	BIN1(VPANDQ, and1block)
+
+// func vec1OrN(vals *Word, dst, a, b *int32, blocks int)
+TEXT ·vec1OrN(SB), NOSPLIT, $0-40
+	BIN1(VPORQ, or1block)
+
+// func vec1XorN(vals *Word, dst, a, b *int32, blocks int)
+TEXT ·vec1XorN(SB), NOSPLIT, $0-40
+	BIN1(VPXORQ, xor1block)
+
+// func vec1EqN(vals *Word, dst, a, b *int32, blocks int)
+TEXT ·vec1EqN(SB), NOSPLIT, $0-40
+	CMP1(VPCMPEQQ, Z5, Z4, eq1block)
+
+// func vec1LtN(vals *Word, dst, a, b *int32, blocks int)
+//
+// Signed a < b is b > a: K3 = Z5 > Z4.
+TEXT ·vec1LtN(SB), NOSPLIT, $0-40
+	CMP1(VPCMPGTQ, Z4, Z5, lt1block)
+
+// func vec1MuxN(vals *Word, dst, a, b, c *int32, blocks int)
+//
+// dst = c != 0 ? a : b: VPTESTMQ sets K3 where c is not zero, and the
+// blend takes a there and b elsewhere.
+TEXT ·vec1MuxN(SB), NOSPLIT, $0-48
+	MOVQ vals+0(FP), R10
+	MOVQ dst+8(FP), DI
+	MOVQ a+16(FP), SI
+	MOVQ b+24(FP), DX
+	MOVQ c+32(FP), BX
+	MOVQ blocks+40(FP), CX
+
+mux1block:
+	GATHER1(SI, Y1, K1, Z4)
+	GATHER1(DX, Y2, K2, Z5)
+	GATHER1(BX, Y3, K4, Z6)
+	VPTESTMQ  Z6, Z6, K3
+	VPBLENDMQ Z4, Z5, K3, Z8
+	SCATTER1(DI, Z8)
+	ADDQ      $32, SI
+	ADDQ      $32, DX
+	ADDQ      $32, BX
+	ADDQ      $32, DI
+	DECQ      CX
+	JNZ       mux1block
+	VZEROUPPER
+	RET
+
+// func vec1LexN(vals *Word, dst, a, b, c *int32, blocks int)
+//
+// dst = (a < b) | (a == b) & c: c's bit 0 where a == b (a zero-masked
+// AND with ones), then a merge-masked move of ones where a < b. The two
+// masks never overlap, and both compares read a and b only.
+TEXT ·vec1LexN(SB), NOSPLIT, $0-48
+	MOVQ         vals+0(FP), R10
+	MOVQ         dst+8(FP), DI
+	MOVQ         a+16(FP), SI
+	MOVQ         b+24(FP), DX
+	MOVQ         c+32(FP), BX
+	MOVQ         blocks+40(FP), CX
+	MOVQ         $1, AX
+	VPBROADCASTQ AX, Z15
+
+lex1block:
+	GATHER1(SI, Y1, K1, Z4)
+	GATHER1(DX, Y2, K2, Z5)
+	GATHER1(BX, Y3, K4, Z6)
+	VPCMPEQQ    Z5, Z4, K3 // a == b
+	VPCMPGTQ    Z4, Z5, K5 // b > a
+	VPANDQ.Z    Z15, Z6, K3, Z8
+	VMOVDQA64   Z15, K5, Z8
+	SCATTER1(DI, Z8)
+	ADDQ        $32, SI
+	ADDQ        $32, DX
+	ADDQ        $32, BX
+	ADDQ        $32, DI
+	DECQ        CX
+	JNZ         lex1block
+	VZEROUPPER
+	RET
+
+// func vec1SwapN(vals *Word, dst, dst2, a, b, c *int32, blocks int)
+//
+// dst = c != 0 ? a : b and dst2 = c != 0 ? b : a: vec1MuxN's mask,
+// blended both ways and scattered to both destinations.
+TEXT ·vec1SwapN(SB), NOSPLIT, $0-56
+	MOVQ vals+0(FP), R10
+	MOVQ dst+8(FP), DI
+	MOVQ dst2+16(FP), R8
+	MOVQ a+24(FP), SI
+	MOVQ b+32(FP), DX
+	MOVQ c+40(FP), BX
+	MOVQ blocks+48(FP), CX
+
+swap1block:
+	GATHER1(SI, Y1, K1, Z4)
+	GATHER1(DX, Y2, K2, Z5)
+	GATHER1(BX, Y3, K4, Z6)
+	VPTESTMQ  Z6, Z6, K3
+	VPBLENDMQ Z4, Z5, K3, Z8
+	VPBLENDMQ Z5, Z4, K3, Z9
+	SCATTER1(DI, Z8)
+	SCATTER1(R8, Z9)
+	ADDQ      $32, SI
+	ADDQ      $32, DX
+	ADDQ      $32, BX
+	ADDQ      $32, DI
+	ADDQ      $32, R8
+	DECQ      CX
+	JNZ       swap1block
 	VZEROUPPER
 	RET

@@ -31,3 +31,23 @@ func TestVMWithoutAVX2(t *testing.T) {
 	// catalog's compiled plans get the same run in TestVMCatalogWithoutAVX2.
 	checkPeephole(t)
 }
+
+// TestVMWithoutAVX512 runs the differential checks at a stride of one
+// with the stride-1 kernels switched off, so the path a CPU without
+// AVX-512 takes at a batch of one — every run through the scalar kernel
+// — is executed on a runner that has AVX-512, fused opcodes included.
+func TestVMWithoutAVX512(t *testing.T) {
+	if !useAVX512 {
+		t.Skip("no AVX-512F+VL on this CPU: the whole suite already runs batches of one through the scalar kernel")
+	}
+	useAVX512 = false
+	defer func() { useAVX512 = true }()
+	rng := rand.New(rand.NewSource(6))
+	c := allOpsCircuit()
+	checkAgainstInterp(t, c, randInputs(rng, c.NumInputs(), 1))
+	for seed := int64(0); seed < 10; seed++ {
+		c := randomCircuit(rand.New(rand.NewSource(seed)), 1+rng.Intn(6), 1+rng.Intn(400))
+		checkAgainstInterp(t, c, randInputs(rng, c.NumInputs(), 1))
+	}
+	checkPeephole(t)
+}

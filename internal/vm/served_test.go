@@ -20,7 +20,7 @@ type Word = vm.Word
 // servedCircuit compiles q the way the daemon does for a generated
 // database — constraints derived from the data — and returns the word
 // circuit with the database's packed input words.
-func servedCircuit(t *testing.T, q *query.Query, seed int64, tuples int) (*boolcircuit.Circuit, []Word) {
+func servedCircuit(t testing.TB, q *query.Query, seed int64, tuples int) (*boolcircuit.Circuit, []Word) {
 	t.Helper()
 	db := workload.ForQuery(q, seed, tuples)
 	dcs, err := query.DeriveDC(q, db)
@@ -38,7 +38,9 @@ func servedCircuit(t *testing.T, q *query.Query, seed int64, tuples int) (*boolc
 	return compiled.Obliv.C, packed
 }
 
-// checkCatalog holds the vm to the interpreter, output word for output
+// checkCatalog holds every catalog program to the check the vector
+// kernels rely on (slots in range, no run writing a slot twice or reading
+// what it writes), and the vm to the interpreter, output word for output
 // word, on every catalog query compiled against eight seeded databases
 // each, at a stride of one, of 8 and of 16. Lane 0 carries the database;
 // the other lanes carry it with a quarter of the words replaced by random
@@ -65,6 +67,9 @@ func checkCatalog(t *testing.T) {
 			p, err := vm.Compile(context.Background(), c)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", ent.Name, seed, err)
+			}
+			if err := vm.CheckProgram(p); err != nil {
+				t.Fatalf("%s seed %d: compiled program: %v", ent.Name, seed, err)
 			}
 			s, l := p.Fused()
 			swaps, lexes = swaps+s, lexes+l

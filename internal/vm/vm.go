@@ -131,10 +131,11 @@ type Program struct {
 	slabs sync.Pool // *[]Word arenas, reused across evaluations
 }
 
-// Compile lowers a finished boolcircuit into a Program. The gate walk
-// polls ctx and charges the gates the program stands for — the inputs
-// and the output cone, which is the size of the swept circuit
-// (boolcircuit.Prune) — against any guard.Budget the context carries.
+// Compile lowers a finished boolcircuit into a Program. Every pass polls
+// ctx, once per 4 096 gates or entries, and the gate walk charges the
+// gates the program stands for — the inputs and the output cone, which
+// is the size of the swept circuit (boolcircuit.Prune) — against any
+// guard.Budget the context carries.
 // Dead gates cost a Program nothing, so a circuit with gates nothing
 // reads compiles to the same Program as its sweep: a plan compile builds
 // it from the folded circuit while the sweep runs (core). The compile
@@ -341,6 +342,11 @@ func compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 	fill := make([]int32, depth+1) // next free index of level d in byLevel
 	copy(fill[1:], bucketEnd)
 	for i, k := range kind {
+		if i&0xfff == 0 {
+			if err := guard.Poll(ctx); err != nil {
+				return nil, err
+			}
+		}
 		if k != opNone {
 			d := level[i]
 			byLevel[fill[d]] = int32(i)
@@ -354,7 +360,12 @@ func compile(ctx context.Context, c *boolcircuit.Circuit) (*Program, error) {
 	runs := 0
 	for d := 1; d <= depth; d++ {
 		var cnt [numOps]int32
-		for _, i32 := range byLevel[bucketEnd[d-1]:bucketEnd[d]] {
+		for j, i32 := range byLevel[bucketEnd[d-1]:bucketEnd[d]] {
+			if (int(bucketEnd[d-1])+j)&0xfff == 0 {
+				if err := guard.Poll(ctx); err != nil {
+					return nil, err
+				}
+			}
 			if k := kind[i32]; k != opSwapHi {
 				cnt[k]++
 			}
@@ -823,14 +834,26 @@ func (p *Program) execFaulty(inj *faultinject.Injector, vals []Word, S, lo, hi i
 }
 
 // execRun runs instructions [lo,hi), all one opcode and independent of
-// one another, over all S lanes: the scalar kernel directly at a stride
-// of one, a vector kernel where the platform has one for the opcode,
-// the scalar kernel lane by lane otherwise.
+// one another, over all S lanes. At a stride of one, a stride-1 vector
+// kernel runs the run's whole blocks of 8 where the platform has one for
+// the opcode, and the scalar kernel the rest; above it, a vector kernel
+// runs the run where the platform has one for the opcode, the scalar
+// kernel lane by lane otherwise.
 func (p *Program) execRun(vals []Word, S, lo, hi int) {
 	op := p.ops[lo]
 	dst, dst2, a, b, c := p.dst[lo:hi], p.dst2[lo:hi], p.a[lo:hi], p.b[lo:hi], p.c[lo:hi]
 	if S == 1 {
-		scalarRun(vals, op, dst, dst2, a, b, c)
+		if len(dst) < 8 {
+			// No whole block: not worth the call, which on served
+			// programs of a few thousand instructions, most of whose runs
+			// are this short, cost a fifth of the evaluation.
+			scalarRun(vals, op, dst, dst2, a, b, c)
+			return
+		}
+		n := vecRun1(&vals[0], op, &dst[0], &dst2[0], &a[0], &b[0], &c[0], len(dst))
+		if n < len(dst) {
+			scalarRun(vals, op, dst[n:], dst2[n:], a[n:], b[n:], c[n:])
+		}
 	} else if !vecRun(vals, S, op, dst, dst2, a, b, c) {
 		stridedRun(vals, S, op, dst, dst2, a, b, c)
 	}

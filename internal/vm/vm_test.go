@@ -111,6 +111,9 @@ func checkAgainstInterp(t *testing.T, c *boolcircuit.Circuit, inputs [][]Word) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
+	if err := prog.check(); err != nil {
+		t.Fatalf("compiled program: %v", err)
+	}
 	got, err := prog.EvalBatch(ctx, inputs)
 	if err != nil {
 		t.Fatalf("EvalBatch: %v", err)
@@ -236,6 +239,7 @@ func TestVMMidBatchCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	compileCancellation(t, c)
 	if prog.Instructions() != 5000 || prog.Levels() != 5000 {
 		t.Fatalf("chain has %d instructions in %d levels, want 5000 in 5000", prog.Instructions(), prog.Levels())
 	}
@@ -264,6 +268,34 @@ func TestVMMidBatchCancellation(t *testing.T) {
 		}
 		if over := -1 - ctx.polls.Load(); over != 0 {
 			t.Fatalf("B=%d: %d polls after the one that reported cancellation", B, over)
+		}
+	}
+}
+
+// compileCancellation: Compile polls its context in every pass — once
+// per 4 096 gates in the reader count, the opcode/level walk and the
+// level bucketing, once in the gate-budget check, and once per 4 096
+// entries in the run count and the layout — and a context that dies at
+// any one of those polls stops the compile with ErrCanceled, polling no
+// more. c must be 4 097 to 8 192 gates long with as many entries.
+func compileCancellation(t *testing.T, c *boolcircuit.Circuit) {
+	const plenty = 1 << 40
+	ctx := &countdownCtx{Context: context.Background()}
+	ctx.polls.Store(plenty)
+	if _, err := Compile(ctx, c); err != nil {
+		t.Fatal(err)
+	}
+	polls := plenty - ctx.polls.Load()
+	if want := int64(3*2 + 1 + 2*2); polls != want {
+		t.Fatalf("compile of %d gates: %d polls, want %d", c.Size(), polls, want)
+	}
+	for at := int64(0); at < polls; at++ {
+		ctx.polls.Store(at)
+		if _, err := Compile(ctx, c); !errors.Is(err, guard.ErrCanceled) {
+			t.Fatalf("canceled at poll %d of %d: err=%v, want ErrCanceled", at+1, polls, err)
+		}
+		if over := -1 - ctx.polls.Load(); over != 0 {
+			t.Fatalf("canceled at poll %d of %d: %d polls after the one that reported cancellation", at+1, polls, over)
 		}
 	}
 }

@@ -90,6 +90,27 @@ func fitExponent(t *testing.T, what string, xs, ys []float64, want float64) {
 	}
 }
 
+// withinLogFactor fails the row unless every two normalized values, at
+// sweep points N < N', lie within a factor log₂N'/log₂N of each other.
+// A fitted exponent cannot see one bad point: on five points over a 256×
+// sweep, a 2× error at one end moves the least-squares slope by 0.1,
+// inside exponentTol. The rows that use this check derive, before
+// measuring, that their normalized value carries at most one log N
+// factor, which moves it by at most log₂N'/log₂N between N and N' — 4/3
+// from N = 64 to 256 and less further up, so a 2× error at any point
+// breaks the factor against its neighbour.
+func withinLogFactor(t *testing.T, what string, ns, norm []float64) {
+	t.Helper()
+	for i := range ns {
+		for j := i + 1; j < len(ns); j++ {
+			f, r := math.Log2(ns[j])/math.Log2(ns[i]), norm[j]/norm[i]
+			if r > f || r < 1/f {
+				t.Errorf("%s at N=%g is %.3g× its value at N=%g; one log N factor allows %.3g×", what, ns[j], r, ns[i], f)
+			}
+		}
+	}
+}
+
 // catalog returns the named catalog entries in the order named.
 func catalog(names ...string) []query.CatalogEntry {
 	var out []query.CatalogEntry
@@ -113,10 +134,11 @@ func must[T any](v T, err error) T {
 }
 
 // claimE1: Figure 1's circuit is 16 relational gates at every N, each
-// costing O(N^{3/2}), so its cost grows as N^{3/2}.
+// costing O(N^{3/2}), so its cost grows as N^{3/2}, and cost/N^{3/2} is
+// a constant plus lower-order terms: well inside withinLogFactor.
 func claimE1(t *testing.T, _ context.Context) {
 	tb := stats.NewTable("N", "rel gates", "depth", "cost", "cost/N^1.5")
-	var xs, ys []float64
+	var xs, ys, norm []float64
 	for _, n := range []float64{256, 1024, 4096, 16384, 65536} {
 		c, _ := baseline.HeavyLightTriangle(n)
 		tb.Row(n, c.Size(), c.Depth(), c.Cost(), c.Cost()/math.Pow(n, 1.5))
@@ -125,19 +147,25 @@ func claimE1(t *testing.T, _ context.Context) {
 		}
 		xs = append(xs, n)
 		ys = append(ys, c.Cost())
+		norm = append(norm, c.Cost()/math.Pow(n, 1.5))
 	}
 	printf("%s", tb)
 	fitExponent(t, "cost exponent", xs, ys, 1.5)
+	withinLogFactor(t, "cost/N^1.5", xs, norm)
 }
 
 // claimE2: PANDA-C's triangle circuit costs Õ(N^{3/2}), and its gate
 // count is Õ(1): Example 2's one decomposition splits a relation into
 // 2·log N degree buckets of a fixed gate pattern each, so every
 // quadrupling of N (two more buckets) adds the same number of gates.
+// Each bucket's join costs at most N^{3/2} (a bucket of degree d holds at
+// most N/d heavy values, each joined with at most min(d, N) tuples) and
+// every other gate costs O(N), so cost/N^{3/2} carries at most the one
+// log N factor of the bucket count: withinLogFactor.
 func claimE2(t *testing.T, ctx context.Context) {
 	q := query.Triangle()
 	tb := stats.NewTable("N", "rel gates", "depth", "cost", "restarts", "cost/N^1.5")
-	var xs, ys []float64
+	var xs, ys, norm []float64
 	var gates []int
 	var seq string
 	for _, n := range []float64{64, 256, 1024, 4096, 16384} {
@@ -149,10 +177,12 @@ func claimE2(t *testing.T, ctx context.Context) {
 			res.Restarts, res.Circuit.Cost()/math.Pow(n, 1.5))
 		xs = append(xs, n)
 		ys = append(ys, res.Circuit.Cost())
+		norm = append(norm, res.Circuit.Cost()/math.Pow(n, 1.5))
 		gates = append(gates, res.Circuit.Size())
 	}
 	printf("%s", tb)
 	fitExponent(t, "cost exponent", xs, ys, 1.5)
+	withinLogFactor(t, "cost/N^1.5", xs, norm)
 	step := gates[1] - gates[0]
 	printf("relational gates per quadrupling of N: +%d\n", step)
 	for i := 1; i < len(gates); i++ {

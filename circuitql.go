@@ -120,21 +120,10 @@ type CompiledQuery struct {
 	prog  *VMProgram // the program every evaluation runs
 }
 
-// newCompiledQuery pairs a compiled plan with its vm program (see
-// CompileVM): the one the plan was compiled with, or for a plan read
-// from a file one compiled under ctx.
-func newCompiledQuery(ctx context.Context, inner *core.Compiled) (*CompiledQuery, error) {
-	c := &CompiledQuery{inner: inner}
-	if inner.Prog != nil {
-		c.prog = &VMProgram{prog: inner.Prog, inner: inner}
-		return c, nil
-	}
-	prog, err := c.CompileVM(ctx)
-	if err != nil {
-		return nil, err
-	}
-	c.prog = prog
-	return c, nil
+// newCompiledQuery pairs a plan with its vm program: the one it was
+// compiled with, or read with it from its file.
+func newCompiledQuery(inner *core.Compiled) *CompiledQuery {
+	return &CompiledQuery{inner: inner, prog: &VMProgram{prog: inner.Prog, inner: inner}}
 }
 
 // Compile builds the PANDA-C relational circuit and its oblivious
@@ -165,7 +154,7 @@ func CompileOpts(ctx context.Context, q *Query, dcs DCSet, opts CompileOptions) 
 	if err != nil {
 		return nil, err
 	}
-	return newCompiledQuery(ctx, inner)
+	return newCompiledQuery(inner), nil
 }
 
 // OptimizerReport returns the optimizer's before/after sizes, or nil
@@ -278,8 +267,8 @@ func (c *CompiledQuery) BitLevel(ctx context.Context, width int) (gates, depth i
 
 // WriteArtifact writes the plan file an outsourced-processing server or
 // MPC party receives: the serving engine's checksummed CQPS format, the
-// oblivious circuit with the query and constraints it was compiled on.
-// Load it back with LoadArtifact.
+// circuit's vm program and packing specs with the query and constraints
+// it was compiled on. Load it back with LoadArtifact.
 func (c *CompiledQuery) WriteArtifact(w io.Writer) (_ int64, err error) {
 	defer guard.Recover(&err)
 	canon, err := query.Canonicalize(c.inner.Query, c.inner.DC)
@@ -294,17 +283,26 @@ func (c *CompiledQuery) WriteArtifact(w io.Writer) (_ int64, err error) {
 }
 
 // Artifact is a loaded plan file, evaluated as the CompiledQuery that
-// wrote it is; its relational layer is not in the file.
-type Artifact struct{ cq *CompiledQuery }
+// wrote it is, on the vm program in the file; neither circuit layer is
+// in it.
+type Artifact struct {
+	cq    *CompiledQuery
+	depth int // the word circuit's, from the file's header
+}
 
 // LoadArtifact reads a plan file written by WriteArtifact or the
-// engine's store and compiles its vm program under ctx (see CompileVM).
-// A file that cannot be read, fails its checksum, or whose fingerprint
-// is not its query pair's is ErrInvalidInput. The read stops where the
-// file's envelope says it ends, so an oversized or endless stream fails
+// engine's store, after polling ctx. The file's vm program is validated
+// before it is accepted (a program that could make the evaluator read
+// or write outside its memory is refused). A file that cannot be read,
+// fails its checksum or that validation, or whose fingerprint is not
+// its query pair's is ErrInvalidInput. The read stops where the file's
+// envelope says it ends, so an oversized or endless stream fails
 // instead of filling memory.
 func LoadArtifact(ctx context.Context, r io.Reader) (_ *Artifact, err error) {
 	defer guard.Recover(&err)
+	if err := guard.Poll(ctx); err != nil {
+		return nil, err
+	}
 	a, err := store.ReadPlan(r)
 	if err != nil {
 		return nil, fmt.Errorf("%w: circuitql: %w", ErrInvalidInput, err)
@@ -313,24 +311,21 @@ func LoadArtifact(ctx context.Context, r io.Reader) (_ *Artifact, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: circuitql: %w", ErrInvalidInput, err)
 	}
-	cq, err := newCompiledQuery(ctx, inner)
-	if err != nil {
-		return nil, err
-	}
-	return &Artifact{cq}, nil
+	return &Artifact{cq: newCompiledQuery(inner), depth: a.Depth}, nil
 }
 
-// Evaluate runs the loaded circuit on db, as CompiledQuery.Evaluate
+// Evaluate runs the loaded program on db, as CompiledQuery.Evaluate
 // does: db is validated against the query and constraints in the file.
 func (a *Artifact) Evaluate(ctx context.Context, db Database) (*Relation, error) {
 	return a.cq.Evaluate(ctx, db)
 }
 
-// Gates returns the loaded circuit's word-gate count.
-func (a *Artifact) Gates() int { return a.cq.inner.Obliv.C.Size() }
+// Gates returns the loaded plan's word-gate count: the gates its program
+// stands for, the swept circuit's size.
+func (a *Artifact) Gates() int { return a.cq.prog.Gates() }
 
-// Depth returns the loaded circuit's depth.
-func (a *Artifact) Depth() int { return a.cq.inner.Obliv.C.Depth() }
+// Depth returns the loaded plan's word-circuit depth.
+func (a *Artifact) Depth() int { return a.depth }
 
 // WriteDot renders the relational circuit in Graphviz DOT format.
 func (c *CompiledQuery) WriteDot(w io.Writer, name string) error {
@@ -359,11 +354,7 @@ func CompileBoolean(ctx context.Context, q *Query, dcs DCSet) (bq *BooleanQuery,
 	if err != nil {
 		return nil, err
 	}
-	cq, err := newCompiledQuery(ctx, bc)
-	if err != nil {
-		return nil, err
-	}
-	return &BooleanQuery{cq}, nil
+	return &BooleanQuery{newCompiledQuery(bc)}, nil
 }
 
 // Decide evaluates the decision circuit on db as CompiledQuery.Evaluate

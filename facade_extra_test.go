@@ -82,8 +82,8 @@ func TestLoadArtifactRejectsTamperedFile(t *testing.T) {
 	}
 }
 
-// LoadArtifact compiles the plan's vm program under its ctx, so a
-// canceled one fails the load with ErrCanceled.
+// LoadArtifact polls its ctx before it reads the file, so a canceled
+// one fails the load with ErrCanceled.
 func TestLoadArtifactHonorsCancellation(t *testing.T) {
 	cq, _, _ := compiledTriangle(t)
 	var buf bytes.Buffer

@@ -271,9 +271,12 @@ type Compiled struct {
 	DC        query.DCSet
 	Rel       *relcircuit.Circuit
 	RelOutput int
-	Obliv     *ObliviousCircuit
-	// Prog is the vm program of Obliv.C, compiled with the plan; nil for
-	// a plan rebuilt from a file, whose reader compiles it.
+	// Obliv is the word circuit with its packing metadata. Obliv.C is
+	// nil for a plan read from a file, which holds only the specs and
+	// the program.
+	Obliv *ObliviousCircuit
+	// Prog is the vm program of Obliv.C, compiled with the plan or read
+	// from its file: always set.
 	Prog  *vm.Program
 	Bound *bound.Result
 	// Opt reports the optimizer's before/after sizes; nil when the

@@ -8,9 +8,9 @@ import (
 	"circuitql/internal/boolcircuit"
 )
 
-// Oblivious-circuit serialization, the circuit part of a stored plan
-// (internal/store wraps it in the checksummed CQPS envelope with the
-// query and constraint text). Format: a JSON header (input/output specs)
+// Oblivious-circuit serialization, the body of a version-1 stored plan,
+// which internal/store still reads and migrates (a version-2 plan holds
+// the specs and the vm program instead of the circuit). Format: a JSON header (input/output specs)
 // preceded by its varint-free fixed-width length line, then the
 // boolcircuit wire format.
 
@@ -71,38 +71,44 @@ func ReadObliviousCircuit(r io.Reader) (*ObliviousCircuit, error) {
 		return nil, err
 	}
 	oc := &ObliviousCircuit{C: c, Inputs: h.Inputs, Outputs: h.Outputs}
-	// Cross-check metadata against the circuit shape. Each spec must fit
-	// in what is left of the circuit's wires before it is summed, so a
-	// hostile capacity can neither overflow the sums nor point a decode
-	// past the outputs.
+	if err := oc.CheckSpecs(c.NumInputs(), len(c.Outputs())); err != nil {
+		return nil, err
+	}
+	return oc, nil
+}
+
+// CheckSpecs cross-checks the input and output specs against the words
+// they lay out: numInputs input words, numOutputs output words. Each
+// spec must fit in what is left of the words before it is summed, so a
+// hostile capacity can neither overflow the sums nor point a decode past
+// the outputs.
+func (oc *ObliviousCircuit) CheckSpecs(numInputs, numOutputs int) error {
 	wires := 0
 	for _, in := range oc.Inputs {
-		w, ok := specWidth(in.Capacity, in.Schema, c.NumInputs()-wires)
+		w, ok := specWidth(in.Capacity, in.Schema, numInputs-wires)
 		if !ok {
-			return nil, fmt.Errorf("core: artifact input %q (capacity %d, schema %q) does not fit the circuit", in.Name, in.Capacity, in.Schema)
+			return fmt.Errorf("core: artifact input %q (capacity %d, schema %q) does not fit the circuit", in.Name, in.Capacity, in.Schema)
 		}
 		wires += w
 	}
-	if wires != c.NumInputs() {
-		return nil, fmt.Errorf("core: artifact metadata expects %d input wires, circuit has %d",
-			wires, c.NumInputs())
+	if wires != numInputs {
+		return fmt.Errorf("core: artifact metadata expects %d input wires, circuit has %d", wires, numInputs)
 	}
 	// Each output spec must start where lower lays it out: right after
 	// the one before it.
 	outWires := 0
 	for _, o := range oc.Outputs {
-		w, ok := specWidth(o.Capacity, o.Schema, len(c.Outputs())-outWires)
+		w, ok := specWidth(o.Capacity, o.Schema, numOutputs-outWires)
 		if !ok || o.Offset != outWires {
-			return nil, fmt.Errorf("core: artifact output of gate %d (offset %d, capacity %d, schema %q) does not fit the circuit from wire %d",
+			return fmt.Errorf("core: artifact output of gate %d (offset %d, capacity %d, schema %q) does not fit the circuit from wire %d",
 				o.Gate, o.Offset, o.Capacity, o.Schema, outWires)
 		}
 		outWires += w
 	}
-	if outWires != len(c.Outputs()) {
-		return nil, fmt.Errorf("core: artifact metadata expects %d output wires, circuit has %d",
-			outWires, len(c.Outputs()))
+	if outWires != numOutputs {
+		return fmt.Errorf("core: artifact metadata expects %d output wires, circuit has %d", outWires, numOutputs)
 	}
-	return oc, nil
+	return nil
 }
 
 // specWidth returns the wires a relation of the given capacity and

@@ -61,9 +61,11 @@
 //     with a typed *guard.OverloadError carrying a retry-after hint
 //     (ShedBlock keeps the legacy blocking submit);
 //   - request deadlines propagate as per-tier shares (PlanTier), and
-//     nothing skips a tier in advance; compile flights and store-loaded
-//     plans' vm builds detach onto an engine-scoped context, so an
-//     impatient caller's deadline never kills work others wait on;
+//     nothing skips a tier in advance; compile flights detach onto an
+//     engine-scoped context, so an impatient caller's deadline never
+//     kills work others wait on, and every cached plan — compiled here
+//     or loaded from the store — holds its vm program from insert, so
+//     a vm attempt only evaluates;
 //   - under ShedAdaptive, below-normal-priority requests are shed
 //     first once a lane is critically full (Engine.critical); load never
 //     changes what a compile builds, so a fingerprint has one plan;
@@ -356,9 +358,9 @@ type Engine struct {
 	submitM  sync.RWMutex // held (R) while sending on a lane; (W) by Close
 	wg       sync.WaitGroup
 
-	// lifeCtx scopes detached work (compile flights, vm builds) to the
-	// engine's lifetime, so a caller abandoning it does not kill what
-	// others wait on; Close (after draining) and Shutdown cancel it.
+	// lifeCtx scopes detached work (compile flights) to the engine's
+	// lifetime, so a caller abandoning it does not kill what others wait
+	// on; Close (after draining) and Shutdown cancel it.
 	lifeCtx    context.Context
 	lifeCancel context.CancelFunc
 	compileWG  sync.WaitGroup
@@ -671,8 +673,7 @@ func (e *Engine) finish(j *job, sp *obs.Span, stage *deadlineStage, res *Result)
 // answer is the hit path: with the plan in hand, validate the database
 // against the request's DCs, evaluate through the entry's tier ladder,
 // and rename the output back to the request's variable names. It takes
-// no engine lock (a store-loaded entry's vm build re-charges the cache
-// once, when it finishes).
+// no engine lock.
 func (e *Engine) answer(ctx context.Context, ent *entry, j *job, stage *deadlineStage, res *Result) {
 	req := j.req
 	_, sp := obs.StartSpan(ctx, obs.StageValidate)
@@ -766,18 +767,13 @@ func (e *Engine) runTier(ctx context.Context, t tierID, ent *entry, req Request)
 	return query.EvaluateCtx(ctx, req.Query, req.DB)
 }
 
-// evalVM is the vm tier, one span per step: the entry's vm.Program
-// (compiled with the plan, or for a store-loaded plan built once, off
-// the request's clock, by vmProgram), pack the database into input
-// words, evaluate — coalesced with concurrent same-fingerprint requests
-// into one lock-step batch when batching is configured — and decode the
-// output words back into a relation.
+// evalVM is the vm tier, one span per step: pack the database into the
+// input words of the entry's vm.Program (compiled with the plan, or read
+// with it from the store), evaluate — coalesced with concurrent
+// same-fingerprint requests into one lock-step batch when batching is
+// configured — and decode the output words back into a relation.
 func (e *Engine) evalVM(ctx context.Context, ent *entry, req Request) (*relation.Relation, error) {
-	prog, err := e.vmProgram(ctx, ent)
-	if err != nil {
-		return nil, err
-	}
-
+	prog := ent.compiled.Prog
 	_, sp := obs.StartSpan(ctx, obs.StagePack)
 	inputs, err := ent.compiled.PackOblivious(req.DB)
 	sp.SetError(err)
@@ -804,59 +800,6 @@ func (e *Engine) evalVM(ctx context.Context, ent *entry, req Request) (*relation
 	sp.SetError(err)
 	sp.End()
 	return out, err
-}
-
-// vmProgram returns the entry's vm program: a compiled plan's, or a
-// store-loaded plan's, which its first vm attempt starts building
-// detached (buildVM), like a compile flight. An attempt waits for the
-// build only while its own context lives; one that gives up leaves the
-// build running, and a later request finds the program built.
-func (e *Engine) vmProgram(ctx context.Context, ent *entry) (*vm.Program, error) {
-	ent.vmMu.Lock()
-	if ent.vmProg != nil || ent.vmErr != nil {
-		defer ent.vmMu.Unlock()
-		return ent.vmProg, ent.vmErr
-	}
-	b := ent.vmBuild
-	if b == nil {
-		b = &vmBuild{done: make(chan struct{})}
-		ent.vmBuild = b
-		e.compileWG.Add(1)
-		go e.buildVM(e.detach(ctx), ent, b)
-	}
-	ent.vmMu.Unlock()
-	select {
-	case <-b.done:
-		return b.prog, b.err
-	case <-ctxDone(ctx):
-		return nil, guard.Poll(ctx)
-	}
-}
-
-// buildVM compiles a store-loaded entry's vm program on a detached ctx.
-// A failure tied to the starting request's budget or to shutdown is not
-// kept, so the next vm attempt builds again; any other outcome is the
-// entry's for its lifetime, and a built program is charged to the plan
-// cache once (chargeVM), as a compiled plan is at insert.
-func (e *Engine) buildVM(ctx context.Context, ent *entry, b *vmBuild) {
-	defer e.compileWG.Done()
-	defer close(b.done)
-	b.prog, b.err = func() (prog *vm.Program, err error) {
-		defer guard.Recover(&err)
-		return vm.Compile(ctx, ent.compiled.Obliv.C)
-	}()
-	ent.vmMu.Lock()
-	defer ent.vmMu.Unlock()
-	ent.vmBuild = nil
-	if transientErr(b.err) {
-		return
-	}
-	ent.vmProg, ent.vmErr = b.prog, b.err
-	if b.err == nil {
-		// Safe lock order: the cache mutex is only ever taken after
-		// vmMu here, never the other way around.
-		e.chargeVM(ent, vmCost(b.prog))
-	}
 }
 
 // renameOutput maps a canonical plan's output columns back to the
@@ -959,7 +902,7 @@ func (e *Engine) runFlight(fl *flight, canon *query.Canonical, reqCtx context.Co
 // detach returns a context on the engine's lifetime with reqCtx's
 // budget, fault injector and span (so its trace), but not its
 // cancellation, for work that outlives the request that started it: a
-// compile flight, a store-loaded plan's vm build.
+// compile flight.
 func (e *Engine) detach(reqCtx context.Context) context.Context {
 	ctx := e.lifeCtx
 	if b := guard.FromContext(reqCtx); b != nil {
@@ -1013,10 +956,7 @@ func entryFromArtifact(a *store.PlanArtifact, canon *query.Canonical) (*entry, e
 		fp:       a.FP,
 		canon:    canon,
 		compiled: compiled,
-		gates:    a.Gates,
-	}
-	if ent.gates < 1 {
-		ent.gates = 1
+		gates:    a.Gates, // what the plan was charged when it was compiled
 	}
 	ent.stored.Store(true)
 	return ent, nil
@@ -1088,33 +1028,17 @@ func (e *Engine) compile(ctx context.Context, canon *query.Canonical) (*entry, e
 			return ent, nil
 		}
 	}
-	// The plan comes with its vm program, built beside the sweep, so the
-	// entry is charged for both at insert and its first vm attempt only
-	// evaluates.
-	ent.compiled, ent.vmProg = compiled, compiled.Prog
-	ent.gates = max(1, int64(compiled.Rel.Size()+compiled.Obliv.C.Size())+vmCost(compiled.Prog))
+	// The plan comes with its vm program, built beside the sweep, and is
+	// charged for both at insert, as its stored copy is at load.
+	ent.compiled, ent.gates = compiled, store.Charge(compiled)
 	return ent, nil
-}
-
-// chargeVM re-accounts the plan cache after an entry's vm program
-// compiled: the program's footprint joins the entry's charged cost, and
-// colder plans are evicted if the budget is now exceeded (compiled
-// victims write back to the persistent store).
-func (e *Engine) chargeVM(ent *entry, extra int64) {
-	e.mu.Lock()
-	victims := e.cache.recharge(ent, extra)
-	e.mu.Unlock()
-	e.evictions.Add(int64(len(victims)))
-	for _, v := range victims {
-		e.persist(v)
-	}
 }
 
 // --- Lifecycle and snapshots --------------------------------------------
 
 // Close stops accepting requests, drains queued ones, waits for the
-// workers, then cancels and waits for any detached compiles and vm
-// builds nobody is left to consume. Safe to call more than once, including concurrently
+// workers, then cancels and waits for any detached compiles nobody is
+// left to consume. Safe to call more than once, including concurrently
 // with itself and with Serve/Submit.
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {

@@ -2,19 +2,17 @@ package engine
 
 import (
 	"container/list"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"circuitql/internal/core"
 	"circuitql/internal/query"
-	"circuitql/internal/vm"
 )
 
 // entry is one cached plan: the canonical form it was compiled from and
-// either the compiled circuits or a sticky compile failure. Entries are
-// immutable after insertion — except a store-loaded plan's vm program,
-// built once under its own mutex — so evaluation never holds the cache
+// either the compiled plan — its vm program included, whether compiled
+// here or loaded from the store — or a sticky compile failure. Entries
+// are immutable after insertion, so evaluation never holds the cache
 // lock.
 type entry struct {
 	fp       query.Fingerprint
@@ -28,7 +26,7 @@ type entry struct {
 	// the requests of its own flight — the next request recompiles.
 	compileErr error
 	uncached   bool  // never insert into the plan cache
-	gates      int64 // cost charged against Config.MaxCacheGates
+	gates      int64 // cost charged against Config.MaxCacheGates (store.Charge)
 	// expires, when non-zero, is when this negative entry stops being
 	// served and the shape is recompiled: a sticky failure is a
 	// diagnosis worth remembering, not a life sentence.
@@ -42,34 +40,11 @@ type entry struct {
 	// persisting twice is harmless (PutPlan is idempotent) — the flag
 	// only saves the re-encode.
 	stored atomic.Bool
-
-	// vmMu guards the entry's vectorized program: a compiled plan's, set
-	// at insert, or a store-loaded plan's, from the one build (vmBuild,
-	// nil when none runs) its first vm attempt starts; vmErr is a build's
-	// sticky failure. Every later request and batch reuses the program.
-	vmMu    sync.Mutex
-	vmProg  *vm.Program
-	vmErr   error
-	vmBuild *vmBuild
-}
-
-// vmBuild is one running build of a store-loaded entry's vm program
-// (Engine.buildVM): done closes once prog and err are final.
-type vmBuild struct {
-	done chan struct{}
-	prog *vm.Program
-	err  error
-}
-
-// vmCost is the plan-cache charge for a resident vm program: its value
-// slots plus its instruction count, the two buffers that dominate its
-// footprint, in the same gate-sized units the cache already charges.
-func vmCost(p *vm.Program) int64 {
-	return int64(p.Slots() + p.Instructions())
 }
 
 // planCache is a cost-aware LRU: entries are charged by gate count
-// (Stats() of the compiled plan), so one enormous circuit displaces many
+// (store.Charge: the plan's gates and its program's footprint, in full
+// at insert), so one enormous circuit displaces many
 // small ones. Negative entries (sticky compile failures) additionally
 // expire after negTTL, so a shape misclassified by a transient condition
 // heals. Not self-locking — the engine's mutex guards all calls.
@@ -143,31 +118,6 @@ func (c *planCache) add(e *entry) (evicted []*entry) {
 	c.gates += e.gates
 	for c.order.Len() > 1 && c.maxGates > 0 && c.gates > c.maxGates {
 		victim := c.order.Back().Value.(*entry)
-		c.remove(victim)
-		evicted = append(evicted, victim)
-	}
-	return evicted
-}
-
-// recharge raises an entry's charged cost by extra after its vm program
-// compiled (the program's footprint was unknowable at insert time), and
-// evicts least-recently-used other entries until the cache is back
-// within its gate budget, returning the victims for write-back. The
-// recharged entry itself is never evicted — it is in active use by the
-// request that triggered the compile. A no-op when the entry has
-// already been evicted or replaced.
-func (c *planCache) recharge(e *entry, extra int64) (evicted []*entry) {
-	cur, ok := c.entries[e.fp]
-	if !ok || cur != e {
-		return nil
-	}
-	e.gates += extra
-	c.gates += extra
-	for c.order.Len() > 1 && c.maxGates > 0 && c.gates > c.maxGates {
-		victim := c.order.Back().Value.(*entry)
-		if victim == e {
-			break
-		}
 		c.remove(victim)
 		evicted = append(evicted, victim)
 	}

@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -165,21 +168,29 @@ func TestEngineLadderIgnoresPlanOrigin(t *testing.T) {
 	}
 }
 
-// TestEngineWarmPlanSharedBuild: concurrent first requests for a
-// store-loaded plan share its one vm build and all serve from the vm
-// tier, with the program charged to the cache once; and Close returns
-// only after a build no request waits for any more has ended.
-func TestEngineWarmPlanSharedBuild(t *testing.T) {
+// TestEngineWarmPlanChargedAsCompiled: a warm-loaded plan is charged to
+// the cache at load exactly what a compiling engine charges the same plan
+// — its program included — and 16 concurrent first requests, all served
+// from the vm tier, leave the charge as it was.
+func TestEngineWarmPlanChargedAsCompiled(t *testing.T) {
 	ctx := context.Background()
 	req := storeReq(t, "cycle4")
 	want, err := query.EvaluateCtx(ctx, req.Query, req.DB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tracer := obs.NewTracer(16)
-	e := warmLoaded(t, req, Config{Workers: 8, Tracer: tracer})
+	compiling := New(Config{})
+	defer compiling.Close()
+	if res := compiling.Serve(ctx, req); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	charge := compiling.Metrics().CachedGates
+
+	e := warmLoaded(t, req, Config{Workers: 8})
 	defer e.Close()
-	base := e.Metrics().CachedGates
+	if got := e.Metrics().CachedGates; got != charge {
+		t.Fatalf("warm load charged %d gates, a compiling engine %d", got, charge)
+	}
 	reqs := make([]Request, 16)
 	for i := range reqs {
 		reqs[i] = req
@@ -189,28 +200,48 @@ func TestEngineWarmPlanSharedBuild(t *testing.T) {
 			t.Fatalf("request %d: tier %q err %v, want the RAM answer from the vm tier", i, res.Tier, res.Err)
 		}
 	}
-	if n := tracer.Aggregates()[obs.StageVMComp].Count; n != 1 {
-		t.Fatalf("%d vm-compile spans for 16 concurrent first requests, want 1", n)
+	if got := e.Metrics().CachedGates; got != charge {
+		t.Fatalf("after 16 concurrent first requests CachedGates=%d, a compiling engine's %d", got, charge)
 	}
-	e.mu.Lock()
-	ent := e.cache.entries[reqFP(t, req)]
-	e.mu.Unlock()
-	if got := e.Metrics().CachedGates; got != base+vmCost(ent.vmProg) {
-		t.Fatalf("CachedGates=%d, want %d + the program's %d once", got, base, vmCost(ent.vmProg))
-	}
+}
 
-	// A request that gives up on the build leaves it running; Close
-	// cancels it and waits for it to end.
-	e2 := warmLoaded(t, req, Config{})
-	dctx, cancel := context.WithTimeout(ctx, 200*time.Microsecond)
-	e2.Serve(dctx, req)
-	cancel()
-	e2.Close()
-	ent2 := e2.cache.entries[reqFP(t, req)]
-	ent2.vmMu.Lock()
-	defer ent2.vmMu.Unlock()
-	if ent2.vmBuild != nil {
-		t.Fatal("Close returned while the vm build was still running")
+// TestEngineWarmLoadsV1Store: a store directory holding a version-1
+// plan file (the committed golden, a triangle plan) warm-loads: the plan
+// serves from the vm tier with no compile, and the file on disk is the
+// version-2 golden afterwards.
+func TestEngineWarmLoadsV1Store(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("..", "store", "testdata", "golden_plan_v1.plan"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := os.ReadFile(filepath.Join("..", "store", "testdata", "golden_plan_v2.plan"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := storeReq(t, "triangle")
+	file := filepath.Join(t.TempDir(), query.Fingerprint(reqFP(t, req)).String()+".plan")
+	if err := os.WriteFile(file, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(filepath.Dir(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{Store: st})
+	defer e.Close()
+	want, err := query.EvaluateCtx(context.Background(), req.Query, req.DB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := e.Serve(context.Background(), req)
+	if res.Err != nil || !res.CacheHit || res.Tier != TierVM || !res.Output.Equal(want) {
+		t.Fatalf("tier %q hit %v err %v: want the RAM answer from the vm tier on a warm-loaded plan", res.Tier, res.CacheHit, res.Err)
+	}
+	if m := e.Metrics(); m.Compiles != 0 {
+		t.Fatalf("%d compiles, want 0", m.Compiles)
+	}
+	if data, err := os.ReadFile(file); err != nil || !bytes.Equal(data, v2) {
+		t.Fatalf("the plan file is not the version-2 golden after the load (err %v)", err)
 	}
 }
 

@@ -309,7 +309,11 @@ func TestBoolMatchesMultiPassReference(t *testing.T) {
 				t.Fatalf("canonicalize: %v", err)
 			}
 			lowered.C = twoStep
-			want := planSHA(t, canon, &core.Compiled{Query: fused.Query, DC: fused.DC, Rel: fused.Rel, RelOutput: fused.RelOutput, Obliv: lowered})
+			prog, err := vm.Compile(context.Background(), twoStep)
+			if err != nil {
+				t.Fatalf("vm compile of lower then BoolCtx: %v", err)
+			}
+			want := planSHA(t, canon, &core.Compiled{Query: fused.Query, DC: fused.DC, Rel: fused.Rel, RelOutput: fused.RelOutput, Obliv: lowered, Prog: prog})
 			if got := planSHA(t, canon, fused); got != want {
 				t.Fatalf(".plan SHA-256 %x, lower then BoolCtx gives %x", got, want)
 			}

@@ -10,21 +10,24 @@ import (
 	"circuitql/internal/core"
 	"circuitql/internal/query"
 	"circuitql/internal/store"
+	"circuitql/internal/vm"
 	"circuitql/internal/workload"
 )
 
 // TestPooledBuilderReuse holds served compiles that lower into a released
 // builder's buffers — a large plan's reused for a small one, a small
-// one's regrown for a large one — to the .plan bytes of the fresh-builder
-// route: raw lowering into boolcircuit.New, then opt.BoolCtx, which
-// replays into a fresh rewriting builder. Large and small alternate five
+// one's regrown for a large one — to the .plan bytes (the vm program) and
+// the swept word circuit's bytes of the fresh-builder route: raw lowering
+// into boolcircuit.New, then opt.BoolCtx, which replays into a fresh
+// rewriting builder. Large and small alternate five
 // times in sequence, then on four goroutines at once, each starting at
 // another point of the cycle.
 func TestPooledBuilderReuse(t *testing.T) {
 	type shape struct {
-		name  string
-		canon *query.Canonical
-		want  [sha256.Size]byte
+		name    string
+		canon   *query.Canonical
+		want    [sha256.Size]byte // the .plan file's
+		circuit [sha256.Size]byte // the swept circuit's encoding
 	}
 	var shapes []shape
 	for _, s := range []struct {
@@ -48,8 +51,12 @@ func TestPooledBuilderReuse(t *testing.T) {
 			t.Fatalf("%s: raw lowering: %v", s.name, err)
 		}
 		lowered.C = mustBool(t, lowered.C)
-		fresh := &core.Compiled{Query: fused.Query, DC: fused.DC, Rel: fused.Rel, RelOutput: fused.RelOutput, Obliv: lowered}
-		shapes = append(shapes, shape{s.name, canon, planSHA(t, canon, fresh)})
+		prog, err := vm.Compile(context.Background(), lowered.C)
+		if err != nil {
+			t.Fatalf("%s: vm compile: %v", s.name, err)
+		}
+		fresh := &core.Compiled{Query: fused.Query, DC: fused.DC, Rel: fused.Rel, RelOutput: fused.RelOutput, Obliv: lowered, Prog: prog}
+		shapes = append(shapes, shape{s.name, canon, planSHA(t, canon, fresh), sha256.Sum256(lowered.C.Append(nil))})
 	}
 	if len(shapes) != 2 {
 		t.Fatal("want one large and one small shape")
@@ -69,6 +76,9 @@ func TestPooledBuilderReuse(t *testing.T) {
 		}
 		if got := sha256.Sum256(data); got != s.want {
 			return fmt.Errorf("%s: .plan SHA-256 %x after a pooled build, the fresh route gives %x", s.name, got, s.want)
+		}
+		if got := sha256.Sum256(compiled.Obliv.C.Append(nil)); got != s.circuit {
+			return fmt.Errorf("%s: swept circuit SHA-256 %x after a pooled build, the fresh route gives %x", s.name, got, s.circuit)
 		}
 		return nil
 	}

@@ -2,18 +2,24 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"circuitql/internal/core"
 	"circuitql/internal/relation"
+	"circuitql/internal/vm"
 )
 
 // FuzzPlanDecode: DecodePlan must never panic on adversarial bytes and
-// must accept exactly what ReadPlan accepts from a stream of them;
-// anything it accepts must re-encode deterministically to an artifact
-// that decodes back to the same thing (one-round fixed point), and its
-// output specs must decode an all-zero output vector of the circuit's
-// width without panicking.
+// must accept exactly what ReadPlan accepts from a stream of them. The
+// program of anything it accepts must run one EvalBatch of all-zero
+// inputs at a batch of 1 and of 8 without a fault — the vector kernels
+// index the slab unchecked, so this is what holds the decoder's
+// validation to its purpose — and its output specs must decode an
+// all-zero output vector of the program's width. An accepted artifact
+// must re-encode deterministically to one that decodes back to the same
+// thing (one-round fixed point). The committed corpus holds version-1
+// files too, which decode by compiling their circuit.
 func FuzzPlanDecode(f *testing.F) {
 	canon, compiled, _ := compileCatalog(f, "triangle")
 	art := FromCompiled(canon, compiled)
@@ -37,6 +43,7 @@ func FuzzPlanDecode(f *testing.F) {
 	flip[len(flip)/3] ^= 0x80
 	f.Add(flip)
 
+	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := DecodePlan(data)
 		if _, rerr := ReadPlan(bytes.NewReader(data)); (rerr == nil) != (err == nil) {
@@ -44,6 +51,19 @@ func FuzzPlanDecode(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		for _, batch := range []int{1, 8} {
+			inputs := make([][]vm.Word, batch)
+			for r := range inputs {
+				inputs[r] = make([]vm.Word, a.Prog.NumInputs())
+			}
+			if _, err := a.Prog.EvalBatch(ctx, inputs); err != nil {
+				t.Fatalf("accepted program fails a batch of %d: %v", batch, err)
+			}
+		}
+		plan := &core.Compiled{RelOutput: a.RelOutput, Obliv: a.Obliv}
+		if _, err := plan.DecodeOblivious(make([]int64, a.Prog.NumOutputs())); err != nil {
+			t.Fatalf("accepted artifact does not decode an all-zero output: %v", err)
 		}
 		out, err := EncodePlan(a)
 		if err != nil {
@@ -54,16 +74,13 @@ func FuzzPlanDecode(f *testing.F) {
 			t.Fatalf("re-encoded artifact does not decode: %v", err)
 		}
 		if b.FP != a.FP || b.QueryText != a.QueryText || b.DCText != a.DCText ||
-			b.RelOutput != a.RelOutput || b.Gates != a.Gates || b.WideLevel != a.WideLevel {
+			b.RelOutput != a.RelOutput || b.Gates != a.Gates || b.Depth != a.Depth ||
+			!bytes.Equal(b.Prog.Append(nil), a.Prog.Append(nil)) {
 			t.Fatalf("round trip changed the artifact: %+v vs %+v", b, a)
 		}
 		out2, err := EncodePlan(b)
 		if err != nil || !bytes.Equal(out, out2) {
 			t.Fatalf("re-encoding is not a fixed point (err %v)", err)
-		}
-		plan := &core.Compiled{RelOutput: a.RelOutput, Obliv: a.Obliv}
-		if _, err := plan.DecodeOblivious(make([]int64, len(a.Obliv.C.Outputs()))); err != nil {
-			t.Fatalf("accepted artifact does not decode an all-zero output: %v", err)
 		}
 	})
 }

@@ -28,15 +28,15 @@ func goldenRelation() *relation.Relation {
 }
 
 // TestGoldenPlanFormat is the format-compatibility gate for plan
-// artifacts: the committed golden bytes must decode with the current
-// decoder, re-encode to the identical bytes, and pass the semantic
-// fingerprint check. If this fails after a format change, the change
-// shipped without a PlanFormatVersion bump (or without regenerating the
-// golden for the new version) — fix the version, regenerate with
-// -update, and keep the old golden readable if the decoder claims
-// compatibility with it.
+// artifacts: the committed golden bytes of the current version must
+// decode with the current decoder, re-encode to the identical bytes, and
+// pass the semantic fingerprint check. If this fails after a format
+// change, the change shipped without a PlanFormatVersion bump (or
+// without regenerating the golden for the new version) — fix the
+// version, regenerate with -update, and keep the old golden readable if
+// the decoder claims compatibility with it.
 func TestGoldenPlanFormat(t *testing.T) {
-	path := filepath.Join("testdata", "golden_plan_v1.plan")
+	path := filepath.Join("testdata", "golden_plan_v2.plan")
 	if *update {
 		canon, compiled, _ := compileCatalog(t, "triangle")
 		data, err := EncodePlan(FromCompiled(canon, compiled))
@@ -54,7 +54,7 @@ func TestGoldenPlanFormat(t *testing.T) {
 	}
 	a, err := DecodePlan(data)
 	if err != nil {
-		t.Fatalf("decoder no longer reads the committed v1 plan format: %v", err)
+		t.Fatalf("decoder no longer reads the committed v2 plan format: %v", err)
 	}
 	back, err := EncodePlan(a)
 	if err != nil {
@@ -67,9 +67,80 @@ func TestGoldenPlanFormat(t *testing.T) {
 	if _, _, err := a.Compiled(); err != nil {
 		t.Fatalf("golden plan fails the semantic fingerprint check: %v", err)
 	}
-	if PlanFormatVersion != 1 {
+	if PlanFormatVersion != 2 {
 		t.Fatalf("PlanFormatVersion is now %d: commit a golden_plan_v%d.plan and extend this test to cover it",
 			PlanFormatVersion, PlanFormatVersion)
+	}
+}
+
+// TestGoldenPlanMigratesV1: the committed version-1 golden, which holds
+// the same plan's swept circuit, still decodes, and re-encodes to exactly
+// the version-2 golden: migrating a file changes its format, never its
+// plan, its charge or its depth.
+func TestGoldenPlanMigratesV1(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "golden_plan_v1.plan"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := os.ReadFile(filepath.Join("testdata", "golden_plan_v2.plan"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := DecodePlan(v1)
+	if err != nil {
+		t.Fatalf("decoder no longer reads the committed v1 plan format: %v", err)
+	}
+	if a.Obliv.C != nil {
+		t.Fatal("a migrated artifact kept its circuit")
+	}
+	back, err := EncodePlan(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(back, v2) {
+		t.Fatalf("the v1 golden migrates to %d bytes that are not the v2 golden's %d", len(back), len(v2))
+	}
+}
+
+// TestStoreRewritesV1: GetPlan serves a version-1 file and leaves the
+// version-2 file of the same plan in its place, which the next GetPlan
+// reads without migrating; the store indexes one plan throughout.
+func TestStoreRewritesV1(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "golden_plan_v1.plan"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := os.ReadFile(filepath.Join("testdata", "golden_plan_v2.plan"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := DecodePlan(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	file := filepath.Join(dir, a.FP.String()+planExt)
+	if err := os.WriteFile(file, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		got, err := st.GetPlan(a.FP)
+		if err != nil {
+			t.Fatalf("load %d: %v", i, err)
+		}
+		if got.migrated != (i == 0) {
+			t.Fatalf("load %d: migrated %v", i, got.migrated)
+		}
+		if data, err := os.ReadFile(file); err != nil || !bytes.Equal(data, v2) {
+			t.Fatalf("load %d: the file on disk is not the v2 golden (err %v)", i, err)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 || st.Len() != 1 {
+		t.Fatalf("after the rewrite: %d files (err %v), %d plans indexed; want one of each", len(entries), err, st.Len())
 	}
 }
 

@@ -1,11 +1,12 @@
 // Package store is the persistence layer under the serving engine: a
-// plan-artifact store that makes compiled circuits durable across
-// process restarts, and a checksummed columnar relation format for
-// databases kept on disk.
+// plan-artifact store that makes compiled plans durable across process
+// restarts, and a checksummed columnar relation format for databases
+// kept on disk.
 //
 // The knowledge-compilation view of the paper's circuits treats a
 // compiled plan as a durable, reusable object — the circuit *is* the
-// asset — so the store gives it the lifecycle of one: a versioned,
+// asset, and what the store keeps of it is the vm program it compiles
+// to, which every reader runs — so the store gives it the lifecycle of one: a versioned,
 // checksummed on-disk format keyed by the canonical fingerprint of the
 // (query, degree-constraint) pair, written atomically (temp file +
 // rename) so a crash mid-write can never corrupt a visible artifact,
@@ -27,13 +28,15 @@ import (
 	"circuitql/internal/core"
 	"circuitql/internal/guard"
 	"circuitql/internal/query"
+	"circuitql/internal/vm"
 )
 
 // PlanFormatVersion is the on-disk plan-artifact format version. Any
 // incompatible change to EncodePlan's layout must bump it — the golden
-// format-compatibility test pins version 1 artifacts byte for byte and
-// fails the build otherwise.
-const PlanFormatVersion = 1
+// format-compatibility test pins this version's artifact byte for byte
+// and fails the build otherwise. Version 1 artifacts, which held the
+// swept word circuit instead of its program, still decode (v1.go).
+const PlanFormatVersion = 2
 
 // planMagic opens every plan artifact file.
 const planMagic = "CQPS"
@@ -45,11 +48,12 @@ const maxPlanBytes = 1 << 30
 
 // PlanArtifact is one persisted plan: the query pair it was compiled
 // on (as re-parseable text, so integrity can be verified by
-// canonicalizing) and the compiled oblivious circuit with its packing
-// metadata. The relational-circuit layer is not persisted — its gates
-// carry closures (predicates, map expressions) with no wire format — and
-// nothing evaluates it: a loaded plan is served exactly as a freshly
-// compiled one, by the vm tier and then the RAM tier.
+// canonicalizing), the packing specs, and the vm program every reader
+// runs. Neither circuit layer is persisted: the relational gates carry
+// closures (predicates, map expressions) with no wire format, and the
+// word circuit is what the program was compiled from. A loaded plan is
+// served exactly as a freshly compiled one, by the vm tier and then the
+// RAM tier.
 type PlanArtifact struct {
 	// FP is the canonical fingerprint the plan is stored under.
 	FP query.Fingerprint
@@ -64,28 +68,33 @@ type PlanArtifact struct {
 	// RelOutput is the relational gate id whose output spec carries the
 	// query answer (core.Compiled.RelOutput).
 	RelOutput int
-	// Gates is the plan-cache charge (relational + oblivious gate count
-	// at compile time), so a warm-loaded entry costs what the compiled
-	// one did.
+	// Gates is the plan-cache charge the plan was compiled with (Charge),
+	// so a warm-loaded entry costs exactly what the compiled one did.
 	Gates int64
-	// WideLevel is the widest oblivious circuit level. The v1 header
-	// carries it (wide_level), so it is still written and round-trips,
-	// but nothing reads it on load: the engine's only circuit evaluator
-	// is the vm program, which does not route on level width.
-	WideLevel int
-	// Obliv is the compiled oblivious circuit with packing metadata.
+	// Depth is the swept word circuit's depth.
+	Depth int
+	// Obliv carries the packing specs (Inputs, Outputs). Its circuit C
+	// is set only on an artifact FromCompiled built, and is not stored.
 	Obliv *core.ObliviousCircuit
+	// Prog is the plan's vm program.
+	Prog *vm.Program
+
+	// migrated marks an artifact decoded from a version-1 file, which
+	// Store.GetPlan rewrites in the current format.
+	migrated bool
 }
 
 // planHeader is the JSON header inside the binary envelope.
 type planHeader struct {
-	Version   int    `json:"version"`
-	FP        string `json:"fingerprint"`
-	Query     string `json:"query"`
-	DC        string `json:"dc,omitempty"`
-	RelOutput int    `json:"rel_output"`
-	Gates     int64  `json:"gates"`
-	WideLevel int    `json:"wide_level"`
+	Version   int               `json:"version"`
+	FP        string            `json:"fingerprint"`
+	Query     string            `json:"query"`
+	DC        string            `json:"dc,omitempty"`
+	RelOutput int               `json:"rel_output"`
+	Gates     int64             `json:"gates"`
+	Depth     int               `json:"depth"`
+	Inputs    []core.InputSpec  `json:"inputs"`
+	Outputs   []core.OutputSpec `json:"outputs"`
 }
 
 // EncodePlan serializes a plan artifact:
@@ -93,14 +102,15 @@ type planHeader struct {
 //	magic "CQPS"
 //	uvarint body length, body:
 //	  uvarint header length, header JSON (version, fingerprint,
-//	    compiled-on query/DC text, rel output, gate charge, wide level)
-//	  oblivious-circuit artifact (core.ObliviousCircuit wire format)
+//	    compiled-on query/DC text, rel output, cache charge, depth,
+//	    input and output specs)
+//	  vm program (vm.Program.Append)
 //	SHA-256 of everything preceding it (32 bytes)
 //
 // The encoding is deterministic: equal artifacts encode to equal bytes,
 // which the format-compatibility golden test relies on.
 func EncodePlan(a *PlanArtifact) ([]byte, error) {
-	if a == nil || a.Obliv == nil {
+	if a == nil || a.Obliv == nil || a.Prog == nil {
 		return nil, fmt.Errorf("%w: store: nil plan artifact", guard.ErrInvalidInput)
 	}
 	head, err := json.Marshal(planHeader{
@@ -110,7 +120,9 @@ func EncodePlan(a *PlanArtifact) ([]byte, error) {
 		DC:        a.DCText,
 		RelOutput: a.RelOutput,
 		Gates:     a.Gates,
-		WideLevel: a.WideLevel,
+		Depth:     a.Depth,
+		Inputs:    a.Obliv.Inputs,
+		Outputs:   a.Obliv.Outputs,
 	})
 	if err != nil {
 		return nil, err
@@ -118,13 +130,12 @@ func EncodePlan(a *PlanArtifact) ([]byte, error) {
 	// The body is appended after room for the longest envelope prefix;
 	// once its length is known the prefix is written right up against
 	// it, and the checksum is taken over the prefix and body in place.
+	// A served program encodes in about nine bytes an instruction.
 	const room = len(planMagic) + binary.MaxVarintLen64
-	buf := make([]byte, room, room+binary.MaxVarintLen64+len(head))
+	buf := make([]byte, room, room+binary.MaxVarintLen64+len(head)+12*a.Prog.Instructions()+sha256.Size)
 	buf = binary.AppendUvarint(buf, uint64(len(head)))
 	buf = append(buf, head...)
-	if buf, err = a.Obliv.Append(buf); err != nil {
-		return nil, err
-	}
+	buf = a.Prog.Append(buf)
 	var lenBuf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(lenBuf[:], uint64(len(buf)-room))
 	start := room - len(planMagic) - n
@@ -136,9 +147,10 @@ func EncodePlan(a *PlanArtifact) ([]byte, error) {
 }
 
 // DecodePlan deserializes a plan artifact, verifying the envelope
-// checksum and cross-checking the header against the decoded circuit.
-// It never panics on adversarial bytes (FuzzPlanDecode enforces this);
-// every failure is an error.
+// checksum, validating the program (vm.DecodeProgram) and
+// cross-checking the header's specs against it. A version-1 artifact is
+// migrated as it decodes (v1.go). It never panics on adversarial bytes
+// (FuzzPlanDecode enforces this); every failure is an error.
 func DecodePlan(data []byte) (*PlanArtifact, error) {
 	if len(data) < len(planMagic)+1+sha256.Size {
 		return nil, fmt.Errorf("store: plan artifact truncated (%d bytes)", len(data))
@@ -173,30 +185,9 @@ func DecodePlan(data []byte) (*PlanArtifact, error) {
 	if err := json.Unmarshal(body[n:n+int(headLen)], &h); err != nil {
 		return nil, fmt.Errorf("store: plan header: %w", err)
 	}
-	if h.Version != PlanFormatVersion {
-		return nil, fmt.Errorf("store: unsupported plan format version %d (decoder speaks %d)",
-			h.Version, PlanFormatVersion)
-	}
 	fp, err := parseFingerprint(h.FP)
 	if err != nil {
 		return nil, err
-	}
-	obliv, err := core.ReadObliviousCircuit(bytes.NewBuffer(body[n+int(headLen):]))
-	if err != nil {
-		return nil, fmt.Errorf("store: plan circuit: %w", err)
-	}
-	if h.RelOutput < 0 {
-		return nil, fmt.Errorf("store: negative rel output %d", h.RelOutput)
-	}
-	found := false
-	for _, spec := range obliv.Outputs {
-		if spec.Gate == h.RelOutput {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("store: rel output %d has no output spec in the circuit", h.RelOutput)
 	}
 	a := &PlanArtifact{
 		FP:        fp,
@@ -204,16 +195,38 @@ func DecodePlan(data []byte) (*PlanArtifact, error) {
 		DCText:    h.DC,
 		RelOutput: h.RelOutput,
 		Gates:     h.Gates,
-		WideLevel: h.WideLevel,
-		Obliv:     obliv,
+		Depth:     h.Depth,
 	}
-	if a.Gates < 1 {
-		a.Gates = int64(obliv.C.Size())
-		if a.Gates < 1 {
-			a.Gates = 1
+	rest = body[n+int(headLen):]
+	switch h.Version {
+	case PlanFormatVersion:
+		if a.Prog, err = vm.DecodeProgram(rest); err != nil {
+			return nil, fmt.Errorf("store: plan program: %w", err)
+		}
+		a.Obliv = &core.ObliviousCircuit{Inputs: h.Inputs, Outputs: h.Outputs}
+		if err := a.Obliv.CheckSpecs(a.Prog.NumInputs(), a.Prog.NumOutputs()); err != nil {
+			return nil, fmt.Errorf("store: plan specs: %w", err)
+		}
+	case 1:
+		if err := a.migrateV1(rest); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("store: unsupported plan format version %d (decoder speaks %d and 1)",
+			h.Version, PlanFormatVersion)
+	}
+	if a.Gates < 1 || a.Depth < 0 {
+		return nil, fmt.Errorf("store: plan charge %d, depth %d", a.Gates, a.Depth)
+	}
+	if h.RelOutput < 0 {
+		return nil, fmt.Errorf("store: negative rel output %d", h.RelOutput)
+	}
+	for _, spec := range a.Obliv.Outputs {
+		if spec.Gate == h.RelOutput {
+			return a, nil
 		}
 	}
-	return a, nil
+	return nil, fmt.Errorf("store: rel output %d has no output spec in the plan", h.RelOutput)
 }
 
 // ReadPlan reads one plan artifact from r and decodes it as DecodePlan
@@ -247,35 +260,41 @@ func ReadPlan(r io.Reader) (*PlanArtifact, error) {
 // the compiled-on pair itself, which for an engine plan, compiled on
 // canon.Query against canon.DCs, is the canonical text.
 func FromCompiled(canon *query.Canonical, compiled *core.Compiled) *PlanArtifact {
-	gates := int64(compiled.Rel.Size() + compiled.Obliv.C.Size())
-	if gates < 1 {
-		gates = 1
-	}
-	wide := 0
-	for _, w := range compiled.Obliv.C.LevelSizes() {
-		if w > wide {
-			wide = w
-		}
-	}
 	return &PlanArtifact{
 		FP:        canon.FP,
 		QueryText: compiled.Query.String(),
 		DCText:    query.FormatDC(compiled.Query, compiled.DC),
 		RelOutput: compiled.RelOutput,
-		Gates:     gates,
-		WideLevel: wide,
+		Gates:     Charge(compiled),
+		Depth:     compiled.Obliv.C.Depth(),
 		Obliv:     compiled.Obliv,
+		Prog:      compiled.Prog,
 	}
+}
+
+// Charge is a compiled plan's plan-cache charge: its relational and
+// word gates plus its vm program's footprint. The engine charges an
+// entry it compiles this at insert, and a stored plan carries it.
+func Charge(compiled *core.Compiled) int64 {
+	return max(1, int64(compiled.Rel.Size()+compiled.Obliv.C.Size())+progCharge(compiled.Prog))
+}
+
+// progCharge is a vm program's share of the charge: its value slots
+// plus its instruction count, the two buffers that dominate its
+// footprint, in the same gate-sized units.
+func progCharge(p *vm.Program) int64 {
+	return int64(p.Slots() + p.Instructions())
 }
 
 // Compiled reassembles an evaluable core.Compiled from the artifact:
 // the header's query and constraints are parsed, canonicalized and
 // verified against the fingerprint the artifact is stored under, then
-// wired back up to the oblivious circuit compiled on them. The
-// relational layer (Rel) is nil — see PlanArtifact. The fingerprint
-// check is the store's semantic integrity check (the checksum only
-// covers bytes): a decoder bug, a hand-edited artifact, or a fingerprint
-// algorithm change all surface here instead of serving wrong plans.
+// wired back up to the specs and program compiled on them. Rel is nil,
+// and so is Obliv.C for a decoded artifact — see PlanArtifact.
+// The fingerprint check is the store's semantic integrity check (the
+// checksum only covers bytes): a decoder bug, a hand-edited artifact,
+// or a fingerprint algorithm change all surface here instead of serving
+// wrong plans.
 func (a *PlanArtifact) Compiled() (*core.Compiled, *query.Canonical, error) {
 	q, err := query.Parse(a.QueryText)
 	if err != nil {
@@ -296,7 +315,7 @@ func (a *PlanArtifact) Compiled() (*core.Compiled, *query.Canonical, error) {
 		return nil, nil, fmt.Errorf("store: artifact fingerprint %s does not match its query pair (canonicalizes to %s)",
 			a.FP.Short(), canon.FP.Short())
 	}
-	return &core.Compiled{Query: q, DC: dcs, RelOutput: a.RelOutput, Obliv: a.Obliv}, canon, nil
+	return &core.Compiled{Query: q, DC: dcs, RelOutput: a.RelOutput, Obliv: a.Obliv, Prog: a.Prog}, canon, nil
 }
 
 // parseFingerprint decodes the hex fingerprint of a plan header.

@@ -10,6 +10,8 @@ import (
 
 	"circuitql/internal/core"
 	"circuitql/internal/query"
+	"circuitql/internal/relation"
+	"circuitql/internal/vm"
 	"circuitql/internal/workload"
 )
 
@@ -71,7 +73,7 @@ func TestPlanRoundTrip(t *testing.T) {
 			t.Fatalf("%s: DecodePlan: %v", name, err)
 		}
 		if back.FP != a.FP || back.QueryText != a.QueryText || back.DCText != a.DCText ||
-			back.RelOutput != a.RelOutput || back.Gates != a.Gates || back.WideLevel != a.WideLevel {
+			back.RelOutput != a.RelOutput || back.Gates != a.Gates || back.Depth != a.Depth {
 			t.Fatalf("%s: decoded metadata differs: %+v vs %+v", name, back, a)
 		}
 
@@ -85,29 +87,46 @@ func TestPlanRoundTrip(t *testing.T) {
 			t.Fatalf("%s: reparsed fingerprint %s, want %s", name, recanon.FP.Short(), canon.FP.Short())
 		}
 
-		// A warm-loaded plan (no relational layer) must evaluate the
-		// workload identically via its oblivious circuit. The database
-		// the original was compiled against canonicalizes through
+		// A warm-loaded plan (no circuit layer) carries the program the
+		// compile built, byte for byte, and runs the workload to the
+		// interpreter's answer on the compiled circuit. The database the
+		// original was compiled against canonicalizes through
 		// canon.VarMap-independent atom names, so it feeds both.
 		warm, _, err := back.Compiled()
 		if err != nil {
 			t.Fatalf("%s: Compiled: %v", name, err)
 		}
-		if warm.Rel != nil {
-			t.Fatalf("%s: warm plan unexpectedly has a relational layer", name)
+		if warm.Rel != nil || warm.Obliv.C != nil {
+			t.Fatalf("%s: warm plan unexpectedly has a circuit layer", name)
+		}
+		if !bytes.Equal(warm.Prog.Append(nil), compiled.Prog.Append(nil)) {
+			t.Fatalf("%s: the decoded program differs from the compiled one", name)
 		}
 		wantOut, err := compiled.EvaluateObliviousCtx(context.Background(), db)
 		if err != nil {
 			t.Fatalf("%s: original EvaluateOblivious: %v", name, err)
 		}
-		gotOut, err := warm.EvaluateObliviousCtx(context.Background(), db)
+		gotOut, err := runProgram(warm, db)
 		if err != nil {
-			t.Fatalf("%s: warm EvaluateOblivious: %v", name, err)
+			t.Fatalf("%s: warm program: %v", name, err)
 		}
 		if !gotOut.Equal(wantOut) {
 			t.Fatalf("%s: warm plan evaluates differently: %d rows vs %d", name, gotOut.Len(), wantOut.Len())
 		}
 	}
+}
+
+// runProgram evaluates db on a plan's vm program as a batch of one.
+func runProgram(c *core.Compiled, db query.Database) (*relation.Relation, error) {
+	in, err := c.PackOblivious(db)
+	if err != nil {
+		return nil, err
+	}
+	out, err := c.Prog.EvalBatch(context.Background(), [][]vm.Word{in})
+	if err != nil {
+		return nil, err
+	}
+	return c.DecodeOblivious(out[0])
 }
 
 // TestCanonicalTextFixedPoint: for every catalog query, parsing the
@@ -171,7 +190,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 }
 
 // TestDecodeRejectsOutputOffsetsPastTheCircuit: a plan whose output
-// specs point past the circuit's outputs — re-encoded, so the checksum
+// specs point past the program's outputs — re-encoded, so the checksum
 // is good, as it is on a hand-edited file — must fail DecodePlan rather
 // than slice out of range when it is evaluated.
 func TestDecodeRejectsOutputOffsetsPastTheCircuit(t *testing.T) {
@@ -183,9 +202,9 @@ func TestDecodeRejectsOutputOffsetsPastTheCircuit(t *testing.T) {
 }
 
 // TestDecodeRejectsUnsoundInputSpecs: input specs that keep the total
-// input width the circuit has but cannot be packed must fail DecodePlan.
+// input width the program has but cannot be packed must fail DecodePlan.
 // A repeated attribute keeps every spec's width; capacities that wrap
-// the width sum back to the circuit's input count keep the total.
+// the width sum back to the program's input count keep the total.
 func TestDecodeRejectsUnsoundInputSpecs(t *testing.T) {
 	canon, compiled, _ := compileCatalog(t, "triangle")
 	art := FromCompiled(canon, compiled)
@@ -205,8 +224,8 @@ func TestDecodeRejectsUnsoundInputSpecs(t *testing.T) {
 			for _, in := range oc.Inputs {
 				wires += in.Capacity * (1 + len(in.Schema))
 			}
-			if wires != oc.C.NumInputs() {
-				t.Fatalf("edited widths sum to %d, circuit has %d inputs", wires, oc.C.NumInputs())
+			if wires != art.Prog.NumInputs() {
+				t.Fatalf("edited widths sum to %d, the program has %d inputs", wires, art.Prog.NumInputs())
 			}
 		},
 	} {
@@ -252,7 +271,7 @@ func (endless) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// editedPlan encodes a with its oblivious circuit's specs passed through
+// editedPlan encodes a with its specs passed through
 // edit, leaving a itself untouched.
 func editedPlan(t testing.TB, a *PlanArtifact, edit func(*core.ObliviousCircuit)) []byte {
 	t.Helper()

@@ -127,11 +127,9 @@ func (s *Store) planPath(fp query.Fingerprint) string {
 	return filepath.Join(s.dir, fp.String()+planExt)
 }
 
-// PutPlan persists a plan artifact under its fingerprint, atomically:
-// the encoding is written to a temp file in the store directory, synced,
-// and renamed into place, then indexed. A plan already stored under the
-// same fingerprint is left untouched — artifacts are immutable once
-// visible.
+// PutPlan persists a plan artifact under its fingerprint, atomically
+// (see write), then indexes it. A plan already stored under the same
+// fingerprint is left untouched — artifacts are immutable once visible.
 func (s *Store) PutPlan(a *PlanArtifact) error {
 	if s.HasPlan(a.FP) {
 		return nil
@@ -140,8 +138,23 @@ func (s *Store) PutPlan(a *PlanArtifact) error {
 	if err != nil {
 		return err
 	}
-	final := s.planPath(a.FP)
-	tmp, err := os.CreateTemp(s.dir, a.FP.Short()+"-*"+tmpExt)
+	if err := s.write(a.FP, data); err != nil {
+		return err
+	}
+	s.writes.Add(1)
+	s.bytesW.Add(int64(len(data)))
+
+	s.mu.Lock()
+	s.plans[a.FP] = struct{}{}
+	s.mu.Unlock()
+	return nil
+}
+
+// write puts data at fp's artifact path: written to a temp file in the
+// store directory, synced, and renamed into place.
+func (s *Store) write(fp query.Fingerprint, data []byte) error {
+	final := s.planPath(fp)
+	tmp, err := os.CreateTemp(s.dir, fp.Short()+"-*"+tmpExt)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -167,17 +180,12 @@ func (s *Store) PutPlan(a *PlanArtifact) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("store: %w", err)
 	}
-	s.writes.Add(1)
-	s.bytesW.Add(int64(len(data)))
-
-	s.mu.Lock()
-	s.plans[a.FP] = struct{}{}
-	s.mu.Unlock()
 	return nil
 }
 
-// GetPlan reads, checksums, and decodes the plan stored for fp.
-// ErrNotFound when nothing is stored. A plan that fails checksum or
+// GetPlan reads, checksums, and decodes the plan stored for fp,
+// rewriting a version-1 file as the current version once it has decoded
+// it. ErrNotFound when nothing is stored. A plan that fails checksum or
 // decode is quarantined: the artifact is removed from the index (and
 // the file renamed aside with a .corrupt suffix) so the caller can fall
 // back to compiling, and the corrupt counter records it.
@@ -209,6 +217,14 @@ func (s *Store) GetPlan(fp query.Fingerprint) (*PlanArtifact, error) {
 	}
 	s.hits.Add(1)
 	s.bytesR.Add(int64(len(data)))
+	if a.migrated {
+		// A version-1 file: rewritten in the current format, so the next
+		// load reads the program instead of compiling it. A failed rewrite
+		// leaves the old file, which still loads, so its error is dropped.
+		if data, err := EncodePlan(a); err == nil {
+			_ = s.write(fp, data)
+		}
+	}
 	return a, nil
 }
 

@@ -12,7 +12,7 @@ var (
 	AdversarialWord = adversarialWord
 	TraceRuns       = traceRuns
 	Checkpoints     = checkpoints
-	CheckProgram    = (*Program).check
+	Validate        = (*Program).validate
 )
 
 // OpCensus lists how many instructions of each opcode p executes.

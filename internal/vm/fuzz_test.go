@@ -114,8 +114,9 @@ func TestFuzzSeedsReachThePeepholes(t *testing.T) {
 
 // FuzzVMCompile pins the vectorized evaluator to the reference
 // gate-walk interpreter: any circuit the builder can produce must
-// compile to a program that passes check, and EvalBatch must agree with boolcircuit.EvaluateCtx on every
-// lane of a derived input batch — evaluated whole at a stride of 16
+// compile to a program that passes validate and decodes from its
+// encoding to itself, and EvalBatch must agree with
+// boolcircuit.EvaluateCtx on every lane of a derived input batch — evaluated whole at a stride of 16
 // (nine lanes), its first five lanes at a stride of 8, and its first
 // lane alone at a stride of one.
 func FuzzVMCompile(f *testing.F) {
@@ -128,8 +129,13 @@ func FuzzVMCompile(f *testing.F) {
 		if err != nil {
 			t.Fatalf("compile: %v", err)
 		}
-		if err := prog.check(); err != nil {
+		if err := prog.validate(); err != nil {
 			t.Fatalf("compiled program: %v", err)
+		}
+		if back, err := DecodeProgram(prog.Append(nil)); err != nil {
+			t.Fatalf("the program's encoding does not decode: %v", err)
+		} else if diff := ProgramDiff(back, prog); diff != "" {
+			t.Fatalf("the decoded program differs in %s", diff)
 		}
 		inputs := make([][]Word, 9)
 		want := make([][]Word, len(inputs))
@@ -160,6 +166,38 @@ func FuzzVMCompile(f *testing.F) {
 							B, r, i, got[r][i], want[r][i], binary.BigEndian.AppendUint64(nil, uint64(inputs[r][0])))
 					}
 				}
+			}
+		}
+	})
+}
+
+// FuzzProgramDecode: DecodeProgram must never panic, and every program
+// it accepts must run one EvalBatch of all-zero inputs at a batch of 1
+// and of 8 without a fault. The vector kernels index the slab without
+// bounds checks, so this is what holds validate to its purpose on bytes
+// no compile emitted. The seeds are the encodings of FuzzVMCompile's
+// seed programs, so mutations start from well-formed programs.
+func FuzzProgramDecode(f *testing.F) {
+	for _, seed := range fuzzSeeds {
+		c, _ := buildFuzzCircuit(seed.data)
+		p, err := Compile(context.Background(), c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(p.Append(nil))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodeProgram(data)
+		if err != nil {
+			return
+		}
+		for _, batch := range []int{1, 8} {
+			inputs := make([][]Word, batch)
+			for r := range inputs {
+				inputs[r] = make([]Word, p.NumInputs())
+			}
+			if _, err := p.EvalBatch(context.Background(), inputs); err != nil {
+				t.Fatalf("accepted program fails a batch of %d: %v", batch, err)
 			}
 		}
 	})

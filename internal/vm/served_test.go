@@ -38,9 +38,10 @@ func servedCircuit(t testing.TB, q *query.Query, seed int64, tuples int) (*boolc
 	return compiled.Obliv.C, packed
 }
 
-// checkCatalog holds every catalog program to the check the vector
-// kernels rely on (slots in range, no run writing a slot twice or reading
-// what it writes), and the vm to the interpreter, output word for output
+// checkCatalog holds every catalog program to validate, which decoded
+// programs must pass (slots in range, no level writing a slot twice or
+// reading one before it is written), and to its encoding's round trip,
+// and the vm to the interpreter, output word for output
 // word, on every catalog query compiled against eight seeded databases
 // each, at a stride of one, of 8 and of 16. Lane 0 carries the database;
 // the other lanes carry it with a quarter of the words replaced by random
@@ -68,9 +69,10 @@ func checkCatalog(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", ent.Name, seed, err)
 			}
-			if err := vm.CheckProgram(p); err != nil {
+			if err := vm.Validate(p); err != nil {
 				t.Fatalf("%s seed %d: compiled program: %v", ent.Name, seed, err)
 			}
+			checkRoundTrip(t, fmt.Sprintf("%s seed %d", ent.Name, seed), p)
 			s, l := p.Fused()
 			swaps, lexes = swaps+s, lexes+l
 			want := make([][]Word, len(inputs))
@@ -100,6 +102,20 @@ func checkCatalog(t *testing.T) {
 }
 
 func TestVMCatalogMatchesInterp(t *testing.T) { checkCatalog(t) }
+
+// checkRoundTrip holds the program encoding to a fixed point: p decodes
+// from its encoding to a program equal to it field for field, the
+// counts the encoding leaves out included.
+func checkRoundTrip(t *testing.T, name string, p *vm.Program) {
+	t.Helper()
+	back, err := vm.DecodeProgram(p.Append(nil))
+	if err != nil {
+		t.Fatalf("%s: the program's encoding does not decode: %v", name, err)
+	}
+	if diff := vm.ProgramDiff(back, p); diff != "" {
+		t.Fatalf("%s: the decoded program differs in %s", name, diff)
+	}
+}
 
 // TestVMServedShapeSize pins what fusing buys on the benchmark's hot-eval
 // shape, triangle at 16 tuples under derived constraints: 99 408 live
@@ -136,7 +152,8 @@ func TestVMServedShapeSize(t *testing.T) {
 
 // sharedProgram compiles q against degree constraints two different
 // seeded databases both satisfy (the element-wise maximum of what each
-// measures), so one program serves both, and packs the two.
+// measures), so one program serves both, decodes the program from its
+// encoding, and packs the two.
 func sharedProgram(t *testing.T, name string, q *query.Query, tuples int) (*vm.Program, [2][]Word) {
 	t.Helper()
 	ctx := context.Background()
@@ -162,9 +179,15 @@ func sharedProgram(t *testing.T, name string, q *query.Query, tuples int) (*vm.P
 	if err != nil {
 		t.Fatalf("compile %s: %v", name, err)
 	}
-	prog, err := vm.Compile(ctx, compiled.Obliv.C)
+	// The program runs as a stored plan runs it: decoded from its
+	// encoding.
+	compiledProg, err := vm.Compile(ctx, compiled.Obliv.C)
 	if err != nil {
 		t.Fatalf("vm.Compile %s: %v", name, err)
+	}
+	prog, err := vm.DecodeProgram(compiledProg.Append(nil))
+	if err != nil {
+		t.Fatalf("decode %s: %v", name, err)
 	}
 	var packed [2][]Word
 	for i, db := range dbs {
@@ -258,6 +281,10 @@ func TestPlanProgramEqualsSwept(t *testing.T) {
 		if diff := vm.ProgramDiff(compiled.Prog, swept); diff != "" {
 			t.Fatalf("%s: the plan's program and the swept circuit's differ in %s", name, diff)
 		}
+		if err := vm.Validate(compiled.Prog); err != nil {
+			t.Fatalf("%s: the plan's program: %v", name, err)
+		}
+		checkRoundTrip(t, name, compiled.Prog)
 		if got, want := compiled.Prog.Gates(), compiled.Obliv.C.Size(); got != want {
 			t.Fatalf("%s: program stands for %d gates, the swept circuit has %d", name, got, want)
 		}

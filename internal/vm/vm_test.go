@@ -111,7 +111,7 @@ func checkAgainstInterp(t *testing.T, c *boolcircuit.Circuit, inputs [][]Word) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if err := prog.check(); err != nil {
+	if err := prog.validate(); err != nil {
 		t.Fatalf("compiled program: %v", err)
 	}
 	got, err := prog.EvalBatch(ctx, inputs)

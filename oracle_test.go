@@ -11,7 +11,7 @@
 //   - TestDifferentialCatalog runs every cell of each uniform row, and
 //     TestDifferentialDerivedConstraints every cell of each derived row;
 //   - TestDifferentialStoreRoundTrip persists each uniform plan with
-//     store.PutPlan and runs the plan it reloads;
+//     store.PutPlan and runs the program it reloads;
 //   - TestOptimizerPreservesStats holds the optimizer report of each
 //     uniform plan to both compiles.
 //
@@ -22,6 +22,7 @@
 package circuitql
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -375,8 +376,10 @@ func evalOne(ctx context.Context, p *VMProgram, db Database) (*Relation, error) 
 }
 
 // storeCell reloads every plan the engine persisted through a second
-// store handle on dir, as a restarted process would, and holds its
-// interpreter and vm evaluations to RAM on the plan's canonical query.
+// store handle on dir, as a restarted process would. The program in the
+// file must be the one a compile of the plan's canonical pair builds,
+// encoding for encoding, and running it must answer RAM on that pair.
+// The file holds no circuit, so there is no interpreter cell here.
 func storeCell(t *testing.T, dir string, served map[Fingerprint][]int, dbs []Database) {
 	t.Helper()
 	ctx := context.Background()
@@ -393,19 +396,20 @@ func storeCell(t *testing.T, dir string, served map[Fingerprint][]int, dbs []Dat
 		if err != nil || canon.FP != fp {
 			t.Fatalf("reassemble %s: %v (canonical pair %v)", fp.Short(), err, canon)
 		}
-		reloaded := &CompiledQuery{inner: warm}
-		prog, err := reloaded.CompileVM(ctx)
+		fresh, err := core.CompileQueryCtx(ctx, canon.Query, canon.DCs)
 		if err != nil {
-			t.Fatalf("vm compile of reloaded plan: %v", err)
+			t.Fatalf("compile %s: %v", fp.Short(), err)
 		}
+		if !bytes.Equal(warm.Prog.Append(nil), fresh.Prog.Append(nil)) {
+			t.Fatalf("%s: the stored program is not the one its pair compiles to", fp.Short())
+		}
+		reloaded := newCompiledQuery(warm)
 		for _, s := range seeds {
 			want, err := EvaluateRAM(ctx, canon.Query, dbs[s])
 			if err != nil {
 				t.Fatalf("seed %d: RAM on the canonical query: %v", s+1, err)
 			}
-			got, err := warm.EvaluateObliviousCtx(ctx, dbs[s])
-			checkCell(t, s, "store-interpreter", want, got, err)
-			got, err = evalOne(ctx, prog, dbs[s])
+			got, err := reloaded.Evaluate(ctx, dbs[s])
 			checkCell(t, s, "store-vm", want, got, err)
 		}
 	}

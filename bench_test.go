@@ -182,17 +182,13 @@ func BenchmarkVMvsInterp(b *testing.B) {
 		}
 	})
 	b.Run("vm/batch=64", func(b *testing.B) {
-		prog, err := cq.CompileVM(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
 		dbs := make([]Database, 64)
 		for i := range dbs {
 			dbs[i] = db
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := prog.EvalBatch(ctx, dbs); err != nil {
+			if _, err := cq.EvalBatch(ctx, dbs); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -366,10 +362,7 @@ func BenchmarkServedTiers(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		prog, err := vm.Compile(ctx, compiled.Obliv.C)
-		if err != nil {
-			b.Fatal(err)
-		}
+		prog := compiled.Prog
 		for _, tier := range []struct {
 			name string
 			run  func() (*Relation, error)

@@ -115,16 +115,9 @@ func EvaluateRAM(ctx context.Context, q *Query, db Database) (out *Relation, err
 
 // CompiledQuery is a fully compiled worst-case-optimal circuit for a
 // full conjunctive query (Theorems 3-4). It is safe for concurrent use.
-type CompiledQuery struct {
-	inner *core.Compiled
-	prog  *VMProgram // the program every evaluation runs
-}
-
-// newCompiledQuery pairs a plan with its vm program: the one it was
+// Every evaluation runs the vm program the plan carries: the one it was
 // compiled with, or read with it from its file.
-func newCompiledQuery(inner *core.Compiled) *CompiledQuery {
-	return &CompiledQuery{inner: inner, prog: &VMProgram{prog: inner.Prog, inner: inner}}
-}
+type CompiledQuery struct{ inner *core.Compiled }
 
 // Compile builds the PANDA-C relational circuit and its oblivious
 // lowering for a full CQ under the given constraints, then runs the
@@ -154,7 +147,7 @@ func CompileOpts(ctx context.Context, q *Query, dcs DCSet, opts CompileOptions) 
 	if err != nil {
 		return nil, err
 	}
-	return newCompiledQuery(inner), nil
+	return &CompiledQuery{inner: inner}, nil
 }
 
 // OptimizerReport returns the optimizer's before/after sizes, or nil
@@ -173,7 +166,7 @@ func (c *CompiledQuery) Evaluate(ctx context.Context, db Database) (out *Relatio
 	if err := query.ValidateDB(c.inner.Query, c.inner.DC, db); err != nil {
 		return nil, err
 	}
-	return c.prog.evaluate(ctx, db)
+	return c.evaluate(ctx, db)
 }
 
 // EvaluateRelational runs the relational-circuit layer (faster; same
@@ -187,7 +180,8 @@ func (c *CompiledQuery) EvaluateRelational(ctx context.Context, db Database, che
 	return c.inner.EvaluateRelationalCtx(ctx, db, check)
 }
 
-// Stats summarizes the compiled circuits.
+// Stats summarizes the compiled circuits and the vm program every
+// evaluation runs.
 type Stats struct {
 	RelationalGates int     // relational circuit size (Theorem 3: Õ(1))
 	RelationalDepth int     // relational circuit depth
@@ -195,10 +189,27 @@ type Stats struct {
 	Gates           int     // oblivious word-level gate count (Theorem 4 size)
 	Depth           int     // oblivious depth (Theorem 4: Õ(1))
 	DAPB            float64 // polymatroid bound 2^LOGDAPB
+
+	// Instructions is what the program executes per request: gates
+	// minus inputs, constants and dead gates, with each fused
+	// super-instruction counted once. Swaps of them are the sorting
+	// network's conditional swap (two MUX gates in one) and Lexes a
+	// lexicographic-compare step (four gates in one).
+	Instructions, Swaps, Lexes int
+	// Slots is the value slots per request lane, the most wires live at
+	// once: the evaluator's working set is Slots × batch-size words.
+	Slots int
+	// Levels is the program's depth with every fused step one gate, and
+	// Runs the same-opcode runs its instructions fall into: the
+	// evaluator dispatches once per run.
+	Levels, Runs int
 }
 
-// Stats reports the circuit sizes and the bound they match.
+// Stats reports the circuit sizes, the bound they match and the size of
+// the plan's vm program.
 func (c *CompiledQuery) Stats() Stats {
+	p := c.inner.Prog
+	swaps, lexes := p.Fused()
 	return Stats{
 		RelationalGates: c.inner.Rel.Size(),
 		RelationalDepth: c.inner.Rel.Depth(),
@@ -206,6 +217,12 @@ func (c *CompiledQuery) Stats() Stats {
 		Gates:           c.inner.Obliv.C.Size(),
 		Depth:           c.inner.Obliv.C.Depth(),
 		DAPB:            c.inner.Bound.Value(),
+		Instructions:    p.Instructions(),
+		Swaps:           swaps,
+		Lexes:           lexes,
+		Slots:           p.Slots(),
+		Levels:          p.Levels(),
+		Runs:            p.Runs(),
 	}
 }
 
@@ -311,7 +328,7 @@ func LoadArtifact(ctx context.Context, r io.Reader) (_ *Artifact, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: circuitql: %w", ErrInvalidInput, err)
 	}
-	return &Artifact{cq: newCompiledQuery(inner), depth: a.Depth}, nil
+	return &Artifact{cq: &CompiledQuery{inner: inner}, depth: a.Depth}, nil
 }
 
 // Evaluate runs the loaded program on db, as CompiledQuery.Evaluate
@@ -322,7 +339,7 @@ func (a *Artifact) Evaluate(ctx context.Context, db Database) (*Relation, error)
 
 // Gates returns the loaded plan's word-gate count: the gates its program
 // stands for, the swept circuit's size.
-func (a *Artifact) Gates() int { return a.cq.prog.Gates() }
+func (a *Artifact) Gates() int { return a.cq.inner.Prog.Gates() }
 
 // Depth returns the loaded plan's word-circuit depth.
 func (a *Artifact) Depth() int { return a.depth }
@@ -354,7 +371,7 @@ func CompileBoolean(ctx context.Context, q *Query, dcs DCSet) (bq *BooleanQuery,
 	if err != nil {
 		return nil, err
 	}
-	return &BooleanQuery{newCompiledQuery(bc)}, nil
+	return &BooleanQuery{&CompiledQuery{inner: bc}}, nil
 }
 
 // Decide evaluates the decision circuit on db as CompiledQuery.Evaluate

@@ -44,6 +44,13 @@ func TestFacadeCompileAndEvaluate(t *testing.T) {
 	if st.Gates == 0 || st.Depth == 0 || st.RelationalGates == 0 || st.DAPB <= 0 {
 		t.Fatalf("stats = %+v", st)
 	}
+	// The program counts are the plan's program's, the one Evaluate runs.
+	p := cq.inner.Prog
+	if swaps, lexes := p.Fused(); st.Instructions != p.Instructions() || st.Swaps != swaps || st.Lexes != lexes ||
+		st.Slots != p.Slots() || st.Levels != p.Levels() || st.Runs != p.Runs() || st.Instructions == 0 {
+		t.Fatalf("stats = %+v, program %d instructions, %d slots, %d levels, %d runs",
+			st, p.Instructions(), p.Slots(), p.Levels(), p.Runs())
+	}
 	if s1, s2 := cq.BrentSteps(1), cq.BrentSteps(1<<20); s2 >= s1 {
 		t.Fatalf("Brent steps not decreasing: %d vs %d", s1, s2)
 	}

@@ -170,13 +170,8 @@ func main() {
 	}
 
 	if *batch > 0 {
-		prog, err := cq.CompileVM(ctx)
-		if err != nil {
-			log.Fatal(err)
-		}
-		swaps, lexes := prog.Fused()
 		fmt.Printf("\nvm program: %d gates -> %d instructions (%d swap, %d lex), %d runs, %d levels, %d slots/lane\n",
-			prog.Gates(), prog.Instructions(), swaps, lexes, prog.Runs(), prog.Levels(), prog.Slots())
+			st.Gates, st.Instructions, st.Swaps, st.Lexes, st.Runs, st.Levels, st.Slots)
 
 		// The database through the vm alone (a batch of one, lane stride
 		// 1, what Evaluate runs), then replicated *batch ways and
@@ -191,7 +186,7 @@ func main() {
 			var best time.Duration
 			for try := 0; try < 50; try++ {
 				start := time.Now()
-				outs, err := prog.EvalBatch(ctx, dbs)
+				outs, err := cq.EvalBatch(ctx, dbs)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -207,7 +202,7 @@ func main() {
 			return best
 		}
 		perInstr := func(d time.Duration) float64 {
-			return float64(d.Nanoseconds()) / float64(prog.Instructions())
+			return float64(d.Nanoseconds()) / float64(st.Instructions)
 		}
 		one := evalBatch(1)
 		batched := evalBatch(*batch)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"circuitql/internal/vm"
 	"circuitql/internal/workload"
 )
 
@@ -146,7 +147,7 @@ func TestFirstEvaluateMeetsADeadlineShorterThanTheVMCompile(t *testing.T) {
 		}
 		return best
 	}
-	compile := fastest(3, func() error { _, err := probe.CompileVM(ctx); return err })
+	compile := fastest(3, func() error { _, err := vm.Compile(ctx, probe.inner.Obliv.C); return err })
 	eval := fastest(5, func() error { _, err := probe.Evaluate(ctx, db); return err })
 	if compile < 8*eval {
 		t.Skipf("a vm compile (%v) is not well above an evaluation (%v) here", compile, eval)

@@ -125,11 +125,15 @@ func varintErr(n int) error {
 	return fmt.Errorf("boolcircuit: varint overflows 64 bits")
 }
 
-// operand reads one operand of gate i: a wire below i, or -1 (absent).
+// operand reads one operand of gate i: a wire below i. Every operand an
+// op reads is one it uses, so an absent one (-1, encoded 0) is corrupt.
 func (d *decoder) operand(i int) (int32, error) {
 	v, err := d.uvarint()
 	if err != nil {
 		return 0, err
+	}
+	if v == 0 {
+		return 0, fmt.Errorf("boolcircuit: gate %d lacks an operand", i)
 	}
 	if v > uint64(i) {
 		return 0, fmt.Errorf("boolcircuit: gate %d reads forward wire %d", i, int64(v)-1)

@@ -140,6 +140,29 @@ func TestReadRejectsForwardReference(t *testing.T) {
 	}
 }
 
+// TestReadRejectsAbsentOperand: an operand the op uses cannot be the
+// absent wire -1. Accepted, it reached every reader of the circuit as an
+// index: a version-1 plan body with one made vm.Compile panic in the
+// store's migration.
+func TestReadRejectsAbsentOperand(t *testing.T) {
+	for op, arity := range map[Op]int{OpNot: 1, OpAdd: 2, OpMux: 3} {
+		var buf bytes.Buffer
+		buf.WriteString("CQC1")
+		buf.WriteByte(2) // gateCount = 2
+		buf.WriteByte(byte(OpInput))
+		buf.WriteByte(byte(op))
+		buf.WriteByte(0) // absent (-1 + 1)
+		for k := 1; k < arity; k++ {
+			buf.WriteByte(1) // wire 0 (+1)
+		}
+		buf.WriteByte(1) // one output: wire 1
+		buf.WriteByte(1)
+		if _, err := Read(&buf); err == nil {
+			t.Errorf("%v gate with an absent operand accepted", op)
+		}
+	}
+}
+
 func BenchmarkEvaluateSequential(b *testing.B) {
 	c := randomCircuit(11, 32, 200000)
 	inputs := make([]int64, c.NumInputs())

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"circuitql/internal/obs"
 	"circuitql/internal/query"
 	"circuitql/internal/relation"
 )
@@ -77,6 +79,36 @@ func TestBooleanDecisionRandom(t *testing.T) {
 		if got := decide(t, bc, db); got != (ref.Len() > 0) {
 			t.Fatalf("iter %d: decision = %v, reference %v", iter, got, ref.Len() > 0)
 		}
+	}
+}
+
+// TestBooleanPlanTakesTheCompileTail: a Boolean plan comes out of the
+// full-CQ compile's tail, so it carries what that tail gives a plan —
+// an optimizer report whose swept size is the plan's circuit, the proof
+// sequence, a program of that circuit, and one compile span with the
+// optimize stage under it.
+func TestBooleanPlanTakesTheCompileTail(t *testing.T) {
+	q := query.BooleanTriangle()
+	tracer := obs.NewTracer(4)
+	bc, err := CompileBooleanCtx(obs.WithTracer(context.Background(), tracer), q, query.Cardinalities(q, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bc.Opt == nil || bc.Opt.WordGatesAfter != bc.Obliv.C.Size() || bc.Opt.WordGatesAfter > bc.Opt.WordGatesBefore {
+		t.Fatalf("optimizer report %+v for a %d-gate circuit", bc.Opt, bc.Obliv.C.Size())
+	}
+	if len(bc.Seq) == 0 {
+		t.Fatal("no proof sequence recorded")
+	}
+	if bc.Prog.Gates() != bc.Obliv.C.Size() {
+		t.Fatalf("program stands for %d gates, the circuit has %d", bc.Prog.Gates(), bc.Obliv.C.Size())
+	}
+	roots := tracer.Last(1)
+	if len(roots) != 1 || roots[0].Name != obs.StageCompile {
+		t.Fatalf("trace roots %v, want one compile span", roots)
+	}
+	if !strings.Contains(obs.Format(roots[0]), obs.StageOptimize) {
+		t.Fatalf("compile span has no optimize stage:\n%s", obs.Format(roots[0]))
 	}
 }
 

@@ -272,8 +272,8 @@ type Compiled struct {
 	Rel       *relcircuit.Circuit
 	RelOutput int
 	// Obliv is the word circuit with its packing metadata. Obliv.C is
-	// nil for a plan read from a file, which holds only the specs and
-	// the program.
+	// nil for a plan as its file holds it (read from one, or an engine
+	// cache entry): the specs and the program.
 	Obliv *ObliviousCircuit
 	// Prog is the vm program of Obliv.C, compiled with the plan or read
 	// from its file: always set.
@@ -323,12 +323,8 @@ type CompileOptions struct {
 // CompileQueryCtx runs the full pipeline for a full CQ: PANDA-C to a
 // relational circuit, opt.Rel on it, then the oblivious lowering through
 // the rewriting builder — the word-level optimizer, folding each gate as
-// it is built — and a sweep of the gates that left unused.
-//
-// The plan comes with its vm program (Compiled.Prog), compiled from the
-// folded circuit while the sweep runs, so the two read the lowering's
-// output at once and the program costs the compile little wall time
-// where a core is free.
+// it is built — and a sweep of the gates that left unused, beside which
+// the plan's vm program (Compiled.Prog) is built (foldAndSweep).
 //
 // The PANDA-C compilation, the oblivious lowering, the sweep and the vm
 // compile poll ctx and respect any guard.Budget it carries. The
@@ -340,13 +336,24 @@ func CompileQueryCtx(ctx context.Context, q *query.Query, dcs query.DCSet) (*Com
 }
 
 // CompileQueryOptsCtx is CompileQueryCtx with explicit options.
-func CompileQueryOptsCtx(ctx context.Context, q *query.Query, dcs query.DCSet, opts CompileOptions) (_ *Compiled, err error) {
+func CompileQueryOptsCtx(ctx context.Context, q *query.Query, dcs query.DCSet, opts CompileOptions) (*Compiled, error) {
+	return compilePlan(ctx, q, dcs, opts, func(ctx context.Context) (*panda.CompileResult, error) {
+		return panda.CompileFCQCtx(ctx, q, dcs)
+	})
+}
+
+// compilePlan runs a plan's pipeline for the pair (q, dcs) under the
+// compile span: front builds its PANDA-C circuit, and every plan shares
+// what follows — opt.Rel (unless opts.NoOpt), the oblivious lowering,
+// the sweep and the vm program built beside it.
+func compilePlan(ctx context.Context, q *query.Query, dcs query.DCSet, opts CompileOptions,
+	front func(context.Context) (*panda.CompileResult, error)) (_ *Compiled, err error) {
 	ctx, sp := obs.StartSpan(ctx, obs.StageCompile)
 	defer func() {
 		sp.SetError(err)
 		sp.End()
 	}()
-	res, err := panda.CompileFCQCtx(ctx, q, dcs)
+	res, err := front(ctx)
 	if err != nil {
 		return nil, err
 	}

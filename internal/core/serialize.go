@@ -20,18 +20,8 @@ type artifactHeader struct {
 	Outputs []OutputSpec `json:"outputs"`
 }
 
-// WriteTo serializes the oblivious circuit with its metadata.
-func (oc *ObliviousCircuit) WriteTo(w io.Writer) (int64, error) {
-	b, err := oc.Append(nil)
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(b)
-	return int64(n), err
-}
-
-// Append appends what WriteTo writes to b and returns the extended
-// slice (see boolcircuit.Circuit.Append).
+// Append appends the oblivious circuit with its metadata to b, in the
+// format ReadObliviousCircuit reads (see boolcircuit.Circuit.Append).
 func (oc *ObliviousCircuit) Append(b []byte) ([]byte, error) {
 	head, err := json.Marshal(artifactHeader{Version: 1, Inputs: oc.Inputs, Outputs: oc.Outputs})
 	if err != nil {
@@ -42,7 +32,7 @@ func (oc *ObliviousCircuit) Append(b []byte) ([]byte, error) {
 	return oc.C.Append(b), nil
 }
 
-// ReadObliviousCircuit deserializes an artifact written by WriteTo.
+// ReadObliviousCircuit deserializes an artifact written by Append.
 func ReadObliviousCircuit(r io.Reader) (*ObliviousCircuit, error) {
 	var headLen int
 	prefix := make([]byte, len("CQOC ")+10+1)
@@ -55,9 +45,13 @@ func ReadObliviousCircuit(r io.Reader) (*ObliviousCircuit, error) {
 	if headLen < 2 || headLen > 1<<28 {
 		return nil, fmt.Errorf("core: unreasonable header length %d", headLen)
 	}
-	head := make([]byte, headLen)
-	if _, err := io.ReadFull(r, head); err != nil {
+	// Read, not allocated: an overstated length costs only what is there.
+	head, err := io.ReadAll(io.LimitReader(r, int64(headLen)))
+	if err != nil {
 		return nil, fmt.Errorf("core: artifact header: %w", err)
+	}
+	if len(head) < headLen {
+		return nil, fmt.Errorf("core: artifact header: %w", io.ErrUnexpectedEOF)
 	}
 	var h artifactHeader
 	if err := json.Unmarshal(head, &h); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -23,13 +24,13 @@ func TestObliviousArtifactRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	if _, err := obl.WriteTo(&buf); err != nil {
+	data, err := obl.Append(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("artifact size: %d bytes for %d gates", buf.Len(), obl.C.Size())
+	t.Logf("artifact size: %d bytes for %d gates", len(data), obl.C.Size())
 
-	loaded, err := ReadObliviousCircuit(bytes.NewReader(buf.Bytes()))
+	loaded, err := ReadObliviousCircuit(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,5 +78,23 @@ func TestReadObliviousCircuitRejectsCorrupt(t *testing.T) {
 		if _, err := ReadObliviousCircuit(strings.NewReader(s)); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+}
+
+// TestReadObliviousCircuitHeaderLengthIsNotAnAllocation: a header length
+// that overstates the bytes left (200 MB here, under the 256 MiB cap)
+// fails on the bytes that are there, without allocating what it
+// claims. A plan file's version-1 body reaches this reader with such a
+// length one mutated digit away.
+func TestReadObliviousCircuitHeaderLengthIsNotAnAllocation(t *testing.T) {
+	src := "CQOC  200000000\n{}"
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadObliviousCircuit(strings.NewReader(src)); err == nil {
+		t.Fatal("a truncated header was accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("reading a %d-byte artifact allocated %d bytes", len(src), got)
 	}
 }

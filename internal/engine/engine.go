@@ -449,6 +449,7 @@ func (e *Engine) warmLoad() {
 		if err != nil {
 			continue
 		}
+		ent.stored.Store(true)
 		e.mu.Lock()
 		victims := e.cache.add(ent)
 		e.mu.Unlock()
@@ -937,13 +938,16 @@ func (e *Engine) loadStored(ctx context.Context, canon *query.Canonical) *entry 
 		sp.SetError(err)
 		return nil
 	}
+	ent.stored.Store(true)
 	sp.AddInt(obs.CounterGates, ent.gates)
 	return ent
 }
 
-// entryFromArtifact builds a cache entry around a stored plan. canon
-// may be nil (warm start has no request); the artifact's own
-// re-canonicalization is used then.
+// entryFromArtifact builds a cache entry around a plan as its file holds
+// it: a stored plan, or a compile's (store.FromCompiled), so a compiled
+// entry keeps no circuit either. canon may be nil (warm start has no
+// request); the artifact's own re-canonicalization is used then. The
+// caller marks an entry read from the store as stored.
 func entryFromArtifact(a *store.PlanArtifact, canon *query.Canonical) (*entry, error) {
 	compiled, artCanon, err := a.Compiled()
 	if err != nil {
@@ -952,27 +956,26 @@ func entryFromArtifact(a *store.PlanArtifact, canon *query.Canonical) (*entry, e
 	if canon == nil {
 		canon = artCanon
 	}
-	ent := &entry{
+	return &entry{
 		fp:       a.FP,
 		canon:    canon,
 		compiled: compiled,
+		art:      a,
 		gates:    a.Gates, // what the plan was charged when it was compiled
-	}
-	ent.stored.Store(true)
-	return ent, nil
+	}, nil
 }
 
-// persist writes a compiled plan to the persistent store, once. Only
-// positive, cacheable entries are candidates (a warm-loaded entry is
-// already on disk and its stored flag is set). Failures are recorded in
-// the store's counters and the entry stays unpersisted — the next
-// eviction retries.
+// persist writes a compiled plan's artifact to the persistent store,
+// once. Only positive, cacheable entries are candidates (a warm-loaded
+// entry is already on disk and its stored flag is set). Failures are
+// recorded in the store's counters and the entry stays unpersisted —
+// the next eviction retries.
 func (e *Engine) persist(ent *entry) {
 	st := e.cfg.Store
-	if st == nil || ent == nil || ent.compiled == nil || ent.uncached || ent.stored.Load() {
+	if st == nil || ent == nil || ent.art == nil || ent.uncached || ent.stored.Load() {
 		return
 	}
-	if err := st.PutPlan(store.FromCompiled(ent.canon, ent.compiled)); err == nil {
+	if err := st.PutPlan(ent.art); err == nil {
 		ent.stored.Store(true)
 	}
 }
@@ -1004,10 +1007,17 @@ func (e *Engine) compile(ctx context.Context, canon *query.Canonical) (*entry, e
 		return ent, nil
 	}
 	start := time.Now()
-	var compiled *core.Compiled
+	var plan *entry
 	err := func() (err error) {
 		defer guard.Recover(&err)
-		compiled, err = core.CompileQueryCtx(ctx, canon.Query, canon.DCs)
+		compiled, err := core.CompileQueryCtx(ctx, canon.Query, canon.DCs)
+		if err != nil {
+			return err
+		}
+		// The entry holds what the plan's file holds — the specs and the
+		// vm program built beside the sweep — and is charged at insert
+		// what its stored copy is at load.
+		plan, err = entryFromArtifact(store.FromCompiled(canon, compiled), canon)
 		return err
 	}()
 	e.compiles.Add(1)
@@ -1028,10 +1038,7 @@ func (e *Engine) compile(ctx context.Context, canon *query.Canonical) (*entry, e
 			return ent, nil
 		}
 	}
-	// The plan comes with its vm program, built beside the sweep, and is
-	// charged for both at insert, as its stored copy is at load.
-	ent.compiled, ent.gates = compiled, store.Charge(compiled)
-	return ent, nil
+	return plan, nil
 }
 
 // --- Lifecycle and snapshots --------------------------------------------

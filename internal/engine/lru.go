@@ -7,17 +7,19 @@ import (
 
 	"circuitql/internal/core"
 	"circuitql/internal/query"
+	"circuitql/internal/store"
 )
 
 // entry is one cached plan: the canonical form it was compiled from and
-// either the compiled plan — its vm program included, whether compiled
-// here or loaded from the store — or a sticky compile failure. Entries
-// are immutable after insertion, so evaluation never holds the cache
-// lock.
+// either the plan as its file holds it — packing specs and vm program,
+// no circuit, whether compiled here or loaded from the store — or a
+// sticky compile failure. Entries are immutable after insertion, so
+// evaluation never holds the cache lock.
 type entry struct {
 	fp       query.Fingerprint
 	canon    *query.Canonical
-	compiled *core.Compiled // nil when compileErr is set
+	compiled *core.Compiled      // nil when compileErr is set
+	art      *store.PlanArtifact // what persist writes; nil when compileErr is set
 	// compileErr routes the entry to the RAM tier. For a structural
 	// failure (e.g. a non-full query, which has no Theorem-4 circuit)
 	// the entry is cached sticky, so repeated requests don't recompile

@@ -186,10 +186,10 @@ func cachedPlanSHA(t *testing.T, e *Engine, req Request) [sha256.Size]byte {
 	e.mu.Lock()
 	ent := e.cache.get(canon.FP)
 	e.mu.Unlock()
-	if ent == nil || ent.compiled == nil {
+	if ent == nil || ent.art == nil {
 		t.Fatalf("no compiled plan cached for %s", req.Query)
 	}
-	data, err := store.EncodePlan(store.FromCompiled(ent.canon, ent.compiled))
+	data, err := store.EncodePlan(ent.art)
 	if err != nil {
 		t.Fatal(err)
 	}

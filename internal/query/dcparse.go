@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -16,7 +17,8 @@ import (
 // The attribute set after '|' is written as concatenated variable names
 // (single-letter variables) or comma-separated names in parentheses:
 // S|(B1,B2) <= 4. A constraint applies to every atom with the given
-// name.
+// name, once per variable set: in R(A,B), R(B,A) both atoms are the
+// one set {A,B}, so "R <= 8" is one constraint, as FormatDC wrote it.
 func ParseDC(q *Query, src string) (DCSet, error) {
 	var out DCSet
 	entries := strings.FieldsFunc(src, func(r rune) bool { return r == ';' })
@@ -40,13 +42,13 @@ func ParseDC(q *Query, src string) (DCSet, error) {
 			name = strings.TrimSpace(lhs[:bar])
 			condSrc = strings.TrimSpace(lhs[bar+1:])
 		}
-		matched := false
+		var ys []VarSet // the variable sets the entry constrained
 		for _, a := range q.Atoms {
-			if a.Name != name {
+			y := a.VarSet()
+			if a.Name != name || slices.Contains(ys, y) {
 				continue
 			}
-			matched = true
-			y := a.VarSet()
+			ys = append(ys, y)
 			x := VarSet(0)
 			if condSrc != "" {
 				x, err = parseVarSet(q, condSrc)
@@ -60,7 +62,7 @@ func ParseDC(q *Query, src string) (DCSet, error) {
 			}
 			out = append(out, DegreeConstraint{X: x, Y: y, N: n})
 		}
-		if !matched {
+		if len(ys) == 0 {
 			return nil, fmt.Errorf("query: constraint %q references unknown relation %q", entry, name)
 		}
 	}

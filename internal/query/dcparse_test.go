@@ -45,6 +45,41 @@ func TestParseDCSelfJoinAppliesToAllAtoms(t *testing.T) {
 	}
 }
 
+// TestParseDCRepeatedVarSetOnce: atoms that repeat a relation over one
+// variable set take a named constraint once, so a canonical pair's text
+// (FormatDC of its constraints) parses back to the same fingerprint,
+// as a stored plan's header must.
+func TestParseDCRepeatedVarSetOnce(t *testing.T) {
+	q := MustParse("Q(A,B,C) :- R(A,B), R(B,A), S(B,C)")
+	dcs, err := ParseDC(q, "R <= 8; R|A <= 4; S <= 8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dcs) != 3 {
+		t.Fatalf("constraints = %v, want one per entry", dcs)
+	}
+	canon, err := Canonicalize(q, dcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Parse(canon.Query.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	redcs, err := ParseDC(back, FormatDC(canon.Query, canon.DCs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := Canonicalize(back, redcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.FP != canon.FP {
+		t.Fatalf("the canonical text reparses to %v, fingerprint %s; want %v, %s",
+			redcs, again.FP.Short(), canon.DCs, canon.FP.Short())
+	}
+}
+
 func TestParseDCErrors(t *testing.T) {
 	q := Triangle()
 	bad := []string{

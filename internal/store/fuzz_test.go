@@ -3,9 +3,13 @@ package store
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
 	"testing"
 
 	"circuitql/internal/core"
+	"circuitql/internal/query"
 	"circuitql/internal/relation"
 	"circuitql/internal/vm"
 )
@@ -43,7 +47,6 @@ func FuzzPlanDecode(f *testing.F) {
 	flip[len(flip)/3] ^= 0x80
 	f.Add(flip)
 
-	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := DecodePlan(data)
 		if _, rerr := ReadPlan(bytes.NewReader(data)); (rerr == nil) != (err == nil) {
@@ -52,19 +55,7 @@ func FuzzPlanDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, batch := range []int{1, 8} {
-			inputs := make([][]vm.Word, batch)
-			for r := range inputs {
-				inputs[r] = make([]vm.Word, a.Prog.NumInputs())
-			}
-			if _, err := a.Prog.EvalBatch(ctx, inputs); err != nil {
-				t.Fatalf("accepted program fails a batch of %d: %v", batch, err)
-			}
-		}
-		plan := &core.Compiled{RelOutput: a.RelOutput, Obliv: a.Obliv}
-		if _, err := plan.DecodeOblivious(make([]int64, a.Prog.NumOutputs())); err != nil {
-			t.Fatalf("accepted artifact does not decode an all-zero output: %v", err)
-		}
+		checkAccepted(t, a)
 		out, err := EncodePlan(a)
 		if err != nil {
 			t.Fatalf("accepted artifact does not re-encode: %v", err)
@@ -83,6 +74,86 @@ func FuzzPlanDecode(f *testing.F) {
 			t.Fatalf("re-encoding is not a fixed point (err %v)", err)
 		}
 	})
+}
+
+// checkAccepted runs an accepted artifact's program on all-zero inputs
+// at a batch of 1 and of 8, which must not fault — the vector kernels
+// index the slab unchecked, so this is what holds the decoder's
+// validation to its purpose — and decodes an all-zero output vector of
+// the program's width through its output specs.
+func checkAccepted(t *testing.T, a *PlanArtifact) {
+	t.Helper()
+	for _, batch := range []int{1, 8} {
+		inputs := make([][]vm.Word, batch)
+		for r := range inputs {
+			inputs[r] = make([]vm.Word, a.Prog.NumInputs())
+		}
+		if _, err := a.Prog.EvalBatch(context.Background(), inputs); err != nil {
+			t.Fatalf("accepted program fails a batch of %d: %v", batch, err)
+		}
+	}
+	plan := &core.Compiled{RelOutput: a.RelOutput, Obliv: a.Obliv}
+	if _, err := plan.DecodeOblivious(make([]int64, a.Prog.NumOutputs())); err != nil {
+		t.Fatalf("accepted artifact does not decode an all-zero output: %v", err)
+	}
+}
+
+// FuzzPlanBody fuzzes what FuzzPlanDecode's mutations rarely reach: a
+// mutated file fails its checksum, so this target hands bytes to the
+// body decoder (decodeBody) directly. Its property is FuzzPlanDecode's
+// without the envelope: no panic, and anything accepted passes
+// checkAccepted. The seeds are small, because the fuzzer minimizes every
+// input that finds new coverage one run a step: the committed corpus
+// holds the 2 KB bodies of a pair plan and of one whose program reads a
+// slot before writing it, and a version-1 body whose circuit has a gate
+// with an absent operand; the code adds the pair plan's version-1 body
+// and two edits of its version-2 one.
+func FuzzPlanBody(f *testing.F) {
+	q := query.MustParse("Q(A,B) :- R(A,B), S(A,B)")
+	canon, err := query.Canonicalize(q, query.Cardinalities(q, 2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	compiled, err := core.CompileQueryCtx(context.Background(), canon.Query, canon.DCs)
+	if err != nil {
+		f.Fatal(err)
+	}
+	art := FromCompiled(canon, compiled)
+	f.Add(envelopeBody(f, editedPlan(f, art, shiftOutputs)))
+	f.Add(envelopeBody(f, editedPlan(f, art, repeatInputAttribute)))
+	// The version-1 body: the header, then the swept circuit with its
+	// specs, which decodes by compiling the circuit.
+	head, err := json.Marshal(planHeader{Version: 1, FP: art.FP.String(), Query: art.QueryText,
+		DC: art.DCText, RelOutput: art.RelOutput, Gates: art.Gates})
+	if err != nil {
+		f.Fatal(err)
+	}
+	v1, err := compiled.Obliv.Append(append(binary.AppendUvarint(nil, uint64(len(head))), head...))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		a, err := decodeBody(body)
+		if err != nil {
+			return
+		}
+		checkAccepted(t, a)
+	})
+}
+
+// envelopeBody returns the body of an encoded plan: what lies between
+// the magic and length prefix and the checksum.
+func envelopeBody(t testing.TB, data []byte) []byte {
+	t.Helper()
+	bodyLen, n := binary.Uvarint(data[len(planMagic):])
+	start := len(planMagic) + n
+	if n <= 0 || uint64(len(data)) != uint64(start)+bodyLen+sha256.Size {
+		t.Fatalf("not a plan envelope (%d bytes)", len(data))
+	}
+	return data[start : start+int(bodyLen)]
 }
 
 // FuzzRelScan: the columnar decoder must never panic, and any file it

@@ -73,8 +73,8 @@ type PlanArtifact struct {
 	Gates int64
 	// Depth is the swept word circuit's depth.
 	Depth int
-	// Obliv carries the packing specs (Inputs, Outputs). Its circuit C
-	// is set only on an artifact FromCompiled built, and is not stored.
+	// Obliv carries the packing specs (Inputs, Outputs); its circuit C
+	// is nil.
 	Obliv *core.ObliviousCircuit
 	// Prog is the plan's vm program.
 	Prog *vm.Program
@@ -146,11 +146,10 @@ func EncodePlan(a *PlanArtifact) ([]byte, error) {
 	return append(out, sum[:]...), nil
 }
 
-// DecodePlan deserializes a plan artifact, verifying the envelope
-// checksum, validating the program (vm.DecodeProgram) and
-// cross-checking the header's specs against it. A version-1 artifact is
-// migrated as it decodes (v1.go). It never panics on adversarial bytes
-// (FuzzPlanDecode enforces this); every failure is an error.
+// DecodePlan deserializes a plan artifact: it checks the envelope and
+// its checksum, then decodes the body (decodeBody). It never panics on
+// adversarial bytes (FuzzPlanDecode enforces this, and FuzzPlanBody on
+// bodies past the checksum); every failure is an error.
 func DecodePlan(data []byte) (*PlanArtifact, error) {
 	if len(data) < len(planMagic)+1+sha256.Size {
 		return nil, fmt.Errorf("store: plan artifact truncated (%d bytes)", len(data))
@@ -176,7 +175,14 @@ func DecodePlan(data []byte) (*PlanArtifact, error) {
 	if !bytes.Equal(sum, want[:]) {
 		return nil, fmt.Errorf("store: plan checksum mismatch")
 	}
+	return decodeBody(body)
+}
 
+// decodeBody decodes a plan body, the bytes the checksum covers after
+// the envelope prefix: it validates the program (vm.DecodeProgram) and
+// cross-checks the header's specs against it. A version-1 body is
+// migrated as it decodes (v1.go).
+func decodeBody(body []byte) (*PlanArtifact, error) {
 	headLen, n := binary.Uvarint(body)
 	if n <= 0 || headLen > uint64(len(body)-n) {
 		return nil, fmt.Errorf("store: unreadable plan header length")
@@ -197,7 +203,7 @@ func DecodePlan(data []byte) (*PlanArtifact, error) {
 		Gates:     h.Gates,
 		Depth:     h.Depth,
 	}
-	rest = body[n+int(headLen):]
+	rest := body[n+int(headLen):]
 	switch h.Version {
 	case PlanFormatVersion:
 		if a.Prog, err = vm.DecodeProgram(rest); err != nil {
@@ -254,11 +260,12 @@ func ReadPlan(r io.Reader) (*PlanArtifact, error) {
 	return DecodePlan(data)
 }
 
-// FromCompiled builds the persistable artifact for a compiled plan.
-// canon must be the canonical form of the pair compiled
-// (query.Canonicalize(compiled.Query, compiled.DC)); the header text is
-// the compiled-on pair itself, which for an engine plan, compiled on
-// canon.Query against canon.DCs, is the canonical text.
+// FromCompiled builds the persistable artifact for a compiled plan: what
+// its file holds, the specs and the program, sharing them with compiled
+// but not its circuits. canon must be the canonical form of the pair
+// compiled (query.Canonicalize(compiled.Query, compiled.DC)); the header
+// text is the compiled-on pair itself, which for an engine plan,
+// compiled on canon.Query against canon.DCs, is the canonical text.
 func FromCompiled(canon *query.Canonical, compiled *core.Compiled) *PlanArtifact {
 	return &PlanArtifact{
 		FP:        canon.FP,
@@ -267,7 +274,7 @@ func FromCompiled(canon *query.Canonical, compiled *core.Compiled) *PlanArtifact
 		RelOutput: compiled.RelOutput,
 		Gates:     Charge(compiled),
 		Depth:     compiled.Obliv.C.Depth(),
-		Obliv:     compiled.Obliv,
+		Obliv:     &core.ObliviousCircuit{Inputs: compiled.Obliv.Inputs, Outputs: compiled.Obliv.Outputs},
 		Prog:      compiled.Prog,
 	}
 }
@@ -289,8 +296,8 @@ func progCharge(p *vm.Program) int64 {
 // Compiled reassembles an evaluable core.Compiled from the artifact:
 // the header's query and constraints are parsed, canonicalized and
 // verified against the fingerprint the artifact is stored under, then
-// wired back up to the specs and program compiled on them. Rel is nil,
-// and so is Obliv.C for a decoded artifact — see PlanArtifact.
+// wired back up to the specs and program compiled on them. Rel and
+// Obliv.C are nil — see PlanArtifact.
 // The fingerprint check is the store's semantic integrity check (the
 // checksum only covers bytes): a decoder bug, a hand-edited artifact,
 // or a fingerprint algorithm change all surface here instead of serving

@@ -258,16 +258,21 @@ func TestVMEvalIsOblivious(t *testing.T) {
 // swept circuit's size. The shapes are the served templates at 4, 8, 12
 // and 16 tuples, data seeds 1-3, plain and salted, compiled as the
 // daemon compiles a request, then every full catalog query under a
-// uniform bound.
+// uniform bound, then the Boolean triangle, whose plan takes the same
+// pipeline after PANDA-C.
 func TestPlanProgramEqualsSwept(t *testing.T) {
 	ctx := context.Background()
-	check := func(name string, q *query.Query, dcs query.DCSet) {
-		t.Helper()
+	// served compiles a full CQ as the daemon compiles a request: on its
+	// canonical pair.
+	served := func(q *query.Query, dcs query.DCSet) (*core.Compiled, error) {
 		canon, err := query.Canonicalize(q, dcs)
 		if err != nil {
-			t.Fatalf("%s: canonicalize: %v", name, err)
+			return nil, err
 		}
-		compiled, err := core.CompileQueryCtx(ctx, canon.Query, canon.DCs)
+		return core.CompileQueryCtx(ctx, canon.Query, canon.DCs)
+	}
+	check := func(name string, compiled *core.Compiled, err error) {
+		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: compile: %v", name, err)
 		}
@@ -305,7 +310,8 @@ func TestPlanProgramEqualsSwept(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					check(fmt.Sprintf("%s·%d seed %d %q", src, tuples, seed, extra), q, dcs)
+					compiled, err := served(q, dcs)
+					check(fmt.Sprintf("%s·%d seed %d %q", src, tuples, seed, extra), compiled, err)
 				}
 			}
 		}
@@ -318,7 +324,13 @@ func TestPlanProgramEqualsSwept(t *testing.T) {
 		if ent.Name == "star3" {
 			n = 3
 		}
-		check(ent.Name, ent.Query, query.Cardinalities(ent.Query, float64(n)))
+		compiled, err := served(ent.Query, query.Cardinalities(ent.Query, float64(n)))
+		check(ent.Name, compiled, err)
+	}
+	for _, n := range []float64{4, 8} {
+		q := query.BooleanTriangle()
+		compiled, err := core.CompileBooleanCtx(ctx, q, query.Cardinalities(q, n))
+		check(fmt.Sprintf("boolean triangle·%v", n), compiled, err)
 	}
 }
 

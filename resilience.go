@@ -116,7 +116,7 @@ func (c *CompiledQuery) EvaluateResilient(ctx context.Context, db Database) (*Re
 	}{
 		{TierVM, func(ctx context.Context) (out *Relation, err error) {
 			defer guard.Recover(&err)
-			return c.prog.evaluate(ctx, db)
+			return c.evaluate(ctx, db)
 		}},
 		{TierRAM, func(ctx context.Context) (out *Relation, err error) {
 			defer guard.Recover(&err)

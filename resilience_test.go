@@ -285,10 +285,6 @@ func blockingEntryPoints(t *testing.T) []entryPoint {
 	hardQ, hardDCs := pathologicalQuery(t)
 
 	art := roundTrip(t, cq)
-	prog, err := cq.CompileVM(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	boolQ, err := ParseQuery("Q() :- R(A,B), S(B,A)")
 	if err != nil {
@@ -324,10 +320,6 @@ func blockingEntryPoints(t *testing.T) []entryPoint {
 	vdb["S"].Insert(1, 1)
 	vdb["S"].Insert(1, 2)
 	vcq, err := Compile(bg, vq, mustConstraints(t, vq, "R <= 4; S <= 4; S|B <= 1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vvm, err := vcq.CompileVM(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +367,6 @@ func blockingEntryPoints(t *testing.T) []entryPoint {
 		{"PolymatroidBound", false, func(ctx context.Context) error { _, err := PolymatroidBound(ctx, hardQ, hardDCs); return err }, nil},
 		{"OutputSensitiveQuery.EvalCircuit", false, func(ctx context.Context) error { _, err := osq.EvalCircuit(ctx, 64); return err }, nil},
 		{"CompiledQuery.BitLevel", false, func(ctx context.Context) error { _, _, err := cq.BitLevel(ctx, 64); return err }, nil},
-		{"CompiledQuery.CompileVM", false, func(ctx context.Context) error { _, err := cq.CompileVM(ctx); return err }, nil},
 
 		{"EvaluateRAM", true, func(ctx context.Context) error { _, err := EvaluateRAM(ctx, q, db); return err },
 			func(ctx context.Context) (bool, error) { return same(EvaluateRAM(ctx, vq, vdb)) }},
@@ -392,9 +383,9 @@ func blockingEntryPoints(t *testing.T) []entryPoint {
 			out, _, err := vcq.EvaluateResilient(ctx, vdb)
 			return same(out, err)
 		}},
-		{"VMProgram.EvalBatch", true, func(ctx context.Context) error { _, err := prog.EvalBatch(ctx, []Database{db, db}); return err },
+		{"CompiledQuery.EvalBatch", true, func(ctx context.Context) error { _, err := cq.EvalBatch(ctx, []Database{db, db}); return err },
 			func(ctx context.Context) (bool, error) {
-				outs, err := vvm.EvalBatch(ctx, []Database{vdb})
+				outs, err := vcq.EvalBatch(ctx, []Database{vdb})
 				if err != nil {
 					return false, err
 				}
